@@ -5,38 +5,24 @@ from .analysis import (
     ProtocolComparison,
     SystemParams,
     compare_protocols,
+    eigenvalues,
     estimate_variance_mc,
-    grades_eigenvalues,
-    grades_steady_state,
-    grades_variance,
-    pisync_eigenvalues,
-    pisync_steady_state,
-    pisync_variance,
     rate_error_path,
-    stability_bound,
+    variance,
 )
-from .clocks import (
-    ConstantDrift,
-    GaussianDelay,
-    HardwareClock,
-    LogicalClock,
-    PiecewiseDrift,
-    WhiteDrift,
-)
+from .clocks import ConstantDrift, HardwareClock, LogicalClock, PiecewiseDrift, WhiteDrift
 from .errors import ContractViolation, InvalidRegimeError
 from .protocols import (
     GRADES,
     PISYNC,
     PROTOCOLS,
-    GradesState,
-    PisyncState,
     SyncMessage,
+    SyncState,
     adapt_step,
     compute_error,
-    error_gradient,
-    grades_on_message,
+    error_scale,
     on_beacon_tick,
-    pisync_on_message,
+    on_message,
     step_size_limit,
 )
 from .sim import (

@@ -6,15 +6,14 @@ per-round white frequency-deviation integral w (mean 0, variance
 beacon_period * max_deviation**2 / 3) and per-round delay-noise difference d:
 
     e(h+1) = z_h * (B + w/f0) + w/f0 - d
-    z_{h+1} = z_h - c * e(h+1),   c = 2*(step)*B*f0**2  (grades)
-                                  c = (step)*f0          (pisync)
+    z_{h+1} = z_h - c * e(h+1),   c = step * error_scale * f0
 
-which expands to the textbook affine forms with contraction factors
-1 - 2*step*B**2*f0**2 resp. 1 - step*B*f0 in expectation.  This module
-evaluates the resulting eigenvalues, stability bounds, fixed points and
-steady-state error variances, and `estimate_variance_mc` replays the same
-recursion stochastically so every formula can be validated against an
-independent sample estimate.
+with error_scale = 2*B*f0 for grades and 1 for pisync (see
+``protocols.error_scale``), so the contraction factor in expectation is
+1 - 2*step*B**2*f0**2 resp. 1 - step*B*f0.  This module evaluates the
+resulting eigenvalues and steady-state error variances, and
+`estimate_variance_mc` replays the same recursion stochastically so every
+formula can be validated against an independent sample estimate.
 
 Delay-noise conventions: the closed forms treat d as an i.i.d. draw of
 variance delay_std**2.  Mechanistically d is a difference of consecutive
@@ -25,12 +24,12 @@ implements both; see ``noise_convention``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidRegimeError
-from .protocols import GRADES, PISYNC, step_size_limit
+from .protocols import GRADES, PISYNC, error_scale, step_size_limit
 
 
 @dataclass(frozen=True)
@@ -69,9 +68,7 @@ class SystemParams:
         Steady-state error variances map exactly as Var_norm = Var / B**2.
         """
         b, f0 = self.beacon_period, self.nominal_freq
-        scale = b * b * f0 * f0 if protocol == GRADES else b * f0
-        if protocol not in (GRADES, PISYNC):
-            raise ValueError(f"unknown protocol: {protocol!r}")
+        scale = step_size_limit(protocol, 1.0, 1.0) / step_size_limit(protocol, b, f0)
         return SystemParams(
             beacon_period=1.0,
             nominal_freq=1.0,
@@ -81,28 +78,14 @@ class SystemParams:
         )
 
 
-def grades_eigenvalues(p: SystemParams) -> tuple[float, float]:
+def _update_coefficient(p: SystemParams, protocol: str) -> float:
+    """c in z_{h+1} = z_h - c * e(h+1): the step times the error scale, per rate unit."""
+    return p.step_size * error_scale(protocol, p.beacon_period, p.nominal_freq) * p.nominal_freq
+
+
+def eigenvalues(p: SystemParams, protocol: str) -> tuple[float, float]:
     """Eigenvalues of the expected (offset, rate-error) round map: (0, lambda2)."""
-    bf = p.beacon_period * p.nominal_freq
-    return 0.0, 1.0 - 2.0 * p.step_size * bf * bf
-
-
-def pisync_eigenvalues(p: SystemParams) -> tuple[float, float]:
-    return 0.0, 1.0 - p.step_size * p.beacon_period * p.nominal_freq
-
-
-def stability_bound(protocol: str, beacon_period: float, nominal_freq: float) -> float:
-    """Supremum of step sizes with |lambda2| < 1 (exclusive)."""
-    return step_size_limit(protocol, beacon_period, nominal_freq)
-
-
-def grades_steady_state(p: SystemParams) -> tuple[float, float]:
-    """(expected error, expected rate multiplier) fixed point: (0, 1/f0)."""
-    return 0.0, 1.0 / p.nominal_freq
-
-
-def pisync_steady_state(p: SystemParams) -> tuple[float, float]:
-    return 0.0, 1.0 / p.nominal_freq
+    return 0.0, 1.0 - _update_coefficient(p, protocol) * p.beacon_period
 
 
 def _noise_moments(p: SystemParams) -> tuple[float, float]:
@@ -117,28 +100,18 @@ def _variance_from_z(p: SystemParams, z_second_moment: float) -> float:
     return z_second_moment * (p.beacon_period**2 + w_var / f0sq) + w_var / f0sq + d_var
 
 
-def grades_variance(p: SystemParams) -> float:
+def variance(p: SystemParams, protocol: str) -> float:
     """Steady-state variance of the per-round sync error, squared seconds.
 
-    Valid only while the z second-moment recursion contracts, i.e.
-    1 - step*(B**2*f0**2 + B*max_dev**2/3) > 0 (slightly stricter than the
-    mean stability bound).
+    The z second moment is step*(w + f0**2*d) / (lead - step*(B**2*f0**2 + w))
+    with lead = 2*B*f0 / error_scale: 1 for grades, 2*B*f0 for pisync.  The
+    formula is valid only while that denominator is positive, which is
+    slightly stricter than the mean stability bound.
     """
     w_var, d_var = _noise_moments(p)
     b, f0, a = p.beacon_period, p.nominal_freq, p.step_size
-    denom = 1.0 - a * (b * b * f0 * f0 + w_var)
-    if denom <= 0:
-        raise InvalidRegimeError(
-            f"step size {a} is outside the variance-stable region (denominator {denom})"
-        )
-    z2 = a * (w_var + f0 * f0 * d_var) / denom
-    return _variance_from_z(p, z2)
-
-
-def pisync_variance(p: SystemParams) -> float:
-    w_var, d_var = _noise_moments(p)
-    b, f0, a = p.beacon_period, p.nominal_freq, p.step_size
-    denom = 2.0 * b * f0 - a * (b * b * f0 * f0 + w_var)
+    lead = 2.0 * b * f0 / error_scale(protocol, b, f0)
+    denom = lead - a * (b * b * f0 * f0 + w_var)
     if denom <= 0:
         raise InvalidRegimeError(
             f"step size {a} is outside the variance-stable region (denominator {denom})"
@@ -166,34 +139,26 @@ def compare_protocols(p: SystemParams) -> ProtocolComparison:
     by 2*B*f0 vs 1), so for any realistic round length pisync has the lower
     floor while grades contracts faster.
     """
-    gl = grades_eigenvalues(p)[1]
-    pl = pisync_eigenvalues(p)[1]
+    gl = eigenvalues(p, GRADES)[1]
+    pl = eigenvalues(p, PISYNC)[1]
     if math.isclose(abs(gl), abs(pl), rel_tol=1e-12, abs_tol=1e-15):
         convergence = "tie"
     else:
         convergence = GRADES if abs(gl) < abs(pl) else PISYNC
-    gv = grades_variance(p)
-    pv = pisync_variance(p)
+    gv = variance(p, GRADES)
+    pv = variance(p, PISYNC)
     if math.isclose(gv, pv, rel_tol=1e-12, abs_tol=0.0):
-        variance = "tie"
+        lower_variance = "tie"
     else:
-        variance = GRADES if gv < pv else PISYNC
+        lower_variance = GRADES if gv < pv else PISYNC
     return ProtocolComparison(
         convergence_winner=convergence,
-        variance_winner=variance,
+        variance_winner=lower_variance,
         grades_lambda2=gl,
         pisync_lambda2=pl,
         grades_variance=gv,
         pisync_variance=pv,
     )
-
-
-def _update_coefficient(p: SystemParams, protocol: str) -> float:
-    if protocol == GRADES:
-        return 2.0 * p.step_size * p.beacon_period * p.nominal_freq**2
-    if protocol == PISYNC:
-        return p.step_size * p.nominal_freq
-    raise ValueError(f"unknown protocol: {protocol!r}")
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Clock and channel-noise primitives.
+"""Clock primitives.
 
 A hardware clock accumulates ticks at an instantaneous frequency
 ``nominal_freq + deviation(t)`` where the deviation is produced by a drift
@@ -7,17 +7,11 @@ strictly increasing).  A logical clock maps hardware ticks to an estimate of
 global time through an offset and a rate multiplier, and is only ever updated
 at discrete sync events.
 
-Drift models come in two flavors:
-
-* trajectory models (:class:`ConstantDrift`, :class:`PiecewiseDrift`,
-  :class:`WhiteDrift` in ``"segments"`` mode) define an instantaneous rate at
-  every instant.  They integrate exactly over any interval and can be
-  inverted to find the real time at which a tick target is crossed, which is
-  what the event simulator needs to schedule beacons.
-* the :class:`WhiteDrift` ``"interval"`` mode samples the deviation integral
-  of the white model directly as Normal(0, dt * max_deviation**2 / 3).  That
-  is the CLT view of per-unit-time uniform deviations; it is meant for
-  interval-level Monte-Carlo work and has no trajectory to invert.
+Drift models (:class:`ConstantDrift`, :class:`PiecewiseDrift`,
+:class:`WhiteDrift`) define an instantaneous rate at every instant.  They
+integrate exactly over any interval and can be inverted to find the real time
+at which a tick target is crossed, which is what the event simulator needs to
+schedule beacons.
 
 All randomness flows through numpy ``Generator`` objects injected at
 construction, so a (seed, config) pair fully determines every trajectory.
@@ -102,23 +96,16 @@ class PiecewiseDrift:
 class WhiteDrift:
     """Per-unit-time white frequency deviation, uniform in [-max_dev, +max_dev].
 
-    mode="interval": deviation integrals are drawn as
-    Normal(0, dt * max_dev**2 / 3), the CLT limit of summing unit-time
-    uniforms.  No instantaneous trajectory exists in this mode.
-
-    mode="segments": an explicit realization — one uniform draw per unit-time
-    segment [j, j+1), drawn lazily in segment order so the realization does
-    not depend on the query pattern.  Integrals are exact sums and the
-    trajectory can be inverted for tick-crossing times.
+    An explicit realization: one uniform draw per unit-time segment [j, j+1),
+    drawn lazily in segment order so the realization does not depend on the
+    query pattern.  Integrals are exact sums and the trajectory can be
+    inverted for tick-crossing times.
     """
 
-    def __init__(self, max_deviation: float, rng: np.random.Generator, mode: str = "interval"):
-        if mode not in ("interval", "segments"):
-            raise ValueError(f"unknown white drift mode: {mode!r}")
+    def __init__(self, max_deviation: float, rng: np.random.Generator):
         if max_deviation < 0:
             raise ValueError("max_deviation must be non-negative")
         self.max_deviation = float(max_deviation)
-        self.mode = mode
         self._rng = rng
         self._segments: list[float] = []
 
@@ -129,16 +116,11 @@ class WhiteDrift:
         return self._segments[j]
 
     def deviation_rate(self, t: float) -> float:
-        if self.mode != "segments":
-            raise ValueError("interval-mode white drift has no instantaneous rate")
         if t < 0:
             raise ValueError("white drift is defined for t >= 0")
         return self._segment(int(math.floor(t)))
 
     def deviation_integral(self, t0: float, t1: float) -> float:
-        if self.mode == "interval":
-            scale = self.max_deviation * math.sqrt((t1 - t0) / 3.0)
-            return float(self._rng.normal(0.0, scale)) if scale > 0 else 0.0
         total = 0.0
         for start, end, dev in self.pieces(t0):
             if start >= t1:
@@ -147,8 +129,6 @@ class WhiteDrift:
         return total
 
     def pieces(self, t_from: float):
-        if self.mode != "segments":
-            raise ValueError("interval-mode white drift has no trajectory pieces")
         j = int(math.floor(t_from))
         while True:
             yield max(float(j), t_from), float(j + 1), self._segment(j)
@@ -271,23 +251,3 @@ class LogicalClock:
     def with_rate(self, rate_multiplier: float) -> "LogicalClock":
         return replace(self, rate_multiplier=rate_multiplier)
 
-
-@dataclass(frozen=True)
-class GaussianDelay:
-    """Zero-mean Gaussian channel/timestamping noise with std ``std`` seconds.
-
-    Negative samples are legitimate (the noise perturbs a reported clock
-    value, not a physical latency) and are never clamped.
-    """
-
-    std: float = 0.0
-
-    def __post_init__(self):
-        if self.std < 0:
-            raise ValueError("delay std must be non-negative")
-
-    def sample(self, rng: np.random.Generator) -> float:
-        return float(rng.normal(0.0, self.std))
-
-    def samples(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.normal(0.0, self.std, n)

@@ -1,17 +1,19 @@
 """Synchronization protocol state machines.
 
-Two rate-correcting flooding protocols over the same message format:
+Two rate-correcting flooding protocols share one update rule.  On an accepted
+message with sync error e a node first jumps its logical value onto the
+received clock (offset correction), then moves its rate multiplier by
+``-step * signal`` with ``signal = error_scale(protocol) * e``:
 
 * ``grades`` — treats the squared sync error as a loss and descends its
-  gradient: with error e and per-round gradient 2 * beacon_period *
-  nominal_freq * e, the rate multiplier moves by -step * gradient.
+  gradient: the signal is the per-round gradient 2 * beacon_period *
+  nominal_freq * e.
 * ``pisync`` — a proportional-integral controller: the offset jump is the
-  proportional part and the rate multiplier moves by -step * e directly.
+  proportional part and the signal is e itself.
 
-Both protocols, on an accepted message, first jump the logical value onto the
-received clock (offset correction), then update the rate multiplier.  A
-message is accepted only if it carries a strictly newer sequence number,
-which makes re-delivered or out-of-order floods harmless.
+The two therefore differ only in the unit of the step size.  A message is
+accepted only if it carries a strictly newer sequence number, which makes
+re-delivered or out-of-order floods harmless.
 
 All transition functions are pure: they take a state and return a new one,
 leaving the input untouched.
@@ -43,34 +45,40 @@ def step_size_limit(protocol: str, beacon_period: float, nominal_freq: float) ->
     raise ValueError(f"unknown protocol: {protocol!r}")
 
 
-@dataclass(frozen=True)
-class GradesState:
-    step_size: float
-    prev_gradient: float = 0.0
-    seq: int = 0
-    clock: LogicalClock = LogicalClock()
+def error_scale(protocol: str, beacon_period: float, nominal_freq: float) -> float:
+    """Factor turning a sync error into the protocol's update signal.
+
+    grades: 2 * beacon_period * nominal_freq (the squared-error gradient)
+    pisync: 1
+    """
+    if protocol == GRADES:
+        return 2.0 * beacon_period * nominal_freq
+    if protocol == PISYNC:
+        return 1.0
+    raise ValueError(f"unknown protocol: {protocol!r}")
 
 
 @dataclass(frozen=True)
-class PisyncState:
+class SyncState:
+    """One protocol's view at one node: step size, last signal, flood seq, clock."""
+
     step_size: float
-    prev_error: float = 0.0
+    prev_signal: float = 0.0
     seq: int = 0
     clock: LogicalClock = LogicalClock()
 
 
 @dataclass(frozen=True)
 class SyncMessage:
-    """One broadcast: sender id, flood sequence number, clock payload(s).
+    """One broadcast: sender id, flood sequence number, one clock reading per protocol.
 
-    In dual-protocol runs a single physical message carries both protocols'
-    logical readings; a disabled protocol's field is None.
+    ``readings`` follows the order of the protocol states the beacon was
+    emitted from, so a single physical message serves every enabled protocol.
     """
 
     sender: int
     seq: int
-    grades_clock: float | None = None
-    pisync_clock: float | None = None
+    readings: tuple[float, ...]
 
 
 def compute_error(local_read: float, received_clock: float) -> float:
@@ -79,11 +87,6 @@ def compute_error(local_read: float, received_clock: float) -> float:
     Channel noise is already embedded in ``received_clock`` by the transport.
     """
     return local_read - received_clock
-
-
-def error_gradient(error: float, beacon_period: float, nominal_freq: float) -> float:
-    """Per-round gradient of the squared sync error w.r.t. the rate multiplier."""
-    return 2.0 * beacon_period * nominal_freq * error
 
 
 def adapt_step(step: float, signal_now: float, signal_prev: float, step_max: float) -> float:
@@ -103,98 +106,58 @@ def adapt_step(step: float, signal_now: float, signal_prev: float, step_max: flo
     return grown
 
 
-def grades_on_message(
-    state: GradesState,
-    msg: SyncMessage,
+def on_message(
+    protocol: str,
+    state: SyncState,
+    seq: int,
+    received_clock: float,
     hw_now: float,
     beacon_period: float,
     nominal_freq: float,
     adapt: bool = True,
-) -> GradesState:
-    """Process a received flood message; stale sequence numbers are a no-op."""
-    if msg.seq <= state.seq:
+) -> SyncState:
+    """Process a received flood reading; a stale sequence number returns ``state`` itself."""
+    if seq <= state.seq:
         return state
-    error = compute_error(state.clock.read(hw_now), msg.grades_clock)
-    clock = state.clock.with_offset(msg.grades_clock, hw_now)
-    gradient = error_gradient(error, beacon_period, nominal_freq)
+    error = compute_error(state.clock.read(hw_now), received_clock)
+    clock = state.clock.with_offset(received_clock, hw_now)
+    signal = error_scale(protocol, beacon_period, nominal_freq) * error
     step = state.step_size
     if adapt:
         step = adapt_step(
-            step, gradient, state.prev_gradient, step_size_limit(GRADES, beacon_period, nominal_freq)
+            step, signal, state.prev_signal, step_size_limit(protocol, beacon_period, nominal_freq)
         )
-    rate = clock.rate_multiplier - step * gradient
+    rate = clock.rate_multiplier - step * signal
     if rate <= 0:
         raise ContractViolation(
             f"rate multiplier driven to {rate} (step size {step} is mis-scaled for "
             f"beacon_period={beacon_period}, nominal_freq={nominal_freq})"
         )
-    return GradesState(
-        step_size=step,
-        prev_gradient=gradient,
-        seq=msg.seq,
-        clock=clock.with_rate(rate),
-    )
-
-
-def pisync_on_message(
-    state: PisyncState,
-    msg: SyncMessage,
-    hw_now: float,
-    beacon_period: float,
-    nominal_freq: float,
-    adapt: bool = True,
-) -> PisyncState:
-    """PI-controller counterpart of :func:`grades_on_message`."""
-    if msg.seq <= state.seq:
-        return state
-    error = compute_error(state.clock.read(hw_now), msg.pisync_clock)
-    clock = state.clock.with_offset(msg.pisync_clock, hw_now)
-    step = state.step_size
-    if adapt:
-        step = adapt_step(
-            step, error, state.prev_error, step_size_limit(PISYNC, beacon_period, nominal_freq)
-        )
-    rate = clock.rate_multiplier - step * error
-    if rate <= 0:
-        raise ContractViolation(
-            f"rate multiplier driven to {rate} (step size {step} is mis-scaled for "
-            f"beacon_period={beacon_period}, nominal_freq={nominal_freq})"
-        )
-    return PisyncState(
-        step_size=step,
-        prev_error=error,
-        seq=msg.seq,
-        clock=clock.with_rate(rate),
-    )
+    return SyncState(step_size=step, prev_signal=signal, seq=seq, clock=clock.with_rate(rate))
 
 
 def on_beacon_tick(
-    grades: GradesState | None,
-    pisync: PisyncState | None,
+    states: tuple[SyncState, ...],
     *,
     sender: int,
     is_reference: bool,
     hw_now: float,
-) -> tuple[GradesState | None, PisyncState | None, SyncMessage]:
+) -> tuple[tuple[SyncState, ...], SyncMessage]:
     """Emit a broadcast when a node's hardware clock crosses a round boundary.
 
     The reference node increments the flood sequence number before emitting
     and always advertises its raw hardware reading (its logical clock is its
     hardware clock; it never corrects itself).  Everyone else re-broadcasts
-    its current logical reading under its current sequence number.
+    its current logical readings under its current sequence number.
     """
-    seqs = {s.seq for s in (grades, pisync) if s is not None}
+    seqs = {s.seq for s in states}
     if len(seqs) != 1:
         raise ContractViolation(f"protocol states disagree on sequence number: {sorted(seqs)}")
     seq = seqs.pop()
     if is_reference:
         seq += 1
-        grades = replace(grades, seq=seq) if grades is not None else None
-        pisync = replace(pisync, seq=seq) if pisync is not None else None
-        grades_val = hw_now if grades is not None else None
-        pisync_val = hw_now if pisync is not None else None
+        states = tuple(replace(s, seq=seq) for s in states)
+        readings = (hw_now,) * len(states)
     else:
-        grades_val = grades.clock.read(hw_now) if grades is not None else None
-        pisync_val = pisync.clock.read(hw_now) if pisync is not None else None
-    msg = SyncMessage(sender=sender, seq=seq, grades_clock=grades_val, pisync_clock=pisync_val)
-    return grades, pisync, msg
+        readings = tuple(s.clock.read(hw_now) for s in states)
+    return states, SyncMessage(sender=sender, seq=seq, readings=readings)

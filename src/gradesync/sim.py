@@ -25,7 +25,8 @@ import heapq
 import itertools
 import math
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -35,12 +36,10 @@ from .protocols import (
     GRADES,
     PISYNC,
     PROTOCOLS,
-    GradesState,
-    PisyncState,
+    SyncState,
     compute_error,
-    grades_on_message,
     on_beacon_tick,
-    pisync_on_message,
+    on_message,
     step_size_limit,
 )
 
@@ -51,6 +50,11 @@ RANDOM_CONSTANT_DRIFT = "random-constant"
 _KIND_SAMPLE = 0  # keyed under pseudo-node 0
 _KIND_BEACON = 0
 _KIND_RECEIVE = 1
+
+# The update rule bound to each protocol.  ``run`` looks these names up when
+# it starts, so each protocol's updates can be wrapped and counted on their own.
+grades_on_message = partial(on_message, GRADES)
+pisync_on_message = partial(on_message, PISYNC)
 
 
 @dataclass(frozen=True)
@@ -67,9 +71,13 @@ class Topology:
         if any(u <= 0 for u in self.nodes):
             raise ValueError("node ids must be positive (0 is reserved)")
         known = set(self.nodes)
+        seen = set()
         for u, v in self.edges:
             if u == v or u not in known or v not in known:
                 raise ValueError(f"bad edge ({u}, {v})")
+            if frozenset((u, v)) in seen:
+                raise ValueError(f"repeated edge ({u}, {v})")
+            seen.add(frozenset((u, v)))
         if self.reference not in known:
             raise ValueError("reference node is not in the topology")
         if len(self.nodes) > 1 and self._hops().keys() != known:
@@ -234,14 +242,12 @@ def _drift_for_node(config: SimConfig, node: int, rng: np.random.Generator):
         spec = spec.get(node, ConstantDrift(0.0))
     if isinstance(spec, str):
         if spec == WHITE_DRIFT:
-            return WhiteDrift(config.max_deviation, rng, mode="segments")
+            return WhiteDrift(config.max_deviation, rng)
         if spec == RANDOM_CONSTANT_DRIFT:
             dev = float(rng.uniform(-config.max_deviation, config.max_deviation))
             return ConstantDrift(dev)
         raise ValueError(f"unknown drift spec: {spec!r}")
     if isinstance(spec, (ConstantDrift, PiecewiseDrift, WhiteDrift)):
-        if isinstance(spec, WhiteDrift) and spec.mode != "segments":
-            raise ValueError("event simulation needs a trajectory drift model (segments mode)")
         return spec
     raise ValueError(f"unknown drift spec: {spec!r}")
 
@@ -284,7 +290,7 @@ def run(config: SimConfig) -> SkewTrace:
 
     clocks: dict[int, HardwareClock] = {}
     neighbors: dict[int, tuple[int, ...]] = {}
-    states: dict[str, dict[int, object]] = {p: {} for p in config.protocols}
+    states: dict[str, dict[int, SyncState]] = {p: {} for p in config.protocols}
     next_target: dict[int, float] = {}
     adaptive = config.step_policy == "adaptive"
     init_steps = {p: config.resolved_step_size(p) for p in config.protocols}
@@ -303,10 +309,7 @@ def run(config: SimConfig) -> SkewTrace:
             value_at_update=float(phases[i]), rate_multiplier=1.0, hw_at_update=float(phases[i])
         )
         for proto in config.protocols:
-            if proto == GRADES:
-                states[proto][u] = GradesState(step_size=init_steps[proto], clock=lc)
-            else:
-                states[proto][u] = PisyncState(step_size=init_steps[proto], clock=lc)
+            states[proto][u] = SyncState(step_size=init_steps[proto], clock=lc)
         next_target[u] = (math.floor(phases[i] / round_ticks) + 1) * round_ticks
 
     counter = itertools.count()
@@ -325,11 +328,11 @@ def run(config: SimConfig) -> SkewTrace:
     rates_out = {p: [] for p in config.protocols}
     hw_rates_out: list[list[float]] = []
     events: list[SyncEvent] = []
-    on_message = {GRADES: grades_on_message, PISYNC: pisync_on_message}
-    payload_of = {GRADES: lambda m: m.grades_clock, PISYNC: lambda m: m.pisync_clock}
+    handler = {GRADES: grades_on_message, PISYNC: pisync_on_message}
+    lanes = [(i, p, states[p], handler[p]) for i, p in enumerate(config.protocols)]
 
     while heap:
-        t, who, kind, _, msg = heapq.heappop(heap)
+        t, who, kind, _, payload = heapq.heappop(heap)
 
         if who == 0:  # trace sample
             row_r = {p: [] for p in config.protocols}
@@ -355,28 +358,23 @@ def run(config: SimConfig) -> SkewTrace:
             clk = clocks[who]
             clk.advance_to(t)
             hw = clk.read()
-            g = states[GRADES].get(who) if GRADES in config.protocols else None
-            pi = states[PISYNC].get(who) if PISYNC in config.protocols else None
             try:
-                g, pi, out = on_beacon_tick(
-                    g, pi, sender=who, is_reference=(who == ref), hw_now=hw
+                own, out = on_beacon_tick(
+                    tuple(states[p][who] for p in config.protocols),
+                    sender=who,
+                    is_reference=(who == ref),
+                    hw_now=hw,
                 )
             except ContractViolation as err:
                 raise ContractViolation(f"node {who} at t={t:.9g}: {err}") from err
-            if g is not None:
-                states[GRADES][who] = g
-            if pi is not None:
-                states[PISYNC][who] = pi
+            for proto, st in zip(config.protocols, own):
+                states[proto][who] = st
             for v in neighbors[who]:
                 noise = delay_rng.normal(0.0, config.delay_std) * f0
                 if config.drop_probability > 0 and drop_rng.random() < config.drop_probability:
                     continue
-                delivered = replace(
-                    out,
-                    grades_clock=None if out.grades_clock is None else out.grades_clock + noise,
-                    pisync_clock=None if out.pisync_clock is None else out.pisync_clock + noise,
-                )
-                heapq.heappush(heap, (t, v, _KIND_RECEIVE, next(counter), delivered))
+                # Each receiver sees the same message plus its own noise draw.
+                heapq.heappush(heap, (t, v, _KIND_RECEIVE, next(counter), (out, noise)))
             next_target[who] += round_ticks
             t_next = clk.time_of_tick(next_target[who])
             if t_next <= config.duration:
@@ -389,15 +387,17 @@ def run(config: SimConfig) -> SkewTrace:
         clk = clocks[who]
         clk.advance_to(t)
         hw = clk.read()
-        for proto in config.protocols:
-            st = states[proto][who]
+        msg, noise = payload
+        for i, proto, node_states, update in lanes:
+            st = node_states[who]
+            received = msg.readings[i] + noise
             accepted = msg.seq > st.seq
-            error = compute_error(st.clock.read(hw), payload_of[proto](msg)) if accepted else 0.0
+            error = compute_error(st.clock.read(hw), received) if accepted else 0.0
             try:
-                new = on_message[proto](st, msg, hw, b, f0, adapt=adaptive)
+                new = update(st, msg.seq, received, hw, b, f0, adapt=adaptive)
             except ContractViolation as err:
                 raise ContractViolation(f"node {who} at t={t:.9g}: {err}") from err
-            states[proto][who] = new
+            node_states[who] = new
             if accepted and config.record_events:
                 events.append(
                     SyncEvent(

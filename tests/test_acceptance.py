@@ -15,23 +15,20 @@ from gradesync import (
     GRADES,
     PISYNC,
     ConstantDrift,
-    GradesState,
     LogicalClock,
     SimConfig,
-    SyncMessage,
+    SyncState,
     SystemParams,
     Topology,
     adapt_step,
     compare_protocols,
+    eigenvalues,
     estimate_variance_mc,
-    grades_eigenvalues,
-    grades_on_message,
-    grades_variance,
-    pisync_eigenvalues,
-    pisync_variance,
+    on_message,
     rate_error_path,
     run,
-    stability_bound,
+    step_size_limit,
+    variance,
 )
 from gradesync.cli import run_scenario
 from gradesync.scenarios import variance_grid
@@ -91,7 +88,7 @@ def test_criterion_02_stability_boundary_is_sharp():
     z0 = 1e-4
     margins = []
     for proto in (GRADES, PISYNC):
-        limit = stability_bound(proto, 1.0, 1.0)
+        limit = step_size_limit(proto, 1.0, 1.0)
         below = rate_error_path(
             SystemParams(1.0, 1.0, 0.95 * limit), proto, rounds=1000, z0=z0
         )
@@ -117,11 +114,10 @@ def test_criterion_02_stability_boundary_is_sharp():
 def grid_estimates():
     t0 = time.perf_counter()
     rows = []
-    formula = {GRADES: grades_variance, PISYNC: pisync_variance}
     for i, p in enumerate(variance_grid()):
         for proto in (GRADES, PISYNC):
             mc = estimate_variance_mc(p, proto, rounds=1200, trials=1500, seed=5 + i)
-            rows.append((p, proto, formula[proto](p), mc))
+            rows.append((p, proto, variance(p, proto), mc))
     return rows, time.perf_counter() - t0
 
 
@@ -132,13 +128,12 @@ def test_criterion_03_variance_formulas_match_monte_carlo(grid_estimates):
     # The same grid replayed under the mechanistic difference convention shows
     # which delay-noise reading the closed forms assume.
     diff_worst = 0.0
-    formula = {GRADES: grades_variance, PISYNC: pisync_variance}
     for i, p in enumerate(variance_grid()):
         for proto in (GRADES, PISYNC):
             mc = estimate_variance_mc(
                 p, proto, rounds=800, trials=400, seed=5 + i, noise_convention="difference"
             )
-            ref = formula[proto](p)
+            ref = variance(p, proto)
             diff_worst = max(diff_worst, abs(mc.var_error - ref) / ref)
     elapsed += time.perf_counter() - t0
     ok = len(rows) >= 20 and iid_worst <= 0.10 and elapsed < 120.0
@@ -262,8 +257,8 @@ def test_criterion_08_protocol_comparison_matches_direct_evaluation():
     ok = True
     for p in points:
         c = compare_protocols(p)
-        gv, pv = grades_variance(p), pisync_variance(p)
-        gl, pl = grades_eigenvalues(p)[1], pisync_eigenvalues(p)[1]
+        gv, pv = variance(p, GRADES), variance(p, PISYNC)
+        gl, pl = eigenvalues(p, GRADES)[1], eigenvalues(p, PISYNC)[1]
         direct_var = GRADES if gv < pv else PISYNC
         direct_conv = GRADES if abs(gl) < abs(pl) else PISYNC
         predicted_var = GRADES if p.beacon_period * p.nominal_freq < 0.5 else PISYNC
@@ -305,13 +300,11 @@ def test_criterion_10_protocol_logic_invariants():
     checks = []
 
     # Stale sequence numbers are discarded without touching the state.
-    state = GradesState(step_size=0.1, seq=4, clock=LogicalClock(5.0, 1.0, 0.0))
-    stale = SyncMessage(sender=1, seq=4, grades_clock=0.0)
-    checks.append(grades_on_message(state, stale, 0.0, 1.0, 1.0) is state)
+    state = SyncState(step_size=0.1, seq=4, clock=LogicalClock(5.0, 1.0, 0.0))
+    checks.append(on_message(GRADES, state, 4, 0.0, 0.0, 1.0, 1.0) is state)
 
     # An accepted message lands the logical clock exactly on the payload.
-    fresh = SyncMessage(sender=1, seq=5, grades_clock=4.9)
-    updated = grades_on_message(state, fresh, 0.0, 1.0, 1.0)
+    updated = on_message(GRADES, state, 5, 4.9, 0.0, 1.0, 1.0)
     checks.append(updated.clock.read(0.0) == 4.9)
     checks.append(updated.seq == 5)
 

@@ -14,16 +14,15 @@ from gradesync import (
     InvalidRegimeError,
     SystemParams,
     compare_protocols,
+    eigenvalues,
+    error_scale,
     estimate_variance_mc,
-    grades_eigenvalues,
-    grades_steady_state,
-    grades_variance,
-    pisync_eigenvalues,
-    pisync_steady_state,
-    pisync_variance,
+    on_message,
     rate_error_path,
-    stability_bound,
+    step_size_limit,
+    variance,
 )
+from gradesync.protocols import SyncState
 
 
 def params(b=1.0, f0=1.0, step=0.1, fmax=0.0, dstd=0.0):
@@ -36,48 +35,52 @@ def params(b=1.0, f0=1.0, step=0.1, fmax=0.0, dstd=0.0):
 
 
 def test_grades_eigenvalues_examples():
-    lam1, lam2 = grades_eigenvalues(params(step=1e-12))
+    lam1, lam2 = eigenvalues(params(step=1e-12), GRADES)
     assert lam1 == 0.0
     assert lam2 == pytest.approx(1.0, abs=1e-11)  # vanishing step: no contraction
-    assert grades_eigenvalues(params(step=0.5))[1] == 0.0  # deadbeat
-    assert grades_eigenvalues(params(step=1.0))[1] == -1.0  # stability boundary
-    lam2 = grades_eigenvalues(params(b=30.0, f0=1e6, step=0.25 * (30e6) ** -2))[1]
+    assert eigenvalues(params(step=0.5), GRADES)[1] == 0.0  # deadbeat
+    assert eigenvalues(params(step=1.0), GRADES)[1] == -1.0  # stability boundary
+    lam2 = eigenvalues(params(b=30.0, f0=1e6, step=0.25 * (30e6) ** -2), GRADES)[1]
     assert lam2 == pytest.approx(0.5, rel=1e-12)
 
 
 def test_pisync_eigenvalues_examples():
-    assert pisync_eigenvalues(params(step=1e-12))[1] == pytest.approx(1.0, abs=1e-11)
-    assert pisync_eigenvalues(params(step=1.0))[1] == 0.0  # deadbeat
-    assert pisync_eigenvalues(params(step=2.0))[1] == -1.0  # stability boundary
-    lam2 = pisync_eigenvalues(params(b=30.0, f0=1e6, step=0.5 / 30e6))[1]
+    assert eigenvalues(params(step=1e-12), PISYNC)[1] == pytest.approx(1.0, abs=1e-11)
+    assert eigenvalues(params(step=1.0), PISYNC)[1] == 0.0  # deadbeat
+    assert eigenvalues(params(step=2.0), PISYNC)[1] == -1.0  # stability boundary
+    lam2 = eigenvalues(params(b=30.0, f0=1e6, step=0.5 / 30e6), PISYNC)[1]
     assert lam2 == pytest.approx(0.5, rel=1e-12)
 
 
 def test_stability_bounds_and_their_crossover():
-    assert stability_bound(GRADES, 1.0, 1.0) == 1.0
-    assert stability_bound(PISYNC, 1.0, 1.0) == 2.0
+    assert step_size_limit(GRADES, 1.0, 1.0) == 1.0
+    assert step_size_limit(PISYNC, 1.0, 1.0) == 2.0
     # The bounds cross where 1/(B*f0)^2 = 2/(B*f0), i.e. B*f0 = 1/2.
     for bf in (0.1, 0.4):
-        assert stability_bound(GRADES, bf, 1.0) > stability_bound(PISYNC, bf, 1.0)
+        assert step_size_limit(GRADES, bf, 1.0) > step_size_limit(PISYNC, bf, 1.0)
     for bf in (0.6, 1.0, 30e6):
-        assert stability_bound(GRADES, bf, 1.0) < stability_bound(PISYNC, bf, 1.0)
+        assert step_size_limit(GRADES, bf, 1.0) < step_size_limit(PISYNC, bf, 1.0)
 
 
 def test_fixed_points_are_zero_error_at_the_nominal_rate():
+    # Started at zero rate error, the noise-free recursion never leaves it:
+    # zero sync error at rate multiplier 1/f0.
     for f0 in (1.0, 1e6):
         p = params(f0=f0, step=1e-9)
-        assert grades_steady_state(p) == (0.0, 1.0 / f0)
-        assert pisync_steady_state(p) == (0.0, 1.0 / f0)
+        for proto in (GRADES, PISYNC):
+            assert np.all(rate_error_path(p, proto, rounds=10, z0=0.0) == 0.0)
+            est = estimate_variance_mc(p, proto, rounds=10, trials=4, seed=0, z0=0.0)
+            assert (est.mean_error, est.mean_rate_multiplier) == (0.0, 1.0 / f0)
 
 
 # ---------------------------------------------------------------- noise-free dynamics
 
 
 def test_path_decay_matches_the_eigenvalue_exactly():
-    for proto, eig in ((GRADES, grades_eigenvalues), (PISYNC, pisync_eigenvalues)):
+    for proto in (GRADES, PISYNC):
         for step in (0.05, 0.3, 0.45):
             p = params(step=step)
-            lam2 = eig(p)[1]
+            lam2 = eigenvalues(p, proto)[1]
             path = rate_error_path(p, proto, rounds=20, z0=1e-4)
             ratios = path[1:] / path[:-1]
             assert np.allclose(ratios, lam2, rtol=1e-9)
@@ -86,7 +89,7 @@ def test_path_decay_matches_the_eigenvalue_exactly():
 def test_stability_boundary_is_sharp_at_five_percent():
     z0 = 1e-4
     for proto in (GRADES, PISYNC):
-        limit = stability_bound(proto, 1.0, 1.0)
+        limit = step_size_limit(proto, 1.0, 1.0)
         below = rate_error_path(params(step=0.95 * limit), proto, rounds=1000, z0=z0)
         above = rate_error_path(params(step=1.05 * limit), proto, rounds=1000, z0=z0)
         assert abs(below[-1]) < 1e-6 * abs(z0)
@@ -97,8 +100,8 @@ def test_stability_boundary_is_sharp_at_five_percent():
 
 
 def test_noise_free_variance_is_zero():
-    assert grades_variance(params(step=0.1)) == 0.0
-    assert pisync_variance(params(step=0.1)) == 0.0
+    assert variance(params(step=0.1), GRADES) == 0.0
+    assert variance(params(step=0.1), PISYNC) == 0.0
 
 
 def test_delay_only_variance_has_the_expected_closed_form():
@@ -109,23 +112,23 @@ def test_delay_only_variance_has_the_expected_closed_form():
         p = params(b=b, f0=f0, step=a, dstd=dstd)
         w = a * b * b * f0 * f0
         expected = w * dstd**2 / (1.0 - w) + dstd**2
-        assert grades_variance(p) == pytest.approx(expected, rel=1e-12)
+        assert variance(p, GRADES) == pytest.approx(expected, rel=1e-12)
 
 
 def test_variance_raises_outside_the_contraction_region():
     with pytest.raises(InvalidRegimeError):
-        grades_variance(params(step=1.0, dstd=0.01))  # denominator exactly 0
+        variance(params(step=1.0, dstd=0.01), GRADES)  # denominator exactly 0
     with pytest.raises(InvalidRegimeError):
-        grades_variance(params(step=1.2, dstd=0.01))
+        variance(params(step=1.2, dstd=0.01), GRADES)
     with pytest.raises(InvalidRegimeError):
-        pisync_variance(params(step=2.0, dstd=0.01))
+        variance(params(step=2.0, dstd=0.01), PISYNC)
     # The variance region is slightly stricter than the mean-stability region
     # once frequency deviation contributes to the denominator.
     fmax = 0.5
     edge = 1.0 / (1.0 + fmax**2 / 3.0)
     with pytest.raises(InvalidRegimeError):
-        grades_variance(params(step=edge * 1.001, fmax=fmax, dstd=0.01))
-    assert grades_variance(params(step=edge * 0.999, fmax=fmax, dstd=0.01)) > 0
+        variance(params(step=edge * 1.001, fmax=fmax, dstd=0.01), GRADES)
+    assert variance(params(step=edge * 0.999, fmax=fmax, dstd=0.01), GRADES) > 0
 
 
 @settings(max_examples=60, deadline=None)
@@ -139,9 +142,9 @@ def test_variance_grows_with_the_step_size(a1, ratio, dstd, fmax):
     a2 = min(a1 * ratio, 0.95)
     if a2 <= a1:
         return
-    for fn in (grades_variance, pisync_variance):
-        v1 = fn(params(step=a1, fmax=fmax, dstd=dstd))
-        v2 = fn(params(step=a2, fmax=fmax, dstd=dstd))
+    for proto in (GRADES, PISYNC):
+        v1 = variance(params(step=a1, fmax=fmax, dstd=dstd), proto)
+        v2 = variance(params(step=a2, fmax=fmax, dstd=dstd), proto)
         assert v2 > v1
 
 
@@ -157,22 +160,20 @@ def test_variance_grows_with_the_step_size(a1, ratio, dstd, fmax):
     dstd_frac=st.floats(0.0, 1e-3),
 )
 def test_normalized_params_preserve_dynamics_and_scale_variance(b, f0, frac, fmax_ppm, dstd_frac):
-    for proto, eig, var in (
-        (GRADES, grades_eigenvalues, grades_variance),
-        (PISYNC, pisync_eigenvalues, pisync_variance),
-    ):
+    for proto in (GRADES, PISYNC):
         p = SystemParams(
             beacon_period=b,
             nominal_freq=f0,
-            step_size=frac * stability_bound(proto, b, f0),
+            step_size=frac * step_size_limit(proto, b, f0),
             max_deviation=fmax_ppm * 1e-6 * f0,
             delay_std=dstd_frac * b,
         )
         q = p.normalized(proto)
         assert (q.beacon_period, q.nominal_freq) == (1.0, 1.0)
-        assert q.step_size == pytest.approx(frac * stability_bound(proto, 1.0, 1.0), rel=1e-9)
-        assert eig(q)[1] == pytest.approx(eig(p)[1], rel=1e-9, abs=1e-12)
-        assert var(q) == pytest.approx(var(p) / b**2, rel=1e-9)
+        assert q.step_size == pytest.approx(frac * step_size_limit(proto, 1.0, 1.0), rel=1e-9)
+        lam_q, lam_p = eigenvalues(q, proto)[1], eigenvalues(p, proto)[1]
+        assert lam_q == pytest.approx(lam_p, rel=1e-9, abs=1e-12)
+        assert variance(q, proto) == pytest.approx(variance(p, proto) / b**2, rel=1e-9)
 
 
 # ---------------------------------------------------------------- protocol comparison
@@ -208,10 +209,10 @@ def test_convergence_winner_depends_on_the_round_length():
 def test_comparison_carries_both_closed_forms_verbatim():
     p = params(b=1.2, step=0.2, fmax=0.02, dstd=2e-3)
     c = compare_protocols(p)
-    assert c.grades_lambda2 == grades_eigenvalues(p)[1]
-    assert c.pisync_lambda2 == pisync_eigenvalues(p)[1]
-    assert c.grades_variance == grades_variance(p)
-    assert c.pisync_variance == pisync_variance(p)
+    assert c.grades_lambda2 == eigenvalues(p, GRADES)[1]
+    assert c.pisync_lambda2 == eigenvalues(p, PISYNC)[1]
+    assert c.grades_variance == variance(p, GRADES)
+    assert c.pisync_variance == variance(p, PISYNC)
 
 
 # ---------------------------------------------------------------- Monte-Carlo oracle
@@ -228,9 +229,9 @@ def test_mc_oracle_is_exact_without_noise():
 
 def test_mc_oracle_matches_both_closed_forms_at_a_mixed_noise_point():
     p = params(step=0.1, fmax=1e-4, dstd=1e-4)
-    for proto, formula in ((GRADES, grades_variance), (PISYNC, pisync_variance)):
+    for proto in (GRADES, PISYNC):
         est = estimate_variance_mc(p, proto, rounds=800, trials=500, seed=1)
-        assert est.var_error == pytest.approx(formula(p), rel=0.10)
+        assert est.var_error == pytest.approx(variance(p, proto), rel=0.10)
         assert abs(est.mean_error) <= 3.5 * est.se_mean_error
 
 
@@ -239,8 +240,8 @@ def test_iid_convention_agrees_where_the_difference_convention_does_not():
     # per-round delay noise.  The mechanistic difference convention has
     # E[d^2] = 2*dstd^2 and a z-d cross-correlation, and lands far away.
     p = params(step=0.3, dstd=0.01)
-    for proto, formula in ((GRADES, grades_variance), (PISYNC, pisync_variance)):
-        target = formula(p)
+    for proto in (GRADES, PISYNC):
+        target = variance(p, proto)
         iid = estimate_variance_mc(p, proto, rounds=800, trials=500, seed=2)
         diff = estimate_variance_mc(
             p, proto, rounds=800, trials=500, seed=2, noise_convention="difference"
@@ -286,3 +287,25 @@ def test_system_params_validation():
         SystemParams(beacon_period=1.0, nominal_freq=1.0, step_size=0.1, delay_std=-1.0)
     with pytest.raises(ValueError):
         params(step=0.1).normalized("ntp")
+
+
+# ---------------------------------------------------------------- unknown protocols
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda proto: step_size_limit(proto, 1.0, 1.0),
+        lambda proto: error_scale(proto, 1.0, 1.0),
+        lambda proto: eigenvalues(params(step=0.1), proto),
+        lambda proto: variance(params(step=0.1, dstd=0.01), proto),
+        lambda proto: params(step=0.1).normalized(proto),
+        lambda proto: estimate_variance_mc(params(step=0.1), proto, rounds=4, trials=2),
+        lambda proto: on_message(proto, SyncState(0.1), 1, 0.5, 1.0, 1.0, 1.0),
+    ],
+    ids=["step_size_limit", "error_scale", "eigenvalues", "variance", "normalized",
+         "estimate_variance_mc", "on_message"],
+)
+def test_every_protocol_entry_point_rejects_an_unknown_protocol(call):
+    with pytest.raises(ValueError, match="unknown protocol"):
+        call("ntp")

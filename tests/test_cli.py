@@ -1,5 +1,6 @@
 """Command-line front-end: argument handling, overrides, exit codes, artifacts."""
 
+import hashlib
 import subprocess
 import sys
 from pathlib import Path
@@ -91,6 +92,43 @@ def test_reruns_are_byte_identical(tmp_path):
     assert names == sorted(p.name for p in b_dir.iterdir())
     for name in names:
         assert (a_dir / name).read_bytes() == (b_dir / name).read_bytes()
+
+
+# SHA-256 of every CSV the two pairwise scenarios write at their defaults.  The
+# outputs are deterministic, so any change in them, down to the last printed
+# digit, shows up here.
+GOLDEN_SHA256 = {
+    "fig1-pairwise": {
+        "frequency.csv":
+            "70069bc62228fb9c4bb3e68d39a142fb9d91c650b3d1f54d560be3c9c13c205d",
+        "skew.csv":
+            "088979ce050496067595645b7574490c74eae1270b62c193bbf0fd005119c1bf",
+        "summary.csv":
+            "cafe6a0a989efa4803eac8860db734e3061abac5ea41ad77e141333608655154",
+        "trace.csv":
+            "1b1b7c5a4cd39b4a52029d1fcaeb95687646e79a02eed772d47c696c1cc47ebe",
+    },
+    "fig2-stepsize": {
+        "errors_adaptive.csv":
+            "1cfb08a53bf4428ddd213e322dd5f7b7399995bb28c79817b3b8589f97422e82",
+        "errors_const-0.02.csv":
+            "78b3a2deb1834aa4b9ceb01903c039bca4a489312bbc410ad62e618c2b2c90ab",
+        "errors_const-0.1.csv":
+            "a069d7b4ece05de627c03b9e453fafcf3ca40f6f801eeeb8ea0f51eb5be394d0",
+        "errors_const-0.5.csv":
+            "7b747582bbaaa131d334b8bfad855da2a6d185f85bbfefa23a2e28de02bfcf60",
+        "summary.csv":
+            "f54da26702eaa6c40fc2ec221860f7b07364c85d1a4b2f6255314ab50052f26d",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SHA256))
+def test_default_outputs_match_their_recorded_hashes(tmp_path, name):
+    run_scenario(name, out_dir=tmp_path)
+    out = tmp_path / name
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.glob("*.csv")}
+    assert digests == GOLDEN_SHA256[name]
 
 
 # ---------------------------------------------------------------- main / exit codes

@@ -1,4 +1,4 @@
-"""Hardware/logical clock primitives: exact integration, inversion, noise moments."""
+"""Hardware/logical clock primitives: exact integration, inversion, drift moments."""
 
 import math
 
@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from gradesync import (
     ConstantDrift,
     ContractViolation,
-    GaussianDelay,
     HardwareClock,
     LogicalClock,
     PiecewiseDrift,
@@ -85,7 +84,7 @@ def test_time_of_tick_inverts_constant_drift():
 
 def test_time_of_tick_then_advance_lands_on_target():
     rng = make_rng(42)
-    drift = WhiteDrift(1e-4, rng, mode="segments")
+    drift = WhiteDrift(1e-4, rng)
     clock = HardwareClock(nominal_freq=1.0, max_deviation=1e-4, drift=drift)
     clock.advance(0.37)
     for target in (5.0, 5.5, 17.25):
@@ -115,7 +114,7 @@ def test_hardware_clock_rejects_deviation_at_or_above_nominal():
 )
 def test_hardware_readings_strictly_increase(seed, dts):
     rng = make_rng(seed)
-    drift = WhiteDrift(0.5, rng, mode="segments")
+    drift = WhiteDrift(0.5, rng)
     clock = HardwareClock(nominal_freq=1.0, max_deviation=0.5, drift=drift)
     prev = clock.read()
     for dt in dts:
@@ -127,7 +126,7 @@ def test_hardware_readings_strictly_increase(seed, dts):
 
 def test_same_seed_reproduces_trajectory():
     def trajectory(seed):
-        drift = WhiteDrift(1e-4, make_rng(seed), mode="segments")
+        drift = WhiteDrift(1e-4, make_rng(seed))
         clock = HardwareClock(nominal_freq=1.0, max_deviation=1e-4, drift=drift)
         return [clock.advance(0.7) for _ in range(50)]
 
@@ -138,22 +137,12 @@ def test_same_seed_reproduces_trajectory():
 # ---------------------------------------------------------------- white drift moments
 
 
-def test_white_interval_mode_matches_uniform_deviation_moments():
+def test_white_segments_mode_matches_uniform_deviation_moments():
     # Integrated deviation over an interval of length B has mean 0 and
     # variance B * fmax**2 / 3 (uniform per-unit deviations in [-fmax, fmax]).
-    b, fmax, n = 30.0, 1e-4, 100_000
-    rng = make_rng(7)
-    drift = WhiteDrift(fmax, rng, mode="interval")
-    extras = np.array([drift.deviation_integral(i * b, (i + 1) * b) for i in range(n)])
-    target_var = b * fmax**2 / 3
-    assert abs(extras.mean()) < 3 * math.sqrt(target_var / n)
-    assert extras.var() == pytest.approx(target_var, rel=0.05)
-
-
-def test_white_segments_mode_matches_uniform_deviation_moments():
     b, fmax, n = 30.0, 1e-4, 20_000
     rng = make_rng(11)
-    drift = WhiteDrift(fmax, rng, mode="segments")
+    drift = WhiteDrift(fmax, rng)
     extras = np.array([drift.deviation_integral(i * b, (i + 1) * b) for i in range(n)])
     target_var = b * fmax**2 / 3
     assert abs(extras.mean()) < 3 * math.sqrt(target_var / n)
@@ -162,7 +151,7 @@ def test_white_segments_mode_matches_uniform_deviation_moments():
 
 def test_white_segments_rate_is_bounded_and_constant_within_a_segment():
     rng = make_rng(3)
-    drift = WhiteDrift(0.25, rng, mode="segments")
+    drift = WhiteDrift(0.25, rng)
     for j in range(40):
         r0 = drift.deviation_rate(j + 0.1)
         r1 = drift.deviation_rate(j + 0.9)
@@ -170,19 +159,11 @@ def test_white_segments_rate_is_bounded_and_constant_within_a_segment():
         assert abs(r0) <= 0.25
 
 
-def test_white_interval_mode_has_no_trajectory():
-    drift = WhiteDrift(1e-4, make_rng(0), mode="interval")
-    with pytest.raises(ValueError):
-        drift.deviation_rate(0.5)
-    with pytest.raises(ValueError):
-        list(drift.pieces(0.0))
-
-
 def test_white_drift_validates_arguments():
     with pytest.raises(ValueError):
         WhiteDrift(-1e-4, make_rng(0))
     with pytest.raises(ValueError):
-        WhiteDrift(1e-4, make_rng(0), mode="brown")
+        WhiteDrift(1e-4, make_rng(0)).deviation_rate(-0.5)
 
 
 # ---------------------------------------------------------------- logical clock
@@ -234,26 +215,3 @@ def test_logical_read_is_affine_in_hardware_ticks(value, rate, hw0, dhw):
     clock = LogicalClock(value, rate, hw0)
     assert clock.read(hw0 + dhw) == pytest.approx(value + rate * dhw, rel=1e-12, abs=1e-9)
 
-
-# ---------------------------------------------------------------- delay model
-
-
-def test_zero_width_delay_is_exactly_zero():
-    delay = GaussianDelay(0.0)
-    rng = make_rng(1)
-    assert delay.sample(rng) == 0.0
-    assert np.all(delay.samples(rng, 100) == 0.0)
-
-
-def test_delay_moments_and_determinism():
-    std, n = 100e-6, 100_000
-    draws = GaussianDelay(std).samples(make_rng(5), n)
-    assert abs(draws.mean()) < 3 * std / math.sqrt(n)
-    assert draws.std() == pytest.approx(std, rel=0.02)
-    again = GaussianDelay(std).samples(make_rng(5), n)
-    assert np.array_equal(draws, again)
-
-
-def test_delay_rejects_negative_width():
-    with pytest.raises(ValueError):
-        GaussianDelay(-1e-6)

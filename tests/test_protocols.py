@@ -1,4 +1,4 @@
-"""Protocol transition functions: error/gradient arithmetic, step adaptation,
+"""Protocol transition functions: error/signal arithmetic, step adaptation,
 message acceptance, and beacon emission."""
 
 import math
@@ -11,26 +11,19 @@ from gradesync import (
     GRADES,
     PISYNC,
     ContractViolation,
-    GradesState,
     LogicalClock,
-    PisyncState,
-    SyncMessage,
+    SyncState,
     adapt_step,
     compute_error,
-    error_gradient,
-    grades_on_message,
+    error_scale,
     on_beacon_tick,
-    pisync_on_message,
+    on_message,
     step_size_limit,
 )
 
 
-def grades_state(value=0.0, rate=1.0, hw=0.0, step=0.1, seq=0, prev=0.0):
-    return GradesState(step, prev, seq, LogicalClock(value, rate, hw))
-
-
-def pisync_state(value=0.0, rate=1.0, hw=0.0, step=0.1, seq=0, prev=0.0):
-    return PisyncState(step, prev, seq, LogicalClock(value, rate, hw))
+def state(value=0.0, rate=1.0, hw=0.0, step=0.1, seq=0, prev=0.0):
+    return SyncState(step, prev, seq, LogicalClock(value, rate, hw))
 
 
 # ---------------------------------------------------------------- arithmetic
@@ -43,9 +36,11 @@ def test_compute_error_examples():
 
 
 def test_error_gradient_examples():
-    assert error_gradient(0.0, 30.0, 1e6) == 0.0
-    assert error_gradient(1.0, 1.0, 1.0) == 2.0
-    assert error_gradient(0.003, 30.0, 1.0) == pytest.approx(0.18, rel=1e-12)
+    # grades' signal is the gradient of the squared error; pisync's is the error.
+    assert error_scale(GRADES, 30.0, 1e6) * 0.0 == 0.0
+    assert error_scale(GRADES, 1.0, 1.0) * 1.0 == 2.0
+    assert error_scale(GRADES, 30.0, 1.0) * 0.003 == pytest.approx(0.18, rel=1e-12)
+    assert error_scale(PISYNC, 30.0, 1e6) == 1.0
 
 
 def test_step_size_limits():
@@ -95,18 +90,17 @@ def test_adapt_step_stays_positive_and_bounded(step, now, prev, step_max):
 
 
 def test_stale_or_duplicate_message_returns_the_same_object():
-    g = grades_state(seq=5)
-    p = pisync_state(seq=5)
-    for seq in (3, 5):
-        msg = SyncMessage(sender=1, seq=seq, grades_clock=123.0, pisync_clock=123.0)
-        assert grades_on_message(g, msg, hw_now=1.0, beacon_period=1.0, nominal_freq=1.0) is g
-        assert pisync_on_message(p, msg, hw_now=1.0, beacon_period=1.0, nominal_freq=1.0) is p
+    before = state(seq=5)
+    for proto in (GRADES, PISYNC):
+        for seq in (3, 5):
+            after = on_message(proto, before, seq, 123.0, hw_now=1.0, beacon_period=1.0,
+                               nominal_freq=1.0)
+            assert after is before
 
 
 def test_accepted_message_jumps_the_clock_exactly_onto_the_payload():
-    g = grades_state(value=100.05, hw=50.0)
-    msg = SyncMessage(sender=1, seq=1, grades_clock=100.0)
-    g2 = grades_on_message(g, msg, hw_now=50.0, beacon_period=1.0, nominal_freq=1.0)
+    g = state(value=100.05, hw=50.0)
+    g2 = on_message(GRADES, g, 1, 100.0, hw_now=50.0, beacon_period=1.0, nominal_freq=1.0)
     assert g2.clock.read(50.0) == 100.0  # exact, not approximate
     assert g2.seq == 1
     assert g.clock.read(50.0) == 100.05  # input state untouched
@@ -114,55 +108,49 @@ def test_accepted_message_jumps_the_clock_exactly_onto_the_payload():
 
 def test_grades_rate_update_example():
     # error 0.05 at unit round length: rate moves by -step * 2 * error.
-    g = grades_state(value=100.05, hw=50.0, step=0.1)
-    msg = SyncMessage(sender=1, seq=1, grades_clock=100.0)
-    g2 = grades_on_message(g, msg, hw_now=50.0, beacon_period=1.0, nominal_freq=1.0, adapt=False)
+    g = state(value=100.05, hw=50.0, step=0.1)
+    g2 = on_message(GRADES, g, 1, 100.0, hw_now=50.0, beacon_period=1.0, nominal_freq=1.0,
+                    adapt=False)
     assert g2.clock.rate_multiplier == pytest.approx(0.99, rel=1e-12)
     assert g2.step_size == 0.1
-    assert g2.prev_gradient == pytest.approx(0.1, rel=1e-12)
+    assert g2.prev_signal == pytest.approx(0.1, rel=1e-12)
 
 
 def test_pisync_rate_update_example():
-    p = pisync_state(value=100.05, hw=50.0, step=0.1)
-    msg = SyncMessage(sender=1, seq=1, pisync_clock=100.0)
-    p2 = pisync_on_message(p, msg, hw_now=50.0, beacon_period=1.0, nominal_freq=1.0, adapt=False)
+    p = state(value=100.05, hw=50.0, step=0.1)
+    p2 = on_message(PISYNC, p, 1, 100.0, hw_now=50.0, beacon_period=1.0, nominal_freq=1.0,
+                    adapt=False)
     assert p2.clock.rate_multiplier == pytest.approx(0.995, rel=1e-12)
-    assert p2.prev_error == pytest.approx(0.05, rel=1e-12)
+    assert p2.prev_signal == pytest.approx(0.05, rel=1e-12)
 
 
 def test_zero_error_message_leaves_rate_alone_and_shrinks_the_step():
-    g = grades_state(value=100.0, rate=1.0003, hw=50.0, step=0.3, prev=2.0)
-    msg = SyncMessage(sender=1, seq=1, grades_clock=100.0)
-    g2 = grades_on_message(g, msg, hw_now=50.0, beacon_period=1.0, nominal_freq=1.0)
-    assert g2.clock.rate_multiplier == 1.0003
-    assert g2.step_size == pytest.approx(0.1)
-    p = pisync_state(value=100.0, rate=1.0003, hw=50.0, step=0.3, prev=2.0)
-    msg_p = SyncMessage(sender=1, seq=1, pisync_clock=100.0)
-    p2 = pisync_on_message(p, msg_p, hw_now=50.0, beacon_period=1.0, nominal_freq=1.0)
-    assert p2.clock.rate_multiplier == 1.0003
-    assert p2.step_size == pytest.approx(0.1)
+    before = state(value=100.0, rate=1.0003, hw=50.0, step=0.3, prev=2.0)
+    for proto in (GRADES, PISYNC):
+        after = on_message(proto, before, 1, 100.0, hw_now=50.0, beacon_period=1.0,
+                           nominal_freq=1.0)
+        assert after.clock.rate_multiplier == 1.0003
+        assert after.step_size == pytest.approx(0.1)
 
 
 def test_adaptation_uses_the_protocols_own_stability_limit():
-    g = grades_state(value=1.0, hw=0.0, step=0.75, prev=1.0)
-    msg = SyncMessage(sender=1, seq=1, grades_clock=0.9)
-    g2 = grades_on_message(g, msg, hw_now=0.0, beacon_period=1.0, nominal_freq=1.0)
+    g = state(value=1.0, hw=0.0, step=0.75, prev=1.0)
+    g2 = on_message(GRADES, g, 1, 0.9, hw_now=0.0, beacon_period=1.0, nominal_freq=1.0)
     assert g2.step_size == 1.0  # doubled 0.75 -> 1.5, clamped at 1/(B*f0)^2
-    p = pisync_state(value=1.0, hw=0.0, step=1.5, prev=1.0)
-    msg_p = SyncMessage(sender=1, seq=1, pisync_clock=0.9)
-    p2 = pisync_on_message(p, msg_p, hw_now=0.0, beacon_period=1.0, nominal_freq=1.0)
+    p = state(value=1.0, hw=0.0, step=1.5, prev=1.0)
+    p2 = on_message(PISYNC, p, 1, 0.9, hw_now=0.0, beacon_period=1.0, nominal_freq=1.0)
     assert p2.step_size == 2.0  # doubled 1.5 -> 3.0, clamped at 2/(B*f0)
 
 
 def test_mis_scaled_step_raises_instead_of_producing_a_frozen_clock():
-    g = grades_state(value=10.0, hw=0.0, step=0.1)
-    msg = SyncMessage(sender=1, seq=1, grades_clock=0.0)
+    g = state(value=10.0, hw=0.0, step=0.1)
     with pytest.raises(ContractViolation, match="mis-scaled"):
-        grades_on_message(g, msg, hw_now=0.0, beacon_period=1.0, nominal_freq=1.0, adapt=False)
-    p = pisync_state(value=30.0, hw=0.0, step=0.1)
-    msg_p = SyncMessage(sender=1, seq=1, pisync_clock=0.0)
+        on_message(GRADES, g, 1, 0.0, hw_now=0.0, beacon_period=1.0, nominal_freq=1.0,
+                   adapt=False)
+    p = state(value=30.0, hw=0.0, step=0.1)
     with pytest.raises(ContractViolation, match="mis-scaled"):
-        pisync_on_message(p, msg_p, hw_now=0.0, beacon_period=1.0, nominal_freq=1.0, adapt=False)
+        on_message(PISYNC, p, 1, 0.0, hw_now=0.0, beacon_period=1.0, nominal_freq=1.0,
+                   adapt=False)
 
 
 @settings(max_examples=150, deadline=None)
@@ -171,12 +159,11 @@ def test_mis_scaled_step_raises_instead_of_producing_a_frozen_clock():
     payload=st.floats(-5.0, 5.0),
 )
 def test_sequence_numbers_never_decrease_and_stale_floods_are_noops(seqs, payload):
-    g = grades_state(value=payload, hw=0.0, step=1e-3)
+    g = state(value=payload, hw=0.0, step=1e-3)
     hw = 0.0
     for seq in seqs:
         before = g.seq
-        msg = SyncMessage(sender=2, seq=seq, grades_clock=payload)
-        out = grades_on_message(g, msg, hw_now=hw, beacon_period=1.0, nominal_freq=1.0)
+        out = on_message(GRADES, g, seq, payload, hw_now=hw, beacon_period=1.0, nominal_freq=1.0)
         if seq <= before:
             assert out is g
         else:
@@ -192,13 +179,11 @@ def test_sequence_numbers_never_decrease_and_stale_floods_are_noops(seqs, payloa
     hw=st.floats(0.0, 100.0),
 )
 def test_offset_exactness_holds_for_any_accepted_message(value, payload, hw):
-    g = grades_state(value=value, hw=hw, step=1e-4)
-    p = pisync_state(value=value, hw=hw, step=1e-4)
-    msg = SyncMessage(sender=3, seq=1, grades_clock=payload, pisync_clock=payload)
-    g2 = grades_on_message(g, msg, hw_now=hw, beacon_period=1.0, nominal_freq=1.0)
-    p2 = pisync_on_message(p, msg, hw_now=hw, beacon_period=1.0, nominal_freq=1.0)
-    assert g2.clock.read(hw) == payload
-    assert p2.clock.read(hw) == payload
+    before = state(value=value, hw=hw, step=1e-4)
+    for proto in (GRADES, PISYNC):
+        after = on_message(proto, before, 1, payload, hw_now=hw, beacon_period=1.0,
+                           nominal_freq=1.0)
+        assert after.clock.read(hw) == payload
 
 
 @settings(max_examples=100, deadline=None)
@@ -208,14 +193,14 @@ def test_offset_exactness_holds_for_any_accepted_message(value, payload, hw):
 )
 def test_adapted_step_never_exceeds_the_stability_limit(errors, beacon_period):
     limit = step_size_limit(GRADES, beacon_period, 1.0)
-    g = GradesState(step_size=limit / 8, clock=LogicalClock(0.0, 1.0, 0.0))
+    g = SyncState(step_size=limit / 8, clock=LogicalClock(0.0, 1.0, 0.0))
     hw = 0.0
     for k, err in enumerate(errors, start=1):
-        # Manufacture a message whose payload sits err below the local reading.
-        local = g.clock.read(hw)
-        msg = SyncMessage(sender=2, seq=k, grades_clock=local - err * beacon_period)
+        # Manufacture a reading that sits err below the local reading.
+        received = g.clock.read(hw) - err * beacon_period
         try:
-            g = grades_on_message(g, msg, hw_now=hw, beacon_period=beacon_period, nominal_freq=1.0)
+            g = on_message(GRADES, g, k, received, hw_now=hw, beacon_period=beacon_period,
+                           nominal_freq=1.0)
         except ContractViolation:
             return  # a mis-scaled update is rejected loudly, never applied
         assert 0.0 < g.step_size <= limit
@@ -231,14 +216,15 @@ def test_equal_fraction_steps_give_identical_rate_trajectories(errors, fraction,
     # At step sizes that are the same fraction of each protocol's stability
     # limit, both rate updates reduce to -2 * fraction * error / (B * f0),
     # so the two controllers move in lockstep on identical inputs.
-    g = GradesState(fraction * step_size_limit(GRADES, bf, 1.0), clock=LogicalClock())
-    p = PisyncState(fraction * step_size_limit(PISYNC, bf, 1.0), clock=LogicalClock())
+    g = SyncState(fraction * step_size_limit(GRADES, bf, 1.0), clock=LogicalClock())
+    p = SyncState(fraction * step_size_limit(PISYNC, bf, 1.0), clock=LogicalClock())
     hw = 0.0
     for k, err in enumerate(errors, start=1):
         payload = g.clock.read(hw) - err
-        msg = SyncMessage(sender=2, seq=k, grades_clock=payload, pisync_clock=payload)
-        g = grades_on_message(g, msg, hw_now=hw, beacon_period=bf, nominal_freq=1.0, adapt=False)
-        p = pisync_on_message(p, msg, hw_now=hw, beacon_period=bf, nominal_freq=1.0, adapt=False)
+        g = on_message(GRADES, g, k, payload, hw_now=hw, beacon_period=bf, nominal_freq=1.0,
+                       adapt=False)
+        p = on_message(PISYNC, p, k, payload, hw_now=hw, beacon_period=bf, nominal_freq=1.0,
+                       adapt=False)
         assert g.clock.rate_multiplier == pytest.approx(p.clock.rate_multiplier, rel=1e-12)
 
 
@@ -246,36 +232,33 @@ def test_equal_fraction_steps_give_identical_rate_trajectories(errors, fraction,
 
 
 def test_reference_beacon_increments_seq_and_advertises_hardware_time():
-    g = grades_state(value=999.0, hw=0.0, seq=4)
-    p = pisync_state(value=888.0, hw=0.0, seq=4)
-    g2, p2, msg = on_beacon_tick(g, p, sender=1, is_reference=True, hw_now=5000.25)
+    g = state(value=999.0, hw=0.0, seq=4)
+    p = state(value=888.0, hw=0.0, seq=4)
+    (g2, p2), msg = on_beacon_tick((g, p), sender=1, is_reference=True, hw_now=5000.25)
     assert (g2.seq, p2.seq, msg.seq) == (5, 5, 5)
-    assert msg.grades_clock == 5000.25
-    assert msg.pisync_clock == 5000.25
+    assert msg.readings == (5000.25, 5000.25)
     assert msg.sender == 1
 
 
 def test_relay_beacon_keeps_seq_and_advertises_logical_readings():
-    g = grades_state(value=100.0, rate=1.5, hw=10.0, seq=4)
-    p = pisync_state(value=200.0, rate=0.5, hw=10.0, seq=4)
-    g2, p2, msg = on_beacon_tick(g, p, sender=7, is_reference=False, hw_now=12.0)
+    g = state(value=100.0, rate=1.5, hw=10.0, seq=4)
+    p = state(value=200.0, rate=0.5, hw=10.0, seq=4)
+    (g2, p2), msg = on_beacon_tick((g, p), sender=7, is_reference=False, hw_now=12.0)
     assert g2 is g and p2 is p
     assert msg.seq == 4
-    assert msg.grades_clock == pytest.approx(103.0, rel=1e-12)
-    assert msg.pisync_clock == pytest.approx(201.0, rel=1e-12)
+    assert msg.readings[0] == pytest.approx(103.0, rel=1e-12)
+    assert msg.readings[1] == pytest.approx(201.0, rel=1e-12)
 
 
 def test_single_protocol_beacons_leave_the_other_payload_empty():
-    g = grades_state(seq=2)
-    g2, p2, msg = on_beacon_tick(g, None, sender=1, is_reference=True, hw_now=3.0)
-    assert p2 is None
-    assert msg.pisync_clock is None
-    assert msg.grades_clock == 3.0
+    g = state(seq=2)
+    (g2,), msg = on_beacon_tick((g,), sender=1, is_reference=True, hw_now=3.0)
+    assert msg.readings == (3.0,)  # no reading for a protocol that is not running
     assert g2.seq == 3
 
 
 def test_beacon_demands_protocol_states_in_sequence_lockstep():
-    g = grades_state(seq=4)
-    p = pisync_state(seq=5)
+    g = state(seq=4)
+    p = state(seq=5)
     with pytest.raises(ContractViolation, match="sequence"):
-        on_beacon_tick(g, p, sender=1, is_reference=False, hw_now=1.0)
+        on_beacon_tick((g, p), sender=1, is_reference=False, hw_now=1.0)

@@ -14,7 +14,6 @@ from gradesync import (
     SimConfig,
     SkewTrace,
     Topology,
-    WhiteDrift,
     convergence_time,
     fit_power_exponent,
     global_skew,
@@ -68,6 +67,8 @@ def test_topology_rejects_malformed_graphs():
         Topology(nodes=(1, 2), edges=((1, 2),), reference=9)
     with pytest.raises(ValueError):  # disconnected
         Topology(nodes=(1, 2, 3), edges=((1, 2),))
+    with pytest.raises(ValueError, match="repeated edge"):  # each broadcast would arrive twice
+        Topology(nodes=(1, 2, 3), edges=((1, 2), (2, 1), (2, 3), (2, 3)))
     with pytest.raises(ValueError):
         Topology.line(0)
 
@@ -123,10 +124,7 @@ def test_step_size_resolution_rules():
         config(step_policy="adaptive", step_size=1.0001).resolved_step_size(GRADES)
 
 
-def test_interval_mode_white_drift_is_rejected_by_the_simulator():
-    drift = WhiteDrift(1e-4, np.random.default_rng(0), mode="interval")
-    with pytest.raises(ValueError, match="trajectory"):
-        run(config(drift=drift, max_deviation=1e-4))
+def test_unknown_drift_spec_is_rejected_by_the_simulator():
     with pytest.raises(ValueError, match="drift spec"):
         run(config(drift="pink"))
 
