@@ -21,13 +21,14 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractViolation
 
 _SEGMENT_CHUNK = 256
+_NEGATIVE_TIME = "white drift is defined for t >= 0"
 
 
 @dataclass(frozen=True)
@@ -110,26 +111,31 @@ class WhiteDrift:
         self._segments: list[float] = []
 
     def _segment(self, j: int) -> float:
+        if j < 0:
+            raise ValueError(_NEGATIVE_TIME)
         while len(self._segments) <= j:
             draws = self._rng.uniform(-self.max_deviation, self.max_deviation, _SEGMENT_CHUNK)
             self._segments.extend(draws.tolist())
         return self._segments[j]
 
     def deviation_rate(self, t: float) -> float:
-        if t < 0:
-            raise ValueError("white drift is defined for t >= 0")
-        return self._segment(int(math.floor(t)))
+        return self._segment(math.floor(t))
 
     def deviation_integral(self, t0: float, t1: float) -> float:
-        total = 0.0
-        for start, end, dev in self.pieces(t0):
-            if start >= t1:
-                break
-            total += dev * (min(end, t1) - start)
+        """Sum of deviation * overlap over the unit segments from ``t0`` to ``t1``."""
+        if t0 < 0:
+            raise ValueError(_NEGATIVE_TIME)
+        segments = self._segments
+        j, start, total = math.floor(t0), t0, 0.0
+        while start < t1:
+            end = float(j + 1)
+            dev = segments[j] if j < len(segments) else self._segment(j)
+            total += dev * ((end if end < t1 else t1) - start)
+            start, j = end, j + 1
         return total
 
     def pieces(self, t_from: float):
-        j = int(math.floor(t_from))
+        j = math.floor(t_from)
         while True:
             yield max(float(j), t_from), float(j + 1), self._segment(j)
             j += 1
@@ -185,18 +191,23 @@ class HardwareClock:
             raise ContractViolation(f"cannot advance a clock backwards (dt={real_dt})")
         if real_dt == 0:
             return 0.0
-        elapsed = self.nominal_freq * real_dt + self.drift.deviation_integral(
-            self._time, self._time + real_dt
-        )
-        self._time += real_dt
+        now = self._time
+        elapsed = self.nominal_freq * real_dt + self.drift.deviation_integral(now, now + real_dt)
+        self._time = now + real_dt
         self._ticks += elapsed
         return elapsed
 
     def advance_to(self, t: float) -> None:
-        if t < self._time:
-            raise ContractViolation(f"clock already at t={self._time}, cannot go back to {t}")
-        if t > self._time:
-            self.advance(t - self._time)
+        """Advance to real time ``t``: the arithmetic of ``advance(t - time)`` in one call."""
+        now = self._time
+        if t > now:
+            real_dt = t - now
+            self._ticks += self.nominal_freq * real_dt + self.drift.deviation_integral(
+                now, now + real_dt
+            )
+            self._time = now + real_dt
+        elif t < now:
+            raise ContractViolation(f"clock already at t={now}, cannot go back to {t}")
 
     def time_of_tick(self, target_ticks: float) -> float:
         """Real time at which the accumulated tick count reaches ``target_ticks``.
@@ -239,15 +250,3 @@ class LogicalClock:
                 f"logical read at hw={hw_now} before last update hw={self.hw_at_update}"
             )
         return self.value_at_update + self.rate_multiplier * (hw_now - self.hw_at_update)
-
-    def with_offset(self, new_value: float, hw_now: float) -> "LogicalClock":
-        """Jump the value to ``new_value`` at hardware time ``hw_now`` (rate unchanged)."""
-        if hw_now < self.hw_at_update:
-            raise ContractViolation(
-                f"offset update at hw={hw_now} before last update hw={self.hw_at_update}"
-            )
-        return replace(self, value_at_update=new_value, hw_at_update=hw_now)
-
-    def with_rate(self, rate_multiplier: float) -> "LogicalClock":
-        return replace(self, rate_multiplier=rate_multiplier)
-

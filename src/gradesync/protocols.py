@@ -21,7 +21,7 @@ leaving the input untouched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .clocks import LogicalClock
 from .errors import ContractViolation
@@ -119,8 +119,9 @@ def on_message(
     """Process a received flood reading; a stale sequence number returns ``state`` itself."""
     if seq <= state.seq:
         return state
-    error = compute_error(state.clock.read(hw_now), received_clock)
-    clock = state.clock.with_offset(received_clock, hw_now)
+    clock = state.clock
+    # The read also rejects an update before the clock's last hardware reading.
+    error = compute_error(clock.read(hw_now), received_clock)
     signal = error_scale(protocol, beacon_period, nominal_freq) * error
     step = state.step_size
     if adapt:
@@ -133,12 +134,11 @@ def on_message(
             f"rate multiplier driven to {rate} (step size {step} is mis-scaled for "
             f"beacon_period={beacon_period}, nominal_freq={nominal_freq})"
         )
-    return SyncState(step_size=step, prev_signal=signal, seq=seq, clock=clock.with_rate(rate))
+    return SyncState(step, signal, seq, LogicalClock(received_clock, rate, hw_now))
 
 
 def on_beacon_tick(
     states: tuple[SyncState, ...],
-    *,
     sender: int,
     is_reference: bool,
     hw_now: float,
@@ -150,14 +150,15 @@ def on_beacon_tick(
     hardware clock; it never corrects itself).  Everyone else re-broadcasts
     its current logical readings under its current sequence number.
     """
-    seqs = {s.seq for s in states}
-    if len(seqs) != 1:
-        raise ContractViolation(f"protocol states disagree on sequence number: {sorted(seqs)}")
-    seq = seqs.pop()
+    seq = states[0].seq
+    for s in states:
+        if s.seq != seq:
+            seqs = sorted({s.seq for s in states})
+            raise ContractViolation(f"protocol states disagree on sequence number: {seqs}")
     if is_reference:
         seq += 1
-        states = tuple(replace(s, seq=seq) for s in states)
+        states = tuple([SyncState(s.step_size, s.prev_signal, seq, s.clock) for s in states])
         readings = (hw_now,) * len(states)
     else:
-        readings = tuple(s.clock.read(hw_now) for s in states)
-    return states, SyncMessage(sender=sender, seq=seq, readings=readings)
+        readings = tuple([s.clock.read(hw_now) for s in states])
+    return states, SyncMessage(sender, seq, readings)

@@ -26,7 +26,7 @@ import itertools
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -47,7 +47,6 @@ from .protocols import (
 WHITE_DRIFT = "white"
 RANDOM_CONSTANT_DRIFT = "random-constant"
 
-_KIND_SAMPLE = 0  # keyed under pseudo-node 0
 _KIND_BEACON = 0
 _KIND_RECEIVE = 1
 
@@ -69,7 +68,7 @@ class Topology:
         if len(set(self.nodes)) != len(self.nodes) or not self.nodes:
             raise ValueError("nodes must be a non-empty set of distinct ids")
         if any(u <= 0 for u in self.nodes):
-            raise ValueError("node ids must be positive (0 is reserved)")
+            raise ValueError("node ids must be positive")
         known = set(self.nodes)
         seen = set()
         for u, v in self.edges:
@@ -91,16 +90,24 @@ class Topology:
         edges = tuple((i, i + 1) for i in range(1, n))
         return Topology(nodes=nodes, edges=edges, reference=reference)
 
+    @cached_property
+    def _adjacency(self) -> dict[int, tuple[int, ...]]:
+        """Sorted neighbour tuple of every node, built once in O(N + E)."""
+        adj: dict[int, list[int]] = {u: [] for u in self.nodes}
+        for u, v in self.edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        return {u: tuple(sorted(vs)) for u, vs in adj.items()}
+
     def neighbors(self, u: int) -> tuple[int, ...]:
-        adj = sorted(v for a, b in self.edges for v, w in ((a, b), (b, a)) if w == u)
-        return tuple(adj)
+        return self._adjacency.get(u, ())
 
     def _hops(self) -> dict[int, int]:
         dist = {self.reference: 0}
         queue = deque([self.reference])
         while queue:
             u = queue.popleft()
-            for v in self.neighbors(u):
+            for v in self._adjacency[u]:
                 if v not in dist:
                     dist[v] = dist[u] + 1
                     queue.append(v)
@@ -288,29 +295,24 @@ def run(config: SimConfig) -> SkewTrace:
     else:
         phases = np.zeros(len(nodes))
 
-    clocks: dict[int, HardwareClock] = {}
-    neighbors: dict[int, tuple[int, ...]] = {}
-    states: dict[str, dict[int, SyncState]] = {p: {} for p in config.protocols}
-    next_target: dict[int, float] = {}
     adaptive = config.step_policy == "adaptive"
-    init_steps = {p: config.resolved_step_size(p) for p in config.protocols}
-
+    clocks: dict[int, HardwareClock] = {}
+    next_target: dict[int, float] = {}
     for i, u in enumerate(nodes):
         drift = _drift_for_node(config, u, np.random.default_rng(drift_children[i]))
         clocks[u] = HardwareClock(
-            nominal_freq=f0,
-            max_deviation=config.max_deviation,
-            drift=drift,
-            start_ticks=float(phases[i]),
-            quantize=config.quantize_ticks,
+            f0, config.max_deviation, drift, float(phases[i]), config.quantize_ticks
         )
-        neighbors[u] = topo.neighbors(u)
-        lc = LogicalClock(
-            value_at_update=float(phases[i]), rate_multiplier=1.0, hw_at_update=float(phases[i])
-        )
-        for proto in config.protocols:
-            states[proto][u] = SyncState(step_size=init_steps[proto], clock=lc)
         next_target[u] = (math.floor(phases[i] / round_ticks) + 1) * round_ticks
+    neighbors = {u: topo.neighbors(u) for u in nodes}
+    # One lane per protocol: its slot in a message's readings, its name, every
+    # node's state and its update rule (looked up here, at run time).
+    handler = {GRADES: grades_on_message, PISYNC: pisync_on_message}
+    lanes = []
+    for i, p in enumerate(config.protocols):
+        step = config.resolved_step_size(p)
+        start = [SyncState(step, clock=LogicalClock(ph, 1.0, ph)) for ph in phases.tolist()]
+        lanes.append((i, p, dict(zip(nodes, start)), handler[p]))
 
     counter = itertools.count()
     heap: list[tuple] = []
@@ -320,55 +322,46 @@ def run(config: SimConfig) -> SkewTrace:
             heapq.heappush(heap, (t_first, u, _KIND_BEACON, next(counter), None))
     n_samples = int(math.floor(config.duration / sample_period + 1e-9)) + 1
     sample_times = [k * sample_period for k in range(n_samples)]
-    for t in sample_times:
-        heapq.heappush(heap, (t, 0, _KIND_SAMPLE, next(counter), None))
-
-    times_out: list[float] = []
-    readings_out = {p: [] for p in config.protocols}
-    rates_out = {p: [] for p in config.protocols}
-    hw_rates_out: list[list[float]] = []
+    shape = (n_samples, len(nodes))
+    readings_out = {p: np.empty(shape) for p in config.protocols}
+    rates_out = {p: np.empty(shape) for p in config.protocols}
+    hw_rates_out = np.empty(shape)
     events: list[SyncEvent] = []
-    handler = {GRADES: grades_on_message, PISYNC: pisync_on_message}
-    lanes = [(i, p, states[p], handler[p]) for i, p in enumerate(config.protocols)]
 
+    def take_sample(k: int) -> None:
+        t = sample_times[k]
+        hws, row_hw = [], []
+        for u in nodes:
+            clk = clocks[u]
+            clk.advance_to(t)
+            hws.append(clk.read())
+            row_hw.append(f0 + clk.drift.deviation_rate(t))
+        hw_rates_out[k] = row_hw
+        for _, proto, node_states, _ in lanes:
+            lcs = [node_states[u].clock for u in nodes]
+            readings_out[proto][k] = [lc.read(hw) for lc, hw in zip(lcs, hws)]
+            rates_out[proto][k] = [lc.rate_multiplier for lc in lcs]
+
+    # A trace sample at time t is taken before every node event at t, so a
+    # sample sees the state left by all earlier events and none of the later.
+    k = 0
     while heap:
         t, who, kind, _, payload = heapq.heappop(heap)
-
-        if who == 0:  # trace sample
-            row_r = {p: [] for p in config.protocols}
-            row_m = {p: [] for p in config.protocols}
-            row_hw = []
-            for u in nodes:
-                clk = clocks[u]
-                clk.advance_to(t)
-                hw = clk.read()
-                row_hw.append(f0 + clk.drift.deviation_rate(t))
-                for proto in config.protocols:
-                    st = states[proto][u]
-                    row_r[proto].append(st.clock.read(hw))
-                    row_m[proto].append(st.clock.rate_multiplier)
-            times_out.append(t)
-            hw_rates_out.append(row_hw)
-            for proto in config.protocols:
-                readings_out[proto].append(row_r[proto])
-                rates_out[proto].append(row_m[proto])
-            continue
+        while k < n_samples and sample_times[k] <= t:
+            take_sample(k)
+            k += 1
 
         if kind == _KIND_BEACON:
             clk = clocks[who]
             clk.advance_to(t)
             hw = clk.read()
+            mine = tuple([node_states[who] for _, _, node_states, _ in lanes])
             try:
-                own, out = on_beacon_tick(
-                    tuple(states[p][who] for p in config.protocols),
-                    sender=who,
-                    is_reference=(who == ref),
-                    hw_now=hw,
-                )
+                own, out = on_beacon_tick(mine, who, who == ref, hw)
             except ContractViolation as err:
                 raise ContractViolation(f"node {who} at t={t:.9g}: {err}") from err
-            for proto, st in zip(config.protocols, own):
-                states[proto][who] = st
+            for (_, _, node_states, _), st in zip(lanes, own):
+                node_states[who] = st
             for v in neighbors[who]:
                 noise = delay_rng.normal(0.0, config.delay_std) * f0
                 if config.drop_probability > 0 and drop_rng.random() < config.drop_probability:
@@ -388,36 +381,33 @@ def run(config: SimConfig) -> SkewTrace:
         clk.advance_to(t)
         hw = clk.read()
         msg, noise = payload
+        seq = msg.seq
         for i, proto, node_states, update in lanes:
             st = node_states[who]
             received = msg.readings[i] + noise
-            accepted = msg.seq > st.seq
-            error = compute_error(st.clock.read(hw), received) if accepted else 0.0
             try:
-                new = update(st, msg.seq, received, hw, b, f0, adapt=adaptive)
+                new = update(st, seq, received, hw, b, f0, adaptive)
             except ContractViolation as err:
                 raise ContractViolation(f"node {who} at t={t:.9g}: {err}") from err
+            if new is st:
+                continue  # stale sequence number
             node_states[who] = new
-            if accepted and config.record_events:
+            if config.record_events:
+                error = compute_error(st.clock.read(hw), received)
                 events.append(
-                    SyncEvent(
-                        time=t,
-                        node=who,
-                        protocol=proto,
-                        seq=msg.seq,
-                        error=error,
-                        step_size=new.step_size,
-                        rate_multiplier=new.clock.rate_multiplier,
-                    )
+                    SyncEvent(t, who, proto, seq, error, new.step_size, new.clock.rate_multiplier)
                 )
+    while k < n_samples:
+        take_sample(k)
+        k += 1
 
     return SkewTrace(
-        times=np.asarray(times_out),
+        times=np.asarray(sample_times),
         node_ids=nodes,
         protocols=tuple(config.protocols),
-        readings={p: np.asarray(v) for p, v in readings_out.items()},
-        rate_multipliers={p: np.asarray(v) for p, v in rates_out.items()},
-        hw_rates=np.asarray(hw_rates_out),
+        readings=readings_out,
+        rate_multipliers=rates_out,
+        hw_rates=hw_rates_out,
         events=events,
         meta={
             "unit_mode": config.unit_mode,
@@ -516,16 +506,21 @@ def _meta_comments(meta: dict) -> list[str]:
 
 
 def write_trace_csv(trace: SkewTrace, path) -> None:
-    """Per-node logical readings: t_seconds,node_id,protocol,logical_ticks."""
-    lines = _meta_comments(trace.meta)
-    lines.append("t_seconds,node_id,protocol,logical_ticks")
-    for i, t in enumerate(trace.times):
-        for proto in trace.protocols:
-            row = trace.readings[proto][i]
-            for j, u in enumerate(trace.node_ids):
-                lines.append(f"{_fmt(t)},{u},{proto},{_fmt(row[j])}")
+    """Per-node logical readings: t_seconds,node_id,protocol,logical_ticks.
+
+    Written one sample row at a time, so the file is never held in memory.
+    """
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        for line in _meta_comments(trace.meta):
+            fh.write(line + "\n")
+        fh.write("t_seconds,node_id,protocol,logical_ticks\n")
+        for i, t in enumerate(trace.times):
+            prefix = _fmt(t)
+            for proto in trace.protocols:
+                row = trace.readings[proto][i].tolist()
+                fh.write("".join(
+                    [f"{prefix},{u},{proto},{v:.9g}\n" for u, v in zip(trace.node_ids, row)]
+                ))
 
 
 def write_skew_csv(trace: SkewTrace, path) -> None:

@@ -94,9 +94,16 @@ def test_reruns_are_byte_identical(tmp_path):
         assert (a_dir / name).read_bytes() == (b_dir / name).read_bytes()
 
 
-# SHA-256 of every CSV the two pairwise scenarios write at their defaults.  The
-# outputs are deterministic, so any change in them, down to the last printed
-# digit, shows up here.
+# SHA-256 of every CSV the two pairwise scenarios write at their defaults, and
+# the two multi-node scenarios write at small sizes.  The outputs are
+# deterministic, so any change in them, down to the last printed digit, shows
+# up here.  The small fig3 run covers both protocols, adaptive steps and
+# random-constant drift; the small scaling run covers white drift and
+# staggered phases.
+GOLDEN_OVERRIDES = {
+    "fig3-multihop": {"seeds": "1", "nodes": "4", "duration": "900"},
+    "scaling": {"seeds": "2", "diameters": "2,3", "rounds": "30"},
+}
 GOLDEN_SHA256 = {
     "fig1-pairwise": {
         "frequency.csv":
@@ -120,12 +127,26 @@ GOLDEN_SHA256 = {
         "summary.csv":
             "f54da26702eaa6c40fc2ec221860f7b07364c85d1a4b2f6255314ab50052f26d",
     },
+    "fig3-multihop": {
+        "skew.csv":
+            "edfc8f0ce0c2626c859a933b56210e2be7cddb6d2d745c824ddb9fbb18b6c936",
+        "summary.csv":
+            "605926a451d72b66ed7e111e0f11fd51e2d861983fd0f744b25e7101821028d4",
+        "trace.csv":
+            "b8540ef414d3c3af14153b882435fc168afe1f56e2c117e397bb066fe6641ff6",
+    },
+    "scaling": {
+        "scaling.csv":
+            "c20a47a10402c212e7d3e2a603d0b4e84f580678188e5d902cd24465e6ce3855",
+        "summary.csv":
+            "ad7dadb045a3e887564e98c16472ff79e2e4fd5e0df6e4f037206ecf6b134ac8",
+    },
 }
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_SHA256))
 def test_default_outputs_match_their_recorded_hashes(tmp_path, name):
-    run_scenario(name, out_dir=tmp_path)
+    run_scenario(name, GOLDEN_OVERRIDES.get(name), out_dir=tmp_path)
     out = tmp_path / name
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.glob("*.csv")}
     assert digests == GOLDEN_SHA256[name]

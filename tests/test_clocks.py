@@ -15,6 +15,7 @@ from gradesync import (
     PiecewiseDrift,
     WhiteDrift,
 )
+from gradesync.clocks import _SEGMENT_CHUNK
 
 
 def make_rng(seed=0):
@@ -162,8 +163,84 @@ def test_white_segments_rate_is_bounded_and_constant_within_a_segment():
 def test_white_drift_validates_arguments():
     with pytest.raises(ValueError):
         WhiteDrift(-1e-4, make_rng(0))
-    with pytest.raises(ValueError):
-        WhiteDrift(1e-4, make_rng(0)).deviation_rate(-0.5)
+    fresh, drawn = WhiteDrift(1e-3, make_rng(0)), WhiteDrift(1e-3, make_rng(0))
+    drawn.deviation_integral(0.0, 10.0)
+    for drift in (fresh, drawn):
+        with pytest.raises(ValueError, match="t >= 0"):
+            drift.deviation_rate(-0.5)
+        with pytest.raises(ValueError, match="t >= 0"):
+            drift.deviation_integral(-1.0, 0.0)
+        with pytest.raises(ValueError, match="t >= 0"):
+            next(drift.pieces(-0.5))
+
+
+def reference_piecewise_integral(drift, t0, t1):
+    """The original generator-based sum over ``pieces``, kept as the reference."""
+    total = 0.0
+    for start, end, dev in drift.pieces(t0):
+        if start >= t1:
+            break
+        total += dev * (min(end, t1) - start)
+    return total
+
+
+WHITE_SPANS = [
+    (0.0, 0.0),
+    (3.7, 3.7),
+    (5.0, 5.0),
+    (0.0, 1.0),
+    (2.0, 7.0),
+    (0.25, 0.75),
+    (1.5, 2.5),
+    (0.0, 600.0),
+    (12.3, 487.9),
+    (_SEGMENT_CHUNK - 0.5, _SEGMENT_CHUNK + 0.25),
+    (_SEGMENT_CHUNK - 3.0, 2 * _SEGMENT_CHUNK + 3.0),
+    (9.0, 4.0),
+]
+
+
+@pytest.mark.parametrize("t0, t1", WHITE_SPANS)
+def test_white_integral_equals_the_piecewise_reference_sum(t0, t1):
+    new, old = WhiteDrift(1e-3, make_rng(5)), WhiteDrift(1e-3, make_rng(5))
+    assert new.deviation_integral(t0, t1) == reference_piecewise_integral(old, t0, t1)
+    # and once both realizations are drawn far past the span
+    new.deviation_integral(0.0, 3 * _SEGMENT_CHUNK)
+    old.deviation_integral(0.0, 3 * _SEGMENT_CHUNK)
+    assert new.deviation_integral(t0, t1) == reference_piecewise_integral(old, t0, t1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(t0=st.floats(0.0, 700.0), span=st.floats(0.0, 60.0))
+def test_white_integral_equals_the_reference_on_random_spans(t0, span):
+    drift = WhiteDrift(1e-3, make_rng(9))
+    t1 = t0 + span
+    assert drift.deviation_integral(t0, t1) == reference_piecewise_integral(drift, t0, t1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    kind=st.sampled_from(["constant", "piecewise", "white"]),
+    dts=st.lists(st.floats(0.0, 3.0), min_size=1, max_size=30),
+)
+def test_advance_to_matches_advance_by_the_difference(seed, kind, dts):
+    def clock():
+        drift = {
+            "constant": ConstantDrift(3e-4),
+            "piecewise": PiecewiseDrift(((0.0, 2e-4), (1.3, -4e-4), (4.0, 1e-4))),
+            "white": WhiteDrift(5e-4, make_rng(seed)),
+        }[kind]
+        return HardwareClock(nominal_freq=1.0, max_deviation=5e-4, drift=drift)
+
+    a, b = clock(), clock()
+    t = 0.0
+    for dt in dts:
+        t += dt
+        a.advance_to(t)
+        b.advance(t - b.time)
+        assert a._ticks == b._ticks
+        assert a.time == b.time
 
 
 # ---------------------------------------------------------------- logical clock
@@ -181,27 +258,14 @@ def test_logical_read_rejects_hardware_rollback():
         clock.read(99.0)
 
 
-def test_with_offset_is_exact_and_preserves_rate():
-    clock = LogicalClock(100.0, 1.0001, 0.0)
-    assert clock.read(50.0) == pytest.approx(150.0050, rel=1e-12)
-    moved = clock.with_offset(100.0, 50.0)
-    assert moved.read(50.0) == 100.0
-    assert moved.rate_multiplier == 1.0001
-    # Setting the current reading back onto the clock is a no-op for reads.
-    same = clock.with_offset(clock.read(50.0), 50.0)
-    for hw in (50.0, 61.5, 80.0):
-        assert same.read(hw) == pytest.approx(clock.read(hw), rel=1e-15)
-
-
-def test_with_rate_changes_slope_from_the_update_point():
-    clock = LogicalClock(10.0, 1.0, 10.0)
-    faster = clock.with_rate(2.0)
+def test_logical_clock_rate_applies_from_the_update_point():
+    faster = LogicalClock(10.0, 2.0, 10.0)
     assert faster.read(10.0) == 10.0
     assert faster.read(13.0) == 16.0
     with pytest.raises(ValueError):
-        clock.with_rate(0.0)
+        LogicalClock(10.0, 0.0, 10.0)
     with pytest.raises(ValueError):
-        clock.with_rate(-0.5)
+        LogicalClock(10.0, -0.5, 10.0)
 
 
 @settings(max_examples=100, deadline=None)

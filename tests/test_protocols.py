@@ -106,6 +106,24 @@ def test_accepted_message_jumps_the_clock_exactly_onto_the_payload():
     assert g.clock.read(50.0) == 100.05  # input state untouched
 
 
+def test_on_message_offset_jump_is_exact_and_zero_error_keeps_the_rate():
+    before = state(value=100.0, rate=1.0001, hw=0.0, step=1e-4)
+    assert before.clock.read(50.0) == pytest.approx(150.0050, rel=1e-12)
+    for proto in (GRADES, PISYNC):
+        moved = on_message(proto, before, 1, 100.0, hw_now=50.0, beacon_period=1.0,
+                           nominal_freq=1.0, adapt=False)
+        assert moved.clock.read(50.0) == 100.0
+        # Setting the current reading back onto the clock leaves the rate and reads alone.
+        same = on_message(proto, before, 1, before.clock.read(50.0), hw_now=50.0,
+                          beacon_period=1.0, nominal_freq=1.0, adapt=False)
+        assert same.clock.rate_multiplier == 1.0001
+        for hw in (50.0, 61.5, 80.0):
+            assert same.clock.read(hw) == pytest.approx(before.clock.read(hw), rel=1e-15)
+        with pytest.raises(ContractViolation, match="before last update"):
+            on_message(proto, before, 2, 100.0, hw_now=-1.0, beacon_period=1.0,
+                       nominal_freq=1.0)
+
+
 def test_grades_rate_update_example():
     # error 0.05 at unit round length: rate moves by -step * 2 * error.
     g = state(value=100.05, hw=50.0, step=0.1)
@@ -215,14 +233,21 @@ def test_adapted_step_never_exceeds_the_stability_limit(errors, beacon_period):
 def test_equal_fraction_steps_give_identical_rate_trajectories(errors, fraction, bf):
     # At step sizes that are the same fraction of each protocol's stability
     # limit, both rate updates reduce to -2 * fraction * error / (B * f0),
-    # so the two controllers move in lockstep on identical inputs.
+    # so the two controllers move in lockstep on identical inputs, down to
+    # both rejecting the same update that would drive the rate non-positive.
     g = SyncState(fraction * step_size_limit(GRADES, bf, 1.0), clock=LogicalClock())
     p = SyncState(fraction * step_size_limit(PISYNC, bf, 1.0), clock=LogicalClock())
     hw = 0.0
     for k, err in enumerate(errors, start=1):
         payload = g.clock.read(hw) - err
-        g = on_message(GRADES, g, k, payload, hw_now=hw, beacon_period=bf, nominal_freq=1.0,
-                       adapt=False)
+        try:
+            g = on_message(GRADES, g, k, payload, hw_now=hw, beacon_period=bf,
+                           nominal_freq=1.0, adapt=False)
+        except ContractViolation:
+            with pytest.raises(ContractViolation):
+                on_message(PISYNC, p, k, payload, hw_now=hw, beacon_period=bf,
+                           nominal_freq=1.0, adapt=False)
+            return
         p = on_message(PISYNC, p, k, payload, hw_now=hw, beacon_period=bf, nominal_freq=1.0,
                        adapt=False)
         assert g.clock.rate_multiplier == pytest.approx(p.clock.rate_multiplier, rel=1e-12)

@@ -73,6 +73,41 @@ def test_topology_rejects_malformed_graphs():
         Topology.line(0)
 
 
+def reference_neighbors(topo, u):
+    """The original O(E) scan over every edge, kept as the reference."""
+    return tuple(sorted(v for a, b in topo.edges for v, w in ((a, b), (b, a)) if w == u))
+
+
+def random_connected_graph(rng, n, extra):
+    """Random spanning tree over ids 1..n plus ``extra`` further distinct edges."""
+    ids = [int(u) for u in rng.permutation(np.arange(1, n + 1))]
+    edges = {frozenset((ids[i], ids[int(rng.integers(i))])) for i in range(1, n)}
+    while len(edges) < n - 1 + extra:
+        u, v = (int(x) for x in rng.integers(1, n + 1, size=2))
+        if u != v:
+            edges.add(frozenset((u, v)))
+    return [tuple(e) for e in edges]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_adjacency_matches_the_edge_scan_for_any_edge_order(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 40))
+    edges = random_connected_graph(rng, n, extra=int(rng.integers(0, 2 * n)))
+    nodes = tuple(range(1, n + 1))
+    reference = int(rng.integers(1, n + 1))
+    orders = [edges, edges[::-1], [(v, u) for u, v in edges]]
+    base = orders[int(rng.integers(3))]
+    orders.append([base[i] for i in rng.permutation(len(edges))])
+    hops = None
+    for order in orders:
+        topo = Topology(nodes=nodes, edges=tuple(order), reference=reference)
+        for u in nodes + (n + 1,):
+            assert topo.neighbors(u) == reference_neighbors(topo, u)
+        hops = hops or topo.hops_from_reference()
+        assert topo.hops_from_reference() == hops
+
+
 # ---------------------------------------------------------------- config validation
 
 
