@@ -32,7 +32,6 @@ from .sim import (
     Topology,
     convergence_time,
     fit_power_exponent,
-    global_skew,
     run,
     scaling_experiment,
     write_skew_csv,

@@ -88,18 +88,6 @@ def eigenvalues(p: SystemParams, protocol: str) -> tuple[float, float]:
     return 0.0, 1.0 - _update_coefficient(p, protocol) * p.beacon_period
 
 
-def _noise_moments(p: SystemParams) -> tuple[float, float]:
-    """(per-round deviation-integral variance, squared-delay term)."""
-    w_var = p.beacon_period * p.max_deviation**2 / 3.0
-    return w_var, p.delay_std**2
-
-
-def _variance_from_z(p: SystemParams, z_second_moment: float) -> float:
-    w_var, d_var = _noise_moments(p)
-    f0sq = p.nominal_freq**2
-    return z_second_moment * (p.beacon_period**2 + w_var / f0sq) + w_var / f0sq + d_var
-
-
 def variance(p: SystemParams, protocol: str) -> float:
     """Steady-state variance of the per-round sync error, squared seconds.
 
@@ -108,8 +96,9 @@ def variance(p: SystemParams, protocol: str) -> float:
     formula is valid only while that denominator is positive, which is
     slightly stricter than the mean stability bound.
     """
-    w_var, d_var = _noise_moments(p)
     b, f0, a = p.beacon_period, p.nominal_freq, p.step_size
+    w_var = b * p.max_deviation**2 / 3.0  # per-round deviation-integral variance
+    d_var = p.delay_std**2
     lead = 2.0 * b * f0 / error_scale(protocol, b, f0)
     denom = lead - a * (b * b * f0 * f0 + w_var)
     if denom <= 0:
@@ -117,7 +106,8 @@ def variance(p: SystemParams, protocol: str) -> float:
             f"step size {a} is outside the variance-stable region (denominator {denom})"
         )
     z2 = a * (w_var + f0 * f0 * d_var) / denom
-    return _variance_from_z(p, z2)
+    f0sq = f0**2
+    return z2 * (b**2 + w_var / f0sq) + w_var / f0sq + d_var
 
 
 @dataclass(frozen=True)
@@ -201,6 +191,8 @@ def estimate_variance_mc(
         raise ValueError(f"unknown noise convention: {noise_convention!r}")
     if rounds < 2:
         raise ValueError("need at least 2 rounds")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     b, f0 = p.beacon_period, p.nominal_freq
     coef = _update_coefficient(p, protocol)
     w_std = p.max_deviation * math.sqrt(b / 3.0)

@@ -109,10 +109,7 @@ def main(argv=None) -> int:
             key, value = item.split("=", 1)
             overrides[key.strip()] = value.strip()
         summary = run_scenario(args.scenario, overrides, args.out, seed=args.seed)
-    except UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except ValueError as err:  # invalid parameter combinations from config validation
+    except ValueError as err:  # a UsageError, or a parameter the run itself rejects
         print(f"error: {err}", file=sys.stderr)
         return 2
     except ContractViolation as err:

@@ -185,22 +185,11 @@ class HardwareClock:
         """Current tick count (floored to a whole tick in quantize mode)."""
         return math.floor(self._ticks) if self.quantize else self._ticks
 
-    def advance(self, real_dt: float) -> float:
-        """Advance real time by ``real_dt`` and return the ticks elapsed."""
-        if real_dt < 0:
-            raise ContractViolation(f"cannot advance a clock backwards (dt={real_dt})")
-        if real_dt == 0:
-            return 0.0
-        now = self._time
-        elapsed = self.nominal_freq * real_dt + self.drift.deviation_integral(now, now + real_dt)
-        self._time = now + real_dt
-        self._ticks += elapsed
-        return elapsed
-
     def advance_to(self, t: float) -> None:
-        """Advance to real time ``t``: the arithmetic of ``advance(t - time)`` in one call."""
+        """Advance monotonically to real time ``t``; an earlier ``t`` is a contract violation."""
         now = self._time
         if t > now:
+            # Integrate to now + (t - now), not t: recorded traces use this rounding.
             real_dt = t - now
             self._ticks += self.nominal_freq * real_dt + self.drift.deviation_integral(
                 now, now + real_dt

@@ -32,17 +32,12 @@ PROTOCOLS = (GRADES, PISYNC)
 
 
 def step_size_limit(protocol: str, beacon_period: float, nominal_freq: float) -> float:
-    """Largest stable step size for a protocol at the given round geometry.
+    """Largest stable step size: 2 / (beacon_period * nominal_freq * error_scale).
 
     grades: 1 / (beacon_period * nominal_freq)**2
     pisync: 2 / (beacon_period * nominal_freq)
     """
-    bf = beacon_period * nominal_freq
-    if protocol == GRADES:
-        return 1.0 / (bf * bf)
-    if protocol == PISYNC:
-        return 2.0 / bf
-    raise ValueError(f"unknown protocol: {protocol!r}")
+    return 2.0 / (beacon_period * nominal_freq * error_scale(protocol, beacon_period, nominal_freq))
 
 
 def error_scale(protocol: str, beacon_period: float, nominal_freq: float) -> float:
@@ -70,13 +65,12 @@ class SyncState:
 
 @dataclass(frozen=True)
 class SyncMessage:
-    """One broadcast: sender id, flood sequence number, one clock reading per protocol.
+    """One broadcast: flood sequence number and one clock reading per protocol.
 
     ``readings`` follows the order of the protocol states the beacon was
     emitted from, so a single physical message serves every enabled protocol.
     """
 
-    sender: int
     seq: int
     readings: tuple[float, ...]
 
@@ -139,7 +133,6 @@ def on_message(
 
 def on_beacon_tick(
     states: tuple[SyncState, ...],
-    sender: int,
     is_reference: bool,
     hw_now: float,
 ) -> tuple[tuple[SyncState, ...], SyncMessage]:
@@ -161,4 +154,4 @@ def on_beacon_tick(
         readings = (hw_now,) * len(states)
     else:
         readings = tuple([s.clock.read(hw_now) for s in states])
-    return states, SyncMessage(sender, seq, readings)
+    return states, SyncMessage(seq, readings)

@@ -26,10 +26,12 @@ from .sim import (
     SimConfig,
     SkewTrace,
     Topology,
+    _fmt,
     convergence_time,
     fit_power_exponent,
     run,
     scaling_experiment,
+    write_csv,
     write_skew_csv,
     write_trace_csv,
 )
@@ -42,18 +44,10 @@ grades_variance = partial(variance, protocol=GRADES)
 pisync_variance = partial(variance, protocol=PISYNC)
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return f"{x:.9g}"
-    return str(x)
-
-
-def write_csv(path: Path, columns, rows, comments=()) -> None:
-    lines = [f"# {c}" for c in comments]
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+def _at_least(params: dict, name: str, least: int) -> int:
+    if int(params[name]) < least:
+        raise ValueError(f"parameter {name} must be at least {least}, got {params[name]}")
+    return int(params[name])
 
 
 def write_summary_csv(path: Path, summary: dict, comments=()) -> None:
@@ -270,7 +264,7 @@ def multihop_config(params: dict, seed: int) -> SimConfig:
     b, f0 = params["beacon_period"], params["nominal_freq"]
     steps = {p: frac * step_size_limit(p, b, f0) for p in (GRADES, PISYNC)}
     return SimConfig(
-        topology=Topology.line(int(params["nodes"])),
+        topology=Topology.line(_at_least(params, "nodes", 2)),
         beacon_period=b,
         duration=params["duration"],
         nominal_freq=f0,
@@ -288,7 +282,7 @@ def multihop_config(params: dict, seed: int) -> SimConfig:
 
 
 def _run_multihop(params: dict, out: Path) -> dict:
-    seeds = [int(params["seed"]) + i for i in range(int(params["seeds"]))]
+    seeds = [int(params["seed"]) + i for i in range(_at_least(params, "seeds", 1))]
     per_seed: dict[str, list[dict]] = {GRADES: [], PISYNC: []}
     summary: dict = {}
     for i, seed in enumerate(seeds):
@@ -323,7 +317,9 @@ def _run_multihop(params: dict, out: Path) -> dict:
 
 def _run_scaling(params: dict, out: Path) -> dict:
     diameters = [int(d) for d in str(params["diameters"]).split(",") if d]
-    seeds = [int(params["seed"]) + i for i in range(int(params["seeds"]))]
+    if len(set(diameters)) < 2:
+        raise ValueError(f"parameter diameters needs 2 distinct values: {params['diameters']!r}")
+    seeds = [int(params["seed"]) + i for i in range(_at_least(params, "seeds", 1))]
     result = scaling_experiment(
         diameters,
         seeds,
@@ -446,14 +442,12 @@ def _run_theory_check(params: dict, out: Path) -> dict:
 
 @dataclass(frozen=True)
 class Scenario:
-    name: str
     defaults: dict
     runner: Callable[[dict, Path], dict]
 
 
 SCENARIOS: dict[str, Scenario] = {
     "fig1-pairwise": Scenario(
-        "fig1-pairwise",
         {
             "seed": 7,
             "rounds": 60,
@@ -467,7 +461,6 @@ SCENARIOS: dict[str, Scenario] = {
         _run_pairwise,
     ),
     "fig2-stepsize": Scenario(
-        "fig2-stepsize",
         {
             "seed": 11,
             "rounds": 300,
@@ -479,7 +472,6 @@ SCENARIOS: dict[str, Scenario] = {
         _run_stepsize,
     ),
     "fig3-multihop": Scenario(
-        "fig3-multihop",
         {
             "seed": 3,
             "seeds": 5,
@@ -494,7 +486,6 @@ SCENARIOS: dict[str, Scenario] = {
         _run_multihop,
     ),
     "scaling": Scenario(
-        "scaling",
         {
             "seed": 0,
             "seeds": 10,
@@ -507,7 +498,6 @@ SCENARIOS: dict[str, Scenario] = {
         _run_scaling,
     ),
     "theory-check": Scenario(
-        "theory-check",
         {
             "seed": 5,
             "trials": 1500,

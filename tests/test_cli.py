@@ -95,14 +95,15 @@ def test_reruns_are_byte_identical(tmp_path):
 
 
 # SHA-256 of every CSV the two pairwise scenarios write at their defaults, and
-# the two multi-node scenarios write at small sizes.  The outputs are
-# deterministic, so any change in them, down to the last printed digit, shows
-# up here.  The small fig3 run covers both protocols, adaptive steps and
-# random-constant drift; the small scaling run covers white drift and
-# staggered phases.
+# the other three write at small sizes.  The outputs are deterministic, so
+# any change in them, down to the last printed digit, shows up here.  The
+# small fig3 run covers both protocols, adaptive steps and random-constant
+# drift; the small scaling run covers white drift and staggered phases; the
+# small theory-check rows mix text, integer and float columns.
 GOLDEN_OVERRIDES = {
     "fig3-multihop": {"seeds": "1", "nodes": "4", "duration": "900"},
     "scaling": {"seeds": "2", "diameters": "2,3", "rounds": "30"},
+    "theory-check": {"trials": "20", "rounds": "40"},
 }
 GOLDEN_SHA256 = {
     "fig1-pairwise": {
@@ -140,6 +141,12 @@ GOLDEN_SHA256 = {
             "c20a47a10402c212e7d3e2a603d0b4e84f580678188e5d902cd24465e6ce3855",
         "summary.csv":
             "ad7dadb045a3e887564e98c16472ff79e2e4fd5e0df6e4f037206ecf6b134ac8",
+    },
+    "theory-check": {
+        "summary.csv":
+            "eed47de5251140f96c1b7a9c9e14d57104fc25ba52f9a7c041eed4bcc2546b30",
+        "theory_check.csv":
+            "db38ce6777f96dcb96315aaa04ad7230aad4ef2d07389219d08b4529b7cd5c06",
     },
 }
 
@@ -209,11 +216,30 @@ def test_set_overrides_beat_config_file_values(tmp_path, capsys):
     assert "rounds = 7" in out
 
 
+@pytest.mark.parametrize(
+    "scenario, override, parameter",
+    [
+        ("fig3-multihop", "seeds=0", "seeds"),
+        ("fig3-multihop", "nodes=1", "nodes"),
+        ("scaling", "seeds=0", "seeds"),
+        ("theory-check", "trials=0", "trials"),
+        ("scaling", "diameters=", "diameters"),
+    ],
+)
+def test_main_empty_count_or_list_exits_2_naming_the_parameter(
+    tmp_path, capsys, scenario, override, parameter
+):
+    code = main(["--scenario", scenario, "--set", override, "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and parameter in err
+
+
 def test_contract_violation_exits_3(tmp_path, capsys, monkeypatch):
     def runner(params, out):
         raise ContractViolation("node 2 at t=1: boom")
 
-    monkeypatch.setitem(SCENARIOS, "boom", Scenario("boom", {"seed": 0}, runner))
+    monkeypatch.setitem(SCENARIOS, "boom", Scenario({"seed": 0}, runner))
     code = main(["--scenario", "boom", "--out", str(tmp_path)])
     assert code == 3
     assert "contract violation:" in capsys.readouterr().err

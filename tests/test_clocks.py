@@ -22,12 +22,25 @@ def make_rng(seed=0):
     return np.random.default_rng(seed)
 
 
+def reference_advance(clock, real_dt):
+    """Advance ``clock`` by ``real_dt`` with the arithmetic ``advance_to`` must reproduce."""
+    if real_dt < 0:
+        raise ContractViolation(f"cannot advance a clock backwards (dt={real_dt})")
+    if real_dt == 0:
+        return 0.0
+    now = clock._time
+    elapsed = clock.nominal_freq * real_dt + clock.drift.deviation_integral(now, now + real_dt)
+    clock._time = now + real_dt
+    clock._ticks += elapsed
+    return elapsed
+
+
 # ---------------------------------------------------------------- hardware clock
 
 
 def test_advance_ideal_clock_counts_nominal_ticks():
     clock = HardwareClock(nominal_freq=1.0, max_deviation=0.0)
-    assert clock.advance(5.0) == 5.0
+    clock.advance_to(5.0)
     assert clock.read() == 5.0
     assert clock.time == 5.0
 
@@ -35,29 +48,36 @@ def test_advance_ideal_clock_counts_nominal_ticks():
 def test_advance_with_constant_deviation_adds_drift_ticks():
     # +100 ppm of a 1 MHz crystal over 30 s: 30e6 nominal + 3000 drift ticks.
     clock = HardwareClock(nominal_freq=1e6, drift=ConstantDrift(100e-6 * 1e6))
-    elapsed = clock.advance(30.0)
-    assert elapsed == pytest.approx(30_003_000.0, abs=1e-6)
+    clock.advance_to(30.0)
     assert clock.read() == pytest.approx(30_003_000.0, abs=1e-6)
 
 
 def test_advance_accumulates_over_multiple_calls():
     clock = HardwareClock(nominal_freq=1e6, drift=ConstantDrift(-50.0))
-    total = sum(clock.advance(0.5) for _ in range(8))
-    assert total == pytest.approx(clock.read(), rel=1e-12)
+    readings = []
+    for k in range(1, 9):
+        clock.advance_to(0.5 * k)
+        readings.append(clock.read())
+    assert np.diff(readings) == pytest.approx([0.5 * (1e6 - 50.0)] * 7, rel=1e-12)
     assert clock.read() == pytest.approx(4.0 * (1e6 - 50.0), rel=1e-12)
 
 
 def test_advance_rejects_negative_interval():
     clock = HardwareClock(nominal_freq=1.0)
     with pytest.raises(ContractViolation):
-        clock.advance(-1e-9)
+        clock.advance_to(-1e-9)
+    clock.advance_to(2.0)
+    with pytest.raises(ContractViolation):
+        clock.advance_to(2.0 - 1e-9)
+    clock.advance_to(2.0)  # staying put is allowed
+    assert clock.time == 2.0
 
 
 def test_advance_to_matches_advance_and_rejects_past():
     a = HardwareClock(nominal_freq=1e6, drift=ConstantDrift(30.0))
     b = HardwareClock(nominal_freq=1e6, drift=ConstantDrift(30.0))
-    a.advance(1.25)
-    a.advance(0.75)
+    reference_advance(a, 1.25)
+    reference_advance(a, 0.75)
     b.advance_to(2.0)
     assert a.read() == pytest.approx(b.read(), rel=1e-15)
     with pytest.raises(ContractViolation):
@@ -72,7 +92,8 @@ def test_piecewise_deviation_integrates_each_segment_exactly():
     # 20 s at 1e-4 plus 10 s at 5e-5.
     assert drift.deviation_integral(0.0, 30.0) == pytest.approx(2.5e-3, rel=1e-12)
     clock = HardwareClock(nominal_freq=1.0, max_deviation=1e-4, drift=drift)
-    assert clock.advance(30.0) == pytest.approx(30.0 + 2.5e-3, rel=1e-12)
+    clock.advance_to(30.0)
+    assert clock.read() == pytest.approx(30.0 + 2.5e-3, rel=1e-12)
 
 
 def test_time_of_tick_inverts_constant_drift():
@@ -87,7 +108,7 @@ def test_time_of_tick_then_advance_lands_on_target():
     rng = make_rng(42)
     drift = WhiteDrift(1e-4, rng)
     clock = HardwareClock(nominal_freq=1.0, max_deviation=1e-4, drift=drift)
-    clock.advance(0.37)
+    clock.advance_to(0.37)
     for target in (5.0, 5.5, 17.25):
         t = clock.time_of_tick(target)
         clock.advance_to(t)
@@ -96,7 +117,7 @@ def test_time_of_tick_then_advance_lands_on_target():
 
 def test_quantize_floors_partial_ticks():
     clock = HardwareClock(nominal_freq=1.0, max_deviation=0.0, quantize=True)
-    clock.advance(10.7)
+    clock.advance_to(10.7)
     assert clock.read() == 10.0
     assert clock.time == 10.7  # real time is unaffected by readout quantization
 
@@ -118,8 +139,10 @@ def test_hardware_readings_strictly_increase(seed, dts):
     drift = WhiteDrift(0.5, rng)
     clock = HardwareClock(nominal_freq=1.0, max_deviation=0.5, drift=drift)
     prev = clock.read()
+    t = 0.0
     for dt in dts:
-        clock.advance(dt)
+        t += dt
+        clock.advance_to(t)
         now = clock.read()
         assert now > prev
         prev = now
@@ -129,7 +152,11 @@ def test_same_seed_reproduces_trajectory():
     def trajectory(seed):
         drift = WhiteDrift(1e-4, make_rng(seed))
         clock = HardwareClock(nominal_freq=1.0, max_deviation=1e-4, drift=drift)
-        return [clock.advance(0.7) for _ in range(50)]
+        readings = []
+        for k in range(1, 51):
+            clock.advance_to(0.7 * k)
+            readings.append(clock.read())
+        return readings
 
     assert trajectory(123) == trajectory(123)
     assert trajectory(123) != trajectory(124)
@@ -238,7 +265,7 @@ def test_advance_to_matches_advance_by_the_difference(seed, kind, dts):
     for dt in dts:
         t += dt
         a.advance_to(t)
-        b.advance(t - b.time)
+        reference_advance(b, t - b.time)
         assert a._ticks == b._ticks
         assert a.time == b.time
 

@@ -259,16 +259,15 @@ def test_equal_fraction_steps_give_identical_rate_trajectories(errors, fraction,
 def test_reference_beacon_increments_seq_and_advertises_hardware_time():
     g = state(value=999.0, hw=0.0, seq=4)
     p = state(value=888.0, hw=0.0, seq=4)
-    (g2, p2), msg = on_beacon_tick((g, p), sender=1, is_reference=True, hw_now=5000.25)
+    (g2, p2), msg = on_beacon_tick((g, p), is_reference=True, hw_now=5000.25)
     assert (g2.seq, p2.seq, msg.seq) == (5, 5, 5)
     assert msg.readings == (5000.25, 5000.25)
-    assert msg.sender == 1
 
 
 def test_relay_beacon_keeps_seq_and_advertises_logical_readings():
     g = state(value=100.0, rate=1.5, hw=10.0, seq=4)
     p = state(value=200.0, rate=0.5, hw=10.0, seq=4)
-    (g2, p2), msg = on_beacon_tick((g, p), sender=7, is_reference=False, hw_now=12.0)
+    (g2, p2), msg = on_beacon_tick((g, p), is_reference=False, hw_now=12.0)
     assert g2 is g and p2 is p
     assert msg.seq == 4
     assert msg.readings[0] == pytest.approx(103.0, rel=1e-12)
@@ -277,7 +276,7 @@ def test_relay_beacon_keeps_seq_and_advertises_logical_readings():
 
 def test_single_protocol_beacons_leave_the_other_payload_empty():
     g = state(seq=2)
-    (g2,), msg = on_beacon_tick((g,), sender=1, is_reference=True, hw_now=3.0)
+    (g2,), msg = on_beacon_tick((g,), is_reference=True, hw_now=3.0)
     assert msg.readings == (3.0,)  # no reading for a protocol that is not running
     assert g2.seq == 3
 
@@ -286,4 +285,4 @@ def test_beacon_demands_protocol_states_in_sequence_lockstep():
     g = state(seq=4)
     p = state(seq=5)
     with pytest.raises(ContractViolation, match="sequence"):
-        on_beacon_tick((g, p), sender=1, is_reference=False, hw_now=1.0)
+        on_beacon_tick((g, p), is_reference=False, hw_now=1.0)

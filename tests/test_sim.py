@@ -16,7 +16,6 @@ from gradesync import (
     Topology,
     convergence_time,
     fit_power_exponent,
-    global_skew,
     run,
     scaling_experiment,
     write_skew_csv,
@@ -319,15 +318,37 @@ def test_quantized_hardware_still_synchronizes_coarsely():
     assert trace.global_skew(GRADES)[-1] < 5.0  # within a few ticks of each other
 
 
+@pytest.mark.parametrize("phase_mode", ["random", "staggered"])
+def test_quantized_ticks_with_fractional_start_phases_sample_cleanly(phase_mode):
+    # Each logical clock starts at the floored hardware reading, so the first
+    # sample does not read before the clock's anchor.
+    trace = run(SimConfig(
+        topology=Topology.line(3), beacon_period=1.0, duration=5.0, nominal_freq=1e3,
+        step_policy="adaptive", quantize_ticks=True, phase_mode=phase_mode, seed=0,
+    ))
+    first = trace.readings[GRADES][0]
+    assert np.all(first == np.floor(first))
+    assert np.any(first > 0)  # not all start phases are zero
+
+
 # ---------------------------------------------------------------- trace utilities
 
 
 def test_global_skew_examples():
-    assert global_skew([5.0, 3.0, 9.0]) == 6.0
-    assert global_skew([4.0, 4.0]) == 0.0
-    assert global_skew([7.0]) == 0.0
-    with pytest.raises(ValueError):
-        global_skew([])
+    def skew(*rows):
+        readings = np.array(rows, dtype=float)
+        trace = SkewTrace(
+            times=np.arange(len(rows), dtype=float),
+            node_ids=tuple(range(1, readings.shape[1] + 1)),
+            protocols=(GRADES,),
+            readings={GRADES: readings},
+            rate_multipliers={GRADES: np.ones_like(readings)},
+            hw_rates=np.ones_like(readings),
+        )
+        return trace.global_skew(GRADES).tolist()
+
+    assert skew([5.0, 3.0, 9.0], [4.0, 4.0, 4.0]) == [6.0, 0.0]
+    assert skew([7.0], [2.0]) == [0.0, 0.0]
 
 
 def test_convergence_time_examples():
