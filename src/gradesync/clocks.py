@@ -9,9 +9,10 @@ at discrete sync events.
 
 Drift models (:class:`ConstantDrift`, :class:`PiecewiseDrift`,
 :class:`WhiteDrift`) define an instantaneous rate at every instant.  They
-integrate exactly over any interval and can be inverted to find the real time
-at which a tick target is crossed, which is what the event simulator needs to
-schedule beacons.
+integrate exactly over any interval, and ``piece(t)`` gives the constant
+stretch that contains ``t``, so the trajectory can be inverted to find the
+real time at which a tick target is crossed, which is what the event
+simulator needs to schedule beacons.
 
 All randomness flows through numpy ``Generator`` objects injected at
 construction, so a (seed, config) pair fully determines every trajectory.
@@ -22,6 +23,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,8 +45,8 @@ class ConstantDrift:
     def deviation_integral(self, t0: float, t1: float) -> float:
         return self.deviation * (t1 - t0)
 
-    def pieces(self, t_from: float):
-        yield t_from, math.inf, self.deviation
+    def piece(self, t: float) -> tuple[float, float]:
+        return math.inf, self.deviation
 
     def max_abs_deviation(self) -> float:
         return abs(self.deviation)
@@ -75,20 +77,17 @@ class PiecewiseDrift:
         return self.steps[self._index(t)][1]
 
     def deviation_integral(self, t0: float, t1: float) -> float:
-        total = 0.0
-        for start, end, dev in self.pieces(t0):
-            if start >= t1:
-                break
+        total, start = 0.0, t0
+        while start < t1:
+            end, dev = self.piece(start)
             total += dev * (min(end, t1) - start)
+            start = end
         return total
 
-    def pieces(self, t_from: float):
-        i = self._index(t_from)
-        while i < len(self.steps):
-            start = max(self.steps[i][0], t_from)
-            end = self.steps[i + 1][0] if i + 1 < len(self.steps) else math.inf
-            yield start, end, self.steps[i][1]
-            i += 1
+    def piece(self, t: float) -> tuple[float, float]:
+        i = self._index(t)
+        end = self.steps[i + 1][0] if i + 1 < len(self.steps) else math.inf
+        return end, self.steps[i][1]
 
     def max_abs_deviation(self) -> float:
         return max(abs(d) for _, d in self.steps)
@@ -134,11 +133,9 @@ class WhiteDrift:
             start, j = end, j + 1
         return total
 
-    def pieces(self, t_from: float):
-        j = math.floor(t_from)
-        while True:
-            yield max(float(j), t_from), float(j + 1), self._segment(j)
-            j += 1
+    def piece(self, t: float) -> tuple[float, float]:
+        j = math.floor(t)
+        return float(j + 1), self._segment(j)
 
     def max_abs_deviation(self) -> float:
         return self.max_deviation
@@ -206,32 +203,37 @@ class HardwareClock:
         if target_ticks < self._ticks:
             raise ContractViolation("tick target is already in the past")
         remaining = target_ticks - self._ticks
-        for start, end, dev in self.drift.pieces(self._time):
-            rate = self.nominal_freq + dev
-            if end == math.inf:
-                return start + remaining / rate
+        f0, piece, start = self.nominal_freq, self.drift.piece, self._time
+        while True:
+            end, dev = piece(start)
+            rate = f0 + dev
             span = (end - start) * rate
-            if span >= remaining:
+            if span >= remaining or end == math.inf:  # the last piece always suffices
                 return start + remaining / rate
             remaining -= span
-        raise RuntimeError("unreachable: drift pieces are exhaustive")
+            start = end
 
 
-@dataclass(frozen=True)
-class LogicalClock:
-    """Piecewise-linear map from hardware ticks to estimated global time.
-
-    Between updates the logical value advances as
-    ``value_at_update + rate_multiplier * (hw_now - hw_at_update)``.
-    """
-
+class _LogicalClockFields(NamedTuple):
     value_at_update: float = 0.0
     rate_multiplier: float = 1.0
     hw_at_update: float = 0.0
 
-    def __post_init__(self):
-        if self.rate_multiplier <= 0:
+
+class LogicalClock(_LogicalClockFields):
+    """Piecewise-linear map from hardware ticks to estimated global time.
+
+    Between updates the logical value advances as
+    ``value_at_update + rate_multiplier * (hw_now - hw_at_update)``.
+    An immutable named tuple: cheap to build once per accepted message.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, value_at_update=0.0, rate_multiplier=1.0, hw_at_update=0.0):
+        if rate_multiplier <= 0:
             raise ValueError("rate_multiplier must stay positive")
+        return tuple.__new__(cls, (value_at_update, rate_multiplier, hw_at_update))
 
     def read(self, hw_now: float) -> float:
         if hw_now < self.hw_at_update:

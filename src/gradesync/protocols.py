@@ -16,12 +16,13 @@ accepted only if it carries a strictly newer sequence number, which makes
 re-delivered or out-of-order floods harmless.
 
 All transition functions are pure: they take a state and return a new one,
-leaving the input untouched.
+leaving the input untouched.  States and messages are immutable named tuples,
+which are cheap to build once per accepted message.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .clocks import LogicalClock
 from .errors import ContractViolation
@@ -53,8 +54,7 @@ def error_scale(protocol: str, beacon_period: float, nominal_freq: float) -> flo
     raise ValueError(f"unknown protocol: {protocol!r}")
 
 
-@dataclass(frozen=True)
-class SyncState:
+class SyncState(NamedTuple):
     """One protocol's view at one node: step size, last signal, flood seq, clock."""
 
     step_size: float
@@ -63,8 +63,7 @@ class SyncState:
     clock: LogicalClock = LogicalClock()
 
 
-@dataclass(frozen=True)
-class SyncMessage:
+class SyncMessage(NamedTuple):
     """One broadcast: flood sequence number and one clock reading per protocol.
 
     ``readings`` follows the order of the protocol states the beacon was

@@ -122,6 +122,11 @@ def pairwise_config(params: dict) -> SimConfig:
     """Two nodes in normalized units; the non-reference drifts and steps down mid-run."""
     dev0 = params["drift_ppm"] * 1e-6
     dev1 = params["drift_ppm_after"] * 1e-6
+    if not 0 < params["switch_round"] <= params["rounds"]:
+        raise ValueError(
+            f"parameter switch_round must be in (0, rounds={params['rounds']}], "
+            f"got {params['switch_round']}"
+        )
     switch_t = params["switch_round"] * 1.0
     return SimConfig(
         topology=Topology.line(2),
@@ -207,7 +212,10 @@ def stepsize_configs(params: dict) -> dict[str, SimConfig]:
         phase_mode="aligned",
         seed=int(params["seed"]),
     )
-    steps = [float(s) for s in str(params["constant_steps"]).split(",") if s]
+    try:
+        steps = [float(s) for s in str(params["constant_steps"]).split(",") if s]
+    except ValueError as err:
+        raise ValueError(f"parameter constant_steps: {err}") from err
     configs = {}
     for s in steps:
         configs[f"const-{_fmt(s)}"] = SimConfig(step_policy="fixed", step_size=s, **base)
@@ -302,12 +310,11 @@ def _run_multihop(params: dict, out: Path) -> dict:
         summary[f"{proto}.all_converged"] = all(r["converged"] for r in reps)
         summary[f"{proto}.mean_post_mean"] = float(np.mean([r["post_mean"] for r in reps]))
         summary[f"{proto}.mean_post_max"] = float(np.mean([r["post_max"] for r in reps]))
-    summary["post_mean_ratio_grades_over_pisync"] = (
-        summary[f"{GRADES}.mean_post_mean"] / summary[f"{PISYNC}.mean_post_mean"]
-    )
-    summary["post_max_ratio_grades_over_pisync"] = (
-        summary[f"{GRADES}.mean_post_max"] / summary[f"{PISYNC}.mean_post_max"]
-    )
+    # A noise-free run can hold pisync's skew at exactly 0: no ratio then.
+    for stat in ("post_mean", "post_max"):
+        den = summary[f"{PISYNC}.mean_{stat}"]
+        ratio = None if den == 0 else summary[f"{GRADES}.mean_{stat}"] / den
+        summary[f"{stat}_ratio_grades_over_pisync"] = ratio
     write_summary_csv(out / "summary.csv", summary)
     return summary
 

@@ -248,6 +248,11 @@ def _drift_for_node(config: SimConfig, node: int, rng: np.random.Generator):
     raise ValueError(f"unknown drift spec: {spec!r}")
 
 
+def _draws(draw_block):
+    """Values of ``draw_block(1024)`` arrays in turn: a Generator's scalar draws, in order."""
+    return itertools.chain.from_iterable(iter(lambda: draw_block(1024).tolist(), None))
+
+
 def run(config: SimConfig) -> SkewTrace:
     """Run the event simulation and return the sampled trace.
 
@@ -256,7 +261,6 @@ def run(config: SimConfig) -> SkewTrace:
     """
     topo = config.topology
     nodes = tuple(sorted(topo.nodes))
-    ref = topo.reference
     b, f0 = config.beacon_period, config.nominal_freq
     round_ticks = b * f0
     sample_period = config.sample_period if config.sample_period is not None else b / 3.0
@@ -285,33 +289,44 @@ def run(config: SimConfig) -> SkewTrace:
         phases = np.zeros(len(nodes))
 
     adaptive = config.step_policy == "adaptive"
-    clocks: dict[int, HardwareClock] = {}
-    next_target: dict[int, float] = {}
+    duration, p_drop = config.duration, config.drop_probability
+    record_events = config.record_events
+    # Node state lives in lists indexed by the node's position in ``nodes``;
+    # heap keys carry that index, which orders events exactly as node ids do.
+    index = {u: i for i, u in enumerate(nodes)}
+    ref = index[topo.reference]
+    clocks: list[HardwareClock] = []
+    next_target: list[float] = []
     for i, u in enumerate(nodes):
         drift = _drift_for_node(config, u, np.random.default_rng(drift_children[i]))
-        clocks[u] = HardwareClock(
+        clocks.append(HardwareClock(
             f0, config.max_deviation, drift, float(phases[i]), config.quantize_ticks
-        )
-        next_target[u] = (math.floor(phases[i] / round_ticks) + 1) * round_ticks
-    neighbors = {u: topo.neighbors(u) for u in nodes}
+        ))
+        next_target.append((math.floor(phases[i] / round_ticks) + 1) * round_ticks)
+    neighbors = [tuple([index[v] for v in topo.neighbors(u)]) for u in nodes]
     # One lane per protocol: its slot in a message's readings, its name, every
     # node's state and its update rule (looked up here, at run time).  Logical
     # clocks start at their hardware reading, which quantize mode floors.
     handler = {GRADES: grades_on_message, PISYNC: pisync_on_message}
-    hw_start = [clocks[u].read() for u in nodes]
+    hw_start = [clk.read() for clk in clocks]
     lanes = []
     for i, p in enumerate(config.protocols):
         step = config.resolved_step_size(p)
         start = [SyncState(step, clock=LogicalClock(hw, 1.0, hw)) for hw in hw_start]
-        lanes.append((i, p, dict(zip(nodes, start)), handler[p]))
+        lanes.append((i, p, start, handler[p]))
+    lane_states = [states for _, _, states, _ in lanes]
+    # Receiver noise (and drop) draws, taken in blocks and used in draw order.
+    noises = _draws(partial(delay_rng.normal, 0.0, config.delay_std))
+    drops = _draws(drop_rng.random)
 
     counter = itertools.count()
     heap: list[tuple] = []
-    for u in nodes:
-        t_first = clocks[u].time_of_tick(next_target[u])
-        if t_first <= config.duration:
-            heapq.heappush(heap, (t_first, u, _KIND_BEACON, next(counter), None))
-    n_samples = int(math.floor(config.duration / sample_period + 1e-9)) + 1
+    push, pop = heapq.heappush, heapq.heappop
+    for i, clk in enumerate(clocks):
+        t_first = clk.time_of_tick(next_target[i])
+        if t_first <= duration:
+            push(heap, (t_first, i, _KIND_BEACON, next(counter), None, 0.0))
+    n_samples = int(math.floor(duration / sample_period + 1e-9)) + 1
     sample_times = [k * sample_period for k in range(n_samples)]
     shape = (n_samples, len(nodes))
     readings_out = {p: np.empty(shape) for p in config.protocols}
@@ -322,14 +337,13 @@ def run(config: SimConfig) -> SkewTrace:
     def take_sample(k: int) -> None:
         t = sample_times[k]
         hws, row_hw = [], []
-        for u in nodes:
-            clk = clocks[u]
+        for clk in clocks:
             clk.advance_to(t)
             hws.append(clk.read())
             row_hw.append(f0 + clk.drift.deviation_rate(t))
         hw_rates_out[k] = row_hw
-        for _, proto, node_states, _ in lanes:
-            lcs = [node_states[u].clock for u in nodes]
+        for _, proto, states, _ in lanes:
+            lcs = [st.clock for st in states]
             readings_out[proto][k] = [lc.read(hw) for lc, hw in zip(lcs, hws)]
             rates_out[proto][k] = [lc.rate_multiplier for lc in lcs]
 
@@ -337,57 +351,53 @@ def run(config: SimConfig) -> SkewTrace:
     # sample sees the state left by all earlier events and none of the later.
     k = 0
     while heap:
-        t, who, kind, _, payload = heapq.heappop(heap)
+        t, who, kind, _, msg, noise = pop(heap)
         while k < n_samples and sample_times[k] <= t:
             take_sample(k)
             k += 1
-
-        if kind == _KIND_BEACON:
-            clk = clocks[who]
-            clk.advance_to(t)
-            hw = clk.read()
-            mine = tuple([node_states[who] for _, _, node_states, _ in lanes])
-            try:
-                own, out = on_beacon_tick(mine, who == ref, hw)
-            except ContractViolation as err:
-                raise ContractViolation(f"node {who} at t={t:.9g}: {err}") from err
-            for (_, _, node_states, _), st in zip(lanes, own):
-                node_states[who] = st
-            for v in neighbors[who]:
-                noise = delay_rng.normal(0.0, config.delay_std) * f0
-                if config.drop_probability > 0 and drop_rng.random() < config.drop_probability:
-                    continue
-                # Each receiver sees the same message plus its own noise draw.
-                heapq.heappush(heap, (t, v, _KIND_RECEIVE, next(counter), (out, noise)))
-            next_target[who] += round_ticks
-            t_next = clk.time_of_tick(next_target[who])
-            if t_next <= config.duration:
-                heapq.heappush(heap, (t_next, who, _KIND_BEACON, next(counter), None))
-            continue
-
-        # reception
-        if who == ref:
-            continue  # the reference never adjusts itself
         clk = clocks[who]
         clk.advance_to(t)
         hw = clk.read()
-        msg, noise = payload
-        seq = msg.seq
-        for i, proto, node_states, update in lanes:
-            st = node_states[who]
-            received = msg.readings[i] + noise
+
+        if kind == _KIND_BEACON:
+            mine = tuple([states[who] for states in lane_states])
+            try:
+                own, out = on_beacon_tick(mine, who == ref, hw)
+            except ContractViolation as err:
+                raise ContractViolation(f"node {nodes[who]} at t={t:.9g}: {err}") from err
+            if own is not mine:
+                for states, st in zip(lane_states, own):
+                    states[who] = st
+            for v in neighbors[who]:
+                # Each receiver sees the same message plus its own noise draw.
+                noise = next(noises) * f0
+                if p_drop > 0 and next(drops) < p_drop:
+                    continue
+                if v != ref:  # the reference never adjusts itself
+                    push(heap, (t, v, _KIND_RECEIVE, next(counter), out, noise))
+            next_target[who] += round_ticks
+            t_next = clk.time_of_tick(next_target[who])
+            if t_next <= duration:
+                push(heap, (t_next, who, _KIND_BEACON, next(counter), None, 0.0))
+            continue
+
+        # reception
+        seq, readings = msg
+        for i, proto, states, update in lanes:
+            st = states[who]
+            received = readings[i] + noise
             try:
                 new = update(st, seq, received, hw, b, f0, adaptive)
             except ContractViolation as err:
-                raise ContractViolation(f"node {who} at t={t:.9g}: {err}") from err
+                raise ContractViolation(f"node {nodes[who]} at t={t:.9g}: {err}") from err
             if new is st:
                 continue  # stale sequence number
-            node_states[who] = new
-            if config.record_events:
+            states[who] = new
+            if record_events:
                 error = compute_error(st.clock.read(hw), received)
-                events.append(
-                    SyncEvent(t, who, proto, seq, error, new.step_size, new.clock.rate_multiplier)
-                )
+                events.append(SyncEvent(
+                    t, nodes[who], proto, seq, error, new.step_size, new.clock.rate_multiplier
+                ))
     while k < n_samples:
         take_sample(k)
         k += 1

@@ -224,6 +224,8 @@ def test_set_overrides_beat_config_file_values(tmp_path, capsys):
         ("scaling", "seeds=0", "seeds"),
         ("theory-check", "trials=0", "trials"),
         ("scaling", "diameters=", "diameters"),
+        ("fig1-pairwise", "switch_round=100", "switch_round"),  # past rounds=60
+        ("fig2-stepsize", "constant_steps=abc", "constant_steps"),
     ],
 )
 def test_main_empty_count_or_list_exits_2_naming_the_parameter(
@@ -233,6 +235,17 @@ def test_main_empty_count_or_list_exits_2_naming_the_parameter(
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and parameter in err
+
+
+def test_noise_free_multihop_reports_no_ratio_instead_of_dividing_by_zero(tmp_path, capsys):
+    overrides = ("nodes=2", "seeds=1", "duration=3000", "max_dev_ppm=0", "delay_std=0")
+    argv = ["--scenario", "fig3-multihop", "--out", str(tmp_path)]
+    code = main(argv + [arg for o in overrides for arg in ("--set", o)])
+    assert code == 0
+    assert "pisync.mean_post_mean = 0.0" in capsys.readouterr().out
+    rows = (tmp_path / "fig3-multihop" / "summary.csv").read_text().splitlines()
+    assert "post_mean_ratio_grades_over_pisync," in rows
+    assert "post_max_ratio_grades_over_pisync," in rows
 
 
 def test_contract_violation_exits_3(tmp_path, capsys, monkeypatch):

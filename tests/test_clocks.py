@@ -1,6 +1,7 @@
 """Hardware/logical clock primitives: exact integration, inversion, drift moments."""
 
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -198,17 +199,71 @@ def test_white_drift_validates_arguments():
         with pytest.raises(ValueError, match="t >= 0"):
             drift.deviation_integral(-1.0, 0.0)
         with pytest.raises(ValueError, match="t >= 0"):
-            next(drift.pieces(-0.5))
+            drift.piece(-0.5)
+
+
+def reference_pieces(drift, t_from):
+    """The original ``pieces`` generators: (start, end, deviation) from ``t_from`` on."""
+    if isinstance(drift, ConstantDrift):
+        yield t_from, math.inf, drift.deviation
+    elif isinstance(drift, PiecewiseDrift):
+        steps = drift.steps
+        i = max(bisect_right([s for s, _ in steps], t_from) - 1, 0)
+        while i < len(steps):
+            end = steps[i + 1][0] if i + 1 < len(steps) else math.inf
+            yield max(steps[i][0], t_from), end, steps[i][1]
+            i += 1
+    else:
+        j = math.floor(t_from)
+        while True:
+            yield max(float(j), t_from), float(j + 1), drift._segment(j)
+            j += 1
 
 
 def reference_piecewise_integral(drift, t0, t1):
     """The original generator-based sum over ``pieces``, kept as the reference."""
     total = 0.0
-    for start, end, dev in drift.pieces(t0):
+    for start, end, dev in reference_pieces(drift, t0):
         if start >= t1:
             break
         total += dev * (min(end, t1) - start)
     return total
+
+
+def reference_time_of_tick(clock, target_ticks):
+    """The original generator-based tick inversion, kept as the reference."""
+    remaining = target_ticks - clock._ticks
+    for start, end, dev in reference_pieces(clock.drift, clock.time):
+        rate = clock.nominal_freq + dev
+        if end == math.inf:
+            return start + remaining / rate
+        span = (end - start) * rate
+        if span >= remaining:
+            return start + remaining / rate
+        remaining -= span
+
+
+@pytest.mark.parametrize(
+    "drift, t_start, step",
+    [
+        (ConstantDrift(3e-4), 0.0, 0.37),
+        (ConstantDrift(-2e-4), 12.5, 1.0),
+        # targets on both sides of the 1.3 and 4.0 boundaries, from inside a piece and on one
+        (PiecewiseDrift(((0.0, 2e-4), (1.3, -4e-4), (4.0, 1e-4))), 0.5, 0.13),
+        (PiecewiseDrift(((0.0, 2e-4), (1.3, -4e-4), (4.0, 1e-4))), 1.3, 0.29),
+        # a white realization crossing the first _SEGMENT_CHUNK boundary
+        ("white", _SEGMENT_CHUNK - 2.3, 0.41),
+        ("white", 0.0, 0.25),
+    ],
+)
+def test_time_of_tick_equals_the_generator_reference(drift, t_start, step):
+    if drift == "white":
+        drift = WhiteDrift(5e-4, make_rng(21))
+    clock = HardwareClock(nominal_freq=1.0, max_deviation=5e-4, drift=drift)
+    clock.advance_to(t_start)
+    for k in range(40):
+        target = clock.read() + k * step
+        assert clock.time_of_tick(target) == reference_time_of_tick(clock, target)
 
 
 WHITE_SPANS = [

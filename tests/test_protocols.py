@@ -12,6 +12,7 @@ from gradesync import (
     PISYNC,
     ContractViolation,
     LogicalClock,
+    SyncMessage,
     SyncState,
     adapt_step,
     compute_error,
@@ -24,6 +25,22 @@ from gradesync import (
 
 def state(value=0.0, rate=1.0, hw=0.0, step=0.1, seq=0, prev=0.0):
     return SyncState(step, prev, seq, LogicalClock(value, rate, hw))
+
+
+@pytest.mark.parametrize(
+    "record, field",
+    [
+        (LogicalClock(1.0, 2.0, 3.0), "rate_multiplier"),
+        (state(seq=3), "seq"),
+        (state(), "clock"),
+        (SyncMessage(2, (5.0, 6.0)), "readings"),
+    ],
+)
+def test_records_are_immutable(record, field):
+    with pytest.raises(AttributeError):
+        setattr(record, field, getattr(record, field))
+    with pytest.raises(AttributeError):
+        record.extra = 1  # no per-instance attribute dict either
 
 
 # ---------------------------------------------------------------- arithmetic

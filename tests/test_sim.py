@@ -1,6 +1,7 @@
 """Event-driven simulator: topology, determinism, protocol isolation,
 flood propagation, trace utilities, and CSV output."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from gradesync import (
     PISYNC,
     ConstantDrift,
     ContractViolation,
+    PiecewiseDrift,
     SimConfig,
     SkewTrace,
     Topology,
@@ -269,6 +271,70 @@ def test_protocol_traces_do_not_depend_on_co_running_protocols():
     assert np.array_equal(dual.readings[PISYNC], only_p.readings[PISYNC])
     assert [e for e in dual.events if e.protocol == GRADES] == only_g.events
     assert [e for e in dual.events if e.protocol == PISYNC] == only_p.events
+
+
+# A tree no scenario builds: ids that are neither contiguous nor sorted in the
+# edges, a reference other than node 1 (with a leaf behind it), drops, recorded
+# events and, under aligned phases, many tied event times.  The hashes were
+# recorded before the simulator loop was last rewritten; any change in a
+# reading, rate, event or draw order shows up here.
+ODD_TREE = Topology(
+    nodes=(3, 7, 10, 12, 20), edges=((7, 3), (7, 10), (10, 12), (7, 20)), reference=10
+)
+ODD_TREE_DRIFTS = {
+    "white": "white",
+    "mixed": {
+        3: PiecewiseDrift(((0.0, 4e-4), (7.5, -6e-4), (20.0, 2e-4))),
+        7: "white",
+        12: ConstantDrift(-3e-4),
+        20: PiecewiseDrift(((0.0, -1e-4), (11.0, 5e-4))),
+    },
+}
+ODD_TREE_SHA256 = {
+    ("aligned", "mixed"):
+        "3837aff2c7a11b45b9e1673a14794aedc56801dfd06b95cd3055a9bf29bc76c0",
+    ("aligned", "white"):
+        "f668c583dd1c9be2a3f43dd1663bdc0b95b1ac1cde4f41bce56fc6e589d9a140",
+    ("random", "mixed"):
+        "260d56a05cae9597eaec88b35e19fa6f346c459838edc0447faa79bc918d20ea",
+    ("random", "white"):
+        "9599bc3482e7d442af926853def07116f58a253a7987b7eb2e6a3fdf161c6aa4",
+    ("staggered", "mixed"):
+        "44126d8e6d73b816f92deaf3b8403d5bb66b99e0f04f47d4a7be6eaa137bad46",
+    ("staggered", "white"):
+        "f531637559de34ed2377830ea6290b9bbdce379863d5772800571e863f3e85c5",
+}
+
+
+def trace_digest(trace: SkewTrace) -> str:
+    h = hashlib.sha256()
+    for proto in trace.protocols:
+        h.update(trace.readings[proto].tobytes())
+        h.update(trace.rate_multipliers[proto].tobytes())
+    h.update(trace.hw_rates.tobytes())
+    h.update(repr(trace.events).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("phase_mode, drift", sorted(ODD_TREE_SHA256))
+def test_odd_tree_with_drops_matches_its_recorded_hash(phase_mode, drift):
+    trace = run(SimConfig(
+        topology=ODD_TREE,
+        beacon_period=1.0,
+        duration=40.0,
+        max_deviation=1e-3,
+        delay_std=1e-3,
+        drift=ODD_TREE_DRIFTS[drift],
+        protocols=(GRADES, PISYNC),
+        step_policy="adaptive",
+        step_size={GRADES: 1.0 / 16, PISYNC: 2.0 / 16},
+        phase_mode=phase_mode,
+        drop_probability=0.3,
+        record_events=True,
+        seed=17,
+    ))
+    assert len(trace.events) > 50
+    assert trace_digest(trace) == ODD_TREE_SHA256[(phase_mode, drift)]
 
 
 # ---------------------------------------------------------------- flooding
