@@ -7,15 +7,12 @@ Exit codes: 0 success, 2 usage error (unknown scenario/parameter, malformed
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
 from .errors import ContractViolation
 from .scenarios import SCENARIOS
-
-
-class UsageError(ValueError):
-    pass
 
 
 def parse_config_file(path: Path) -> dict[str, str]:
@@ -24,33 +21,29 @@ def parse_config_file(path: Path) -> dict[str, str]:
     try:
         text = path.read_text()
     except OSError as err:
-        raise UsageError(f"cannot read config file {path}: {err}") from err
+        raise ValueError(f"cannot read config file {path}: {err}") from err
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise UsageError(f"{path}:{lineno}: expected key=value, got {raw!r}")
+            raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, value = line.split("=", 1)
         overrides[key.strip()] = value.strip()
     return overrides
 
 
 def _coerce(name: str, raw: str, template) -> object:
+    """``raw`` as the type of ``template``; a tuple template takes a comma-separated list."""
+    is_list = isinstance(template, tuple)
+    kind = type(template[0] if is_list else template)
     try:
-        if isinstance(template, bool):
-            if raw.lower() in ("true", "1", "yes"):
-                return True
-            if raw.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(raw)
-        if isinstance(template, int):
-            return int(raw)
-        if isinstance(template, float):
-            return float(raw)
-        return raw
+        values = [kind(s) for s in raw.split(",") if s] if is_list else [kind(raw)]
     except ValueError as err:
-        raise UsageError(f"parameter {name}: cannot parse {raw!r}") from err
+        raise ValueError(f"parameter {name}: cannot parse {raw!r}") from err
+    if not all(math.isfinite(v) for v in values if isinstance(v, float)):
+        raise ValueError(f"parameter {name} must be finite, got {raw!r}")
+    return tuple(values) if is_list else values[0]
 
 
 def run_scenario(
@@ -58,14 +51,14 @@ def run_scenario(
 ) -> dict:
     """Resolve parameters, run the scenario, write artifacts under out_dir/name."""
     if name not in SCENARIOS:
-        raise UsageError(
+        raise ValueError(
             f"unknown scenario {name!r}; available: {', '.join(sorted(SCENARIOS))}"
         )
     scenario = SCENARIOS[name]
     params = dict(scenario.defaults)
     for key, raw in (overrides or {}).items():
         if key not in params:
-            raise UsageError(
+            raise ValueError(
                 f"unknown parameter {key!r} for scenario {name}; "
                 f"valid: {', '.join(sorted(params))}"
             )
@@ -105,11 +98,11 @@ def main(argv=None) -> int:
             overrides.update(parse_config_file(args.config))
         for item in args.overrides:
             if "=" not in item:
-                raise UsageError(f"--set expects key=value, got {item!r}")
+                raise ValueError(f"--set expects key=value, got {item!r}")
             key, value = item.split("=", 1)
             overrides[key.strip()] = value.strip()
         summary = run_scenario(args.scenario, overrides, args.out, seed=args.seed)
-    except ValueError as err:  # a UsageError, or a parameter the run itself rejects
+    except ValueError as err:  # bad input: a flag, a parameter or a value the run rejects
         print(f"error: {err}", file=sys.stderr)
         return 2
     except ContractViolation as err:

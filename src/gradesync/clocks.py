@@ -2,10 +2,10 @@
 
 A hardware clock accumulates ticks at an instantaneous frequency
 ``nominal_freq + deviation(t)`` where the deviation is produced by a drift
-model and is bounded by ``max_deviation < nominal_freq`` (so trajectories are
-strictly increasing).  A logical clock maps hardware ticks to an estimate of
-global time through an offset and a rate multiplier, and is only ever updated
-at discrete sync events.
+model whose bound ``max_abs_deviation()`` stays below ``nominal_freq`` (so
+trajectories are strictly increasing).  A logical clock maps hardware ticks to
+an estimate of global time through an offset and a rate multiplier, and is
+only ever updated at discrete sync events.
 
 Drift models (:class:`ConstantDrift`, :class:`PiecewiseDrift`,
 :class:`WhiteDrift`) define an instantaneous rate at every instant.  They
@@ -39,6 +39,10 @@ class ConstantDrift:
 
     deviation: float = 0.0
 
+    def __post_init__(self):
+        if not math.isfinite(self.deviation):
+            raise ValueError("drift deviation must be finite")
+
     def deviation_rate(self, t: float) -> float:
         return self.deviation
 
@@ -65,6 +69,8 @@ class PiecewiseDrift:
     def __post_init__(self):
         if not self.steps or self.steps[0][0] != 0.0:
             raise ValueError("drift schedule must start at time 0")
+        if not all(math.isfinite(x) for step in self.steps for x in step):
+            raise ValueError("drift schedule must be finite")
         starts = [s for s, _ in self.steps]
         if any(b <= a for a, b in zip(starts, starts[1:])):
             raise ValueError("drift schedule start times must be increasing")
@@ -151,24 +157,14 @@ class HardwareClock:
     """
 
     def __init__(
-        self,
-        nominal_freq: float = 1e6,
-        max_deviation: float | None = None,
-        drift=None,
-        start_ticks: float = 0.0,
-        quantize: bool = False,
+        self, nominal_freq: float, drift=None, start_ticks: float = 0.0, quantize: bool = False
     ):
         if nominal_freq <= 0:
             raise ValueError("nominal_freq must be positive")
-        if max_deviation is None:
-            max_deviation = 100e-6 * nominal_freq  # 100 ppm default tolerance
-        if not 0 <= max_deviation < nominal_freq:
-            raise ValueError("need 0 <= max_deviation < nominal_freq")
         drift = drift if drift is not None else ConstantDrift(0.0)
-        if drift.max_abs_deviation() > max_deviation * (1 + 1e-12):
-            raise ValueError("drift model exceeds the clock's max_deviation bound")
+        if not drift.max_abs_deviation() < nominal_freq:  # written so that NaN fails too
+            raise ValueError("drift model's max_abs_deviation must stay below nominal_freq")
         self.nominal_freq = float(nominal_freq)
-        self.max_deviation = float(max_deviation)
         self.drift = drift
         self.quantize = bool(quantize)
         self._time = 0.0

@@ -50,24 +50,22 @@ def _at_least(params: dict, name: str, least: int) -> int:
     return int(params[name])
 
 
-def write_summary_csv(path: Path, summary: dict, comments=()) -> None:
+def write_summary_csv(path: Path, summary: dict) -> None:
     rows = [(k, "" if v is None else v) for k, v in summary.items()]
-    write_csv(path, ("metric", "value"), rows, comments)
+    write_csv(path, ("metric", "value"), rows)
 
 
-def report_summary(trace: SkewTrace, protocol: str, threshold: float | None = None) -> dict:
+def report_summary(trace: SkewTrace, protocol: str) -> dict:
     """Convergence time plus post-convergence skew statistics for one protocol.
 
-    Without an explicit threshold, "converged" means the skew has settled to
-    within 3x the median of its own last quarter.  A run that never settles
-    (or only settles in its final quarter) reports converged=False and NaN
-    statistics.
+    "Converged" means the skew has settled to within 3x the median of its own
+    last quarter.  A run that never settles (or only settles in its final
+    quarter) reports converged=False and NaN statistics.
     """
     times = trace.times
     skew = trace.global_skew(protocol)
-    if threshold is None:
-        tail = skew[times >= times[-1] * 0.75]
-        threshold = 3.0 * float(np.median(tail))
+    tail = skew[times >= times[-1] * 0.75]
+    threshold = 3.0 * float(np.median(tail))
     conv = convergence_time(times, skew, threshold)
     converged = conv is not None and conv <= times[-1] * 0.75
     if not converged:
@@ -109,10 +107,27 @@ def sustained_entry_time(times, series, target, tol, t_from, t_until) -> float |
     return convergence_time(times[mask], np.abs(series[mask] - target), tol)
 
 
-def rounds_after(t: float | None, t0: float, beacon_period: float) -> float | None:
+def rounds_after(t: float | None, t0: float) -> float | None:
+    """Whole rounds (of B = 1) from ``t0`` to ``t``."""
     if t is None:
         return None
-    return math.ceil((t - t0) / beacon_period - 1e-9)
+    return math.ceil((t - t0) - 1e-9)
+
+
+def _two_node_config(params: dict, drift, step_policy: str, step_size) -> SimConfig:
+    """Reference node 1 at the nominal rate and node 2 on ``drift``, in normalized units."""
+    return SimConfig(
+        topology=Topology.line(2),
+        beacon_period=1.0,
+        duration=float(params["rounds"]),
+        delay_std=params["delay_std"],
+        drift={1: ConstantDrift(0.0), 2: drift},
+        protocols=(GRADES,),
+        step_policy=step_policy,
+        step_size=step_size,
+        phase_mode="aligned",
+        seed=int(params["seed"]),
+    )
 
 
 # ---------------------------------------------------------------- pairwise
@@ -127,22 +142,8 @@ def pairwise_config(params: dict) -> SimConfig:
             f"parameter switch_round must be in (0, rounds={params['rounds']}], "
             f"got {params['switch_round']}"
         )
-    switch_t = params["switch_round"] * 1.0
-    return SimConfig(
-        topology=Topology.line(2),
-        beacon_period=1.0,
-        duration=float(params["rounds"]),
-        nominal_freq=1.0,
-        max_deviation=max(abs(dev0), abs(dev1)),
-        delay_std=params["delay_std"],
-        unit_mode="normalized",
-        drift={1: ConstantDrift(0.0), 2: PiecewiseDrift(((0.0, dev0), (switch_t, dev1)))},
-        protocols=(GRADES,),
-        step_policy="fixed",
-        step_size=params["step_size"],
-        phase_mode="aligned",
-        seed=int(params["seed"]),
-    )
+    drift = PiecewiseDrift(((0.0, dev0), (params["switch_round"] * 1.0, dev1)))
+    return _two_node_config(params, drift, "fixed", params["step_size"])
 
 
 def pairwise_convergence(trace: SkewTrace, params: dict, tol: float) -> dict:
@@ -157,8 +158,8 @@ def pairwise_convergence(trace: SkewTrace, params: dict, tol: float) -> dict:
         trace.times, eff, ref_rate, tol, switch_t, trace.times[-1]
     )
     return {
-        "converged_round": rounds_after(t_first, 0.0, 1.0),
-        "reconverged_rounds_after_switch": rounds_after(t_second, switch_t, 1.0),
+        "converged_round": rounds_after(t_first, 0.0),
+        "reconverged_rounds_after_switch": rounds_after(t_second, switch_t),
         "rate_tolerance": tol,
     }
 
@@ -198,28 +199,12 @@ def _run_pairwise(params: dict, out: Path) -> dict:
 
 def stepsize_configs(params: dict) -> dict[str, SimConfig]:
     """One fixed-step run per listed step size plus one adaptive run."""
-    dev = params["drift_ppm"] * 1e-6
-    base = dict(
-        topology=Topology.line(2),
-        beacon_period=1.0,
-        duration=float(params["rounds"]),
-        nominal_freq=1.0,
-        max_deviation=abs(dev),
-        delay_std=params["delay_std"],
-        unit_mode="normalized",
-        drift={1: ConstantDrift(0.0), 2: ConstantDrift(dev)},
-        protocols=(GRADES,),
-        phase_mode="aligned",
-        seed=int(params["seed"]),
-    )
-    try:
-        steps = [float(s) for s in str(params["constant_steps"]).split(",") if s]
-    except ValueError as err:
-        raise ValueError(f"parameter constant_steps: {err}") from err
-    configs = {}
-    for s in steps:
-        configs[f"const-{_fmt(s)}"] = SimConfig(step_policy="fixed", step_size=s, **base)
-    configs["adaptive"] = SimConfig(step_policy="adaptive", step_size=None, **base)
+    drift = ConstantDrift(params["drift_ppm"] * 1e-6)
+    configs = {
+        f"const-{_fmt(s)}": _two_node_config(params, drift, "fixed", s)
+        for s in params["constant_steps"]
+    }
+    configs["adaptive"] = _two_node_config(params, drift, "adaptive", None)
     return configs
 
 
@@ -270,6 +255,9 @@ def multihop_config(params: dict, seed: int) -> SimConfig:
     # 20-hop line; the adaptation doubles its way back up within a few rounds.
     frac = params["initial_step_fraction"]
     b, f0 = params["beacon_period"], params["nominal_freq"]
+    for name in ("beacon_period", "nominal_freq"):
+        if not params[name] > 0:
+            raise ValueError(f"parameter {name} must be positive, got {params[name]}")
     steps = {p: frac * step_size_limit(p, b, f0) for p in (GRADES, PISYNC)}
     return SimConfig(
         topology=Topology.line(_at_least(params, "nodes", 2)),
@@ -278,7 +266,6 @@ def multihop_config(params: dict, seed: int) -> SimConfig:
         nominal_freq=f0,
         max_deviation=params["max_dev_ppm"] * 1e-6 * f0,
         delay_std=params["delay_std"],
-        unit_mode="physical",
         drift=RANDOM_CONSTANT_DRIFT,
         protocols=(GRADES, PISYNC),
         step_policy="adaptive",
@@ -323,9 +310,9 @@ def _run_multihop(params: dict, out: Path) -> dict:
 
 
 def _run_scaling(params: dict, out: Path) -> dict:
-    diameters = [int(d) for d in str(params["diameters"]).split(",") if d]
-    if len(set(diameters)) < 2:
-        raise ValueError(f"parameter diameters needs 2 distinct values: {params['diameters']!r}")
+    diameters = params["diameters"]
+    if len(set(diameters)) < 2 or min(diameters) < 1:
+        raise ValueError(f"parameter diameters needs 2 distinct values >= 1, got {diameters}")
     seeds = [int(params["seed"]) + i for i in range(_at_least(params, "seeds", 1))]
     result = scaling_experiment(
         diameters,
@@ -473,7 +460,7 @@ SCENARIOS: dict[str, Scenario] = {
             "rounds": 300,
             "drift_ppm": 100.0,
             "delay_std": 100e-6 / _PHYSICAL_ROUND_SECONDS,
-            "constant_steps": "0.5,0.1,0.02",
+            "constant_steps": (0.5, 0.1, 0.02),
             "error_tolerance": 2e-5,
         },
         _run_stepsize,
@@ -496,7 +483,7 @@ SCENARIOS: dict[str, Scenario] = {
         {
             "seed": 0,
             "seeds": 10,
-            "diameters": "4,9,16,25",
+            "diameters": (4, 9, 16, 25),
             "rounds": 200,
             "step_size": 0.05,
             "max_deviation": 1e-4,

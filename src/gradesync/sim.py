@@ -83,12 +83,13 @@ class Topology:
             raise ValueError("topology must be connected")
 
     @staticmethod
-    def line(n: int, reference: int = 1) -> "Topology":
+    def line(n: int) -> "Topology":
+        """Nodes 1..n in a chain, with node 1 as the reference."""
         if n < 1:
             raise ValueError("need at least one node")
         nodes = tuple(range(1, n + 1))
         edges = tuple((i, i + 1) for i in range(1, n))
-        return Topology(nodes=nodes, edges=edges, reference=reference)
+        return Topology(nodes=nodes, edges=edges)
 
     @cached_property
     def _adjacency(self) -> dict[int, tuple[int, ...]]:
@@ -116,13 +117,14 @@ class Topology:
 
 @dataclass(frozen=True)
 class SimConfig:
+    """One simulation run.  Every number must be finite."""
+
     topology: Topology
     beacon_period: float
     duration: float
     nominal_freq: float = 1.0
     max_deviation: float = 0.0
     delay_std: float = 0.0
-    unit_mode: str = "normalized"
     drift: object = ConstantDrift(0.0)  # model | "white" | "random-constant" | {node: spec}
     protocols: tuple[str, ...] = (GRADES,)
     step_policy: str = "fixed"
@@ -135,14 +137,13 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.beacon_period <= 0 or self.duration <= 0 or self.nominal_freq <= 0:
-            raise ValueError("beacon_period, duration and nominal_freq must be positive")
+        positive = (self.beacon_period, self.duration, self.nominal_freq)
+        if not all(0 < x < math.inf for x in positive):
+            raise ValueError("beacon_period, duration and nominal_freq must be finite and > 0")
         if not 0 <= self.max_deviation < self.nominal_freq:
             raise ValueError("need 0 <= max_deviation < nominal_freq")
-        if self.delay_std < 0:
-            raise ValueError("delay_std must be non-negative")
-        if self.unit_mode not in ("normalized", "physical"):
-            raise ValueError("unit_mode must be 'normalized' or 'physical'")
+        if not 0 <= self.delay_std < math.inf:
+            raise ValueError("delay_std must be non-negative and finite")
         if not self.protocols or any(p not in PROTOCOLS for p in self.protocols):
             raise ValueError(f"protocols must be a non-empty subset of {PROTOCOLS}")
         if len(set(self.protocols)) != len(self.protocols):
@@ -153,8 +154,8 @@ class SimConfig:
             raise ValueError("phase_mode must be 'aligned', 'random' or 'staggered'")
         if not 0 <= self.drop_probability < 1:
             raise ValueError("drop_probability must be in [0, 1)")
-        if self.sample_period is not None and self.sample_period <= 0:
-            raise ValueError("sample_period must be positive")
+        if self.sample_period is not None and not 0 < self.sample_period < math.inf:
+            raise ValueError("sample_period must be positive and finite")
 
     def resolved_step_size(self, protocol: str) -> float:
         """Fixed value, or the adaptive initial step (default: half the bound)."""
@@ -299,9 +300,7 @@ def run(config: SimConfig) -> SkewTrace:
     next_target: list[float] = []
     for i, u in enumerate(nodes):
         drift = _drift_for_node(config, u, np.random.default_rng(drift_children[i]))
-        clocks.append(HardwareClock(
-            f0, config.max_deviation, drift, float(phases[i]), config.quantize_ticks
-        ))
+        clocks.append(HardwareClock(f0, drift, float(phases[i]), config.quantize_ticks))
         next_target.append((math.floor(phases[i] / round_ticks) + 1) * round_ticks)
     neighbors = [tuple([index[v] for v in topo.neighbors(u)]) for u in nodes]
     # One lane per protocol: its slot in a message's readings, its name, every
@@ -411,7 +410,8 @@ def run(config: SimConfig) -> SkewTrace:
         hw_rates=hw_rates_out,
         events=events,
         meta={
-            "unit_mode": config.unit_mode,
+            # Normalized units are B = 1 and f0 = 1, as in analysis.SystemParams.normalized.
+            "unit_mode": "normalized" if (b, f0) == (1.0, 1.0) else "physical",
             "seed": config.seed,
             "beacon_period": b,
             "nominal_freq": f0,
@@ -425,11 +425,10 @@ class ScalingResult:
     aggregate: dict[int, tuple[float, float]]  # diameter -> (mean, std over seeds)
 
 
-def steady_mean_skew(trace: SkewTrace, protocol: str, burn_fraction: float = 0.5) -> float:
-    """Mean global skew over the trailing (1 - burn_fraction) of the trace."""
+def steady_mean_skew(trace: SkewTrace, protocol: str) -> float:
+    """Mean global skew over the second half of the trace."""
     skew = trace.global_skew(protocol)
-    cutoff = trace.times[-1] * burn_fraction
-    mask = trace.times >= cutoff
+    mask = trace.times >= trace.times[-1] * 0.5
     return float(skew[mask].mean())
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from gradesync.cli import UsageError, main, parse_config_file, run_scenario
+from gradesync.cli import main, parse_config_file, run_scenario
 from gradesync.errors import ContractViolation
 from gradesync.scenarios import SCENARIOS, Scenario
 
@@ -33,12 +33,12 @@ def test_parse_config_file_accepts_comments_and_blank_lines(tmp_path):
 def test_parse_config_file_reports_the_offending_line(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("rounds = 8\njust some words\n")
-    with pytest.raises(UsageError, match=r"bad\.cfg:2: expected key=value"):
+    with pytest.raises(ValueError, match=r"bad\.cfg:2: expected key=value"):
         parse_config_file(path)
 
 
 def test_parse_config_file_missing_file(tmp_path):
-    with pytest.raises(UsageError, match="cannot read config file"):
+    with pytest.raises(ValueError, match="cannot read config file"):
         parse_config_file(tmp_path / "nope.cfg")
 
 
@@ -46,19 +46,19 @@ def test_parse_config_file_missing_file(tmp_path):
 
 
 def test_unknown_scenario_lists_the_valid_names(tmp_path):
-    with pytest.raises(UsageError, match="fig1-pairwise"):
+    with pytest.raises(ValueError, match="fig1-pairwise"):
         run_scenario("fig9", out_dir=tmp_path)
 
 
 def test_unknown_parameter_is_rejected_with_the_valid_set(tmp_path):
-    with pytest.raises(UsageError, match="unknown parameter 'alpha'"):
+    with pytest.raises(ValueError, match="unknown parameter 'alpha'"):
         run_scenario("fig1-pairwise", {"alpha": "0.1"}, out_dir=tmp_path)
 
 
 def test_unparseable_value_is_a_usage_error(tmp_path):
-    with pytest.raises(UsageError, match="cannot parse"):
+    with pytest.raises(ValueError, match="cannot parse"):
         run_scenario("fig1-pairwise", {"rounds": "eight"}, out_dir=tmp_path)
-    with pytest.raises(UsageError, match="cannot parse"):
+    with pytest.raises(ValueError, match="cannot parse"):
         run_scenario("fig1-pairwise", {"step_size": "big"}, out_dir=tmp_path)
 
 
@@ -224,6 +224,8 @@ def test_set_overrides_beat_config_file_values(tmp_path, capsys):
         ("scaling", "seeds=0", "seeds"),
         ("theory-check", "trials=0", "trials"),
         ("scaling", "diameters=", "diameters"),
+        ("scaling", "diameters=4,x", "diameters"),
+        ("scaling", "diameters=0,4", "diameters"),
         ("fig1-pairwise", "switch_round=100", "switch_round"),  # past rounds=60
         ("fig2-stepsize", "constant_steps=abc", "constant_steps"),
     ],
@@ -232,6 +234,33 @@ def test_main_empty_count_or_list_exits_2_naming_the_parameter(
     tmp_path, capsys, scenario, override, parameter
 ):
     code = main(["--scenario", scenario, "--set", override, "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and parameter in err
+
+
+@pytest.mark.parametrize(
+    "scenario, overrides, parameter",
+    [
+        ("fig1-pairwise", ("drift_ppm_after=nan",), "drift_ppm_after"),
+        ("fig1-pairwise", ("delay_std=inf",), "delay_std"),
+        ("fig2-stepsize", ("constant_steps=0.5,nan",), "constant_steps"),
+        (
+            "fig3-multihop",
+            ("delay_std=nan", "seeds=1", "nodes=3", "duration=300"),
+            "delay_std",
+        ),
+        ("fig3-multihop", ("beacon_period=nan",), "beacon_period"),
+        ("fig3-multihop", ("duration=inf",), "duration"),
+        ("fig3-multihop", ("beacon_period=0",), "beacon_period"),
+        ("fig3-multihop", ("nominal_freq=0",), "nominal_freq"),
+    ],
+)
+def test_main_non_finite_or_zero_value_exits_2_naming_the_parameter(
+    tmp_path, capsys, scenario, overrides, parameter
+):
+    argv = ["--scenario", scenario, "--out", str(tmp_path)]
+    code = main(argv + [arg for o in overrides for arg in ("--set", o)])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and parameter in err

@@ -40,7 +40,7 @@ def reference_advance(clock, real_dt):
 
 
 def test_advance_ideal_clock_counts_nominal_ticks():
-    clock = HardwareClock(nominal_freq=1.0, max_deviation=0.0)
+    clock = HardwareClock(nominal_freq=1.0)
     clock.advance_to(5.0)
     assert clock.read() == 5.0
     assert clock.time == 5.0
@@ -92,7 +92,7 @@ def test_piecewise_deviation_integrates_each_segment_exactly():
     assert drift.deviation_rate(20.01) == 5e-5
     # 20 s at 1e-4 plus 10 s at 5e-5.
     assert drift.deviation_integral(0.0, 30.0) == pytest.approx(2.5e-3, rel=1e-12)
-    clock = HardwareClock(nominal_freq=1.0, max_deviation=1e-4, drift=drift)
+    clock = HardwareClock(nominal_freq=1.0, drift=drift)
     clock.advance_to(30.0)
     assert clock.read() == pytest.approx(30.0 + 2.5e-3, rel=1e-12)
 
@@ -108,7 +108,7 @@ def test_time_of_tick_inverts_constant_drift():
 def test_time_of_tick_then_advance_lands_on_target():
     rng = make_rng(42)
     drift = WhiteDrift(1e-4, rng)
-    clock = HardwareClock(nominal_freq=1.0, max_deviation=1e-4, drift=drift)
+    clock = HardwareClock(nominal_freq=1.0, drift=drift)
     clock.advance_to(0.37)
     for target in (5.0, 5.5, 17.25):
         t = clock.time_of_tick(target)
@@ -117,7 +117,7 @@ def test_time_of_tick_then_advance_lands_on_target():
 
 
 def test_quantize_floors_partial_ticks():
-    clock = HardwareClock(nominal_freq=1.0, max_deviation=0.0, quantize=True)
+    clock = HardwareClock(nominal_freq=1.0, quantize=True)
     clock.advance_to(10.7)
     assert clock.read() == 10.0
     assert clock.time == 10.7  # real time is unaffected by readout quantization
@@ -125,9 +125,22 @@ def test_quantize_floors_partial_ticks():
 
 def test_hardware_clock_rejects_deviation_at_or_above_nominal():
     with pytest.raises(ValueError):
-        HardwareClock(nominal_freq=1.0, max_deviation=1.0)
+        HardwareClock(nominal_freq=1.0, drift=ConstantDrift(1.0))
     with pytest.raises(ValueError):
-        HardwareClock(nominal_freq=1e6, max_deviation=10.0, drift=ConstantDrift(11.0))
+        HardwareClock(nominal_freq=1.0, drift=PiecewiseDrift(((0.0, 0.5), (3.0, -1.5))))
+    with pytest.raises(ValueError):
+        HardwareClock(nominal_freq=1.0, drift=WhiteDrift(1.0, make_rng()))
+    with pytest.raises(ValueError):  # a NaN bound must not slip through the comparison
+        HardwareClock(nominal_freq=1.0, drift=WhiteDrift(math.nan, make_rng()))
+    HardwareClock(nominal_freq=1.0, drift=ConstantDrift(-0.999))  # just below is fine
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_drift_models_reject_non_finite_deviations(bad):
+    with pytest.raises(ValueError):
+        ConstantDrift(bad)
+    with pytest.raises(ValueError):
+        PiecewiseDrift(((0.0, 1e-4), (5.0, bad)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -138,7 +151,7 @@ def test_hardware_clock_rejects_deviation_at_or_above_nominal():
 def test_hardware_readings_strictly_increase(seed, dts):
     rng = make_rng(seed)
     drift = WhiteDrift(0.5, rng)
-    clock = HardwareClock(nominal_freq=1.0, max_deviation=0.5, drift=drift)
+    clock = HardwareClock(nominal_freq=1.0, drift=drift)
     prev = clock.read()
     t = 0.0
     for dt in dts:
@@ -152,7 +165,7 @@ def test_hardware_readings_strictly_increase(seed, dts):
 def test_same_seed_reproduces_trajectory():
     def trajectory(seed):
         drift = WhiteDrift(1e-4, make_rng(seed))
-        clock = HardwareClock(nominal_freq=1.0, max_deviation=1e-4, drift=drift)
+        clock = HardwareClock(nominal_freq=1.0, drift=drift)
         readings = []
         for k in range(1, 51):
             clock.advance_to(0.7 * k)
@@ -259,7 +272,7 @@ def reference_time_of_tick(clock, target_ticks):
 def test_time_of_tick_equals_the_generator_reference(drift, t_start, step):
     if drift == "white":
         drift = WhiteDrift(5e-4, make_rng(21))
-    clock = HardwareClock(nominal_freq=1.0, max_deviation=5e-4, drift=drift)
+    clock = HardwareClock(nominal_freq=1.0, drift=drift)
     clock.advance_to(t_start)
     for k in range(40):
         target = clock.read() + k * step
@@ -313,7 +326,7 @@ def test_advance_to_matches_advance_by_the_difference(seed, kind, dts):
             "piecewise": PiecewiseDrift(((0.0, 2e-4), (1.3, -4e-4), (4.0, 1e-4))),
             "white": WhiteDrift(5e-4, make_rng(seed)),
         }[kind]
-        return HardwareClock(nominal_freq=1.0, max_deviation=5e-4, drift=drift)
+        return HardwareClock(nominal_freq=1.0, drift=drift)
 
     a, b = clock(), clock()
     t = 0.0

@@ -3,6 +3,7 @@ flood propagation, trace utilities, and CSV output."""
 
 import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -123,8 +124,10 @@ def test_sim_config_validation():
         config(max_deviation=1.0)  # must stay below nominal_freq
     with pytest.raises(ValueError):
         config(delay_std=-1e-6)
-    with pytest.raises(ValueError):
-        config(unit_mode="raw")
+    for name in ("beacon_period", "duration", "nominal_freq", "delay_std", "sample_period"):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                config(**{name: bad})
     with pytest.raises(ValueError):
         config(protocols=())
     with pytest.raises(ValueError):
@@ -226,6 +229,28 @@ def test_trace_sampling_grid():
     assert coarse.hw_rates.shape == (11, 2)
     assert coarse.meta["seed"] == 3
     assert coarse.meta["unit_mode"] == "normalized"
+
+
+@pytest.mark.parametrize(
+    "beacon_period, nominal_freq, unit_mode",
+    [
+        (1.0, 1.0, "normalized"),
+        (30.0, 1e6, "physical"),
+        (1.0, 1e6, "physical"),
+        (30.0, 1.0, "physical"),
+    ],
+)
+def test_unit_mode_is_derived_from_the_round_and_the_nominal_freq(
+    beacon_period, nominal_freq, unit_mode
+):
+    cfg = config(
+        beacon_period=beacon_period,
+        nominal_freq=nominal_freq,
+        duration=90.0,
+        step_policy="adaptive",
+        step_size=None,
+    )
+    assert run(cfg).meta["unit_mode"] == unit_mode
 
 
 # ---------------------------------------------------------------- determinism & isolation
@@ -442,7 +467,7 @@ def test_steady_mean_skew_averages_the_trailing_window():
         rate_multipliers={GRADES: np.ones((10, 2))},
         hw_rates=np.ones((10, 2)),
     )
-    assert steady_mean_skew(trace, GRADES, burn_fraction=0.5) == 2.0
+    assert steady_mean_skew(trace, GRADES) == 2.0
 
 
 def test_fit_power_exponent_recovers_a_square_root_law():
@@ -501,3 +526,12 @@ def test_skew_csv_layout_and_formatting(tmp_path):
     # Nine significant digits: the 1/3-round sample grid is the giveaway.
     assert lines[6].startswith("0.333333333,grades,")
     assert len(lines) == 5 + len(trace.times)
+
+
+# ---------------------------------------------------------------- README
+
+
+def test_readme_library_example_runs():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    example = readme.read_text().split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(example, str(readme), "exec"), {})
