@@ -50,6 +50,12 @@ def _at_least(params: dict, name: str, least: int) -> int:
     return int(params[name])
 
 
+def _non_negative(params: dict, name: str):
+    if not params[name] >= 0:
+        raise ValueError(f"parameter {name} must be non-negative, got {params[name]}")
+    return params[name]
+
+
 def write_summary_csv(path: Path, summary: dict) -> None:
     rows = [(k, "" if v is None else v) for k, v in summary.items()]
     write_csv(path, ("metric", "value"), rows)
@@ -165,6 +171,7 @@ def pairwise_convergence(trace: SkewTrace, params: dict, tol: float) -> dict:
 
 
 def _run_pairwise(params: dict, out: Path) -> dict:
+    tol = _non_negative(params, "rate_tolerance")
     trace = run(pairwise_config(params))
     write_trace_csv(trace, out / "trace.csv")
     write_skew_csv(trace, out / "skew.csv")
@@ -187,7 +194,7 @@ def _run_pairwise(params: dict, out: Path) -> dict:
         rows,
         comments=(f"unit_mode=normalized", f"seed={params['seed']}"),
     )
-    summary = pairwise_convergence(trace, params, tol=params["rate_tolerance"])
+    summary = pairwise_convergence(trace, params, tol=tol)
     summary["rounds"] = params["rounds"]
     summary["switch_round"] = params["switch_round"]
     write_summary_csv(out / "summary.csv", summary)
@@ -224,9 +231,9 @@ def stepsize_series_stats(trace: SkewTrace, rounds: int, tol: float) -> dict:
 
 
 def _run_stepsize(params: dict, out: Path) -> dict:
+    tol = _non_negative(params, "error_tolerance")
     configs = stepsize_configs(params)
     rounds = int(params["rounds"])
-    tol = params["error_tolerance"]
     summary: dict = {"error_tolerance": tol}
     for label, config in configs.items():
         trace = run(config)
@@ -258,6 +265,10 @@ def multihop_config(params: dict, seed: int) -> SimConfig:
     for name in ("beacon_period", "nominal_freq"):
         if not params[name] > 0:
             raise ValueError(f"parameter {name} must be positive, got {params[name]}")
+    if not 0 <= params["max_dev_ppm"] < 1e6:  # the deviation must stay below nominal_freq
+        raise ValueError(
+            f"parameter max_dev_ppm must be in [0, 1e6), got {params['max_dev_ppm']}"
+        )
     steps = {p: frac * step_size_limit(p, b, f0) for p in (GRADES, PISYNC)}
     return SimConfig(
         topology=Topology.line(_at_least(params, "nodes", 2)),
@@ -361,6 +372,7 @@ def variance_grid() -> list[SystemParams]:
 
 
 def _run_theory_check(params: dict, out: Path) -> dict:
+    tolerance = _non_negative(params, "tolerance")
     convention = str(params["noise_convention"])
     trials = int(params["trials"])
     rounds = int(params["rounds"])
@@ -426,8 +438,8 @@ def _run_theory_check(params: dict, out: Path) -> dict:
         "points": len(rows),
         "noise_convention": convention,
         "max_rel_err": max_rel_err,
-        "tolerance": params["tolerance"],
-        "within_tolerance": max_rel_err <= params["tolerance"],
+        "tolerance": tolerance,
+        "within_tolerance": max_rel_err <= tolerance,
         "worst_point": f"{worst[0]} B={worst[1].beacon_period} step={_fmt(worst[1].step_size)}",
     }
     write_summary_csv(out / "summary.csv", summary)

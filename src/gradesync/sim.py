@@ -7,7 +7,14 @@ stamps each of its broadcasts with a fresh flood sequence number.  Broadcasts
 are delivered to every neighbor at the emission instant, with an independent
 Gaussian noise draw per receiver added to the payload clock values (noise
 perturbs the reported value, not the delivery time, so negative draws are
-fine).
+fine).  A delivery whose sequence number the receiver already holds (a stale
+flood) never enters the event queue: its only effect would be to move the
+receiver's hardware clock to the emission instant, which is done at once.
+
+A trace sample only advances the hardware clocks and keeps their readings.
+The logical readings and rate multipliers are assembled from a log of the
+accepted updates with whole-array numpy, a block of sample rows at a time,
+with the same arithmetic as ``LogicalClock.read``.
 
 Determinism: all randomness comes from numpy generators spawned off a single
 SeedSequence(config.seed), one stream per purpose (phases, delays, drops, one
@@ -24,6 +31,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property, partial
@@ -49,6 +57,14 @@ RANDOM_CONSTANT_DRIFT = "random-constant"
 
 _KIND_BEACON = 0
 _KIND_RECEIVE = 1
+
+# Largest trace grid (samples x nodes) a run may ask for.  Each protocol's
+# readings and rates take 8 bytes a cell, so this is 160 MB per array; a
+# 2,000-node line over 20 rounds needs 122k cells, a 10,000-node one 610k.
+MAX_SAMPLE_CELLS = 2 * 10**7
+# Readings are assembled from the update log this many cells (sample rows x
+# nodes) at a time, which bounds both the log and the assembly's temporaries.
+_BLOCK_CELLS = 1 << 12
 
 # The update rule bound to each protocol.  ``run`` looks these names up when
 # it starts, so each protocol's updates can be wrapped and counted on their own.
@@ -254,6 +270,39 @@ def _draws(draw_block):
     return itertools.chain.from_iterable(iter(lambda: draw_block(1024).tolist(), None))
 
 
+def _assemble(carry, fields, keys, hw, k0, readings, rates) -> np.ndarray:
+    """Fill the ``readings`` and ``rates`` rows k0.. of one block; return the clocks after it.
+
+    ``carry`` is the (nodes, 3) array of the logical clocks in effect before
+    row k0, ``fields``/``keys`` the update log since (see ``run``) and ``hw``
+    the block's hardware readings.  A reading is ``value + rate * (hw - hw_at)``
+    of the latest update that row sees, as ``LogicalClock.read`` computes it.
+    """
+    rows, n = hw.shape
+    table = np.concatenate((carry, np.frombuffer(fields).reshape(-1, 3)))
+    # pick[r, i]: row of ``table`` holding node i's clock at sample k0 + r.
+    # Later updates have larger table rows, so a running maximum down each
+    # column selects the latest update a sample sees.
+    pick = np.zeros((rows, n), dtype=np.int64)
+    pick[0] = np.arange(n)
+    np.maximum.at(
+        pick.reshape(-1), np.frombuffer(keys, dtype=np.int64) - k0 * n, np.arange(n, len(table))
+    )
+    np.maximum.accumulate(pick, axis=0, out=pick)
+    value, rate, hw_at = table.T
+    np.subtract(hw, hw_at[pick], out=readings)
+    early = readings < 0  # exactly where hw < hw_at
+    if early.any():
+        r, i = np.argwhere(early)[0]
+        raise ContractViolation(
+            f"logical read at hw={hw[r, i]} before last update hw={hw_at[pick[r, i]]}"
+        )
+    np.take(rate, pick, out=rates)
+    readings *= rates
+    readings += value[pick]
+    return table[pick[-1]]
+
+
 def run(config: SimConfig) -> SkewTrace:
     """Run the event simulation and return the sampled trace.
 
@@ -265,16 +314,24 @@ def run(config: SimConfig) -> SkewTrace:
     b, f0 = config.beacon_period, config.nominal_freq
     round_ticks = b * f0
     sample_period = config.sample_period if config.sample_period is not None else b / 3.0
+    n = len(nodes)
+    n_samples = math.floor(min(config.duration / sample_period, MAX_SAMPLE_CELLS) + 1e-9) + 1
+    if n_samples * n > MAX_SAMPLE_CELLS:
+        raise ValueError(
+            f"duration={config.duration:g} over sample_period={sample_period:g} for {n} "
+            f"nodes asks for more than {MAX_SAMPLE_CELLS} trace cells (samples x nodes); "
+            "shorten duration or raise sample_period"
+        )
 
     ss = np.random.SeedSequence(config.seed)
     phase_ss, delay_ss, drop_ss, drift_ss = ss.spawn(4)
     phase_rng = np.random.default_rng(phase_ss)
     delay_rng = np.random.default_rng(delay_ss)
     drop_rng = np.random.default_rng(drop_ss)
-    drift_children = drift_ss.spawn(len(nodes))
+    drift_children = drift_ss.spawn(n)
 
     if config.phase_mode == "random":
-        phases = phase_rng.uniform(0.0, round_ticks, len(nodes))
+        phases = phase_rng.uniform(0.0, round_ticks, n)
     elif config.phase_mode == "staggered":
         # Beacon offsets ordered by hop distance, so each round's sync wave
         # sweeps the whole tree reference-outward within a single beacon
@@ -287,7 +344,7 @@ def run(config: SimConfig) -> SkewTrace:
             [((span - hops[u]) % span) * round_ticks / span for u in nodes]
         )
     else:
-        phases = np.zeros(len(nodes))
+        phases = np.zeros(n)
 
     adaptive = config.step_policy == "adaptive"
     duration, p_drop = config.duration, config.drop_probability
@@ -325,26 +382,41 @@ def run(config: SimConfig) -> SkewTrace:
         t_first = clk.time_of_tick(next_target[i])
         if t_first <= duration:
             push(heap, (t_first, i, _KIND_BEACON, next(counter), None, 0.0))
-    n_samples = int(math.floor(duration / sample_period + 1e-9)) + 1
     sample_times = [k * sample_period for k in range(n_samples)]
-    shape = (n_samples, len(nodes))
+    shape = (n_samples, n)
     readings_out = {p: np.empty(shape) for p in config.protocols}
     rates_out = {p: np.empty(shape) for p in config.protocols}
     hw_rates_out = np.empty(shape)
     events: list[SyncEvent] = []
+    # A sample only moves the clocks and keeps their readings; the logical
+    # readings of a block of rows are assembled once the block is full, from
+    # the clock each node had before it and the updates accepted since.  A
+    # lane's log holds each accepted clock's (value, rate, hw) fields and
+    # k * n + node, where k is the first sample that sees the update.
+    block_rows = max(1, _BLOCK_CELLS // n)
+    hw_block = np.empty((min(block_rows, n_samples), n))
+    logs = [(array("d"), array("q")) for _ in lanes]
+    carry = [np.array([st.clock for st in states]) for states in lane_states]
+    k0 = 0  # first row of the current block
 
     def take_sample(k: int) -> None:
+        nonlocal k0
         t = sample_times[k]
-        hws, row_hw = [], []
+        hws, devs = [], []
         for clk in clocks:
             clk.advance_to(t)
             hws.append(clk.read())
-            row_hw.append(f0 + clk.drift.deviation_rate(t))
-        hw_rates_out[k] = row_hw
-        for _, proto, states, _ in lanes:
-            lcs = [st.clock for st in states]
-            readings_out[proto][k] = [lc.read(hw) for lc, hw in zip(lcs, hws)]
-            rates_out[proto][k] = [lc.rate_multiplier for lc in lcs]
+            devs.append(clk.drift.deviation_rate(t))
+        hw_block[k - k0] = hws
+        hw_rates_out[k] = devs
+        if k + 1 == min(k0 + block_rows, n_samples):
+            for (i, proto, _, _), (fields, keys) in zip(lanes, logs):
+                carry[i] = _assemble(
+                    carry[i], fields, keys, hw_block[: k + 1 - k0], k0,
+                    readings_out[proto][k0 : k + 1], rates_out[proto][k0 : k + 1],
+                )
+                del fields[:], keys[:]
+            k0 = k + 1
 
     # A trace sample at time t is taken before every node event at t, so a
     # sample sees the state left by all earlier events and none of the later.
@@ -367,12 +439,19 @@ def run(config: SimConfig) -> SkewTrace:
             if own is not mine:
                 for states, st in zip(lane_states, own):
                     states[who] = st
+            newest = lane_states[0]  # every lane holds the same sequence numbers
             for v in neighbors[who]:
                 # Each receiver sees the same message plus its own noise draw.
                 noise = next(noises) * f0
                 if p_drop > 0 and next(drops) < p_drop:
                     continue
-                if v != ref:  # the reference never adjusts itself
+                if v == ref:  # the reference never adjusts itself
+                    continue
+                if out.seq <= newest[v].seq:
+                    # Stale: delivering it would only move v's clock to t.  No
+                    # sample or event before t is pending, so do that now.
+                    clocks[v].advance_to(t)
+                else:
                     push(heap, (t, v, _KIND_RECEIVE, next(counter), out, noise))
             next_target[who] += round_ticks
             t_next = clk.time_of_tick(next_target[who])
@@ -392,6 +471,9 @@ def run(config: SimConfig) -> SkewTrace:
             if new is st:
                 continue  # stale sequence number
             states[who] = new
+            fields, keys = logs[i]
+            fields.extend(new.clock)
+            keys.append(k * n + who)
             if record_events:
                 error = compute_error(st.clock.read(hw), received)
                 events.append(SyncEvent(
@@ -400,6 +482,7 @@ def run(config: SimConfig) -> SkewTrace:
     while k < n_samples:
         take_sample(k)
         k += 1
+    hw_rates_out += f0
 
     return SkewTrace(
         times=np.asarray(sample_times),

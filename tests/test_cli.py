@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from gradesync import sim
 from gradesync.cli import main, parse_config_file, run_scenario
 from gradesync.errors import ContractViolation
 from gradesync.scenarios import SCENARIOS, Scenario
@@ -264,6 +265,38 @@ def test_main_non_finite_or_zero_value_exits_2_naming_the_parameter(
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and parameter in err
+
+
+@pytest.mark.parametrize(
+    "scenario, override, parameter",
+    [
+        ("fig1-pairwise", "rate_tolerance=-1", "rate_tolerance"),
+        ("fig2-stepsize", "error_tolerance=-1", "error_tolerance"),
+        ("theory-check", "tolerance=-1", "tolerance"),
+        ("fig3-multihop", "max_dev_ppm=-5", "max_dev_ppm"),
+        ("fig3-multihop", "max_dev_ppm=1e6", "max_dev_ppm"),  # the deviation reaches f0
+    ],
+)
+def test_main_out_of_range_value_exits_2_naming_the_parameter(
+    tmp_path, capsys, scenario, override, parameter
+):
+    code = main(["--scenario", scenario, "--set", override, "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and parameter in err
+
+
+def test_main_oversized_sample_grid_exits_2_naming_duration_and_sample_period(
+    tmp_path, capsys, monkeypatch
+):
+    # 2 nodes x 91 samples (900 s at B/3 = 10 s) is over a bound of 100 cells.
+    monkeypatch.setattr(sim, "MAX_SAMPLE_CELLS", 100)
+    overrides = ("nodes=2", "seeds=1", "duration=900")
+    argv = ["--scenario", "fig3-multihop", "--out", str(tmp_path)]
+    code = main(argv + [arg for o in overrides for arg in ("--set", o)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "duration" in err and "sample_period" in err
 
 
 def test_noise_free_multihop_reports_no_ratio_instead_of_dividing_by_zero(tmp_path, capsys):

@@ -3,6 +3,7 @@ flood propagation, trace utilities, and CSV output."""
 
 import hashlib
 import math
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,8 @@ from gradesync import (
     write_skew_csv,
     write_trace_csv,
 )
+from gradesync import sim
+from gradesync.clocks import LogicalClock
 from gradesync.sim import steady_mean_skew
 
 
@@ -360,6 +363,118 @@ def test_odd_tree_with_drops_matches_its_recorded_hash(phase_mode, drift):
     ))
     assert len(trace.events) > 50
     assert trace_digest(trace) == ODD_TREE_SHA256[(phase_mode, drift)]
+
+
+# Sampling grids and sizes that stress how a trace is assembled from the
+# accepted updates: several accepts per node between two samples, samples off
+# the beacon grid, floored hardware readings, many nodes, and a run that ends
+# before any node beacons.  The hashes were recorded before stale floods
+# stopped entering the event queue and before readings were assembled after
+# the event loop.
+SAMPLING_BASE = dict(
+    topology=Topology.line(6),
+    beacon_period=1.0,
+    duration=40.0,
+    max_deviation=1e-3,
+    delay_std=1e-3,
+    drift="white",
+    protocols=(GRADES, PISYNC),
+    step_policy="adaptive",
+    step_size={GRADES: 1.0 / 16, PISYNC: 2.0 / 16},
+    phase_mode="random",
+    drop_probability=0.2,
+    record_events=True,
+    seed=23,
+)
+SAMPLING_CASES = {
+    "sample-every-3-rounds": dict(sample_period=3.0),
+    "sample-every-0.7-rounds": dict(sample_period=0.7),
+    "quantized-ticks": dict(
+        nominal_freq=1e3, max_deviation=0.5, step_size=None, quantize_ticks=True
+    ),
+    "300-node-line": dict(topology=Topology.line(300), duration=10.0),
+    "shorter-than-every-first-beacon": dict(phase_mode="aligned", duration=0.9),
+}
+SAMPLING_SHA256 = {
+    "sample-every-3-rounds":
+        "1c3812abb664e737665251bcc29271f394d10e11a63e7d914ee6381d4827f36d",
+    "sample-every-0.7-rounds":
+        "e64097106c8daa2a1b5ccca4c513882f80dfb872e47f73966898f7e7217fa6b4",
+    "quantized-ticks":
+        "b9d7c232990d90c612d45391d99ce98d14298d23e7267c443e132dadfbc0c069",
+    "300-node-line":
+        "0bc35fcb059bd07a3b30e484d19dbe4b0b69f10254a54e9901b4cf18dd34d3a7",
+    "shorter-than-every-first-beacon":
+        "41515d50754f0427ab7139ea3cb7a1dc838cecb46b5d76823c416c07318eb333",
+}
+
+
+@pytest.mark.parametrize("case", sorted(SAMPLING_CASES))
+def test_sampling_cases_match_their_recorded_hash(case):
+    trace = run(SimConfig(**{**SAMPLING_BASE, **SAMPLING_CASES[case]}))
+    assert trace_digest(trace) == SAMPLING_SHA256[case]
+
+
+@pytest.mark.parametrize("block_cells", [1, 7, 20])
+@pytest.mark.parametrize("case", sorted(SAMPLING_CASES))
+def test_assembly_block_size_does_not_change_the_trace(case, block_cells, monkeypatch):
+    # One row per block, blocks that split the 6-node rows unevenly, and more.
+    monkeypatch.setattr(sim, "_BLOCK_CELLS", block_cells)
+    trace = run(SimConfig(**{**SAMPLING_BASE, **SAMPLING_CASES[case]}))
+    assert trace_digest(trace) == SAMPLING_SHA256[case]
+
+
+def test_assembly_reads_each_sample_from_the_latest_update_it_sees():
+    clocks = [LogicalClock(0.0, 1.0, 0.0), LogicalClock(5.0, 1.0, 5.0)]
+    updates = [  # (first sample that sees it, node, clock)
+        (1, 0, LogicalClock(2.5, 1.25, 2.0)),
+        (1, 0, LogicalClock(3.0, 0.75, 2.5)),  # same node and sample: this one wins
+        (2, 1, LogicalClock(9.0, 1.5, 8.0)),
+    ]
+    fields, keys = array("d"), array("q")
+    for k, node, clock in updates:
+        fields.extend(clock)
+        keys.append(k * 2 + node)
+    hw = np.array([[0.0, 5.0], [3.0, 7.0], [4.0, 9.0]])
+    readings, rates = np.empty((3, 2)), np.empty((3, 2))
+    carry = sim._assemble(np.array(clocks), fields, keys, hw, 0, readings, rates)
+    expected = [[clocks[0], clocks[1]], [updates[1][2], clocks[1]], [updates[1][2], updates[2][2]]]
+    for r, row in enumerate(expected):
+        assert readings[r].tolist() == [c.read(h) for c, h in zip(row, hw[r])]
+        assert rates[r].tolist() == [c.rate_multiplier for c in row]
+    assert carry.tolist() == [list(updates[1][2]), list(updates[2][2])]
+    # A sample whose hardware reading is below its clock's anchor breaks the contract.
+    with pytest.raises(ContractViolation, match="before last update hw=8.0"):
+        sim._assemble(carry, array("d"), array("q"), np.array([[4.0, 7.5]]), 3, readings[:1],
+                      rates[:1])
+
+
+def test_stale_floods_never_reach_the_update_rule(monkeypatch):
+    # On a line every node hears each flood back from the neighbour it sent it
+    # to; those echoes are stale and must not be delivered at all.
+    calls = []
+
+    def counted(state, *args):
+        new = sim.on_message(GRADES, state, *args)
+        calls.append(new is not state)
+        return new
+
+    monkeypatch.setattr(sim, "grades_on_message", counted)
+    run(SimConfig(**{**SAMPLING_BASE, "topology": Topology.line(50), "duration": 60.0}))
+    assert len(calls) > 49 * 10
+    assert all(calls)
+
+
+def test_sample_grid_is_bounded_before_it_is_allocated(monkeypatch):
+    monkeypatch.setattr(sim, "MAX_SAMPLE_CELLS", 22)
+    assert run(config(duration=10.0, sample_period=1.0)).readings[GRADES].shape == (11, 2)
+    with pytest.raises(ValueError, match="duration=11 over sample_period=1 "):
+        run(config(duration=11.0, sample_period=1.0))
+
+
+def test_sample_grid_bound_holds_past_float_range():
+    with pytest.raises(ValueError, match="shorten duration or raise sample_period"):
+        run(config(duration=1e300, sample_period=1e-300))
 
 
 # ---------------------------------------------------------------- flooding
