@@ -65,6 +65,8 @@ def run_scenario(
         params[key] = _coerce(key, raw, params[key])
     if seed is not None:
         params["seed"] = seed
+    if params["seed"] < 0:
+        raise ValueError(f"parameter seed must be non-negative, got {params['seed']}")
     out = Path(out_dir if out_dir is not None else "results") / name
     out.mkdir(parents=True, exist_ok=True)
     return scenario.runner(params, out)

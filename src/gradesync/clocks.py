@@ -3,7 +3,9 @@
 A hardware clock accumulates ticks at an instantaneous frequency
 ``nominal_freq + deviation(t)`` where the deviation is produced by a drift
 model whose bound ``max_abs_deviation()`` stays below ``nominal_freq`` (so
-trajectories are strictly increasing).  A logical clock maps hardware ticks to
+trajectories are strictly increasing).  Its state is its real time, its tick
+count and the drift piece that time lies in; ``advance_to`` moves it forward
+and returns the reading there.  A logical clock maps hardware ticks to
 an estimate of global time through an offset and a rate multiplier, and is
 only ever updated at discrete sync events.
 
@@ -141,7 +143,8 @@ class WhiteDrift:
 
     def piece(self, t: float) -> tuple[float, float]:
         j = math.floor(t)
-        return float(j + 1), self._segment(j)
+        segments = self._segments
+        return float(j + 1), segments[j] if 0 <= j < len(segments) else self._segment(j)
 
     def max_abs_deviation(self) -> float:
         return self.max_deviation
@@ -150,10 +153,13 @@ class WhiteDrift:
 class HardwareClock:
     """Free-running oscillator counting ticks of a drifting frequency.
 
-    The clock keeps (real time, accumulated ticks) state and is advanced
-    monotonically.  ``time_of_tick`` projects forward along the drift
-    trajectory without committing state, which is safe because trajectory
-    realizations are fixed once drawn.
+    The clock keeps its real time, its accumulated ticks and the drift piece
+    its time lies in, ``(end, deviation)``, and is advanced monotonically.  An
+    advance that stays inside that piece integrates it directly; only one that
+    crosses ``end`` asks the drift model for the integral and the next piece.
+    ``time_of_tick`` projects forward along the drift trajectory without
+    committing state, which is safe because trajectory realizations are fixed
+    once drawn.
     """
 
     def __init__(
@@ -169,6 +175,7 @@ class HardwareClock:
         self.quantize = bool(quantize)
         self._time = 0.0
         self._ticks = float(start_ticks)
+        self._piece_end, self._piece_dev = drift.piece(0.0)
 
     @property
     def time(self) -> float:
@@ -178,18 +185,31 @@ class HardwareClock:
         """Current tick count (floored to a whole tick in quantize mode)."""
         return math.floor(self._ticks) if self.quantize else self._ticks
 
-    def advance_to(self, t: float) -> None:
-        """Advance monotonically to real time ``t``; an earlier ``t`` is a contract violation."""
+    def advance_to(self, t: float) -> float:
+        """Advance monotonically to real time ``t`` and return ``read()`` there.
+
+        An earlier ``t`` is a contract violation.
+        """
         now = self._time
         if t > now:
             # Integrate to now + (t - now), not t: recorded traces use this rounding.
             real_dt = t - now
-            self._ticks += self.nominal_freq * real_dt + self.drift.deviation_integral(
-                now, now + real_dt
-            )
-            self._time = now + real_dt
+            t1 = now + real_dt
+            end = self._piece_end
+            if t1 <= end:  # what every drift model's integral over one piece returns
+                self._ticks += self.nominal_freq * real_dt + self._piece_dev * (t1 - now)
+            else:
+                self._ticks += self.nominal_freq * real_dt + self.drift.deviation_integral(now, t1)
+            self._time = t1
+            if t1 >= end:
+                self._piece_end, self._piece_dev = self.drift.piece(t1)
         elif t < now:
             raise ContractViolation(f"clock already at t={now}, cannot go back to {t}")
+        return math.floor(self._ticks) if self.quantize else self._ticks
+
+    def deviation_rate(self, t: float) -> float:
+        """The drift model's deviation at ``t``, from the current piece when ``t`` is now."""
+        return self._piece_dev if t == self._time else self.drift.deviation_rate(t)
 
     def time_of_tick(self, target_ticks: float) -> float:
         """Real time at which the accumulated tick count reaches ``target_ticks``.
@@ -200,14 +220,15 @@ class HardwareClock:
             raise ContractViolation("tick target is already in the past")
         remaining = target_ticks - self._ticks
         f0, piece, start = self.nominal_freq, self.drift.piece, self._time
+        end, dev = self._piece_end, self._piece_dev
         while True:
-            end, dev = piece(start)
             rate = f0 + dev
             span = (end - start) * rate
             if span >= remaining or end == math.inf:  # the last piece always suffices
                 return start + remaining / rate
             remaining -= span
             start = end
+            end, dev = piece(start)
 
 
 class _LogicalClockFields(NamedTuple):

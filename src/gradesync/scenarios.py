@@ -125,7 +125,7 @@ def _two_node_config(params: dict, drift, step_policy: str, step_size) -> SimCon
     return SimConfig(
         topology=Topology.line(2),
         beacon_period=1.0,
-        duration=float(params["rounds"]),
+        duration=float(_at_least(params, "rounds", 1)),
         delay_std=params["delay_std"],
         drift={1: ConstantDrift(0.0), 2: drift},
         protocols=(GRADES,),
@@ -143,7 +143,7 @@ def pairwise_config(params: dict) -> SimConfig:
     """Two nodes in normalized units; the non-reference drifts and steps down mid-run."""
     dev0 = params["drift_ppm"] * 1e-6
     dev1 = params["drift_ppm_after"] * 1e-6
-    if not 0 < params["switch_round"] <= params["rounds"]:
+    if not 0 < params["switch_round"] <= _at_least(params, "rounds", 1):
         raise ValueError(
             f"parameter switch_round must be in (0, rounds={params['rounds']}], "
             f"got {params['switch_round']}"
@@ -331,7 +331,7 @@ def _run_scaling(params: dict, out: Path) -> dict:
         max_deviation=params["max_deviation"],
         delay_std=params["delay_std"],
         step_size=params["step_size"],
-        rounds=int(params["rounds"]),
+        rounds=_at_least(params, "rounds", 1),
     )
     write_csv(
         out / "scaling.csv",

@@ -402,13 +402,8 @@ def run(config: SimConfig) -> SkewTrace:
     def take_sample(k: int) -> None:
         nonlocal k0
         t = sample_times[k]
-        hws, devs = [], []
-        for clk in clocks:
-            clk.advance_to(t)
-            hws.append(clk.read())
-            devs.append(clk.drift.deviation_rate(t))
-        hw_block[k - k0] = hws
-        hw_rates_out[k] = devs
+        hw_block[k - k0] = [clk.advance_to(t) for clk in clocks]
+        hw_rates_out[k] = [clk.deviation_rate(t) for clk in clocks]
         if k + 1 == min(k0 + block_rows, n_samples):
             for (i, proto, _, _), (fields, keys) in zip(lanes, logs):
                 carry[i] = _assemble(
@@ -427,8 +422,7 @@ def run(config: SimConfig) -> SkewTrace:
             take_sample(k)
             k += 1
         clk = clocks[who]
-        clk.advance_to(t)
-        hw = clk.read()
+        hw = clk.advance_to(t)
 
         if kind == _KIND_BEACON:
             mine = tuple([states[who] for states in lane_states])

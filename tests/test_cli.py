@@ -299,6 +299,21 @@ def test_main_oversized_sample_grid_exits_2_naming_duration_and_sample_period(
     assert err.startswith("error: ") and "duration" in err and "sample_period" in err
 
 
+@pytest.mark.parametrize("scenario", ["fig1-pairwise", "fig2-stepsize", "scaling"])
+def test_main_zero_rounds_exits_2_naming_rounds(tmp_path, capsys, scenario):
+    code = main(["--scenario", scenario, "--set", "rounds=0", "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: parameter rounds must be at least 1, got 0\n"
+
+
+@pytest.mark.parametrize("form", [("--seed", "-1"), ("--set", "seed=-1")])
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+def test_main_negative_seed_exits_2_naming_seed(tmp_path, capsys, scenario, form):
+    code = main(["--scenario", scenario, *form, "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: parameter seed must be non-negative, got -1\n"
+
+
 def test_noise_free_multihop_reports_no_ratio_instead_of_dividing_by_zero(tmp_path, capsys):
     overrides = ("nodes=2", "seeds=1", "duration=3000", "max_dev_ppm=0", "delay_std=0")
     argv = ["--scenario", "fig3-multihop", "--out", str(tmp_path)]

@@ -338,6 +338,86 @@ def test_advance_to_matches_advance_by_the_difference(seed, kind, dts):
         assert a.time == b.time
 
 
+PIECES = ((0.0, 2e-4), (1.3, -4e-4), (4.0, 1e-4))
+
+
+def _below(t):
+    return math.nextafter(t, 0.0)
+
+
+@pytest.mark.parametrize(
+    "kind, stops",
+    [
+        ("constant", [0.5, _below(1.3), 1.3, _below(4.0), 4.0, 7.25]),
+        # each piece end, one ulp below it, and a stop inside the next piece
+        ("piecewise", [_below(1.3), 1.3, 2.0, _below(4.0), 4.0, 6.5, 9.0]),
+        # integers for white, reached from inside a segment, from one ulp below
+        # and from the previous integer, then a jump over several segments
+        ("white", [0.5, _below(1.0), 1.0, 2.0, _below(3.0), 3.0, 3.5, 7.0, _below(8.0), 8.0]),
+    ],
+)
+@pytest.mark.parametrize("quantize", [False, True])
+def test_advances_onto_piece_ends_match_the_reference(kind, stops, quantize):
+    def clock():
+        drift = {
+            "constant": ConstantDrift(-3e-4),
+            "piecewise": PiecewiseDrift(PIECES),
+            "white": WhiteDrift(5e-4, make_rng(17)),
+        }[kind]
+        return HardwareClock(nominal_freq=1.0, drift=drift, start_ticks=0.3, quantize=quantize)
+
+    a, b = clock(), clock()
+    for t in stops:
+        reading = a.advance_to(t)
+        reference_advance(b, t - b.time)
+        assert (a._ticks, a.time) == (b._ticks, b.time)
+        assert reading == a.read() == b.read()
+        target = b._ticks + 2.5
+        assert a.time_of_tick(target) == reference_time_of_tick(b, target)
+        assert a.deviation_rate(t) == b.drift.deviation_rate(t)
+        assert a.deviation_rate(t + 0.5) == b.drift.deviation_rate(t + 0.5)
+
+
+class CountingDrift:
+    """A drift model that counts the integrals asked of it."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.integrals = 0
+
+    def deviation_rate(self, t):
+        return self.inner.deviation_rate(t)
+
+    def deviation_integral(self, t0, t1):
+        self.integrals += 1
+        return self.inner.deviation_integral(t0, t1)
+
+    def piece(self, t):
+        return self.inner.piece(t)
+
+    def max_abs_deviation(self):
+        return self.inner.max_abs_deviation()
+
+
+@pytest.mark.parametrize(
+    "inner, inside, crossing",
+    [
+        (PiecewiseDrift(PIECES), [0.4, _below(1.3), 1.3, 2.0], 6.5),
+        ("white", [0.25, 0.75, 1.0, 1.5, 2.0], 3.5),
+    ],
+)
+def test_an_advance_inside_one_piece_asks_the_drift_model_for_no_integral(
+    inner, inside, crossing
+):
+    drift = CountingDrift(WhiteDrift(5e-4, make_rng(4)) if inner == "white" else inner)
+    clock = HardwareClock(nominal_freq=1.0, drift=drift)
+    for t in inside:  # each stop lies in, or ends, the piece the clock is in
+        clock.advance_to(t)
+    assert drift.integrals == 0
+    clock.advance_to(crossing)
+    assert drift.integrals == 1
+
+
 # ---------------------------------------------------------------- logical clock
 
 
