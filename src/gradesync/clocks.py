@@ -48,6 +48,9 @@ class ConstantDrift:
     def deviation_rate(self, t: float) -> float:
         return self.deviation
 
+    def deviation_rates(self, times: np.ndarray) -> np.ndarray:
+        return np.full(len(times), self.deviation)
+
     def deviation_integral(self, t0: float, t1: float) -> float:
         return self.deviation * (t1 - t0)
 
@@ -83,6 +86,11 @@ class PiecewiseDrift:
 
     def deviation_rate(self, t: float) -> float:
         return self.steps[self._index(t)][1]
+
+    def deviation_rates(self, times: np.ndarray) -> np.ndarray:
+        """``deviation_rate`` at each of ``times`` (all >= 0), in one search."""
+        starts, devs = np.array(self.steps, dtype=float).T
+        return devs[np.searchsorted(starts, times, side="right") - 1]
 
     def deviation_integral(self, t0: float, t1: float) -> float:
         total, start = 0.0, t0
@@ -128,6 +136,11 @@ class WhiteDrift:
     def deviation_rate(self, t: float) -> float:
         return self._segment(math.floor(t))
 
+    def deviation_rates(self, times: np.ndarray) -> np.ndarray:
+        """``deviation_rate`` at each of ``times`` (all >= 0), drawing up to the last."""
+        self._segment(math.floor(times.max()))
+        return np.array(self._segments)[np.floor(times).astype(np.int64)]
+
     def deviation_integral(self, t0: float, t1: float) -> float:
         """Sum of deviation * overlap over the unit segments from ``t0`` to ``t1``."""
         if t0 < 0:
@@ -161,6 +174,9 @@ class HardwareClock:
     committing state, which is safe because trajectory realizations are fixed
     once drawn.
     """
+
+    __slots__ = ("nominal_freq", "drift", "quantize",
+                 "_time", "_ticks", "_piece_end", "_piece_dev")
 
     def __init__(
         self, nominal_freq: float, drift=None, start_ticks: float = 0.0, quantize: bool = False
@@ -207,10 +223,6 @@ class HardwareClock:
             raise ContractViolation(f"clock already at t={now}, cannot go back to {t}")
         return math.floor(self._ticks) if self.quantize else self._ticks
 
-    def deviation_rate(self, t: float) -> float:
-        """The drift model's deviation at ``t``, from the current piece when ``t`` is now."""
-        return self._piece_dev if t == self._time else self.drift.deviation_rate(t)
-
     def time_of_tick(self, target_ticks: float) -> float:
         """Real time at which the accumulated tick count reaches ``target_ticks``.
 
@@ -229,6 +241,10 @@ class HardwareClock:
             remaining -= span
             start = end
             end, dev = piece(start)
+
+
+def read_before_update(hw_now, hw_at_update) -> ContractViolation:
+    return ContractViolation(f"logical read at hw={hw_now} before last update hw={hw_at_update}")
 
 
 class _LogicalClockFields(NamedTuple):
@@ -254,7 +270,5 @@ class LogicalClock(_LogicalClockFields):
 
     def read(self, hw_now: float) -> float:
         if hw_now < self.hw_at_update:
-            raise ContractViolation(
-                f"logical read at hw={hw_now} before last update hw={self.hw_at_update}"
-            )
+            raise read_before_update(hw_now, self.hw_at_update)
         return self.value_at_update + self.rate_multiplier * (hw_now - self.hw_at_update)

@@ -24,12 +24,13 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .clocks import LogicalClock
+from .clocks import LogicalClock, read_before_update
 from .errors import ContractViolation
 
 GRADES = "grades"
 PISYNC = "pisync"
 PROTOCOLS = (GRADES, PISYNC)
+_tuple_new = tuple.__new__  # a named tuple without its __new__ (LogicalClock's checks the rate)
 
 
 def step_size_limit(protocol: str, beacon_period: float, nominal_freq: float) -> float:
@@ -100,34 +101,35 @@ def adapt_step(step: float, signal_now: float, signal_prev: float, step_max: flo
 
 
 def on_message(
-    protocol: str,
     state: SyncState,
     seq: int,
     received_clock: float,
     hw_now: float,
-    beacon_period: float,
-    nominal_freq: float,
+    scale: float,
+    step_max: float,
     adapt: bool = True,
 ) -> SyncState:
-    """Process a received flood reading; a stale sequence number returns ``state`` itself."""
+    """Process a received flood reading; a stale sequence number returns ``state`` itself.
+
+    ``scale`` and ``step_max`` are the protocol's ``error_scale`` and ``step_size_limit``.
+    """
     if seq <= state.seq:
         return state
-    clock = state.clock
-    # The read also rejects an update before the clock's last hardware reading.
-    error = compute_error(clock.read(hw_now), received_clock)
-    signal = error_scale(protocol, beacon_period, nominal_freq) * error
+    value, rate, hw_at = state.clock
+    # LogicalClock.read then compute_error, on the clock's fields.
+    if hw_now < hw_at:
+        raise read_before_update(hw_now, hw_at)
+    signal = scale * (value + rate * (hw_now - hw_at) - received_clock)
     step = state.step_size
     if adapt:
-        step = adapt_step(
-            step, signal, state.prev_signal, step_size_limit(protocol, beacon_period, nominal_freq)
-        )
-    rate = clock.rate_multiplier - step * signal
+        step = adapt_step(step, signal, state.prev_signal, step_max)
+    rate -= step * signal
     if rate <= 0:
         raise ContractViolation(
-            f"rate multiplier driven to {rate} (step size {step} is mis-scaled for "
-            f"beacon_period={beacon_period}, nominal_freq={nominal_freq})"
+            f"rate multiplier driven to {rate} (step size {step} is mis-scaled; limit {step_max})"
         )
-    return SyncState(step, signal, seq, LogicalClock(received_clock, rate, hw_now))
+    clock = _tuple_new(LogicalClock, (received_clock, rate, hw_now))
+    return _tuple_new(SyncState, (step, signal, seq, clock))
 
 
 def on_beacon_tick(
@@ -152,5 +154,10 @@ def on_beacon_tick(
         states = tuple([SyncState(s.step_size, s.prev_signal, seq, s.clock) for s in states])
         readings = (hw_now,) * len(states)
     else:
-        readings = tuple([s.clock.read(hw_now) for s in states])
-    return states, SyncMessage(seq, readings)
+        readings = []
+        for value, rate, hw_at in [s.clock for s in states]:  # LogicalClock.read, inline
+            if hw_now < hw_at:
+                raise read_before_update(hw_now, hw_at)
+            readings.append(value + rate * (hw_now - hw_at))
+        readings = tuple(readings)
+    return states, _tuple_new(SyncMessage, (seq, readings))

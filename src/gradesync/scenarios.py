@@ -232,8 +232,8 @@ def stepsize_series_stats(trace: SkewTrace, rounds: int, tol: float) -> dict:
 
 def _run_stepsize(params: dict, out: Path) -> dict:
     tol = _non_negative(params, "error_tolerance")
+    rounds = _at_least(params, "rounds", 3)  # the fewest with 2 errors past rounds / 2
     configs = stepsize_configs(params)
-    rounds = int(params["rounds"])
     summary: dict = {"error_tolerance": tol}
     for label, config in configs.items():
         trace = run(config)
@@ -374,8 +374,8 @@ def variance_grid() -> list[SystemParams]:
 def _run_theory_check(params: dict, out: Path) -> dict:
     tolerance = _non_negative(params, "tolerance")
     convention = str(params["noise_convention"])
-    trials = int(params["trials"])
-    rounds = int(params["rounds"])
+    trials = _at_least(params, "trials", 1)
+    rounds = _at_least(params, "rounds", 2)
     rows = []
     max_rel_err = 0.0
     worst = None

@@ -23,6 +23,7 @@ from gradesync import (
     adapt_step,
     compare_protocols,
     eigenvalues,
+    error_scale,
     estimate_variance_mc,
     on_message,
     rate_error_path,
@@ -298,13 +299,15 @@ def test_criterion_09_skew_grows_like_the_square_root_of_the_diameter(tmp_path):
 
 def test_criterion_10_protocol_logic_invariants():
     checks = []
+    # grades' error scale and step bound at B = f0 = 1, as a run derives them.
+    grades_constants = (error_scale(GRADES, 1.0, 1.0), step_size_limit(GRADES, 1.0, 1.0))
 
     # Stale sequence numbers are discarded without touching the state.
     state = SyncState(step_size=0.1, seq=4, clock=LogicalClock(5.0, 1.0, 0.0))
-    checks.append(on_message(GRADES, state, 4, 0.0, 0.0, 1.0, 1.0) is state)
+    checks.append(on_message(state, 4, 0.0, 0.0, *grades_constants) is state)
 
     # An accepted message lands the logical clock exactly on the payload.
-    updated = on_message(GRADES, state, 5, 4.9, 0.0, 1.0, 1.0)
+    updated = on_message(state, 5, 4.9, 0.0, *grades_constants)
     checks.append(updated.clock.read(0.0) == 4.9)
     checks.append(updated.seq == 5)
 

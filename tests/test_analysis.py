@@ -12,17 +12,17 @@ from gradesync import (
     GRADES,
     PISYNC,
     InvalidRegimeError,
+    SimConfig,
     SystemParams,
+    Topology,
     compare_protocols,
     eigenvalues,
     error_scale,
     estimate_variance_mc,
-    on_message,
     rate_error_path,
     step_size_limit,
     variance,
 )
-from gradesync.protocols import SyncState
 
 
 def params(b=1.0, f0=1.0, step=0.1, fmax=0.0, dstd=0.0):
@@ -301,10 +301,12 @@ def test_system_params_validation():
         lambda proto: variance(params(step=0.1, dstd=0.01), proto),
         lambda proto: params(step=0.1).normalized(proto),
         lambda proto: estimate_variance_mc(params(step=0.1), proto, rounds=4, trials=2),
-        lambda proto: on_message(proto, SyncState(0.1), 1, 0.5, 1.0, 1.0, 1.0),
+        lambda proto: SimConfig(
+            Topology.line(2), 1.0, 1.0, step_policy="adaptive"
+        ).resolved_step_size(proto),
     ],
     ids=["step_size_limit", "error_scale", "eigenvalues", "variance", "normalized",
-         "estimate_variance_mc", "on_message"],
+         "estimate_variance_mc", "resolved_step_size"],
 )
 def test_every_protocol_entry_point_rejects_an_unknown_protocol(call):
     with pytest.raises(ValueError, match="unknown protocol"):

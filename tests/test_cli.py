@@ -1,13 +1,14 @@
 """Command-line front-end: argument handling, overrides, exit codes, artifacts."""
 
 import hashlib
+import math
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from gradesync import sim
+from gradesync import scenarios, sim
 from gradesync.cli import main, parse_config_file, run_scenario
 from gradesync.errors import ContractViolation
 from gradesync.scenarios import SCENARIOS, Scenario
@@ -303,7 +304,38 @@ def test_main_oversized_sample_grid_exits_2_naming_duration_and_sample_period(
 def test_main_zero_rounds_exits_2_naming_rounds(tmp_path, capsys, scenario):
     code = main(["--scenario", scenario, "--set", "rounds=0", "--out", str(tmp_path)])
     assert code == 2
-    assert capsys.readouterr().err == "error: parameter rounds must be at least 1, got 0\n"
+    least = 3 if scenario == "fig2-stepsize" else 1
+    assert capsys.readouterr().err == f"error: parameter rounds must be at least {least}, got 0\n"
+
+
+@pytest.mark.parametrize("rounds", [1, 2])
+def test_main_fig2_without_two_steady_half_errors_exits_2_naming_rounds(tmp_path, capsys, rounds):
+    # The steady half is the rounds after rounds / 2; its spread needs two errors.
+    argv = ["--scenario", "fig2-stepsize", "--set", f"rounds={rounds}", "--out", str(tmp_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: parameter rounds must be at least 3, got {rounds}\n"
+
+
+def test_fig2_at_three_rounds_reports_every_spread(tmp_path):
+    summary = run_scenario("fig2-stepsize", {"rounds": "3"}, out_dir=tmp_path)
+    spreads = [v for k, v in summary.items() if k.endswith(("steady_error_std", "mean_abs"))]
+    assert len(spreads) == 8 and all(math.isfinite(v) for v in spreads)
+
+
+@pytest.mark.parametrize(
+    "override, least", [("rounds=0", 2), ("rounds=1", 2), ("trials=0", 1), ("trials=-3", 1)]
+)
+def test_main_theory_check_needs_two_rounds_and_a_trial(
+    tmp_path, capsys, monkeypatch, override, least
+):
+    # Checked before the first oracle call, and reported under the parameter's name.
+    monkeypatch.setattr(scenarios, "estimate_variance_mc", lambda *a, **k: pytest.fail("ran"))
+    code = main(["--scenario", "theory-check", "--set", override, "--out", str(tmp_path)])
+    name, value = override.split("=")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: parameter {name} must be at least {least}, got {value}\n"
 
 
 @pytest.mark.parametrize("form", [("--seed", "-1"), ("--set", "seed=-1")])

@@ -23,6 +23,13 @@ from gradesync import (
 )
 
 
+def receive(protocol, st, seq, received, hw_now, beacon_period, nominal_freq, adapt=True):
+    """``on_message`` with the error scale and step bound a run derives for ``protocol``."""
+    scale = error_scale(protocol, beacon_period, nominal_freq)
+    step_max = step_size_limit(protocol, beacon_period, nominal_freq)
+    return on_message(st, seq, received, hw_now, scale, step_max, adapt)
+
+
 def state(value=0.0, rate=1.0, hw=0.0, step=0.1, seq=0, prev=0.0):
     return SyncState(step, prev, seq, LogicalClock(value, rate, hw))
 
@@ -110,14 +117,14 @@ def test_stale_or_duplicate_message_returns_the_same_object():
     before = state(seq=5)
     for proto in (GRADES, PISYNC):
         for seq in (3, 5):
-            after = on_message(proto, before, seq, 123.0, hw_now=1.0, beacon_period=1.0,
-                               nominal_freq=1.0)
+            after = receive(proto, before, seq, 123.0, hw_now=1.0, beacon_period=1.0,
+                            nominal_freq=1.0)
             assert after is before
 
 
 def test_accepted_message_jumps_the_clock_exactly_onto_the_payload():
     g = state(value=100.05, hw=50.0)
-    g2 = on_message(GRADES, g, 1, 100.0, hw_now=50.0, beacon_period=1.0, nominal_freq=1.0)
+    g2 = receive(GRADES, g, 1, 100.0, hw_now=50.0, beacon_period=1.0, nominal_freq=1.0)
     assert g2.clock.read(50.0) == 100.0  # exact, not approximate
     assert g2.seq == 1
     assert g.clock.read(50.0) == 100.05  # input state untouched
@@ -127,25 +134,25 @@ def test_on_message_offset_jump_is_exact_and_zero_error_keeps_the_rate():
     before = state(value=100.0, rate=1.0001, hw=0.0, step=1e-4)
     assert before.clock.read(50.0) == pytest.approx(150.0050, rel=1e-12)
     for proto in (GRADES, PISYNC):
-        moved = on_message(proto, before, 1, 100.0, hw_now=50.0, beacon_period=1.0,
-                           nominal_freq=1.0, adapt=False)
+        moved = receive(proto, before, 1, 100.0, hw_now=50.0, beacon_period=1.0,
+                        nominal_freq=1.0, adapt=False)
         assert moved.clock.read(50.0) == 100.0
         # Setting the current reading back onto the clock leaves the rate and reads alone.
-        same = on_message(proto, before, 1, before.clock.read(50.0), hw_now=50.0,
-                          beacon_period=1.0, nominal_freq=1.0, adapt=False)
+        same = receive(proto, before, 1, before.clock.read(50.0), hw_now=50.0,
+                       beacon_period=1.0, nominal_freq=1.0, adapt=False)
         assert same.clock.rate_multiplier == 1.0001
         for hw in (50.0, 61.5, 80.0):
             assert same.clock.read(hw) == pytest.approx(before.clock.read(hw), rel=1e-15)
         with pytest.raises(ContractViolation, match="before last update"):
-            on_message(proto, before, 2, 100.0, hw_now=-1.0, beacon_period=1.0,
-                       nominal_freq=1.0)
+            receive(proto, before, 2, 100.0, hw_now=-1.0, beacon_period=1.0,
+                    nominal_freq=1.0)
 
 
 def test_grades_rate_update_example():
     # error 0.05 at unit round length: rate moves by -step * 2 * error.
     g = state(value=100.05, hw=50.0, step=0.1)
-    g2 = on_message(GRADES, g, 1, 100.0, hw_now=50.0, beacon_period=1.0, nominal_freq=1.0,
-                    adapt=False)
+    g2 = receive(GRADES, g, 1, 100.0, hw_now=50.0, beacon_period=1.0, nominal_freq=1.0,
+                 adapt=False)
     assert g2.clock.rate_multiplier == pytest.approx(0.99, rel=1e-12)
     assert g2.step_size == 0.1
     assert g2.prev_signal == pytest.approx(0.1, rel=1e-12)
@@ -153,8 +160,8 @@ def test_grades_rate_update_example():
 
 def test_pisync_rate_update_example():
     p = state(value=100.05, hw=50.0, step=0.1)
-    p2 = on_message(PISYNC, p, 1, 100.0, hw_now=50.0, beacon_period=1.0, nominal_freq=1.0,
-                    adapt=False)
+    p2 = receive(PISYNC, p, 1, 100.0, hw_now=50.0, beacon_period=1.0, nominal_freq=1.0,
+                 adapt=False)
     assert p2.clock.rate_multiplier == pytest.approx(0.995, rel=1e-12)
     assert p2.prev_signal == pytest.approx(0.05, rel=1e-12)
 
@@ -162,30 +169,30 @@ def test_pisync_rate_update_example():
 def test_zero_error_message_leaves_rate_alone_and_shrinks_the_step():
     before = state(value=100.0, rate=1.0003, hw=50.0, step=0.3, prev=2.0)
     for proto in (GRADES, PISYNC):
-        after = on_message(proto, before, 1, 100.0, hw_now=50.0, beacon_period=1.0,
-                           nominal_freq=1.0)
+        after = receive(proto, before, 1, 100.0, hw_now=50.0, beacon_period=1.0,
+                        nominal_freq=1.0)
         assert after.clock.rate_multiplier == 1.0003
         assert after.step_size == pytest.approx(0.1)
 
 
 def test_adaptation_uses_the_protocols_own_stability_limit():
     g = state(value=1.0, hw=0.0, step=0.75, prev=1.0)
-    g2 = on_message(GRADES, g, 1, 0.9, hw_now=0.0, beacon_period=1.0, nominal_freq=1.0)
+    g2 = receive(GRADES, g, 1, 0.9, hw_now=0.0, beacon_period=1.0, nominal_freq=1.0)
     assert g2.step_size == 1.0  # doubled 0.75 -> 1.5, clamped at 1/(B*f0)^2
     p = state(value=1.0, hw=0.0, step=1.5, prev=1.0)
-    p2 = on_message(PISYNC, p, 1, 0.9, hw_now=0.0, beacon_period=1.0, nominal_freq=1.0)
+    p2 = receive(PISYNC, p, 1, 0.9, hw_now=0.0, beacon_period=1.0, nominal_freq=1.0)
     assert p2.step_size == 2.0  # doubled 1.5 -> 3.0, clamped at 2/(B*f0)
 
 
 def test_mis_scaled_step_raises_instead_of_producing_a_frozen_clock():
     g = state(value=10.0, hw=0.0, step=0.1)
     with pytest.raises(ContractViolation, match="mis-scaled"):
-        on_message(GRADES, g, 1, 0.0, hw_now=0.0, beacon_period=1.0, nominal_freq=1.0,
-                   adapt=False)
+        receive(GRADES, g, 1, 0.0, hw_now=0.0, beacon_period=1.0, nominal_freq=1.0,
+                adapt=False)
     p = state(value=30.0, hw=0.0, step=0.1)
     with pytest.raises(ContractViolation, match="mis-scaled"):
-        on_message(PISYNC, p, 1, 0.0, hw_now=0.0, beacon_period=1.0, nominal_freq=1.0,
-                   adapt=False)
+        receive(PISYNC, p, 1, 0.0, hw_now=0.0, beacon_period=1.0, nominal_freq=1.0,
+                adapt=False)
 
 
 @settings(max_examples=150, deadline=None)
@@ -198,7 +205,7 @@ def test_sequence_numbers_never_decrease_and_stale_floods_are_noops(seqs, payloa
     hw = 0.0
     for seq in seqs:
         before = g.seq
-        out = on_message(GRADES, g, seq, payload, hw_now=hw, beacon_period=1.0, nominal_freq=1.0)
+        out = receive(GRADES, g, seq, payload, hw_now=hw, beacon_period=1.0, nominal_freq=1.0)
         if seq <= before:
             assert out is g
         else:
@@ -216,8 +223,8 @@ def test_sequence_numbers_never_decrease_and_stale_floods_are_noops(seqs, payloa
 def test_offset_exactness_holds_for_any_accepted_message(value, payload, hw):
     before = state(value=value, hw=hw, step=1e-4)
     for proto in (GRADES, PISYNC):
-        after = on_message(proto, before, 1, payload, hw_now=hw, beacon_period=1.0,
-                           nominal_freq=1.0)
+        after = receive(proto, before, 1, payload, hw_now=hw, beacon_period=1.0,
+                        nominal_freq=1.0)
         assert after.clock.read(hw) == payload
 
 
@@ -234,8 +241,8 @@ def test_adapted_step_never_exceeds_the_stability_limit(errors, beacon_period):
         # Manufacture a reading that sits err below the local reading.
         received = g.clock.read(hw) - err * beacon_period
         try:
-            g = on_message(GRADES, g, k, received, hw_now=hw, beacon_period=beacon_period,
-                           nominal_freq=1.0)
+            g = receive(GRADES, g, k, received, hw_now=hw, beacon_period=beacon_period,
+                        nominal_freq=1.0)
         except ContractViolation:
             return  # a mis-scaled update is rejected loudly, never applied
         assert 0.0 < g.step_size <= limit
@@ -258,15 +265,15 @@ def test_equal_fraction_steps_give_identical_rate_trajectories(errors, fraction,
     for k, err in enumerate(errors, start=1):
         payload = g.clock.read(hw) - err
         try:
-            g = on_message(GRADES, g, k, payload, hw_now=hw, beacon_period=bf,
-                           nominal_freq=1.0, adapt=False)
+            g = receive(GRADES, g, k, payload, hw_now=hw, beacon_period=bf,
+                        nominal_freq=1.0, adapt=False)
         except ContractViolation:
             with pytest.raises(ContractViolation):
-                on_message(PISYNC, p, k, payload, hw_now=hw, beacon_period=bf,
-                           nominal_freq=1.0, adapt=False)
+                receive(PISYNC, p, k, payload, hw_now=hw, beacon_period=bf,
+                        nominal_freq=1.0, adapt=False)
             return
-        p = on_message(PISYNC, p, k, payload, hw_now=hw, beacon_period=bf, nominal_freq=1.0,
-                       adapt=False)
+        p = receive(PISYNC, p, k, payload, hw_now=hw, beacon_period=bf, nominal_freq=1.0,
+                    adapt=False)
         assert g.clock.rate_multiplier == pytest.approx(p.clock.rate_multiplier, rel=1e-12)
 
 

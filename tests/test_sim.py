@@ -18,6 +18,7 @@ from gradesync import (
     SimConfig,
     SkewTrace,
     Topology,
+    WhiteDrift,
     convergence_time,
     fit_power_exponent,
     run,
@@ -455,7 +456,7 @@ def test_stale_floods_never_reach_the_update_rule(monkeypatch):
     calls = []
 
     def counted(state, *args):
-        new = sim.on_message(GRADES, state, *args)
+        new = sim.on_message(state, *args)
         calls.append(new is not state)
         return new
 
@@ -463,6 +464,52 @@ def test_stale_floods_never_reach_the_update_rule(monkeypatch):
     run(SimConfig(**{**SAMPLING_BASE, "topology": Topology.line(50), "duration": 60.0}))
     assert len(calls) > 49 * 10
     assert all(calls)
+
+
+def test_each_protocol_updates_through_its_own_name(monkeypatch):
+    # Every delivery, queued or handed over at once, calls each lane's update
+    # under its protocol's name, so each protocol can be wrapped on its own.
+    calls = {GRADES: [], PISYNC: []}
+
+    def counting(proto):
+        def update(state, *args):
+            new = sim.on_message(state, *args)
+            calls[proto].append(new is not state)
+            return new
+
+        return update
+
+    monkeypatch.setattr(sim, "grades_on_message", counting(GRADES))
+    monkeypatch.setattr(sim, "pisync_on_message", counting(PISYNC))
+    trace = run(SimConfig(**SAMPLING_BASE))
+    for proto in (GRADES, PISYNC):
+        assert len(calls[proto]) == sum(e.protocol == proto for e in trace.events) > 100
+        assert all(calls[proto])
+
+
+@pytest.mark.parametrize("quantize", [False, True])
+@pytest.mark.parametrize("kind", ["constant", "piecewise", "white"])
+def test_trace_hw_rates_are_the_drift_models_rates_at_every_sample(kind, quantize):
+    # Samples every 0.25 s put one exactly on the piecewise step at t = 5, and
+    # 30 s of white drift span 30 unit segments.
+    f0 = 1e3
+    models = {
+        u: {
+            "constant": ConstantDrift(0.1 * u),
+            "piecewise": PiecewiseDrift(((0.0, 0.1 * u), (5.0, -0.2 * u), (17.5, 0.05))),
+            "white": WhiteDrift(0.5, np.random.default_rng(u)),
+        }[kind]
+        for u in range(1, 5)
+    }
+    trace = run(config(
+        topology=Topology.line(4), duration=30.0, nominal_freq=f0, max_deviation=0.9,
+        drift=models, step_policy="adaptive", step_size=None, sample_period=0.25,
+        phase_mode="random", quantize_ticks=quantize,
+    ))
+    assert 5.0 in trace.times.tolist()
+    for col, u in enumerate(trace.node_ids):
+        expected = [f0 + models[u].deviation_rate(t) for t in trace.times.tolist()]
+        assert trace.hw_rates[:, col].tolist() == expected
 
 
 def test_sample_grid_is_bounded_before_it_is_allocated(monkeypatch):
@@ -630,6 +677,29 @@ def test_trace_csv_layout(tmp_path):
     assert len(data) == 4 * 2 * 2  # samples x protocols x nodes
     assert data[0] == "0,1,grades,0"
     assert all(len(row.split(",")) == 4 for row in data)
+
+
+def test_trace_csv_rows_match_a_value_by_value_formatter(tmp_path):
+    node_ids = (1, 42, 305, 7000)
+    times = np.array([0.0, 1.0 / 3.0, 2e5])
+    values = np.array([
+        [-1.5, 1e-300, 1e20, 0.1],
+        [-0.0, 123456789.123, -1e-300, 5e-324],
+        [-1e20, 2.5e-7, math.inf, 30.000000001],
+    ])
+    trace = SkewTrace(
+        times=times, node_ids=node_ids, protocols=(GRADES, PISYNC),
+        readings={GRADES: values, PISYNC: -values[::-1]}, rate_multipliers={},
+        hw_rates=np.ones(values.shape), meta={"seed": 4},
+    )
+    path = tmp_path / "trace.csv"
+    write_trace_csv(trace, path)
+    expected = ["# seed=4", "t_seconds,node_id,protocol,logical_ticks"]
+    for i, t in enumerate(times.tolist()):
+        for proto in trace.protocols:
+            for u, v in zip(node_ids, trace.readings[proto][i].tolist()):
+                expected.append(f"{t:.9g},{u},{proto},{v:.9g}")
+    assert path.read_text() == "\n".join(expected) + "\n"
 
 
 def test_skew_csv_layout_and_formatting(tmp_path):
