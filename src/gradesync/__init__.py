@@ -19,7 +19,6 @@ from .protocols import (
     SyncMessage,
     SyncState,
     adapt_step,
-    compute_error,
     error_scale,
     on_beacon_tick,
     on_message,

@@ -10,11 +10,13 @@ an estimate of global time through an offset and a rate multiplier, and is
 only ever updated at discrete sync events.
 
 Drift models (:class:`ConstantDrift`, :class:`PiecewiseDrift`,
-:class:`WhiteDrift`) define an instantaneous rate at every instant.  They
-integrate exactly over any interval, and ``piece(t)`` gives the constant
-stretch that contains ``t``, so the trajectory can be inverted to find the
+:class:`WhiteDrift`) are defined by their pieces: ``piece(t)`` gives the
+constant stretch that contains ``t`` as ``(end, deviation)``.  Walking the
+pieces integrates the deviation exactly over any interval
+(:meth:`DriftModel.deviation_integral`) and inverts the trajectory to find the
 real time at which a tick target is crossed, which is what the event
-simulator needs to schedule beacons.
+simulator needs to schedule beacons.  ``deviation_rates`` gives the deviation
+at an array of times in one numpy call.
 
 All randomness flows through numpy ``Generator`` objects injected at
 construction, so a (seed, config) pair fully determines every trajectory.
@@ -32,11 +34,23 @@ import numpy as np
 from .errors import ContractViolation
 
 _SEGMENT_CHUNK = 256
-_NEGATIVE_TIME = "white drift is defined for t >= 0"
+
+
+class DriftModel:
+    """A piecewise-constant frequency deviation, given by ``piece(t) -> (end, deviation)``."""
+
+    def deviation_integral(self, t0: float, t1: float) -> float:
+        """Sum of deviation * overlap over the pieces from ``t0`` to ``t1``."""
+        total, start = 0.0, t0
+        while start < t1:
+            end, dev = self.piece(start)
+            total += dev * (min(end, t1) - start)
+            start = end
+        return total
 
 
 @dataclass(frozen=True)
-class ConstantDrift:
+class ConstantDrift(DriftModel):
     """Fixed frequency deviation: f(t) = nominal + deviation forever."""
 
     deviation: float = 0.0
@@ -45,14 +59,8 @@ class ConstantDrift:
         if not math.isfinite(self.deviation):
             raise ValueError("drift deviation must be finite")
 
-    def deviation_rate(self, t: float) -> float:
-        return self.deviation
-
     def deviation_rates(self, times: np.ndarray) -> np.ndarray:
         return np.full(len(times), self.deviation)
-
-    def deviation_integral(self, t0: float, t1: float) -> float:
-        return self.deviation * (t1 - t0)
 
     def piece(self, t: float) -> tuple[float, float]:
         return math.inf, self.deviation
@@ -62,7 +70,7 @@ class ConstantDrift:
 
 
 @dataclass(frozen=True)
-class PiecewiseDrift:
+class PiecewiseDrift(DriftModel):
     """Step-function deviation given as ((start_time, deviation), ...).
 
     The first start time must be 0 so the whole axis is covered; start times
@@ -80,28 +88,13 @@ class PiecewiseDrift:
         if any(b <= a for a, b in zip(starts, starts[1:])):
             raise ValueError("drift schedule start times must be increasing")
 
-    def _index(self, t: float) -> int:
-        starts = [s for s, _ in self.steps]
-        return max(bisect_right(starts, t) - 1, 0)
-
-    def deviation_rate(self, t: float) -> float:
-        return self.steps[self._index(t)][1]
-
     def deviation_rates(self, times: np.ndarray) -> np.ndarray:
-        """``deviation_rate`` at each of ``times`` (all >= 0), in one search."""
+        """The deviation at each of ``times`` (all >= 0), in one search."""
         starts, devs = np.array(self.steps, dtype=float).T
         return devs[np.searchsorted(starts, times, side="right") - 1]
 
-    def deviation_integral(self, t0: float, t1: float) -> float:
-        total, start = 0.0, t0
-        while start < t1:
-            end, dev = self.piece(start)
-            total += dev * (min(end, t1) - start)
-            start = end
-        return total
-
     def piece(self, t: float) -> tuple[float, float]:
-        i = self._index(t)
+        i = max(bisect_right([s for s, _ in self.steps], t) - 1, 0)
         end = self.steps[i + 1][0] if i + 1 < len(self.steps) else math.inf
         return end, self.steps[i][1]
 
@@ -109,7 +102,7 @@ class PiecewiseDrift:
         return max(abs(d) for _, d in self.steps)
 
 
-class WhiteDrift:
+class WhiteDrift(DriftModel):
     """Per-unit-time white frequency deviation, uniform in [-max_dev, +max_dev].
 
     An explicit realization: one uniform draw per unit-time segment [j, j+1),
@@ -127,32 +120,16 @@ class WhiteDrift:
 
     def _segment(self, j: int) -> float:
         if j < 0:
-            raise ValueError(_NEGATIVE_TIME)
+            raise ValueError("white drift is defined for t >= 0")
         while len(self._segments) <= j:
             draws = self._rng.uniform(-self.max_deviation, self.max_deviation, _SEGMENT_CHUNK)
             self._segments.extend(draws.tolist())
         return self._segments[j]
 
-    def deviation_rate(self, t: float) -> float:
-        return self._segment(math.floor(t))
-
     def deviation_rates(self, times: np.ndarray) -> np.ndarray:
-        """``deviation_rate`` at each of ``times`` (all >= 0), drawing up to the last."""
+        """The deviation at each of ``times`` (all >= 0), drawing up to the last."""
         self._segment(math.floor(times.max()))
         return np.array(self._segments)[np.floor(times).astype(np.int64)]
-
-    def deviation_integral(self, t0: float, t1: float) -> float:
-        """Sum of deviation * overlap over the unit segments from ``t0`` to ``t1``."""
-        if t0 < 0:
-            raise ValueError(_NEGATIVE_TIME)
-        segments = self._segments
-        j, start, total = math.floor(t0), t0, 0.0
-        while start < t1:
-            end = float(j + 1)
-            dev = segments[j] if j < len(segments) else self._segment(j)
-            total += dev * ((end if end < t1 else t1) - start)
-            start, j = end, j + 1
-        return total
 
     def piece(self, t: float) -> tuple[float, float]:
         j = math.floor(t)

@@ -11,9 +11,9 @@ received clock (offset correction), then moves its rate multiplier by
 * ``pisync`` — a proportional-integral controller: the offset jump is the
   proportional part and the signal is e itself.
 
-The two therefore differ only in the unit of the step size.  A message is
-accepted only if it carries a strictly newer sequence number, which makes
-re-delivered or out-of-order floods harmless.
+The two therefore differ only in the unit of the step size.  Flood freshness
+is not decided here: the simulator keeps one sequence number per node and
+drops a flood that is not strictly newer before it reaches ``on_message``.
 
 All transition functions are pure: they take a state and return a new one,
 leaving the input untouched.  States and messages are immutable named tuples,
@@ -22,6 +22,7 @@ which are cheap to build once per accepted message.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 from .clocks import LogicalClock, read_before_update
@@ -38,8 +39,18 @@ def step_size_limit(protocol: str, beacon_period: float, nominal_freq: float) ->
 
     grades: 1 / (beacon_period * nominal_freq)**2
     pisync: 2 / (beacon_period * nominal_freq)
+
+    A limit that is not finite and positive (the product over- or underflows)
+    raises ValueError.
     """
-    return 2.0 / (beacon_period * nominal_freq * error_scale(protocol, beacon_period, nominal_freq))
+    scaled = beacon_period * nominal_freq * error_scale(protocol, beacon_period, nominal_freq)
+    limit = 2.0 / scaled if scaled else math.inf
+    if not 0 < limit < math.inf:
+        raise ValueError(
+            f"beacon_period={beacon_period:g} and nominal_freq={nominal_freq:g} put the "
+            f"{protocol} step size limit at {limit}, not finite and positive"
+        )
+    return limit
 
 
 def error_scale(protocol: str, beacon_period: float, nominal_freq: float) -> float:
@@ -56,11 +67,10 @@ def error_scale(protocol: str, beacon_period: float, nominal_freq: float) -> flo
 
 
 class SyncState(NamedTuple):
-    """One protocol's view at one node: step size, last signal, flood seq, clock."""
+    """One protocol's view at one node: step size, last sync error, clock."""
 
     step_size: float
-    prev_signal: float = 0.0
-    seq: int = 0
+    error: float = 0.0
     clock: LogicalClock = LogicalClock()
 
 
@@ -73,14 +83,6 @@ class SyncMessage(NamedTuple):
 
     seq: int
     readings: tuple[float, ...]
-
-
-def compute_error(local_read: float, received_clock: float) -> float:
-    """Sync error: local logical reading minus received clock value.
-
-    Channel noise is already embedded in ``received_clock`` by the transport.
-    """
-    return local_read - received_clock
 
 
 def adapt_step(step: float, signal_now: float, signal_prev: float, step_max: float) -> float:
@@ -102,62 +104,51 @@ def adapt_step(step: float, signal_now: float, signal_prev: float, step_max: flo
 
 def on_message(
     state: SyncState,
-    seq: int,
     received_clock: float,
     hw_now: float,
     scale: float,
     step_max: float,
     adapt: bool = True,
 ) -> SyncState:
-    """Process a received flood reading; a stale sequence number returns ``state`` itself.
+    """Apply one received flood reading; the caller drops stale floods beforehand.
 
-    ``scale`` and ``step_max`` are the protocol's ``error_scale`` and ``step_size_limit``.
+    The sync error is the local logical reading minus ``received_clock``
+    (which already carries the channel noise).  ``scale`` and ``step_max`` are
+    the protocol's ``error_scale`` and ``step_size_limit``.
     """
-    if seq <= state.seq:
-        return state
     value, rate, hw_at = state.clock
-    # LogicalClock.read then compute_error, on the clock's fields.
+    # LogicalClock.read, on the clock's fields.
     if hw_now < hw_at:
         raise read_before_update(hw_now, hw_at)
-    signal = scale * (value + rate * (hw_now - hw_at) - received_clock)
+    error = value + rate * (hw_now - hw_at) - received_clock
+    signal = scale * error
     step = state.step_size
     if adapt:
-        step = adapt_step(step, signal, state.prev_signal, step_max)
+        step = adapt_step(step, signal, scale * state.error, step_max)
     rate -= step * signal
     if rate <= 0:
         raise ContractViolation(
             f"rate multiplier driven to {rate} (step size {step} is mis-scaled; limit {step_max})"
         )
     clock = _tuple_new(LogicalClock, (received_clock, rate, hw_now))
-    return _tuple_new(SyncState, (step, signal, seq, clock))
+    return _tuple_new(SyncState, (step, error, clock))
 
 
 def on_beacon_tick(
-    states: tuple[SyncState, ...],
-    is_reference: bool,
-    hw_now: float,
-) -> tuple[tuple[SyncState, ...], SyncMessage]:
-    """Emit a broadcast when a node's hardware clock crosses a round boundary.
+    states: tuple[SyncState, ...], seq: int, is_reference: bool, hw_now: float
+) -> SyncMessage:
+    """The broadcast of a node whose hardware clock crosses a round boundary.
 
-    The reference node increments the flood sequence number before emitting
-    and always advertises its raw hardware reading (its logical clock is its
-    hardware clock; it never corrects itself).  Everyone else re-broadcasts
-    its current logical readings under its current sequence number.
+    ``seq`` is the newest flood sequence number the node holds.  The reference
+    node emits ``seq + 1`` and always advertises its raw hardware reading (its
+    logical clock is its hardware clock; it never corrects itself).  Everyone
+    else re-broadcasts its current logical readings under ``seq``.
     """
-    seq = states[0].seq
-    for s in states:
-        if s.seq != seq:
-            seqs = sorted({s.seq for s in states})
-            raise ContractViolation(f"protocol states disagree on sequence number: {seqs}")
     if is_reference:
-        seq += 1
-        states = tuple([SyncState(s.step_size, s.prev_signal, seq, s.clock) for s in states])
-        readings = (hw_now,) * len(states)
-    else:
-        readings = []
-        for value, rate, hw_at in [s.clock for s in states]:  # LogicalClock.read, inline
-            if hw_now < hw_at:
-                raise read_before_update(hw_now, hw_at)
-            readings.append(value + rate * (hw_now - hw_at))
-        readings = tuple(readings)
-    return states, _tuple_new(SyncMessage, (seq, readings))
+        return _tuple_new(SyncMessage, (seq + 1, (hw_now,) * len(states)))
+    readings = []
+    for value, rate, hw_at in [s.clock for s in states]:  # LogicalClock.read, inline
+        if hw_now < hw_at:
+            raise read_before_update(hw_now, hw_at)
+        readings.append(value + rate * (hw_now - hw_at))
+    return _tuple_new(SyncMessage, (seq, tuple(readings)))

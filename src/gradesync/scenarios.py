@@ -265,6 +265,8 @@ def multihop_config(params: dict, seed: int) -> SimConfig:
     for name in ("beacon_period", "nominal_freq"):
         if not params[name] > 0:
             raise ValueError(f"parameter {name} must be positive, got {params[name]}")
+    if not 0 < frac <= 1:
+        raise ValueError(f"parameter initial_step_fraction must be in (0, 1], got {frac}")
     if not 0 <= params["max_dev_ppm"] < 1e6:  # the deviation must stay below nominal_freq
         raise ValueError(
             f"parameter max_dev_ppm must be in [0, 1e6), got {params['max_dev_ppm']}"

@@ -1,17 +1,20 @@
 """Deterministic event-driven network simulator for the sync protocols.
 
-Every node owns a drifting hardware clock and one logical-clock state per
-enabled protocol.  A node broadcasts whenever its *own* hardware clock
-crosses a multiple of beacon_period * nominal_freq ticks; the reference node
-stamps each of its broadcasts with a fresh flood sequence number.  Broadcasts
-are delivered to every neighbor at the emission instant, with an independent
-Gaussian noise draw per receiver added to the payload clock values (noise
-perturbs the reported value, not the delivery time, so negative draws are
-fine).  A delivery whose sequence number the receiver already holds (a stale
-flood) never enters the event queue: its only effect would be to move the
-receiver's hardware clock to the emission instant, which is done at once.
-Fresh deliveries are queued only when another event is due at that instant;
-otherwise the queue would hand them over next, so they run at once.
+Every node owns a drifting hardware clock, the newest flood sequence number
+it holds and one logical-clock state per enabled protocol.  A node broadcasts
+whenever its *own* hardware clock crosses a multiple of beacon_period *
+nominal_freq ticks; the reference node stamps each of its broadcasts with a
+fresh flood sequence number.  Broadcasts are delivered to every neighbor at
+the emission instant, with an independent Gaussian noise draw per receiver
+added to the payload clock values (noise perturbs the reported value, not the
+delivery time, so negative draws are fine).  A delivery is applied only if it
+carries a strictly newer sequence number than the receiver holds; a stale one
+only moves the receiver's hardware clock to the emission instant.  Stale
+floods are dropped at emission, before the event queue, and again when a
+delivery runs, which catches two floods with one number reaching a node at
+the same instant.  Fresh deliveries are queued only when another event is
+due at that instant; otherwise the queue would hand them over next, so they
+run at once.
 
 A trace sample only advances the hardware clocks and keeps their readings.
 The logical readings and rate multipliers are assembled from a log of the
@@ -40,7 +43,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .clocks import ConstantDrift, HardwareClock, LogicalClock, PiecewiseDrift, WhiteDrift
+from .clocks import ConstantDrift, DriftModel, HardwareClock, LogicalClock, WhiteDrift
 from .clocks import read_before_update
 from .errors import ContractViolation
 from .protocols import (
@@ -48,7 +51,6 @@ from .protocols import (
     PISYNC,
     PROTOCOLS,
     SyncState,
-    compute_error,
     error_scale,
     on_beacon_tick,
     on_message,
@@ -264,7 +266,7 @@ def _drift_for_node(config: SimConfig, node: int, rng: np.random.Generator):
             dev = float(rng.uniform(-config.max_deviation, config.max_deviation))
             return ConstantDrift(dev)
         raise ValueError(f"unknown drift spec: {spec!r}")
-    if isinstance(spec, (ConstantDrift, PiecewiseDrift, WhiteDrift)):
+    if isinstance(spec, DriftModel):
         return spec
     raise ValueError(f"unknown drift spec: {spec!r}")
 
@@ -373,6 +375,7 @@ def run(config: SimConfig) -> SkewTrace:
         start = [SyncState(step, clock=LogicalClock(hw, 1.0, hw)) for hw in hw_start]
         lanes.append((i, p, start, handler[p], error_scale(p, b, f0), step_size_limit(p, b, f0)))
     lane_states = [lane[2] for lane in lanes]
+    seqs = [0] * n  # the newest flood sequence number each node holds, for every lane
     # Receiver noise (and drop) draws, taken in blocks and used in draw order.
     noises = _draws(partial(delay_rng.normal, 0.0, config.delay_std))
     drops = _draws(drop_rng.random)
@@ -428,13 +431,10 @@ def run(config: SimConfig) -> SkewTrace:
             clk = clocks[who]
             mine = tuple([states[who] for states in lane_states])
             try:
-                own, msg = on_beacon_tick(mine, who == ref, clk.advance_to(t))
+                msg = on_beacon_tick(mine, seqs[who], who == ref, clk.advance_to(t))
             except ContractViolation as err:
                 raise ContractViolation(f"node {nodes[who]} at t={t:.9g}: {err}") from err
-            if own is not mine:
-                for states, st in zip(lane_states, own):
-                    states[who] = st
-            newest = lane_states[0]  # every lane holds the same sequence numbers
+            seqs[who] = msg.seq
             fresh = []
             for v in neighbors[who]:
                 # Each receiver sees the same message plus its own noise draw.
@@ -443,7 +443,7 @@ def run(config: SimConfig) -> SkewTrace:
                     continue
                 if v == ref:  # the reference never adjusts itself
                     continue
-                if msg.seq <= newest[v].seq:
+                if msg.seq <= seqs[v]:
                     # Stale: delivering it would only move v's clock to t.  No
                     # sample or event before t is pending, so do that now.
                     clocks[v].advance_to(t)
@@ -464,22 +464,20 @@ def run(config: SimConfig) -> SkewTrace:
         seq, readings = msg
         for who, noise in fresh:
             hw = clocks[who].advance_to(t)
+            if seq <= seqs[who]:
+                continue  # an earlier delivery at this instant carried the same flood
+            seqs[who] = seq
             for i, proto, states, update, scale, step_max in lanes:
-                st = states[who]
-                received = readings[i] + noise
                 try:
-                    new = update(st, seq, received, hw, scale, step_max, adaptive)
+                    new = update(states[who], readings[i] + noise, hw, scale, step_max, adaptive)
                 except ContractViolation as err:
                     raise ContractViolation(f"node {nodes[who]} at t={t:.9g}: {err}") from err
-                if new is st:
-                    continue  # stale sequence number
                 states[who] = new
                 fields, keys = logs[i]
                 fields.extend(new.clock)
                 keys.append(k * n + who)
                 if record_events:
-                    error = compute_error(st.clock.read(hw), received)
-                    events.append(SyncEvent(t, nodes[who], proto, seq, error,
+                    events.append(SyncEvent(t, nodes[who], proto, seq, new.error,
                                             new.step_size, new.clock.rate_multiplier))
     while k < n_samples:
         take_sample(k)

@@ -300,6 +300,27 @@ def test_main_oversized_sample_grid_exits_2_naming_duration_and_sample_period(
     assert err.startswith("error: ") and "duration" in err and "sample_period" in err
 
 
+@pytest.mark.parametrize("beacon_period", ["1e-300", "1e300"])
+def test_main_extreme_beacon_period_exits_2_naming_beacon_period_and_nominal_freq(
+    tmp_path, capsys, beacon_period
+):
+    # grades' step size limit overflows to inf at 1e-300 s and underflows to 0 at 1e300 s.
+    overrides = (f"beacon_period={beacon_period}", "seeds=1", "nodes=2")
+    argv = ["--scenario", "fig3-multihop", "--out", str(tmp_path)]
+    code = main(argv + [arg for o in overrides for arg in ("--set", o)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: beacon_period=") and "nominal_freq=" in err
+
+
+@pytest.mark.parametrize("fraction", ["2", "0"])
+def test_main_initial_step_fraction_outside_0_1_exits_2_naming_it(tmp_path, capsys, fraction):
+    argv = ["--scenario", "fig3-multihop", "--set", f"initial_step_fraction={fraction}"]
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: parameter initial_step_fraction must be in (0, 1], got {fraction}.0\n"
+
+
 @pytest.mark.parametrize("scenario", ["fig1-pairwise", "fig2-stepsize", "scaling"])
 def test_main_zero_rounds_exits_2_naming_rounds(tmp_path, capsys, scenario):
     code = main(["--scenario", scenario, "--set", "rounds=0", "--out", str(tmp_path)])

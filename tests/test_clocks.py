@@ -87,9 +87,9 @@ def test_advance_to_matches_advance_and_rejects_past():
 
 def test_piecewise_deviation_integrates_each_segment_exactly():
     drift = PiecewiseDrift(((0.0, 1e-4), (20.0, 5e-5)))
-    assert drift.deviation_rate(19.99) == 1e-4
-    assert drift.deviation_rate(20.0) == 5e-5
-    assert drift.deviation_rate(20.01) == 5e-5
+    assert drift.piece(19.99) == (20.0, 1e-4)
+    assert drift.piece(20.0) == (math.inf, 5e-5)
+    assert drift.piece(20.01)[1] == 5e-5
     # 20 s at 1e-4 plus 10 s at 5e-5.
     assert drift.deviation_integral(0.0, 30.0) == pytest.approx(2.5e-3, rel=1e-12)
     clock = HardwareClock(nominal_freq=1.0, drift=drift)
@@ -195,9 +195,8 @@ def test_white_segments_rate_is_bounded_and_constant_within_a_segment():
     rng = make_rng(3)
     drift = WhiteDrift(0.25, rng)
     for j in range(40):
-        r0 = drift.deviation_rate(j + 0.1)
-        r1 = drift.deviation_rate(j + 0.9)
-        assert r0 == r1
+        end, r0 = drift.piece(j + 0.1)
+        assert drift.piece(j + 0.9) == (end, r0) == (j + 1.0, r0)
         assert abs(r0) <= 0.25
 
 
@@ -208,7 +207,7 @@ def test_white_drift_validates_arguments():
     drawn.deviation_integral(0.0, 10.0)
     for drift in (fresh, drawn):
         with pytest.raises(ValueError, match="t >= 0"):
-            drift.deviation_rate(-0.5)
+            drift.deviation_rates(np.array([-0.5]))
         with pytest.raises(ValueError, match="t >= 0"):
             drift.deviation_integral(-1.0, 0.0)
         with pytest.raises(ValueError, match="t >= 0"):
@@ -374,9 +373,9 @@ def test_advances_onto_piece_ends_match_the_reference(kind, stops, quantize):
         assert reading == a.read() == b.read()
         target = b._ticks + 2.5
         assert a.time_of_tick(target) == reference_time_of_tick(b, target)
-        assert a._piece_dev == b.drift.deviation_rate(a.time)  # the piece the clock sits in
+        assert a._piece_dev == b.drift.piece(a.time)[1]  # the piece the clock sits in
         rates = a.drift.deviation_rates(np.array([t, t + 0.5]))
-        assert rates.tolist() == [b.drift.deviation_rate(t), b.drift.deviation_rate(t + 0.5)]
+        assert rates.tolist() == [b.drift.piece(t)[1], b.drift.piece(t + 0.5)[1]]
 
 
 class CountingDrift:
@@ -385,9 +384,6 @@ class CountingDrift:
     def __init__(self, inner):
         self.inner = inner
         self.integrals = 0
-
-    def deviation_rate(self, t):
-        return self.inner.deviation_rate(t)
 
     def deviation_integral(self, t0, t1):
         self.integrals += 1

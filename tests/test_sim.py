@@ -455,27 +455,26 @@ def test_stale_floods_never_reach_the_update_rule(monkeypatch):
     # to; those echoes are stale and must not be delivered at all.
     calls = []
 
-    def counted(state, *args):
-        new = sim.on_message(state, *args)
-        calls.append(new is not state)
-        return new
+    def counted(*args):
+        calls.append(args)
+        return sim.on_message(*args)
 
     monkeypatch.setattr(sim, "grades_on_message", counted)
-    run(SimConfig(**{**SAMPLING_BASE, "topology": Topology.line(50), "duration": 60.0}))
-    assert len(calls) > 49 * 10
-    assert all(calls)
+    trace = run(SimConfig(**{**SAMPLING_BASE, "topology": Topology.line(50), "duration": 60.0}))
+    applied = [(e.node, e.seq) for e in trace.events if e.protocol == GRADES]
+    assert len(calls) == len(applied) > 49 * 10
+    assert len(set(applied)) == len(applied)
 
 
 def test_each_protocol_updates_through_its_own_name(monkeypatch):
     # Every delivery, queued or handed over at once, calls each lane's update
     # under its protocol's name, so each protocol can be wrapped on its own.
-    calls = {GRADES: [], PISYNC: []}
+    calls = {GRADES: 0, PISYNC: 0}
 
     def counting(proto):
-        def update(state, *args):
-            new = sim.on_message(state, *args)
-            calls[proto].append(new is not state)
-            return new
+        def update(*args):
+            calls[proto] += 1
+            return sim.on_message(*args)
 
         return update
 
@@ -483,8 +482,20 @@ def test_each_protocol_updates_through_its_own_name(monkeypatch):
     monkeypatch.setattr(sim, "pisync_on_message", counting(PISYNC))
     trace = run(SimConfig(**SAMPLING_BASE))
     for proto in (GRADES, PISYNC):
-        assert len(calls[proto]) == sum(e.protocol == proto for e in trace.events) > 100
-        assert all(calls[proto])
+        assert calls[proto] == sum(e.protocol == proto for e in trace.events) > 100
+
+
+def test_a_flood_reaching_a_node_twice_at_one_instant_is_applied_once():
+    # With aligned phases node 4 of a diamond hears flood k from nodes 2 and 3
+    # at the same instant, one round after they do; only the first delivery counts.
+    diamond = Topology(nodes=(1, 2, 3, 4), edges=((1, 2), (1, 3), (2, 4), (3, 4)))
+    trace = run(config(topology=diamond, protocols=(GRADES, PISYNC), step_policy="adaptive",
+                       step_size=None, duration=12.0))
+    keys = [(e.node, e.protocol, e.seq) for e in trace.events]
+    assert len(set(keys)) == len(keys) == 70
+    for proto in (GRADES, PISYNC):
+        for node, last in ((2, 12), (3, 12), (4, 11)):
+            assert [e.seq for e in trace.node_events(node, proto)] == list(range(1, last + 1))
 
 
 @pytest.mark.parametrize("quantize", [False, True])
@@ -508,7 +519,7 @@ def test_trace_hw_rates_are_the_drift_models_rates_at_every_sample(kind, quantiz
     ))
     assert 5.0 in trace.times.tolist()
     for col, u in enumerate(trace.node_ids):
-        expected = [f0 + models[u].deviation_rate(t) for t in trace.times.tolist()]
+        expected = [f0 + models[u].piece(t)[1] for t in trace.times.tolist()]
         assert trace.hw_rates[:, col].tolist() == expected
 
 
