@@ -50,6 +50,13 @@ def _at_least(params: dict, name: str, least: int) -> int:
     return int(params[name])
 
 
+def _ppm_below_nominal(params: dict, name: str) -> float:
+    """A drift of ``params[name]`` ppm as a deviation, whose size must stay below f0 = 1."""
+    if not abs(params[name]) < 1e6:
+        raise ValueError(f"parameter {name} must be in (-1e6, 1e6), got {params[name]}")
+    return params[name] * 1e-6
+
+
 def _non_negative(params: dict, name: str):
     if not params[name] >= 0:
         raise ValueError(f"parameter {name} must be non-negative, got {params[name]}")
@@ -141,8 +148,8 @@ def _two_node_config(params: dict, drift, step_policy: str, step_size) -> SimCon
 
 def pairwise_config(params: dict) -> SimConfig:
     """Two nodes in normalized units; the non-reference drifts and steps down mid-run."""
-    dev0 = params["drift_ppm"] * 1e-6
-    dev1 = params["drift_ppm_after"] * 1e-6
+    dev0 = _ppm_below_nominal(params, "drift_ppm")
+    dev1 = _ppm_below_nominal(params, "drift_ppm_after")
     if not 0 < params["switch_round"] <= _at_least(params, "rounds", 1):
         raise ValueError(
             f"parameter switch_round must be in (0, rounds={params['rounds']}], "
@@ -206,7 +213,7 @@ def _run_pairwise(params: dict, out: Path) -> dict:
 
 def stepsize_configs(params: dict) -> dict[str, SimConfig]:
     """One fixed-step run per listed step size plus one adaptive run."""
-    drift = ConstantDrift(params["drift_ppm"] * 1e-6)
+    drift = ConstantDrift(_ppm_below_nominal(params, "drift_ppm"))
     configs = {
         f"const-{_fmt(s)}": _two_node_config(params, drift, "fixed", s)
         for s in params["constant_steps"]

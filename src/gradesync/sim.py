@@ -9,17 +9,14 @@ the emission instant, with an independent Gaussian noise draw per receiver
 added to the payload clock values (noise perturbs the reported value, not the
 delivery time, so negative draws are fine).  A delivery is applied only if it
 carries a strictly newer sequence number than the receiver holds; a stale one
-only moves the receiver's hardware clock to the emission instant.  Stale
-floods are dropped at emission, before the event queue, and again when a
-delivery runs, which catches two floods with one number reaching a node at
-the same instant.  Fresh deliveries are queued only when another event is
-due at that instant; otherwise the queue would hand them over next, so they
-run at once.
+only moves the receiver's hardware clock to the emission instant.  Deliveries
+are queued only when another event is due at that instant; otherwise the
+queue would hand them over next, so they run at once.
 
 A trace sample only advances the hardware clocks and keeps their readings.
-The logical readings and rate multipliers are assembled from a log of the
-accepted updates with whole-array numpy, a block of sample rows at a time,
-with the same arithmetic as ``LogicalClock.read``.
+The logical readings and rate multipliers are assembled after the event loop
+from a log of the accepted updates with whole-array numpy, with the same
+arithmetic as ``LogicalClock.read``.
 
 Determinism: all randomness comes from numpy generators spawned off a single
 SeedSequence(config.seed), one stream per purpose (phases, delays, drops, one
@@ -64,13 +61,13 @@ RANDOM_CONSTANT_DRIFT = "random-constant"
 _KIND_BEACON = 0
 _KIND_RECEIVE = 1
 
-# Largest trace grid (samples x nodes) a run may ask for.  Each protocol's
-# readings and rates take 8 bytes a cell, so this is 160 MB per array; a
-# 2,000-node line over 20 rounds needs 122k cells, a 10,000-node one 610k.
+# Largest trace grid (samples x nodes) a run may ask for.  A cell takes 8 bytes
+# of hardware reading, 8 of hardware rate, 16 per protocol for its reading and
+# rate, and up to 16 more while a protocol's readings are assembled: 160 MB per
+# array at the bound.  Each accepted update keeps 32 bytes of log per protocol
+# (its clock and its key) until the run ends.  A 2,000-node line over 20 rounds
+# needs 122k cells, a 10,000-node one 610k.
 MAX_SAMPLE_CELLS = 2 * 10**7
-# Readings are assembled from the update log this many cells (sample rows x
-# nodes) at a time, which bounds both the log and the assembly's temporaries.
-_BLOCK_CELLS = 1 << 12
 
 # The update rule under each protocol's name.  ``run`` looks these names up
 # when it starts, so each protocol's updates can be wrapped and counted on their own.
@@ -178,6 +175,10 @@ class SimConfig:
             raise ValueError("drop_probability must be in [0, 1)")
         if self.sample_period is not None and not 0 < self.sample_period < math.inf:
             raise ValueError("sample_period must be positive and finite")
+        if isinstance(self.step_size, dict) and (bad := set(self.step_size) - set(self.protocols)):
+            raise ValueError(f"step_size keys {sorted(bad, key=repr)} are not in {self.protocols}")
+        if isinstance(self.drift, dict) and (bad := set(self.drift) - set(self.topology.nodes)):
+            raise ValueError(f"drift keys {sorted(bad, key=repr)} are not topology nodes")
 
     def resolved_step_size(self, protocol: str) -> float:
         """Fixed value, or the adaptive initial step (default: half the bound)."""
@@ -276,24 +277,25 @@ def _draws(draw_block):
     return itertools.chain.from_iterable(iter(lambda: draw_block(1024).tolist(), None))
 
 
-def _assemble(carry, fields, keys, hw, k0, readings, rates) -> np.ndarray:
-    """Fill the ``readings`` and ``rates`` rows k0.. of one block; return the clocks after it.
+def _assemble(start, fields, keys, hw, readings, rates) -> None:
+    """Fill one protocol's ``readings`` and ``rates`` from its clocks and update log.
 
-    ``carry`` is the (nodes, 3) array of the logical clocks in effect before
-    row k0, ``fields``/``keys`` the update log since (see ``run``) and ``hw``
-    the block's hardware readings.  A reading is ``value + rate * (hw - hw_at)``
-    of the latest update that row sees, as ``LogicalClock.read`` computes it.
+    ``start`` is the (nodes, 3) array of the logical clocks the nodes start
+    with, ``fields``/``keys`` the update log (see ``run``) and ``hw`` the
+    (samples, nodes) hardware readings.  A reading is ``value + rate * (hw - hw_at)``
+    of the latest update that sample sees, as ``LogicalClock.read`` computes it.
+    Updates after the last sample instant are seen by no sample.
     """
     rows, n = hw.shape
-    table = np.concatenate((carry, np.frombuffer(fields).reshape(-1, 3)))
-    # pick[r, i]: row of ``table`` holding node i's clock at sample k0 + r.
+    table = np.concatenate((start, np.frombuffer(fields).reshape(-1, 3)))
+    keys = np.frombuffer(keys, dtype=np.int64)
+    seen = keys < rows * n
+    # pick[r, i]: row of ``table`` holding node i's clock at sample r.
     # Later updates have larger table rows, so a running maximum down each
     # column selects the latest update a sample sees.
     pick = np.zeros((rows, n), dtype=np.int64)
     pick[0] = np.arange(n)
-    np.maximum.at(
-        pick.reshape(-1), np.frombuffer(keys, dtype=np.int64) - k0 * n, np.arange(n, len(table))
-    )
+    np.maximum.at(pick.reshape(-1), keys[seen], np.arange(n, len(table))[seen])
     np.maximum.accumulate(pick, axis=0, out=pick)
     value, rate, hw_at = table.T
     np.subtract(hw, hw_at[pick], out=readings)
@@ -304,7 +306,6 @@ def _assemble(carry, fields, keys, hw, k0, readings, rates) -> np.ndarray:
     np.take(rate, pick, out=rates)
     readings *= rates
     readings += value[pick]
-    return table[pick[-1]]
 
 
 def run(config: SimConfig) -> SkewTrace:
@@ -368,12 +369,12 @@ def run(config: SimConfig) -> SkewTrace:
     # node's state, its update rule (looked up here, at run time), error scale
     # and step bound.  Logical clocks start at their (quantize: floored) reading.
     handler = {GRADES: grades_on_message, PISYNC: pisync_on_message}
-    hw_start = [clk.read() for clk in clocks]
+    start = [LogicalClock(hw, 1.0, hw) for hw in map(HardwareClock.read, clocks)]
     lanes = []
     for i, p in enumerate(config.protocols):
         step = config.resolved_step_size(p)
-        start = [SyncState(step, clock=LogicalClock(hw, 1.0, hw)) for hw in hw_start]
-        lanes.append((i, p, start, handler[p], error_scale(p, b, f0), step_size_limit(p, b, f0)))
+        states = [SyncState(step, clock=clock) for clock in start]
+        lanes.append((i, p, states, handler[p], error_scale(p, b, f0), step_size_limit(p, b, f0)))
     lane_states = [lane[2] for lane in lanes]
     seqs = [0] * n  # the newest flood sequence number each node holds, for every lane
     # Receiver noise (and drop) draws, taken in blocks and used in draw order.
@@ -389,101 +390,77 @@ def run(config: SimConfig) -> SkewTrace:
             push(heap, (t_first, i, _KIND_BEACON, next(counter), None, 0.0))
     # The sample instants, then a sentinel no event time reaches.
     sample_times = [k * sample_period for k in range(n_samples)] + [math.inf]
-    shape = (n_samples, n)
-    readings_out = {p: np.empty(shape) for p in config.protocols}
-    rates_out = {p: np.empty(shape) for p in config.protocols}
-    hw_rates_out = np.empty(shape)
-    events: list[SyncEvent] = []
     # A sample only moves the clocks and keeps their readings; the logical
-    # readings of a block of rows are assembled once the block is full, from
-    # the clock each node had before it and the updates accepted since.  A
-    # lane's log holds each accepted clock's (value, rate, hw) fields and
-    # k * n + node, where k is the first sample that sees the update.
-    block_rows = max(1, _BLOCK_CELLS // n)
-    hw_block = np.empty((min(block_rows, n_samples), n))
+    # readings are assembled after the loop.  A lane's log holds each accepted
+    # clock's (value, rate, hw) fields and k * n + node, where k is the first
+    # sample that sees the update.
+    hw_grid = np.empty((n_samples, n))
     logs = [(array("d"), array("q")) for _ in lanes]
-    carry = [np.array([st.clock for st in states]) for states in lane_states]
-    k0 = 0  # first row of the current block
-
-    def take_sample(k: int) -> None:
-        nonlocal k0
-        t = sample_times[k]
-        hw_block[k - k0] = [clk.advance_to(t) for clk in clocks]
-        if k + 1 == min(k0 + block_rows, n_samples):
-            for (i, proto, *_), (fields, keys) in zip(lanes, logs):
-                carry[i] = _assemble(
-                    carry[i], fields, keys, hw_block[: k + 1 - k0], k0,
-                    readings_out[proto][k0 : k + 1], rates_out[proto][k0 : k + 1],
-                )
-                del fields[:], keys[:]
-            k0 = k + 1
+    events: list[SyncEvent] = []
 
     # A trace sample at time t is taken before every node event at t, so a
     # sample sees the state left by all earlier events and none of the later.
     k = 0
-    while heap:
-        t, who, kind, _, msg, noise = pop(heap)
-        while sample_times[k] <= t:
-            take_sample(k)
-            k += 1
+    try:
+        while heap:
+            t, who, kind, _, msg, noise = pop(heap)
+            while sample_times[k] <= t:
+                hw_grid[k] = [clk.advance_to(sample_times[k]) for clk in clocks]
+                k += 1
 
-        if kind == _KIND_BEACON:
-            clk = clocks[who]
-            mine = tuple([states[who] for states in lane_states])
-            try:
+            if kind == _KIND_BEACON:
+                clk = clocks[who]
+                mine = tuple([states[who] for states in lane_states])
                 msg = on_beacon_tick(mine, seqs[who], who == ref, clk.advance_to(t))
-            except ContractViolation as err:
-                raise ContractViolation(f"node {nodes[who]} at t={t:.9g}: {err}") from err
-            seqs[who] = msg.seq
-            fresh = []
-            for v in neighbors[who]:
-                # Each receiver sees the same message plus its own noise draw.
-                noise = next(noises) * f0
-                if p_drop > 0 and next(drops) < p_drop:
+                seqs[who] = msg.seq
+                deliveries = []
+                for v in neighbors[who]:
+                    # Each receiver sees the same message plus its own noise draw.
+                    noise = next(noises) * f0
+                    if p_drop > 0 and next(drops) < p_drop:
+                        continue
+                    if v != ref:  # the reference never adjusts itself
+                        deliveries.append((v, noise))
+                next_target[who] += round_ticks
+                t_next = clk.time_of_tick(next_target[who])
+                if t_next <= duration:
+                    push(heap, (t_next, who, _KIND_BEACON, next(counter), None, 0.0))
+                # Unless another event is due at t, the queue would hand these
+                # over next: run them now.
+                if heap and heap[0][0] <= t:
+                    for v, noise in deliveries:
+                        push(heap, (t, v, _KIND_RECEIVE, next(counter), msg, noise))
                     continue
-                if v == ref:  # the reference never adjusts itself
-                    continue
-                if msg.seq <= seqs[v]:
-                    # Stale: delivering it would only move v's clock to t.  No
-                    # sample or event before t is pending, so do that now.
-                    clocks[v].advance_to(t)
-                else:
-                    fresh.append((v, noise))
-            next_target[who] += round_ticks
-            t_next = clk.time_of_tick(next_target[who])
-            if t_next <= duration:
-                push(heap, (t_next, who, _KIND_BEACON, next(counter), None, 0.0))
-            # Unless another event is due at t, the queue would hand these over next: run them now.
-            if heap and heap[0][0] <= t:
-                for v, noise in fresh:
-                    push(heap, (t, v, _KIND_RECEIVE, next(counter), msg, noise))
-                continue
-        else:
-            fresh = ((who, noise),)
+            else:
+                deliveries = ((who, noise),)
 
-        seq, readings = msg
-        for who, noise in fresh:
-            hw = clocks[who].advance_to(t)
-            if seq <= seqs[who]:
-                continue  # an earlier delivery at this instant carried the same flood
-            seqs[who] = seq
-            for i, proto, states, update, scale, step_max in lanes:
-                try:
+            seq, readings = msg
+            for who, noise in deliveries:
+                hw = clocks[who].advance_to(t)
+                if seq <= seqs[who]:
+                    continue  # stale: this node already holds this flood or a newer one
+                seqs[who] = seq
+                for i, proto, states, update, scale, step_max in lanes:
                     new = update(states[who], readings[i] + noise, hw, scale, step_max, adaptive)
-                except ContractViolation as err:
-                    raise ContractViolation(f"node {nodes[who]} at t={t:.9g}: {err}") from err
-                states[who] = new
-                fields, keys = logs[i]
-                fields.extend(new.clock)
-                keys.append(k * n + who)
-                if record_events:
-                    events.append(SyncEvent(t, nodes[who], proto, seq, new.error,
-                                            new.step_size, new.clock.rate_multiplier))
-    while k < n_samples:
-        take_sample(k)
-        k += 1
+                    states[who] = new
+                    fields, keys = logs[i]
+                    fields.extend(new.clock)
+                    keys.append(k * n + who)
+                    if record_events:
+                        events.append(SyncEvent(t, nodes[who], proto, seq, new.error,
+                                                new.step_size, new.clock.rate_multiplier))
+    except ContractViolation as err:
+        raise ContractViolation(f"node {nodes[who]} at t={t:.9g}: {err}") from err
+    for k in range(k, n_samples):
+        hw_grid[k] = [clk.advance_to(sample_times[k]) for clk in clocks]
+    shape = (n_samples, n)
+    readings_out = {p: np.empty(shape) for p in config.protocols}
+    rates_out = {p: np.empty(shape) for p in config.protocols}
+    for (_, proto, *_), (fields, keys) in zip(lanes, logs):
+        _assemble(np.array(start), fields, keys, hw_grid, readings_out[proto], rates_out[proto])
     # hw_rates[k, i] is the drift model's deviation at sample k plus f0.
     times = np.asarray(sample_times[:n_samples])
+    hw_rates_out = np.empty(shape)
     for i, clk in enumerate(clocks):
         hw_rates_out[:, i] = clk.drift.deviation_rates(times) + f0
 
@@ -542,6 +519,8 @@ def scaling_experiment(
     ("random") phases add a full refresh of relay state per hop of propagation
     lag, which decorrelates the nodes and steepens the measured growth.
     """
+    if len({int(d) for d in diameters}) < len(diameters):
+        raise ValueError(f"diameters must not repeat, got {tuple(diameters)}")
     rows = []
     for d in diameters:
         for seed in seeds:

@@ -228,6 +228,7 @@ def test_set_overrides_beat_config_file_values(tmp_path, capsys):
         ("scaling", "diameters=", "diameters"),
         ("scaling", "diameters=4,x", "diameters"),
         ("scaling", "diameters=0,4", "diameters"),
+        ("scaling", "diameters=4,4,9", "diameters"),  # a repeat would run twice
         ("fig1-pairwise", "switch_round=100", "switch_round"),  # past rounds=60
         ("fig2-stepsize", "constant_steps=abc", "constant_steps"),
     ],
@@ -276,6 +277,9 @@ def test_main_non_finite_or_zero_value_exits_2_naming_the_parameter(
         ("theory-check", "tolerance=-1", "tolerance"),
         ("fig3-multihop", "max_dev_ppm=-5", "max_dev_ppm"),
         ("fig3-multihop", "max_dev_ppm=1e6", "max_dev_ppm"),  # the deviation reaches f0
+        ("fig1-pairwise", "drift_ppm=2e6", "drift_ppm"),
+        ("fig1-pairwise", "drift_ppm_after=-1e6", "drift_ppm_after"),
+        ("fig2-stepsize", "drift_ppm=2e6", "drift_ppm"),
     ],
 )
 def test_main_out_of_range_value_exits_2_naming_the_parameter(
@@ -285,6 +289,23 @@ def test_main_out_of_range_value_exits_2_naming_the_parameter(
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and parameter in err
+
+
+@pytest.mark.parametrize(
+    "make, parameter, value",
+    [
+        (scenarios.pairwise_config, "drift_ppm", 1e6),
+        (scenarios.pairwise_config, "drift_ppm_after", -2e6),
+        (scenarios.stepsize_configs, "drift_ppm", -1e6),
+        (scenarios.stepsize_configs, "drift_ppm", math.nan),
+    ],
+)
+def test_drift_of_a_million_ppm_or_more_is_rejected_naming_the_parameter(make, parameter, value):
+    # At 1e6 ppm the deviation reaches the nominal frequency of 1.
+    scenario = "fig1-pairwise" if make is scenarios.pairwise_config else "fig2-stepsize"
+    params = {**SCENARIOS[scenario].defaults, parameter: value}
+    with pytest.raises(ValueError, match=rf"parameter {parameter} must be in \(-1e6, 1e6\)"):
+        make(params)
 
 
 def test_main_oversized_sample_grid_exits_2_naming_duration_and_sample_period(

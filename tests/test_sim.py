@@ -146,6 +146,13 @@ def test_sim_config_validation():
         config(drop_probability=1.0)
     with pytest.raises(ValueError):
         config(sample_period=0.0)
+    # A dict key the run would ignore leaves its default in place: limit / 2, or no drift.
+    with pytest.raises(ValueError, match=r"step_size keys \['grade'\]"):
+        config(step_policy="adaptive", step_size={"grade": 0.01})
+    with pytest.raises(ValueError, match=r"step_size keys \['pisync'\]"):
+        config(step_size={GRADES: 0.5, PISYNC: 1.0})
+    with pytest.raises(ValueError, match=r"drift keys \[9\]"):
+        config(topology=Topology.line(3), drift={9: ConstantDrift(1e-4)})
 
 
 def test_step_size_resolution_rules():
@@ -416,21 +423,13 @@ def test_sampling_cases_match_their_recorded_hash(case):
     assert trace_digest(trace) == SAMPLING_SHA256[case]
 
 
-@pytest.mark.parametrize("block_cells", [1, 7, 20])
-@pytest.mark.parametrize("case", sorted(SAMPLING_CASES))
-def test_assembly_block_size_does_not_change_the_trace(case, block_cells, monkeypatch):
-    # One row per block, blocks that split the 6-node rows unevenly, and more.
-    monkeypatch.setattr(sim, "_BLOCK_CELLS", block_cells)
-    trace = run(SimConfig(**{**SAMPLING_BASE, **SAMPLING_CASES[case]}))
-    assert trace_digest(trace) == SAMPLING_SHA256[case]
-
-
 def test_assembly_reads_each_sample_from_the_latest_update_it_sees():
     clocks = [LogicalClock(0.0, 1.0, 0.0), LogicalClock(5.0, 1.0, 5.0)]
     updates = [  # (first sample that sees it, node, clock)
         (1, 0, LogicalClock(2.5, 1.25, 2.0)),
         (1, 0, LogicalClock(3.0, 0.75, 2.5)),  # same node and sample: this one wins
         (2, 1, LogicalClock(9.0, 1.5, 8.0)),
+        (3, 0, LogicalClock(7.0, 2.0, 9.5)),  # after the last sample: no sample sees it
     ]
     fields, keys = array("d"), array("q")
     for k, node, clock in updates:
@@ -438,16 +437,41 @@ def test_assembly_reads_each_sample_from_the_latest_update_it_sees():
         keys.append(k * 2 + node)
     hw = np.array([[0.0, 5.0], [3.0, 7.0], [4.0, 9.0]])
     readings, rates = np.empty((3, 2)), np.empty((3, 2))
-    carry = sim._assemble(np.array(clocks), fields, keys, hw, 0, readings, rates)
+    sim._assemble(np.array(clocks), fields, keys, hw, readings, rates)
     expected = [[clocks[0], clocks[1]], [updates[1][2], clocks[1]], [updates[1][2], updates[2][2]]]
     for r, row in enumerate(expected):
         assert readings[r].tolist() == [c.read(h) for c, h in zip(row, hw[r])]
         assert rates[r].tolist() == [c.rate_multiplier for c in row]
-    assert carry.tolist() == [list(updates[1][2]), list(updates[2][2])]
     # A sample whose hardware reading is below its clock's anchor breaks the contract.
+    latest = np.array([updates[1][2], updates[2][2]])
     with pytest.raises(ContractViolation, match="before last update hw=8.0"):
-        sim._assemble(carry, array("d"), array("q"), np.array([[4.0, 7.5]]), 3, readings[:1],
+        sim._assemble(latest, array("d"), array("q"), np.array([[4.0, 7.5]]), readings[:1],
                       rates[:1])
+
+
+@pytest.mark.parametrize("case", sorted(SAMPLING_CASES))
+def test_assembly_equals_reading_the_latest_logged_clock_at_each_sample(case, monkeypatch):
+    # The whole-log numpy pass against a sample-by-sample replay of the same
+    # update log through LogicalClock.read.
+    real, assembled = sim._assemble, []
+
+    def checked(start, fields, keys, hw, readings, rates):
+        real(start, fields, keys, hw, readings, rates)
+        assembled.append(len(keys))
+        rows, n = hw.shape
+        latest = [LogicalClock(*c) for c in start.tolist()]
+        log = sorted((key // n, j, key % n) for j, key in enumerate(keys))
+        for r in range(rows):
+            while log and log[0][0] <= r:
+                _, j, node = log.pop(0)
+                latest[node] = LogicalClock(*fields[3 * j:3 * j + 3])
+            assert readings[r].tolist() == [c.read(h) for c, h in zip(latest, hw[r].tolist())]
+            assert rates[r].tolist() == [c.rate_multiplier for c in latest]
+        assert all(k >= rows for k, _, _ in log)  # what is left no sample sees
+
+    monkeypatch.setattr(sim, "_assemble", checked)
+    trace = run(SimConfig(**{**SAMPLING_BASE, **SAMPLING_CASES[case]}))
+    assert len(assembled) == len(trace.protocols)
 
 
 def test_stale_floods_never_reach_the_update_rule(monkeypatch):
@@ -568,6 +592,31 @@ def test_mis_scaled_step_failure_reports_node_and_time():
         run(cfg)
 
 
+@pytest.mark.parametrize("entry", ["beacon", "delivery"])
+def test_contract_violation_names_the_node_whose_event_raised(entry, monkeypatch):
+    # A beacon's failure is its emitter's, a delivery's its receiver's.
+    cfg = config(topology=Topology.line(3), duration=5.0)
+    if entry == "beacon":
+        # Aligned phases and no drift: at t = 1 nodes 1, 2, 3 beacon in id order.
+        name, fail_at, where = "on_beacon_tick", 3, (3, 1.0)
+    else:
+        # The first update node 3 receives, found from the plain run's events.
+        events = run(cfg).events
+        fail_at = [e.node for e in events].index(3) + 1
+        name, where = "grades_on_message", (3, events[fail_at - 1].time)
+    real, calls = getattr(sim, name), []
+
+    def failing(*args):
+        calls.append(args)
+        if len(calls) == fail_at:
+            raise ContractViolation("boom")
+        return real(*args)
+
+    monkeypatch.setattr(sim, name, failing)
+    with pytest.raises(ContractViolation, match=rf"^node {where[0]} at t={where[1]:.9g}: boom$"):
+        run(cfg)
+
+
 def test_quantized_hardware_still_synchronizes_coarsely():
     cfg = config(
         beacon_period=1.0,
@@ -669,6 +718,12 @@ def test_scaling_experiment_is_quiet_without_noise_and_deterministic():
     assert {d for d, _, _ in a.rows} == {1, 2}
     assert set(a.aggregate) == {1, 2}
     assert all(m > 0 for _, _, m in a.rows)
+
+
+def test_scaling_experiment_rejects_a_repeated_diameter():
+    # Running a diameter twice would duplicate its rows and misstate its spread.
+    with pytest.raises(ValueError, match="diameters"):
+        scaling_experiment((4, 4, 9), (0, 1), rounds=10)
 
 
 # ---------------------------------------------------------------- CSV output
