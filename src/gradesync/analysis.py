@@ -41,6 +41,8 @@ class SystemParams:
     max_deviation   white frequency-deviation bound, ticks per second
     delay_std       per-message delay noise std, seconds
     step_size       protocol step size
+
+    Every field must be finite; the noise levels may be 0, the others not.
     """
 
     beacon_period: float
@@ -50,12 +52,12 @@ class SystemParams:
     delay_std: float = 0.0
 
     def __post_init__(self):
-        if self.beacon_period <= 0 or self.nominal_freq <= 0:
-            raise ValueError("beacon_period and nominal_freq must be positive")
-        if self.step_size <= 0:
-            raise ValueError("step_size must be positive")
-        if self.max_deviation < 0 or self.delay_std < 0:
-            raise ValueError("noise levels must be non-negative")
+        noise = ("max_deviation", "delay_std")
+        for name in ("beacon_period", "nominal_freq", "step_size") + noise:
+            x = getattr(self, name)
+            if not (0 <= x < math.inf if name in noise else 0 < x < math.inf):
+                sign = ">=" if name in noise else ">"
+                raise ValueError(f"{name} must be finite and {sign} 0, got {x}")
 
     def normalized(self, protocol: str) -> "SystemParams":
         """Equivalent parameters in round/nominal-tick units (B=1, f0=1).

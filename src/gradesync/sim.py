@@ -9,9 +9,7 @@ the emission instant, with an independent Gaussian noise draw per receiver
 added to the payload clock values (noise perturbs the reported value, not the
 delivery time, so negative draws are fine).  A delivery is applied only if it
 carries a strictly newer sequence number than the receiver holds; a stale one
-only moves the receiver's hardware clock to the emission instant.  Deliveries
-are queued only when another event is due at that instant; otherwise the
-queue would hand them over next, so they run at once.
+only moves the receiver's hardware clock to the emission instant.
 
 A trace sample only advances the hardware clocks and keeps their readings.
 The logical readings and rate multipliers are assembled after the event loop
@@ -20,12 +18,16 @@ arithmetic as ``LogicalClock.read``.
 
 Determinism: all randomness comes from numpy generators spawned off a single
 SeedSequence(config.seed), one stream per purpose (phases, delays, drops, one
-drift stream per node).  Simultaneous events are ordered by
-(time, node id, event kind, insertion index) with beacons ranked before
-receptions, so a node's beacon at time t always carries its pre-reception
-state and floods propagate one hop per round even with perfectly aligned
-clocks.  Identical configs produce bit-identical traces, and a protocol's
-trace does not depend on which other protocols are enabled alongside it.
+drift stream per node).  The event queue holds only beacons, ordered by
+(time, node id).  Each instant t is handled whole: first the trace samples
+due at or before t, then every beacon due at t in node-id order, each built
+from its sender's state before t and drawing its receivers' noise and drop
+values in neighbor order, and last the deliveries those beacons made, in the
+order they were sent; ``SkewTrace.events`` lists the accepted ones in that
+order.  So a beacon always carries its sender's pre-instant state and floods
+propagate one hop per round even with perfectly aligned clocks.  Identical
+configs produce bit-identical traces, and a protocol's trace does not depend
+on which other protocols are enabled alongside it.
 """
 
 from __future__ import annotations
@@ -58,15 +60,12 @@ from .protocols import (
 WHITE_DRIFT = "white"
 RANDOM_CONSTANT_DRIFT = "random-constant"
 
-_KIND_BEACON = 0
-_KIND_RECEIVE = 1
-
 # Largest trace grid (samples x nodes) a run may ask for.  A cell takes 8 bytes
 # of hardware reading, 8 of hardware rate, 16 per protocol for its reading and
 # rate, and up to 16 more while a protocol's readings are assembled: 160 MB per
-# array at the bound.  Each accepted update keeps 32 bytes of log per protocol
-# (its clock and its key) until the run ends.  A 2,000-node line over 20 rounds
-# needs 122k cells, a 10,000-node one 610k.
+# array at the bound.  Each accepted delivery keeps one 8-byte key plus 24 bytes
+# per protocol (its clock) of log until the run ends.  A 2,000-node line over
+# 20 rounds needs 122k cells, a 10,000-node one 610k.
 MAX_SAMPLE_CELLS = 2 * 10**7
 
 # The update rule under each protocol's name.  ``run`` looks these names up
@@ -355,7 +354,7 @@ def run(config: SimConfig) -> SkewTrace:
     duration, p_drop = config.duration, config.drop_probability
     record_events = config.record_events
     # Node state lives in lists indexed by the node's position in ``nodes``;
-    # heap keys carry that index, which orders events exactly as node ids do.
+    # heap entries carry that index, which orders beacons exactly as node ids do.
     index = {u: i for i, u in enumerate(nodes)}
     ref = index[topo.reference]
     clocks: list[HardwareClock] = []
@@ -381,71 +380,62 @@ def run(config: SimConfig) -> SkewTrace:
     noises = _draws(partial(delay_rng.normal, 0.0, config.delay_std))
     drops = _draws(drop_rng.random)
 
-    counter = itertools.count()
-    heap: list[tuple] = []
+    # The beacon schedule: the (time, node index) of every node's next beacon.
+    heap: list[tuple[float, int]] = []
     push, pop = heapq.heappush, heapq.heappop
     for i, clk in enumerate(clocks):
         t_first = clk.time_of_tick(next_target[i])
         if t_first <= duration:
-            push(heap, (t_first, i, _KIND_BEACON, next(counter), None, 0.0))
+            push(heap, (t_first, i))
     # The sample instants, then a sentinel no event time reaches.
     sample_times = [k * sample_period for k in range(n_samples)] + [math.inf]
     # A sample only moves the clocks and keeps their readings; the logical
-    # readings are assembled after the loop.  A lane's log holds each accepted
-    # clock's (value, rate, hw) fields and k * n + node, where k is the first
-    # sample that sees the update.
+    # readings are assembled after the loop.  The update log holds, per lane,
+    # each accepted clock's (value, rate, hw) fields and, once for all lanes,
+    # k * n + node, where k is the first sample that sees the update.
     hw_grid = np.empty((n_samples, n))
-    logs = [(array("d"), array("q")) for _ in lanes]
+    fields_logs = [array("d") for _ in lanes]
+    keys = array("q")
     events: list[SyncEvent] = []
 
-    # A trace sample at time t is taken before every node event at t, so a
-    # sample sees the state left by all earlier events and none of the later.
+    # One instant t at a time, as the module docstring states.  The samples
+    # due come first, so a sample sees every earlier instant and nothing of t.
     k = 0
     try:
         while heap:
-            t, who, kind, _, msg, noise = pop(heap)
+            t = heap[0][0]
             while sample_times[k] <= t:
                 hw_grid[k] = [clk.advance_to(sample_times[k]) for clk in clocks]
                 k += 1
-
-            if kind == _KIND_BEACON:
+            sent = []
+            while heap and heap[0][0] <= t:
+                who = pop(heap)[1]
                 clk = clocks[who]
                 mine = tuple([states[who] for states in lane_states])
                 msg = on_beacon_tick(mine, seqs[who], who == ref, clk.advance_to(t))
                 seqs[who] = msg.seq
-                deliveries = []
                 for v in neighbors[who]:
                     # Each receiver sees the same message plus its own noise draw.
                     noise = next(noises) * f0
                     if p_drop > 0 and next(drops) < p_drop:
                         continue
                     if v != ref:  # the reference never adjusts itself
-                        deliveries.append((v, noise))
+                        sent.append((v, msg, noise))
                 next_target[who] += round_ticks
                 t_next = clk.time_of_tick(next_target[who])
                 if t_next <= duration:
-                    push(heap, (t_next, who, _KIND_BEACON, next(counter), None, 0.0))
-                # Unless another event is due at t, the queue would hand these
-                # over next: run them now.
-                if heap and heap[0][0] <= t:
-                    for v, noise in deliveries:
-                        push(heap, (t, v, _KIND_RECEIVE, next(counter), msg, noise))
-                    continue
-            else:
-                deliveries = ((who, noise),)
-
-            seq, readings = msg
-            for who, noise in deliveries:
+                    push(heap, (t_next, who))
+            # A delivery changes only its receiver's state and draws nothing.
+            for who, (seq, readings), noise in sent:
                 hw = clocks[who].advance_to(t)
                 if seq <= seqs[who]:
                     continue  # stale: this node already holds this flood or a newer one
                 seqs[who] = seq
+                keys.append(k * n + who)
                 for i, proto, states, update, scale, step_max in lanes:
                     new = update(states[who], readings[i] + noise, hw, scale, step_max, adaptive)
                     states[who] = new
-                    fields, keys = logs[i]
-                    fields.extend(new.clock)
-                    keys.append(k * n + who)
+                    fields_logs[i].extend(new.clock)
                     if record_events:
                         events.append(SyncEvent(t, nodes[who], proto, seq, new.error,
                                                 new.step_size, new.clock.rate_multiplier))
@@ -456,7 +446,7 @@ def run(config: SimConfig) -> SkewTrace:
     shape = (n_samples, n)
     readings_out = {p: np.empty(shape) for p in config.protocols}
     rates_out = {p: np.empty(shape) for p in config.protocols}
-    for (_, proto, *_), (fields, keys) in zip(lanes, logs):
+    for (_, proto, *_), fields in zip(lanes, fields_logs):
         _assemble(np.array(start), fields, keys, hw_grid, readings_out[proto], rates_out[proto])
     # hw_rates[k, i] is the drift model's deviation at sample k plus f0.
     times = np.asarray(sample_times[:n_samples])

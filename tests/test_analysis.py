@@ -287,6 +287,13 @@ def test_system_params_validation():
         SystemParams(beacon_period=1.0, nominal_freq=1.0, step_size=0.1, delay_std=-1.0)
     with pytest.raises(ValueError):
         params(step=0.1).normalized("ntp")
+    # Non-finite values would make variance and eigenvalues nan or infinite.
+    nan, inf = math.nan, math.inf
+    base = dict(beacon_period=1.0, nominal_freq=1.0, step_size=0.1)
+    for name, value in (("beacon_period", nan), ("beacon_period", inf), ("step_size", nan),
+                        ("max_deviation", nan), ("delay_std", inf)):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            SystemParams(**{**base, name: value})
 
 
 # ---------------------------------------------------------------- unknown protocols

@@ -491,8 +491,8 @@ def test_stale_floods_never_reach_the_update_rule(monkeypatch):
 
 
 def test_each_protocol_updates_through_its_own_name(monkeypatch):
-    # Every delivery, queued or handed over at once, calls each lane's update
-    # under its protocol's name, so each protocol can be wrapped on its own.
+    # Every accepted delivery calls each lane's update under its protocol's
+    # name, so each protocol can be wrapped on its own.
     calls = {GRADES: 0, PISYNC: 0}
 
     def counting(proto):
@@ -507,6 +507,20 @@ def test_each_protocol_updates_through_its_own_name(monkeypatch):
     trace = run(SimConfig(**SAMPLING_BASE))
     for proto in (GRADES, PISYNC):
         assert calls[proto] == sum(e.protocol == proto for e in trace.events) > 100
+
+
+def test_an_instant_sends_all_its_beacons_then_applies_their_deliveries_in_order_sent():
+    # Aligned clocks beacon together at every whole second, in node order.  At
+    # t=2 node 1 sends flood 1 (heard at t=1) to node 3, then the reference,
+    # node 2, sends flood 2 to node 1: the deliveries run in that order.
+    star = Topology(nodes=(1, 2, 3), edges=((1, 2), (1, 3)), reference=2)
+    trace = run(config(topology=star, step_size=0.25, duration=3.0))
+    assert [(e.time, e.node, e.seq) for e in trace.events if e.time == 2.0] == [
+        (2.0, 3, 1),
+        (2.0, 1, 2),
+    ]
+    own = {u: [(e.time, e.seq) for e in trace.node_events(u, GRADES)] for u in star.nodes}
+    assert own == {1: [(1.0, 1), (2.0, 2), (3.0, 3)], 2: [], 3: [(2.0, 1), (3.0, 2)]}
 
 
 def test_a_flood_reaching_a_node_twice_at_one_instant_is_applied_once():
