@@ -190,7 +190,9 @@ def estimate_variance_mc(
     genuinely independent.
     """
     if noise_convention not in ("iid", "difference"):
-        raise ValueError(f"unknown noise convention: {noise_convention!r}")
+        raise ValueError(
+            f"noise_convention must be 'iid' or 'difference', got {noise_convention!r}"
+        )
     if rounds < 2:
         raise ValueError("need at least 2 rounds")
     if trials < 1:

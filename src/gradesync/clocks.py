@@ -1,22 +1,22 @@
 """Clock primitives.
 
-A hardware clock accumulates ticks at an instantaneous frequency
-``nominal_freq + deviation(t)`` where the deviation is produced by a drift
-model whose bound ``max_abs_deviation()`` stays below ``nominal_freq`` (so
-trajectories are strictly increasing).  Its state is its real time, its tick
-count and the drift piece that time lies in; ``advance_to`` moves it forward
-and returns the reading there.  A logical clock maps hardware ticks to
-an estimate of global time through an offset and a rate multiplier, and is
-only ever updated at discrete sync events.
+Every drift model is a piecewise-constant frequency deviation given by one
+piece list: ``devs[i]`` holds from ``starts[i]`` until ``starts[i + 1]``, so
+``starts`` has one entry more than ``devs``, the end of the last piece.  That
+end is inf, except in :class:`WhiteDrift`, which draws its pieces a chunk at a
+time (``extend``) as far as they are asked for.  A model's bound
+``max_abs_deviation()`` stays below ``nominal_freq`` so readings increase.
 
-Drift models (:class:`ConstantDrift`, :class:`PiecewiseDrift`,
-:class:`WhiteDrift`) are defined by their pieces: ``piece(t)`` gives the
-constant stretch that contains ``t`` as ``(end, deviation)``.  Walking the
-pieces integrates the deviation exactly over any interval
-(:meth:`DriftModel.deviation_integral`) and inverts the trajectory to find the
-real time at which a tick target is crossed, which is what the event
-simulator needs to schedule beacons.  ``deviation_rates`` gives the deviation
-at an array of times in one numpy call.
+A hardware clock's reading is a pure function of real time.  On piece i it is
+``knots[i] + (f0 + devs[i]) * (t - starts[i])``, where ``knots[0]`` is the
+start reading and each later knot is the previous piece's formula at its end,
+so readings never decrease, not even from one float to the next.
+``advance_to(t)`` gives the reading at one time, ``sample(times)`` the readings
+at an array of times in one numpy pass with the same arithmetic, and
+``time_of_tick`` inverts the same pieces, which is what the event simulator
+needs to schedule beacons.  A logical clock maps hardware ticks to an estimate
+of global time through an offset and a rate multiplier, and is only ever
+updated at discrete sync events.
 
 All randomness flows through numpy ``Generator`` objects injected at
 construction, so a (seed, config) pair fully determines every trajectory.
@@ -37,15 +37,20 @@ _SEGMENT_CHUNK = 256
 
 
 class DriftModel:
-    """A piecewise-constant frequency deviation, given by ``piece(t) -> (end, deviation)``."""
+    """A piecewise-constant deviation: ``devs[i]`` from ``starts[i]`` to ``starts[i + 1]``."""
 
     def deviation_integral(self, t0: float, t1: float) -> float:
         """Sum of deviation * overlap over the pieces from ``t0`` to ``t1``."""
-        total, start = 0.0, t0
+        if t0 < 0:
+            raise ValueError("drift is defined for t >= 0")
+        while self.starts[-1] < t1:
+            self.extend()
+        starts, devs = self.starts, self.devs
+        total, start, i = 0.0, t0, bisect_right(starts, t0) - 1
         while start < t1:
-            end, dev = self.piece(start)
-            total += dev * (min(end, t1) - start)
-            start = end
+            end = starts[i + 1]
+            total += devs[i] * (min(end, t1) - start)
+            start, i = end, i + 1
         return total
 
 
@@ -59,11 +64,13 @@ class ConstantDrift(DriftModel):
         if not math.isfinite(self.deviation):
             raise ValueError("drift deviation must be finite")
 
-    def deviation_rates(self, times: np.ndarray) -> np.ndarray:
-        return np.full(len(times), self.deviation)
+    @property
+    def starts(self) -> tuple[float, ...]:
+        return (0.0, math.inf)
 
-    def piece(self, t: float) -> tuple[float, float]:
-        return math.inf, self.deviation
+    @property
+    def devs(self) -> tuple[float, ...]:
+        return (self.deviation,)
 
     def max_abs_deviation(self) -> float:
         return abs(self.deviation)
@@ -84,19 +91,16 @@ class PiecewiseDrift(DriftModel):
             raise ValueError("drift schedule must start at time 0")
         if not all(math.isfinite(x) for step in self.steps for x in step):
             raise ValueError("drift schedule must be finite")
-        starts = [s for s, _ in self.steps]
-        if any(b <= a for a, b in zip(starts, starts[1:])):
+        if any(b <= a for a, b in zip(self.starts, self.starts[1:])):
             raise ValueError("drift schedule start times must be increasing")
 
-    def deviation_rates(self, times: np.ndarray) -> np.ndarray:
-        """The deviation at each of ``times`` (all >= 0), in one search."""
-        starts, devs = np.array(self.steps, dtype=float).T
-        return devs[np.searchsorted(starts, times, side="right") - 1]
+    @property
+    def starts(self) -> tuple[float, ...]:
+        return tuple([s for s, _ in self.steps]) + (math.inf,)
 
-    def piece(self, t: float) -> tuple[float, float]:
-        i = max(bisect_right([s for s, _ in self.steps], t) - 1, 0)
-        end = self.steps[i + 1][0] if i + 1 < len(self.steps) else math.inf
-        return end, self.steps[i][1]
+    @property
+    def devs(self) -> tuple[float, ...]:
+        return tuple([d for _, d in self.steps])
 
     def max_abs_deviation(self) -> float:
         return max(abs(d) for _, d in self.steps)
@@ -116,44 +120,28 @@ class WhiteDrift(DriftModel):
             raise ValueError("max_deviation must be non-negative")
         self.max_deviation = float(max_deviation)
         self._rng = rng
-        self._segments: list[float] = []
+        self.starts: list[float] = [0.0]
+        self.devs: list[float] = []
 
-    def _segment(self, j: int) -> float:
-        if j < 0:
-            raise ValueError("white drift is defined for t >= 0")
-        while len(self._segments) <= j:
-            draws = self._rng.uniform(-self.max_deviation, self.max_deviation, _SEGMENT_CHUNK)
-            self._segments.extend(draws.tolist())
-        return self._segments[j]
-
-    def deviation_rates(self, times: np.ndarray) -> np.ndarray:
-        """The deviation at each of ``times`` (all >= 0), drawing up to the last."""
-        self._segment(math.floor(times.max()))
-        return np.array(self._segments)[np.floor(times).astype(np.int64)]
-
-    def piece(self, t: float) -> tuple[float, float]:
-        j = math.floor(t)
-        segments = self._segments
-        return float(j + 1), segments[j] if 0 <= j < len(segments) else self._segment(j)
+    def extend(self) -> None:
+        """Draw the next ``_SEGMENT_CHUNK`` unit segments."""
+        j = len(self.devs)
+        draws = self._rng.uniform(-self.max_deviation, self.max_deviation, _SEGMENT_CHUNK)
+        self.devs.extend(draws.tolist())
+        self.starts.extend(map(float, range(j + 1, j + 1 + _SEGMENT_CHUNK)))
 
     def max_abs_deviation(self) -> float:
         return self.max_deviation
 
 
 class HardwareClock:
-    """Free-running oscillator counting ticks of a drifting frequency.
+    """Free-running oscillator whose reading is a pure function of real time.
 
-    The clock keeps its real time, its accumulated ticks and the drift piece
-    its time lies in, ``(end, deviation)``, and is advanced monotonically.  An
-    advance that stays inside that piece integrates it directly; only one that
-    crosses ``end`` asks the drift model for the integral and the next piece.
-    ``time_of_tick`` projects forward along the drift trajectory without
-    committing state, which is safe because trajectory realizations are fixed
-    once drawn.
+    It holds the knots and rates (``f0 + devs[i]``) of the pieces read so far,
+    computed in piece order, a drawn chunk at a time.
     """
 
-    __slots__ = ("nominal_freq", "drift", "quantize",
-                 "_time", "_ticks", "_piece_end", "_piece_dev")
+    __slots__ = ("nominal_freq", "drift", "quantize", "_starts", "_rates", "_knots")
 
     def __init__(
         self, nominal_freq: float, drift=None, start_ticks: float = 0.0, quantize: bool = False
@@ -166,58 +154,56 @@ class HardwareClock:
         self.nominal_freq = float(nominal_freq)
         self.drift = drift
         self.quantize = bool(quantize)
-        self._time = 0.0
-        self._ticks = float(start_ticks)
-        self._piece_end, self._piece_dev = drift.piece(0.0)
+        self._starts = drift.starts
+        self._rates: list[float] = []
+        self._knots = [float(start_ticks)]
+        self._grow()
 
-    @property
-    def time(self) -> float:
-        return self._time
+    def _grow(self) -> None:
+        """Give a knot and a rate to every drawn piece, drawing more if all have them."""
+        n = len(self._rates)
+        if n == len(self.drift.devs):
+            self.drift.extend()
+        rates = np.add(self.nominal_freq, self.drift.devs[n:])
+        spans = rates * np.diff(self._starts[n:])
+        self._rates.extend(rates.tolist())
+        self._knots.extend(np.cumsum(np.concatenate(([self._knots[-1]], spans)))[1:].tolist())
 
-    def read(self) -> float:
-        """Current tick count (floored to a whole tick in quantize mode)."""
-        return math.floor(self._ticks) if self.quantize else self._ticks
+    def _find(self, t: float) -> int:
+        """Index of the piece that holds ``t``."""
+        if not 0 <= t < math.inf:
+            raise ContractViolation(f"clock read at t={t}; it is defined for 0 <= t < inf")
+        while t >= self._starts[len(self._rates)]:
+            self._grow()
+        return bisect_right(self._starts, t, 0, len(self._rates)) - 1
 
     def advance_to(self, t: float) -> float:
-        """Advance monotonically to real time ``t`` and return ``read()`` there.
+        """The reading at real time ``t`` (floored to a whole tick in quantize mode)."""
+        i = self._find(t)
+        ticks = self._knots[i] + self._rates[i] * (t - self._starts[i])
+        return math.floor(ticks) if self.quantize else ticks
 
-        An earlier ``t`` is a contract violation.
-        """
-        now = self._time
-        if t > now:
-            # Integrate to now + (t - now), not t: recorded traces use this rounding.
-            real_dt = t - now
-            t1 = now + real_dt
-            end = self._piece_end
-            if t1 <= end:  # what every drift model's integral over one piece returns
-                self._ticks += self.nominal_freq * real_dt + self._piece_dev * (t1 - now)
-            else:
-                self._ticks += self.nominal_freq * real_dt + self.drift.deviation_integral(now, t1)
-            self._time = t1
-            if t1 >= end:
-                self._piece_end, self._piece_dev = self.drift.piece(t1)
-        elif t < now:
-            raise ContractViolation(f"clock already at t={now}, cannot go back to {t}")
-        return math.floor(self._ticks) if self.quantize else self._ticks
+    def sample(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The readings and the frequencies ``f0 + deviation`` at ``times``, in one pass."""
+        self._find(times.min())
+        self._find(times.max())
+        n = len(self._rates)
+        i = np.searchsorted(self._starts[:n], times, side="right") - 1
+        starts, knots, rates = (np.array(a[:n]) for a in (self._starts, self._knots, self._rates))
+        ticks = knots[i] + rates[i] * (times - starts[i])
+        return np.floor(ticks) if self.quantize else ticks, rates[i]
 
     def time_of_tick(self, target_ticks: float) -> float:
-        """Real time at which the accumulated tick count reaches ``target_ticks``.
-
-        Requires a trajectory drift model.  Does not advance the clock.
-        """
-        if target_ticks < self._ticks:
-            raise ContractViolation("tick target is already in the past")
-        remaining = target_ticks - self._ticks
-        f0, piece, start = self.nominal_freq, self.drift.piece, self._time
-        end, dev = self._piece_end, self._piece_dev
-        while True:
-            rate = f0 + dev
-            span = (end - start) * rate
-            if span >= remaining or end == math.inf:  # the last piece always suffices
-                return start + remaining / rate
-            remaining -= span
-            start = end
-            end, dev = piece(start)
+        """Real time at which the unfloored reading reaches ``target_ticks``."""
+        knots = self._knots
+        if not knots[0] <= target_ticks < math.inf:
+            raise ContractViolation(
+                f"tick target {target_ticks} is outside [start reading {knots[0]}, inf)"
+            )
+        while target_ticks >= knots[-1]:
+            self._grow()
+        i = bisect_right(knots, target_ticks) - 1
+        return self._starts[i] + (target_ticks - knots[i]) / self._rates[i]
 
 
 def read_before_update(hw_now, hw_at_update) -> ContractViolation:

@@ -218,6 +218,11 @@ def stepsize_configs(params: dict) -> dict[str, SimConfig]:
         f"const-{_fmt(s)}": _two_node_config(params, drift, "fixed", s)
         for s in params["constant_steps"]
     }
+    if len(configs) < len(params["constant_steps"]):  # a repeated label would overwrite a series
+        raise ValueError(
+            f"parameter constant_steps must differ in 9 significant digits, "
+            f"got {params['constant_steps']}"
+        )
     configs["adaptive"] = _two_node_config(params, drift, "adaptive", None)
     return configs
 

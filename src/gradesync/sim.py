@@ -9,18 +9,20 @@ the emission instant, with an independent Gaussian noise draw per receiver
 added to the payload clock values (noise perturbs the reported value, not the
 delivery time, so negative draws are fine).  A delivery is applied only if it
 carries a strictly newer sequence number than the receiver holds; a stale one
-only moves the receiver's hardware clock to the emission instant.
+changes nothing.
 
-A trace sample only advances the hardware clocks and keeps their readings.
-The logical readings and rate multipliers are assembled after the event loop
-from a log of the accepted updates with whole-array numpy, with the same
-arithmetic as ``LogicalClock.read``.
+Trace samples touch no clock: a hardware reading is a pure function of time
+(``clocks.HardwareClock``), so the hardware readings at the sample instants
+are computed after the event loop, one numpy call per node, and the logical
+readings and rate multipliers are assembled from a log of the accepted
+updates with whole-array numpy, with the same arithmetic as
+``LogicalClock.read``.  So the sample period changes no event of a run.
 
 Determinism: all randomness comes from numpy generators spawned off a single
 SeedSequence(config.seed), one stream per purpose (phases, delays, drops, one
 drift stream per node).  The event queue holds only beacons, ordered by
-(time, node id).  Each instant t is handled whole: first the trace samples
-due at or before t, then every beacon due at t in node-id order, each built
+(time, node id).  Each instant t is handled whole, and a sample at t sees
+nothing of it: first every beacon due at t in node-id order, each built
 from its sender's state before t and drawing its receivers' noise and drop
 values in neighbor order, and last the deliveries those beacons made, in the
 order they were sent; ``SkewTrace.events`` lists the accepted ones in that
@@ -192,10 +194,12 @@ class SimConfig:
         step = float(raw)
         if self.step_policy == "fixed" and not 0 < step < limit:
             raise ValueError(
-                f"fixed step {step} outside the stable region (0, {limit}) for {protocol}"
+                f"fixed step_size {step} outside the stable region (0, {limit}) for {protocol}"
             )
         if self.step_policy == "adaptive" and not 0 < step <= limit:
-            raise ValueError(f"adaptive initial step {step} outside (0, {limit}] for {protocol}")
+            raise ValueError(
+                f"adaptive initial step_size {step} outside (0, {limit}] for {protocol}"
+            )
         return step
 
 
@@ -310,8 +314,12 @@ def _assemble(start, fields, keys, hw, readings, rates) -> None:
 def run(config: SimConfig) -> SkewTrace:
     """Run the event simulation and return the sampled trace.
 
-    Raises ContractViolation annotated with node id and event time if a
-    protocol update breaks its contract (e.g. a mis-scaled step size).
+    ``meta["deliveries"]`` counts every message a receiver's noise was drawn
+    for as ``accepted``, ``stale`` or ``dropped``.  ``stale`` includes every
+    delivery to the reference, which always holds the newest flood, not only
+    repeated floods.  Raises ContractViolation
+    annotated with node id and event time if a protocol update breaks its
+    contract (e.g. a mis-scaled step size).
     """
     topo = config.topology
     nodes = tuple(sorted(topo.nodes))
@@ -368,7 +376,7 @@ def run(config: SimConfig) -> SkewTrace:
     # node's state, its update rule (looked up here, at run time), error scale
     # and step bound.  Logical clocks start at their (quantize: floored) reading.
     handler = {GRADES: grades_on_message, PISYNC: pisync_on_message}
-    start = [LogicalClock(hw, 1.0, hw) for hw in map(HardwareClock.read, clocks)]
+    start = [LogicalClock(hw, 1.0, hw) for hw in [clk.advance_to(0.0) for clk in clocks]]
     lanes = []
     for i, p in enumerate(config.protocols):
         step = config.resolved_step_size(p)
@@ -381,34 +389,30 @@ def run(config: SimConfig) -> SkewTrace:
     drops = _draws(drop_rng.random)
 
     # The beacon schedule: the (time, node index) of every node's next beacon.
-    heap: list[tuple[float, int]] = []
+    heap = [(clk.time_of_tick(next_target[i]), i) for i, clk in enumerate(clocks)]
+    heapq.heapify(heap)
     push, pop = heapq.heappush, heapq.heappop
-    for i, clk in enumerate(clocks):
-        t_first = clk.time_of_tick(next_target[i])
-        if t_first <= duration:
-            push(heap, (t_first, i))
     # The sample instants, then a sentinel no event time reaches.
-    sample_times = [k * sample_period for k in range(n_samples)] + [math.inf]
-    # A sample only moves the clocks and keeps their readings; the logical
-    # readings are assembled after the loop.  The update log holds, per lane,
-    # each accepted clock's (value, rate, hw) fields and, once for all lanes,
-    # k * n + node, where k is the first sample that sees the update.
-    hw_grid = np.empty((n_samples, n))
+    times = np.arange(n_samples) * sample_period
+    sample_times = times.tolist() + [math.inf]
+    # The update log holds, per lane, each accepted clock's (value, rate, hw)
+    # fields and, once for all lanes, k * n + node, where k is the first
+    # sample that sees the update; the readings are assembled after the loop.
     fields_logs = [array("d") for _ in lanes]
     keys = array("q")
     events: list[SyncEvent] = []
+    delivered = dropped = 0
 
-    # One instant t at a time, as the module docstring states.  The samples
-    # due come first, so a sample sees every earlier instant and nothing of t.
+    # One instant t at a time, as the module docstring states.  Sample k is
+    # the first one after t, so it sees every earlier instant and all of t.
     k = 0
     try:
-        while heap:
+        while heap[0][0] <= duration:
             t = heap[0][0]
             while sample_times[k] <= t:
-                hw_grid[k] = [clk.advance_to(sample_times[k]) for clk in clocks]
                 k += 1
             sent = []
-            while heap and heap[0][0] <= t:
+            while heap[0][0] <= t:
                 who = pop(heap)[1]
                 clk = clocks[who]
                 mine = tuple([states[who] for states in lane_states])
@@ -418,19 +422,19 @@ def run(config: SimConfig) -> SkewTrace:
                     # Each receiver sees the same message plus its own noise draw.
                     noise = next(noises) * f0
                     if p_drop > 0 and next(drops) < p_drop:
+                        dropped += 1
                         continue
-                    if v != ref:  # the reference never adjusts itself
-                        sent.append((v, msg, noise))
+                    sent.append((v, msg, noise))
                 next_target[who] += round_ticks
-                t_next = clk.time_of_tick(next_target[who])
-                if t_next <= duration:
-                    push(heap, (t_next, who))
-            # A delivery changes only its receiver's state and draws nothing.
+                push(heap, (clk.time_of_tick(next_target[who]), who))
+            # A delivery changes only its receiver's state and draws nothing.  The
+            # reference holds the newest flood, so every delivery to it is stale.
+            delivered += len(sent)
             for who, (seq, readings), noise in sent:
-                hw = clocks[who].advance_to(t)
                 if seq <= seqs[who]:
                     continue  # stale: this node already holds this flood or a newer one
                 seqs[who] = seq
+                hw = clocks[who].advance_to(t)
                 keys.append(k * n + who)
                 for i, proto, states, update, scale, step_max in lanes:
                     new = update(states[who], readings[i] + noise, hw, scale, step_max, adaptive)
@@ -441,18 +445,14 @@ def run(config: SimConfig) -> SkewTrace:
                                                 new.step_size, new.clock.rate_multiplier))
     except ContractViolation as err:
         raise ContractViolation(f"node {nodes[who]} at t={t:.9g}: {err}") from err
-    for k in range(k, n_samples):
-        hw_grid[k] = [clk.advance_to(sample_times[k]) for clk in clocks]
     shape = (n_samples, n)
+    hw_grid, hw_rates_out = np.empty(shape), np.empty(shape)
+    for i, clk in enumerate(clocks):
+        hw_grid[:, i], hw_rates_out[:, i] = clk.sample(times)
     readings_out = {p: np.empty(shape) for p in config.protocols}
     rates_out = {p: np.empty(shape) for p in config.protocols}
     for (_, proto, *_), fields in zip(lanes, fields_logs):
         _assemble(np.array(start), fields, keys, hw_grid, readings_out[proto], rates_out[proto])
-    # hw_rates[k, i] is the drift model's deviation at sample k plus f0.
-    times = np.asarray(sample_times[:n_samples])
-    hw_rates_out = np.empty(shape)
-    for i, clk in enumerate(clocks):
-        hw_rates_out[:, i] = clk.drift.deviation_rates(times) + f0
 
     return SkewTrace(
         times=times,
@@ -468,6 +468,8 @@ def run(config: SimConfig) -> SkewTrace:
             "seed": config.seed,
             "beacon_period": b,
             "nominal_freq": f0,
+            "deliveries": {"accepted": len(keys), "stale": delivered - len(keys),
+                           "dropped": dropped},
         },
     )
 

@@ -112,7 +112,7 @@ GOLDEN_SHA256 = {
         "frequency.csv":
             "70069bc62228fb9c4bb3e68d39a142fb9d91c650b3d1f54d560be3c9c13c205d",
         "skew.csv":
-            "088979ce050496067595645b7574490c74eae1270b62c193bbf0fd005119c1bf",
+            "b0af95cc41460aeb9007e8218f9688d441a26fb6127fdd1eb00f882e85901afe",
         "summary.csv":
             "cafe6a0a989efa4803eac8860db734e3061abac5ea41ad77e141333608655154",
         "trace.csv":
@@ -120,19 +120,19 @@ GOLDEN_SHA256 = {
     },
     "fig2-stepsize": {
         "errors_adaptive.csv":
-            "1cfb08a53bf4428ddd213e322dd5f7b7399995bb28c79817b3b8589f97422e82",
+            "9d85d3fdc8ef12c3abf0a6a717f8c6125bfc73f6f52f4d6dd1f28b22ec280fda",
         "errors_const-0.02.csv":
-            "78b3a2deb1834aa4b9ceb01903c039bca4a489312bbc410ad62e618c2b2c90ab",
+            "81b6f93ff1e506262e29e357e6319d13e47415a1e9ce84396802d8def1666c1f",
         "errors_const-0.1.csv":
-            "a069d7b4ece05de627c03b9e453fafcf3ca40f6f801eeeb8ea0f51eb5be394d0",
+            "2121c86811bf8fa5b277eb3f5fe39889912ed6daaeb3d2ffa231798de4889599",
         "errors_const-0.5.csv":
-            "7b747582bbaaa131d334b8bfad855da2a6d185f85bbfefa23a2e28de02bfcf60",
+            "1c8461bbf1e8046f756eaf04f8e99820b801bcfab0e8d1d8a8be29b74c30c8ae",
         "summary.csv":
-            "f54da26702eaa6c40fc2ec221860f7b07364c85d1a4b2f6255314ab50052f26d",
+            "87212d4ed35e4cb98a0bb2b50114bdca1b61d6e705844bb944a3c484ec36db3a",
     },
     "fig3-multihop": {
         "skew.csv":
-            "edfc8f0ce0c2626c859a933b56210e2be7cddb6d2d745c824ddb9fbb18b6c936",
+            "64d0a28bad3a57baa26503d5f1b598ff1e552c35d49955204ea5231b86280dd6",
         "summary.csv":
             "605926a451d72b66ed7e111e0f11fd51e2d861983fd0f744b25e7101821028d4",
         "trace.csv":
@@ -231,6 +231,8 @@ def test_set_overrides_beat_config_file_values(tmp_path, capsys):
         ("scaling", "diameters=4,4,9", "diameters"),  # a repeat would run twice
         ("fig1-pairwise", "switch_round=100", "switch_round"),  # past rounds=60
         ("fig2-stepsize", "constant_steps=abc", "constant_steps"),
+        ("fig2-stepsize", "constant_steps=0.5,0.5,0.1", "constant_steps"),  # one would vanish
+        ("fig2-stepsize", "constant_steps=0.1,0.1000000001", "constant_steps"),  # same label
     ],
 )
 def test_main_empty_count_or_list_exits_2_naming_the_parameter(
@@ -280,6 +282,9 @@ def test_main_non_finite_or_zero_value_exits_2_naming_the_parameter(
         ("fig1-pairwise", "drift_ppm=2e6", "drift_ppm"),
         ("fig1-pairwise", "drift_ppm_after=-1e6", "drift_ppm_after"),
         ("fig2-stepsize", "drift_ppm=2e6", "drift_ppm"),
+        ("theory-check", "noise_convention=foo", "noise_convention"),
+        ("scaling", "step_size=5", "step_size"),
+        ("fig1-pairwise", "step_size=0", "step_size"),
     ],
 )
 def test_main_out_of_range_value_exits_2_naming_the_parameter(

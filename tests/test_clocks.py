@@ -1,4 +1,5 @@
-"""Hardware/logical clock primitives: exact integration, inversion, drift moments."""
+"""Hardware/logical clock primitives: readings as a pure function of time, inversion,
+exact integration, drift moments."""
 
 import math
 from bisect import bisect_right
@@ -23,17 +24,34 @@ def make_rng(seed=0):
     return np.random.default_rng(seed)
 
 
-def reference_advance(clock, real_dt):
-    """Advance ``clock`` by ``real_dt`` with the arithmetic ``advance_to`` must reproduce."""
-    if real_dt < 0:
-        raise ContractViolation(f"cannot advance a clock backwards (dt={real_dt})")
-    if real_dt == 0:
-        return 0.0
-    now = clock._time
-    elapsed = clock.nominal_freq * real_dt + clock.drift.deviation_integral(now, now + real_dt)
-    clock._time = now + real_dt
-    clock._ticks += elapsed
-    return elapsed
+def deviation_at(drift, t):
+    """The deviation of the piece that holds ``t``."""
+    return drift.devs[bisect_right(drift.starts, t) - 1]
+
+
+def reference_reading(drift, f0, start, t):
+    """The unfloored per-piece formula with plain floats, walking the pieces up from 0."""
+    while drift.starts[-1] <= t:
+        drift.extend()
+    starts, devs = drift.starts, drift.devs
+    knot, i = start, 0
+    while starts[i + 1] <= t:
+        knot += (f0 + devs[i]) * (starts[i + 1] - starts[i])
+        i += 1
+    return knot + (f0 + devs[i]) * (t - starts[i])
+
+
+def reference_time_of_tick(drift, f0, start, target):
+    """The same walk, stopped at the first piece whose end reads above ``target``."""
+    knot, i = start, 0
+    while True:
+        while len(drift.devs) <= i:
+            drift.extend()
+        rate = f0 + drift.devs[i]
+        end = knot + rate * (drift.starts[i + 1] - drift.starts[i])
+        if target < end:
+            return drift.starts[i] + (target - knot) / rate
+        knot, i = end, i + 1
 
 
 # ---------------------------------------------------------------- hardware clock
@@ -41,86 +59,61 @@ def reference_advance(clock, real_dt):
 
 def test_advance_ideal_clock_counts_nominal_ticks():
     clock = HardwareClock(nominal_freq=1.0)
-    clock.advance_to(5.0)
-    assert clock.read() == 5.0
-    assert clock.time == 5.0
+    assert clock.advance_to(5.0) == 5.0
+    assert clock.advance_to(0.0) == 0.0  # any time, in any order
 
 
 def test_advance_with_constant_deviation_adds_drift_ticks():
     # +100 ppm of a 1 MHz crystal over 30 s: 30e6 nominal + 3000 drift ticks.
     clock = HardwareClock(nominal_freq=1e6, drift=ConstantDrift(100e-6 * 1e6))
-    clock.advance_to(30.0)
-    assert clock.read() == pytest.approx(30_003_000.0, abs=1e-6)
+    assert clock.advance_to(30.0) == pytest.approx(30_003_000.0, abs=1e-6)
 
 
 def test_advance_accumulates_over_multiple_calls():
     clock = HardwareClock(nominal_freq=1e6, drift=ConstantDrift(-50.0))
-    readings = []
-    for k in range(1, 9):
-        clock.advance_to(0.5 * k)
-        readings.append(clock.read())
+    readings = [clock.advance_to(0.5 * k) for k in range(1, 9)]
     assert np.diff(readings) == pytest.approx([0.5 * (1e6 - 50.0)] * 7, rel=1e-12)
-    assert clock.read() == pytest.approx(4.0 * (1e6 - 50.0), rel=1e-12)
+    assert readings[-1] == pytest.approx(4.0 * (1e6 - 50.0), rel=1e-12)
 
 
-def test_advance_rejects_negative_interval():
-    clock = HardwareClock(nominal_freq=1.0)
-    with pytest.raises(ContractViolation):
-        clock.advance_to(-1e-9)
-    clock.advance_to(2.0)
-    with pytest.raises(ContractViolation):
-        clock.advance_to(2.0 - 1e-9)
-    clock.advance_to(2.0)  # staying put is allowed
-    assert clock.time == 2.0
-
-
-def test_advance_to_matches_advance_and_rejects_past():
-    a = HardwareClock(nominal_freq=1e6, drift=ConstantDrift(30.0))
-    b = HardwareClock(nominal_freq=1e6, drift=ConstantDrift(30.0))
-    reference_advance(a, 1.25)
-    reference_advance(a, 0.75)
-    b.advance_to(2.0)
-    assert a.read() == pytest.approx(b.read(), rel=1e-15)
-    with pytest.raises(ContractViolation):
-        b.advance_to(1.0)
+@pytest.mark.parametrize("t", [-1e-9, -1.0, math.inf, math.nan])
+def test_a_reading_outside_the_time_axis_raises(t):
+    clock = HardwareClock(nominal_freq=1.0, drift=WhiteDrift(1e-3, make_rng()))
+    with pytest.raises(ContractViolation, match="0 <= t < inf"):
+        clock.advance_to(t)
+    with pytest.raises(ContractViolation, match="0 <= t < inf"):
+        clock.sample(np.array([1.0, t]))
 
 
 def test_piecewise_deviation_integrates_each_segment_exactly():
     drift = PiecewiseDrift(((0.0, 1e-4), (20.0, 5e-5)))
-    assert drift.piece(19.99) == (20.0, 1e-4)
-    assert drift.piece(20.0) == (math.inf, 5e-5)
-    assert drift.piece(20.01)[1] == 5e-5
+    assert drift.starts == (0.0, 20.0, math.inf)
+    assert drift.devs == (1e-4, 5e-5)
     # 20 s at 1e-4 plus 10 s at 5e-5.
     assert drift.deviation_integral(0.0, 30.0) == pytest.approx(2.5e-3, rel=1e-12)
     clock = HardwareClock(nominal_freq=1.0, drift=drift)
-    clock.advance_to(30.0)
-    assert clock.read() == pytest.approx(30.0 + 2.5e-3, rel=1e-12)
+    assert clock.advance_to(30.0) == pytest.approx(30.0 + 2.5e-3, rel=1e-12)
 
 
 def test_time_of_tick_inverts_constant_drift():
-    clock = HardwareClock(nominal_freq=1e6, drift=ConstantDrift(100.0))
-    assert clock.time_of_tick(30_003_000.0) == pytest.approx(30.0, rel=1e-12)
-    clock.advance_to(30.0)
-    with pytest.raises(ContractViolation):
-        clock.time_of_tick(clock.read() - 1.0)
+    clock = HardwareClock(nominal_freq=1e6, drift=ConstantDrift(100.0), start_ticks=7.0)
+    assert clock.time_of_tick(30_003_007.0) == pytest.approx(30.0, rel=1e-12)
+    assert clock.time_of_tick(7.0) == 0.0
+    for below in (math.nextafter(7.0, 0.0), -1.0, math.inf, math.nan):
+        with pytest.raises(ContractViolation, match="start reading 7.0"):
+            clock.time_of_tick(below)
 
 
 def test_time_of_tick_then_advance_lands_on_target():
-    rng = make_rng(42)
-    drift = WhiteDrift(1e-4, rng)
-    clock = HardwareClock(nominal_freq=1.0, drift=drift)
-    clock.advance_to(0.37)
-    for target in (5.0, 5.5, 17.25):
-        t = clock.time_of_tick(target)
-        clock.advance_to(t)
-        assert clock.read() == pytest.approx(target, abs=1e-9)
+    clock = HardwareClock(nominal_freq=1.0, drift=WhiteDrift(1e-4, make_rng(42)))
+    for target in (17.25, 5.0, 5.5, 600.5):
+        assert clock.advance_to(clock.time_of_tick(target)) == pytest.approx(target, abs=1e-9)
 
 
 def test_quantize_floors_partial_ticks():
     clock = HardwareClock(nominal_freq=1.0, quantize=True)
-    clock.advance_to(10.7)
-    assert clock.read() == 10.0
-    assert clock.time == 10.7  # real time is unaffected by readout quantization
+    assert clock.advance_to(10.7) == 10
+    assert clock.time_of_tick(10.5) == 10.5  # real time is unaffected by readout quantization
 
 
 def test_hardware_clock_rejects_deviation_at_or_above_nominal():
@@ -149,31 +142,87 @@ def test_drift_models_reject_non_finite_deviations(bad):
     dts=st.lists(st.floats(1e-6, 3.0), min_size=1, max_size=20),
 )
 def test_hardware_readings_strictly_increase(seed, dts):
-    rng = make_rng(seed)
-    drift = WhiteDrift(0.5, rng)
-    clock = HardwareClock(nominal_freq=1.0, drift=drift)
-    prev = clock.read()
-    t = 0.0
+    clock = HardwareClock(nominal_freq=1.0, drift=WhiteDrift(0.5, make_rng(seed)))
+    prev, t = clock.advance_to(0.0), 0.0
     for dt in dts:
         t += dt
-        clock.advance_to(t)
-        now = clock.read()
+        now = clock.advance_to(t)
         assert now > prev
         prev = now
 
 
 def test_same_seed_reproduces_trajectory():
     def trajectory(seed):
-        drift = WhiteDrift(1e-4, make_rng(seed))
-        clock = HardwareClock(nominal_freq=1.0, drift=drift)
-        readings = []
-        for k in range(1, 51):
-            clock.advance_to(0.7 * k)
-            readings.append(clock.read())
-        return readings
+        clock = HardwareClock(nominal_freq=1.0, drift=WhiteDrift(1e-4, make_rng(seed)))
+        return [clock.advance_to(0.7 * k) for k in range(1, 51)]
 
     assert trajectory(123) == trajectory(123)
     assert trajectory(123) != trajectory(124)
+
+
+KINDS = ["constant", "piecewise", "white"]
+PIECES = ((0.0, 2e-4), (1.3, -4e-4), (4.0, 1e-4))
+
+
+def _around(t, run):
+    """``run`` consecutive floats, the middle one ``t``."""
+    for _ in range(run // 2):
+        t = math.nextafter(t, -math.inf)
+    out = []
+    for _ in range(run):
+        out.append(t)
+        t = math.nextafter(t, math.inf)
+    return [x for x in out if x >= 0.0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(KINDS),
+    frac=st.floats(-0.999, 0.999),
+    f0=st.sampled_from([1.0, 1e3, 1e6]),
+    start=st.floats(0.0, 1e6),
+    seed=st.integers(0, 2**16),
+    anchors=st.lists(st.floats(0.0, 600.0), min_size=1, max_size=6),
+    run=st.integers(1, 30),
+    quantize=st.booleans(),
+)
+def test_readings_are_a_pure_monotone_function_of_time(
+    kind, frac, f0, start, seed, anchors, run, quantize
+):
+    # Deviations up to 0.999 f0, in pieces whose ends are 1.3 and 4 (piecewise)
+    # or every integer (white).  Queried at runs of consecutive floats around
+    # random times and around piece ends, in time order and backwards.
+    def clock(q):
+        dev = frac * f0
+        drift = {
+            "constant": ConstantDrift(dev),
+            "piecewise": PiecewiseDrift(((0.0, dev), (1.3, -dev), (4.0, dev / 2))),
+            "white": WhiteDrift(abs(dev), make_rng(seed)),
+        }[kind]
+        return HardwareClock(nominal_freq=f0, drift=drift, start_ticks=start, quantize=q)
+
+    ends = [1.0, 1.3, 2.0, 4.0, 255.0, 256.0, 257.0]
+    times = sorted({x for t in anchors + ends for x in _around(t, run)})
+    forward, backward, plain = clock(quantize), clock(quantize), clock(False)
+    readings = [forward.advance_to(t) for t in times]
+    # Readings never decrease, from float to float and across piece ends.
+    assert all(a <= b for a, b in zip(readings, readings[1:]))
+    # Query order changes nothing; the vector path is the scalar path.
+    assert [backward.advance_to(t) for t in reversed(times)] == readings[::-1]
+    ticks, rates = clock(quantize).sample(np.array(times))
+    assert ticks.tolist() == readings
+    assert rates.tolist() == [f0 + deviation_at(forward.drift, t) for t in times]
+    # The knots built a chunk at a time are the scalar walk's, bit for bit.
+    unfloored = [plain.advance_to(t) for t in times]
+    assert unfloored == [reference_reading(plain.drift, f0, start, t) for t in times]
+    assert readings == ([math.floor(x) for x in unfloored] if quantize else unfloored)
+    # time_of_tick inverts the same pieces: reading there lands within a few ulps.
+    for x in [start] + unfloored[::max(1, len(times) // 8)]:
+        t = plain.time_of_tick(x)
+        assert t == reference_time_of_tick(plain.drift, f0, start, x)
+        assert abs(plain.advance_to(t) - x) <= 4 * math.ulp(x)
+    with pytest.raises(ContractViolation):
+        plain.time_of_tick(math.nextafter(start, -math.inf))
 
 
 # ---------------------------------------------------------------- white drift moments
@@ -191,13 +240,17 @@ def test_white_segments_mode_matches_uniform_deviation_moments():
     assert extras.var() == pytest.approx(target_var, rel=0.05)
 
 
-def test_white_segments_rate_is_bounded_and_constant_within_a_segment():
-    rng = make_rng(3)
-    drift = WhiteDrift(0.25, rng)
-    for j in range(40):
-        end, r0 = drift.piece(j + 0.1)
-        assert drift.piece(j + 0.9) == (end, r0) == (j + 1.0, r0)
-        assert abs(r0) <= 0.25
+def test_white_segments_are_unit_pieces_drawn_a_chunk_at_a_time():
+    drift = WhiteDrift(0.25, make_rng(3))
+    assert (drift.starts, drift.devs) == ([0.0], [])
+    drift.deviation_integral(0.0, 3.5)
+    assert drift.starts == [float(j) for j in range(_SEGMENT_CHUNK + 1)]
+    assert len(drift.devs) == _SEGMENT_CHUNK
+    assert all(abs(d) <= 0.25 for d in drift.devs)
+    drift.deviation_integral(0.0, _SEGMENT_CHUNK + 0.5)
+    assert len(drift.devs) == len(drift.starts) - 1 == 2 * _SEGMENT_CHUNK
+    # The same draws as one chunk of twice the size: query order does not matter.
+    assert drift.devs == make_rng(3).uniform(-0.25, 0.25, 2 * _SEGMENT_CHUNK).tolist()
 
 
 def test_white_drift_validates_arguments():
@@ -205,77 +258,28 @@ def test_white_drift_validates_arguments():
         WhiteDrift(-1e-4, make_rng(0))
     fresh, drawn = WhiteDrift(1e-3, make_rng(0)), WhiteDrift(1e-3, make_rng(0))
     drawn.deviation_integral(0.0, 10.0)
-    for drift in (fresh, drawn):
-        with pytest.raises(ValueError, match="t >= 0"):
-            drift.deviation_rates(np.array([-0.5]))
+    for drift in (fresh, drawn, ConstantDrift(1e-3)):
         with pytest.raises(ValueError, match="t >= 0"):
             drift.deviation_integral(-1.0, 0.0)
-        with pytest.raises(ValueError, match="t >= 0"):
-            drift.piece(-0.5)
-
-
-def reference_pieces(drift, t_from):
-    """The original ``pieces`` generators: (start, end, deviation) from ``t_from`` on."""
-    if isinstance(drift, ConstantDrift):
-        yield t_from, math.inf, drift.deviation
-    elif isinstance(drift, PiecewiseDrift):
-        steps = drift.steps
-        i = max(bisect_right([s for s, _ in steps], t_from) - 1, 0)
-        while i < len(steps):
-            end = steps[i + 1][0] if i + 1 < len(steps) else math.inf
-            yield max(steps[i][0], t_from), end, steps[i][1]
-            i += 1
-    else:
-        j = math.floor(t_from)
-        while True:
-            yield max(float(j), t_from), float(j + 1), drift._segment(j)
-            j += 1
 
 
 def reference_piecewise_integral(drift, t0, t1):
-    """The original generator-based sum over ``pieces``, kept as the reference."""
+    """The original generator-based sum over (start, end, deviation) pieces."""
+
+    def pieces():
+        j = math.floor(t0)
+        while True:
+            while len(drift.devs) <= j:
+                drift.extend()
+            yield max(float(j), t0), float(j + 1), drift.devs[j]
+            j += 1
+
     total = 0.0
-    for start, end, dev in reference_pieces(drift, t0):
+    for start, end, dev in pieces():
         if start >= t1:
             break
         total += dev * (min(end, t1) - start)
     return total
-
-
-def reference_time_of_tick(clock, target_ticks):
-    """The original generator-based tick inversion, kept as the reference."""
-    remaining = target_ticks - clock._ticks
-    for start, end, dev in reference_pieces(clock.drift, clock.time):
-        rate = clock.nominal_freq + dev
-        if end == math.inf:
-            return start + remaining / rate
-        span = (end - start) * rate
-        if span >= remaining:
-            return start + remaining / rate
-        remaining -= span
-
-
-@pytest.mark.parametrize(
-    "drift, t_start, step",
-    [
-        (ConstantDrift(3e-4), 0.0, 0.37),
-        (ConstantDrift(-2e-4), 12.5, 1.0),
-        # targets on both sides of the 1.3 and 4.0 boundaries, from inside a piece and on one
-        (PiecewiseDrift(((0.0, 2e-4), (1.3, -4e-4), (4.0, 1e-4))), 0.5, 0.13),
-        (PiecewiseDrift(((0.0, 2e-4), (1.3, -4e-4), (4.0, 1e-4))), 1.3, 0.29),
-        # a white realization crossing the first _SEGMENT_CHUNK boundary
-        ("white", _SEGMENT_CHUNK - 2.3, 0.41),
-        ("white", 0.0, 0.25),
-    ],
-)
-def test_time_of_tick_equals_the_generator_reference(drift, t_start, step):
-    if drift == "white":
-        drift = WhiteDrift(5e-4, make_rng(21))
-    clock = HardwareClock(nominal_freq=1.0, drift=drift)
-    clock.advance_to(t_start)
-    for k in range(40):
-        target = clock.read() + k * step
-        assert clock.time_of_tick(target) == reference_time_of_tick(clock, target)
 
 
 WHITE_SPANS = [
@@ -312,34 +316,6 @@ def test_white_integral_equals_the_reference_on_random_spans(t0, span):
     assert drift.deviation_integral(t0, t1) == reference_piecewise_integral(drift, t0, t1)
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    seed=st.integers(0, 2**16),
-    kind=st.sampled_from(["constant", "piecewise", "white"]),
-    dts=st.lists(st.floats(0.0, 3.0), min_size=1, max_size=30),
-)
-def test_advance_to_matches_advance_by_the_difference(seed, kind, dts):
-    def clock():
-        drift = {
-            "constant": ConstantDrift(3e-4),
-            "piecewise": PiecewiseDrift(((0.0, 2e-4), (1.3, -4e-4), (4.0, 1e-4))),
-            "white": WhiteDrift(5e-4, make_rng(seed)),
-        }[kind]
-        return HardwareClock(nominal_freq=1.0, drift=drift)
-
-    a, b = clock(), clock()
-    t = 0.0
-    for dt in dts:
-        t += dt
-        a.advance_to(t)
-        reference_advance(b, t - b.time)
-        assert a._ticks == b._ticks
-        assert a.time == b.time
-
-
-PIECES = ((0.0, 2e-4), (1.3, -4e-4), (4.0, 1e-4))
-
-
 def _below(t):
     return math.nextafter(t, 0.0)
 
@@ -350,69 +326,27 @@ def _below(t):
         ("constant", [0.5, _below(1.3), 1.3, _below(4.0), 4.0, 7.25]),
         # each piece end, one ulp below it, and a stop inside the next piece
         ("piecewise", [_below(1.3), 1.3, 2.0, _below(4.0), 4.0, 6.5, 9.0]),
-        # integers for white, reached from inside a segment, from one ulp below
-        # and from the previous integer, then a jump over several segments
-        ("white", [0.5, _below(1.0), 1.0, 2.0, _below(3.0), 3.0, 3.5, 7.0, _below(8.0), 8.0]),
+        # integers for white, from inside a segment, one ulp below and the
+        # previous integer, then a jump over several segments and a chunk end
+        ("white", [0.5, _below(1.0), 1.0, 2.0, _below(3.0), 3.0, 3.5, 7.0, _below(8.0), 8.0,
+                   _below(_SEGMENT_CHUNK), _SEGMENT_CHUNK, _SEGMENT_CHUNK + 0.5]),
     ],
 )
 @pytest.mark.parametrize("quantize", [False, True])
 def test_advances_onto_piece_ends_match_the_reference(kind, stops, quantize):
-    def clock():
-        drift = {
+    def drift():
+        return {
             "constant": ConstantDrift(-3e-4),
             "piecewise": PiecewiseDrift(PIECES),
             "white": WhiteDrift(5e-4, make_rng(17)),
         }[kind]
-        return HardwareClock(nominal_freq=1.0, drift=drift, start_ticks=0.3, quantize=quantize)
 
-    a, b = clock(), clock()
+    clock, ref = HardwareClock(1.0, drift(), start_ticks=0.3, quantize=quantize), drift()
     for t in stops:
-        reading = a.advance_to(t)
-        reference_advance(b, t - b.time)
-        assert (a._ticks, a.time) == (b._ticks, b.time)
-        assert reading == a.read() == b.read()
-        target = b._ticks + 2.5
-        assert a.time_of_tick(target) == reference_time_of_tick(b, target)
-        assert a._piece_dev == b.drift.piece(a.time)[1]  # the piece the clock sits in
-        rates = a.drift.deviation_rates(np.array([t, t + 0.5]))
-        assert rates.tolist() == [b.drift.piece(t)[1], b.drift.piece(t + 0.5)[1]]
-
-
-class CountingDrift:
-    """A drift model that counts the integrals asked of it."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.integrals = 0
-
-    def deviation_integral(self, t0, t1):
-        self.integrals += 1
-        return self.inner.deviation_integral(t0, t1)
-
-    def piece(self, t):
-        return self.inner.piece(t)
-
-    def max_abs_deviation(self):
-        return self.inner.max_abs_deviation()
-
-
-@pytest.mark.parametrize(
-    "inner, inside, crossing",
-    [
-        (PiecewiseDrift(PIECES), [0.4, _below(1.3), 1.3, 2.0], 6.5),
-        ("white", [0.25, 0.75, 1.0, 1.5, 2.0], 3.5),
-    ],
-)
-def test_an_advance_inside_one_piece_asks_the_drift_model_for_no_integral(
-    inner, inside, crossing
-):
-    drift = CountingDrift(WhiteDrift(5e-4, make_rng(4)) if inner == "white" else inner)
-    clock = HardwareClock(nominal_freq=1.0, drift=drift)
-    for t in inside:  # each stop lies in, or ends, the piece the clock is in
-        clock.advance_to(t)
-    assert drift.integrals == 0
-    clock.advance_to(crossing)
-    assert drift.integrals == 1
+        expected = reference_reading(ref, 1.0, 0.3, t)
+        assert clock.advance_to(t) == (math.floor(expected) if quantize else expected)
+        target = expected + 2.5
+        assert clock.time_of_tick(target) == reference_time_of_tick(ref, 1.0, 0.3, target)
 
 
 # ---------------------------------------------------------------- logical clock

@@ -4,6 +4,7 @@ flood propagation, trace utilities, and CSV output."""
 import hashlib
 import math
 from array import array
+from bisect import bisect_right
 from pathlib import Path
 
 import numpy as np
@@ -312,8 +313,8 @@ def test_protocol_traces_do_not_depend_on_co_running_protocols():
 # A tree no scenario builds: ids that are neither contiguous nor sorted in the
 # edges, a reference other than node 1 (with a leaf behind it), drops, recorded
 # events and, under aligned phases, many tied event times.  The hashes were
-# recorded before the simulator loop was last rewritten; any change in a
-# reading, rate, event or draw order shows up here.
+# recorded when hardware readings became a pure function of time; any change
+# in a reading, rate, event or draw order shows up here.
 ODD_TREE = Topology(
     nodes=(3, 7, 10, 12, 20), edges=((7, 3), (7, 10), (10, 12), (7, 20)), reference=10
 )
@@ -328,17 +329,17 @@ ODD_TREE_DRIFTS = {
 }
 ODD_TREE_SHA256 = {
     ("aligned", "mixed"):
-        "3837aff2c7a11b45b9e1673a14794aedc56801dfd06b95cd3055a9bf29bc76c0",
+        "9a269fbab3f3d81a957d308e46a586056646c006d1d12d9122383f8da0c0ddef",
     ("aligned", "white"):
-        "f668c583dd1c9be2a3f43dd1663bdc0b95b1ac1cde4f41bce56fc6e589d9a140",
+        "8ec48b0db79dd86f841cea3a685b7b44e95b704fb0e517008f328271923401d7",
     ("random", "mixed"):
-        "260d56a05cae9597eaec88b35e19fa6f346c459838edc0447faa79bc918d20ea",
+        "7c2d889682be6c256f32c489813b4dcc55982fc84592fb2d550eb3d4a9cf98cd",
     ("random", "white"):
-        "9599bc3482e7d442af926853def07116f58a253a7987b7eb2e6a3fdf161c6aa4",
+        "e9668caf7305033f024cec99d5b7a29bbfa8c938e05a20b1a5dc5ea6bb1d053e",
     ("staggered", "mixed"):
-        "44126d8e6d73b816f92deaf3b8403d5bb66b99e0f04f47d4a7be6eaa137bad46",
+        "034c461799b021c6e54f4b9416eda8b0d9a7b6b584c0cbf5a47e2d1ace8a9193",
     ("staggered", "white"):
-        "f531637559de34ed2377830ea6290b9bbdce379863d5772800571e863f3e85c5",
+        "2d2bc774603bcf4dc9e32f5868f8ba148aa174a092ba2f9e9c41548f9bdb0353",
 }
 
 
@@ -376,9 +377,8 @@ def test_odd_tree_with_drops_matches_its_recorded_hash(phase_mode, drift):
 # Sampling grids and sizes that stress how a trace is assembled from the
 # accepted updates: several accepts per node between two samples, samples off
 # the beacon grid, floored hardware readings, many nodes, and a run that ends
-# before any node beacons.  The hashes were recorded before stale floods
-# stopped entering the event queue and before readings were assembled after
-# the event loop.
+# before any node beacons.  The hashes were recorded when hardware readings
+# became a pure function of time.
 SAMPLING_BASE = dict(
     topology=Topology.line(6),
     beacon_period=1.0,
@@ -405,15 +405,15 @@ SAMPLING_CASES = {
 }
 SAMPLING_SHA256 = {
     "sample-every-3-rounds":
-        "1c3812abb664e737665251bcc29271f394d10e11a63e7d914ee6381d4827f36d",
+        "0ea66ce15a14c03b21723b6c0d3e19b9e41d6d36dd1cc7e3f832eb35b52da997",
     "sample-every-0.7-rounds":
-        "e64097106c8daa2a1b5ccca4c513882f80dfb872e47f73966898f7e7217fa6b4",
+        "d8229b57069b147c6a3d4e7108833cd9129ac1c54b494916d06b58d042ce19de",
     "quantized-ticks":
-        "b9d7c232990d90c612d45391d99ce98d14298d23e7267c443e132dadfbc0c069",
+        "be2f4bd1d12e3e231f2e673aeaf17699c7605fe99681225a1f7b54461d3a1a59",
     "300-node-line":
-        "0bc35fcb059bd07a3b30e484d19dbe4b0b69f10254a54e9901b4cf18dd34d3a7",
+        "ca6b6d3268a88e34a4da5628f230d450e21632e4cf36403c6555b445f34fbf6f",
     "shorter-than-every-first-beacon":
-        "41515d50754f0427ab7139ea3cb7a1dc838cecb46b5d76823c416c07318eb333",
+        "4d5c2f9d37b7a12811b2f214ae6af6b9c56ec3715098369c654a5a7a7e2ad513",
 }
 
 
@@ -557,8 +557,49 @@ def test_trace_hw_rates_are_the_drift_models_rates_at_every_sample(kind, quantiz
     ))
     assert 5.0 in trace.times.tolist()
     for col, u in enumerate(trace.node_ids):
-        expected = [f0 + models[u].piece(t)[1] for t in trace.times.tolist()]
+        drift = models[u]
+        expected = [f0 + drift.devs[bisect_right(drift.starts, t) - 1] for t in trace.times]
         assert trace.hw_rates[:, col].tolist() == expected
+
+
+def test_the_sample_period_changes_no_event_and_no_shared_sample():
+    # Samples read the pure-function hardware clocks after the event loop, so
+    # they cannot move a protocol's own hardware readings.
+    runs = {sp: run(SimConfig(**{**SAMPLING_BASE, "sample_period": sp}))
+            for sp in (1.0 / 3.0, 1.0 / 7.0, 0.5, 1.0)}
+    base = runs[1.0 / 3.0].events
+    assert len(base) > 100
+    for trace in runs.values():
+        assert trace.events == base
+    # Every sample of the 1.0 grid is every second one of the 0.5 grid.
+    coarse, fine = runs[1.0], runs[0.5]
+    assert np.array_equal(fine.times[::2], coarse.times)
+    for proto in coarse.protocols:
+        assert np.array_equal(fine.readings[proto][::2], coarse.readings[proto])
+        assert np.array_equal(fine.rate_multipliers[proto][::2], coarse.rate_multipliers[proto])
+    assert np.array_equal(fine.hw_rates[::2], coarse.hw_rates)
+
+
+def test_deliveries_are_counted_as_accepted_stale_or_dropped():
+    # Every delivery to the reference counts as stale: it always holds the
+    # newest flood.  Two nodes for 12 rounds: 12 accepted, 12 to the reference.
+    pair = run(config(duration=12.0))
+    assert pair.meta["deliveries"] == {"accepted": 12, "stale": 12, "dropped": 0}
+    # Aligned phases and no drift: every node beacons at t = 1..12 to its two
+    # neighbours, 96 messages; a diamond's far node hears each flood twice.
+    # Of the 61 stale, 24 go to the reference, 24 from the far node back to
+    # nodes 2 and 3, and 13 to the far node (its second copy of each flood,
+    # and the empty flood it hears first).
+    diamond = Topology(nodes=(1, 2, 3, 4), edges=((1, 2), (1, 3), (2, 4), (3, 4)))
+    trace = run(config(topology=diamond, protocols=(GRADES, PISYNC), duration=12.0))
+    assert trace.meta["deliveries"] == {"accepted": 35, "stale": 61, "dropped": 0}
+    assert len(trace.events) == 2 * 35
+    # Two nodes for 30 rounds: 60 messages, about half of them dropped.
+    lossy = run(config(duration=30.0, drop_probability=0.5))
+    counts = lossy.meta["deliveries"]
+    assert counts["accepted"] == len(lossy.node_events(2, GRADES))
+    assert counts["dropped"] > 10 and counts["stale"] > 10
+    assert sum(counts.values()) == 60
 
 
 def test_sample_grid_is_bounded_before_it_is_allocated(monkeypatch):
