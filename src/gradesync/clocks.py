@@ -11,12 +11,12 @@ A hardware clock's reading is a pure function of real time.  On piece i it is
 ``knots[i] + (f0 + devs[i]) * (t - starts[i])``, where ``knots[0]`` is the
 start reading and each later knot is the previous piece's formula at its end,
 so readings never decrease, not even from one float to the next.
-``advance_to(t)`` gives the reading at one time, ``sample(times)`` the readings
-at an array of times in one numpy pass with the same arithmetic, and
-``time_of_tick`` inverts the same pieces, which is what the event simulator
-needs to schedule beacons.  A logical clock maps hardware ticks to an estimate
-of global time through an offset and a rate multiplier, and is only ever
-updated at discrete sync events.
+A :class:`ClockTable` holds many clocks' pieces up to a horizon as arrays and
+reads or inverts them all at once; the simulator schedules its beacons with
+one.  A :class:`HardwareClock` is a one-row table that grows as it is read:
+``advance_to``, ``sample`` and ``time_of_tick`` read and invert its pieces.  A
+logical clock maps hardware ticks to an estimate of global time through an
+offset and a rate multiplier, and is only ever updated at discrete sync events.
 
 All randomness flows through numpy ``Generator`` objects injected at
 construction, so a (seed, config) pair fully determines every trajectory.
@@ -34,6 +34,7 @@ import numpy as np
 from .errors import ContractViolation
 
 _SEGMENT_CHUNK = 256
+_WINDOW = 32  # targets per row in each window of ClockTable.crossings
 
 
 class DriftModel:
@@ -134,76 +135,137 @@ class WhiteDrift(DriftModel):
         return self.max_deviation
 
 
+def _reading(start, rate, knot, t):
+    """The unfloored reading at ``t`` on a piece (floats or arrays)."""
+    return knot + rate * (t - start)
+
+
+def _keyed(rows, values):
+    """(row, value) pairs as complex numbers, which numpy orders by row, then by value."""
+    keys = np.empty(np.broadcast(rows, values).shape, complex)
+    keys.real, keys.imag = rows, values
+    return keys
+
+
+class ClockTable:
+    """The hardware clocks of a network up to ``horizon``, one row per clock.
+
+    Row i holds clock i's piece starts, rates ``f0 + devs`` and knots up to the
+    end of the piece that holds ``horizon``, then a piece of rate ``f0`` from
+    there, then inf padding.  Array lookups are one ``np.searchsorted`` each,
+    on (row, value) keys; ``read`` looks up one clock in Python lists.
+    """
+
+    def __init__(self, nominal_freq, drifts, start_ticks, horizon: float, quantize: bool = False):
+        if nominal_freq <= 0:
+            raise ValueError("nominal_freq must be positive")
+        pieces = []
+        for drift in drifts:
+            if not drift.max_abs_deviation() < nominal_freq:  # written so that NaN fails too
+                raise ValueError("drift model's max_abs_deviation must stay below nominal_freq")
+            while drift.starts[-1] <= horizon:
+                drift.extend()
+            count = bisect_right(drift.starts, horizon)
+            pieces.append((list(drift.starts[:count + 1]), list(drift.devs[:count])))
+        n, width = len(pieces), max(len(starts) for starts, _ in pieces)
+        starts = np.array([s + [math.inf] * (width - len(s)) for s, _ in pieces])
+        rates = np.add(nominal_freq, [d + [0.0] * (width - len(d)) for _, d in pieces])
+        # Each knot is the one before plus its piece's ticks; a piece from inf spans inf.
+        gaps = np.subtract(starts[:, 1:], starts[:, :-1], out=np.full((n, width - 1), np.inf),
+                           where=starts[:, :-1] < np.inf)
+        knots = np.add.accumulate(np.c_[start_ticks, rates[:, :-1] * gaps], axis=1)
+        self.quantize = quantize
+        self.rows = list(zip(starts.tolist(), rates.tolist(), knots.tolist()))
+        ids = np.arange(n)[:, None]
+        self._start_keys, self._knot_keys = _keyed(ids, starts).ravel(), _keyed(ids, knots).ravel()
+        self._starts, self._rates, self._knots = starts.ravel(), rates.ravel(), knots.ravel()
+
+    def read(self, row: int, t: float) -> float:
+        """Clock ``row``'s reading at ``t`` (floored to a whole tick in quantize mode)."""
+        starts, rates, knots = self.rows[row]
+        i = bisect_right(starts, t) - 1
+        ticks = _reading(starts[i], rates[i], knots[i], t)
+        return math.floor(ticks) if self.quantize else ticks
+
+    def sample(self, rows, times) -> tuple[np.ndarray, np.ndarray]:
+        """The readings and rates of clocks ``rows`` at ``times``, broadcast together."""
+        i = np.searchsorted(self._start_keys, _keyed(rows, times), side="right") - 1
+        rates = self._rates[i]
+        ticks = _reading(self._starts[i], rates, self._knots[i], times)
+        return np.floor(ticks) if self.quantize else ticks, rates
+
+    def time_of(self, rows, ticks) -> np.ndarray:
+        """When the unfloored readings of clocks ``rows`` reach ``ticks``, broadcast together."""
+        i = np.searchsorted(self._knot_keys, _keyed(rows, ticks), side="right") - 1
+        return self._starts[i] + (ticks - self._knots[i]) / self._rates[i]
+
+    def crossings(self, first, step: float, until: float):
+        """(time, row, reading) whenever a clock reaches a target up to ``until``, by time and row.
+
+        Row i's targets are ``first[i]``, then each previous one plus ``step``.
+        A window of ``_WINDOW`` targets per row ends when the first row reaches
+        its last; each row carries the targets it has not reached into the next.
+        """
+        rows = np.arange(len(first))
+        sums = np.full((len(first), _WINDOW + 1), step)
+        sums[:, 0] = first
+        while True:
+            targets = np.add.accumulate(sums, axis=1)
+            when = self.time_of(rows[:, None], targets[:, :-1])
+            end = when[:, -1].min()
+            due = when <= min(end, until)
+            times, node = when[due], np.nonzero(due)[0]
+            order = np.lexsort((node, times))
+            columns = times[order], node[order], self.sample(node[order], times[order])[0]
+            for j in range(0, len(order), 1024):  # as Python values, 1024 at a time
+                yield from zip(*[c[j:j + 1024].tolist() for c in columns])
+            if end >= until:
+                return
+            sums[:, 0] = targets[rows, due.sum(axis=1)]
+
+
 class HardwareClock:
     """Free-running oscillator whose reading is a pure function of real time.
 
-    It holds the knots and rates (``f0 + devs[i]``) of the pieces read so far,
-    computed in piece order, a drawn chunk at a time.
+    A one-row :class:`ClockTable`, rebuilt further out when read past its pieces.
     """
-
-    __slots__ = ("nominal_freq", "drift", "quantize", "_starts", "_rates", "_knots")
 
     def __init__(
         self, nominal_freq: float, drift=None, start_ticks: float = 0.0, quantize: bool = False
     ):
-        if nominal_freq <= 0:
-            raise ValueError("nominal_freq must be positive")
-        drift = drift if drift is not None else ConstantDrift(0.0)
-        if not drift.max_abs_deviation() < nominal_freq:  # written so that NaN fails too
-            raise ValueError("drift model's max_abs_deviation must stay below nominal_freq")
-        self.nominal_freq = float(nominal_freq)
-        self.drift = drift
-        self.quantize = bool(quantize)
-        self._starts = drift.starts
-        self._rates: list[float] = []
-        self._knots = [float(start_ticks)]
-        self._grow()
+        self.nominal_freq, self.quantize = float(nominal_freq), bool(quantize)
+        self.drift = drift if drift is not None else ConstantDrift(0.0)
+        self._start = float(start_ticks)
+        self._table = ClockTable(self.nominal_freq, [self.drift], [self._start], 0.0, self.quantize)
 
-    def _grow(self) -> None:
-        """Give a knot and a rate to every drawn piece, drawing more if all have them."""
-        n = len(self._rates)
-        if n == len(self.drift.devs):
-            self.drift.extend()
-        rates = np.add(self.nominal_freq, self.drift.devs[n:])
-        spans = rates * np.diff(self._starts[n:])
-        self._rates.extend(rates.tolist())
-        self._knots.extend(np.cumsum(np.concatenate(([self._knots[-1]], spans)))[1:].tolist())
-
-    def _find(self, t: float) -> int:
-        """Index of the piece that holds ``t``."""
+    def _reach(self, t: float) -> ClockTable:
+        """The clock's table, rebuilt to hold ``t`` if its pieces end at or before ``t``."""
         if not 0 <= t < math.inf:
             raise ContractViolation(f"clock read at t={t}; it is defined for 0 <= t < inf")
-        while t >= self._starts[len(self._rates)]:
-            self._grow()
-        return bisect_right(self._starts, t, 0, len(self._rates)) - 1
+        if t >= self._table.rows[0][0][-1]:
+            self._table = ClockTable(self.nominal_freq, [self.drift], [self._start], t,
+                                     self.quantize)
+        return self._table
 
     def advance_to(self, t: float) -> float:
         """The reading at real time ``t`` (floored to a whole tick in quantize mode)."""
-        i = self._find(t)
-        ticks = self._knots[i] + self._rates[i] * (t - self._starts[i])
-        return math.floor(ticks) if self.quantize else ticks
+        return self._reach(t).read(0, t)
 
     def sample(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The readings and the frequencies ``f0 + deviation`` at ``times``, in one pass."""
-        self._find(times.min())
-        self._find(times.max())
-        n = len(self._rates)
-        i = np.searchsorted(self._starts[:n], times, side="right") - 1
-        starts, knots, rates = (np.array(a[:n]) for a in (self._starts, self._knots, self._rates))
-        ticks = knots[i] + rates[i] * (times - starts[i])
-        return np.floor(ticks) if self.quantize else ticks, rates[i]
+        for t in (times.min(), times.max()) if times.size else ():
+            self._reach(t)
+        return self._table.sample(0, times)
 
     def time_of_tick(self, target_ticks: float) -> float:
         """Real time at which the unfloored reading reaches ``target_ticks``."""
-        knots = self._knots
-        if not knots[0] <= target_ticks < math.inf:
+        if not self._start <= target_ticks < math.inf:
             raise ContractViolation(
-                f"tick target {target_ticks} is outside [start reading {knots[0]}, inf)"
+                f"tick target {target_ticks} is outside [start reading {self._start}, inf)"
             )
-        while target_ticks >= knots[-1]:
-            self._grow()
-        i = bisect_right(knots, target_ticks) - 1
-        return self._starts[i] + (target_ticks - knots[i]) / self._rates[i]
+        while target_ticks >= self._table.rows[0][2][-1]:
+            self._reach(2.0 * self._table.rows[0][0][-1])
+        return float(self._table.time_of(0, target_ticks))
 
 
 def read_before_update(hw_now, hw_at_update) -> ContractViolation:

@@ -11,17 +11,17 @@ delivery time, so negative draws are fine).  A delivery is applied only if it
 carries a strictly newer sequence number than the receiver holds; a stale one
 changes nothing.
 
-Trace samples touch no clock: a hardware reading is a pure function of time
-(``clocks.HardwareClock``), so the hardware readings at the sample instants
-are computed after the event loop, one numpy call per node, and the logical
-readings and rate multipliers are assembled from a log of the accepted
-updates with whole-array numpy, with the same arithmetic as
-``LogicalClock.read``.  So the sample period changes no event of a run.
+There is no event queue: hardware readings are a pure function of time, so
+the beacon schedule is known up front.  All clocks are one
+``clocks.ClockTable``; its ``crossings`` give every beacon's instant and
+sender reading in (time, node id) order, a window of rounds at a time.  Trace
+samples touch no clock: the hardware grid comes from the table after the loop,
+and the logical readings from a log of accepted updates, with the arithmetic
+of ``LogicalClock.read``.  So the sample period changes no event of a run.
 
 Determinism: all randomness comes from numpy generators spawned off a single
 SeedSequence(config.seed), one stream per purpose (phases, delays, drops, one
-drift stream per node).  The event queue holds only beacons, ordered by
-(time, node id).  Each instant t is handled whole, and a sample at t sees
+drift stream per node).  Each instant t is handled whole, and a sample at t sees
 nothing of it: first every beacon due at t in node-id order, each built
 from its sender's state before t and drawing its receivers' noise and drop
 values in neighbor order, and last the deliveries those beacons made, in the
@@ -34,17 +34,19 @@ on which other protocols are enabled alongside it.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
+import time
 from array import array
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property, partial
+from operator import itemgetter
 
 import numpy as np
 
-from .clocks import ConstantDrift, DriftModel, HardwareClock, LogicalClock, WhiteDrift
+from .clocks import ClockTable, ConstantDrift, DriftModel, LogicalClock, WhiteDrift
 from .clocks import read_before_update
 from .errors import ContractViolation
 from .protocols import (
@@ -321,6 +323,7 @@ def run(config: SimConfig) -> SkewTrace:
     annotated with node id and event time if a protocol update breaks its
     contract (e.g. a mis-scaled step size).
     """
+    run_start = time.perf_counter()
     topo = config.topology
     nodes = tuple(sorted(topo.nodes))
     b, f0 = config.beacon_period, config.nominal_freq
@@ -335,12 +338,8 @@ def run(config: SimConfig) -> SkewTrace:
             "shorten duration or raise sample_period"
         )
 
-    ss = np.random.SeedSequence(config.seed)
-    phase_ss, delay_ss, drop_ss, drift_ss = ss.spawn(4)
-    phase_rng = np.random.default_rng(phase_ss)
-    delay_rng = np.random.default_rng(delay_ss)
-    drop_rng = np.random.default_rng(drop_ss)
-    drift_children = drift_ss.spawn(n)
+    phase_ss, delay_ss, drop_ss, drift_ss = np.random.SeedSequence(config.seed).spawn(4)
+    phase_rng, delay_rng, drop_rng = map(np.random.default_rng, (phase_ss, delay_ss, drop_ss))
 
     if config.phase_mode == "random":
         phases = phase_rng.uniform(0.0, round_ticks, n)
@@ -352,31 +351,28 @@ def run(config: SimConfig) -> SkewTrace:
         # *earlier* by phase/f0, hence the reversed ramp.
         hops = topo.hops_from_reference()
         span = max(hops.values()) + 1
-        phases = np.array(
-            [((span - hops[u]) % span) * round_ticks / span for u in nodes]
-        )
+        phases = np.array([((span - hops[u]) % span) * round_ticks / span for u in nodes])
     else:
         phases = np.zeros(n)
 
     adaptive = config.step_policy == "adaptive"
     duration, p_drop = config.duration, config.drop_probability
     record_events = config.record_events
-    # Node state lives in lists indexed by the node's position in ``nodes``;
-    # heap entries carry that index, which orders beacons exactly as node ids do.
+    # Node state lives in lists indexed by the node's position in ``nodes``,
+    # which orders beacons exactly as node ids do.
     index = {u: i for i, u in enumerate(nodes)}
     ref = index[topo.reference]
-    clocks: list[HardwareClock] = []
-    next_target: list[float] = []
-    for i, u in enumerate(nodes):
-        drift = _drift_for_node(config, u, np.random.default_rng(drift_children[i]))
-        clocks.append(HardwareClock(f0, drift, float(phases[i]), config.quantize_ticks))
-        next_target.append((math.floor(phases[i] / round_ticks) + 1) * round_ticks)
+    drifts = [_drift_for_node(config, u, np.random.default_rng(child))
+              for u, child in zip(nodes, drift_ss.spawn(n))]
+    times = np.arange(n_samples) * sample_period
+    sample_times = times.tolist()
+    clocks = ClockTable(f0, drifts, phases, max(duration, times[-1]), config.quantize_ticks)
     neighbors = [tuple([index[v] for v in topo.neighbors(u)]) for u in nodes]
     # One lane per protocol: its slot in a message's readings, its name, every
     # node's state, its update rule (looked up here, at run time), error scale
     # and step bound.  Logical clocks start at their (quantize: floored) reading.
     handler = {GRADES: grades_on_message, PISYNC: pisync_on_message}
-    start = [LogicalClock(hw, 1.0, hw) for hw in [clk.advance_to(0.0) for clk in clocks]]
+    start = [LogicalClock(hw, 1.0, hw) for hw in clocks.sample(np.arange(n), 0.0)[0].tolist()]
     lanes = []
     for i, p in enumerate(config.protocols):
         step = config.resolved_step_size(p)
@@ -387,14 +383,10 @@ def run(config: SimConfig) -> SkewTrace:
     # Receiver noise (and drop) draws, taken in blocks and used in draw order.
     noises = _draws(partial(delay_rng.normal, 0.0, config.delay_std))
     drops = _draws(drop_rng.random)
-
-    # The beacon schedule: the (time, node index) of every node's next beacon.
-    heap = [(clk.time_of_tick(next_target[i]), i) for i, clk in enumerate(clocks)]
-    heapq.heapify(heap)
-    push, pop = heapq.heappush, heapq.heappop
-    # The sample instants, then a sentinel no event time reaches.
-    times = np.arange(n_samples) * sample_period
-    sample_times = times.tolist() + [math.inf]
+    # Every beacon up to ``duration``: a node beacons each time its clock
+    # reaches a multiple of round_ticks above its start reading.
+    beacons = clocks.crossings((np.floor(phases / round_ticks) + 1) * round_ticks, round_ticks,
+                               duration)
     # The update log holds, per lane, each accepted clock's (value, rate, hw)
     # fields and, once for all lanes, k * n + node, where k is the first
     # sample that sees the update; the readings are assembled after the loop.
@@ -402,21 +394,17 @@ def run(config: SimConfig) -> SkewTrace:
     keys = array("q")
     events: list[SyncEvent] = []
     delivered = dropped = 0
+    setup_end = time.perf_counter()
 
     # One instant t at a time, as the module docstring states.  Sample k is
     # the first one after t, so it sees every earlier instant and all of t.
-    k = 0
     try:
-        while heap[0][0] <= duration:
-            t = heap[0][0]
-            while sample_times[k] <= t:
-                k += 1
+        for t, instant in itertools.groupby(beacons, key=itemgetter(0)):
+            k = bisect_right(sample_times, t)
             sent = []
-            while heap[0][0] <= t:
-                who = pop(heap)[1]
-                clk = clocks[who]
+            for _, who, hw in instant:
                 mine = tuple([states[who] for states in lane_states])
-                msg = on_beacon_tick(mine, seqs[who], who == ref, clk.advance_to(t))
+                msg = on_beacon_tick(mine, seqs[who], who == ref, hw)
                 seqs[who] = msg.seq
                 for v in neighbors[who]:
                     # Each receiver sees the same message plus its own noise draw.
@@ -425,8 +413,6 @@ def run(config: SimConfig) -> SkewTrace:
                         dropped += 1
                         continue
                     sent.append((v, msg, noise))
-                next_target[who] += round_ticks
-                push(heap, (clk.time_of_tick(next_target[who]), who))
             # A delivery changes only its receiver's state and draws nothing.  The
             # reference holds the newest flood, so every delivery to it is stale.
             delivered += len(sent)
@@ -434,7 +420,7 @@ def run(config: SimConfig) -> SkewTrace:
                 if seq <= seqs[who]:
                     continue  # stale: this node already holds this flood or a newer one
                 seqs[who] = seq
-                hw = clocks[who].advance_to(t)
+                hw = clocks.read(who, t)
                 keys.append(k * n + who)
                 for i, proto, states, update, scale, step_max in lanes:
                     new = update(states[who], readings[i] + noise, hw, scale, step_max, adaptive)
@@ -445,14 +431,13 @@ def run(config: SimConfig) -> SkewTrace:
                                                 new.step_size, new.clock.rate_multiplier))
     except ContractViolation as err:
         raise ContractViolation(f"node {nodes[who]} at t={t:.9g}: {err}") from err
-    shape = (n_samples, n)
-    hw_grid, hw_rates_out = np.empty(shape), np.empty(shape)
-    for i, clk in enumerate(clocks):
-        hw_grid[:, i], hw_rates_out[:, i] = clk.sample(times)
-    readings_out = {p: np.empty(shape) for p in config.protocols}
-    rates_out = {p: np.empty(shape) for p in config.protocols}
+    loop_end = time.perf_counter()
+    hw_grid, hw_rates_out = clocks.sample(np.arange(n), times[:, None])
+    readings_out = {p: np.empty_like(hw_grid) for p in config.protocols}
+    rates_out = {p: np.empty_like(hw_grid) for p in config.protocols}
     for (_, proto, *_), fields in zip(lanes, fields_logs):
         _assemble(np.array(start), fields, keys, hw_grid, readings_out[proto], rates_out[proto])
+    assembly_end = time.perf_counter()
 
     return SkewTrace(
         times=times,
@@ -470,6 +455,8 @@ def run(config: SimConfig) -> SkewTrace:
             "nominal_freq": f0,
             "deliveries": {"accepted": len(keys), "stale": delivered - len(keys),
                            "dropped": dropped},
+            "phase_s": {"setup": setup_end - run_start, "loop": loop_end - setup_end,
+                        "assembly": assembly_end - loop_end},
         },
     )
 

@@ -85,6 +85,13 @@ def test_a_reading_outside_the_time_axis_raises(t):
         clock.sample(np.array([1.0, t]))
 
 
+def test_sampling_no_times_gives_two_empty_arrays():
+    clock = HardwareClock(nominal_freq=1e3, drift=WhiteDrift(1e-3, make_rng()), quantize=True)
+    ticks, rates = clock.sample(np.array([]))
+    assert ticks.shape == rates.shape == (0,)
+    assert clock.sample(np.array([0.0]))[1].tolist() == [1e3 + clock.drift.devs[0]]
+
+
 def test_piecewise_deviation_integrates_each_segment_exactly():
     drift = PiecewiseDrift(((0.0, 1e-4), (20.0, 5e-5)))
     assert drift.starts == (0.0, 20.0, math.inf)

@@ -27,7 +27,7 @@ from gradesync import (
     write_skew_csv,
     write_trace_csv,
 )
-from gradesync import sim
+from gradesync import clocks, sim
 from gradesync.clocks import LogicalClock
 from gradesync.sim import steady_mean_skew
 
@@ -600,6 +600,28 @@ def test_deliveries_are_counted_as_accepted_stale_or_dropped():
     assert counts["accepted"] == len(lossy.node_events(2, GRADES))
     assert counts["dropped"] > 10 and counts["stale"] > 10
     assert sum(counts.values()) == 60
+
+
+def test_a_schedule_window_of_one_round_changes_nothing(monkeypatch):
+    # Each node's beacon targets are a running sum of 2.1-tick rounds, which
+    # is inexact; one round per window carries that sum across a window
+    # boundary at every beacon.
+    diamond = Topology(nodes=(1, 2, 3, 4), edges=((1, 2), (1, 3), (2, 4), (3, 4)))
+    cfg = SimConfig(**{**SAMPLING_BASE, "topology": diamond, "beacon_period": 0.7,
+                       "nominal_freq": 3.0, "max_deviation": 0.3, "step_size": None,
+                       "quantize_ticks": True})
+    wide = run(cfg)
+    monkeypatch.setattr(clocks, "_WINDOW", 1)
+    narrow = run(cfg)
+    assert len(wide.events) > 100
+    assert trace_digest(narrow) == trace_digest(wide)
+    assert narrow.meta["deliveries"] == wide.meta["deliveries"]
+
+
+def test_a_run_reports_the_seconds_of_each_phase():
+    phase_s = run(config(topology=Topology.line(5))).meta["phase_s"]
+    assert set(phase_s) == {"setup", "loop", "assembly"}
+    assert all(seconds >= 0 for seconds in phase_s.values())
 
 
 def test_sample_grid_is_bounded_before_it_is_allocated(monkeypatch):
