@@ -153,38 +153,41 @@ class ClockTable:
     Row i holds clock i's piece starts, rates ``f0 + devs`` and knots up to the
     end of the piece that holds ``horizon``, then a piece of rate ``f0`` from
     there, then inf padding.  Array lookups are one ``np.searchsorted`` each,
-    on (row, value) keys; ``read`` looks up one clock in Python lists.
+    on (row, value) keys; ``read`` bisects one row's starts, a list that shares
+    the drift model's floats.
     """
 
     def __init__(self, nominal_freq, drifts, start_ticks, horizon: float, quantize: bool = False):
         if nominal_freq <= 0:
             raise ValueError("nominal_freq must be positive")
-        pieces = []
+        drawn = []
         for drift in drifts:
             if not drift.max_abs_deviation() < nominal_freq:  # written so that NaN fails too
                 raise ValueError("drift model's max_abs_deviation must stay below nominal_freq")
             while drift.starts[-1] <= horizon:
                 drift.extend()
             count = bisect_right(drift.starts, horizon)
-            pieces.append((list(drift.starts[:count + 1]), list(drift.devs[:count])))
-        n, width = len(pieces), max(len(starts) for starts, _ in pieces)
-        starts = np.array([s + [math.inf] * (width - len(s)) for s, _ in pieces])
-        rates = np.add(nominal_freq, [d + [0.0] * (width - len(d)) for _, d in pieces])
+            drawn.append((list(drift.starts[:count + 1]), list(drift.devs[:count])))
+        n, width = len(drawn), max(len(starts) for starts, _ in drawn)
+        self._start_rows = [s + [math.inf] * (width - len(s)) for s, _ in drawn]
+        starts = np.array(self._start_rows)
+        rates = np.add(nominal_freq, [d + [0.0] * (width - len(d)) for _, d in drawn])
         # Each knot is the one before plus its piece's ticks; a piece from inf spans inf.
         gaps = np.subtract(starts[:, 1:], starts[:, :-1], out=np.full((n, width - 1), np.inf),
                            where=starts[:, :-1] < np.inf)
         knots = np.add.accumulate(np.c_[start_ticks, rates[:, :-1] * gaps], axis=1)
-        self.quantize = quantize
-        self.rows = list(zip(starts.tolist(), rates.tolist(), knots.tolist()))
+        self.quantize, self._width = quantize, width
         ids = np.arange(n)[:, None]
         self._start_keys, self._knot_keys = _keyed(ids, starts).ravel(), _keyed(ids, knots).ravel()
         self._starts, self._rates, self._knots = starts.ravel(), rates.ravel(), knots.ravel()
+        self._rate_view, self._knot_view = memoryview(self._rates), memoryview(self._knots)
 
     def read(self, row: int, t: float) -> float:
         """Clock ``row``'s reading at ``t`` (floored to a whole tick in quantize mode)."""
-        starts, rates, knots = self.rows[row]
+        starts = self._start_rows[row]
         i = bisect_right(starts, t) - 1
-        ticks = _reading(starts[i], rates[i], knots[i], t)
+        j = row * self._width + i
+        ticks = _reading(starts[i], self._rate_view[j], self._knot_view[j], t)
         return math.floor(ticks) if self.quantize else ticks
 
     def sample(self, rows, times) -> tuple[np.ndarray, np.ndarray]:
@@ -216,8 +219,9 @@ class ClockTable:
             due = when <= min(end, until)
             times, node = when[due], np.nonzero(due)[0]
             order = np.lexsort((node, times))
-            columns = times[order], node[order], self.sample(node[order], times[order])[0]
-            for j in range(0, len(order), 1024):  # as Python values, 1024 at a time
+            times, node = times[order], node[order]
+            columns = times, node, self.sample(node, times)[0]
+            for j in range(0, len(times), 1024):  # as Python values, 1024 at a time
                 yield from zip(*[c[j:j + 1024].tolist() for c in columns])
             if end >= until:
                 return
@@ -242,7 +246,7 @@ class HardwareClock:
         """The clock's table, rebuilt to hold ``t`` if its pieces end at or before ``t``."""
         if not 0 <= t < math.inf:
             raise ContractViolation(f"clock read at t={t}; it is defined for 0 <= t < inf")
-        if t >= self._table.rows[0][0][-1]:
+        if t >= self._table._starts[-1]:
             self._table = ClockTable(self.nominal_freq, [self.drift], [self._start], t,
                                      self.quantize)
         return self._table
@@ -253,8 +257,9 @@ class HardwareClock:
 
     def sample(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The readings and the frequencies ``f0 + deviation`` at ``times``, in one pass."""
-        for t in (times.min(), times.max()) if times.size else ():
-            self._reach(t)
+        if times.size:
+            self._reach(times.min())
+            self._reach(times.max())
         return self._table.sample(0, times)
 
     def time_of_tick(self, target_ticks: float) -> float:
@@ -263,8 +268,8 @@ class HardwareClock:
             raise ContractViolation(
                 f"tick target {target_ticks} is outside [start reading {self._start}, inf)"
             )
-        while target_ticks >= self._table.rows[0][2][-1]:
-            self._reach(2.0 * self._table.rows[0][0][-1])
+        while target_ticks >= self._table._knots[-1]:
+            self._reach(2.0 * self._table._starts[-1])
         return float(self._table.time_of(0, target_ticks))
 
 

@@ -319,7 +319,8 @@ def run(config: SimConfig) -> SkewTrace:
     ``meta["deliveries"]`` counts every message a receiver's noise was drawn
     for as ``accepted``, ``stale`` or ``dropped``.  ``stale`` includes every
     delivery to the reference, which always holds the newest flood, not only
-    repeated floods.  Raises ContractViolation
+    repeated floods.  ``meta["phase_s"]`` holds the seconds of set-up, the
+    event loop and trace assembly.  Raises ContractViolation
     annotated with node id and event time if a protocol update breaks its
     contract (e.g. a mis-scaled step size).
     """
@@ -338,8 +339,11 @@ def run(config: SimConfig) -> SkewTrace:
             "shorten duration or raise sample_period"
         )
 
-    phase_ss, delay_ss, drop_ss, drift_ss = np.random.SeedSequence(config.seed).spawn(4)
-    phase_rng, delay_rng, drop_rng = map(np.random.default_rng, (phase_ss, delay_ss, drop_ss))
+    ss = np.random.SeedSequence(config.seed)
+    phase_ss, delay_ss, drop_ss, drift_ss = ss.spawn(4)
+    phase_rng = np.random.default_rng(phase_ss)
+    delay_rng = np.random.default_rng(delay_ss)
+    drop_rng = np.random.default_rng(drop_ss)
 
     if config.phase_mode == "random":
         phases = phase_rng.uniform(0.0, round_ticks, n)
@@ -351,7 +355,9 @@ def run(config: SimConfig) -> SkewTrace:
         # *earlier* by phase/f0, hence the reversed ramp.
         hops = topo.hops_from_reference()
         span = max(hops.values()) + 1
-        phases = np.array([((span - hops[u]) % span) * round_ticks / span for u in nodes])
+        phases = np.array(
+            [((span - hops[u]) % span) * round_ticks / span for u in nodes]
+        )
     else:
         phases = np.zeros(n)
 
