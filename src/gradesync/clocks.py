@@ -152,8 +152,9 @@ class ClockTable:
 
     Row i holds clock i's piece starts, rates ``f0 + devs`` and knots up to the
     end of the piece that holds ``horizon``, then a piece of rate ``f0`` from
-    there, then inf padding.  Array lookups are one ``np.searchsorted`` each,
-    on (row, value) keys; ``read`` bisects one row's starts, a list that shares
+    there (so a reading past the table inverts to a time past the horizon),
+    then inf padding.  Array lookups are one ``np.searchsorted`` each, on
+    (row, value) keys; ``read`` bisects one row's starts, a list that shares
     the drift model's floats.
     """
 
@@ -231,7 +232,8 @@ class ClockTable:
 class HardwareClock:
     """Free-running oscillator whose reading is a pure function of real time.
 
-    A one-row :class:`ClockTable`, rebuilt further out when read past its pieces.
+    A one-row :class:`ClockTable`, rebuilt at least twice as far out whenever it
+    is read past its pieces.
     """
 
     def __init__(
@@ -243,12 +245,13 @@ class HardwareClock:
         self._table = ClockTable(self.nominal_freq, [self.drift], [self._start], 0.0, self.quantize)
 
     def _reach(self, t: float) -> ClockTable:
-        """The clock's table, rebuilt to hold ``t`` if its pieces end at or before ``t``."""
+        """The clock's table, rebuilt at least twice as far out if its pieces end by ``t``."""
         if not 0 <= t < math.inf:
             raise ContractViolation(f"clock read at t={t}; it is defined for 0 <= t < inf")
-        if t >= self._table._starts[-1]:
-            self._table = ClockTable(self.nominal_freq, [self.drift], [self._start], t,
-                                     self.quantize)
+        end = self._table._starts[-1]
+        if t >= end:
+            self._table = ClockTable(self.nominal_freq, [self.drift], [self._start],
+                                     max(t, 2.0 * end), self.quantize)
         return self._table
 
     def advance_to(self, t: float) -> float:
@@ -269,7 +272,7 @@ class HardwareClock:
                 f"tick target {target_ticks} is outside [start reading {self._start}, inf)"
             )
         while target_ticks >= self._table._knots[-1]:
-            self._reach(2.0 * self._table._starts[-1])
+            self._reach(self._table._starts[-1])
         return float(self._table.time_of(0, target_ticks))
 
 
