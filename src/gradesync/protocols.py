@@ -13,11 +13,13 @@ received clock (offset correction), then moves its rate multiplier by
 
 The two therefore differ only in the unit of the step size.  Flood freshness
 is not decided here: the simulator keeps one sequence number per node and
-drops a flood that is not strictly newer before it reaches ``on_message``.
+drops a flood that is not strictly newer before it reaches the update rule.
 
-All transition functions are pure: they take a state and return a new one,
-leaving the input untouched.  States and messages are immutable named tuples,
-which are cheap to build once per accepted message.
+The rule exists once, as ``update``: plain floats in, ``(error, step, rate)``
+out, which is what the simulator calls for every accepted flood.  The named
+tuples ``SyncState``, ``LogicalClock`` and ``SyncMessage`` and the pure
+transitions ``on_message`` and ``on_beacon_tick`` over them are the public
+and reference API; ``on_message`` is a thin wrapper around ``update``.
 """
 
 from __future__ import annotations
@@ -102,34 +104,36 @@ def adapt_step(step: float, signal_now: float, signal_prev: float, step_max: flo
     return grown
 
 
-def on_message(
-    state: SyncState,
-    received_clock: float,
-    hw_now: float,
-    scale: float,
-    step_max: float,
-    adapt: bool = True,
-) -> SyncState:
-    """Apply one received flood reading; the caller drops stale floods beforehand.
+def update(value, rate, hw_at, step, prev_error, received, hw_now, scale, step_max, adapt=True):
+    """The update rule on one node's clock ``value + rate * (hw - hw_at)``, step and last error.
 
-    The sync error is the local logical reading minus ``received_clock``
-    (which already carries the channel noise).  ``scale`` and ``step_max`` are
-    the protocol's ``error_scale`` and ``step_size_limit``.
+    The sync error is the local logical reading minus ``received`` (which
+    already carries the channel noise).  ``scale`` and ``step_max`` are the
+    protocol's ``error_scale`` and ``step_size_limit``.  Returns the error,
+    the new step size and the new rate multiplier; the new clock is
+    ``(received, rate, hw_now)``.
     """
-    value, rate, hw_at = state.clock
-    # LogicalClock.read, on the clock's fields.
-    if hw_now < hw_at:
+    if hw_now < hw_at:  # LogicalClock.read, on the clock's fields
         raise read_before_update(hw_now, hw_at)
-    error = value + rate * (hw_now - hw_at) - received_clock
+    error = value + rate * (hw_now - hw_at) - received
     signal = scale * error
-    step = state.step_size
     if adapt:
-        step = adapt_step(step, signal, scale * state.error, step_max)
+        step = adapt_step(step, signal, scale * prev_error, step_max)
     rate -= step * signal
     if rate <= 0:
         raise ContractViolation(
-            f"rate multiplier driven to {rate} (step size {step} is mis-scaled; limit {step_max})"
+            f"rate multiplier driven to {rate} (step size {step} is mis-scaled; limit "
+            f"{step_max}); sync error {error} ticks, {hw_now - hw_at} hardware ticks "
+            "after the node's last update"
         )
+    return error, step, rate
+
+
+def on_message(state: SyncState, received_clock: float, hw_now: float, scale: float,
+               step_max: float, adapt: bool = True) -> SyncState:
+    """``update`` on a ``SyncState``; the caller drops stale floods beforehand."""
+    error, step, rate = update(*state.clock, state.step_size, state.error, received_clock,
+                               hw_now, scale, step_max, adapt)
     clock = _tuple_new(LogicalClock, (received_clock, rate, hw_now))
     return _tuple_new(SyncState, (step, error, clock))
 

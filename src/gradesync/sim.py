@@ -1,15 +1,20 @@
 """Deterministic event-driven network simulator for the sync protocols.
 
-Every node owns a drifting hardware clock, the newest flood sequence number
-it holds and one logical-clock state per enabled protocol.  A node broadcasts
-whenever its *own* hardware clock crosses a multiple of beacon_period *
-nominal_freq ticks; the reference node stamps each of its broadcasts with a
-fresh flood sequence number.  Broadcasts are delivered to every neighbor at
-the emission instant, with an independent Gaussian noise draw per receiver
-added to the payload clock values (noise perturbs the reported value, not the
-delivery time, so negative draws are fine).  A delivery is applied only if it
-carries a strictly newer sequence number than the receiver holds; a stale one
-changes nothing.
+Every node owns a drifting hardware clock, the newest flood sequence number it
+holds and, per enabled protocol (a lane), a logical clock, a step size and its
+last sync error.  ``run`` keeps a lane as five flat float lists by node
+position (value, rate, hw_at, step, error) and applies ``protocols.update`` to
+them, so no state tuple is built per event.  A node broadcasts whenever its
+*own* hardware clock crosses a multiple of beacon_period * nominal_freq ticks;
+the reference node stamps each of its broadcasts with a fresh flood sequence
+number.  Broadcasts are delivered to every neighbor at the emission instant,
+with an independent Gaussian noise draw per receiver added to the payload
+clock values (noise perturbs the reported value, not the delivery time, so
+negative draws are fine).  A delivery is applied only if it carries a strictly
+newer sequence number than the receiver holds; a stale one changes nothing.
+Sequence numbers only grow, so a delivery whose receiver holds its flood when
+it is sent is stale at once, and a sender reads its logical clocks only for a
+beacon some receiver can accept.
 
 There is no event queue: hardware readings are a pure function of time, so
 the beacon schedule is known up front.  All clocks are one
@@ -46,19 +51,10 @@ from operator import itemgetter
 
 import numpy as np
 
-from .clocks import ClockTable, ConstantDrift, DriftModel, LogicalClock, WhiteDrift
-from .clocks import read_before_update
+from .clocks import ClockTable, ConstantDrift, DriftModel, WhiteDrift, read_before_update
 from .errors import ContractViolation
-from .protocols import (
-    GRADES,
-    PISYNC,
-    PROTOCOLS,
-    SyncState,
-    error_scale,
-    on_beacon_tick,
-    on_message,
-    step_size_limit,
-)
+from .protocols import GRADES, PISYNC, PROTOCOLS, error_scale, step_size_limit, update
+from .protocols import on_beacon_tick  # unused by ``run``; bench/tracer.py wraps this name
 
 # Drift spec strings accepted by SimConfig.drift (besides explicit models).
 WHITE_DRIFT = "white"
@@ -74,8 +70,8 @@ MAX_SAMPLE_CELLS = 2 * 10**7
 
 # The update rule under each protocol's name.  ``run`` looks these names up
 # when it starts, so each protocol's updates can be wrapped and counted on their own.
-grades_on_message = on_message
-pisync_on_message = on_message
+grades_on_message = update
+pisync_on_message = update
 
 
 @dataclass(frozen=True)
@@ -313,6 +309,13 @@ def _assemble(start, fields, keys, hw, readings, rates) -> None:
     readings += value[pick]
 
 
+def _spread(values: list, skip: int) -> tuple[float, float, float]:
+    """(min, median, max) of ``values`` without position ``skip``; NaNs if none is left."""
+    rest = sorted(values[:skip] + values[skip + 1:])
+    mid = len(rest) // 2
+    return (rest[0], (rest[mid] + rest[~mid]) / 2, rest[-1]) if rest else (math.nan,) * 3
+
+
 def run(config: SimConfig) -> SkewTrace:
     """Run the event simulation and return the sampled trace.
 
@@ -320,9 +323,11 @@ def run(config: SimConfig) -> SkewTrace:
     for as ``accepted``, ``stale`` or ``dropped``.  ``stale`` includes every
     delivery to the reference, which always holds the newest flood, not only
     repeated floods.  ``meta["phase_s"]`` holds the seconds of set-up, the
-    event loop and trace assembly.  Raises ContractViolation
-    annotated with node id and event time if a protocol update breaks its
-    contract (e.g. a mis-scaled step size).
+    event loop and trace assembly.  ``meta["final_state"]`` gives each
+    protocol's (min, median, max) step size and rate multiplier over the
+    nodes but the reference at the end (NaNs if there are none).  Raises
+    ContractViolation annotated with node id and event time if a protocol
+    update breaks its contract (e.g. a mis-scaled step size).
     """
     run_start = time.perf_counter()
     topo = config.topology
@@ -374,17 +379,19 @@ def run(config: SimConfig) -> SkewTrace:
     sample_times = times.tolist()
     clocks = ClockTable(f0, drifts, phases, max(duration, times[-1]), config.quantize_ticks)
     neighbors = [tuple([index[v] for v in topo.neighbors(u)]) for u in nodes]
-    # One lane per protocol: its slot in a message's readings, its name, every
-    # node's state, its update rule (looked up here, at run time), error scale
-    # and step bound.  Logical clocks start at their (quantize: floored) reading.
+    # One lane per protocol: its slot in a beacon's readings, its name, its
+    # flat node state (value, rate, hw_at, step, error), its update log, its
+    # update rule (looked up here, at run time), error scale and step bound.
+    # Logical clocks start at their (quantize: floored) reading.  The log holds
+    # each accepted clock's (value, rate, hw) and ``keys``, for all lanes,
+    # k * n + node, where k is the first sample that sees the update.
     handler = {GRADES: grades_on_message, PISYNC: pisync_on_message}
-    start = [LogicalClock(hw, 1.0, hw) for hw in clocks.sample(np.arange(n), 0.0)[0].tolist()]
-    lanes = []
-    for i, p in enumerate(config.protocols):
-        step = config.resolved_step_size(p)
-        states = [SyncState(step, clock=clock) for clock in start]
-        lanes.append((i, p, states, handler[p], error_scale(p, b, f0), step_size_limit(p, b, f0)))
-    lane_states = [lane[2] for lane in lanes]
+    hw0 = clocks.sample(np.arange(n), 0.0)[0].tolist()
+    lanes = [(i, p, list(hw0), [1.0] * n, list(hw0), [config.resolved_step_size(p)] * n,
+              [0.0] * n, array("d"), handler[p], error_scale(p, b, f0), step_size_limit(p, b, f0))
+             for i, p in enumerate(config.protocols)]
+    clock_lists = [lane[2:5] for lane in lanes]
+    keys = array("q")
     seqs = [0] * n  # the newest flood sequence number each node holds, for every lane
     # Receiver noise (and drop) draws, taken in blocks and used in draw order.
     noises = _draws(partial(delay_rng.normal, 0.0, config.delay_std))
@@ -393,13 +400,8 @@ def run(config: SimConfig) -> SkewTrace:
     # reaches a multiple of round_ticks above its start reading.
     beacons = clocks.crossings((np.floor(phases / round_ticks) + 1) * round_ticks, round_ticks,
                                duration)
-    # The update log holds, per lane, each accepted clock's (value, rate, hw)
-    # fields and, once for all lanes, k * n + node, where k is the first
-    # sample that sees the update; the readings are assembled after the loop.
-    fields_logs = [array("d") for _ in lanes]
-    keys = array("q")
     events: list[SyncEvent] = []
-    delivered = dropped = 0
+    stale = dropped = 0
     setup_end = time.perf_counter()
 
     # One instant t at a time, as the module docstring states.  Sample k is
@@ -409,40 +411,55 @@ def run(config: SimConfig) -> SkewTrace:
             k = bisect_right(sample_times, t)
             sent = []
             for _, who, hw in instant:
-                mine = tuple([states[who] for states in lane_states])
-                msg = on_beacon_tick(mine, seqs[who], who == ref, hw)
-                seqs[who] = msg.seq
+                seq = seqs[who]
+                if who == ref:
+                    seq = seqs[who] = seq + 1
+                readings = None
                 for v in neighbors[who]:
-                    # Each receiver sees the same message plus its own noise draw.
-                    noise = next(noises) * f0
+                    # Each receiver sees the same readings plus its own noise draw.
+                    noise = next(noises)
                     if p_drop > 0 and next(drops) < p_drop:
                         dropped += 1
                         continue
-                    sent.append((v, msg, noise))
-            # A delivery changes only its receiver's state and draws nothing.  The
-            # reference holds the newest flood, so every delivery to it is stale.
-            delivered += len(sent)
-            for who, (seq, readings), noise in sent:
-                if seq <= seqs[who]:
-                    continue  # stale: this node already holds this flood or a newer one
+                    if seq <= seqs[v]:  # stale already: sequence numbers only grow
+                        stale += 1
+                        continue
+                    if readings is None:  # the sender's readings, read once
+                        if who == ref:  # the reference advertises its hardware clock
+                            readings = [hw] * len(lanes)
+                        else:
+                            readings = []
+                            for values, rates, hw_ats in clock_lists:
+                                if hw < hw_ats[who]:  # LogicalClock.read, inline
+                                    raise read_before_update(hw, hw_ats[who])
+                                readings.append(values[who] + rates[who] * (hw - hw_ats[who]))
+                    sent.append((v, seq, readings, noise * f0))
+            # A delivery changes only its receiver's state and draws nothing.
+            for who, seq, readings, noise in sent:
+                if seq <= seqs[who]:  # stale: a flood this instant already brought
+                    stale += 1
+                    continue
                 seqs[who] = seq
                 hw = clocks.read(who, t)
                 keys.append(k * n + who)
-                for i, proto, states, update, scale, step_max in lanes:
-                    new = update(states[who], readings[i] + noise, hw, scale, step_max, adaptive)
-                    states[who] = new
-                    fields_logs[i].extend(new.clock)
+                for i, p, values, rates, hw_ats, steps, errors, log, rule, scale, limit in lanes:
+                    received = readings[i] + noise
+                    error, step, rate = rule(values[who], rates[who], hw_ats[who], steps[who],
+                                             errors[who], received, hw, scale, limit, adaptive)
+                    values[who], rates[who], hw_ats[who] = received, rate, hw
+                    steps[who], errors[who] = step, error
+                    log.fromlist([received, rate, hw])
                     if record_events:
-                        events.append(SyncEvent(t, nodes[who], proto, seq, new.error,
-                                                new.step_size, new.clock.rate_multiplier))
+                        events.append(SyncEvent(t, nodes[who], p, seq, error, step, rate))
     except ContractViolation as err:
         raise ContractViolation(f"node {nodes[who]} at t={t:.9g}: {err}") from err
     loop_end = time.perf_counter()
     hw_grid, hw_rates_out = clocks.sample(np.arange(n), times[:, None])
     readings_out = {p: np.empty_like(hw_grid) for p in config.protocols}
     rates_out = {p: np.empty_like(hw_grid) for p in config.protocols}
-    for (_, proto, *_), fields in zip(lanes, fields_logs):
-        _assemble(np.array(start), fields, keys, hw_grid, readings_out[proto], rates_out[proto])
+    start = np.array([hw0, [1.0] * n, hw0]).T
+    for _, proto, *_, log, _, _, _ in lanes:
+        _assemble(start, log, keys, hw_grid, readings_out[proto], rates_out[proto])
     assembly_end = time.perf_counter()
 
     return SkewTrace(
@@ -459,10 +476,11 @@ def run(config: SimConfig) -> SkewTrace:
             "seed": config.seed,
             "beacon_period": b,
             "nominal_freq": f0,
-            "deliveries": {"accepted": len(keys), "stale": delivered - len(keys),
-                           "dropped": dropped},
+            "deliveries": {"accepted": len(keys), "stale": stale, "dropped": dropped},
             "phase_s": {"setup": setup_end - run_start, "loop": loop_end - setup_end,
                         "assembly": assembly_end - loop_end},
+            "final_state": {lane[1]: {"step_size": _spread(lane[5], ref),
+                                      "rate_multiplier": _spread(lane[3], ref)} for lane in lanes},
         },
     )
 

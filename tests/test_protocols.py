@@ -23,6 +23,7 @@ from gradesync import (
     run,
     step_size_limit,
 )
+from gradesync.protocols import update
 
 
 def receive(protocol, st, received, hw_now, beacon_period, nominal_freq, adapt=True):
@@ -204,6 +205,48 @@ def test_mis_scaled_step_raises_instead_of_producing_a_frozen_clock():
     with pytest.raises(ContractViolation, match="mis-scaled"):
         receive(PISYNC, p, 0.0, hw_now=0.0, beacon_period=1.0, nominal_freq=1.0,
                 adapt=False)
+
+
+def test_a_driven_rate_names_the_sync_error_and_the_ticks_since_the_last_update():
+    # A clock 3 hardware ticks past its last update reads 3 and hears -1: a sync
+    # error of 4, which a step of 0.5 on the error itself drives to 1 - 2 = -1.
+    with pytest.raises(ContractViolation) as raised:
+        update(0.0, 1.0, 10.0, 0.5, 0.0, -1.0, 13.0, scale=1.0, step_max=1.0, adapt=False)
+    assert str(raised.value) == (
+        "rate multiplier driven to -1.0 (step size 0.5 is mis-scaled; limit 1.0); "
+        "sync error 4.0 ticks, 3.0 hardware ticks after the node's last update"
+    )
+
+
+def _outcome(call):
+    try:
+        return call()
+    except ContractViolation as err:
+        return f"ContractViolation: {err}"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    clock=st.tuples(st.floats(-1e3, 1e3), st.floats(1e-3, 2.0), st.floats(-1e3, 1e3)),
+    step=st.floats(1e-9, 2.0),
+    prev_error=st.floats(-1e3, 1e3),
+    received=st.floats(-1e3, 1e3),
+    hw_now=st.floats(-1e3, 1e3),
+    scale=st.floats(1e-3, 100.0),
+    step_max=st.floats(1e-3, 4.0),
+    adapt=st.booleans(),
+)
+def test_on_message_is_update_on_named_tuples(clock, step, prev_error, received, hw_now, scale,
+                                               step_max, adapt):
+    # Bit for bit, down to the text of either contract violation: an early
+    # read (hw_now before the clock's last update) or a rate driven to <= 0.
+    args = (received, hw_now, scale, step_max, adapt)
+    new = _outcome(lambda: update(*clock, step, prev_error, *args))
+    old = _outcome(lambda: on_message(SyncState(step, prev_error, LogicalClock(*clock)), *args))
+    if isinstance(old, SyncState):
+        assert old.clock == (received, old.clock.rate_multiplier, hw_now)
+        old = (old.error, old.step_size, old.clock.rate_multiplier)
+    assert repr(old) == repr(new)
 
 
 @settings(max_examples=30, deadline=None)

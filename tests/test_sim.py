@@ -29,6 +29,7 @@ from gradesync import (
 )
 from gradesync import clocks, sim
 from gradesync.clocks import LogicalClock
+from gradesync.protocols import update
 from gradesync.sim import steady_mean_skew
 
 
@@ -481,7 +482,7 @@ def test_stale_floods_never_reach_the_update_rule(monkeypatch):
 
     def counted(*args):
         calls.append(args)
-        return sim.on_message(*args)
+        return update(*args)
 
     monkeypatch.setattr(sim, "grades_on_message", counted)
     trace = run(SimConfig(**{**SAMPLING_BASE, "topology": Topology.line(50), "duration": 60.0}))
@@ -496,11 +497,11 @@ def test_each_protocol_updates_through_its_own_name(monkeypatch):
     calls = {GRADES: 0, PISYNC: 0}
 
     def counting(proto):
-        def update(*args):
+        def counted(*args):
             calls[proto] += 1
-            return sim.on_message(*args)
+            return update(*args)
 
-        return update
+        return counted
 
     monkeypatch.setattr(sim, "grades_on_message", counting(GRADES))
     monkeypatch.setattr(sim, "pisync_on_message", counting(PISYNC))
@@ -671,17 +672,29 @@ def test_mis_scaled_step_failure_reports_node_and_time():
 
 @pytest.mark.parametrize("entry", ["beacon", "delivery"])
 def test_contract_violation_names_the_node_whose_event_raised(entry, monkeypatch):
-    # A beacon's failure is its emitter's, a delivery's its receiver's.
-    cfg = config(topology=Topology.line(3), duration=5.0)
+    # A beacon's failure is its sender's, a delivery's its receiver's.
+    cfg = config(topology=Topology.line(3), duration=5.0, step_size=0.1)
     if entry == "beacon":
-        # Aligned phases and no drift: at t = 1 nodes 1, 2, 3 beacon in id order.
-        name, fail_at, where = "on_beacon_tick", 3, (3, 1.0)
-    else:
-        # The first update node 3 receives, found from the plain run's events.
-        events = run(cfg).events
-        fail_at = [e.node for e in events].index(3) + 1
-        name, where = "grades_on_message", (3, events[fail_at - 1].time)
-    real, calls = getattr(sim, name), []
+        # Aligned phases and no drift: at t = 1 node 2 takes flood 1 from the
+        # reference, at the hardware reading 1 + 1.5 injected here.  At t = 2
+        # its beacon carries flood 1 to node 3, who can accept it, so node 2
+        # reads its clock at 2 < 2.5 before any delivery of t = 2 runs.
+        real, reads = clocks.ClockTable.read, []
+
+        def shifted(self, row, t):
+            reads.append((row, t))
+            return real(self, row, t) + (1.5 if row == 1 else 0.0)
+
+        monkeypatch.setattr(clocks.ClockTable, "read", shifted)
+        with pytest.raises(ContractViolation, match=r"^node 2 at t=2: logical read at hw=2\.0 "
+                                                    r"before last update hw=2\.5$"):
+            run(cfg)
+        assert reads == [(1, 1.0)]
+        return
+    # The first update node 3 receives, found from the plain run's events.
+    events = run(cfg).events
+    fail_at = [e.node for e in events].index(3) + 1
+    real, calls = sim.grades_on_message, []
 
     def failing(*args):
         calls.append(args)
@@ -689,9 +702,37 @@ def test_contract_violation_names_the_node_whose_event_raised(entry, monkeypatch
             raise ContractViolation("boom")
         return real(*args)
 
-    monkeypatch.setattr(sim, name, failing)
-    with pytest.raises(ContractViolation, match=rf"^node {where[0]} at t={where[1]:.9g}: boom$"):
+    monkeypatch.setattr(sim, "grades_on_message", failing)
+    when = events[fail_at - 1].time
+    with pytest.raises(ContractViolation, match=rf"^node 3 at t={when:.9g}: boom$"):
         run(cfg)
+
+
+def test_the_final_state_shows_a_collapsed_adaptive_step():
+    # Under noise the sign rule divides the step by 3 about as often as it
+    # doubles it, so over 200 rounds the step of the one non-reference node
+    # falls many orders of magnitude below where it started.
+    cfg = config(step_policy="adaptive", delay_std=1e-3, duration=200.0)
+    trace = run(cfg)
+    last = trace.node_events(2, GRADES)[-1]
+    final = trace.meta["final_state"][GRADES]
+    assert final == {"step_size": (last.step_size,) * 3,
+                     "rate_multiplier": (last.rate_multiplier,) * 3}
+    assert 0 < last.step_size < cfg.resolved_step_size(GRADES) * 1e-6
+
+
+def test_the_final_state_spans_every_node_but_the_reference():
+    drift = {2: ConstantDrift(1e-3), 3: ConstantDrift(2e-3), 4: ConstantDrift(-1e-3)}
+    trace = run(config(topology=Topology.line(4), drift=drift, max_deviation=0.01,
+                       protocols=(GRADES, PISYNC), step_size={GRADES: 0.25, PISYNC: 0.5},
+                       duration=60.0))
+    for proto, step in ((GRADES, 0.25), (PISYNC, 0.5)):
+        final = trace.meta["final_state"][proto]
+        assert final["step_size"] == (step, step, step)
+        rates = sorted(trace.node_events(u, proto)[-1].rate_multiplier for u in (2, 3, 4))
+        assert final["rate_multiplier"] == tuple(rates)  # the reference's 1.0 is left out
+    single = run(config(topology=Topology.line(1))).meta["final_state"][GRADES]
+    assert all(math.isnan(x) for x in single["step_size"] + single["rate_multiplier"])
 
 
 def test_quantized_hardware_still_synchronizes_coarsely():
