@@ -13,7 +13,9 @@ with error_scale = 2*B*f0 for grades and 1 for pisync (see
 1 - 2*step*B**2*f0**2 resp. 1 - step*B*f0.  This module evaluates the
 resulting eigenvalues and steady-state error variances, and
 `estimate_variance_mc` replays the same recursion stochastically so every
-formula can be validated against an independent sample estimate.
+formula can be validated against an independent sample estimate.  Only c
+differs between the protocols, so one oracle call runs a recursion per
+protocol side by side on one noise stream.
 
 Delay-noise conventions: the closed forms treat d as an i.i.d. draw of
 variance delay_std**2.  Mechanistically d is a difference of consecutive
@@ -165,20 +167,26 @@ class McEstimate:
     noise_convention: str
 
 
+_BLOCK_ROUNDS = 16  # rounds of noise drawn per numpy call
+
+
 def estimate_variance_mc(
     p: SystemParams,
-    protocol: str,
+    protocols: tuple[str, ...],
     rounds: int = 1200,
     trials: int = 1000,
     seed: int = 0,
     noise_convention: str = "iid",
     z0: float | None = None,
-) -> McEstimate:
+) -> tuple[McEstimate, ...]:
     """Monte-Carlo steady-state error statistics from the scalar round recursion.
 
     Runs ``trials`` independent paths for ``rounds`` rounds, discarding the
-    first half as burn-in.  ``noise_convention`` picks how the per-round delay
-    difference d is generated:
+    first half as burn-in, and returns one estimate per name in ``protocols``.
+    The protocols differ only in their gain c, so every recursion is fed the
+    same noise: a one-protocol call returns exactly the estimate that the
+    same protocol gets in a call with several.  ``noise_convention`` picks how
+    the per-round delay difference d is generated:
 
     * "iid": d ~ Normal(0, delay_std**2) fresh each round — the assumption
       under which the closed-form variance is exact.
@@ -189,6 +197,8 @@ def estimate_variance_mc(
     The standard error of the mean is computed across trials, which are
     genuinely independent.
     """
+    if isinstance(protocols, str):
+        raise ValueError(f"protocols must be a tuple of protocol names, got {protocols!r}")
     if noise_convention not in ("iid", "difference"):
         raise ValueError(
             f"noise_convention must be 'iid' or 'difference', got {noise_convention!r}"
@@ -197,32 +207,54 @@ def estimate_variance_mc(
         raise ValueError("need at least 2 rounds")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    coef = np.array([[_update_coefficient(p, proto)] for proto in protocols])
+    if not len(coef):
+        raise ValueError("protocols must name at least one protocol")
     b, f0 = p.beacon_period, p.nominal_freq
-    coef = _update_coefficient(p, protocol)
     w_std = p.max_deviation * math.sqrt(b / 3.0)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    z = np.full(trials, (f0 * 1.0 - 1.0) if z0 is None else z0, dtype=float)
+    z = np.full((len(coef), trials), (f0 * 1.0 - 1.0) if z0 is None else z0, dtype=float)
     t_prev = rng.normal(0.0, p.delay_std, trials)
     burn_in = rounds // 2
-    sum_e = np.zeros(trials)
-    sum_e2 = np.zeros(trials)
-    sum_z = np.zeros(trials)
-    kept = 0
-    for h in range(rounds):
-        w = rng.normal(0.0, w_std, trials)
-        if noise_convention == "iid":
-            d = rng.normal(0.0, p.delay_std, trials)
-        else:
-            t_new = rng.normal(0.0, p.delay_std, trials)
-            d = t_new - t_prev
-            t_prev = t_new
-        e = z * (b + w / f0) + w / f0 - d
-        z = z - coef * e
-        if h >= burn_in:
-            sum_e += e
-            sum_e2 += e * e
-            sum_z += z
-            kept += 1
+    sum_e, sum_e2, sum_z, e, step = (np.zeros_like(z) for _ in range(5))
+    block = np.empty((_BLOCK_ROUNDS, 2, trials))
+    for h0 in range(0, rounds, _BLOCK_ROUNDS):
+        # Round h draws w then d, as Generator.normal(0.0, std, trials) would:
+        # that computes 0.0 + std * g, so the += 0.0 keeps even its zeros' signs.
+        noise = block[: min(_BLOCK_ROUNDS, rounds - h0)]
+        rng.standard_normal(out=noise)
+        noise[:, 0] *= w_std
+        noise[:, 1] *= p.delay_std
+        noise += 0.0
+        w_f0 = noise[:, 0] / f0
+        gain = b + w_f0
+        d = noise[:, 1]
+        if noise_convention == "difference":
+            t_new = d.copy()
+            d[0] -= t_prev
+            d[1:] -= t_new[:-1]
+            t_prev = t_new[-1]
+        for r in range(len(noise)):
+            np.multiply(z, gain[r], out=e)
+            e += w_f0[r]
+            e -= d[r]
+            np.multiply(coef, e, out=step)
+            z -= step
+            if h0 + r >= burn_in:
+                sum_e += e
+                e *= e  # e is recomputed from z next round
+                sum_e2 += e
+                sum_z += z
+    kept = rounds - burn_in
+    return tuple(
+        _mc_estimate(sum_e[j], sum_e2[j], sum_z[j], kept, f0, noise_convention)
+        for j in range(len(coef))
+    )
+
+
+def _mc_estimate(sum_e, sum_e2, sum_z, kept: int, f0: float, noise_convention: str) -> McEstimate:
+    """One protocol's statistics from its per-trial sums over ``kept`` rounds."""
+    trials = len(sum_e)
     n = kept * trials
     trial_means = sum_e / kept
     mean_e = float(trial_means.mean())

@@ -189,7 +189,7 @@ class ClockTable:
         i = bisect_right(starts, t) - 1
         j = row * self._width + i
         ticks = _reading(starts[i], self._rate_view[j], self._knot_view[j], t)
-        return math.floor(ticks) if self.quantize else ticks
+        return float(math.floor(ticks)) if self.quantize else ticks
 
     def sample(self, rows, times) -> tuple[np.ndarray, np.ndarray]:
         """The readings and rates of clocks ``rows`` at ``times``, broadcast together."""

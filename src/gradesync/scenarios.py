@@ -68,6 +68,15 @@ def write_summary_csv(path: Path, summary: dict) -> None:
     write_csv(path, ("metric", "value"), rows)
 
 
+def _median(values: np.ndarray) -> float:
+    """``np.median`` of a non-empty array (NaN if any value is), without its numpy.ma import."""
+    ordered = np.sort(values)  # NaNs sort last
+    mid = len(ordered) // 2
+    if math.isnan(ordered[-1]):
+        return math.nan
+    return float(ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2)
+
+
 def report_summary(trace: SkewTrace, protocol: str) -> dict:
     """Convergence time plus post-convergence skew statistics for one protocol.
 
@@ -78,7 +87,7 @@ def report_summary(trace: SkewTrace, protocol: str) -> dict:
     times = trace.times
     skew = trace.global_skew(protocol)
     tail = skew[times >= times[-1] * 0.75]
-    threshold = 3.0 * float(np.median(tail))
+    threshold = 3.0 * _median(tail)
     conv = convergence_time(times, skew, threshold)
     converged = conv is not None and conv <= times[-1] * 0.75
     if not converged:
@@ -395,16 +404,16 @@ def _run_theory_check(params: dict, out: Path) -> dict:
     worst = None
     formula = {GRADES: grades_variance, PISYNC: pisync_variance}
     for i, p in enumerate(variance_grid()):
-        for proto in (GRADES, PISYNC):
+        estimates = estimate_variance_mc(
+            p,
+            (GRADES, PISYNC),
+            rounds=rounds,
+            trials=trials,
+            seed=int(params["seed"]) + i,
+            noise_convention=convention,
+        )
+        for proto, mc in zip((GRADES, PISYNC), estimates):
             ref = formula[proto](p)
-            mc = estimate_variance_mc(
-                p,
-                proto,
-                rounds=rounds,
-                trials=trials,
-                seed=int(params["seed"]) + i,
-                noise_convention=convention,
-            )
             rel = abs(mc.var_error - ref) / ref
             if rel > max_rel_err:
                 max_rel_err = rel

@@ -116,8 +116,8 @@ def grid_estimates():
     t0 = time.perf_counter()
     rows = []
     for i, p in enumerate(variance_grid()):
-        for proto in (GRADES, PISYNC):
-            mc = estimate_variance_mc(p, proto, rounds=1200, trials=1500, seed=5 + i)
+        estimates = estimate_variance_mc(p, (GRADES, PISYNC), rounds=1200, trials=1500, seed=5 + i)
+        for proto, mc in zip((GRADES, PISYNC), estimates):
             rows.append((p, proto, variance(p, proto), mc))
     return rows, time.perf_counter() - t0
 
@@ -130,10 +130,10 @@ def test_criterion_03_variance_formulas_match_monte_carlo(grid_estimates):
     # which delay-noise reading the closed forms assume.
     diff_worst = 0.0
     for i, p in enumerate(variance_grid()):
-        for proto in (GRADES, PISYNC):
-            mc = estimate_variance_mc(
-                p, proto, rounds=800, trials=400, seed=5 + i, noise_convention="difference"
-            )
+        estimates = estimate_variance_mc(
+            p, (GRADES, PISYNC), rounds=800, trials=400, seed=5 + i, noise_convention="difference"
+        )
+        for proto, mc in zip((GRADES, PISYNC), estimates):
             ref = variance(p, proto)
             diff_worst = max(diff_worst, abs(mc.var_error - ref) / ref)
     elapsed += time.perf_counter() - t0

@@ -69,7 +69,8 @@ def test_fixed_points_are_zero_error_at_the_nominal_rate():
         p = params(f0=f0, step=1e-9)
         for proto in (GRADES, PISYNC):
             assert np.all(rate_error_path(p, proto, rounds=10, z0=0.0) == 0.0)
-            est = estimate_variance_mc(p, proto, rounds=10, trials=4, seed=0, z0=0.0)
+        both = estimate_variance_mc(p, (GRADES, PISYNC), rounds=10, trials=4, seed=0, z0=0.0)
+        for est in both:
             assert (est.mean_error, est.mean_rate_multiplier) == (0.0, 1.0 / f0)
 
 
@@ -220,7 +221,7 @@ def test_comparison_carries_both_closed_forms_verbatim():
 
 def test_mc_oracle_is_exact_without_noise():
     p = params(step=0.2)
-    est = estimate_variance_mc(p, GRADES, rounds=100, trials=8, seed=0, z0=0.0)
+    (est,) = estimate_variance_mc(p, (GRADES,), rounds=100, trials=8, seed=0, z0=0.0)
     assert est.mean_error == 0.0
     assert est.var_error == 0.0
     assert est.mean_rate_multiplier == 1.0
@@ -229,8 +230,8 @@ def test_mc_oracle_is_exact_without_noise():
 
 def test_mc_oracle_matches_both_closed_forms_at_a_mixed_noise_point():
     p = params(step=0.1, fmax=1e-4, dstd=1e-4)
-    for proto in (GRADES, PISYNC):
-        est = estimate_variance_mc(p, proto, rounds=800, trials=500, seed=1)
+    estimates = estimate_variance_mc(p, (GRADES, PISYNC), rounds=800, trials=500, seed=1)
+    for proto, est in zip((GRADES, PISYNC), estimates):
         assert est.var_error == pytest.approx(variance(p, proto), rel=0.10)
         assert abs(est.mean_error) <= 3.5 * est.se_mean_error
 
@@ -240,12 +241,13 @@ def test_iid_convention_agrees_where_the_difference_convention_does_not():
     # per-round delay noise.  The mechanistic difference convention has
     # E[d^2] = 2*dstd^2 and a z-d cross-correlation, and lands far away.
     p = params(step=0.3, dstd=0.01)
-    for proto in (GRADES, PISYNC):
+    both = (GRADES, PISYNC)
+    iids = estimate_variance_mc(p, both, rounds=800, trials=500, seed=2)
+    diffs = estimate_variance_mc(
+        p, both, rounds=800, trials=500, seed=2, noise_convention="difference"
+    )
+    for proto, iid, diff in zip(both, iids, diffs):
         target = variance(p, proto)
-        iid = estimate_variance_mc(p, proto, rounds=800, trials=500, seed=2)
-        diff = estimate_variance_mc(
-            p, proto, rounds=800, trials=500, seed=2, noise_convention="difference"
-        )
         assert iid.noise_convention == "iid"
         assert diff.noise_convention == "difference"
         assert abs(iid.var_error - target) / target < 0.05
@@ -255,20 +257,70 @@ def test_iid_convention_agrees_where_the_difference_convention_does_not():
 def test_mc_oracle_validates_arguments():
     p = params(step=0.1)
     with pytest.raises(ValueError):
-        estimate_variance_mc(p, GRADES, noise_convention="bursty")
+        estimate_variance_mc(p, (GRADES,), noise_convention="bursty")
     with pytest.raises(ValueError):
-        estimate_variance_mc(p, GRADES, rounds=1)
+        estimate_variance_mc(p, (GRADES,), rounds=1)
     with pytest.raises(ValueError):
-        estimate_variance_mc(p, "ntp")
+        estimate_variance_mc(p, ("ntp",))
+    with pytest.raises(ValueError, match="protocols"):
+        estimate_variance_mc(p, ())
+    # A bare name is a sequence of letters, not of protocols.
+    with pytest.raises(ValueError, match="protocols"):
+        estimate_variance_mc(p, GRADES)
 
 
 def test_mc_oracle_is_deterministic_per_seed():
     p = params(step=0.1, fmax=1e-4, dstd=1e-4)
-    a = estimate_variance_mc(p, GRADES, rounds=200, trials=50, seed=9)
-    b = estimate_variance_mc(p, GRADES, rounds=200, trials=50, seed=9)
-    c = estimate_variance_mc(p, GRADES, rounds=200, trials=50, seed=10)
+    (a,) = estimate_variance_mc(p, (GRADES,), rounds=200, trials=50, seed=9)
+    (b,) = estimate_variance_mc(p, (GRADES,), rounds=200, trials=50, seed=9)
+    (c,) = estimate_variance_mc(p, (GRADES,), rounds=200, trials=50, seed=10)
     assert a == b
     assert a.var_error != c.var_error
+
+
+@pytest.mark.parametrize("convention", ["iid", "difference"])
+def test_a_two_protocol_call_equals_its_one_protocol_calls(convention):
+    # Both recursions share one noise stream, drawn 16 rounds at a time, so
+    # the round counts straddle a block boundary or stop short of one.
+    p = params(step=0.3, fmax=0.01, dstd=0.02)
+    for rounds in (2, 17, 41):
+        for trials in (1, 7):
+            kw = dict(rounds=rounds, trials=trials, seed=rounds, noise_convention=convention)
+            pair = estimate_variance_mc(p, (GRADES, PISYNC), **kw)
+            grades, pisync = (estimate_variance_mc(p, (proto,), **kw) for proto in (GRADES, PISYNC))
+            singles = grades + pisync
+            assert repr(pair) == repr(singles)  # repr: a trial count of 1 gives a NaN SE
+
+
+# Recorded from the oracle that drew every round with Generator.normal, one
+# protocol per call; the block draws must reproduce it bit for bit.
+PINNED_MC = {
+    "iid": (
+        "McEstimate(mean_error=-0.0010488887238793278, var_error=0.0005388631731523554, "
+        "se_mean_error=0.0017528915722252898, mean_rate_multiplier=1.0011305083644986, "
+        "n_samples=63, noise_convention='iid')",
+        "McEstimate(mean_error=-0.0015543689210613324, var_error=0.00040842919912179954, "
+        "se_mean_error=0.0013993472339320725, mean_rate_multiplier=1.0004656261006457, "
+        "n_samples=63, noise_convention='iid')",
+    ),
+    "difference": (
+        "McEstimate(mean_error=-0.0013785338174526623, var_error=0.0015105476875852365, "
+        "se_mean_error=0.0021037840590849444, mean_rate_multiplier=0.9998730743379514, "
+        "n_samples=63, noise_convention='difference')",
+        "McEstimate(mean_error=-0.0009178854150421481, var_error=0.0010899850224051616, "
+        "se_mean_error=0.0020164239077879644, mean_rate_multiplier=0.9997874988914104, "
+        "n_samples=63, noise_convention='difference')",
+    ),
+}
+
+
+@pytest.mark.parametrize("convention", sorted(PINNED_MC))
+def test_mc_oracle_reproduces_its_recorded_estimates(convention):
+    p = params(step=0.3, fmax=0.01, dstd=0.02)
+    estimates = estimate_variance_mc(
+        p, (GRADES, PISYNC), rounds=17, trials=7, seed=3, noise_convention=convention
+    )
+    assert tuple(map(repr, estimates)) == PINNED_MC[convention]
 
 
 # ---------------------------------------------------------------- parameter validation
@@ -307,7 +359,7 @@ def test_system_params_validation():
         lambda proto: eigenvalues(params(step=0.1), proto),
         lambda proto: variance(params(step=0.1, dstd=0.01), proto),
         lambda proto: params(step=0.1).normalized(proto),
-        lambda proto: estimate_variance_mc(params(step=0.1), proto, rounds=4, trials=2),
+        lambda proto: estimate_variance_mc(params(step=0.1), (proto,), rounds=4, trials=2),
         lambda proto: SimConfig(
             Topology.line(2), 1.0, 1.0, step_policy="adaptive"
         ).resolved_step_size(proto),

@@ -447,3 +447,18 @@ def test_module_entry_point_runs_a_scenario(tmp_path):
     assert result.returncode == 0
     assert "artifacts written under" in result.stdout
     assert (tmp_path / "fig1-pairwise" / "summary.csv").is_file()
+
+
+def test_a_scenario_run_does_not_import_numpy_ma(tmp_path):
+    # np.median imports numpy.ma, which costs about 1.5 MB of peak memory.
+    code = (
+        "import sys\n"
+        "from gradesync.cli import run_scenario\n"
+        "overrides = {'nodes': '4', 'seeds': '1', 'duration': '1200'}\n"
+        f"summary = run_scenario('fig3-multihop', overrides, out_dir={str(tmp_path)!r})\n"
+        "assert summary, summary\n"
+        "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "fig3-multihop" / "summary.csv").is_file()

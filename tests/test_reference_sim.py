@@ -1,7 +1,7 @@
 """``sim.run`` against the naive reference simulator in ``reference_sim.py``."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference_sim import reference_run
 
@@ -72,6 +72,15 @@ def _outcome(simulate, config):
 
 @settings(max_examples=120, deadline=None)
 @given(config=configs())
+# Quantize mode's read-before-update error: sim.run takes its start readings
+# from ClockTable.sample as floats, so ClockTable.read must return floats too.
+@example(config=SimConfig(
+    Topology(nodes=(1, 2), edges=((1, 2),), reference=1),
+    beacon_period=0.7, duration=0.7,
+    drift="random-constant", protocols=(GRADES,), step_policy="fixed",
+    step_size={GRADES: 1.0204081632653064}, phase_mode="staggered",
+    quantize_ticks=True, seed=0,
+))
 def test_the_simulator_equals_the_naive_reference(config):
     trace, expected = _outcome(run, config), _outcome(reference_run, config)
     if isinstance(expected, str):
