@@ -16,12 +16,9 @@ from .protocols import (
     GRADES,
     PISYNC,
     PROTOCOLS,
-    SyncMessage,
-    SyncState,
     adapt_step,
     error_scale,
     on_beacon_tick,
-    on_message,
     step_size_limit,
 )
 from .sim import (

@@ -12,11 +12,12 @@ A hardware clock's reading is a pure function of real time.  On piece i it is
 start reading and each later knot is the previous piece's formula at its end,
 so readings never decrease, not even from one float to the next.
 A :class:`ClockTable` holds many clocks' pieces up to a horizon as arrays and
-reads or inverts them all at once; the simulator schedules its beacons with
-one.  A :class:`HardwareClock` is a one-row table that grows as it is read:
-``advance_to``, ``sample`` and ``time_of_tick`` read and invert its pieces.  A
+reads or inverts them all at once; the simulator's clocks are one table.  A
 logical clock maps hardware ticks to an estimate of global time through an
-offset and a rate multiplier, and is only ever updated at discrete sync events.
+offset and a rate multiplier, and is only ever updated at discrete sync events;
+the simulator keeps its logical clocks as plain floats.  So ``HardwareClock``
+(a one-row table that grows as it is read), ``LogicalClock`` and
+``DriftModel.deviation_integral`` serve only the tests and bench/tracer.py.
 
 All randomness flows through numpy ``Generator`` objects injected at
 construction, so a (seed, config) pair fully determines every trajectory.
@@ -40,6 +41,7 @@ _WINDOW = 32  # targets per row in each window of ClockTable.crossings
 class DriftModel:
     """A piecewise-constant deviation: ``devs[i]`` from ``starts[i]`` to ``starts[i + 1]``."""
 
+    # Unused by ``sim.run``; kept because bench/tracer.py wraps it.
     def deviation_integral(self, t0: float, t1: float) -> float:
         """Sum of deviation * overlap over the pieces from ``t0`` to ``t1``."""
         if t0 < 0:
@@ -229,6 +231,7 @@ class ClockTable:
             sums[:, 0] = targets[rows, due.sum(axis=1)]
 
 
+# Unused by ``sim.run``; kept because bench/tracer.py wraps its methods.
 class HardwareClock:
     """Free-running oscillator whose reading is a pure function of real time.
 
@@ -258,13 +261,6 @@ class HardwareClock:
         """The reading at real time ``t`` (floored to a whole tick in quantize mode)."""
         return self._reach(t).read(0, t)
 
-    def sample(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The readings and the frequencies ``f0 + deviation`` at ``times``, in one pass."""
-        if times.size:
-            self._reach(times.min())
-            self._reach(times.max())
-        return self._table.sample(0, times)
-
     def time_of_tick(self, target_ticks: float) -> float:
         """Real time at which the unfloored reading reaches ``target_ticks``."""
         if not self._start <= target_ticks < math.inf:
@@ -286,6 +282,7 @@ class _LogicalClockFields(NamedTuple):
     hw_at_update: float = 0.0
 
 
+# Unused by ``sim.run``; kept because bench/tracer.py wraps ``LogicalClock.read``.
 class LogicalClock(_LogicalClockFields):
     """Piecewise-linear map from hardware ticks to estimated global time.
 

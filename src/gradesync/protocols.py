@@ -1,4 +1,4 @@
-"""Synchronization protocol state machines.
+"""The synchronization protocols' update rule.
 
 Two rate-correcting flooding protocols share one update rule.  On an accepted
 message with sync error e a node first jumps its logical value onto the
@@ -16,24 +16,22 @@ is not decided here: the simulator keeps one sequence number per node and
 drops a flood that is not strictly newer before it reaches the update rule.
 
 The rule exists once, as ``update``: plain floats in, ``(error, step, rate)``
-out, which is what the simulator calls for every accepted flood.  The named
-tuples ``SyncState``, ``LogicalClock`` and ``SyncMessage`` and the pure
-transitions ``on_message`` and ``on_beacon_tick`` over them are the public
-and reference API; ``on_message`` is a thin wrapper around ``update``.
+out, which is what the simulator calls for every accepted flood on the flat
+per-node lists it keeps.  ``on_beacon_tick`` gives a beacon's
+``(seq, readings)`` from the sender's ``LogicalClock``s; the simulator builds
+its beacons inline and does not call it.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
-from .clocks import LogicalClock, read_before_update
+from .clocks import read_before_update
 from .errors import ContractViolation
 
 GRADES = "grades"
 PISYNC = "pisync"
 PROTOCOLS = (GRADES, PISYNC)
-_tuple_new = tuple.__new__  # a named tuple without its __new__ (LogicalClock's checks the rate)
 
 
 def step_size_limit(protocol: str, beacon_period: float, nominal_freq: float) -> float:
@@ -66,25 +64,6 @@ def error_scale(protocol: str, beacon_period: float, nominal_freq: float) -> flo
     if protocol == PISYNC:
         return 1.0
     raise ValueError(f"unknown protocol: {protocol!r}")
-
-
-class SyncState(NamedTuple):
-    """One protocol's view at one node: step size, last sync error, clock."""
-
-    step_size: float
-    error: float = 0.0
-    clock: LogicalClock = LogicalClock()
-
-
-class SyncMessage(NamedTuple):
-    """One broadcast: flood sequence number and one clock reading per protocol.
-
-    ``readings`` follows the order of the protocol states the beacon was
-    emitted from, so a single physical message serves every enabled protocol.
-    """
-
-    seq: int
-    readings: tuple[float, ...]
 
 
 def adapt_step(step: float, signal_now: float, signal_prev: float, step_max: float) -> float:
@@ -129,30 +108,16 @@ def update(value, rate, hw_at, step, prev_error, received, hw_now, scale, step_m
     return error, step, rate
 
 
-def on_message(state: SyncState, received_clock: float, hw_now: float, scale: float,
-               step_max: float, adapt: bool = True) -> SyncState:
-    """``update`` on a ``SyncState``; the caller drops stale floods beforehand."""
-    error, step, rate = update(*state.clock, state.step_size, state.error, received_clock,
-                               hw_now, scale, step_max, adapt)
-    clock = _tuple_new(LogicalClock, (received_clock, rate, hw_now))
-    return _tuple_new(SyncState, (step, error, clock))
+# Unused by ``sim.run``; kept because bench/tracer.py wraps ``sim.on_beacon_tick``.
+def on_beacon_tick(clocks, seq: int, is_reference: bool, hw_now: float):
+    """``(seq, readings)`` of a node whose hardware clock crosses a round boundary.
 
-
-def on_beacon_tick(
-    states: tuple[SyncState, ...], seq: int, is_reference: bool, hw_now: float
-) -> SyncMessage:
-    """The broadcast of a node whose hardware clock crosses a round boundary.
-
-    ``seq`` is the newest flood sequence number the node holds.  The reference
-    node emits ``seq + 1`` and always advertises its raw hardware reading (its
-    logical clock is its hardware clock; it never corrects itself).  Everyone
-    else re-broadcasts its current logical readings under ``seq``.
+    ``clocks`` are the sender's ``LogicalClock``s, one per protocol, and ``seq``
+    the newest flood sequence number it holds.  The reference node emits
+    ``seq + 1`` and always advertises its raw hardware reading (its logical
+    clock is its hardware clock; it never corrects itself).  Everyone else
+    re-broadcasts its current logical readings under ``seq``.
     """
     if is_reference:
-        return _tuple_new(SyncMessage, (seq + 1, (hw_now,) * len(states)))
-    readings = []
-    for value, rate, hw_at in [s.clock for s in states]:  # LogicalClock.read, inline
-        if hw_now < hw_at:
-            raise read_before_update(hw_now, hw_at)
-        readings.append(value + rate * (hw_now - hw_at))
-    return _tuple_new(SyncMessage, (seq, tuple(readings)))
+        return seq + 1, (hw_now,) * len(clocks)
+    return seq, tuple([clock.read(hw_now) for clock in clocks])

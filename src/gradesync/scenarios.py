@@ -38,8 +38,8 @@ from .sim import (
 
 _PHYSICAL_ROUND_SECONDS = 30.0  # reference round length used to normalize delay noise
 
-# The variance formula bound to each protocol; theory-check looks these names
-# up when it runs, so each protocol's evaluations can be wrapped on their own.
+# The variance formula bound to each protocol, kept because bench/tracer.py wraps
+# them; theory-check looks them up when it runs, so each is counted on its own.
 grades_variance = partial(variance, protocol=GRADES)
 pisync_variance = partial(variance, protocol=PISYNC)
 

@@ -68,8 +68,8 @@ RANDOM_CONSTANT_DRIFT = "random-constant"
 # 20 rounds needs 122k cells, a 10,000-node one 610k.
 MAX_SAMPLE_CELLS = 2 * 10**7
 
-# The update rule under each protocol's name.  ``run`` looks these names up
-# when it starts, so each protocol's updates can be wrapped and counted on their own.
+# The update rule under each protocol's name, kept because bench/tracer.py wraps
+# them; ``run`` looks them up when it starts, so each protocol is counted on its own.
 grades_on_message = update
 pisync_on_message = update
 

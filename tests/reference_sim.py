@@ -1,12 +1,14 @@
 """A naive event simulator that ``gradesync.sim.run`` must match exactly.
 
 It follows the documented rules one step at a time, with none of the
-simulator's fast paths: a heap of next beacons, one ``HardwareClock`` per
-node, scalar noise and drop draws, the stale check on every delivery, and
-every trace sample read from every ``LogicalClock`` at that sample.  At each
-instant t it sends every beacon due at t in node order, each from its sender's
-state before t, and then applies the deliveries those beacons made in the
-order they were sent.  A sample at t sees nothing of t.
+simulator's fast paths and none of its arithmetic: a heap of next beacons,
+every hardware reading and tick inversion a plain-float walk over the node's
+drift pieces up from time 0, the update rule written out here from its
+documented form, scalar noise and drop draws, the stale check on every
+delivery, and every trace sample read from every logical clock at that
+sample.  At each instant t it sends every beacon due at t in node order, each
+from its sender's state before t, and then applies the deliveries those
+beacons made in the order they were sent.  A sample at t sees nothing of t.
 """
 
 from __future__ import annotations
@@ -17,10 +19,74 @@ from bisect import bisect_right
 
 import numpy as np
 
-from gradesync.clocks import HardwareClock, LogicalClock
 from gradesync.errors import ContractViolation
-from gradesync.protocols import SyncState, error_scale, on_beacon_tick, on_message, step_size_limit
+from gradesync.protocols import error_scale, step_size_limit
 from gradesync.sim import SimConfig, SyncEvent, _drift_for_node
+
+
+def deviation_at(drift, t):
+    """The deviation of the piece that holds ``t``."""
+    return drift.devs[bisect_right(drift.starts, t) - 1]
+
+
+def reference_reading(drift, f0, start, t):
+    """The unfloored per-piece formula with plain floats, walking the pieces up from 0."""
+    while drift.starts[-1] <= t:
+        drift.extend()
+    starts, devs = drift.starts, drift.devs
+    knot, i = start, 0
+    while starts[i + 1] <= t:
+        knot += (f0 + devs[i]) * (starts[i + 1] - starts[i])
+        i += 1
+    return knot + (f0 + devs[i]) * (t - starts[i])
+
+
+def reference_time_of_tick(drift, f0, start, target):
+    """The same walk, stopped at the first piece whose end reads above ``target``."""
+    knot, i = start, 0
+    while True:
+        while len(drift.devs) <= i:
+            drift.extend()
+        rate = f0 + drift.devs[i]
+        end = knot + rate * (drift.starts[i + 1] - drift.starts[i])
+        if target < end:
+            return drift.starts[i] + (target - knot) / rate
+        knot, i = end, i + 1
+
+
+def logical_reading(clock, hw):
+    """A logical clock ``(value, rate, hw_at)`` read at hardware reading ``hw``."""
+    value, rate, hw_at = clock
+    if hw < hw_at:
+        raise ContractViolation(f"logical read at hw={hw} before last update hw={hw_at}")
+    return value + rate * (hw - hw_at)
+
+
+def reference_update(clock, step, prev_error, received, hw, scale, limit, adaptive):
+    """The documented rule: ``(error, step, new clock)`` after a reading ``received`` at ``hw``.
+
+    The error is the local reading minus the received one and the signal is
+    ``scale * error``.  An adaptive step doubles while consecutive signals
+    agree in sign and is divided by three otherwise, at most ``limit`` and
+    kept if it would underflow to zero.  The rate moves by ``-step * signal``
+    and the clock jumps onto the received reading.
+    """
+    error = logical_reading(clock, hw) - received
+    signal = scale * error
+    if adaptive:
+        grown = 2.0 * step if signal * (scale * prev_error) > 0 else step / 3.0
+        if grown > limit:
+            grown = limit
+        if grown != 0.0:
+            step = grown
+    rate = clock[1] - step * signal
+    if rate <= 0:
+        raise ContractViolation(
+            f"rate multiplier driven to {rate} (step size {step} is mis-scaled; limit "
+            f"{limit}); sync error {error} ticks, {hw - clock[2]} hardware ticks "
+            "after the node's last update"
+        )
+    return error, step, (received, rate, hw)
 
 
 def _phases(config: SimConfig, nodes, round_ticks: float, rng) -> list[float]:
@@ -48,21 +114,26 @@ def reference_run(config: SimConfig) -> dict:
     delay_rng = np.random.default_rng(delay_ss)
     drop_rng = np.random.default_rng(drop_ss)
     phases = _phases(config, nodes, round_ticks, np.random.default_rng(phase_ss))
-    clocks = [
-        HardwareClock(f0, _drift_for_node(config, u, np.random.default_rng(child)), phase,
-                      config.quantize_ticks)
-        for u, child, phase in zip(nodes, drift_ss.spawn(n), phases)
-    ]
-    start = [LogicalClock(c.advance_to(0.0), 1.0, c.advance_to(0.0)) for c in clocks]
-    states = [[SyncState(config.resolved_step_size(p), clock=c) for c in start]
-              for p in config.protocols]
+    drifts = [_drift_for_node(config, u, np.random.default_rng(child))
+              for u, child in zip(nodes, drift_ss.spawn(n))]
+
+    def hardware(i: int, t: float) -> float:
+        ticks = reference_reading(drifts[i], f0, phases[i], t)
+        return float(math.floor(ticks)) if config.quantize_ticks else ticks
+
+    # Per protocol and node: the logical clock (value, rate, hw_at), step and last error.
+    logical = [[(hardware(i, 0.0), 1.0, hardware(i, 0.0)) for i in range(n)]
+               for _ in config.protocols]
+    steps = [[config.resolved_step_size(p)] * n for p in config.protocols]
+    errors = [[0.0] * n for _ in config.protocols]
     scales = [error_scale(p, b, f0) for p in config.protocols]
     limits = [step_size_limit(p, b, f0) for p in config.protocols]
     adaptive = config.step_policy == "adaptive"
     seqs = [0] * n
     neighbors = [[nodes.index(v) for v in topo.neighbors(u)] for u in nodes]
     targets = [(math.floor(p / round_ticks) + 1) * round_ticks for p in phases]
-    heap = [(clk.time_of_tick(x), i) for i, (clk, x) in enumerate(zip(clocks, targets))]
+    heap = [(reference_time_of_tick(drifts[i], f0, phases[i], x), i)
+            for i, x in enumerate(targets)]
     heapq.heapify(heap)
 
     shape = (n_samples, n)
@@ -72,14 +143,12 @@ def reference_run(config: SimConfig) -> dict:
     events, counts = [], {"accepted": 0, "stale": 0, "dropped": 0}
 
     def take_sample(k: int) -> None:
-        for i, clk in enumerate(clocks):
-            hw = clk.advance_to(times[k])
-            drift = clk.drift
-            hw_rates[k, i] = f0 + drift.devs[bisect_right(drift.starts, times[k]) - 1]
+        for i in range(n):
+            hw = hardware(i, times[k])
+            hw_rates[k, i] = f0 + deviation_at(drifts[i], times[k])
             for lane, p in enumerate(config.protocols):
-                clock = states[lane][i].clock
-                readings[p][k, i] = clock.read(hw)
-                rates[p][k, i] = clock.rate_multiplier
+                readings[p][k, i] = logical_reading(logical[lane][i], hw)
+                rates[p][k, i] = logical[lane][i][1]
 
     k = 0
     while heap[0][0] <= config.duration:
@@ -90,38 +159,41 @@ def reference_run(config: SimConfig) -> dict:
         sent = []
         while heap[0][0] == t:
             who = heapq.heappop(heap)[1]
-            mine = tuple(lane[who] for lane in states)
-            try:
-                msg = on_beacon_tick(mine, seqs[who], nodes[who] == topo.reference,
-                                     clocks[who].advance_to(t))
-            except ContractViolation as err:
-                raise ContractViolation(f"node {nodes[who]} at t={t:.9g}: {err}") from err
-            seqs[who] = msg.seq
+            hw = hardware(who, t)
+            if nodes[who] == topo.reference:  # it advertises its hardware clock
+                seqs[who] += 1
+                payload = [hw] * len(config.protocols)
+            else:
+                try:
+                    payload = [logical_reading(lane[who], hw) for lane in logical]
+                except ContractViolation as err:
+                    raise ContractViolation(f"node {nodes[who]} at t={t:.9g}: {err}") from err
             for v in neighbors[who]:
                 noise = delay_rng.normal(0.0, config.delay_std) * f0
                 if config.drop_probability > 0 and drop_rng.random() < config.drop_probability:
                     counts["dropped"] += 1
                 else:
-                    sent.append((v, msg, noise))
+                    sent.append((v, seqs[who], payload, noise))
             targets[who] += round_ticks
-            heapq.heappush(heap, (clocks[who].time_of_tick(targets[who]), who))
-        for v, msg, noise in sent:
-            if msg.seq <= seqs[v]:
+            heapq.heappush(heap, (reference_time_of_tick(drifts[who], f0, phases[who],
+                                                         targets[who]), who))
+        for v, seq, payload, noise in sent:
+            if seq <= seqs[v]:
                 counts["stale"] += 1
                 continue
             counts["accepted"] += 1
-            seqs[v] = msg.seq
-            hw = clocks[v].advance_to(t)
+            seqs[v] = seq
+            hw = hardware(v, t)
             for lane, p in enumerate(config.protocols):
                 try:
-                    new = on_message(states[lane][v], msg.readings[lane] + noise, hw,
-                                     scales[lane], limits[lane], adaptive)
+                    error, step, clock = reference_update(
+                        logical[lane][v], steps[lane][v], errors[lane][v], payload[lane] + noise,
+                        hw, scales[lane], limits[lane], adaptive)
                 except ContractViolation as err:
                     raise ContractViolation(f"node {nodes[v]} at t={t:.9g}: {err}") from err
-                states[lane][v] = new
+                logical[lane][v], steps[lane][v], errors[lane][v] = clock, step, error
                 if config.record_events:
-                    events.append(SyncEvent(t, nodes[v], p, msg.seq, new.error, new.step_size,
-                                            new.clock.rate_multiplier))
+                    events.append(SyncEvent(t, nodes[v], p, seq, error, step, clock[1]))
     for k in range(k, n_samples):
         take_sample(k)
     return {"times": np.array(times), "node_ids": tuple(nodes), "readings": readings,

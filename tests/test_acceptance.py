@@ -17,7 +17,6 @@ from gradesync import (
     ConstantDrift,
     LogicalClock,
     SimConfig,
-    SyncState,
     SystemParams,
     Topology,
     adapt_step,
@@ -25,13 +24,13 @@ from gradesync import (
     eigenvalues,
     error_scale,
     estimate_variance_mc,
-    on_message,
     rate_error_path,
     run,
     step_size_limit,
     variance,
 )
 from gradesync.cli import run_scenario
+from gradesync.protocols import update
 from gradesync.scenarios import variance_grid
 
 DECAY_FACTORS = (0.9, 0.5, 0.2, -0.4, -0.8)
@@ -323,10 +322,11 @@ def test_criterion_10_protocol_logic_invariants():
             seqs = [e.seq for e in diamond.node_events(node, proto)]
             checks.append(bool(seqs) and all(a < b for a, b in zip(seqs, seqs[1:])))
 
-    # An accepted message lands the logical clock exactly on the payload.
-    state = SyncState(step_size=0.1, clock=LogicalClock(5.0, 1.0, 0.0))
-    updated = on_message(state, 4.9, 0.0, *grades_constants)
-    checks.append(updated.clock.read(0.0) == 4.9)
+    # An accepted message lands the logical clock exactly on the payload: the
+    # error is the reading before the jump, and the clock the simulator keeps,
+    # (payload, new rate, hw), reads the payload.
+    error, _, rate = update(5.0, 1.0, 0.0, 0.1, 0.0, 4.9, 0.0, *grades_constants)
+    checks.append(error == 5.0 - 4.9 and LogicalClock(4.9, rate, 0.0).read(0.0) == 4.9)
 
     # Step adaptation: double on sign agreement, shrink by three otherwise,
     # clamp to the stability limit, and survive underflow.

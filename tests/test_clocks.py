@@ -1,13 +1,13 @@
-"""Hardware/logical clock primitives: readings as a pure function of time, inversion,
-exact integration, drift moments."""
+"""Clock primitives: the clock table's readings as a pure function of time, inversion,
+exact integration, drift moments, and the one-row hardware clock that grows as it is read."""
 
 import math
-from bisect import bisect_right
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_sim import deviation_at, reference_reading, reference_time_of_tick
 
 from gradesync import (
     ConstantDrift,
@@ -17,79 +17,35 @@ from gradesync import (
     PiecewiseDrift,
     WhiteDrift,
 )
-from gradesync.clocks import _SEGMENT_CHUNK
+from gradesync.clocks import _SEGMENT_CHUNK, ClockTable
 
 
 def make_rng(seed=0):
     return np.random.default_rng(seed)
 
 
-def deviation_at(drift, t):
-    """The deviation of the piece that holds ``t``."""
-    return drift.devs[bisect_right(drift.starts, t) - 1]
+# ---------------------------------------------------------------- clock table
 
 
-def reference_reading(drift, f0, start, t):
-    """The unfloored per-piece formula with plain floats, walking the pieces up from 0."""
-    while drift.starts[-1] <= t:
-        drift.extend()
-    starts, devs = drift.starts, drift.devs
-    knot, i = start, 0
-    while starts[i + 1] <= t:
-        knot += (f0 + devs[i]) * (starts[i + 1] - starts[i])
-        i += 1
-    return knot + (f0 + devs[i]) * (t - starts[i])
-
-
-def reference_time_of_tick(drift, f0, start, target):
-    """The same walk, stopped at the first piece whose end reads above ``target``."""
-    knot, i = start, 0
-    while True:
-        while len(drift.devs) <= i:
-            drift.extend()
-        rate = f0 + drift.devs[i]
-        end = knot + rate * (drift.starts[i + 1] - drift.starts[i])
-        if target < end:
-            return drift.starts[i] + (target - knot) / rate
-        knot, i = end, i + 1
-
-
-# ---------------------------------------------------------------- hardware clock
-
-
-def test_advance_ideal_clock_counts_nominal_ticks():
-    clock = HardwareClock(nominal_freq=1.0)
-    assert clock.advance_to(5.0) == 5.0
-    assert clock.advance_to(0.0) == 0.0  # any time, in any order
-
-
-def test_advance_with_constant_deviation_adds_drift_ticks():
-    # +100 ppm of a 1 MHz crystal over 30 s: 30e6 nominal + 3000 drift ticks.
-    clock = HardwareClock(nominal_freq=1e6, drift=ConstantDrift(100e-6 * 1e6))
-    assert clock.advance_to(30.0) == pytest.approx(30_003_000.0, abs=1e-6)
-
-
-def test_advance_accumulates_over_multiple_calls():
-    clock = HardwareClock(nominal_freq=1e6, drift=ConstantDrift(-50.0))
-    readings = [clock.advance_to(0.5 * k) for k in range(1, 9)]
+def test_readings_add_each_rows_drift_ticks():
+    # Row 0 is ideal, row 1 runs +100 ppm of a 1 MHz crystal (30e6 nominal plus
+    # 3000 drift ticks over 30 s), row 2 runs 50 ticks/s slow from a reading of 7.
+    clocks = ClockTable(1e6, [ConstantDrift(0.0), ConstantDrift(100.0), ConstantDrift(-50.0)],
+                        [0.0, 0.0, 7.0], 30.0)
+    assert clocks.read(0, 5.0) == 5e6
+    assert clocks.read(0, 0.0) == 0.0  # any time, in any order
+    assert clocks.read(1, 30.0) == pytest.approx(30_003_000.0, abs=1e-6)
+    readings = [clocks.read(2, 0.5 * k) for k in range(1, 9)]
     assert np.diff(readings) == pytest.approx([0.5 * (1e6 - 50.0)] * 7, rel=1e-12)
-    assert readings[-1] == pytest.approx(4.0 * (1e6 - 50.0), rel=1e-12)
-
-
-@pytest.mark.parametrize("t", [-1e-9, -1.0, math.inf, math.nan])
-def test_a_reading_outside_the_time_axis_raises(t):
-    clock = HardwareClock(nominal_freq=1.0, drift=WhiteDrift(1e-3, make_rng()))
-    with pytest.raises(ContractViolation, match="0 <= t < inf"):
-        clock.advance_to(t)
-    with pytest.raises(ContractViolation, match="0 <= t < inf"):
-        clock.sample(np.array([1.0, t]))
+    assert readings[-1] == pytest.approx(7.0 + 4.0 * (1e6 - 50.0), rel=1e-12)
 
 
 def test_sampling_no_times_gives_two_empty_arrays():
-    clock = HardwareClock(nominal_freq=1e3, drift=WhiteDrift(1e-3, make_rng()), quantize=True)
-    ticks, rates = clock.sample(np.array([]))
+    drift = WhiteDrift(1e-3, make_rng())
+    clocks = ClockTable(1e3, [ConstantDrift(0.0), drift], [0.0, 0.0], 1.0, quantize=True)
+    ticks, rates = clocks.sample(1, np.array([]))
     assert ticks.shape == rates.shape == (0,)
-    assert clock.sample(np.array([0.0]))[1].tolist() == [1e3 + clock.drift.devs[0]]
+    assert clocks.sample(1, np.array([0.0]))[1].tolist() == [1e3 + drift.devs[0]]
 
 
 def test_piecewise_deviation_integrates_each_segment_exactly():
@@ -98,41 +54,42 @@ def test_piecewise_deviation_integrates_each_segment_exactly():
     assert drift.devs == (1e-4, 5e-5)
     # 20 s at 1e-4 plus 10 s at 5e-5.
     assert drift.deviation_integral(0.0, 30.0) == pytest.approx(2.5e-3, rel=1e-12)
-    clock = HardwareClock(nominal_freq=1.0, drift=drift)
-    assert clock.advance_to(30.0) == pytest.approx(30.0 + 2.5e-3, rel=1e-12)
+    clocks = ClockTable(1.0, [ConstantDrift(0.0), drift], [0.0, 0.0], 30.0)
+    assert clocks.read(1, 30.0) == pytest.approx(30.0 + 2.5e-3, rel=1e-12)
 
 
-def test_time_of_tick_inverts_constant_drift():
-    clock = HardwareClock(nominal_freq=1e6, drift=ConstantDrift(100.0), start_ticks=7.0)
-    assert clock.time_of_tick(30_003_007.0) == pytest.approx(30.0, rel=1e-12)
-    assert clock.time_of_tick(7.0) == 0.0
-    for below in (math.nextafter(7.0, 0.0), -1.0, math.inf, math.nan):
-        with pytest.raises(ContractViolation, match="start reading 7.0"):
-            clock.time_of_tick(below)
+def test_time_of_inverts_constant_drift():
+    clocks = ClockTable(1e6, [ConstantDrift(100.0), ConstantDrift(-3.0)], [7.0, 0.0], 30.0)
+    assert clocks.time_of(0, 30_003_007.0) == pytest.approx(30.0, rel=1e-12)
+    assert clocks.time_of(0, 7.0) == 0.0
+    assert clocks.time_of([0, 1], [7.0, 0.0]).tolist() == [0.0, 0.0]
 
 
-def test_time_of_tick_then_advance_lands_on_target():
-    clock = HardwareClock(nominal_freq=1.0, drift=WhiteDrift(1e-4, make_rng(42)))
-    for target in (17.25, 5.0, 5.5, 600.5):
-        assert clock.advance_to(clock.time_of_tick(target)) == pytest.approx(target, abs=1e-9)
+def test_time_of_then_read_lands_on_target():
+    drifts = [WhiteDrift(1e-4, make_rng(42)), PiecewiseDrift(((0.0, 1e-4), (5.25, -2e-4)))]
+    clocks = ClockTable(1.0, drifts, [0.0, 0.0], 700.0)
+    for row in (0, 1):
+        for target in (17.25, 5.0, 5.5, 600.5):
+            assert clocks.read(row, clocks.time_of(row, target)) == pytest.approx(target, abs=1e-9)
 
 
 def test_quantize_floors_partial_ticks():
-    clock = HardwareClock(nominal_freq=1.0, quantize=True)
-    assert clock.advance_to(10.7) == 10
-    assert clock.time_of_tick(10.5) == 10.5  # real time is unaffected by readout quantization
+    clocks = ClockTable(1.0, [ConstantDrift(0.0), ConstantDrift(0.25)], [0.0, 0.0], 20.0, True)
+    assert clocks.read(0, 10.7) == 10 and isinstance(clocks.read(0, 10.7), float)
+    assert clocks.sample([0, 1], 10.7)[0].tolist() == [10.0, 13.0]
+    assert clocks.time_of(0, 10.5) == 10.5  # real time is unaffected by readout quantization
 
 
-def test_hardware_clock_rejects_deviation_at_or_above_nominal():
-    with pytest.raises(ValueError):
-        HardwareClock(nominal_freq=1.0, drift=ConstantDrift(1.0))
-    with pytest.raises(ValueError):
-        HardwareClock(nominal_freq=1.0, drift=PiecewiseDrift(((0.0, 0.5), (3.0, -1.5))))
-    with pytest.raises(ValueError):
-        HardwareClock(nominal_freq=1.0, drift=WhiteDrift(1.0, make_rng()))
-    with pytest.raises(ValueError):  # a NaN bound must not slip through the comparison
-        HardwareClock(nominal_freq=1.0, drift=WhiteDrift(math.nan, make_rng()))
-    HardwareClock(nominal_freq=1.0, drift=ConstantDrift(-0.999))  # just below is fine
+def test_clock_table_rejects_deviation_at_or_above_nominal():
+    for bad in (
+        ConstantDrift(1.0),
+        PiecewiseDrift(((0.0, 0.5), (3.0, -1.5))),
+        WhiteDrift(1.0, make_rng()),
+        WhiteDrift(math.nan, make_rng()),  # a NaN bound must not slip through the comparison
+    ):
+        with pytest.raises(ValueError):
+            ClockTable(1.0, [ConstantDrift(0.0), bad], [0.0, 0.0], 1.0)
+    ClockTable(1.0, [ConstantDrift(-0.999)], [0.0], 1.0)  # just below is fine
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -149,25 +106,22 @@ def test_drift_models_reject_non_finite_deviations(bad):
     dts=st.lists(st.floats(1e-6, 3.0), min_size=1, max_size=20),
 )
 def test_hardware_readings_strictly_increase(seed, dts):
-    clock = HardwareClock(nominal_freq=1.0, drift=WhiteDrift(0.5, make_rng(seed)))
-    prev, t = clock.advance_to(0.0), 0.0
-    for dt in dts:
-        t += dt
-        now = clock.advance_to(t)
-        assert now > prev
-        prev = now
+    times = np.cumsum([0.0] + dts).tolist()
+    drifts = [WhiteDrift(0.5, make_rng(seed)), PiecewiseDrift(((0.0, 0.5), (1.5, -0.5)))]
+    clocks = ClockTable(1.0, drifts, [0.0, 0.0], times[-1])
+    for row in (0, 1):
+        readings = [clocks.read(row, t) for t in times]
+        assert all(a < b for a, b in zip(readings, readings[1:]))
 
 
 def test_same_seed_reproduces_trajectory():
-    def trajectory(seed):
-        clock = HardwareClock(nominal_freq=1.0, drift=WhiteDrift(1e-4, make_rng(seed)))
-        return [clock.advance_to(0.7 * k) for k in range(1, 51)]
+    drifts = [WhiteDrift(1e-4, make_rng(seed)) for seed in (123, 123, 124)]
+    clocks = ClockTable(1.0, drifts, [0.0] * 3, 35.0)
+    ticks = clocks.sample(np.arange(3)[:, None], 0.7 * np.arange(1, 51))[0].tolist()
+    assert ticks[0] == ticks[1]
+    assert ticks[0] != ticks[2]
 
-    assert trajectory(123) == trajectory(123)
-    assert trajectory(123) != trajectory(124)
 
-
-KINDS = ["constant", "piecewise", "white"]
 PIECES = ((0.0, 2e-4), (1.3, -4e-4), (4.0, 1e-4))
 
 
@@ -184,52 +138,121 @@ def _around(t, run):
 
 @settings(max_examples=150, deadline=None)
 @given(
-    kind=st.sampled_from(KINDS),
     frac=st.floats(-0.999, 0.999),
     f0=st.sampled_from([1.0, 1e3, 1e6]),
-    start=st.floats(0.0, 1e6),
+    starts=st.lists(st.floats(0.0, 1e6), min_size=3, max_size=3),
     seed=st.integers(0, 2**16),
     anchors=st.lists(st.floats(0.0, 600.0), min_size=1, max_size=6),
     run=st.integers(1, 30),
     quantize=st.booleans(),
 )
 def test_readings_are_a_pure_monotone_function_of_time(
-    kind, frac, f0, start, seed, anchors, run, quantize
+    frac, f0, starts, seed, anchors, run, quantize
 ):
-    # Deviations up to 0.999 f0, in pieces whose ends are 1.3 and 4 (piecewise)
-    # or every integer (white).  Queried at runs of consecutive floats around
-    # random times and around piece ends, in time order and backwards.
-    def clock(q):
+    # One row per drift kind, with deviations up to 0.999 f0, in pieces whose
+    # ends are 1.3 and 4 (piecewise) or every integer (white).  Queried at runs
+    # of consecutive floats around random times and around piece ends.
+    def table(q):
         dev = frac * f0
-        drift = {
-            "constant": ConstantDrift(dev),
-            "piecewise": PiecewiseDrift(((0.0, dev), (1.3, -dev), (4.0, dev / 2))),
-            "white": WhiteDrift(abs(dev), make_rng(seed)),
-        }[kind]
-        return HardwareClock(nominal_freq=f0, drift=drift, start_ticks=start, quantize=q)
+        drifts = [
+            ConstantDrift(dev),
+            PiecewiseDrift(((0.0, dev), (1.3, -dev), (4.0, dev / 2))),
+            WhiteDrift(abs(dev), make_rng(seed)),
+        ]
+        return ClockTable(f0, drifts, starts, max(times), q), drifts
 
     ends = [1.0, 1.3, 2.0, 4.0, 255.0, 256.0, 257.0]
     times = sorted({x for t in anchors + ends for x in _around(t, run)})
-    forward, backward, plain = clock(quantize), clock(quantize), clock(False)
-    readings = [forward.advance_to(t) for t in times]
-    # Readings never decrease, from float to float and across piece ends.
-    assert all(a <= b for a, b in zip(readings, readings[1:]))
-    # Query order changes nothing; the vector path is the scalar path.
-    assert [backward.advance_to(t) for t in reversed(times)] == readings[::-1]
-    ticks, rates = clock(quantize).sample(np.array(times))
-    assert ticks.tolist() == readings
-    assert rates.tolist() == [f0 + deviation_at(forward.drift, t) for t in times]
-    # The knots built a chunk at a time are the scalar walk's, bit for bit.
-    unfloored = [plain.advance_to(t) for t in times]
-    assert unfloored == [reference_reading(plain.drift, f0, start, t) for t in times]
-    assert readings == ([math.floor(x) for x in unfloored] if quantize else unfloored)
-    # time_of_tick inverts the same pieces: reading there lands within a few ulps.
-    for x in [start] + unfloored[::max(1, len(times) // 8)]:
-        t = plain.time_of_tick(x)
-        assert t == reference_time_of_tick(plain.drift, f0, start, x)
-        assert abs(plain.advance_to(t) - x) <= 4 * math.ulp(x)
-    with pytest.raises(ContractViolation):
-        plain.time_of_tick(math.nextafter(start, -math.inf))
+    (clocks, _), (plain, drifts) = table(quantize), table(False)
+    sampled, rates = clocks.sample(np.arange(3)[:, None], np.array(times))
+    for row, (drift, start) in enumerate(zip(drifts, starts)):
+        readings = [clocks.read(row, t) for t in times]
+        # Readings never decrease, from float to float and across piece ends.
+        assert all(a <= b for a, b in zip(readings, readings[1:]))
+        # The vector path is the scalar path.
+        assert sampled[row].tolist() == readings
+        assert rates[row].tolist() == [f0 + deviation_at(drift, t) for t in times]
+        # The knots built with numpy are the scalar walk's, bit for bit.
+        unfloored = [plain.read(row, t) for t in times]
+        assert unfloored == [reference_reading(drift, f0, start, t) for t in times]
+        assert readings == ([math.floor(x) for x in unfloored] if quantize else unfloored)
+        # time_of inverts the same pieces: reading there lands within a few ulps.
+        for x in [start] + unfloored[::max(1, len(times) // 8)]:
+            t = plain.time_of(row, x)
+            assert t == reference_time_of_tick(drift, f0, start, x)
+            assert abs(plain.read(row, t) - x) <= 4 * math.ulp(x)
+
+
+def _below(t):
+    return math.nextafter(t, 0.0)
+
+
+STOPS = [
+    [0.5, _below(1.3), 1.3, _below(4.0), 4.0, 7.25],
+    # each piece end, one ulp below it, and a stop inside the next piece
+    [_below(1.3), 1.3, 2.0, _below(4.0), 4.0, 6.5, 9.0],
+    # integers for white, from inside a segment, one ulp below and the
+    # previous integer, then a jump over several segments and a chunk end
+    [0.5, _below(1.0), 1.0, 2.0, _below(3.0), 3.0, 3.5, 7.0, _below(8.0), 8.0,
+     _below(_SEGMENT_CHUNK), _SEGMENT_CHUNK, _SEGMENT_CHUNK + 0.5],
+]
+
+
+@pytest.mark.parametrize("quantize", [False, True])
+def test_reads_onto_piece_ends_match_the_reference(quantize):
+    def drifts():
+        return [ConstantDrift(-3e-4), PiecewiseDrift(PIECES), WhiteDrift(5e-4, make_rng(17))]
+
+    clocks = ClockTable(1.0, drifts(), [0.3] * 3, _SEGMENT_CHUNK + 10.0, quantize)
+    for row, (ref, stops) in enumerate(zip(drifts(), STOPS)):
+        for t in stops:
+            expected = reference_reading(ref, 1.0, 0.3, t)
+            assert clocks.read(row, t) == (math.floor(expected) if quantize else expected)
+            target = expected + 2.5
+            assert clocks.time_of(row, target) == reference_time_of_tick(ref, 1.0, 0.3, target)
+
+
+# ---------------------------------------------------------------- hardware clock
+
+
+@pytest.mark.parametrize("t", [-1e-9, -1.0, math.inf, math.nan])
+def test_a_reading_outside_the_time_axis_raises(t):
+    clock = HardwareClock(nominal_freq=1.0, drift=WhiteDrift(1e-3, make_rng()))
+    with pytest.raises(ContractViolation, match="0 <= t < inf"):
+        clock.advance_to(t)
+
+
+def test_a_tick_target_below_the_start_reading_raises():
+    clock = HardwareClock(nominal_freq=1e6, drift=ConstantDrift(100.0), start_ticks=7.0)
+    assert clock.time_of_tick(7.0) == 0.0
+    for below in (math.nextafter(7.0, 0.0), -1.0, math.inf, math.nan):
+        with pytest.raises(ContractViolation, match="start reading 7.0"):
+            clock.time_of_tick(below)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["constant", "piecewise", "white"]),
+    start=st.floats(0.0, 1e3),
+    times=st.lists(st.floats(0.0, 3 * _SEGMENT_CHUNK), min_size=1, max_size=12),
+    quantize=st.booleans(),
+)
+def test_a_hardware_clock_grows_its_table_as_it_is_read(kind, start, times, quantize):
+    # Read in any order, far past the pieces drawn so far and back again, the
+    # rebuilt tables give the scalar walk's readings and inversions bit for bit.
+    def drift():
+        return {
+            "constant": ConstantDrift(2e-4),
+            "piecewise": PiecewiseDrift(PIECES),
+            "white": WhiteDrift(5e-4, make_rng(7)),
+        }[kind]
+
+    clock, ref = HardwareClock(1.0, drift(), start_ticks=start, quantize=quantize), drift()
+    for t in times:
+        expected = reference_reading(ref, 1.0, start, t)
+        assert clock.advance_to(t) == (math.floor(expected) if quantize else expected)
+        target = expected + 1.5 * _SEGMENT_CHUNK
+        assert clock.time_of_tick(target) == reference_time_of_tick(ref, 1.0, start, target)
 
 
 # ---------------------------------------------------------------- white drift moments
@@ -321,39 +344,6 @@ def test_white_integral_equals_the_reference_on_random_spans(t0, span):
     drift = WhiteDrift(1e-3, make_rng(9))
     t1 = t0 + span
     assert drift.deviation_integral(t0, t1) == reference_piecewise_integral(drift, t0, t1)
-
-
-def _below(t):
-    return math.nextafter(t, 0.0)
-
-
-@pytest.mark.parametrize(
-    "kind, stops",
-    [
-        ("constant", [0.5, _below(1.3), 1.3, _below(4.0), 4.0, 7.25]),
-        # each piece end, one ulp below it, and a stop inside the next piece
-        ("piecewise", [_below(1.3), 1.3, 2.0, _below(4.0), 4.0, 6.5, 9.0]),
-        # integers for white, from inside a segment, one ulp below and the
-        # previous integer, then a jump over several segments and a chunk end
-        ("white", [0.5, _below(1.0), 1.0, 2.0, _below(3.0), 3.0, 3.5, 7.0, _below(8.0), 8.0,
-                   _below(_SEGMENT_CHUNK), _SEGMENT_CHUNK, _SEGMENT_CHUNK + 0.5]),
-    ],
-)
-@pytest.mark.parametrize("quantize", [False, True])
-def test_advances_onto_piece_ends_match_the_reference(kind, stops, quantize):
-    def drift():
-        return {
-            "constant": ConstantDrift(-3e-4),
-            "piecewise": PiecewiseDrift(PIECES),
-            "white": WhiteDrift(5e-4, make_rng(17)),
-        }[kind]
-
-    clock, ref = HardwareClock(1.0, drift(), start_ticks=0.3, quantize=quantize), drift()
-    for t in stops:
-        expected = reference_reading(ref, 1.0, 0.3, t)
-        assert clock.advance_to(t) == (math.floor(expected) if quantize else expected)
-        target = expected + 2.5
-        assert clock.time_of_tick(target) == reference_time_of_tick(ref, 1.0, 0.3, target)
 
 
 # ---------------------------------------------------------------- logical clock

@@ -1,56 +1,61 @@
 """Protocol transition functions: error/signal arithmetic, step adaptation,
-message handling, and beacon emission."""
+the update rule, and beacon emission."""
 
 import re
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_sim import reference_update
 
 from gradesync import (
     GRADES,
     PISYNC,
     ContractViolation,
     LogicalClock,
-    SyncMessage,
     SimConfig,
-    SyncState,
     Topology,
     adapt_step,
     error_scale,
     on_beacon_tick,
-    on_message,
     run,
     step_size_limit,
 )
 from gradesync.protocols import update
 
 
-def receive(protocol, st, received, hw_now, beacon_period, nominal_freq, adapt=True):
-    """``on_message`` with the error scale and step bound a run derives for ``protocol``."""
+class Node(NamedTuple):
+    """One protocol lane of one node, as ``sim.run`` keeps it: clock, step, last error."""
+
+    value: float = 0.0
+    rate: float = 1.0
+    hw_at: float = 0.0
+    step: float = 0.1
+    error: float = 0.0
+
+    def read(self, hw):
+        return LogicalClock(self.value, self.rate, self.hw_at).read(hw)
+
+
+def receive(protocol, before, received, hw_now, beacon_period, nominal_freq, adapt=True):
+    """``update`` with the error scale and step bound a run derives for ``protocol``.
+
+    Returns the node as ``sim.run`` stores it afterwards: its clock jumped onto
+    ``received`` at ``hw_now``, with the new rate, step and error.
+    """
     scale = error_scale(protocol, beacon_period, nominal_freq)
     step_max = step_size_limit(protocol, beacon_period, nominal_freq)
-    return on_message(st, received, hw_now, scale, step_max, adapt)
+    error, step, rate = update(*before, received, hw_now, scale, step_max, adapt)
+    return Node(received, rate, hw_now, step, error)
 
 
-def state(value=0.0, rate=1.0, hw=0.0, step=0.1, error=0.0):
-    return SyncState(step, error, LogicalClock(value, rate, hw))
-
-
-@pytest.mark.parametrize(
-    "record, field",
-    [
-        (LogicalClock(1.0, 2.0, 3.0), "rate_multiplier"),
-        (state(error=3.0), "error"),
-        (state(), "clock"),
-        (SyncMessage(2, (5.0, 6.0)), "readings"),
-    ],
-)
-def test_records_are_immutable(record, field):
+def test_logical_clocks_are_immutable():
+    clock = LogicalClock(1.0, 2.0, 3.0)
     with pytest.raises(AttributeError):
-        setattr(record, field, getattr(record, field))
+        clock.rate_multiplier = 2.0
     with pytest.raises(AttributeError):
-        record.extra = 1  # no per-instance attribute dict either
+        clock.extra = 1  # no per-instance attribute dict either
 
 
 # ---------------------------------------------------------------- arithmetic
@@ -120,41 +125,38 @@ def test_adapt_step_stays_positive_and_bounded(step, now, prev, step_max):
     assert 0.0 < out <= step_max
 
 
-# ---------------------------------------------------------------- message handling
+# ---------------------------------------------------------------- the update rule
 
 
-def test_every_message_is_applied_and_leaves_its_input_state_alone():
+def test_every_message_is_applied():
     # Flood freshness is the caller's decision: the same reading twice is applied twice.
-    before = state(value=120.0, hw=1.0)
+    before = Node(value=120.0, hw_at=1.0)
     for proto in (GRADES, PISYNC):
         once = receive(proto, before, 123.0, hw_now=1.0, beacon_period=1.0, nominal_freq=1.0)
         twice = receive(proto, once, 123.0, hw_now=1.0, beacon_period=1.0, nominal_freq=1.0)
-        assert once is not before and twice is not once
         assert (once.error, twice.error) == (-3.0, 0.0)
-        assert before == state(value=120.0, hw=1.0)
 
 
 def test_accepted_message_jumps_the_clock_exactly_onto_the_payload():
-    g = state(value=100.05, hw=50.0)
+    g = Node(value=100.05, hw_at=50.0)
     g2 = receive(GRADES, g, 100.0, hw_now=50.0, beacon_period=1.0, nominal_freq=1.0)
-    assert g2.clock.read(50.0) == 100.0  # exact, not approximate
-    assert g2.error == g.clock.read(50.0) - 100.0  # the error before the jump
-    assert g.clock.read(50.0) == 100.05  # input state untouched
+    assert g2.read(50.0) == 100.0  # exact, not approximate
+    assert g2.error == g.read(50.0) - 100.0  # the error before the jump
 
 
-def test_on_message_offset_jump_is_exact_and_zero_error_keeps_the_rate():
-    before = state(value=100.0, rate=1.0001, hw=0.0, step=1e-4)
-    assert before.clock.read(50.0) == pytest.approx(150.0050, rel=1e-12)
+def test_offset_jump_is_exact_and_zero_error_keeps_the_rate():
+    before = Node(value=100.0, rate=1.0001, hw_at=0.0, step=1e-4)
+    assert before.read(50.0) == pytest.approx(150.0050, rel=1e-12)
     for proto in (GRADES, PISYNC):
         moved = receive(proto, before, 100.0, hw_now=50.0, beacon_period=1.0,
                         nominal_freq=1.0, adapt=False)
-        assert moved.clock.read(50.0) == 100.0
+        assert moved.read(50.0) == 100.0
         # Setting the current reading back onto the clock leaves the rate and reads alone.
-        same = receive(proto, before, before.clock.read(50.0), hw_now=50.0,
+        same = receive(proto, before, before.read(50.0), hw_now=50.0,
                        beacon_period=1.0, nominal_freq=1.0, adapt=False)
-        assert same.clock.rate_multiplier == 1.0001
+        assert same.rate == 1.0001
         for hw in (50.0, 61.5, 80.0):
-            assert same.clock.read(hw) == pytest.approx(before.clock.read(hw), rel=1e-15)
+            assert same.read(hw) == pytest.approx(before.read(hw), rel=1e-15)
         with pytest.raises(ContractViolation, match="before last update"):
             receive(proto, before, 100.0, hw_now=-1.0, beacon_period=1.0,
                     nominal_freq=1.0)
@@ -162,46 +164,46 @@ def test_on_message_offset_jump_is_exact_and_zero_error_keeps_the_rate():
 
 def test_grades_rate_update_example():
     # error 0.05 at unit round length: rate moves by -step * 2 * error.
-    g = state(value=100.05, hw=50.0, step=0.1)
+    g = Node(value=100.05, hw_at=50.0, step=0.1)
     g2 = receive(GRADES, g, 100.0, hw_now=50.0, beacon_period=1.0, nominal_freq=1.0,
                  adapt=False)
-    assert g2.clock.rate_multiplier == pytest.approx(0.99, rel=1e-12)
-    assert g2.step_size == 0.1
+    assert g2.rate == pytest.approx(0.99, rel=1e-12)
+    assert g2.step == 0.1
     assert g2.error == pytest.approx(0.05, rel=1e-12)  # the signal 2 * error is 0.1
 
 
 def test_pisync_rate_update_example():
-    p = state(value=100.05, hw=50.0, step=0.1)
+    p = Node(value=100.05, hw_at=50.0, step=0.1)
     p2 = receive(PISYNC, p, 100.0, hw_now=50.0, beacon_period=1.0, nominal_freq=1.0,
                  adapt=False)
-    assert p2.clock.rate_multiplier == pytest.approx(0.995, rel=1e-12)
+    assert p2.rate == pytest.approx(0.995, rel=1e-12)
     assert p2.error == pytest.approx(0.05, rel=1e-12)
 
 
 def test_zero_error_message_leaves_rate_alone_and_shrinks_the_step():
-    before = state(value=100.0, rate=1.0003, hw=50.0, step=0.3, error=2.0)
+    before = Node(value=100.0, rate=1.0003, hw_at=50.0, step=0.3, error=2.0)
     for proto in (GRADES, PISYNC):
         after = receive(proto, before, 100.0, hw_now=50.0, beacon_period=1.0,
                         nominal_freq=1.0)
-        assert after.clock.rate_multiplier == 1.0003
-        assert after.step_size == pytest.approx(0.1)
+        assert after.rate == 1.0003
+        assert after.step == pytest.approx(0.1)
 
 
 def test_adaptation_uses_the_protocols_own_stability_limit():
-    g = state(value=1.0, hw=0.0, step=0.75, error=1.0)
+    g = Node(value=1.0, hw_at=0.0, step=0.75, error=1.0)
     g2 = receive(GRADES, g, 0.9, hw_now=0.0, beacon_period=1.0, nominal_freq=1.0)
-    assert g2.step_size == 1.0  # doubled 0.75 -> 1.5, clamped at 1/(B*f0)^2
-    p = state(value=1.0, hw=0.0, step=1.5, error=1.0)
+    assert g2.step == 1.0  # doubled 0.75 -> 1.5, clamped at 1/(B*f0)^2
+    p = Node(value=1.0, hw_at=0.0, step=1.5, error=1.0)
     p2 = receive(PISYNC, p, 0.9, hw_now=0.0, beacon_period=1.0, nominal_freq=1.0)
-    assert p2.step_size == 2.0  # doubled 1.5 -> 3.0, clamped at 2/(B*f0)
+    assert p2.step == 2.0  # doubled 1.5 -> 3.0, clamped at 2/(B*f0)
 
 
 def test_mis_scaled_step_raises_instead_of_producing_a_frozen_clock():
-    g = state(value=10.0, hw=0.0, step=0.1)
+    g = Node(value=10.0, hw_at=0.0, step=0.1)
     with pytest.raises(ContractViolation, match="mis-scaled"):
         receive(GRADES, g, 0.0, hw_now=0.0, beacon_period=1.0, nominal_freq=1.0,
                 adapt=False)
-    p = state(value=30.0, hw=0.0, step=0.1)
+    p = Node(value=30.0, hw_at=0.0, step=0.1)
     with pytest.raises(ContractViolation, match="mis-scaled"):
         receive(PISYNC, p, 0.0, hw_now=0.0, beacon_period=1.0, nominal_freq=1.0,
                 adapt=False)
@@ -236,17 +238,17 @@ def _outcome(call):
     step_max=st.floats(1e-3, 4.0),
     adapt=st.booleans(),
 )
-def test_on_message_is_update_on_named_tuples(clock, step, prev_error, received, hw_now, scale,
-                                               step_max, adapt):
-    # Bit for bit, down to the text of either contract violation: an early
-    # read (hw_now before the clock's last update) or a rate driven to <= 0.
+def test_update_is_the_reference_rule_bit_for_bit(clock, step, prev_error, received, hw_now,
+                                                  scale, step_max, adapt):
+    # Down to the text of either contract violation: an early read (hw_now
+    # before the clock's last update) or a rate driven to <= 0.
     args = (received, hw_now, scale, step_max, adapt)
     new = _outcome(lambda: update(*clock, step, prev_error, *args))
-    old = _outcome(lambda: on_message(SyncState(step, prev_error, LogicalClock(*clock)), *args))
-    if isinstance(old, SyncState):
-        assert old.clock == (received, old.clock.rate_multiplier, hw_now)
-        old = (old.error, old.step_size, old.clock.rate_multiplier)
-    assert repr(old) == repr(new)
+    ref = _outcome(lambda: reference_update(clock, step, prev_error, *args))
+    if isinstance(ref, tuple):
+        assert ref[2] == (received, ref[2][1], hw_now)
+        ref = (ref[0], ref[1], ref[2][1])
+    assert repr(ref) == repr(new)
 
 
 @settings(max_examples=30, deadline=None)
@@ -283,11 +285,11 @@ def test_sequence_numbers_never_decrease_and_stale_floods_are_noops(chords, phas
     hw=st.floats(0.0, 100.0),
 )
 def test_offset_exactness_holds_for_any_accepted_message(value, payload, hw):
-    before = state(value=value, hw=hw, step=1e-4)
+    before = Node(value=value, hw_at=hw, step=1e-4)
     for proto in (GRADES, PISYNC):
         after = receive(proto, before, payload, hw_now=hw, beacon_period=1.0,
                         nominal_freq=1.0)
-        assert after.clock.read(hw) == payload
+        assert after.read(hw) == payload
 
 
 @settings(max_examples=100, deadline=None)
@@ -297,17 +299,17 @@ def test_offset_exactness_holds_for_any_accepted_message(value, payload, hw):
 )
 def test_adapted_step_never_exceeds_the_stability_limit(errors, beacon_period):
     limit = step_size_limit(GRADES, beacon_period, 1.0)
-    g = SyncState(step_size=limit / 8, clock=LogicalClock(0.0, 1.0, 0.0))
+    g = Node(step=limit / 8)
     hw = 0.0
     for err in errors:
         # Manufacture a reading that sits err below the local reading.
-        received = g.clock.read(hw) - err * beacon_period
+        received = g.read(hw) - err * beacon_period
         try:
             g = receive(GRADES, g, received, hw_now=hw, beacon_period=beacon_period,
                         nominal_freq=1.0)
         except ContractViolation:
             return  # a mis-scaled update is rejected loudly, never applied
-        assert 0.0 < g.step_size <= limit
+        assert 0.0 < g.step <= limit
 
 
 @settings(max_examples=100, deadline=None)
@@ -321,11 +323,11 @@ def test_equal_fraction_steps_give_identical_rate_trajectories(errors, fraction,
     # limit, both rate updates reduce to -2 * fraction * error / (B * f0),
     # so the two controllers move in lockstep on identical inputs, down to
     # both rejecting the same update that would drive the rate non-positive.
-    g = SyncState(fraction * step_size_limit(GRADES, bf, 1.0), clock=LogicalClock())
-    p = SyncState(fraction * step_size_limit(PISYNC, bf, 1.0), clock=LogicalClock())
+    g = Node(step=fraction * step_size_limit(GRADES, bf, 1.0))
+    p = Node(step=fraction * step_size_limit(PISYNC, bf, 1.0))
     hw = 0.0
     for err in errors:
-        payload = g.clock.read(hw) - err
+        payload = g.read(hw) - err
         try:
             g = receive(GRADES, g, payload, hw_now=hw, beacon_period=bf,
                         nominal_freq=1.0, adapt=False)
@@ -336,30 +338,27 @@ def test_equal_fraction_steps_give_identical_rate_trajectories(errors, fraction,
             return
         p = receive(PISYNC, p, payload, hw_now=hw, beacon_period=bf, nominal_freq=1.0,
                     adapt=False)
-        assert g.clock.rate_multiplier == pytest.approx(p.clock.rate_multiplier, rel=1e-12)
+        assert g.rate == pytest.approx(p.rate, rel=1e-12)
 
 
 # ---------------------------------------------------------------- beacon emission
 
 
 def test_reference_beacon_increments_seq_and_advertises_hardware_time():
-    g = state(value=999.0, hw=0.0)
-    p = state(value=888.0, hw=0.0)
-    msg = on_beacon_tick((g, p), 4, is_reference=True, hw_now=5000.25)
-    assert msg.seq == 5
-    assert msg.readings == (5000.25, 5000.25)
+    clocks = (LogicalClock(999.0, 1.0, 0.0), LogicalClock(888.0, 1.0, 0.0))
+    assert on_beacon_tick(clocks, 4, is_reference=True, hw_now=5000.25) == (5, (5000.25, 5000.25))
 
 
 def test_relay_beacon_keeps_seq_and_advertises_logical_readings():
-    g = state(value=100.0, rate=1.5, hw=10.0)
-    p = state(value=200.0, rate=0.5, hw=10.0)
-    msg = on_beacon_tick((g, p), 4, is_reference=False, hw_now=12.0)
-    assert msg.seq == 4
-    assert msg.readings[0] == pytest.approx(103.0, rel=1e-12)
-    assert msg.readings[1] == pytest.approx(201.0, rel=1e-12)
+    clocks = (LogicalClock(100.0, 1.5, 10.0), LogicalClock(200.0, 0.5, 10.0))
+    seq, readings = on_beacon_tick(clocks, 4, is_reference=False, hw_now=12.0)
+    assert seq == 4
+    assert readings[0] == pytest.approx(103.0, rel=1e-12)
+    assert readings[1] == pytest.approx(201.0, rel=1e-12)
+    with pytest.raises(ContractViolation, match="before last update"):
+        on_beacon_tick(clocks, 4, is_reference=False, hw_now=9.0)
 
 
 def test_single_protocol_beacons_leave_the_other_payload_empty():
-    msg = on_beacon_tick((state(),), 2, is_reference=True, hw_now=3.0)
-    assert msg.readings == (3.0,)  # no reading for a protocol that is not running
-    assert msg.seq == 3
+    # no reading for a protocol that is not running
+    assert on_beacon_tick((LogicalClock(),), 2, is_reference=True, hw_now=3.0) == (3, (3.0,))

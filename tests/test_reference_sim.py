@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from reference_sim import reference_run
 
 from gradesync import GRADES, PISYNC, ContractViolation, PiecewiseDrift, SimConfig, Topology, run
-from gradesync.protocols import step_size_limit
+from gradesync import clocks, protocols, sim
+from gradesync.protocols import adapt_step, step_size_limit
 
 
 @st.composite
@@ -81,6 +82,19 @@ def _outcome(simulate, config):
     step_size={GRADES: 1.0204081632653064}, phase_mode="staggered",
     quantize_ticks=True, seed=0,
 ))
+# Runs of over 100 rounds, which reach later windows of ClockTable.crossings
+# (32 rounds each) and the targets each row carries into the next.
+@example(config=SimConfig(
+    Topology(nodes=(3, 1, 7, 4), edges=((1, 3), (3, 7), (1, 4), (4, 7)), reference=3),
+    beacon_period=0.7, duration=110 * 0.7, nominal_freq=1e3, max_deviation=200.0,
+    delay_std=1e-3, drift="white", protocols=(GRADES, PISYNC), step_policy="adaptive",
+    phase_mode="random", drop_probability=0.3, seed=11,
+))
+@example(config=SimConfig(
+    Topology.line(5), beacon_period=1.0, duration=104.4, nominal_freq=1e3, max_deviation=1.0,
+    delay_std=1e-3, drift="white", protocols=(GRADES,), step_policy="fixed", step_size=3e-7,
+    sample_period=0.7, phase_mode="random", quantize_ticks=True, seed=5,
+))
 def test_the_simulator_equals_the_naive_reference(config):
     trace, expected = _outcome(run, config), _outcome(reference_run, config)
     if isinstance(expected, str):
@@ -106,3 +120,42 @@ def test_the_reference_sees_the_instant_rule_on_a_diamond():
     expected = reference_run(config)
     assert expected["deliveries"] == {"accepted": 35, "stale": 61, "dropped": 0}
     assert np.array_equal(run(config).readings[GRADES], expected["readings"][GRADES])
+
+
+# A config on which each reordering below changes the last bits of ``sim.run``.
+PINNED = SimConfig(
+    Topology.line(5), beacon_period=0.7, duration=14.0, max_deviation=0.2, delay_std=1e-3,
+    drift="white", protocols=(GRADES, PISYNC), step_policy="adaptive", phase_mode="random",
+    seed=4,
+)
+
+
+def _lanes_equal(trace, expected):
+    return {p: trace.readings[p].tobytes() == expected["readings"][p].tobytes()
+            for p in PINNED.protocols}
+
+
+def test_the_reference_reads_its_clocks_with_its_own_arithmetic(monkeypatch):
+    assert _lanes_equal(run(PINNED), reference_run(PINNED)) == {GRADES: True, PISYNC: True}
+
+    def reordered(start, rate, knot, t):
+        return knot + (rate * t - rate * start)
+
+    monkeypatch.setattr(clocks, "_reading", reordered)
+    assert _lanes_equal(run(PINNED), reference_run(PINNED)) == {GRADES: False, PISYNC: False}
+
+
+def test_the_reference_updates_with_its_own_arithmetic(monkeypatch):
+    def reordered(value, rate, hw_at, step, prev_error, received, hw_now, scale, step_max,
+                  adapt=True):
+        error = value + rate * (hw_now - hw_at) - received
+        if adapt:
+            step = adapt_step(step, scale * error, scale * prev_error, step_max)
+        rate -= (step * scale) * error
+        return error, step, rate
+
+    for owner, name in ((protocols, "update"), (sim, "grades_on_message"),
+                        (sim, "pisync_on_message")):
+        monkeypatch.setattr(owner, name, reordered)
+    # pisync's error scale is 1, so only the grades lane can show the reordering.
+    assert _lanes_equal(run(PINNED), reference_run(PINNED)) == {GRADES: False, PISYNC: True}
