@@ -230,6 +230,26 @@ def test_a_tick_target_below_the_start_reading_raises():
             clock.time_of_tick(below)
 
 
+@pytest.mark.parametrize("kind, stops", zip(["constant", "piecewise", "white"], STOPS))
+@pytest.mark.parametrize("quantize", [False, True])
+def test_advances_onto_piece_ends_match_the_reference(kind, stops, quantize):
+    # The growing one-row table lands on each piece end, one ulp below it and a
+    # chunk end exactly as the scalar walk does.
+    def drift():
+        return {
+            "constant": ConstantDrift(-3e-4),
+            "piecewise": PiecewiseDrift(PIECES),
+            "white": WhiteDrift(5e-4, make_rng(17)),
+        }[kind]
+
+    clock, ref = HardwareClock(1.0, drift(), start_ticks=0.3, quantize=quantize), drift()
+    for t in stops:
+        expected = reference_reading(ref, 1.0, 0.3, t)
+        assert clock.advance_to(t) == (math.floor(expected) if quantize else expected)
+        target = expected + 2.5
+        assert clock.time_of_tick(target) == reference_time_of_tick(ref, 1.0, 0.3, target)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     kind=st.sampled_from(["constant", "piecewise", "white"]),

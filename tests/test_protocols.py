@@ -50,10 +50,11 @@ def receive(protocol, before, received, hw_now, beacon_period, nominal_freq, ada
     return Node(received, rate, hw_now, step, error)
 
 
-def test_logical_clocks_are_immutable():
+@pytest.mark.parametrize("field", ["value_at_update", "rate_multiplier", "hw_at_update"])
+def test_logical_clocks_are_immutable(field):
     clock = LogicalClock(1.0, 2.0, 3.0)
     with pytest.raises(AttributeError):
-        clock.rate_multiplier = 2.0
+        setattr(clock, field, getattr(clock, field))
     with pytest.raises(AttributeError):
         clock.extra = 1  # no per-instance attribute dict either
 
