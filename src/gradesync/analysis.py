@@ -95,21 +95,20 @@ def eigenvalues(p: SystemParams, protocol: str) -> tuple[float, float]:
 def variance(p: SystemParams, protocol: str) -> float:
     """Steady-state variance of the per-round sync error, squared seconds.
 
-    The z second moment is step*(w + f0**2*d) / (lead - step*(B**2*f0**2 + w))
-    with lead = 2*B*f0 / error_scale: 1 for grades, 2*B*f0 for pisync.  The
-    formula is valid only while that denominator is positive, which is
-    slightly stricter than the mean stability bound.
+    In the gain c = ``_update_coefficient(p, protocol)`` the z second moment is
+    c*(w + f0**2*d) / (2*B*f0**2 - c*(B**2*f0**2 + w)), one formula for both
+    protocols: at equal gain they have equal variance.  It is valid only while
+    that denominator is positive, which is slightly stricter than the mean
+    stability bound.
     """
-    b, f0, a = p.beacon_period, p.nominal_freq, p.step_size
+    b, f0, c = p.beacon_period, p.nominal_freq, _update_coefficient(p, protocol)
     w_var = b * p.max_deviation**2 / 3.0  # per-round deviation-integral variance
     d_var = p.delay_std**2
-    lead = 2.0 * b * f0 / error_scale(protocol, b, f0)
-    denom = lead - a * (b * b * f0 * f0 + w_var)
+    denom = 2.0 * b * f0 * f0 - c * (b * b * f0 * f0 + w_var)
     if denom <= 0:
-        raise InvalidRegimeError(
-            f"step size {a} is outside the variance-stable region (denominator {denom})"
-        )
-    z2 = a * (w_var + f0 * f0 * d_var) / denom
+        raise InvalidRegimeError(f"step size {p.step_size} is outside the variance-stable "
+                                 f"region (denominator {denom})")
+    z2 = c * (w_var + f0 * f0 * d_var) / denom
     f0sq = f0**2
     return z2 * (b**2 + w_var / f0sq) + w_var / f0sq + d_var
 
@@ -128,23 +127,17 @@ def compare_protocols(p: SystemParams) -> ProtocolComparison:
     """Head-to-head at equal step size: contraction speed and steady variance.
 
     Convergence goes to the protocol with the smaller |lambda2|; variance to
-    the smaller steady-state error variance.  Grades wins the variance race
-    exactly when beacon_period < 1/(2*nominal_freq) (the denominators differ
-    by 2*B*f0 vs 1), so for any realistic round length pisync has the lower
-    floor while grades contracts faster.
+    the smaller steady-state error variance.  At equal step grades' gain c is
+    2*B*f0 times pisync's, so grades wins the variance race exactly when
+    beacon_period < 1/(2*nominal_freq): for any realistic round length pisync
+    has the lower floor while grades contracts faster.
     """
-    gl = eigenvalues(p, GRADES)[1]
-    pl = eigenvalues(p, PISYNC)[1]
-    if math.isclose(abs(gl), abs(pl), rel_tol=1e-12, abs_tol=1e-15):
-        convergence = "tie"
-    else:
-        convergence = GRADES if abs(gl) < abs(pl) else PISYNC
-    gv = variance(p, GRADES)
-    pv = variance(p, PISYNC)
-    if math.isclose(gv, pv, rel_tol=1e-12, abs_tol=0.0):
-        lower_variance = "tie"
-    else:
-        lower_variance = GRADES if gv < pv else PISYNC
+    gl, pl = (eigenvalues(p, proto)[1] for proto in (GRADES, PISYNC))
+    gv, pv = (variance(p, proto) for proto in (GRADES, PISYNC))
+    convergence, lower_variance = (
+        "tie" if math.isclose(g, q, rel_tol=1e-12, abs_tol=tol) else GRADES if g < q else PISYNC
+        for g, q, tol in ((abs(gl), abs(pl), 1e-15), (gv, pv, 0.0))
+    )
     return ProtocolComparison(
         convergence_winner=convergence,
         variance_winner=lower_variance,
@@ -168,6 +161,11 @@ class McEstimate:
 
 
 _BLOCK_ROUNDS = 16  # rounds of noise drawn per numpy call
+
+# Most protocols x trials paths one oracle call may run: under 400 MB.  A trial
+# takes 610-720 bytes for its noise block and the temporaries made from it, and
+# 45 more per path for its state and sums: about 770 for two protocols.
+MAX_MC_PATHS = 5 * 10**5
 
 
 def estimate_variance_mc(
@@ -207,6 +205,9 @@ def estimate_variance_mc(
         raise ValueError("need at least 2 rounds")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    if len(protocols) * trials > MAX_MC_PATHS:
+        raise ValueError(f"trials={trials} for {len(protocols)} protocols asks for more than "
+                         f"{MAX_MC_PATHS} Monte-Carlo paths (protocols x trials); lower trials")
     coef = np.array([[_update_coefficient(p, proto)] for proto in protocols])
     if not len(coef):
         raise ValueError("protocols must name at least one protocol")

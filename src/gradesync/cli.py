@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from .errors import ContractViolation
-from .scenarios import SCENARIOS
+from .scenarios import SCENARIOS, write_summary_csv
 
 
 def parse_config_file(path: Path) -> dict[str, str]:
@@ -49,7 +49,7 @@ def _coerce(name: str, raw: str, template) -> object:
 def run_scenario(
     name: str, overrides: dict[str, str] | None = None, out_dir=None, seed: int | None = None
 ) -> dict:
-    """Resolve parameters, run the scenario, write artifacts under out_dir/name."""
+    """Resolve parameters, run the scenario, write artifacts and summary.csv under out_dir/name."""
     if name not in SCENARIOS:
         raise ValueError(
             f"unknown scenario {name!r}; available: {', '.join(sorted(SCENARIOS))}"
@@ -69,7 +69,9 @@ def run_scenario(
         raise ValueError(f"parameter seed must be non-negative, got {params['seed']}")
     out = Path(out_dir if out_dir is not None else "results") / name
     out.mkdir(parents=True, exist_ok=True)
-    return scenario.runner(params, out)
+    summary = scenario.runner(params, out)
+    write_summary_csv(out / "summary.csv", summary)
+    return summary
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -88,7 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", type=Path, help="key=value file of overrides")
     parser.add_argument("--out", type=Path, default=Path("results"), help="output directory")
     parser.add_argument("--seed", type=int, help="override the scenario seed")
-    parser.add_argument("--format", choices=["csv"], default="csv", help="artifact format")
     return parser
 
 

@@ -2,7 +2,8 @@
 
 Each scenario is a dict of overridable parameters plus a runner that builds
 configs, runs the simulator (or the analysis oracle), writes CSV artifacts
-into an output directory, and returns a flat summary mapping.  Scenario names
+into an output directory, and returns a flat summary mapping, which
+``cli.run_scenario`` writes next to them as summary.csv.  Scenario names
 and CSV schemas are part of the tool's external interface; everything here is
 deterministic given (scenario, parameters, seed).
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable
 
@@ -22,11 +24,11 @@ from .clocks import ConstantDrift, PiecewiseDrift
 from .protocols import GRADES, PISYNC, step_size_limit
 from .sim import (
     RANDOM_CONSTANT_DRIFT,
-    WHITE_DRIFT,
     SimConfig,
     SkewTrace,
     Topology,
     _fmt,
+    _median,
     convergence_time,
     fit_power_exponent,
     run,
@@ -66,15 +68,6 @@ def _non_negative(params: dict, name: str):
 def write_summary_csv(path: Path, summary: dict) -> None:
     rows = [(k, "" if v is None else v) for k, v in summary.items()]
     write_csv(path, ("metric", "value"), rows)
-
-
-def _median(values: np.ndarray) -> float:
-    """``np.median`` of a non-empty array (NaN if any value is), without its numpy.ma import."""
-    ordered = np.sort(values)  # NaNs sort last
-    mid = len(ordered) // 2
-    if math.isnan(ordered[-1]):
-        return math.nan
-    return float(ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2)
 
 
 def report_summary(trace: SkewTrace, protocol: str) -> dict:
@@ -213,7 +206,6 @@ def _run_pairwise(params: dict, out: Path) -> dict:
     summary = pairwise_convergence(trace, params, tol=tol)
     summary["rounds"] = params["rounds"]
     summary["switch_round"] = params["switch_round"]
-    write_summary_csv(out / "summary.csv", summary)
     return summary
 
 
@@ -268,7 +260,6 @@ def _run_stepsize(params: dict, out: Path) -> dict:
         stats = stepsize_series_stats(trace, rounds, tol)
         for k, v in stats.items():
             summary[f"{label}.{k}"] = v
-    write_summary_csv(out / "summary.csv", summary)
     return summary
 
 
@@ -322,10 +313,8 @@ def _run_multihop(params: dict, out: Path) -> dict:
         for proto in (GRADES, PISYNC):
             rep = report_summary(trace, proto)
             per_seed[proto].append(rep)
-            summary[f"seed{seed}.{proto}.converged"] = rep["converged"]
-            summary[f"seed{seed}.{proto}.convergence_time"] = rep["convergence_time"]
-            summary[f"seed{seed}.{proto}.post_mean"] = rep["post_mean"]
-            summary[f"seed{seed}.{proto}.post_max"] = rep["post_max"]
+            for stat in ("converged", "convergence_time", "post_mean", "post_max"):
+                summary[f"seed{seed}.{proto}.{stat}"] = rep[stat]
     for proto in (GRADES, PISYNC):
         reps = per_seed[proto]
         summary[f"{proto}.all_converged"] = all(r["converged"] for r in reps)
@@ -336,7 +325,6 @@ def _run_multihop(params: dict, out: Path) -> dict:
         den = summary[f"{PISYNC}.mean_{stat}"]
         ratio = None if den == 0 else summary[f"{GRADES}.mean_{stat}"] / den
         summary[f"{stat}_ratio_grades_over_pisync"] = ratio
-    write_summary_csv(out / "summary.csv", summary)
     return summary
 
 
@@ -368,7 +356,6 @@ def _run_scaling(params: dict, out: Path) -> dict:
         mean, std = result.aggregate[d]
         summary[f"diameter{d}.mean_skew"] = mean
         summary[f"diameter{d}.std_skew"] = std
-    write_summary_csv(out / "summary.csv", summary)
     return summary
 
 
@@ -400,8 +387,6 @@ def _run_theory_check(params: dict, out: Path) -> dict:
     trials = _at_least(params, "trials", 1)
     rounds = _at_least(params, "rounds", 2)
     rows = []
-    max_rel_err = 0.0
-    worst = None
     formula = {GRADES: grades_variance, PISYNC: pisync_variance}
     for i, p in enumerate(variance_grid()):
         estimates = estimate_variance_mc(
@@ -414,59 +399,38 @@ def _run_theory_check(params: dict, out: Path) -> dict:
         )
         for proto, mc in zip((GRADES, PISYNC), estimates):
             ref = formula[proto](p)
-            rel = abs(mc.var_error - ref) / ref
-            if rel > max_rel_err:
-                max_rel_err = rel
-                worst = (proto, p)
-            rows.append(
-                (
-                    proto,
-                    p.beacon_period,
-                    p.nominal_freq,
-                    p.max_deviation,
-                    p.delay_std,
-                    p.step_size,
-                    ref,
-                    mc.var_error,
-                    rel,
-                    mc.mean_error,
-                    mc.se_mean_error,
-                    mc.mean_rate_multiplier,
-                    mc.n_samples,
-                    convention,
-                )
-            )
+            rows.append({
+                "protocol": proto,
+                "beacon_period": p.beacon_period,
+                "nominal_freq": p.nominal_freq,
+                "max_deviation": p.max_deviation,
+                "delay_std": p.delay_std,
+                "step_size": p.step_size,
+                "formula_var": ref,
+                "mc_var": mc.var_error,
+                "rel_err": abs(mc.var_error - ref) / ref,
+                "mc_mean_error": mc.mean_error,
+                "mc_se_mean": mc.se_mean_error,
+                "mc_mean_rate": mc.mean_rate_multiplier,
+                "n_samples": mc.n_samples,
+                "noise_convention": convention,
+            })
     write_csv(
         out / "theory_check.csv",
-        (
-            "protocol",
-            "beacon_period",
-            "nominal_freq",
-            "max_deviation",
-            "delay_std",
-            "step_size",
-            "formula_var",
-            "mc_var",
-            "rel_err",
-            "mc_mean_error",
-            "mc_se_mean",
-            "mc_mean_rate",
-            "n_samples",
-            "noise_convention",
-        ),
-        rows,
+        tuple(rows[0]),
+        [row.values() for row in rows],
         comments=(f"noise_convention={convention}", f"seed={params['seed']}"),
     )
-    summary = {
+    worst = max(rows, key=itemgetter("rel_err"))
+    return {
         "points": len(rows),
         "noise_convention": convention,
-        "max_rel_err": max_rel_err,
+        "max_rel_err": worst["rel_err"],
         "tolerance": tolerance,
-        "within_tolerance": max_rel_err <= tolerance,
-        "worst_point": f"{worst[0]} B={worst[1].beacon_period} step={_fmt(worst[1].step_size)}",
+        "within_tolerance": worst["rel_err"] <= tolerance,
+        "worst_point": f"{worst['protocol']} B={worst['beacon_period']} "
+        f"step={_fmt(worst['step_size'])}",
     }
-    write_summary_csv(out / "summary.csv", summary)
-    return summary
 
 
 @dataclass(frozen=True)

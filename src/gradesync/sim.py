@@ -312,8 +312,7 @@ def _assemble(start, fields, keys, hw, readings, rates) -> None:
 def _spread(values: list, skip: int) -> tuple[float, float, float]:
     """(min, median, max) of ``values`` without position ``skip``; NaNs if none is left."""
     rest = sorted(values[:skip] + values[skip + 1:])
-    mid = len(rest) // 2
-    return (rest[0], (rest[mid] + rest[~mid]) / 2, rest[-1]) if rest else (math.nan,) * 3
+    return (rest[0], _median(np.array(rest)), rest[-1]) if rest else (math.nan,) * 3
 
 
 def run(config: SimConfig) -> SkewTrace:
@@ -506,7 +505,6 @@ def scaling_experiment(
     delay_std: float = 1e-4,
     step_size: float = 0.05,
     rounds: int = 200,
-    phase_mode: str = "staggered",
 ) -> ScalingResult:
     """Steady global skew of grades on reference-rooted lines of growing diameter.
 
@@ -514,9 +512,9 @@ def scaling_experiment(
     and unit beacon period and nominal frequency is run for ``rounds`` rounds,
     and the mean global skew over the second half of the run recorded.
 
-    Beacons are staggered by hop distance by default so each round's sync
-    wave sweeps the chain end to end within one beacon period.  That is the
-    schedule under which neighbouring nodes inherit the *same* upstream noise
+    Beacons are staggered by hop distance so each round's sync wave sweeps
+    the chain end to end within one beacon period.  That is the schedule
+    under which neighbouring nodes inherit the *same* upstream noise
     realization and per-hop errors accumulate as a spatial random walk — the
     regime the square-root-of-diameter growth law describes.  Free-running
     ("random") phases add a full refresh of relay state per hop of propagation
@@ -537,7 +535,7 @@ def scaling_experiment(
                 protocols=(GRADES,),
                 step_policy="fixed",
                 step_size=step_size,
-                phase_mode=phase_mode,
+                phase_mode="staggered",
                 seed=int(seed),
                 record_events=False,
             )
@@ -561,6 +559,15 @@ def fit_power_exponent(aggregate: dict[int, tuple[float, float]]) -> tuple[float
 
 def _fmt(x) -> str:
     return f"{x:.9g}" if isinstance(x, float) else str(x)
+
+
+def _median(values: np.ndarray) -> float:
+    """``np.median`` of a non-empty array (NaN if any value is), without its numpy.ma import."""
+    ordered = np.sort(values)  # NaNs sort last
+    mid = len(ordered) // 2
+    if math.isnan(ordered[-1]):
+        return math.nan
+    return float(ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2)
 
 
 def _write_head(fh, columns, comments) -> None:

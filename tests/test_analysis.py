@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gradesync import analysis
 from gradesync import (
     GRADES,
     PISYNC,
@@ -130,6 +131,20 @@ def test_variance_raises_outside_the_contraction_region():
     with pytest.raises(InvalidRegimeError):
         variance(params(step=edge * 1.001, fmax=fmax, dstd=0.01), GRADES)
     assert variance(params(step=edge * 0.999, fmax=fmax, dstd=0.01), GRADES) > 0
+
+
+def test_equal_gains_give_equal_variances_and_eigenvalues():
+    # One formula in the gain c = step * error_scale * f0: a grades step a and a
+    # pisync step a * (2*B*f0) have the same c, so every result is bit-identical.
+    rng = np.random.default_rng(19)
+    for _ in range(2000):
+        b, f0 = 10.0 ** rng.uniform(-2, 2), 10.0 ** rng.uniform(-1, 7)
+        fmax, dstd = f0 * rng.uniform(0, 1e-2), b * rng.uniform(0, 1e-3)
+        a = rng.uniform(0.01, 0.99) / (b * b * f0 * f0 + b * fmax**2 / 3.0)
+        g = params(b=b, f0=f0, step=a, fmax=fmax, dstd=dstd)
+        q = params(b=b, f0=f0, step=a * (2.0 * b * f0), fmax=fmax, dstd=dstd)
+        assert variance(g, GRADES) == variance(q, PISYNC), (b, f0, a, fmax, dstd)
+        assert eigenvalues(g, GRADES) == eigenvalues(q, PISYNC), (b, f0, a)
 
 
 @settings(max_examples=60, deadline=None)
@@ -267,6 +282,17 @@ def test_mc_oracle_validates_arguments():
     # A bare name is a sequence of letters, not of protocols.
     with pytest.raises(ValueError, match="protocols"):
         estimate_variance_mc(p, GRADES)
+
+
+def test_mc_oracle_bounds_protocols_times_trials_before_allocating(monkeypatch):
+    p = params(step=0.1, dstd=0.01)
+    monkeypatch.setattr(analysis, "MAX_MC_PATHS", 10)
+    assert len(estimate_variance_mc(p, (GRADES, PISYNC), rounds=4, trials=5)) == 2
+    monkeypatch.setattr(analysis, "np", None)  # a call that reaches numpy now fails otherwise
+    with pytest.raises(ValueError, match="trials=6 for 2 protocols"):
+        estimate_variance_mc(p, (GRADES, PISYNC), rounds=4, trials=6)
+    with pytest.raises(ValueError, match="trials=11 for 1 protocols"):
+        estimate_variance_mc(p, (GRADES,), rounds=4, trials=11)
 
 
 def test_mc_oracle_is_deterministic_per_seed():

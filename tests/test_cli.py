@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from gradesync import scenarios, sim
+from gradesync import analysis, scenarios, sim
 from gradesync.cli import main, parse_config_file, run_scenario
 from gradesync.errors import ContractViolation
 from gradesync.scenarios import SCENARIOS, Scenario
@@ -414,6 +414,22 @@ def test_contract_violation_exits_3(tmp_path, capsys, monkeypatch):
     assert "contract violation:" in capsys.readouterr().err
 
 
+def test_a_runner_that_writes_no_file_still_gets_its_summary_csv(tmp_path, monkeypatch):
+    def runner(params, out):
+        return {"a": 1.5, "b": None}
+
+    monkeypatch.setitem(SCENARIOS, "quiet", Scenario({"seed": 0}, runner))
+    assert main(["--scenario", "quiet", "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "quiet" / "summary.csv").read_text() == "metric,value\na,1.5\nb,\n"
+
+
+def test_main_oversized_oracle_exits_2_naming_trials(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(analysis, "MAX_MC_PATHS", 10)
+    code = main(["--scenario", "theory-check", "--set", "trials=6", "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: trials=6 for 2 protocols asks for more")
+
+
 def test_missing_scenario_flag_is_an_argparse_error():
     with pytest.raises(SystemExit) as exc:
         main([])
@@ -421,9 +437,10 @@ def test_missing_scenario_flag_is_an_argparse_error():
 
 
 def test_unknown_format_is_an_argparse_error(tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        main(args_for(tmp_path, "--format", "json"))
-    assert exc.value.code == 2
+    for value in ("json", "csv"):  # CSV is the only artifact format, with no flag
+        with pytest.raises(SystemExit) as exc:
+            main(args_for(tmp_path, "--format", value))
+        assert exc.value.code == 2
 
 
 def test_module_entry_point_runs_a_scenario(tmp_path):

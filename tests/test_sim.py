@@ -820,16 +820,13 @@ def test_fit_power_exponent_recovers_a_square_root_law():
 
 
 def test_scaling_experiment_is_quiet_without_noise_and_deterministic():
+    # Without noise no seed matters, and the staggered starts' offset transient
+    # (a steady skew near 3e-3 after 10 rounds) dies out.
     quiet = scaling_experiment(
-        (1, 2),
-        (0, 1),
-        max_deviation=0.0,
-        delay_std=0.0,
-        rounds=10,
-        step_size=0.3,
-        phase_mode="aligned",  # staggered starts carry a decaying offset transient
+        (1, 2), (0, 1), max_deviation=0.0, delay_std=0.0, rounds=80, step_size=0.3
     )
-    assert all(m == 0.0 for _, _, m in quiet.rows)
+    skew = {(d, seed): m for d, seed, m in quiet.rows}
+    assert all(skew[d, 0] == skew[d, 1] < 1e-15 for d in (1, 2))
     a = scaling_experiment((1, 2), (0, 1), rounds=10, step_size=0.3)
     b = scaling_experiment((1, 2), (0, 1), rounds=10, step_size=0.3)
     assert a == b
