@@ -297,7 +297,6 @@ def multihop_config(params: dict, seed: int) -> SimConfig:
         step_size=steps,
         phase_mode="random",
         seed=seed,
-        record_events=False,
     )
 
 
@@ -315,6 +314,7 @@ def _run_multihop(params: dict, out: Path) -> dict:
             per_seed[proto].append(rep)
             for stat in ("converged", "convergence_time", "post_mean", "post_max"):
                 summary[f"seed{seed}.{proto}.{stat}"] = rep[stat]
+        del trace  # so the next seed's run does not hold this one's arrays and log
     for proto in (GRADES, PISYNC):
         reps = per_seed[proto]
         summary[f"{proto}.all_converged"] = all(r["converged"] for r in reps)

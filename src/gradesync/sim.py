@@ -16,13 +16,15 @@ Sequence numbers only grow, so a delivery whose receiver holds its flood when
 it is sent is stale at once, and a sender reads its logical clocks only for a
 beacon some receiver can accept.
 
-There is no event queue: hardware readings are a pure function of time, so
-the beacon schedule is known up front.  All clocks are one
-``clocks.ClockTable``; its ``crossings`` give every beacon's instant and
-sender reading in (time, node id) order, a window of rounds at a time.  Trace
-samples touch no clock: the hardware grid comes from the table after the loop,
-and the logical readings from a log of accepted updates, with the arithmetic
-of ``LogicalClock.read``.  So the sample period changes no event of a run.
+There is no event queue: hardware readings are a pure function of time, so the
+beacon schedule is known up front.  All clocks are one ``clocks.ClockTable``;
+its ``crossings`` give every beacon's instant and sender reading in (time,
+node id) order, a window of rounds at a time.  Trace samples touch no clock:
+the hardware grid comes from the table after the loop, and the logical
+readings from the update log, with the arithmetic of ``LogicalClock.read``.
+So the sample period changes no event of a run.  The log, (t, node position,
+seq, hw) per accepted delivery and per lane (received, rate, error, step), is
+the one record of updates; ``SkewTrace.events`` reads it on first access.
 
 Determinism: all randomness comes from numpy generators spawned off a single
 SeedSequence(config.seed), one stream per purpose (phases, delays, drops, one
@@ -43,7 +45,6 @@ import itertools
 import math
 import time
 from array import array
-from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property, partial
@@ -63,9 +64,9 @@ RANDOM_CONSTANT_DRIFT = "random-constant"
 # Largest trace grid (samples x nodes) a run may ask for.  A cell takes 8 bytes
 # of hardware reading, 8 of hardware rate, 16 per protocol for its reading and
 # rate, and up to 16 more while a protocol's readings are assembled: 160 MB per
-# array at the bound.  Each accepted delivery keeps one 8-byte key plus 24 bytes
-# per protocol (its clock) of log until the run ends.  A 2,000-node line over
-# 20 rounds needs 122k cells, a 10,000-node one 610k.
+# array at the bound.  Each accepted delivery keeps 32 bytes of log plus 32 per
+# protocol for as long as its trace lives.  A 2,000-node line over 20 rounds
+# needs 122k cells, a 10,000-node one 610k.
 MAX_SAMPLE_CELLS = 2 * 10**7
 
 # The update rule under each protocol's name, kept because bench/tracer.py wraps
@@ -151,7 +152,6 @@ class SimConfig:
     phase_mode: str = "random"  # "aligned" | "random" | "staggered"
     drop_probability: float = 0.0
     quantize_ticks: bool = False
-    record_events: bool = True
     seed: int = 0
 
     def __post_init__(self):
@@ -224,8 +224,8 @@ class SkewTrace:
     readings: dict[str, np.ndarray]  # (samples, nodes) logical ticks
     rate_multipliers: dict[str, np.ndarray]
     hw_rates: np.ndarray  # (samples, nodes) instantaneous hardware frequency
-    events: list[SyncEvent] = field(default_factory=list)
     meta: dict = field(default_factory=dict)
+    update_log: tuple = field(default=((), ()), repr=False)  # (deliveries, per-protocol logs)
 
     def node_column(self, node: int) -> int:
         return self.node_ids.index(node)
@@ -233,6 +233,18 @@ class SkewTrace:
     def global_skew(self, protocol: str) -> np.ndarray:
         vals = self.readings[protocol]
         return vals.max(axis=1) - vals.min(axis=1)
+
+    @cached_property
+    def events(self) -> list[SyncEvent]:
+        """Every accepted update, read from the update log: by delivery, then by protocol."""
+        deliveries, logs = self.update_log
+        events = []
+        for j in range(0, len(deliveries), 4):
+            t, i, seq, _ = deliveries[j:j + 4]
+            for p, log in zip(self.protocols, logs):
+                _, rate, error, step = log[j:j + 4]
+                events.append(SyncEvent(t, self.node_ids[int(i)], p, int(seq), error, step, rate))
+        return events
 
     def node_events(self, node: int, protocol: str) -> list[SyncEvent]:
         return [e for e in self.events if e.node == node and e.protocol == protocol]
@@ -278,19 +290,21 @@ def _draws(draw_block):
     return itertools.chain.from_iterable(iter(lambda: draw_block(1024).tolist(), None))
 
 
-def _assemble(start, fields, keys, hw, readings, rates) -> None:
+def _assemble(start, deliveries, log, times, hw, readings, rates) -> None:
     """Fill one protocol's ``readings`` and ``rates`` from its clocks and update log.
 
-    ``start`` is the (nodes, 3) array of the logical clocks the nodes start
-    with, ``fields``/``keys`` the update log (see ``run``) and ``hw`` the
-    (samples, nodes) hardware readings.  A reading is ``value + rate * (hw - hw_at)``
-    of the latest update that sample sees, as ``LogicalClock.read`` computes it.
-    Updates after the last sample instant are seen by no sample.
+    ``start`` holds the (value, rate, hw_at) clocks the nodes start with,
+    ``deliveries`` and ``log`` the update log (see the module docstring), an
+    update leaving the clock (received, rate, hw), and ``hw`` the (samples,
+    nodes) hardware readings at ``times``.  A sample at t reads ``value + rate *
+    (hw - hw_at)`` of the latest update before t, as ``LogicalClock.read`` does.
     """
     rows, n = hw.shape
-    table = np.concatenate((start, np.frombuffer(fields).reshape(-1, 3)))
-    keys = np.frombuffer(keys, dtype=np.int64)
-    seen = keys < rows * n
+    deliveries = np.frombuffer(deliveries).reshape(-1, 4)
+    log = np.frombuffer(log).reshape(-1, 4)
+    table = np.concatenate((start, np.column_stack((log[:, :2], deliveries[:, 3]))))
+    keys = np.searchsorted(times, deliveries[:, 0], "right") * n + deliveries[:, 1].astype(int)
+    seen = keys < rows * n  # key k * n + node: k is the first sample that sees the update
     # pick[r, i]: row of ``table`` holding node i's clock at sample r.
     # Later updates have larger table rows, so a running maximum down each
     # column selects the latest update a sample sees.
@@ -367,7 +381,6 @@ def run(config: SimConfig) -> SkewTrace:
 
     adaptive = config.step_policy == "adaptive"
     duration, p_drop = config.duration, config.drop_probability
-    record_events = config.record_events
     # Node state lives in lists indexed by the node's position in ``nodes``,
     # which orders beacons exactly as node ids do.
     index = {u: i for i, u in enumerate(nodes)}
@@ -375,22 +388,19 @@ def run(config: SimConfig) -> SkewTrace:
     drifts = [_drift_for_node(config, u, np.random.default_rng(child))
               for u, child in zip(nodes, drift_ss.spawn(n))]
     times = np.arange(n_samples) * sample_period
-    sample_times = times.tolist()
     clocks = ClockTable(f0, drifts, phases, max(duration, times[-1]), config.quantize_ticks)
     neighbors = [tuple([index[v] for v in topo.neighbors(u)]) for u in nodes]
     # One lane per protocol: its slot in a beacon's readings, its name, its
     # flat node state (value, rate, hw_at, step, error), its update log, its
     # update rule (looked up here, at run time), error scale and step bound.
-    # Logical clocks start at their (quantize: floored) reading.  The log holds
-    # each accepted clock's (value, rate, hw) and ``keys``, for all lanes,
-    # k * n + node, where k is the first sample that sees the update.
+    # Logical clocks start at their (quantize: floored) reading.
     handler = {GRADES: grades_on_message, PISYNC: pisync_on_message}
     hw0 = clocks.sample(np.arange(n), 0.0)[0].tolist()
     lanes = [(i, p, list(hw0), [1.0] * n, list(hw0), [config.resolved_step_size(p)] * n,
               [0.0] * n, array("d"), handler[p], error_scale(p, b, f0), step_size_limit(p, b, f0))
              for i, p in enumerate(config.protocols)]
     clock_lists = [lane[2:5] for lane in lanes]
-    keys = array("q")
+    deliveries = array("d")  # (t, node position, seq, hw) of each accepted delivery
     seqs = [0] * n  # the newest flood sequence number each node holds, for every lane
     # Receiver noise (and drop) draws, taken in blocks and used in draw order.
     noises = _draws(partial(delay_rng.normal, 0.0, config.delay_std))
@@ -399,15 +409,12 @@ def run(config: SimConfig) -> SkewTrace:
     # reaches a multiple of round_ticks above its start reading.
     beacons = clocks.crossings((np.floor(phases / round_ticks) + 1) * round_ticks, round_ticks,
                                duration)
-    events: list[SyncEvent] = []
     stale = dropped = 0
     setup_end = time.perf_counter()
 
-    # One instant t at a time, as the module docstring states.  Sample k is
-    # the first one after t, so it sees every earlier instant and all of t.
+    # One instant t at a time, as the module docstring states.
     try:
         for t, instant in itertools.groupby(beacons, key=itemgetter(0)):
-            k = bisect_right(sample_times, t)
             sent = []
             for _, who, hw in instant:
                 seq = seqs[who]
@@ -440,16 +447,14 @@ def run(config: SimConfig) -> SkewTrace:
                     continue
                 seqs[who] = seq
                 hw = clocks.read(who, t)
-                keys.append(k * n + who)
-                for i, p, values, rates, hw_ats, steps, errors, log, rule, scale, limit in lanes:
+                deliveries.fromlist([t, who, seq, hw])
+                for i, _, values, rates, hw_ats, steps, errors, log, rule, scale, limit in lanes:
                     received = readings[i] + noise
                     error, step, rate = rule(values[who], rates[who], hw_ats[who], steps[who],
                                              errors[who], received, hw, scale, limit, adaptive)
                     values[who], rates[who], hw_ats[who] = received, rate, hw
                     steps[who], errors[who] = step, error
-                    log.fromlist([received, rate, hw])
-                    if record_events:
-                        events.append(SyncEvent(t, nodes[who], p, seq, error, step, rate))
+                    log.fromlist([received, rate, error, step])
     except ContractViolation as err:
         raise ContractViolation(f"node {nodes[who]} at t={t:.9g}: {err}") from err
     loop_end = time.perf_counter()
@@ -458,7 +463,7 @@ def run(config: SimConfig) -> SkewTrace:
     rates_out = {p: np.empty_like(hw_grid) for p in config.protocols}
     start = np.array([hw0, [1.0] * n, hw0]).T
     for _, proto, *_, log, _, _, _ in lanes:
-        _assemble(start, log, keys, hw_grid, readings_out[proto], rates_out[proto])
+        _assemble(start, deliveries, log, times, hw_grid, readings_out[proto], rates_out[proto])
     assembly_end = time.perf_counter()
 
     return SkewTrace(
@@ -468,19 +473,19 @@ def run(config: SimConfig) -> SkewTrace:
         readings=readings_out,
         rate_multipliers=rates_out,
         hw_rates=hw_rates_out,
-        events=events,
         meta={
             # Normalized units are B = 1 and f0 = 1, as in analysis.SystemParams.normalized.
             "unit_mode": "normalized" if (b, f0) == (1.0, 1.0) else "physical",
             "seed": config.seed,
             "beacon_period": b,
             "nominal_freq": f0,
-            "deliveries": {"accepted": len(keys), "stale": stale, "dropped": dropped},
+            "deliveries": {"accepted": len(deliveries) // 4, "stale": stale, "dropped": dropped},
             "phase_s": {"setup": setup_end - run_start, "loop": loop_end - setup_end,
                         "assembly": assembly_end - loop_end},
             "final_state": {lane[1]: {"step_size": _spread(lane[5], ref),
                                       "rate_multiplier": _spread(lane[3], ref)} for lane in lanes},
         },
+        update_log=(deliveries, tuple([lane[7] for lane in lanes])),
     )
 
 
@@ -537,7 +542,6 @@ def scaling_experiment(
                 step_size=step_size,
                 phase_mode="staggered",
                 seed=int(seed),
-                record_events=False,
             )
             rows.append((int(d), int(seed), steady_mean_skew(run(config), GRADES)))
     aggregate = {}

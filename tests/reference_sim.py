@@ -192,8 +192,7 @@ def reference_run(config: SimConfig) -> dict:
                 except ContractViolation as err:
                     raise ContractViolation(f"node {nodes[v]} at t={t:.9g}: {err}") from err
                 logical[lane][v], steps[lane][v], errors[lane][v] = clock, step, error
-                if config.record_events:
-                    events.append(SyncEvent(t, nodes[v], p, seq, error, step, clock[1]))
+                events.append(SyncEvent(t, nodes[v], p, seq, error, step, clock[1]))
     for k in range(k, n_samples):
         take_sample(k)
     return {"times": np.array(times), "node_ids": tuple(nodes), "readings": readings,

@@ -312,7 +312,6 @@ def test_criterion_10_protocol_logic_invariants():
             protocols=(GRADES, PISYNC),
             step_policy="adaptive",
             phase_mode="aligned",
-            record_events=True,
         )
     )
     keys = [(e.node, e.protocol, e.seq) for e in diamond.events]

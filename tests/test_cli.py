@@ -4,6 +4,7 @@ import hashlib
 import math
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -479,3 +480,20 @@ def test_a_scenario_run_does_not_import_numpy_ma(tmp_path):
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert (tmp_path / "fig3-multihop" / "summary.csv").is_file()
+
+
+def test_each_multihop_seed_frees_its_trace_before_the_next_seed_runs(tmp_path, monkeypatch):
+    # A trace holds its (samples x nodes) arrays and its update log; keeping
+    # the last seed's alive during the next run only raises peak memory.
+    traces, alive = [], []
+
+    def tracked(config):
+        alive.append(sum(ref() is not None for ref in traces))
+        trace = sim.run(config)
+        traces.append(weakref.ref(trace))
+        return trace
+
+    monkeypatch.setattr(scenarios, "run", tracked)
+    run_scenario("fig3-multihop", {"nodes": "4", "seeds": "3", "duration": "300"},
+                 out_dir=tmp_path)
+    assert alive == [0, 0, 0]

@@ -3,6 +3,7 @@ flood propagation, trace utilities, and CSV output."""
 
 import hashlib
 import math
+import re
 from array import array
 from bisect import bisect_right
 from pathlib import Path
@@ -18,6 +19,7 @@ from gradesync import (
     PiecewiseDrift,
     SimConfig,
     SkewTrace,
+    SyncEvent,
     Topology,
     WhiteDrift,
     convergence_time,
@@ -368,7 +370,6 @@ def test_odd_tree_with_drops_matches_its_recorded_hash(phase_mode, drift):
         step_size={GRADES: 1.0 / 16, PISYNC: 2.0 / 16},
         phase_mode=phase_mode,
         drop_probability=0.3,
-        record_events=True,
         seed=17,
     ))
     assert len(trace.events) > 50
@@ -392,7 +393,6 @@ SAMPLING_BASE = dict(
     step_size={GRADES: 1.0 / 16, PISYNC: 2.0 / 16},
     phase_mode="random",
     drop_probability=0.2,
-    record_events=True,
     seed=23,
 )
 SAMPLING_CASES = {
@@ -426,19 +426,20 @@ def test_sampling_cases_match_their_recorded_hash(case):
 
 def test_assembly_reads_each_sample_from_the_latest_update_it_sees():
     clocks = [LogicalClock(0.0, 1.0, 0.0), LogicalClock(5.0, 1.0, 5.0)]
-    updates = [  # (first sample that sees it, node, clock)
-        (1, 0, LogicalClock(2.5, 1.25, 2.0)),
-        (1, 0, LogicalClock(3.0, 0.75, 2.5)),  # same node and sample: this one wins
-        (2, 1, LogicalClock(9.0, 1.5, 8.0)),
-        (3, 0, LogicalClock(7.0, 2.0, 9.5)),  # after the last sample: no sample sees it
+    times = np.array([0.0, 1.0, 2.0])
+    updates = [  # (instant, node, clock): a sample at t sees the updates before t
+        (0.5, 0, LogicalClock(2.5, 1.25, 2.0)),
+        (0.5, 0, LogicalClock(3.0, 0.75, 2.5)),  # same node and instant: this one wins
+        (1.0, 1, LogicalClock(9.0, 1.5, 8.0)),  # at the second sample: the third sees it
+        (2.0, 0, LogicalClock(7.0, 2.0, 9.5)),  # at the last sample: no sample sees it
     ]
-    fields, keys = array("d"), array("q")
-    for k, node, clock in updates:
-        fields.extend(clock)
-        keys.append(k * 2 + node)
+    deliveries, log = array("d"), array("d")
+    for seq, (t, node, (value, rate, hw_at)) in enumerate(updates, 1):
+        deliveries.extend([t, node, seq, hw_at])
+        log.extend([value, rate, -1.0, 0.25])  # the error and step, which assembly skips
     hw = np.array([[0.0, 5.0], [3.0, 7.0], [4.0, 9.0]])
     readings, rates = np.empty((3, 2)), np.empty((3, 2))
-    sim._assemble(np.array(clocks), fields, keys, hw, readings, rates)
+    sim._assemble(np.array(clocks), deliveries, log, times, hw, readings, rates)
     expected = [[clocks[0], clocks[1]], [updates[1][2], clocks[1]], [updates[1][2], updates[2][2]]]
     for r, row in enumerate(expected):
         assert readings[r].tolist() == [c.read(h) for c, h in zip(row, hw[r])]
@@ -446,8 +447,8 @@ def test_assembly_reads_each_sample_from_the_latest_update_it_sees():
     # A sample whose hardware reading is below its clock's anchor breaks the contract.
     latest = np.array([updates[1][2], updates[2][2]])
     with pytest.raises(ContractViolation, match="before last update hw=8.0"):
-        sim._assemble(latest, array("d"), array("q"), np.array([[4.0, 7.5]]), readings[:1],
-                      rates[:1])
+        sim._assemble(latest, array("d"), array("d"), times[:1], np.array([[4.0, 7.5]]),
+                      readings[:1], rates[:1])
 
 
 @pytest.mark.parametrize("case", sorted(SAMPLING_CASES))
@@ -456,19 +457,21 @@ def test_assembly_equals_reading_the_latest_logged_clock_at_each_sample(case, mo
     # update log through LogicalClock.read.
     real, assembled = sim._assemble, []
 
-    def checked(start, fields, keys, hw, readings, rates):
-        real(start, fields, keys, hw, readings, rates)
-        assembled.append(len(keys))
-        rows, n = hw.shape
+    def checked(start, deliveries, log, times, hw, readings, rates):
+        real(start, deliveries, log, times, hw, readings, rates)
+        assembled.append(len(log))
         latest = [LogicalClock(*c) for c in start.tolist()]
-        log = sorted((key // n, j, key % n) for j, key in enumerate(keys))
-        for r in range(rows):
-            while log and log[0][0] <= r:
-                _, j, node = log.pop(0)
-                latest[node] = LogicalClock(*fields[3 * j:3 * j + 3])
+        # (t, node position, the clock it leaves) of each update, in the order applied
+        pending = [(deliveries[j], int(deliveries[j + 1]),
+                    LogicalClock(log[j], log[j + 1], deliveries[j + 3]))
+                   for j in range(0, len(deliveries), 4)]
+        for r, t in enumerate(times.tolist()):
+            while pending and pending[0][0] < t:
+                _, node, clock = pending.pop(0)
+                latest[node] = clock
             assert readings[r].tolist() == [c.read(h) for c, h in zip(latest, hw[r].tolist())]
             assert rates[r].tolist() == [c.rate_multiplier for c in latest]
-        assert all(k >= rows for k, _, _ in log)  # what is left no sample sees
+        assert all(u >= times[-1] for u, _, _ in pending)  # what is left no sample sees
 
     monkeypatch.setattr(sim, "_assemble", checked)
     trace = run(SimConfig(**{**SAMPLING_BASE, **SAMPLING_CASES[case]}))
@@ -510,12 +513,26 @@ def test_each_protocol_updates_through_its_own_name(monkeypatch):
         assert calls[proto] == sum(e.protocol == proto for e in trace.events) > 100
 
 
-def test_an_instant_sends_all_its_beacons_then_applies_their_deliveries_in_order_sent():
+def test_an_instant_sends_all_its_beacons_then_applies_their_deliveries_in_order_sent(
+    monkeypatch,
+):
     # Aligned clocks beacon together at every whole second, in node order.  At
     # t=2 node 1 sends flood 1 (heard at t=1) to node 3, then the reference,
     # node 2, sends flood 2 to node 1: the deliveries run in that order.
+    built = []
+
+    def counted(*fields):
+        built.append(fields)
+        return SyncEvent(*fields)
+
+    monkeypatch.setattr(sim, "SyncEvent", counted)
     star = Topology(nodes=(1, 2, 3), edges=((1, 2), (1, 3)), reference=2)
     trace = run(config(topology=star, step_size=0.25, duration=3.0))
+    # The run builds no event; the first read builds them from the update log, once.
+    assert built == []
+    events = trace.events
+    assert trace.events is events
+    assert len(built) == len(events) == 5
     assert [(e.time, e.node, e.seq) for e in trace.events if e.time == 2.0] == [
         (2.0, 3, 1),
         (2.0, 1, 2),
@@ -895,6 +912,14 @@ def test_skew_csv_layout_and_formatting(tmp_path):
 
 
 # ---------------------------------------------------------------- README
+
+
+def test_readme_states_the_package_line_count():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = sum(len(p.read_text().splitlines()) for p in Path(sim.__file__).parent.glob("*.py"))
+    stated = re.search(r"The package is ([\d,]+) lines of Python under `src/`", readme)
+    assert stated is not None
+    assert int(stated[1].replace(",", "")) == lines
 
 
 def test_readme_library_example_runs():
