@@ -8,9 +8,9 @@ beacon_period * max_deviation**2 / 3) and per-round delay-noise difference d:
     e(h+1) = z_h * (B + w/f0) + w/f0 - d
     z_{h+1} = z_h - c * e(h+1),   c = step * error_scale * f0
 
-with error_scale = 2*B*f0 for grades and 1 for pisync (see
-``protocols.error_scale``), so the contraction factor in expectation is
-1 - 2*step*B**2*f0**2 resp. 1 - step*B*f0.  This module evaluates the
+with error_scale = 2*B*f0 for grades and 1 for pisync (``protocols.error_scale``;
+c is the simulator's gain times f0), so the contraction factor in expectation
+is 1 - 2*step*B**2*f0**2 resp. 1 - step*B*f0.  This module evaluates the
 resulting eigenvalues and steady-state error variances, and
 `estimate_variance_mc` replays the same recursion stochastically so every
 formula can be validated against an independent sample estimate.  Only c

@@ -5,9 +5,22 @@ class ContractViolation(RuntimeError):
     """A runtime state-machine contract was broken.
 
     Raised for things like reading a clock backwards in hardware time or a
-    rate-multiplier update driving the multiplier to zero or below (the
-    classic symptom of a step size expressed in the wrong unit system).
+    rate-multiplier update driving the multiplier to zero or below.
     """
+
+
+class DrivenRate(ContractViolation):
+    """An update drove a rate multiplier to zero or below: ``gain * error`` took all of it."""
+
+    def __init__(self, rate, gain, gain_max, error, ticks):
+        self.rate, self.gain, self.error, self.ticks = rate, gain, error, ticks
+        self.fit = "below its limit" if gain < gain_max else "mis-scaled; its limit is"
+        super().__init__(self.text("gain", gain, gain_max, f"{ticks} hardware ticks"))
+
+    def text(self, name: str, value, limit, since: str) -> str:
+        """The failure, with the gain told as ``name`` ``value`` against ``limit``."""
+        return (f"rate multiplier driven to {self.rate} by {name} {value} ({self.fit} {limit}) "
+                f"on a sync error of {self.error} ticks, {since} after the node's last update")
 
 
 class InvalidRegimeError(ValueError):

@@ -1,23 +1,21 @@
 """The synchronization protocols' update rule.
 
 Two rate-correcting flooding protocols share one update rule.  On an accepted
-message with sync error e a node first jumps its logical value onto the
-received clock (offset correction), then moves its rate multiplier by
-``-step * signal`` with ``signal = error_scale(protocol) * e``:
+message with sync error e a node jumps its logical value onto the received
+clock (offset correction) and moves its rate multiplier by ``-gain * e``.  A
+gain is a step size times the protocol's ``error_scale``, so a protocol is
+only the unit of its step:
 
-* ``grades`` — treats the squared sync error as a loss and descends its
-  gradient: the signal is the per-round gradient 2 * beacon_period *
-  nominal_freq * e.
-* ``pisync`` — a proportional-integral controller: the offset jump is the
-  proportional part and the signal is e itself.
+* ``grades`` descends the gradient 2 * beacon_period * nominal_freq * e of the
+  squared sync error: its error scale is 2 * beacon_period * nominal_freq.
+* ``pisync`` is a proportional-integral controller whose offset jump is the
+  proportional part: its error scale is 1.
 
-The two therefore differ only in the unit of the step size.  Flood freshness
-is not decided here: the simulator keeps one sequence number per node and
-drops a flood that is not strictly newer before it reaches the update rule.
-
-The rule exists once, as ``update``: plain floats in, ``(error, step, rate)``
-out, which is what the simulator calls for every accepted flood on the flat
-per-node lists it keeps.  ``on_beacon_tick`` gives a beacon's
+Flood freshness is not decided here: the simulator keeps one sequence number
+per node and drops a flood that is not strictly newer before it reaches the
+update rule.  The rule exists once, as ``update``: plain floats in,
+``(error, gain, rate)`` out, which the simulator calls for every accepted
+flood on its flat per-node lists.  ``on_beacon_tick`` gives a beacon's
 ``(seq, readings)`` from the sender's ``LogicalClock``s; the simulator builds
 its beacons inline and does not call it.
 """
@@ -27,7 +25,7 @@ from __future__ import annotations
 import math
 
 from .clocks import read_before_update
-from .errors import ContractViolation
+from .errors import DrivenRate
 
 GRADES = "grades"
 PISYNC = "pisync"
@@ -54,7 +52,7 @@ def step_size_limit(protocol: str, beacon_period: float, nominal_freq: float) ->
 
 
 def error_scale(protocol: str, beacon_period: float, nominal_freq: float) -> float:
-    """Factor turning a sync error into the protocol's update signal.
+    """Factor turning the protocol's step size into a gain on the sync error.
 
     grades: 2 * beacon_period * nominal_freq (the squared-error gradient)
     pisync: 1
@@ -66,46 +64,41 @@ def error_scale(protocol: str, beacon_period: float, nominal_freq: float) -> flo
     raise ValueError(f"unknown protocol: {protocol!r}")
 
 
-def adapt_step(step: float, signal_now: float, signal_prev: float, step_max: float) -> float:
-    """Sign-agreement step adaptation.
+def adapt_step(gain: float, error_now: float, error_prev: float, gain_max: float) -> float:
+    """Sign-agreement gain adaptation.
 
-    Consecutive update signals with the same sign mean we are still far from
-    the optimum: double the step.  A sign flip (or a zero, including the very
+    Consecutive sync errors with the same sign mean we are still far from
+    the optimum: double the gain.  A sign flip (or a zero, including the very
     first update) means overshoot: divide by three.  The result is clamped to
-    ``step_max``; if the shrink underflows to exactly zero the previous step
+    ``gain_max``; if the shrink underflows to exactly zero the previous gain
     is kept.
     """
-    grown = 2.0 * step if signal_now * signal_prev > 0 else step / 3.0
-    if grown > step_max:
-        grown = step_max
+    grown = 2.0 * gain if error_now * error_prev > 0 else gain / 3.0
+    if grown > gain_max:
+        grown = gain_max
     if grown == 0.0:
-        grown = step
+        grown = gain
     return grown
 
 
-def update(value, rate, hw_at, step, prev_error, received, hw_now, scale, step_max, adapt=True):
-    """The update rule on one node's clock ``value + rate * (hw - hw_at)``, step and last error.
+def update(value, rate, hw_at, gain, prev_error, received, hw_now, gain_max, adapt=True):
+    """The update rule on one node's clock ``value + rate * (hw - hw_at)``, gain and last error.
 
     The sync error is the local logical reading minus ``received`` (which
-    already carries the channel noise).  ``scale`` and ``step_max`` are the
-    protocol's ``error_scale`` and ``step_size_limit``.  Returns the error,
-    the new step size and the new rate multiplier; the new clock is
-    ``(received, rate, hw_now)``.
+    already carries the channel noise).  ``gain`` and ``gain_max`` are a step
+    size and its ``step_size_limit``, each times the protocol's
+    ``error_scale``.  Returns the error, the new gain and the new rate
+    multiplier; the new clock is ``(received, rate, hw_now)``.
     """
     if hw_now < hw_at:  # LogicalClock.read, on the clock's fields
         raise read_before_update(hw_now, hw_at)
     error = value + rate * (hw_now - hw_at) - received
-    signal = scale * error
     if adapt:
-        step = adapt_step(step, signal, scale * prev_error, step_max)
-    rate -= step * signal
+        gain = adapt_step(gain, error, prev_error, gain_max)
+    rate -= gain * error
     if rate <= 0:
-        raise ContractViolation(
-            f"rate multiplier driven to {rate} (step size {step} is mis-scaled; limit "
-            f"{step_max}); sync error {error} ticks, {hw_now - hw_at} hardware ticks "
-            "after the node's last update"
-        )
-    return error, step, rate
+        raise DrivenRate(rate, gain, gain_max, error, hw_now - hw_at)
+    return error, gain, rate
 
 
 # Unused by ``sim.run``; kept because bench/tracer.py wraps ``sim.on_beacon_tick``.

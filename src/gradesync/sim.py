@@ -1,20 +1,21 @@
 """Deterministic event-driven network simulator for the sync protocols.
 
 Every node owns a drifting hardware clock, the newest flood sequence number it
-holds and, per enabled protocol (a lane), a logical clock, a step size and its
-last sync error.  ``run`` keeps a lane as five flat float lists by node
-position (value, rate, hw_at, step, error) and applies ``protocols.update`` to
-them, so no state tuple is built per event.  A node broadcasts whenever its
-*own* hardware clock crosses a multiple of beacon_period * nominal_freq ticks;
-the reference node stamps each of its broadcasts with a fresh flood sequence
-number.  Broadcasts are delivered to every neighbor at the emission instant,
-with an independent Gaussian noise draw per receiver added to the payload
-clock values (noise perturbs the reported value, not the delivery time, so
-negative draws are fine).  A delivery is applied only if it carries a strictly
-newer sequence number than the receiver holds; a stale one changes nothing.
-Sequence numbers only grow, so a delivery whose receiver holds its flood when
-it is sent is stale at once, and a sender reads its logical clocks only for a
-beacon some receiver can accept.
+holds and, per enabled protocol (a lane), a logical clock, a gain (the step
+size times ``protocols.error_scale``) and its last sync error.  ``run`` keeps a
+lane as five flat float lists by node position (value, rate, hw_at, gain,
+error) and applies ``protocols.update`` to them; a step becomes a gain when the
+lane is built and is told as a step again only where the run reports.  A node
+broadcasts whenever its *own* hardware clock crosses a multiple of
+beacon_period * nominal_freq ticks; the reference node stamps each of its
+broadcasts with a fresh flood sequence number.  Broadcasts are delivered to
+every neighbor at the emission instant, with an independent Gaussian noise draw
+per receiver added to the payload clock values (noise perturbs the reported
+value, not the delivery time, so negative draws are fine).  A delivery is
+applied only if it carries a strictly newer sequence number than the receiver
+holds; a stale one changes nothing.  Sequence numbers only grow, so a delivery
+whose receiver holds its flood when it is sent is stale at once, and a sender
+reads its logical clocks only for a beacon some receiver can accept.
 
 There is no event queue: hardware readings are a pure function of time, so the
 beacon schedule is known up front.  All clocks are one ``clocks.ClockTable``;
@@ -23,7 +24,7 @@ node id) order, a window of rounds at a time.  Trace samples touch no clock:
 the hardware grid comes from the table after the loop, and the logical
 readings from the update log, with the arithmetic of ``LogicalClock.read``.
 So the sample period changes no event of a run.  The log, (t, node position,
-seq, hw) per accepted delivery and per lane (received, rate, error, step), is
+seq, hw) per accepted delivery and per lane (received, rate, error, gain), is
 the one record of updates; ``SkewTrace.events`` reads it on first access.
 
 Determinism: all randomness comes from numpy generators spawned off a single
@@ -53,7 +54,7 @@ from operator import itemgetter
 import numpy as np
 
 from .clocks import ClockTable, ConstantDrift, DriftModel, WhiteDrift, read_before_update
-from .errors import ContractViolation
+from .errors import ContractViolation, DrivenRate
 from .protocols import GRADES, PISYNC, PROTOCOLS, error_scale, step_size_limit, update
 from .protocols import on_beacon_tick  # unused by ``run``; bench/tracer.py wraps this name
 
@@ -225,7 +226,7 @@ class SkewTrace:
     rate_multipliers: dict[str, np.ndarray]
     hw_rates: np.ndarray  # (samples, nodes) instantaneous hardware frequency
     meta: dict = field(default_factory=dict)
-    update_log: tuple = field(default=((), ()), repr=False)  # (deliveries, per-protocol logs)
+    update_log: tuple = field(default=((), (), ()), repr=False)  # (deliveries, logs, scales)
 
     def node_column(self, node: int) -> int:
         return self.node_ids.index(node)
@@ -237,13 +238,14 @@ class SkewTrace:
     @cached_property
     def events(self) -> list[SyncEvent]:
         """Every accepted update, read from the update log: by delivery, then by protocol."""
-        deliveries, logs = self.update_log
+        deliveries, logs, scales = self.update_log
         events = []
         for j in range(0, len(deliveries), 4):
             t, i, seq, _ = deliveries[j:j + 4]
-            for p, log in zip(self.protocols, logs):
-                _, rate, error, step = log[j:j + 4]
-                events.append(SyncEvent(t, self.node_ids[int(i)], p, int(seq), error, step, rate))
+            for p, log, scale in zip(self.protocols, logs, scales):
+                _, rate, error, gain = log[j:j + 4]
+                events.append(SyncEvent(t, self.node_ids[int(i)], p, int(seq), error,
+                                        gain / scale, rate))
         return events
 
     def node_events(self, node: int, protocol: str) -> list[SyncEvent]:
@@ -340,7 +342,7 @@ def run(config: SimConfig) -> SkewTrace:
     protocol's (min, median, max) step size and rate multiplier over the
     nodes but the reference at the end (NaNs if there are none).  Raises
     ContractViolation annotated with node id and event time if a protocol
-    update breaks its contract (e.g. a mis-scaled step size).
+    update breaks its contract, a driven rate told in the protocol's step units.
     """
     run_start = time.perf_counter()
     topo = config.topology
@@ -350,11 +352,13 @@ def run(config: SimConfig) -> SkewTrace:
     sample_period = config.sample_period if config.sample_period is not None else b / 3.0
     n = len(nodes)
     n_samples = math.floor(min(config.duration / sample_period, MAX_SAMPLE_CELLS) + 1e-9) + 1
-    if n_samples * n > MAX_SAMPLE_CELLS:
+    if n_samples * n > MAX_SAMPLE_CELLS:  # the advice names only what the caller set
+        period, fix = (("sample_period", "raise sample_period") if config.sample_period is not None
+                       else ("beacon_period/3", "use fewer nodes"))
         raise ValueError(
-            f"duration={config.duration:g} over sample_period={sample_period:g} for {n} "
+            f"duration={config.duration:g} over {period}={sample_period:g} for {n} "
             f"nodes asks for more than {MAX_SAMPLE_CELLS} trace cells (samples x nodes); "
-            "shorten duration or raise sample_period"
+            f"shorten duration or {fix}"
         )
 
     ss = np.random.SeedSequence(config.seed)
@@ -391,14 +395,15 @@ def run(config: SimConfig) -> SkewTrace:
     clocks = ClockTable(f0, drifts, phases, max(duration, times[-1]), config.quantize_ticks)
     neighbors = [tuple([index[v] for v in topo.neighbors(u)]) for u in nodes]
     # One lane per protocol: its slot in a beacon's readings, its name, its
-    # flat node state (value, rate, hw_at, step, error), its update log, its
-    # update rule (looked up here, at run time), error scale and step bound.
-    # Logical clocks start at their (quantize: floored) reading.
+    # flat node state (value, rate, hw_at, gain, error), its update log, its
+    # update rule (looked up here, at run time) and gain bound.  Steps become
+    # gains here; logical clocks start at their (quantize: floored) reading.
     handler = {GRADES: grades_on_message, PISYNC: pisync_on_message}
+    scales = [error_scale(p, b, f0) for p in config.protocols]
     hw0 = clocks.sample(np.arange(n), 0.0)[0].tolist()
-    lanes = [(i, p, list(hw0), [1.0] * n, list(hw0), [config.resolved_step_size(p)] * n,
-              [0.0] * n, array("d"), handler[p], error_scale(p, b, f0), step_size_limit(p, b, f0))
-             for i, p in enumerate(config.protocols)]
+    lanes = [(i, p, list(hw0), [1.0] * n, list(hw0), [config.resolved_step_size(p) * scale] * n,
+              [0.0] * n, array("d"), handler[p], step_size_limit(p, b, f0) * scale)
+             for i, (p, scale) in enumerate(zip(config.protocols, scales))]
     clock_lists = [lane[2:5] for lane in lanes]
     deliveries = array("d")  # (t, node position, seq, hw) of each accepted delivery
     seqs = [0] * n  # the newest flood sequence number each node holds, for every lane
@@ -448,13 +453,17 @@ def run(config: SimConfig) -> SkewTrace:
                 seqs[who] = seq
                 hw = clocks.read(who, t)
                 deliveries.fromlist([t, who, seq, hw])
-                for i, _, values, rates, hw_ats, steps, errors, log, rule, scale, limit in lanes:
+                for i, proto, values, rates, hw_ats, gains, errors, log, rule, gain_max in lanes:
                     received = readings[i] + noise
-                    error, step, rate = rule(values[who], rates[who], hw_ats[who], steps[who],
-                                             errors[who], received, hw, scale, limit, adaptive)
+                    error, gain, rate = rule(values[who], rates[who], hw_ats[who], gains[who],
+                                             errors[who], received, hw, gain_max, adaptive)
                     values[who], rates[who], hw_ats[who] = received, rate, hw
-                    steps[who], errors[who] = step, error
-                    log.fromlist([received, rate, error, step])
+                    gains[who], errors[who] = gain, error
+                    log.fromlist([received, rate, error, gain])
+    except DrivenRate as err:  # told in the failing protocol's own step units
+        text = err.text("step size", err.gain / error_scale(proto, b, f0),
+                        step_size_limit(proto, b, f0), f"{err.ticks / round_ticks:.9g} rounds")
+        raise ContractViolation(f"node {nodes[who]} at t={t:.9g}: {proto} {text}") from err
     except ContractViolation as err:
         raise ContractViolation(f"node {nodes[who]} at t={t:.9g}: {err}") from err
     loop_end = time.perf_counter()
@@ -462,7 +471,7 @@ def run(config: SimConfig) -> SkewTrace:
     readings_out = {p: np.empty_like(hw_grid) for p in config.protocols}
     rates_out = {p: np.empty_like(hw_grid) for p in config.protocols}
     start = np.array([hw0, [1.0] * n, hw0]).T
-    for _, proto, *_, log, _, _, _ in lanes:
+    for _, proto, *_, log, _, _ in lanes:
         _assemble(start, deliveries, log, times, hw_grid, readings_out[proto], rates_out[proto])
     assembly_end = time.perf_counter()
 
@@ -482,10 +491,11 @@ def run(config: SimConfig) -> SkewTrace:
             "deliveries": {"accepted": len(deliveries) // 4, "stale": stale, "dropped": dropped},
             "phase_s": {"setup": setup_end - run_start, "loop": loop_end - setup_end,
                         "assembly": assembly_end - loop_end},
-            "final_state": {lane[1]: {"step_size": _spread(lane[5], ref),
-                                      "rate_multiplier": _spread(lane[3], ref)} for lane in lanes},
+            "final_state": {lane[1]: {"step_size": _spread([g / scale for g in lane[5]], ref),
+                                      "rate_multiplier": _spread(lane[3], ref)}
+                            for lane, scale in zip(lanes, scales)},
         },
-        update_log=(deliveries, tuple([lane[7] for lane in lanes])),
+        update_log=(deliveries, tuple([lane[7] for lane in lanes]), tuple(scales)),
     )
 
 

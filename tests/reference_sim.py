@@ -19,7 +19,7 @@ from bisect import bisect_right
 
 import numpy as np
 
-from gradesync.errors import ContractViolation
+from gradesync.errors import ContractViolation, DrivenRate
 from gradesync.protocols import error_scale, step_size_limit
 from gradesync.sim import SimConfig, SyncEvent, _drift_for_node
 
@@ -62,31 +62,36 @@ def logical_reading(clock, hw):
     return value + rate * (hw - hw_at)
 
 
-def reference_update(clock, step, prev_error, received, hw, scale, limit, adaptive):
-    """The documented rule: ``(error, step, new clock)`` after a reading ``received`` at ``hw``.
+def reference_update(clock, gain, prev_error, received, hw, gain_max, adaptive):
+    """The documented rule: ``(error, gain, new clock)`` after a reading ``received`` at ``hw``.
 
-    The error is the local reading minus the received one and the signal is
-    ``scale * error``.  An adaptive step doubles while consecutive signals
-    agree in sign and is divided by three otherwise, at most ``limit`` and
-    kept if it would underflow to zero.  The rate moves by ``-step * signal``
-    and the clock jumps onto the received reading.
+    The error is the local reading minus the received one.  An adaptive gain
+    doubles while consecutive errors agree in sign and is divided by three
+    otherwise, at most ``gain_max`` and kept if it would underflow to zero.
+    The rate moves by ``-gain * error`` and the clock jumps onto the received
+    reading.
     """
     error = logical_reading(clock, hw) - received
-    signal = scale * error
     if adaptive:
-        grown = 2.0 * step if signal * (scale * prev_error) > 0 else step / 3.0
-        if grown > limit:
-            grown = limit
+        grown = 2.0 * gain if error * prev_error > 0 else gain / 3.0
+        if grown > gain_max:
+            grown = gain_max
         if grown != 0.0:
-            step = grown
-    rate = clock[1] - step * signal
+            gain = grown
+    rate = clock[1] - gain * error
     if rate <= 0:
-        raise ContractViolation(
-            f"rate multiplier driven to {rate} (step size {step} is mis-scaled; limit "
-            f"{limit}); sync error {error} ticks, {hw - clock[2]} hardware ticks "
-            "after the node's last update"
-        )
-    return error, step, (received, rate, hw)
+        raise DrivenRate(rate, gain, gain_max, error, hw - clock[2])
+    return error, gain, (received, rate, hw)
+
+
+def driven_rate_text(err: DrivenRate, protocol: str, gain_max: float, config: SimConfig) -> str:
+    """What ``sim.run`` says of ``err``: the protocol, its step and limit, and rounds since."""
+    b, f0 = config.beacon_period, config.nominal_freq
+    scale = error_scale(protocol, b, f0)
+    fit = "below its limit" if err.gain < gain_max else "mis-scaled; its limit is"
+    return (f"{protocol} rate multiplier driven to {err.rate} by step size {err.gain / scale} "
+            f"({fit} {step_size_limit(protocol, b, f0)}) on a sync error of {err.error} ticks, "
+            f"{err.ticks / (b * f0):.9g} rounds after the node's last update")
 
 
 def _phases(config: SimConfig, nodes, round_ticks: float, rng) -> list[float]:
@@ -121,13 +126,15 @@ def reference_run(config: SimConfig) -> dict:
         ticks = reference_reading(drifts[i], f0, phases[i], t)
         return float(math.floor(ticks)) if config.quantize_ticks else ticks
 
-    # Per protocol and node: the logical clock (value, rate, hw_at), step and last error.
+    # Per protocol and node: the logical clock (value, rate, hw_at), gain and last error.
+    # A gain is a step size times the protocol's error scale.
     logical = [[(hardware(i, 0.0), 1.0, hardware(i, 0.0)) for i in range(n)]
                for _ in config.protocols]
-    steps = [[config.resolved_step_size(p)] * n for p in config.protocols]
-    errors = [[0.0] * n for _ in config.protocols]
     scales = [error_scale(p, b, f0) for p in config.protocols]
-    limits = [step_size_limit(p, b, f0) for p in config.protocols]
+    gains = [[config.resolved_step_size(p) * scale] * n
+             for p, scale in zip(config.protocols, scales)]
+    errors = [[0.0] * n for _ in config.protocols]
+    gain_maxes = [step_size_limit(p, b, f0) * scale for p, scale in zip(config.protocols, scales)]
     adaptive = config.step_policy == "adaptive"
     seqs = [0] * n
     neighbors = [[nodes.index(v) for v in topo.neighbors(u)] for u in nodes]
@@ -186,13 +193,16 @@ def reference_run(config: SimConfig) -> dict:
             hw = hardware(v, t)
             for lane, p in enumerate(config.protocols):
                 try:
-                    error, step, clock = reference_update(
-                        logical[lane][v], steps[lane][v], errors[lane][v], payload[lane] + noise,
-                        hw, scales[lane], limits[lane], adaptive)
+                    error, gain, clock = reference_update(
+                        logical[lane][v], gains[lane][v], errors[lane][v], payload[lane] + noise,
+                        hw, gain_maxes[lane], adaptive)
+                except DrivenRate as err:
+                    text = driven_rate_text(err, p, gain_maxes[lane], config)
+                    raise ContractViolation(f"node {nodes[v]} at t={t:.9g}: {text}") from err
                 except ContractViolation as err:
                     raise ContractViolation(f"node {nodes[v]} at t={t:.9g}: {err}") from err
-                logical[lane][v], steps[lane][v], errors[lane][v] = clock, step, error
-                events.append(SyncEvent(t, nodes[v], p, seq, error, step, clock[1]))
+                logical[lane][v], gains[lane][v], errors[lane][v] = clock, gain, error
+                events.append(SyncEvent(t, nodes[v], p, seq, error, gain / scales[lane], clock[1]))
     for k in range(k, n_samples):
         take_sample(k)
     return {"times": np.array(times), "node_ids": tuple(nodes), "readings": readings,

@@ -298,8 +298,8 @@ def test_criterion_09_skew_grows_like_the_square_root_of_the_diameter(tmp_path):
 
 def test_criterion_10_protocol_logic_invariants():
     checks = []
-    # grades' error scale and step bound at B = f0 = 1, as a run derives them.
-    grades_constants = (error_scale(GRADES, 1.0, 1.0), step_size_limit(GRADES, 1.0, 1.0))
+    # grades' gain bound at B = f0 = 1, as a run derives it: step limit times error scale.
+    grades_gain_max = step_size_limit(GRADES, 1.0, 1.0) * error_scale(GRADES, 1.0, 1.0)
 
     # Stale floods are discarded: on a diamond, where node 4 hears every flood
     # from nodes 2 and 3 at the same instant, each node applies each flood once
@@ -324,17 +324,17 @@ def test_criterion_10_protocol_logic_invariants():
     # An accepted message lands the logical clock exactly on the payload: the
     # error is the reading before the jump, and the clock the simulator keeps,
     # (payload, new rate, hw), reads the payload.
-    error, _, rate = update(5.0, 1.0, 0.0, 0.1, 0.0, 4.9, 0.0, *grades_constants)
+    error, _, rate = update(5.0, 1.0, 0.0, 0.2, 0.0, 4.9, 0.0, grades_gain_max)
     checks.append(error == 5.0 - 4.9 and LogicalClock(4.9, rate, 0.0).read(0.0) == 4.9)
 
-    # Step adaptation: double on sign agreement, shrink by three otherwise,
+    # Gain adaptation: double on sign agreement, shrink by three otherwise,
     # clamp to the stability limit, and survive underflow.
-    checks.append(adapt_step(0.2, 1.0, 1.0, step_max=1.0) == 0.4)
-    checks.append(abs(adapt_step(0.3, 1.0, -1.0, step_max=1.0) - 0.1) < 1e-15)
-    checks.append(abs(adapt_step(0.3, 0.0, 1.0, step_max=1.0) - 0.1) < 1e-15)
-    checks.append(adapt_step(0.8, 1.0, 1.0, step_max=1.0) == 1.0)
+    checks.append(adapt_step(0.2, 1.0, 1.0, gain_max=1.0) == 0.4)
+    checks.append(abs(adapt_step(0.3, 1.0, -1.0, gain_max=1.0) - 0.1) < 1e-15)
+    checks.append(abs(adapt_step(0.3, 0.0, 1.0, gain_max=1.0) - 0.1) < 1e-15)
+    checks.append(adapt_step(0.8, 1.0, 1.0, gain_max=1.0) == 1.0)
     tiny = 5e-324
-    checks.append(adapt_step(tiny, 1.0, -1.0, step_max=1.0) == tiny)
+    checks.append(adapt_step(tiny, 1.0, -1.0, gain_max=1.0) == tiny)
 
     # The reference node never corrects itself, even with drift and noise.
     trace = run(

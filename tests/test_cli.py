@@ -314,17 +314,24 @@ def test_drift_of_a_million_ppm_or_more_is_rejected_naming_the_parameter(make, p
         make(params)
 
 
-def test_main_oversized_sample_grid_exits_2_naming_duration_and_sample_period(
-    tmp_path, capsys, monkeypatch
+@pytest.mark.parametrize("bound, overrides", [
+    (100, ("nodes=2", "seeds=1", "duration=900")),  # 2 nodes x 91 samples at B/3 = 10 s
+    (None, ("nodes=20000", "seeds=1")),  # 20,000 nodes x 2,001 samples at the real bound
+])
+def test_main_oversized_sample_grid_exits_2_naming_duration_and_nodes(
+    tmp_path, capsys, monkeypatch, bound, overrides
 ):
-    # 2 nodes x 91 samples (900 s at B/3 = 10 s) is over a bound of 100 cells.
-    monkeypatch.setattr(sim, "MAX_SAMPLE_CELLS", 100)
-    overrides = ("nodes=2", "seeds=1", "duration=900")
+    # fig3 samples every B/3 and takes no sample_period: the advice names only
+    # parameters it accepts.
+    if bound is not None:
+        monkeypatch.setattr(sim, "MAX_SAMPLE_CELLS", bound)
     argv = ["--scenario", "fig3-multihop", "--out", str(tmp_path)]
     code = main(argv + [arg for o in overrides for arg in ("--set", o)])
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "duration" in err and "sample_period" in err
+    assert err.startswith("error: duration=") and " over beacon_period/3=10 for " in err
+    assert err.rstrip().endswith("; shorten duration or use fewer nodes")
+    assert "sample_period" not in err
 
 
 @pytest.mark.parametrize("beacon_period", ["1e-300", "1e300"])

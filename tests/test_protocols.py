@@ -1,5 +1,5 @@
-"""Protocol transition functions: error/signal arithmetic, step adaptation,
-the update rule, and beacon emission."""
+"""Protocol transition functions: error scales and step limits, gain
+adaptation, the update rule, and beacon emission."""
 
 import re
 from typing import NamedTuple
@@ -26,28 +26,33 @@ from gradesync.protocols import update
 
 
 class Node(NamedTuple):
-    """One protocol lane of one node, as ``sim.run`` keeps it: clock, step, last error."""
+    """One protocol lane of one node, as ``sim.run`` keeps it: clock, gain, last error."""
 
     value: float = 0.0
     rate: float = 1.0
     hw_at: float = 0.0
-    step: float = 0.1
+    gain: float = 0.1
     error: float = 0.0
 
     def read(self, hw):
         return LogicalClock(self.value, self.rate, self.hw_at).read(hw)
 
 
+def gain_max(protocol, beacon_period, nominal_freq):
+    """The gain bound a run derives for ``protocol``: its step limit times its error scale."""
+    return (step_size_limit(protocol, beacon_period, nominal_freq)
+            * error_scale(protocol, beacon_period, nominal_freq))
+
+
 def receive(protocol, before, received, hw_now, beacon_period, nominal_freq, adapt=True):
-    """``update`` with the error scale and step bound a run derives for ``protocol``.
+    """``update`` with the gain bound a run derives for ``protocol``.
 
     Returns the node as ``sim.run`` stores it afterwards: its clock jumped onto
-    ``received`` at ``hw_now``, with the new rate, step and error.
+    ``received`` at ``hw_now``, with the new rate, gain and error.
     """
-    scale = error_scale(protocol, beacon_period, nominal_freq)
-    step_max = step_size_limit(protocol, beacon_period, nominal_freq)
-    error, step, rate = update(*before, received, hw_now, scale, step_max, adapt)
-    return Node(received, rate, hw_now, step, error)
+    bound = gain_max(protocol, beacon_period, nominal_freq)
+    error, gain, rate = update(*before, received, hw_now, bound, adapt)
+    return Node(received, rate, hw_now, gain, error)
 
 
 @pytest.mark.parametrize("field", ["value_at_update", "rate_multiplier", "hw_at_update"])
@@ -63,7 +68,7 @@ def test_logical_clocks_are_immutable(field):
 
 
 def test_error_gradient_examples():
-    # grades' signal is the gradient of the squared error; pisync's is the error.
+    # grades' gain carries the gradient of the squared error; pisync's the error.
     assert error_scale(GRADES, 30.0, 1e6) * 0.0 == 0.0
     assert error_scale(GRADES, 1.0, 1.0) * 1.0 == 2.0
     assert error_scale(GRADES, 30.0, 1.0) * 0.003 == pytest.approx(0.18, rel=1e-12)
@@ -93,37 +98,37 @@ def test_step_size_limit_that_is_not_finite_and_positive_names_its_inputs(
 
 
 def test_adapt_step_doubles_on_sign_agreement():
-    assert adapt_step(0.2, 1.0, 3.0, step_max=1.0) == 0.4
-    assert adapt_step(0.2, -0.5, -0.1, step_max=1.0) == 0.4
+    assert adapt_step(0.2, 1.0, 3.0, gain_max=1.0) == 0.4
+    assert adapt_step(0.2, -0.5, -0.1, gain_max=1.0) == 0.4
 
 
 def test_adapt_step_shrinks_on_sign_flip_or_zero():
-    assert adapt_step(0.3, 1.0, -1.0, step_max=1.0) == pytest.approx(0.1)
-    assert adapt_step(0.3, 0.0, 5.0, step_max=1.0) == pytest.approx(0.1)
-    assert adapt_step(0.3, 5.0, 0.0, step_max=1.0) == pytest.approx(0.1)  # first update
+    assert adapt_step(0.3, 1.0, -1.0, gain_max=1.0) == 0.3 / 3.0
+    assert adapt_step(0.3, 0.0, 5.0, gain_max=1.0) == 0.3 / 3.0
+    assert adapt_step(0.3, 5.0, 0.0, gain_max=1.0) == 0.3 / 3.0  # first update
 
 
 def test_adapt_step_clamps_growth_to_the_stability_limit():
-    assert adapt_step(0.8, 1.0, 1.0, step_max=1.0) == 1.0
+    assert adapt_step(0.8, 1.0, 1.0, gain_max=1.0) == 1.0
 
 
-def test_adapt_step_keeps_previous_step_on_underflow():
+def test_adapt_step_keeps_previous_gain_on_underflow():
     tiny = 5e-324  # smallest subnormal; dividing by three rounds to zero
     assert tiny / 3.0 == 0.0
-    assert adapt_step(tiny, 1.0, -1.0, step_max=1.0) == tiny
+    assert adapt_step(tiny, 1.0, -1.0, gain_max=1.0) == tiny
 
 
 @settings(max_examples=200, deadline=None)
 @given(
-    step=st.floats(1e-300, 1.0),
+    gain=st.floats(1e-300, 1.0),
     now=st.floats(-10.0, 10.0),
     prev=st.floats(-10.0, 10.0),
-    step_max=st.floats(1e-3, 2.0),
+    bound=st.floats(1e-3, 2.0),
 )
-def test_adapt_step_stays_positive_and_bounded(step, now, prev, step_max):
-    step = min(step, step_max)
-    out = adapt_step(step, now, prev, step_max)
-    assert 0.0 < out <= step_max
+def test_adapt_step_stays_positive_and_bounded(gain, now, prev, bound):
+    gain = min(gain, bound)
+    out = adapt_step(gain, now, prev, bound)
+    assert 0.0 < out <= bound
 
 
 # ---------------------------------------------------------------- the update rule
@@ -146,7 +151,7 @@ def test_accepted_message_jumps_the_clock_exactly_onto_the_payload():
 
 
 def test_offset_jump_is_exact_and_zero_error_keeps_the_rate():
-    before = Node(value=100.0, rate=1.0001, hw_at=0.0, step=1e-4)
+    before = Node(value=100.0, rate=1.0001, hw_at=0.0, gain=1e-4)
     assert before.read(50.0) == pytest.approx(150.0050, rel=1e-12)
     for proto in (GRADES, PISYNC):
         moved = receive(proto, before, 100.0, hw_now=50.0, beacon_period=1.0,
@@ -164,60 +169,75 @@ def test_offset_jump_is_exact_and_zero_error_keeps_the_rate():
 
 
 def test_grades_rate_update_example():
-    # error 0.05 at unit round length: rate moves by -step * 2 * error.
-    g = Node(value=100.05, hw_at=50.0, step=0.1)
+    # error 0.05 at unit round length: a step of 0.1 is a gain of 0.1 * 2 * B * f0 = 0.2,
+    # and the rate moves by -gain * error.
+    g = Node(value=100.05, hw_at=50.0, gain=0.1 * error_scale(GRADES, 1.0, 1.0))
     g2 = receive(GRADES, g, 100.0, hw_now=50.0, beacon_period=1.0, nominal_freq=1.0,
                  adapt=False)
+    assert g2.rate == 1.0 - 0.2 * (100.05 - 100.0)
     assert g2.rate == pytest.approx(0.99, rel=1e-12)
-    assert g2.step == 0.1
-    assert g2.error == pytest.approx(0.05, rel=1e-12)  # the signal 2 * error is 0.1
+    assert g2.gain == 0.2
+    assert g2.error == pytest.approx(0.05, rel=1e-12)
 
 
 def test_pisync_rate_update_example():
-    p = Node(value=100.05, hw_at=50.0, step=0.1)
+    p = Node(value=100.05, hw_at=50.0, gain=0.1 * error_scale(PISYNC, 1.0, 1.0))
     p2 = receive(PISYNC, p, 100.0, hw_now=50.0, beacon_period=1.0, nominal_freq=1.0,
                  adapt=False)
     assert p2.rate == pytest.approx(0.995, rel=1e-12)
+    assert p2.gain == 0.1
     assert p2.error == pytest.approx(0.05, rel=1e-12)
 
 
-def test_zero_error_message_leaves_rate_alone_and_shrinks_the_step():
-    before = Node(value=100.0, rate=1.0003, hw_at=50.0, step=0.3, error=2.0)
+def test_zero_error_message_leaves_rate_alone_and_shrinks_the_gain():
+    before = Node(value=100.0, rate=1.0003, hw_at=50.0, gain=0.3, error=2.0)
     for proto in (GRADES, PISYNC):
         after = receive(proto, before, 100.0, hw_now=50.0, beacon_period=1.0,
                         nominal_freq=1.0)
         assert after.rate == 1.0003
-        assert after.step == pytest.approx(0.1)
+        assert after.gain == 0.3 / 3.0
 
 
 def test_adaptation_uses_the_protocols_own_stability_limit():
-    g = Node(value=1.0, hw_at=0.0, step=0.75, error=1.0)
+    # Each protocol's gain bound is its step limit in its own unit times its
+    # error scale: 1/(B*f0)^2 * 2*B*f0 for grades and 2/(B*f0) * 1 for pisync.
+    assert gain_max(GRADES, 1.0, 1.0) == gain_max(PISYNC, 1.0, 1.0) == 2.0
+    assert gain_max(GRADES, 30.0, 1e6) == gain_max(PISYNC, 30.0, 1e6) == 2.0 / 30e6
+    g = Node(value=1.0, hw_at=0.0, gain=1.5, error=1.0)
     g2 = receive(GRADES, g, 0.9, hw_now=0.0, beacon_period=1.0, nominal_freq=1.0)
-    assert g2.step == 1.0  # doubled 0.75 -> 1.5, clamped at 1/(B*f0)^2
-    p = Node(value=1.0, hw_at=0.0, step=1.5, error=1.0)
+    assert g2.gain == 2.0  # doubled 1.5 -> 3.0, clamped at the step limit 1 times 2
+    p = Node(value=1.0, hw_at=0.0, gain=1.5, error=1.0)
     p2 = receive(PISYNC, p, 0.9, hw_now=0.0, beacon_period=1.0, nominal_freq=1.0)
-    assert p2.step == 2.0  # doubled 1.5 -> 3.0, clamped at 2/(B*f0)
+    assert p2.gain == 2.0  # doubled 1.5 -> 3.0, clamped at the step limit 2 times 1
+    g3 = receive(GRADES, Node(gain=5e-8, error=1.0), -1e-3, hw_now=0.0, beacon_period=30.0,
+                 nominal_freq=1e6)
+    assert g3.gain == 2.0 / 30e6  # doubled 5e-8 -> 1e-7, clamped at 2/(B*f0)
 
 
 def test_mis_scaled_step_raises_instead_of_producing_a_frozen_clock():
-    g = Node(value=10.0, hw_at=0.0, step=0.1)
-    with pytest.raises(ContractViolation, match="mis-scaled"):
+    # A gain at its bound that meets an error of 10 (grades) or 30 (pisync) ticks.
+    g = Node(value=10.0, hw_at=0.0, gain=2.0)
+    with pytest.raises(ContractViolation, match=re.escape(
+            "rate multiplier driven to -19.0 by gain 2.0 (mis-scaled; its limit is 2.0) "
+            "on a sync error of 10.0 ticks, 0.0 hardware ticks after")):
         receive(GRADES, g, 0.0, hw_now=0.0, beacon_period=1.0, nominal_freq=1.0,
                 adapt=False)
-    p = Node(value=30.0, hw_at=0.0, step=0.1)
-    with pytest.raises(ContractViolation, match="mis-scaled"):
+    p = Node(value=30.0, hw_at=0.0, gain=0.1)
+    with pytest.raises(ContractViolation, match=re.escape(
+            "rate multiplier driven to -2.0 by gain 0.1 (below its limit 2.0) "
+            "on a sync error of 30.0 ticks, 0.0 hardware ticks after")):
         receive(PISYNC, p, 0.0, hw_now=0.0, beacon_period=1.0, nominal_freq=1.0,
                 adapt=False)
 
 
 def test_a_driven_rate_names_the_sync_error_and_the_ticks_since_the_last_update():
     # A clock 3 hardware ticks past its last update reads 3 and hears -1: a sync
-    # error of 4, which a step of 0.5 on the error itself drives to 1 - 2 = -1.
+    # error of 4, which a gain of 0.5 drives to 1 - 2 = -1.
     with pytest.raises(ContractViolation) as raised:
-        update(0.0, 1.0, 10.0, 0.5, 0.0, -1.0, 13.0, scale=1.0, step_max=1.0, adapt=False)
+        update(0.0, 1.0, 10.0, 0.5, 0.0, -1.0, 13.0, gain_max=1.0, adapt=False)
     assert str(raised.value) == (
-        "rate multiplier driven to -1.0 (step size 0.5 is mis-scaled; limit 1.0); "
-        "sync error 4.0 ticks, 3.0 hardware ticks after the node's last update"
+        "rate multiplier driven to -1.0 by gain 0.5 (below its limit 1.0) on a sync error "
+        "of 4.0 ticks, 3.0 hardware ticks after the node's last update"
     )
 
 
@@ -231,21 +251,20 @@ def _outcome(call):
 @settings(max_examples=200, deadline=None)
 @given(
     clock=st.tuples(st.floats(-1e3, 1e3), st.floats(1e-3, 2.0), st.floats(-1e3, 1e3)),
-    step=st.floats(1e-9, 2.0),
+    gain=st.floats(1e-12, 200.0),
     prev_error=st.floats(-1e3, 1e3),
     received=st.floats(-1e3, 1e3),
     hw_now=st.floats(-1e3, 1e3),
-    scale=st.floats(1e-3, 100.0),
-    step_max=st.floats(1e-3, 4.0),
+    bound=st.floats(1e-6, 400.0),
     adapt=st.booleans(),
 )
-def test_update_is_the_reference_rule_bit_for_bit(clock, step, prev_error, received, hw_now,
-                                                  scale, step_max, adapt):
+def test_update_is_the_reference_rule_bit_for_bit(clock, gain, prev_error, received, hw_now,
+                                                  bound, adapt):
     # Down to the text of either contract violation: an early read (hw_now
     # before the clock's last update) or a rate driven to <= 0.
-    args = (received, hw_now, scale, step_max, adapt)
-    new = _outcome(lambda: update(*clock, step, prev_error, *args))
-    ref = _outcome(lambda: reference_update(clock, step, prev_error, *args))
+    args = (received, hw_now, bound, adapt)
+    new = _outcome(lambda: update(*clock, gain, prev_error, *args))
+    ref = _outcome(lambda: reference_update(clock, gain, prev_error, *args))
     if isinstance(ref, tuple):
         assert ref[2] == (received, ref[2][1], hw_now)
         ref = (ref[0], ref[1], ref[2][1])
@@ -286,7 +305,7 @@ def test_sequence_numbers_never_decrease_and_stale_floods_are_noops(chords, phas
     hw=st.floats(0.0, 100.0),
 )
 def test_offset_exactness_holds_for_any_accepted_message(value, payload, hw):
-    before = Node(value=value, hw_at=hw, step=1e-4)
+    before = Node(value=value, hw_at=hw, gain=1e-4)
     for proto in (GRADES, PISYNC):
         after = receive(proto, before, payload, hw_now=hw, beacon_period=1.0,
                         nominal_freq=1.0)
@@ -299,8 +318,8 @@ def test_offset_exactness_holds_for_any_accepted_message(value, payload, hw):
     beacon_period=st.floats(0.5, 40.0),
 )
 def test_adapted_step_never_exceeds_the_stability_limit(errors, beacon_period):
-    limit = step_size_limit(GRADES, beacon_period, 1.0)
-    g = Node(step=limit / 8)
+    limit = gain_max(GRADES, beacon_period, 1.0)
+    g = Node(gain=limit / 8)
     hw = 0.0
     for err in errors:
         # Manufacture a reading that sits err below the local reading.
@@ -310,7 +329,7 @@ def test_adapted_step_never_exceeds_the_stability_limit(errors, beacon_period):
                         nominal_freq=1.0)
         except ContractViolation:
             return  # a mis-scaled update is rejected loudly, never applied
-        assert 0.0 < g.step <= limit
+        assert 0.0 < g.gain <= limit
 
 
 @settings(max_examples=100, deadline=None)
@@ -321,11 +340,12 @@ def test_adapted_step_never_exceeds_the_stability_limit(errors, beacon_period):
 )
 def test_equal_fraction_steps_give_identical_rate_trajectories(errors, fraction, bf):
     # At step sizes that are the same fraction of each protocol's stability
-    # limit, both rate updates reduce to -2 * fraction * error / (B * f0),
-    # so the two controllers move in lockstep on identical inputs, down to
-    # both rejecting the same update that would drive the rate non-positive.
-    g = Node(step=fraction * step_size_limit(GRADES, bf, 1.0))
-    p = Node(step=fraction * step_size_limit(PISYNC, bf, 1.0))
+    # limit, both gains are 2 * fraction / (B * f0) up to rounding, so the two
+    # controllers move in lockstep on identical inputs, down to both
+    # rejecting the same update that would drive the rate non-positive.
+    g = Node(gain=fraction * step_size_limit(GRADES, bf, 1.0) * error_scale(GRADES, bf, 1.0))
+    p = Node(gain=fraction * step_size_limit(PISYNC, bf, 1.0) * error_scale(PISYNC, bf, 1.0))
+    assert g.gain == pytest.approx(p.gain, rel=1e-15)
     hw = 0.0
     for err in errors:
         payload = g.read(hw) - err

@@ -31,7 +31,8 @@ from gradesync import (
 )
 from gradesync import clocks, sim
 from gradesync.clocks import LogicalClock
-from gradesync.protocols import update
+from gradesync.protocols import error_scale, update
+from gradesync.scenarios import SCENARIOS, multihop_config
 from gradesync.sim import steady_mean_skew
 
 
@@ -380,7 +381,8 @@ def test_odd_tree_with_drops_matches_its_recorded_hash(phase_mode, drift):
 # accepted updates: several accepts per node between two samples, samples off
 # the beacon grid, floored hardware readings, many nodes, and a run that ends
 # before any node beacons.  The hashes were recorded when hardware readings
-# became a pure function of time.
+# became a pure function of time; quantized-ticks again when the update rule
+# moved to the gain, since its grades error scale, 2,000, is not a power of two.
 SAMPLING_BASE = dict(
     topology=Topology.line(6),
     beacon_period=1.0,
@@ -410,7 +412,7 @@ SAMPLING_SHA256 = {
     "sample-every-0.7-rounds":
         "d8229b57069b147c6a3d4e7108833cd9129ac1c54b494916d06b58d042ce19de",
     "quantized-ticks":
-        "be2f4bd1d12e3e231f2e673aeaf17699c7605fe99681225a1f7b54461d3a1a59",
+        "eac81b16bc317d6102eb61cbb696ef811672bb4f4c3204f73b232f0e842b9d43",
     "300-node-line":
         "ca6b6d3268a88e34a4da5628f230d450e21632e4cf36403c6555b445f34fbf6f",
     "shorter-than-every-first-beacon":
@@ -436,7 +438,7 @@ def test_assembly_reads_each_sample_from_the_latest_update_it_sees():
     deliveries, log = array("d"), array("d")
     for seq, (t, node, (value, rate, hw_at)) in enumerate(updates, 1):
         deliveries.extend([t, node, seq, hw_at])
-        log.extend([value, rate, -1.0, 0.25])  # the error and step, which assembly skips
+        log.extend([value, rate, -1.0, 0.25])  # the error and gain, which assembly skips
     hw = np.array([[0.0, 5.0], [3.0, 7.0], [4.0, 9.0]])
     readings, rates = np.empty((3, 2)), np.empty((3, 2))
     sim._assemble(np.array(clocks), deliveries, log, times, hw, readings, rates)
@@ -511,6 +513,20 @@ def test_each_protocol_updates_through_its_own_name(monkeypatch):
     trace = run(SimConfig(**SAMPLING_BASE))
     for proto in (GRADES, PISYNC):
         assert calls[proto] == sum(e.protocol == proto for e in trace.events) > 100
+
+
+@pytest.mark.parametrize("seed", range(3, 8))
+def test_equal_fractions_of_the_limits_run_one_trajectory_on_default_fig3(seed):
+    # fig3 starts both protocols at 1/64 of their stability limits: equal gains,
+    # so both lanes make the same float operations on the same inputs.
+    config = multihop_config(SCENARIOS["fig3-multihop"].defaults, seed)
+    b, f0 = config.beacon_period, config.nominal_freq
+    grades_gain, pisync_gain = (config.resolved_step_size(p) * error_scale(p, b, f0)
+                                for p in (GRADES, PISYNC))
+    assert grades_gain == pisync_gain
+    trace = run(config)
+    assert np.array_equal(trace.readings[GRADES], trace.readings[PISYNC])
+    assert np.array_equal(trace.rate_multipliers[GRADES], trace.rate_multipliers[PISYNC])
 
 
 def test_an_instant_sends_all_its_beacons_then_applies_their_deliveries_in_order_sent(
@@ -681,10 +697,29 @@ def test_message_drops_thin_out_sync_events():
     assert 0 < len(dropped.node_events(2, GRADES)) < 30
 
 
-def test_mis_scaled_step_failure_reports_node_and_time():
-    cfg = config(drift={2: ConstantDrift(0.6)}, max_deviation=0.7, step_size=0.9)
-    with pytest.raises(ContractViolation, match=r"node 2 at t=1: "):
+@pytest.mark.parametrize("protocol, step, drift, policy, told", [
+    # A stable step still fails when one error is large: 0.9 * 2 * 0.6 > 1.
+    (GRADES, 0.9, ConstantDrift(0.6), "fixed",
+     "node 2 at t=1: grades rate multiplier driven to -0.0800000000000003 by step size 0.9 "
+     "(below its limit 1.0) on a sync error of 0.6000000000000001 ticks, 1.6 rounds after"),
+    # The same failure in pisync's units, whose limit is 2 / (B * f0).
+    (PISYNC, 1.8, ConstantDrift(0.6), "fixed",
+     "node 2 at t=1: pisync rate multiplier driven to -0.0800000000000003 by step size 1.8 "
+     "(below its limit 2.0) on a sync error of 0.6000000000000001 ticks, 1.6 rounds after"),
+    # An adaptive step grown to its limit is mis-scaled for the error it meets.
+    (GRADES, 1.0, PiecewiseDrift(((0.0, 0.2), (2.0, 0.9))), "adaptive",
+     "node 2 at t=3: grades rate multiplier driven to -0.2773333333333331 by step size 1.0 "
+     "(mis-scaled; its limit is 1.0) on a sync error of 0.5453333333333332 ticks, "
+     "1.9 rounds after"),
+])
+def test_a_driven_rate_names_node_time_protocol_step_limit_error_and_rounds(
+    protocol, step, drift, policy, told
+):
+    cfg = config(drift={2: drift}, max_deviation=0.95, protocols=(protocol,), step_size=step,
+                 step_policy=policy)
+    with pytest.raises(ContractViolation) as raised:
         run(cfg)
+    assert str(raised.value) == told + " the node's last update"
 
 
 @pytest.mark.parametrize("entry", ["beacon", "delivery"])
@@ -856,6 +891,18 @@ def test_scaling_experiment_rejects_a_repeated_diameter():
     # Running a diameter twice would duplicate its rows and misstate its spread.
     with pytest.raises(ValueError, match="diameters"):
         scaling_experiment((4, 4, 9), (0, 1), rounds=10)
+
+
+def test_a_long_scaling_line_blames_the_missed_rounds_not_its_stable_step():
+    # Node 925 of a 1,001-node line goes 28 rounds without an update, and one
+    # sync error of 9.8 ticks then drives its rate below zero at a step of 0.05.
+    with pytest.raises(ContractViolation) as raised:
+        scaling_experiment([1000], [1])
+    told = str(raised.value)
+    assert told.startswith("node 925 at t=135.921842: grades rate multiplier driven to -0.03")
+    assert "by step size 0.05 (below its limit 1.0) on a sync error of 9.81" in told
+    assert told.endswith(", 27.9998197 rounds after the node's last update")
+    assert "mis-scaled" not in told
 
 
 # ---------------------------------------------------------------- CSV output
