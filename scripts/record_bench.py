@@ -3,15 +3,17 @@
 
 Usage (from the repository root):
 
-    python3 scripts/record_bench.py --out BENCH_<n>.json [--seconds S] [--seed N]
+    python3 scripts/record_bench.py --out BENCH_<n>.json
 
-For each workload that ``BENCHMARK.json`` declares it runs ``bench/run.py`` twice,
-``--trace 0`` for the end-to-end metrics and ``--trace 1`` for the per-layer
-ones, each as its own process.  It then times the Tier-1 suite
-(``python -m pytest -q`` under ``tests/``) once and writes every workload's
-metrics, correctness tallies and sample counts, the Tier-1 wall time and the
-environment ``bench/run.py`` reports (``src_lines`` included).  It changes no
-file under ``bench/``.
+For each workload that ``BENCHMARK.json`` declares it runs ``bench/run.py`` twice
+for ``SECONDS`` seconds at its default seed, ``--trace 0`` for the end-to-end
+metrics and ``--trace 1`` for the per-layer ones, each as its own process.  It
+then times the Tier-1 suite (``python -m pytest -q`` under ``tests/``) once and
+writes every workload's metrics, correctness tallies and sample counts, the
+Tier-1 wall time and the environment ``bench/run.py`` reports (``src_lines``
+included).  It changes no file under ``bench/``.  It refuses to run while
+``git status`` shows changes under the measured paths, so the ``git_commit`` it
+records names the code it measured: commit first, then record.
 """
 
 from __future__ import annotations
@@ -25,6 +27,9 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SECONDS = 10.0  # per bench/run.py measurement
+# What a snapshot measures; each must match the recorded commit.
+MEASURED = ("src", "tests", "bench", "scripts", "pyproject.toml")
 # The fields of bench/run.py's env line that describe the machine and the tree.
 ENV_FIELDS = ("python", "numpy", "nproc", "src_lines", "git_commit")
 
@@ -35,10 +40,10 @@ def workload_names() -> list[str]:
     return sorted(w["name"] for w in declared)
 
 
-def _bench_run(workload: str, trace: int, seconds: float, seed: int) -> tuple[dict, dict]:
+def _bench_run(workload: str, trace: int, seconds: float) -> tuple[dict, dict]:
     """``(env, result)``: the last two lines of one ``bench/run.py`` run."""
     cmd = [sys.executable, str(ROOT / "bench" / "run.py"), "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+           "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or len(lines) < 2 or not lines[-2].startswith("env "):
@@ -47,11 +52,11 @@ def _bench_run(workload: str, trace: int, seconds: float, seed: int) -> tuple[di
     return json.loads(lines[-2][len("env "):]), json.loads(lines[-1])
 
 
-def record_workload(workload: str, seconds: float, seed: int = 0) -> dict:
+def record_workload(workload: str, seconds: float = SECONDS) -> dict:
     """One workload's end-to-end (``--trace 0``) and per-layer (``--trace 1``) record."""
     record = {}
     for trace, part in ((0, "end_to_end"), (1, "per_layer")):
-        env, result = _bench_run(workload, trace, seconds, seed)
+        env, result = _bench_run(workload, trace, seconds)
         record[part] = {**result, "env": env}
     return record
 
@@ -68,15 +73,22 @@ def tier1_run() -> dict:
     return {"wall_s": wall, "exit_code": proc.returncode, "summary": lines[-1] if lines else ""}
 
 
+def uncommitted() -> str:
+    """``git status --porcelain`` of the measured paths: empty when they are committed."""
+    return subprocess.run(["git", "status", "--porcelain", "--", *MEASURED], cwd=ROOT,
+                          check=True, capture_output=True, text=True).stdout
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="record a BENCH_<n>.json snapshot")
     parser.add_argument("--out", type=Path, required=True, help="JSON file to write")
-    parser.add_argument("--seconds", type=float, default=10.0,
-                        help="seconds per bench/run.py measurement (default 10)")
-    parser.add_argument("--seed", type=int, default=0, help="bench/run.py --seed")
     args = parser.parse_args(argv)
+    if changed := uncommitted():
+        print(f"commit these first, so git_commit names what is measured:\n{changed}",
+              file=sys.stderr)
+        return 1
     names = workload_names()
-    workloads = {name: record_workload(name, args.seconds, args.seed) for name in names}
+    workloads = {name: record_workload(name) for name in names}
     env = workloads[names[0]]["end_to_end"]["env"]
     snapshot = {
         "env": {key: env[key] for key in ENV_FIELDS},

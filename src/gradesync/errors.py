@@ -10,17 +10,17 @@ class ContractViolation(RuntimeError):
 
 
 class DrivenRate(ContractViolation):
-    """An update drove a rate multiplier to zero or below: ``gain * error`` took all of it."""
+    """A rate multiplier driven to zero or below; args (rate, gain, gain_max, error, ticks)."""
 
-    def __init__(self, rate, gain, gain_max, error, ticks):
-        self.rate, self.gain, self.error, self.ticks = rate, gain, error, ticks
-        self.fit = "below its limit" if gain < gain_max else "mis-scaled; its limit is"
-        super().__init__(self.text("gain", gain, gain_max, f"{ticks} hardware ticks"))
+    def text(self, step="gain", scale=1.0, since="{} hardware ticks", tick=1.0) -> str:
+        """The failure, the gain over ``scale`` told as ``step`` and the ticks over ``tick``."""
+        rate, gain, gain_max, error, ticks = self.args
+        fit = "below its limit" if gain < gain_max else "mis-scaled; its limit is"
+        return (f"rate multiplier driven to {rate} by {step} {gain / scale} ({fit} "
+                f"{gain_max / scale}) on a sync error of {error} ticks, "
+                f"{since.format(ticks / tick)} after the node's last update")
 
-    def text(self, name: str, value, limit, since: str) -> str:
-        """The failure, with the gain told as ``name`` ``value`` against ``limit``."""
-        return (f"rate multiplier driven to {self.rate} by {name} {value} ({self.fit} {limit}) "
-                f"on a sync error of {self.error} ticks, {since} after the node's last update")
+    __str__ = text
 
 
 class InvalidRegimeError(ValueError):

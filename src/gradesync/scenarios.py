@@ -84,23 +84,13 @@ def report_summary(trace: SkewTrace, protocol: str) -> dict:
     conv = convergence_time(times, skew, threshold)
     converged = conv is not None and conv <= times[-1] * 0.75
     if not converged:
-        return {
-            "converged": False,
-            "convergence_time": None,
-            "threshold": threshold,
-            "post_max": float("nan"),
-            "post_mean": float("nan"),
-            "post_std": float("nan"),
-        }
+        nan = float("nan")
+        return {"converged": False, "convergence_time": None, "threshold": threshold,
+                "post_max": nan, "post_mean": nan, "post_std": nan}
     post = skew[times >= conv]
-    return {
-        "converged": True,
-        "convergence_time": conv,
-        "threshold": threshold,
-        "post_max": float(post.max()),
-        "post_mean": float(post.mean()),
-        "post_std": float(post.std(ddof=1) if post.size > 1 else 0.0),
-    }
+    return {"converged": True, "convergence_time": conv, "threshold": threshold,
+            "post_max": float(post.max()), "post_mean": float(post.mean()),
+            "post_std": float(post.std(ddof=1) if post.size > 1 else 0.0)}
 
 
 def effective_rates(trace: SkewTrace, node: int, protocol: str) -> np.ndarray:
@@ -186,17 +176,9 @@ def _run_pairwise(params: dict, out: Path) -> dict:
     write_skew_csv(trace, out / "skew.csv")
     eff = effective_rates(trace, node=2, protocol=GRADES)
     col = trace.node_column(2)
-    rows = [
-        (
-            t,
-            t / 1.0,
-            trace.rate_multipliers[GRADES][i, col],
-            trace.hw_rates[i, col],
-            eff[i],
-            1.0,
-        )
-        for i, t in enumerate(trace.times)
-    ]
+    rates = trace.rate_multipliers[GRADES][:, col]
+    rows = [(t, t / 1.0, rates[i], trace.hw_rates[i, col], eff[i], 1.0)
+            for i, t in enumerate(trace.times)]
     write_csv(
         out / "frequency.csv",
         ("t_seconds", "round", "rate_multiplier", "hw_rate", "effective_rate", "reference_rate"),

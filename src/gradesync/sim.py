@@ -204,7 +204,10 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class SyncEvent:
-    """One accepted sync message: who corrected, by how much, with what step."""
+    """One accepted sync message: who corrected, by how much, with what step.
+
+    ``step_size`` is the gain over the error scale: a fixed step up to an ulp.
+    """
 
     time: float
     node: int
@@ -460,9 +463,8 @@ def run(config: SimConfig) -> SkewTrace:
                     values[who], rates[who], hw_ats[who] = received, rate, hw
                     gains[who], errors[who] = gain, error
                     log.fromlist([received, rate, error, gain])
-    except DrivenRate as err:  # told in the failing protocol's own step units
-        text = err.text("step size", err.gain / error_scale(proto, b, f0),
-                        step_size_limit(proto, b, f0), f"{err.ticks / round_ticks:.9g} rounds")
+    except DrivenRate as err:  # told in the failing lane's own step units and in rounds
+        text = err.text("step size", scales[i], "{:.9g} rounds", round_ticks)
         raise ContractViolation(f"node {nodes[who]} at t={t:.9g}: {proto} {text}") from err
     except ContractViolation as err:
         raise ContractViolation(f"node {nodes[who]} at t={t:.9g}: {err}") from err

@@ -84,14 +84,15 @@ def reference_update(clock, gain, prev_error, received, hw, gain_max, adaptive):
     return error, gain, (received, rate, hw)
 
 
-def driven_rate_text(err: DrivenRate, protocol: str, gain_max: float, config: SimConfig) -> str:
+def driven_rate_text(err: DrivenRate, protocol: str, config: SimConfig) -> str:
     """What ``sim.run`` says of ``err``: the protocol, its step and limit, and rounds since."""
+    rate, gain, gain_max, error, ticks = err.args
     b, f0 = config.beacon_period, config.nominal_freq
     scale = error_scale(protocol, b, f0)
-    fit = "below its limit" if err.gain < gain_max else "mis-scaled; its limit is"
-    return (f"{protocol} rate multiplier driven to {err.rate} by step size {err.gain / scale} "
-            f"({fit} {step_size_limit(protocol, b, f0)}) on a sync error of {err.error} ticks, "
-            f"{err.ticks / (b * f0):.9g} rounds after the node's last update")
+    fit = "below its limit" if gain < gain_max else "mis-scaled; its limit is"
+    return (f"{protocol} rate multiplier driven to {rate} by step size {gain / scale} "
+            f"({fit} {gain_max / scale}) on a sync error of {error} ticks, "
+            f"{ticks / (b * f0):.9g} rounds after the node's last update")
 
 
 def _phases(config: SimConfig, nodes, round_ticks: float, rng) -> list[float]:
@@ -197,7 +198,7 @@ def reference_run(config: SimConfig) -> dict:
                         logical[lane][v], gains[lane][v], errors[lane][v], payload[lane] + noise,
                         hw, gain_maxes[lane], adaptive)
                 except DrivenRate as err:
-                    text = driven_rate_text(err, p, gain_maxes[lane], config)
+                    text = driven_rate_text(err, p, config)
                     raise ContractViolation(f"node {nodes[v]} at t={t:.9g}: {text}") from err
                 except ContractViolation as err:
                     raise ContractViolation(f"node {nodes[v]} at t={t:.9g}: {err}") from err

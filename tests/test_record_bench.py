@@ -25,3 +25,12 @@ def test_a_workload_record_holds_both_runs_metrics_tallies_and_environment():
         assert set(record_bench.ENV_FIELDS) | {"samples", "trace"} <= set(run["env"])
         assert run["env"]["trace"] == (part == "per_layer")
     assert record["end_to_end"]["env"]["src_lines"] > 0
+
+
+def test_recording_refuses_uncommitted_changes_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    # The env's git_commit is read from HEAD, so it names the measured code only when clean.
+    monkeypatch.setattr(record_bench, "uncommitted", lambda: " M src/gradesync/sim.py\n")
+    out = tmp_path / "BENCH_0.json"
+    assert record_bench.main(["--out", str(out)]) == 1
+    assert not out.exists()
+    assert "src/gradesync/sim.py" in capsys.readouterr().err

@@ -722,6 +722,18 @@ def test_a_driven_rate_names_node_time_protocol_step_limit_error_and_rounds(
     assert str(raised.value) == told + " the node's last update"
 
 
+def test_a_fixed_step_reads_back_as_configured_up_to_one_ulp():
+    # At f0 = 1e3 grades' error scale is 2,000, not a power of two: the step
+    # 1e-9 becomes the gain 2e-6, which reads back over the scale one ulp off.
+    step, scale = 1e-9, error_scale(GRADES, 1.0, 1e3)
+    told = (step * scale) / scale
+    assert told != step and abs(told - step) <= math.ulp(step)
+    trace = run(config(topology=Topology.line(3), nominal_freq=1e3, step_size=step))
+    assert len(trace.events) >= 18  # nodes 2 and 3 take each of the 9 or 10 floods
+    assert {e.step_size for e in trace.events} == {told}
+    assert trace.meta["final_state"][GRADES]["step_size"] == (told,) * 3
+
+
 @pytest.mark.parametrize("entry", ["beacon", "delivery"])
 def test_contract_violation_names_the_node_whose_event_raised(entry, monkeypatch):
     # A beacon's failure is its sender's, a delivery's its receiver's.
