@@ -19,6 +19,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import sim
 from .analysis import SystemParams, estimate_variance_mc, variance
 from .clocks import ConstantDrift, PiecewiseDrift
 from .protocols import GRADES, PISYNC, step_size_limit
@@ -121,10 +122,14 @@ def rounds_after(t: float | None, t0: float) -> float | None:
 
 def _two_node_config(params: dict, drift, step_policy: str, step_size) -> SimConfig:
     """Reference node 1 at the nominal rate and node 2 on ``drift``, in normalized units."""
+    rounds = _at_least(params, "rounds", 1)
+    most = (sim.MAX_SAMPLE_CELLS // 2 - 1) // 3  # 2 nodes, sampled at 0 and 3 times a round
+    if rounds > most:
+        raise ValueError(f"parameter rounds must be at most {most}, got {params['rounds']}")
     return SimConfig(
         topology=Topology.line(2),
         beacon_period=1.0,
-        duration=float(_at_least(params, "rounds", 1)),
+        duration=float(rounds),
         delay_std=params["delay_std"],
         drift={1: ConstantDrift(0.0), 2: drift},
         protocols=(GRADES,),

@@ -1,21 +1,23 @@
 """Deterministic event-driven network simulator for the sync protocols.
 
 Every node owns a drifting hardware clock, the newest flood sequence number it
-holds and, per enabled protocol (a lane), a logical clock, a gain (the step
-size times ``protocols.error_scale``) and its last sync error.  ``run`` keeps a
-lane as five flat float lists by node position (value, rate, hw_at, gain,
-error) and applies ``protocols.update`` to them; a step becomes a gain when the
-lane is built and is told as a step again only where the run reports.  A node
-broadcasts whenever its *own* hardware clock crosses a multiple of
-beacon_period * nominal_freq ticks; the reference node stamps each of its
-broadcasts with a fresh flood sequence number.  Broadcasts are delivered to
-every neighbor at the emission instant, with an independent Gaussian noise draw
-per receiver added to the payload clock values (noise perturbs the reported
-value, not the delivery time, so negative draws are fine).  A delivery is
-applied only if it carries a strictly newer sequence number than the receiver
-holds; a stale one changes nothing.  Sequence numbers only grow, so a delivery
-whose receiver holds its flood when it is sent is stale at once, and a sender
-reads its logical clocks only for a beacon some receiver can accept.
+holds and, per lane, a logical clock, a gain (a step size times
+``protocols.error_scale``; a step only in reports) and its last sync error.  A
+lane's updates depend only on its (start gain, gain bound) pair, the step
+policy and shared inputs, so the protocols with one pair, compared bitwise,
+share a lane, which updates under the first one's name.  ``run`` keeps a lane
+as five flat float lists by node position (value, rate, hw_at, gain, error) and
+applies ``protocols.update`` to them.  A node broadcasts whenever its *own*
+hardware clock crosses a multiple of beacon_period * nominal_freq ticks; the
+reference node stamps each of its broadcasts with a fresh flood sequence
+number.  Broadcasts are delivered to every neighbor at the emission instant,
+with an independent Gaussian noise draw per receiver added to the payload clock
+values (noise perturbs the reported value, not the delivery time, so negative
+draws are fine).  A delivery is applied only if it carries a strictly newer
+sequence number than the receiver holds; a stale one changes nothing.  Sequence
+numbers only grow, so a delivery whose receiver holds its flood when it is sent
+is stale at once, and a sender reads its logical clocks only for a beacon some
+receiver can accept.
 
 There is no event queue: hardware readings are a pure function of time, so the
 beacon schedule is known up front.  All clocks are one ``clocks.ClockTable``;
@@ -343,9 +345,10 @@ def run(config: SimConfig) -> SkewTrace:
     repeated floods.  ``meta["phase_s"]`` holds the seconds of set-up, the
     event loop and trace assembly.  ``meta["final_state"]`` gives each
     protocol's (min, median, max) step size and rate multiplier over the
-    nodes but the reference at the end (NaNs if there are none).  Raises
-    ContractViolation annotated with node id and event time if a protocol
-    update breaks its contract, a driven rate told in the protocol's step units.
+    nodes but the reference at the end (NaNs if there are none), and
+    ``meta["lanes"]`` the protocols of each lane.  Raises ContractViolation
+    annotated with node id and event time if an update breaks its contract, a
+    driven rate told as the lane's first protocol, in its step units.
     """
     run_start = time.perf_counter()
     topo = config.topology
@@ -397,16 +400,19 @@ def run(config: SimConfig) -> SkewTrace:
     times = np.arange(n_samples) * sample_period
     clocks = ClockTable(f0, drifts, phases, max(duration, times[-1]), config.quantize_ticks)
     neighbors = [tuple([index[v] for v in topo.neighbors(u)]) for u in nodes]
-    # One lane per protocol: its slot in a beacon's readings, its name, its
-    # flat node state (value, rate, hw_at, gain, error), its update log, its
-    # update rule (looked up here, at run time) and gain bound.  Steps become
-    # gains here; logical clocks start at their (quantize: floored) reading.
+    # A lane: its slot in a beacon's readings, protocols, flat node state (value, rate,
+    # hw_at, gain, error), update log, first protocol's update rule (looked up here, at
+    # run time) and gain bound.  Clocks start at their (quantize: floored) reading.
     handler = {GRADES: grades_on_message, PISYNC: pisync_on_message}
-    scales = [error_scale(p, b, f0) for p in config.protocols]
+    scales = {p: error_scale(p, b, f0) for p in config.protocols}
+    keys = {p: (config.resolved_step_size(p) * scales[p], step_size_limit(p, b, f0) * scales[p])
+            for p in config.protocols}
+    groups = {key: tuple([p for p in keys if keys[p] == key]) for key in keys.values()}
     hw0 = clocks.sample(np.arange(n), 0.0)[0].tolist()
-    lanes = [(i, p, list(hw0), [1.0] * n, list(hw0), [config.resolved_step_size(p) * scale] * n,
-              [0.0] * n, array("d"), handler[p], step_size_limit(p, b, f0) * scale)
-             for i, (p, scale) in enumerate(zip(config.protocols, scales))]
+    lanes = [(i, names, list(hw0), [1.0] * n, list(hw0), [gain] * n, [0.0] * n, array("d"),
+              handler[names[0]], gain_max)
+             for i, ((gain, gain_max), names) in enumerate(groups.items())]
+    lane_of = {p: lane for p in config.protocols for lane in lanes if p in lane[1]}
     clock_lists = [lane[2:5] for lane in lanes]
     deliveries = array("d")  # (t, node position, seq, hw) of each accepted delivery
     seqs = [0] * n  # the newest flood sequence number each node holds, for every lane
@@ -456,25 +462,27 @@ def run(config: SimConfig) -> SkewTrace:
                 seqs[who] = seq
                 hw = clocks.read(who, t)
                 deliveries.fromlist([t, who, seq, hw])
-                for i, proto, values, rates, hw_ats, gains, errors, log, rule, gain_max in lanes:
+                for i, names, values, rates, hw_ats, gains, errors, log, rule, gain_max in lanes:
                     received = readings[i] + noise
                     error, gain, rate = rule(values[who], rates[who], hw_ats[who], gains[who],
                                              errors[who], received, hw, gain_max, adaptive)
                     values[who], rates[who], hw_ats[who] = received, rate, hw
                     gains[who], errors[who] = gain, error
                     log.fromlist([received, rate, error, gain])
-    except DrivenRate as err:  # told in the failing lane's own step units and in rounds
-        text = err.text("step size", scales[i], "{:.9g} rounds", round_ticks)
-        raise ContractViolation(f"node {nodes[who]} at t={t:.9g}: {proto} {text}") from err
+    except DrivenRate as err:  # told in the lane's first protocol's step units and in rounds
+        text = err.text("step size", scales[names[0]], "{:.9g} rounds", round_ticks)
+        raise ContractViolation(f"node {nodes[who]} at t={t:.9g}: {names[0]} {text}") from err
     except ContractViolation as err:
         raise ContractViolation(f"node {nodes[who]} at t={t:.9g}: {err}") from err
     loop_end = time.perf_counter()
     hw_grid, hw_rates_out = clocks.sample(np.arange(n), times[:, None])
-    readings_out = {p: np.empty_like(hw_grid) for p in config.protocols}
-    rates_out = {p: np.empty_like(hw_grid) for p in config.protocols}
     start = np.array([hw0, [1.0] * n, hw0]).T
-    for _, proto, *_, log, _, _ in lanes:
-        _assemble(start, deliveries, log, times, hw_grid, readings_out[proto], rates_out[proto])
+    readings_out, rates_out = {}, {}
+    for _, (first, *others), *_, log, _, _ in lanes:
+        readings_out[first], rates_out[first] = np.empty_like(hw_grid), np.empty_like(hw_grid)
+        _assemble(start, deliveries, log, times, hw_grid, readings_out[first], rates_out[first])
+        for p in others:  # copies, so that editing one protocol's arrays edits no other's
+            readings_out[p], rates_out[p] = readings_out[first].copy(), rates_out[first].copy()
     assembly_end = time.perf_counter()
 
     return SkewTrace(
@@ -493,11 +501,13 @@ def run(config: SimConfig) -> SkewTrace:
             "deliveries": {"accepted": len(deliveries) // 4, "stale": stale, "dropped": dropped},
             "phase_s": {"setup": setup_end - run_start, "loop": loop_end - setup_end,
                         "assembly": assembly_end - loop_end},
-            "final_state": {lane[1]: {"step_size": _spread([g / scale for g in lane[5]], ref),
-                                      "rate_multiplier": _spread(lane[3], ref)}
-                            for lane, scale in zip(lanes, scales)},
+            "final_state": {p: {"step_size": _spread([g / scales[p] for g in lane[5]], ref),
+                                "rate_multiplier": _spread(lane[3], ref)}
+                            for p, lane in lane_of.items()},
+            "lanes": tuple([lane[1] for lane in lanes]),
         },
-        update_log=(deliveries, tuple([lane[7] for lane in lanes]), tuple(scales)),
+        update_log=(deliveries, tuple([lane[7] for lane in lane_of.values()]),
+                    tuple(scales.values())),
     )
 
 

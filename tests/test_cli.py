@@ -363,6 +363,24 @@ def test_main_zero_rounds_exits_2_naming_rounds(tmp_path, capsys, scenario):
     assert capsys.readouterr().err == f"error: parameter rounds must be at least {least}, got 0\n"
 
 
+@pytest.mark.parametrize("scenario", ["fig1-pairwise", "fig2-stepsize"])
+def test_main_oversized_rounds_exits_2_naming_rounds_and_the_most_accepted(
+    tmp_path, capsys, monkeypatch, scenario
+):
+    # Two nodes sampled at t = 0 and 3 times a round: 2 * (3 * rounds + 1) trace cells.
+    argv = ["--scenario", scenario, "--out", str(tmp_path)]
+    if scenario == "fig1-pairwise":
+        argv += ["--set", "switch_round=1"]
+    assert main(argv + ["--set", "rounds=3333334"]) == 2
+    assert capsys.readouterr().err == (
+        "error: parameter rounds must be at most 3333333, got 3333334\n"
+    )
+    monkeypatch.setattr(sim, "MAX_SAMPLE_CELLS", 20)  # 3 rounds fill the 2 x 10 cells
+    assert main(argv + ["--set", "rounds=4"]) == 2
+    assert capsys.readouterr().err == "error: parameter rounds must be at most 3, got 4\n"
+    assert main(argv + ["--set", "rounds=3"]) == 0
+
+
 @pytest.mark.parametrize("rounds", [1, 2])
 def test_main_fig2_without_two_steady_half_errors_exits_2_naming_rounds(tmp_path, capsys, rounds):
     # The steady half is the rounds after rounds / 2; its spread needs two errors.

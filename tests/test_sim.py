@@ -293,25 +293,50 @@ def test_identical_configs_give_bitwise_identical_traces():
     assert not np.array_equal(a.readings[GRADES], c.readings[GRADES])
 
 
-def test_protocol_traces_do_not_depend_on_co_running_protocols():
+# Each case: the step sizes, nominal_freq and the lanes they make.  Equal (start
+# gain, gain bound) pairs share a lane; pairs one ulp apart in either must not.
+ISOLATION_CASES = {
+    "equal-gains": ({GRADES: 0.25, PISYNC: 0.5}, 1.0, ((GRADES, PISYNC),)),
+    "unequal-gains": ({GRADES: 0.3, PISYNC: 0.5}, 1.0, ((GRADES,), (PISYNC,))),
+    "gains-an-ulp-apart": ({GRADES: 0.25, PISYNC: math.nextafter(0.5, 1)}, 1.0,
+                           ((GRADES,), (PISYNC,))),
+    # At f0 = 0.3 both start at the gain 5/3 (2.777777777777778 x grades' scale
+    # 0.6), but grades' gain bound is 6.666666666666666 and pisync's ...667.
+    "bounds-an-ulp-apart": ({GRADES: 2.777777777777778, PISYNC: 5 / 3}, 0.3,
+                            ((GRADES,), (PISYNC,))),
+}
+
+
+def _bits(trace, protocol):
+    """Everything ``run`` reports of one protocol, bitwise (``repr`` round-trips floats)."""
+    return (trace.readings[protocol].tobytes(), trace.rate_multipliers[protocol].tobytes(),
+            repr([e for e in trace.events if e.protocol == protocol]),
+            repr(trace.meta["final_state"][protocol]))
+
+
+@pytest.mark.parametrize("policy", ["fixed", "adaptive"])
+@pytest.mark.parametrize("drop_probability", [0.0, 0.2])
+@pytest.mark.parametrize("case", sorted(ISOLATION_CASES))
+def test_protocol_traces_do_not_depend_on_co_running_protocols(case, drop_probability, policy):
+    steps, f0, lanes = ISOLATION_CASES[case]
     kw = dict(
         topology=Topology.line(3),
+        nominal_freq=f0,
         drift="white",
         max_deviation=1e-4,
         delay_std=1e-4,
         phase_mode="random",
-        step_policy="adaptive",
-        step_size=None,
+        step_policy=policy,
+        drop_probability=drop_probability,
         duration=12.0,
         seed=5,
     )
-    dual = run(config(protocols=(GRADES, PISYNC), **kw))
-    only_g = run(config(protocols=(GRADES,), **kw))
-    only_p = run(config(protocols=(PISYNC,), **kw))
-    assert np.array_equal(dual.readings[GRADES], only_g.readings[GRADES])
-    assert np.array_equal(dual.readings[PISYNC], only_p.readings[PISYNC])
-    assert [e for e in dual.events if e.protocol == GRADES] == only_g.events
-    assert [e for e in dual.events if e.protocol == PISYNC] == only_p.events
+    dual = run(config(protocols=(GRADES, PISYNC), step_size=steps, **kw))
+    assert dual.meta["lanes"] == lanes
+    for p in (GRADES, PISYNC):
+        alone = run(config(protocols=(p,), step_size=steps[p], **kw))
+        assert alone.meta["lanes"] == ((p,),)
+        assert _bits(dual, p) == _bits(alone, p)
 
 
 # A tree no scenario builds: ids that are neither contiguous nor sorted in the
@@ -453,31 +478,39 @@ def test_assembly_reads_each_sample_from_the_latest_update_it_sees():
                       readings[:1], rates[:1])
 
 
-@pytest.mark.parametrize("case", sorted(SAMPLING_CASES))
+# The sampling cases start both protocols at equal gains, which share a lane.
+ASSEMBLY_CASES = {**SAMPLING_CASES, "unequal-gains": dict(step_size={GRADES: 0.3, PISYNC: 0.5})}
+
+
+@pytest.mark.parametrize("case", sorted(ASSEMBLY_CASES))
 def test_assembly_equals_reading_the_latest_logged_clock_at_each_sample(case, monkeypatch):
-    # The whole-log numpy pass against a sample-by-sample replay of the same
-    # update log through LogicalClock.read.
+    # The whole-log numpy pass, once per lane, against a sample-by-sample
+    # replay of each protocol's update log through LogicalClock.read.
     real, assembled = sim._assemble, []
 
-    def checked(start, deliveries, log, times, hw, readings, rates):
+    def counted(start, deliveries, log, times, hw, readings, rates):
         real(start, deliveries, log, times, hw, readings, rates)
-        assembled.append(len(log))
+        assembled.append((start, hw))
+
+    monkeypatch.setattr(sim, "_assemble", counted)
+    trace = run(SimConfig(**{**SAMPLING_BASE, **ASSEMBLY_CASES[case]}))
+    assert len(assembled) == len(trace.meta["lanes"]) == (2 if case == "unequal-gains" else 1)
+    start, hw = assembled[0]
+    deliveries, logs, _ = trace.update_log
+    for p, log in zip(trace.protocols, logs):
         latest = [LogicalClock(*c) for c in start.tolist()]
         # (t, node position, the clock it leaves) of each update, in the order applied
         pending = [(deliveries[j], int(deliveries[j + 1]),
                     LogicalClock(log[j], log[j + 1], deliveries[j + 3]))
                    for j in range(0, len(deliveries), 4)]
-        for r, t in enumerate(times.tolist()):
+        for r, t in enumerate(trace.times.tolist()):
             while pending and pending[0][0] < t:
                 _, node, clock = pending.pop(0)
                 latest[node] = clock
-            assert readings[r].tolist() == [c.read(h) for c, h in zip(latest, hw[r].tolist())]
-            assert rates[r].tolist() == [c.rate_multiplier for c in latest]
-        assert all(u >= times[-1] for u, _, _ in pending)  # what is left no sample sees
-
-    monkeypatch.setattr(sim, "_assemble", checked)
-    trace = run(SimConfig(**{**SAMPLING_BASE, **SAMPLING_CASES[case]}))
-    assert len(assembled) == len(trace.protocols)
+            assert trace.readings[p][r].tolist() == [c.read(h)
+                                                     for c, h in zip(latest, hw[r].tolist())]
+            assert trace.rate_multipliers[p][r].tolist() == [c.rate_multiplier for c in latest]
+        assert all(u >= trace.times[-1] for u, _, _ in pending)  # what is left no sample sees
 
 
 def test_stale_floods_never_reach_the_update_rule(monkeypatch):
@@ -496,9 +529,17 @@ def test_stale_floods_never_reach_the_update_rule(monkeypatch):
     assert len(set(applied)) == len(applied)
 
 
-def test_each_protocol_updates_through_its_own_name(monkeypatch):
-    # Every accepted delivery calls each lane's update under its protocol's
-    # name, so each protocol can be wrapped on its own.
+@pytest.mark.parametrize("protocols, steps, per_delivery", [
+    # Unequal gains: every accepted delivery updates each lane under its own name.
+    ((GRADES, PISYNC), {GRADES: 0.3, PISYNC: 0.5}, {GRADES: 1, PISYNC: 1}),
+    # Equal gains share a lane, which updates under the first protocol's name.
+    ((GRADES, PISYNC), {GRADES: 0.25, PISYNC: 0.5}, {GRADES: 1, PISYNC: 0}),
+    ((PISYNC, GRADES), {GRADES: 0.25, PISYNC: 0.5}, {GRADES: 0, PISYNC: 1}),
+])
+def test_each_lane_updates_through_its_first_protocols_name(
+    monkeypatch, protocols, steps, per_delivery
+):
+    # So each protocol's update rule can be wrapped on its own.
     calls = {GRADES: 0, PISYNC: 0}
 
     def counting(proto):
@@ -510,9 +551,10 @@ def test_each_protocol_updates_through_its_own_name(monkeypatch):
 
     monkeypatch.setattr(sim, "grades_on_message", counting(GRADES))
     monkeypatch.setattr(sim, "pisync_on_message", counting(PISYNC))
-    trace = run(SimConfig(**SAMPLING_BASE))
-    for proto in (GRADES, PISYNC):
-        assert calls[proto] == sum(e.protocol == proto for e in trace.events) > 100
+    trace = run(SimConfig(**{**SAMPLING_BASE, "protocols": protocols, "step_size": steps}))
+    accepted = trace.meta["deliveries"]["accepted"]
+    assert accepted > 100
+    assert calls == {p: accepted * k for p, k in per_delivery.items()}
 
 
 @pytest.mark.parametrize("seed", range(3, 8))
@@ -525,8 +567,10 @@ def test_equal_fractions_of_the_limits_run_one_trajectory_on_default_fig3(seed):
                                 for p in (GRADES, PISYNC))
     assert grades_gain == pisync_gain
     trace = run(config)
-    assert np.array_equal(trace.readings[GRADES], trace.readings[PISYNC])
-    assert np.array_equal(trace.rate_multipliers[GRADES], trace.rate_multipliers[PISYNC])
+    assert trace.meta["lanes"] == ((GRADES, PISYNC),)  # one lane, computed once
+    for arrays in (trace.readings, trace.rate_multipliers):
+        assert np.array_equal(arrays[GRADES], arrays[PISYNC])
+        assert not np.shares_memory(arrays[GRADES], arrays[PISYNC])  # copies, not views
 
 
 def test_an_instant_sends_all_its_beacons_then_applies_their_deliveries_in_order_sent(
@@ -720,6 +764,35 @@ def test_a_driven_rate_names_node_time_protocol_step_limit_error_and_rounds(
     with pytest.raises(ContractViolation) as raised:
         run(cfg)
     assert str(raised.value) == told + " the node's last update"
+
+
+@pytest.mark.parametrize("protocols", [(GRADES, PISYNC), (PISYNC, GRADES)])
+@pytest.mark.parametrize("steps, drift, policy, told", [
+    ({GRADES: 0.9, PISYNC: 1.8}, ConstantDrift(0.6), "fixed", {
+        GRADES: "node 2 at t=1: grades rate multiplier driven to -0.0800000000000003 by step "
+                "size 0.9 (below its limit 1.0) on a sync error of 0.6000000000000001 ticks, "
+                "1.6 rounds after the node's last update",
+        PISYNC: "node 2 at t=1: pisync rate multiplier driven to -0.0800000000000003 by step "
+                "size 1.8 (below its limit 2.0) on a sync error of 0.6000000000000001 ticks, "
+                "1.6 rounds after the node's last update"}),
+    ({GRADES: 1.0, PISYNC: 2.0}, PiecewiseDrift(((0.0, 0.2), (2.0, 0.9))), "adaptive", {
+        GRADES: "node 2 at t=3: grades rate multiplier driven to -0.2773333333333331 by step "
+                "size 1.0 (mis-scaled; its limit is 1.0) on a sync error of 0.5453333333333332 "
+                "ticks, 1.9 rounds after the node's last update",
+        PISYNC: "node 2 at t=3: pisync rate multiplier driven to -0.2773333333333331 by step "
+                "size 2.0 (mis-scaled; its limit is 2.0) on a sync error of 0.5453333333333332 "
+                "ticks, 1.9 rounds after the node's last update"}),
+])
+def test_a_shared_lane_tells_a_driven_rate_as_its_first_protocol(
+    protocols, steps, drift, policy, told
+):
+    # Equal gains share a lane; its failure is told as the first protocol in
+    # config order, in that protocol's step units, as when it runs alone.
+    cfg = config(drift={2: drift}, max_deviation=0.95, protocols=protocols, step_size=steps,
+                 step_policy=policy)
+    with pytest.raises(ContractViolation) as raised:
+        run(cfg)
+    assert str(raised.value) == told[protocols[0]]
 
 
 def test_a_fixed_step_reads_back_as_configured_up_to_one_ulp():
