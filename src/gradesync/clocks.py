@@ -10,14 +10,14 @@ time (``extend``) as far as they are asked for.  A model's bound
 A hardware clock's reading is a pure function of real time.  On piece i it is
 ``knots[i] + (f0 + devs[i]) * (t - starts[i])``, where ``knots[0]`` is the
 start reading and each later knot is the previous piece's formula at its end,
-so readings never decrease, not even from one float to the next.
-A :class:`ClockTable` holds many clocks' pieces up to a horizon as arrays and
-reads or inverts them all at once; the simulator's clocks are one table.  A
-logical clock maps hardware ticks to an estimate of global time through an
-offset and a rate multiplier, and is only ever updated at discrete sync events;
-the simulator keeps its logical clocks as plain floats.  So ``HardwareClock``
-(a one-row table that grows as it is read), ``LogicalClock`` and
-``DriftModel.deviation_integral`` serve only the tests and bench/tracer.py.
+so readings never decrease, not even from one float to the next, and are never
+rounded to whole ticks.  A :class:`ClockTable` holds many clocks' pieces up to
+a horizon as arrays and reads or inverts them all at once; the simulator's
+clocks are one table.  A logical clock maps hardware ticks to an estimate of
+global time through an offset and a rate multiplier, and is only ever updated
+at discrete sync events; the simulator keeps them as plain floats.  So
+``HardwareClock`` (a one-row table that grows as it is read), ``LogicalClock``
+and ``DriftModel.deviation_integral`` serve only the tests and bench/tracer.py.
 
 All randomness flows through numpy ``Generator`` objects injected at
 construction, so a (seed, config) pair fully determines every trajectory.
@@ -138,7 +138,7 @@ class WhiteDrift(DriftModel):
 
 
 def _reading(start, rate, knot, t):
-    """The unfloored reading at ``t`` on a piece (floats or arrays)."""
+    """The reading at ``t`` on a piece (floats or arrays)."""
     return knot + rate * (t - start)
 
 
@@ -160,7 +160,7 @@ class ClockTable:
     the drift model's floats.
     """
 
-    def __init__(self, nominal_freq, drifts, start_ticks, horizon: float, quantize: bool = False):
+    def __init__(self, nominal_freq, drifts, start_ticks, horizon: float):
         if nominal_freq <= 0:
             raise ValueError("nominal_freq must be positive")
         drawn = []
@@ -179,29 +179,27 @@ class ClockTable:
         gaps = np.subtract(starts[:, 1:], starts[:, :-1], out=np.full((n, width - 1), np.inf),
                            where=starts[:, :-1] < np.inf)
         knots = np.add.accumulate(np.c_[start_ticks, rates[:, :-1] * gaps], axis=1)
-        self.quantize, self._width = quantize, width
+        self._width = width
         ids = np.arange(n)[:, None]
         self._start_keys, self._knot_keys = _keyed(ids, starts).ravel(), _keyed(ids, knots).ravel()
         self._starts, self._rates, self._knots = starts.ravel(), rates.ravel(), knots.ravel()
         self._rate_view, self._knot_view = memoryview(self._rates), memoryview(self._knots)
 
     def read(self, row: int, t: float) -> float:
-        """Clock ``row``'s reading at ``t`` (floored to a whole tick in quantize mode)."""
+        """Clock ``row``'s reading at ``t``."""
         starts = self._start_rows[row]
         i = bisect_right(starts, t) - 1
         j = row * self._width + i
-        ticks = _reading(starts[i], self._rate_view[j], self._knot_view[j], t)
-        return float(math.floor(ticks)) if self.quantize else ticks
+        return _reading(starts[i], self._rate_view[j], self._knot_view[j], t)
 
     def sample(self, rows, times) -> tuple[np.ndarray, np.ndarray]:
         """The readings and rates of clocks ``rows`` at ``times``, broadcast together."""
         i = np.searchsorted(self._start_keys, _keyed(rows, times), side="right") - 1
         rates = self._rates[i]
-        ticks = _reading(self._starts[i], rates, self._knots[i], times)
-        return np.floor(ticks) if self.quantize else ticks, rates
+        return _reading(self._starts[i], rates, self._knots[i], times), rates
 
     def time_of(self, rows, ticks) -> np.ndarray:
-        """When the unfloored readings of clocks ``rows`` reach ``ticks``, broadcast together."""
+        """When the readings of clocks ``rows`` reach ``ticks``, broadcast together."""
         i = np.searchsorted(self._knot_keys, _keyed(rows, ticks), side="right") - 1
         return self._starts[i] + (ticks - self._knots[i]) / self._rates[i]
 
@@ -239,13 +237,11 @@ class HardwareClock:
     is read past its pieces.
     """
 
-    def __init__(
-        self, nominal_freq: float, drift=None, start_ticks: float = 0.0, quantize: bool = False
-    ):
-        self.nominal_freq, self.quantize = float(nominal_freq), bool(quantize)
+    def __init__(self, nominal_freq: float, drift=None, start_ticks: float = 0.0):
+        self.nominal_freq = float(nominal_freq)
         self.drift = drift if drift is not None else ConstantDrift(0.0)
         self._start = float(start_ticks)
-        self._table = ClockTable(self.nominal_freq, [self.drift], [self._start], 0.0, self.quantize)
+        self._table = ClockTable(self.nominal_freq, [self.drift], [self._start], 0.0)
 
     def _reach(self, t: float) -> ClockTable:
         """The clock's table, rebuilt at least twice as far out if its pieces end by ``t``."""
@@ -254,15 +250,15 @@ class HardwareClock:
         end = self._table._starts[-1]
         if t >= end:
             self._table = ClockTable(self.nominal_freq, [self.drift], [self._start],
-                                     max(t, 2.0 * end), self.quantize)
+                                     max(t, 2.0 * end))
         return self._table
 
     def advance_to(self, t: float) -> float:
-        """The reading at real time ``t`` (floored to a whole tick in quantize mode)."""
+        """The reading at real time ``t``."""
         return self._reach(t).read(0, t)
 
     def time_of_tick(self, target_ticks: float) -> float:
-        """Real time at which the unfloored reading reaches ``target_ticks``."""
+        """Real time at which the reading reaches ``target_ticks``."""
         if not self._start <= target_ticks < math.inf:
             raise ContractViolation(
                 f"tick target {target_ticks} is outside [start reading {self._start}, inf)"

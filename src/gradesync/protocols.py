@@ -3,8 +3,8 @@
 Two rate-correcting flooding protocols share one update rule.  On an accepted
 message with sync error e a node jumps its logical value onto the received
 clock (offset correction) and moves its rate multiplier by ``-gain * e``.  A
-gain is a step size times the protocol's ``error_scale``, so a protocol is
-only the unit of its step:
+gain is a step size times the protocol's ``error_scale`` and has one bound,
+``gain_limit``, so a protocol is only the unit of its step:
 
 * ``grades`` descends the gradient 2 * beacon_period * nominal_freq * e of the
   squared sync error: its error scale is 2 * beacon_period * nominal_freq.
@@ -32,8 +32,13 @@ PISYNC = "pisync"
 PROTOCOLS = (GRADES, PISYNC)
 
 
+def gain_limit(beacon_period: float, nominal_freq: float) -> float:
+    """Largest stable gain of either protocol: 2 / (beacon_period * nominal_freq)."""
+    return 2.0 / ticks if (ticks := beacon_period * nominal_freq) else math.inf
+
+
 def step_size_limit(protocol: str, beacon_period: float, nominal_freq: float) -> float:
-    """Largest stable step size: 2 / (beacon_period * nominal_freq * error_scale).
+    """Largest stable step size: ``gain_limit`` over the protocol's ``error_scale``.
 
     grades: 1 / (beacon_period * nominal_freq)**2
     pisync: 2 / (beacon_period * nominal_freq)
@@ -41,8 +46,8 @@ def step_size_limit(protocol: str, beacon_period: float, nominal_freq: float) ->
     A limit that is not finite and positive (the product over- or underflows)
     raises ValueError.
     """
-    scaled = beacon_period * nominal_freq * error_scale(protocol, beacon_period, nominal_freq)
-    limit = 2.0 / scaled if scaled else math.inf
+    scale = error_scale(protocol, beacon_period, nominal_freq)
+    limit = gain_limit(beacon_period, nominal_freq) / scale
     if not 0 < limit < math.inf:
         raise ValueError(
             f"beacon_period={beacon_period:g} and nominal_freq={nominal_freq:g} put the "
@@ -70,8 +75,8 @@ def adapt_step(gain: float, error_now: float, error_prev: float, gain_max: float
     Consecutive sync errors with the same sign mean we are still far from
     the optimum: double the gain.  A sign flip (or a zero, including the very
     first update) means overshoot: divide by three.  The result is clamped to
-    ``gain_max``; if the shrink underflows to exactly zero the previous gain
-    is kept.
+    ``gain_max``, the ``gain_limit``; if the shrink underflows to exactly zero
+    the previous gain is kept.
     """
     grown = 2.0 * gain if error_now * error_prev > 0 else gain / 3.0
     if grown > gain_max:
@@ -85,9 +90,9 @@ def update(value, rate, hw_at, gain, prev_error, received, hw_now, gain_max, ada
     """The update rule on one node's clock ``value + rate * (hw - hw_at)``, gain and last error.
 
     The sync error is the local logical reading minus ``received`` (which
-    already carries the channel noise).  ``gain`` and ``gain_max`` are a step
-    size and its ``step_size_limit``, each times the protocol's
-    ``error_scale``.  Returns the error, the new gain and the new rate
+    already carries the channel noise).  ``gain`` is a step size times the
+    protocol's ``error_scale``, and ``gain_max`` the ``gain_limit`` both
+    protocols share.  Returns the error, the new gain and the new rate
     multiplier; the new clock is ``(received, rate, hw_now)``.
     """
     if hw_now < hw_at:  # LogicalClock.read, on the clock's fields

@@ -2,22 +2,22 @@
 
 Every node owns a drifting hardware clock, the newest flood sequence number it
 holds and, per lane, a logical clock, a gain (a step size times
-``protocols.error_scale``; a step only in reports) and its last sync error.  A
-lane's updates depend only on its (start gain, gain bound) pair, the step
-policy and shared inputs, so the protocols with one pair, compared bitwise,
-share a lane, which updates under the first one's name.  ``run`` keeps a lane
-as five flat float lists by node position (value, rate, hw_at, gain, error) and
-applies ``protocols.update`` to them.  A node broadcasts whenever its *own*
-hardware clock crosses a multiple of beacon_period * nominal_freq ticks; the
-reference node stamps each of its broadcasts with a fresh flood sequence
-number.  Broadcasts are delivered to every neighbor at the emission instant,
-with an independent Gaussian noise draw per receiver added to the payload clock
-values (noise perturbs the reported value, not the delivery time, so negative
-draws are fine).  A delivery is applied only if it carries a strictly newer
-sequence number than the receiver holds; a stale one changes nothing.  Sequence
-numbers only grow, so a delivery whose receiver holds its flood when it is sent
-is stale at once, and a sender reads its logical clocks only for a beacon some
-receiver can accept.
+``protocols.error_scale``; a step only in reports) and its last sync error.
+Every gain has one bound, ``protocols.gain_limit``, so a lane's updates depend
+only on its start gain, the step policy and shared inputs: the protocols with
+one start gain, compared bitwise, share a lane, which updates under the first
+one's name.  ``run`` keeps a lane as five flat float lists by node position
+(value, rate, hw_at, gain, error) and applies ``protocols.update`` to them.  A
+node broadcasts whenever its *own* hardware clock crosses a multiple of
+beacon_period * nominal_freq ticks; the reference node stamps each of its
+broadcasts with a fresh flood sequence number.  Broadcasts are delivered to
+every neighbor at the emission instant, with an independent Gaussian noise draw
+per receiver added to the payload clock values (noise perturbs the reported
+value, not the delivery time, so negative draws are fine).  A delivery is
+applied only if it carries a strictly newer sequence number than the receiver
+holds; a stale one changes nothing.  Sequence numbers only grow, so a delivery
+whose receiver holds its flood when it is sent is stale at once, and a sender
+reads its logical clocks only for a beacon some receiver can accept.
 
 There is no event queue: hardware readings are a pure function of time, so the
 beacon schedule is known up front.  All clocks are one ``clocks.ClockTable``;
@@ -57,7 +57,7 @@ import numpy as np
 
 from .clocks import ClockTable, ConstantDrift, DriftModel, WhiteDrift, read_before_update
 from .errors import ContractViolation, DrivenRate
-from .protocols import GRADES, PISYNC, PROTOCOLS, error_scale, step_size_limit, update
+from .protocols import GRADES, PISYNC, PROTOCOLS, error_scale, gain_limit, step_size_limit, update
 from .protocols import on_beacon_tick  # unused by ``run``; bench/tracer.py wraps this name
 
 # Drift spec strings accepted by SimConfig.drift (besides explicit models).
@@ -154,7 +154,6 @@ class SimConfig:
     sample_period: float | None = None  # default beacon_period / 3
     phase_mode: str = "random"  # "aligned" | "random" | "staggered"
     drop_probability: float = 0.0
-    quantize_ticks: bool = False
     seed: int = 0
 
     def __post_init__(self):
@@ -398,20 +397,19 @@ def run(config: SimConfig) -> SkewTrace:
     drifts = [_drift_for_node(config, u, np.random.default_rng(child))
               for u, child in zip(nodes, drift_ss.spawn(n))]
     times = np.arange(n_samples) * sample_period
-    clocks = ClockTable(f0, drifts, phases, max(duration, times[-1]), config.quantize_ticks)
+    clocks = ClockTable(f0, drifts, phases, max(duration, times[-1]))
     neighbors = [tuple([index[v] for v in topo.neighbors(u)]) for u in nodes]
     # A lane: its slot in a beacon's readings, protocols, flat node state (value, rate,
-    # hw_at, gain, error), update log, first protocol's update rule (looked up here, at
-    # run time) and gain bound.  Clocks start at their (quantize: floored) reading.
+    # hw_at, gain, error), update log and first protocol's update rule (looked up here,
+    # at run time).  Clocks start at their hardware reading.
     handler = {GRADES: grades_on_message, PISYNC: pisync_on_message}
     scales = {p: error_scale(p, b, f0) for p in config.protocols}
-    keys = {p: (config.resolved_step_size(p) * scales[p], step_size_limit(p, b, f0) * scales[p])
-            for p in config.protocols}
+    keys = {p: config.resolved_step_size(p) * scales[p] for p in config.protocols}
     groups = {key: tuple([p for p in keys if keys[p] == key]) for key in keys.values()}
+    gain_max = gain_limit(b, f0)
     hw0 = clocks.sample(np.arange(n), 0.0)[0].tolist()
     lanes = [(i, names, list(hw0), [1.0] * n, list(hw0), [gain] * n, [0.0] * n, array("d"),
-              handler[names[0]], gain_max)
-             for i, ((gain, gain_max), names) in enumerate(groups.items())]
+              handler[names[0]]) for i, (gain, names) in enumerate(groups.items())]
     lane_of = {p: lane for p in config.protocols for lane in lanes if p in lane[1]}
     clock_lists = [lane[2:5] for lane in lanes]
     deliveries = array("d")  # (t, node position, seq, hw) of each accepted delivery
@@ -462,7 +460,7 @@ def run(config: SimConfig) -> SkewTrace:
                 seqs[who] = seq
                 hw = clocks.read(who, t)
                 deliveries.fromlist([t, who, seq, hw])
-                for i, names, values, rates, hw_ats, gains, errors, log, rule, gain_max in lanes:
+                for i, names, values, rates, hw_ats, gains, errors, log, rule in lanes:
                     received = readings[i] + noise
                     error, gain, rate = rule(values[who], rates[who], hw_ats[who], gains[who],
                                              errors[who], received, hw, gain_max, adaptive)
@@ -478,7 +476,7 @@ def run(config: SimConfig) -> SkewTrace:
     hw_grid, hw_rates_out = clocks.sample(np.arange(n), times[:, None])
     start = np.array([hw0, [1.0] * n, hw0]).T
     readings_out, rates_out = {}, {}
-    for _, (first, *others), *_, log, _, _ in lanes:
+    for _, (first, *others), *_, log, _ in lanes:
         readings_out[first], rates_out[first] = np.empty_like(hw_grid), np.empty_like(hw_grid)
         _assemble(start, deliveries, log, times, hw_grid, readings_out[first], rates_out[first])
         for p in others:  # copies, so that editing one protocol's arrays edits no other's

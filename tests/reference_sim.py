@@ -20,7 +20,7 @@ from bisect import bisect_right
 import numpy as np
 
 from gradesync.errors import ContractViolation, DrivenRate
-from gradesync.protocols import error_scale, step_size_limit
+from gradesync.protocols import error_scale
 from gradesync.sim import SimConfig, SyncEvent, _drift_for_node
 
 
@@ -30,7 +30,7 @@ def deviation_at(drift, t):
 
 
 def reference_reading(drift, f0, start, t):
-    """The unfloored per-piece formula with plain floats, walking the pieces up from 0."""
+    """The per-piece formula with plain floats, walking the pieces up from 0."""
     while drift.starts[-1] <= t:
         drift.extend()
     starts, devs = drift.starts, drift.devs
@@ -124,8 +124,7 @@ def reference_run(config: SimConfig) -> dict:
               for u, child in zip(nodes, drift_ss.spawn(n))]
 
     def hardware(i: int, t: float) -> float:
-        ticks = reference_reading(drifts[i], f0, phases[i], t)
-        return float(math.floor(ticks)) if config.quantize_ticks else ticks
+        return reference_reading(drifts[i], f0, phases[i], t)
 
     # Per protocol and node: the logical clock (value, rate, hw_at), gain and last error.
     # A gain is a step size times the protocol's error scale.
@@ -135,7 +134,7 @@ def reference_run(config: SimConfig) -> dict:
     gains = [[config.resolved_step_size(p) * scale] * n
              for p, scale in zip(config.protocols, scales)]
     errors = [[0.0] * n for _ in config.protocols]
-    gain_maxes = [step_size_limit(p, b, f0) * scale for p, scale in zip(config.protocols, scales)]
+    gain_max = 2.0 / (b * f0)  # one stability bound on the gain, for either protocol
     adaptive = config.step_policy == "adaptive"
     seqs = [0] * n
     neighbors = [[nodes.index(v) for v in topo.neighbors(u)] for u in nodes]
@@ -196,7 +195,7 @@ def reference_run(config: SimConfig) -> dict:
                 try:
                     error, gain, clock = reference_update(
                         logical[lane][v], gains[lane][v], errors[lane][v], payload[lane] + noise,
-                        hw, gain_maxes[lane], adaptive)
+                        hw, gain_max, adaptive)
                 except DrivenRate as err:
                     text = driven_rate_text(err, p, config)
                     raise ContractViolation(f"node {nodes[v]} at t={t:.9g}: {text}") from err

@@ -42,7 +42,7 @@ def test_readings_add_each_rows_drift_ticks():
 
 def test_sampling_no_times_gives_two_empty_arrays():
     drift = WhiteDrift(1e-3, make_rng())
-    clocks = ClockTable(1e3, [ConstantDrift(0.0), drift], [0.0, 0.0], 1.0, quantize=True)
+    clocks = ClockTable(1e3, [ConstantDrift(0.0), drift], [0.0, 0.0], 1.0)
     ticks, rates = clocks.sample(1, np.array([]))
     assert ticks.shape == rates.shape == (0,)
     assert clocks.sample(1, np.array([0.0]))[1].tolist() == [1e3 + drift.devs[0]]
@@ -71,13 +71,6 @@ def test_time_of_then_read_lands_on_target():
     for row in (0, 1):
         for target in (17.25, 5.0, 5.5, 600.5):
             assert clocks.read(row, clocks.time_of(row, target)) == pytest.approx(target, abs=1e-9)
-
-
-def test_quantize_floors_partial_ticks():
-    clocks = ClockTable(1.0, [ConstantDrift(0.0), ConstantDrift(0.25)], [0.0, 0.0], 20.0, True)
-    assert clocks.read(0, 10.7) == 10 and isinstance(clocks.read(0, 10.7), float)
-    assert clocks.sample([0, 1], 10.7)[0].tolist() == [10.0, 13.0]
-    assert clocks.time_of(0, 10.5) == 10.5  # real time is unaffected by readout quantization
 
 
 def test_clock_table_rejects_deviation_at_or_above_nominal():
@@ -144,26 +137,20 @@ def _around(t, run):
     seed=st.integers(0, 2**16),
     anchors=st.lists(st.floats(0.0, 600.0), min_size=1, max_size=6),
     run=st.integers(1, 30),
-    quantize=st.booleans(),
 )
-def test_readings_are_a_pure_monotone_function_of_time(
-    frac, f0, starts, seed, anchors, run, quantize
-):
+def test_readings_are_a_pure_monotone_function_of_time(frac, f0, starts, seed, anchors, run):
     # One row per drift kind, with deviations up to 0.999 f0, in pieces whose
     # ends are 1.3 and 4 (piecewise) or every integer (white).  Queried at runs
     # of consecutive floats around random times and around piece ends.
-    def table(q):
-        dev = frac * f0
-        drifts = [
-            ConstantDrift(dev),
-            PiecewiseDrift(((0.0, dev), (1.3, -dev), (4.0, dev / 2))),
-            WhiteDrift(abs(dev), make_rng(seed)),
-        ]
-        return ClockTable(f0, drifts, starts, max(times), q), drifts
-
+    dev = frac * f0
+    drifts = [
+        ConstantDrift(dev),
+        PiecewiseDrift(((0.0, dev), (1.3, -dev), (4.0, dev / 2))),
+        WhiteDrift(abs(dev), make_rng(seed)),
+    ]
     ends = [1.0, 1.3, 2.0, 4.0, 255.0, 256.0, 257.0]
     times = sorted({x for t in anchors + ends for x in _around(t, run)})
-    (clocks, _), (plain, drifts) = table(quantize), table(False)
+    clocks = ClockTable(f0, drifts, starts, max(times))
     sampled, rates = clocks.sample(np.arange(3)[:, None], np.array(times))
     for row, (drift, start) in enumerate(zip(drifts, starts)):
         readings = [clocks.read(row, t) for t in times]
@@ -173,14 +160,12 @@ def test_readings_are_a_pure_monotone_function_of_time(
         assert sampled[row].tolist() == readings
         assert rates[row].tolist() == [f0 + deviation_at(drift, t) for t in times]
         # The knots built with numpy are the scalar walk's, bit for bit.
-        unfloored = [plain.read(row, t) for t in times]
-        assert unfloored == [reference_reading(drift, f0, start, t) for t in times]
-        assert readings == ([math.floor(x) for x in unfloored] if quantize else unfloored)
+        assert readings == [reference_reading(drift, f0, start, t) for t in times]
         # time_of inverts the same pieces: reading there lands within a few ulps.
-        for x in [start] + unfloored[::max(1, len(times) // 8)]:
-            t = plain.time_of(row, x)
+        for x in [start] + readings[::max(1, len(times) // 8)]:
+            t = clocks.time_of(row, x)
             assert t == reference_time_of_tick(drift, f0, start, x)
-            assert abs(plain.read(row, t) - x) <= 4 * math.ulp(x)
+            assert abs(clocks.read(row, t) - x) <= 4 * math.ulp(x)
 
 
 def _below(t):
@@ -198,16 +183,15 @@ STOPS = [
 ]
 
 
-@pytest.mark.parametrize("quantize", [False, True])
-def test_reads_onto_piece_ends_match_the_reference(quantize):
+def test_reads_onto_piece_ends_match_the_reference():
     def drifts():
         return [ConstantDrift(-3e-4), PiecewiseDrift(PIECES), WhiteDrift(5e-4, make_rng(17))]
 
-    clocks = ClockTable(1.0, drifts(), [0.3] * 3, _SEGMENT_CHUNK + 10.0, quantize)
+    clocks = ClockTable(1.0, drifts(), [0.3] * 3, _SEGMENT_CHUNK + 10.0)
     for row, (ref, stops) in enumerate(zip(drifts(), STOPS)):
         for t in stops:
             expected = reference_reading(ref, 1.0, 0.3, t)
-            assert clocks.read(row, t) == (math.floor(expected) if quantize else expected)
+            assert clocks.read(row, t) == expected
             target = expected + 2.5
             assert clocks.time_of(row, target) == reference_time_of_tick(ref, 1.0, 0.3, target)
 
@@ -231,8 +215,7 @@ def test_a_tick_target_below_the_start_reading_raises():
 
 
 @pytest.mark.parametrize("kind, stops", zip(["constant", "piecewise", "white"], STOPS))
-@pytest.mark.parametrize("quantize", [False, True])
-def test_advances_onto_piece_ends_match_the_reference(kind, stops, quantize):
+def test_advances_onto_piece_ends_match_the_reference(kind, stops):
     # The growing one-row table lands on each piece end, one ulp below it and a
     # chunk end exactly as the scalar walk does.
     def drift():
@@ -242,10 +225,10 @@ def test_advances_onto_piece_ends_match_the_reference(kind, stops, quantize):
             "white": WhiteDrift(5e-4, make_rng(17)),
         }[kind]
 
-    clock, ref = HardwareClock(1.0, drift(), start_ticks=0.3, quantize=quantize), drift()
+    clock, ref = HardwareClock(1.0, drift(), start_ticks=0.3), drift()
     for t in stops:
         expected = reference_reading(ref, 1.0, 0.3, t)
-        assert clock.advance_to(t) == (math.floor(expected) if quantize else expected)
+        assert clock.advance_to(t) == expected
         target = expected + 2.5
         assert clock.time_of_tick(target) == reference_time_of_tick(ref, 1.0, 0.3, target)
 
@@ -255,9 +238,8 @@ def test_advances_onto_piece_ends_match_the_reference(kind, stops, quantize):
     kind=st.sampled_from(["constant", "piecewise", "white"]),
     start=st.floats(0.0, 1e3),
     times=st.lists(st.floats(0.0, 3 * _SEGMENT_CHUNK), min_size=1, max_size=12),
-    quantize=st.booleans(),
 )
-def test_a_hardware_clock_grows_its_table_as_it_is_read(kind, start, times, quantize):
+def test_a_hardware_clock_grows_its_table_as_it_is_read(kind, start, times):
     # Read in any order, far past the pieces drawn so far and back again, the
     # rebuilt tables give the scalar walk's readings and inversions bit for bit.
     def drift():
@@ -267,10 +249,10 @@ def test_a_hardware_clock_grows_its_table_as_it_is_read(kind, start, times, quan
             "white": WhiteDrift(5e-4, make_rng(7)),
         }[kind]
 
-    clock, ref = HardwareClock(1.0, drift(), start_ticks=start, quantize=quantize), drift()
+    clock, ref = HardwareClock(1.0, drift(), start_ticks=start), drift()
     for t in times:
         expected = reference_reading(ref, 1.0, start, t)
-        assert clock.advance_to(t) == (math.floor(expected) if quantize else expected)
+        assert clock.advance_to(t) == expected
         target = expected + 1.5 * _SEGMENT_CHUNK
         assert clock.time_of_tick(target) == reference_time_of_tick(ref, 1.0, start, target)
 

@@ -293,17 +293,18 @@ def test_identical_configs_give_bitwise_identical_traces():
     assert not np.array_equal(a.readings[GRADES], c.readings[GRADES])
 
 
-# Each case: the step sizes, nominal_freq and the lanes they make.  Equal (start
-# gain, gain bound) pairs share a lane; pairs one ulp apart in either must not.
+# Each case: the step sizes, nominal_freq and the lanes they make.  Equal start
+# gains share a lane; gains one ulp apart must not.
 ISOLATION_CASES = {
     "equal-gains": ({GRADES: 0.25, PISYNC: 0.5}, 1.0, ((GRADES, PISYNC),)),
     "unequal-gains": ({GRADES: 0.3, PISYNC: 0.5}, 1.0, ((GRADES,), (PISYNC,))),
     "gains-an-ulp-apart": ({GRADES: 0.25, PISYNC: math.nextafter(0.5, 1)}, 1.0,
                            ((GRADES,), (PISYNC,))),
     # At f0 = 0.3 both start at the gain 5/3 (2.777777777777778 x grades' scale
-    # 0.6), but grades' gain bound is 6.666666666666666 and pisync's ...667.
-    "bounds-an-ulp-apart": ({GRADES: 2.777777777777778, PISYNC: 5 / 3}, 0.3,
-                            ((GRADES,), (PISYNC,))),
+    # 0.6), where grades' step size limit times its scale is 6.666666666666666
+    # but the one gain bound, 2 / 0.3, is ...667: they share a lane all the same.
+    "equal-gains-at-f0-0.3": ({GRADES: 2.777777777777778, PISYNC: 5 / 3}, 0.3,
+                              ((GRADES, PISYNC),)),
 }
 
 
@@ -404,10 +405,10 @@ def test_odd_tree_with_drops_matches_its_recorded_hash(phase_mode, drift):
 
 # Sampling grids and sizes that stress how a trace is assembled from the
 # accepted updates: several accepts per node between two samples, samples off
-# the beacon grid, floored hardware readings, many nodes, and a run that ends
-# before any node beacons.  The hashes were recorded when hardware readings
-# became a pure function of time; quantized-ticks again when the update rule
-# moved to the gain, since its grades error scale, 2,000, is not a power of two.
+# the beacon grid, a nominal frequency whose grades error scale, 2,000, is not a
+# power of two, many nodes, and a run that ends before any node beacons.  The
+# hashes were recorded when hardware readings became a pure function of time;
+# f0-1e3's on the code before the quantized-tick mode was deleted.
 SAMPLING_BASE = dict(
     topology=Topology.line(6),
     beacon_period=1.0,
@@ -425,9 +426,7 @@ SAMPLING_BASE = dict(
 SAMPLING_CASES = {
     "sample-every-3-rounds": dict(sample_period=3.0),
     "sample-every-0.7-rounds": dict(sample_period=0.7),
-    "quantized-ticks": dict(
-        nominal_freq=1e3, max_deviation=0.5, step_size=None, quantize_ticks=True
-    ),
+    "f0-1e3": dict(nominal_freq=1e3, max_deviation=0.5, step_size=None),
     "300-node-line": dict(topology=Topology.line(300), duration=10.0),
     "shorter-than-every-first-beacon": dict(phase_mode="aligned", duration=0.9),
 }
@@ -436,8 +435,8 @@ SAMPLING_SHA256 = {
         "0ea66ce15a14c03b21723b6c0d3e19b9e41d6d36dd1cc7e3f832eb35b52da997",
     "sample-every-0.7-rounds":
         "d8229b57069b147c6a3d4e7108833cd9129ac1c54b494916d06b58d042ce19de",
-    "quantized-ticks":
-        "eac81b16bc317d6102eb61cbb696ef811672bb4f4c3204f73b232f0e842b9d43",
+    "f0-1e3":
+        "27f3be5f45eb0e0baf554e1efa28e7289bff8ca84130e4b920d9ad23ed1834c9",
     "300-node-line":
         "ca6b6d3268a88e34a4da5628f230d450e21632e4cf36403c6555b445f34fbf6f",
     "shorter-than-every-first-beacon":
@@ -614,9 +613,8 @@ def test_a_flood_reaching_a_node_twice_at_one_instant_is_applied_once():
             assert [e.seq for e in trace.node_events(node, proto)] == list(range(1, last + 1))
 
 
-@pytest.mark.parametrize("quantize", [False, True])
 @pytest.mark.parametrize("kind", ["constant", "piecewise", "white"])
-def test_trace_hw_rates_are_the_drift_models_rates_at_every_sample(kind, quantize):
+def test_trace_hw_rates_are_the_drift_models_rates_at_every_sample(kind):
     # Samples every 0.25 s put one exactly on the piecewise step at t = 5, and
     # 30 s of white drift span 30 unit segments.
     f0 = 1e3
@@ -631,8 +629,7 @@ def test_trace_hw_rates_are_the_drift_models_rates_at_every_sample(kind, quantiz
     trace = run(config(
         topology=Topology.line(4), duration=30.0, nominal_freq=f0, max_deviation=0.9,
         drift=models, step_policy="adaptive", step_size=None, sample_period=0.25,
-        phase_mode="random", quantize_ticks=quantize,
-    ))
+        phase_mode="random"))
     assert 5.0 in trace.times.tolist()
     for col, u in enumerate(trace.node_ids):
         drift = models[u]
@@ -686,8 +683,7 @@ def test_a_schedule_window_of_one_round_changes_nothing(monkeypatch):
     # boundary at every beacon.
     diamond = Topology(nodes=(1, 2, 3, 4), edges=((1, 2), (1, 3), (2, 4), (3, 4)))
     cfg = SimConfig(**{**SAMPLING_BASE, "topology": diamond, "beacon_period": 0.7,
-                       "nominal_freq": 3.0, "max_deviation": 0.3, "step_size": None,
-                       "quantize_ticks": True})
+                       "nominal_freq": 3.0, "max_deviation": 0.3, "step_size": None})
     wide = run(cfg)
     monkeypatch.setattr(clocks, "_WINDOW", 1)
     narrow = run(cfg)
@@ -870,33 +866,6 @@ def test_the_final_state_spans_every_node_but_the_reference():
         assert final["rate_multiplier"] == tuple(rates)  # the reference's 1.0 is left out
     single = run(config(topology=Topology.line(1))).meta["final_state"][GRADES]
     assert all(math.isnan(x) for x in single["step_size"] + single["rate_multiplier"])
-
-
-def test_quantized_hardware_still_synchronizes_coarsely():
-    cfg = config(
-        beacon_period=1.0,
-        nominal_freq=1000.0,
-        max_deviation=0.1,
-        drift={2: ConstantDrift(0.1)},
-        quantize_ticks=True,
-        step_size=0.4e-6,
-        duration=40.0,
-    )
-    trace = run(cfg)
-    assert trace.global_skew(GRADES)[-1] < 5.0  # within a few ticks of each other
-
-
-@pytest.mark.parametrize("phase_mode", ["random", "staggered"])
-def test_quantized_ticks_with_fractional_start_phases_sample_cleanly(phase_mode):
-    # Each logical clock starts at the floored hardware reading, so the first
-    # sample does not read before the clock's anchor.
-    trace = run(SimConfig(
-        topology=Topology.line(3), beacon_period=1.0, duration=5.0, nominal_freq=1e3,
-        step_policy="adaptive", quantize_ticks=True, phase_mode=phase_mode, seed=0,
-    ))
-    first = trace.readings[GRADES][0]
-    assert np.all(first == np.floor(first))
-    assert np.any(first > 0)  # not all start phases are zero
 
 
 # ---------------------------------------------------------------- trace utilities
