@@ -122,10 +122,8 @@ def rounds_after(t: float | None, t0: float) -> float | None:
 
 def _two_node_config(params: dict, drift, step_policy: str, step_size) -> SimConfig:
     """Reference node 1 at the nominal rate and node 2 on ``drift``, in normalized units."""
-    rounds = _at_least(params, "rounds", 1)
-    most = (sim.MAX_SAMPLE_CELLS // 2 - 1) // 3  # 2 nodes, sampled at 0 and 3 times a round
-    if rounds > most:
-        raise ValueError(f"parameter rounds must be at most {most}, got {params['rounds']}")
+    rounds = sim.check_trace_size("rounds", _at_least(params, "rounds", 1),
+                                  lambda r: 2 * sim.sample_grid(r, 1.0)[0])
     return SimConfig(
         topology=Topology.line(2),
         beacon_period=1.0,
@@ -271,8 +269,11 @@ def multihop_config(params: dict, seed: int) -> SimConfig:
             f"parameter max_dev_ppm must be in [0, 1e6), got {params['max_dev_ppm']}"
         )
     steps = {p: frac * step_size_limit(p, b, f0) for p in (GRADES, PISYNC)}
+    samples = sim.sample_grid(params["duration"], b)[0]
+    nodes = sim.check_trace_size("nodes", _at_least(params, "nodes", 2), lambda k: k * samples,
+                                 f" for duration={params['duration']:g} and beacon_period={b:g}")
     return SimConfig(
-        topology=Topology.line(_at_least(params, "nodes", 2)),
+        topology=Topology.line(nodes),
         beacon_period=b,
         duration=params["duration"],
         nominal_freq=f0,

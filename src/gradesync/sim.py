@@ -72,6 +72,30 @@ RANDOM_CONSTANT_DRIFT = "random-constant"
 # needs 122k cells, a 10,000-node one 610k.
 MAX_SAMPLE_CELLS = 2 * 10**7
 
+
+def sample_grid(duration: float, beacon_period: float, sample_period=None) -> tuple[int, float]:
+    """A trace's sample count and period (default beacon_period / 3): a sample at 0 and every
+    period up to ``duration``, the count capped past MAX_SAMPLE_CELLS to stay an int."""
+    period = sample_period if sample_period is not None else beacon_period / 3.0
+    return math.floor(min(duration / period, MAX_SAMPLE_CELLS) + 1e-9) + 1, period
+
+
+def check_trace_size(name: str, value: int, cells, at: str = "") -> int:
+    """``value``, if a trace of ``cells(value)`` cells (samples x nodes) fits MAX_SAMPLE_CELLS.
+
+    Else a ValueError names parameter ``name``, the largest value that fits
+    and, in ``at``, what else sets it.  ``cells(x)`` is at least x and never
+    falls as x grows.
+    """
+    if value <= MAX_SAMPLE_CELLS and cells(value) <= MAX_SAMPLE_CELLS:
+        return value
+    lo, hi = 0, min(value, MAX_SAMPLE_CELLS + 1)  # cells(hi) is over the bound
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if cells(mid) <= MAX_SAMPLE_CELLS else (lo, mid)
+    raise ValueError(f"parameter {name} must be at most {lo}{at}, got {value}")
+
+
 # The update rule under each protocol's name, kept because bench/tracer.py wraps
 # them; ``run`` looks them up when it starts, so each protocol is counted on its own.
 grades_on_message = update
@@ -354,9 +378,8 @@ def run(config: SimConfig) -> SkewTrace:
     nodes = tuple(sorted(topo.nodes))
     b, f0 = config.beacon_period, config.nominal_freq
     round_ticks = b * f0
-    sample_period = config.sample_period if config.sample_period is not None else b / 3.0
     n = len(nodes)
-    n_samples = math.floor(min(config.duration / sample_period, MAX_SAMPLE_CELLS) + 1e-9) + 1
+    n_samples, sample_period = sample_grid(config.duration, b, config.sample_period)
     if n_samples * n > MAX_SAMPLE_CELLS:  # the advice names only what the caller set
         period, fix = (("sample_period", "raise sample_period") if config.sample_period is not None
                        else ("beacon_period/3", "use fewer nodes"))
@@ -547,6 +570,9 @@ def scaling_experiment(
     """
     if len({int(d) for d in diameters}) < len(diameters):
         raise ValueError(f"diameters must not repeat, got {tuple(diameters)}")
+    samples = sample_grid(rounds, 1.0)[0]
+    check_trace_size("diameters", max([int(d) for d in diameters], default=0),
+                     lambda d: (d + 1) * samples, f" for rounds={rounds}")
     rows = []
     for d in diameters:
         for seed in seeds:

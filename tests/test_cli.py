@@ -1,5 +1,6 @@
 """Command-line front-end: argument handling, overrides, exit codes, artifacts."""
 
+import dataclasses
 import hashlib
 import math
 import subprocess
@@ -13,6 +14,7 @@ from gradesync import analysis, scenarios, sim
 from gradesync.cli import main, parse_config_file, run_scenario
 from gradesync.errors import ContractViolation
 from gradesync.scenarios import SCENARIOS, Scenario
+from gradesync.sim import SimConfig
 
 QUICK_FIG1 = {"rounds": "8", "switch_round": "3"}
 
@@ -314,24 +316,74 @@ def test_drift_of_a_million_ppm_or_more_is_rejected_naming_the_parameter(make, p
         make(params)
 
 
-@pytest.mark.parametrize("bound, overrides", [
-    (100, ("nodes=2", "seeds=1", "duration=900")),  # 2 nodes x 91 samples at B/3 = 10 s
-    (None, ("nodes=20000", "seeds=1")),  # 20,000 nodes x 2,001 samples at the real bound
+@pytest.mark.parametrize("bound, overrides, most", [
+    (100, ("nodes=2", "seeds=1", "duration=900"), "1 for duration=900"),  # 91 samples at B/3
+    (None, ("nodes=20000", "seeds=1"), "9995 for duration=20000"),  # 2,001 samples
 ])
-def test_main_oversized_sample_grid_exits_2_naming_duration_and_nodes(
-    tmp_path, capsys, monkeypatch, bound, overrides
+def test_main_oversized_fig3_line_exits_2_naming_nodes_and_the_most_accepted(
+    tmp_path, capsys, monkeypatch, bound, overrides, most
 ):
-    # fig3 samples every B/3 and takes no sample_period: the advice names only
-    # parameters it accepts.
+    # fig3 samples every B/3 and takes no sample_period: the message names its
+    # own parameter, nodes, and the most nodes that fit at its duration.
     if bound is not None:
         monkeypatch.setattr(sim, "MAX_SAMPLE_CELLS", bound)
     argv = ["--scenario", "fig3-multihop", "--out", str(tmp_path)]
     code = main(argv + [arg for o in overrides for arg in ("--set", o)])
     assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: duration=") and " over beacon_period/3=10 for " in err
-    assert err.rstrip().endswith("; shorten duration or use fewer nodes")
-    assert "sample_period" not in err
+    nodes = overrides[0].split("=")[1]
+    assert capsys.readouterr().err == (
+        f"error: parameter nodes must be at most {most} and beacon_period=30, got {nodes}\n"
+    )
+
+
+@pytest.mark.parametrize("scenario, overrides, message", [
+    ("fig3-multihop", ("nodes=10000000",),
+     "nodes must be at most 9995 for duration=20000 and beacon_period=30, got 10000000"),
+    # 601 samples a line: (d + 1) * 601 cells fit for d up to 33,276.
+    ("scaling", ("diameters=4,10000000", "seeds=1"),
+     "diameters must be at most 33276 for rounds=200, got 10000000"),
+    ("fig1-pairwise", ("rounds=4000000",), "rounds must be at most 3333333, got 4000000"),
+    ("fig2-stepsize", ("rounds=4000000",), "rounds must be at most 3333333, got 4000000"),
+])
+def test_an_oversized_trace_exits_2_before_any_line_is_built(
+    tmp_path, capsys, monkeypatch, scenario, overrides, message
+):
+    built = []
+    line = sim.Topology.line
+    monkeypatch.setattr(sim.Topology, "line", staticmethod(lambda n: built.append(n) or line(n)))
+    argv = ["--scenario", scenario, "--out", str(tmp_path)]
+    assert main(argv + [arg for o in overrides for arg in ("--set", o)]) == 2
+    assert capsys.readouterr().err == f"error: parameter {message}\n"
+    assert built == []  # not even scaling's diameter-4 lines
+
+
+# The SimConfig fields that every scenario leaves at one value, and why each stays.
+SINGLE_VALUED_FIELDS = {
+    "sample_period": "the tests' lever on trace assembly",
+    "drop_probability": "ROADMAP item 15 wires it into fig1-pairwise and fig2-stepsize",
+}
+
+
+def test_every_simconfig_field_takes_two_values_across_the_default_scenarios(
+    tmp_path, monkeypatch
+):
+    # A field that no scenario varies is an option that only tests reach.
+    # theory-check builds no SimConfig; scaling's configs are caught at sim.run.
+    defaults = {name: dict(scenario.defaults) for name, scenario in SCENARIOS.items()}
+    fig3 = defaults["fig3-multihop"]
+    configs = [scenarios.pairwise_config(defaults["fig1-pairwise"]),
+               *scenarios.stepsize_configs(defaults["fig2-stepsize"]).values(),
+               *[scenarios.multihop_config(fig3, fig3["seed"] + i) for i in range(fig3["seeds"])]]
+    monkeypatch.setattr(sim, "run", configs.append)
+    monkeypatch.setattr(sim, "steady_mean_skew", lambda trace, protocol: 1.0)
+    SCENARIOS["scaling"].runner(defaults["scaling"], tmp_path)
+    assert len(configs) == 1 + 4 + 5 + 40
+    values = {field.name: [] for field in dataclasses.fields(SimConfig)}
+    for config in configs:
+        for name, seen in values.items():
+            if getattr(config, name) not in seen:
+                seen.append(getattr(config, name))
+    assert {name for name, seen in values.items() if len(seen) < 2} == set(SINGLE_VALUED_FIELDS)
 
 
 @pytest.mark.parametrize("beacon_period", ["1e-300", "1e300"])

@@ -710,6 +710,21 @@ def test_sample_grid_bound_holds_past_float_range():
         run(config(duration=1e300, sample_period=1e-300))
 
 
+def test_the_trace_size_rule_names_the_largest_value_that_fits(monkeypatch):
+    monkeypatch.setattr(sim, "MAX_SAMPLE_CELLS", 1000)
+    assert sim.check_trace_size("nodes", 142, lambda k: 7 * k) == 142
+    for value in (143, 10**400):  # a value past float range is never used in a cell count
+        with pytest.raises(ValueError, match=rf"^parameter nodes must be at most 142, got {value}$"):
+            sim.check_trace_size("nodes", value, lambda k: 7 * k)
+    # 100 rounds sampled every third of a round are 301 samples: 3 nodes fit.
+    line = Topology.line
+    monkeypatch.setattr(Topology, "line", staticmethod(lambda n: pytest.fail(f"line({n})")))
+    with pytest.raises(ValueError, match=r"^parameter diameters must be at most 2 for rounds=100, "):
+        sim.scaling_experiment([2, 5], [0], rounds=100)
+    monkeypatch.setattr(Topology, "line", line)
+    assert [row[0] for row in sim.scaling_experiment([1, 2], [0], rounds=100).rows] == [1, 2]
+
+
 # ---------------------------------------------------------------- flooding
 
 
