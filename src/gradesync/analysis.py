@@ -175,16 +175,16 @@ def estimate_variance_mc(
     trials: int = 1000,
     seed: int = 0,
     noise_convention: str = "iid",
-    z0: float | None = None,
 ) -> tuple[McEstimate, ...]:
     """Monte-Carlo steady-state error statistics from the scalar round recursion.
 
-    Runs ``trials`` independent paths for ``rounds`` rounds, discarding the
-    first half as burn-in, and returns one estimate per name in ``protocols``.
-    The protocols differ only in their gain c, so every recursion is fed the
-    same noise: a one-protocol call returns exactly the estimate that the
-    same protocol gets in a call with several.  ``noise_convention`` picks how
-    the per-round delay difference d is generated:
+    Runs ``trials`` independent paths from z = 0 (rate multiplier 1/f0) for
+    ``rounds`` rounds, discarding the first half as burn-in, and returns one
+    estimate per name in ``protocols``.  The protocols differ only in their
+    gain c, so every recursion is fed the same noise: a one-protocol call
+    returns exactly the estimate that the same protocol gets in a call with
+    several.  ``noise_convention`` picks how the per-round delay difference d
+    is generated:
 
     * "iid": d ~ Normal(0, delay_std**2) fresh each round — the assumption
       under which the closed-form variance is exact.
@@ -214,7 +214,7 @@ def estimate_variance_mc(
     b, f0 = p.beacon_period, p.nominal_freq
     w_std = p.max_deviation * math.sqrt(b / 3.0)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    z = np.full((len(coef), trials), (f0 * 1.0 - 1.0) if z0 is None else z0, dtype=float)
+    z = np.zeros((len(coef), trials))
     t_prev = rng.normal(0.0, p.delay_std, trials)
     burn_in = rounds // 2
     sum_e, sum_e2, sum_z, e, step = (np.zeros_like(z) for _ in range(5))

@@ -7,7 +7,6 @@ Exit codes: 0 success, 2 usage error (unknown scenario/parameter, malformed
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
@@ -41,7 +40,7 @@ def _coerce(name: str, raw: str, template) -> object:
         values = [kind(s) for s in raw.split(",") if s] if is_list else [kind(raw)]
     except ValueError as err:
         raise ValueError(f"parameter {name}: cannot parse {raw!r}") from err
-    if not all(math.isfinite(v) for v in values if isinstance(v, float)):
+    if not all(abs(v) <= sys.float_info.max for v in values if kind is not str):  # ints as well
         raise ValueError(f"parameter {name} must be finite, got {raw!r}")
     return tuple(values) if is_list else values[0]
 

@@ -4,20 +4,22 @@ Every drift model is a piecewise-constant frequency deviation given by one
 piece list: ``devs[i]`` holds from ``starts[i]`` until ``starts[i + 1]``, so
 ``starts`` has one entry more than ``devs``, the end of the last piece.  That
 end is inf, except in :class:`WhiteDrift`, which draws its pieces a chunk at a
-time (``extend``) as far as they are asked for.  A model's bound
-``max_abs_deviation()`` stays below ``nominal_freq`` so readings increase.
+time (``extend``) as far as they are asked for; a :class:`ConstantDrift` is a
+one-piece :class:`PiecewiseDrift`.  A model's bound ``max_abs_deviation()``
+stays below ``nominal_freq`` so readings increase.
 
 A hardware clock's reading is a pure function of real time.  On piece i it is
 ``knots[i] + (f0 + devs[i]) * (t - starts[i])``, where ``knots[0]`` is the
 start reading and each later knot is the previous piece's formula at its end,
 so readings never decrease, not even from one float to the next, and are never
 rounded to whole ticks.  A :class:`ClockTable` holds many clocks' pieces up to
-a horizon as arrays and reads or inverts them all at once; the simulator's
-clocks are one table.  A logical clock maps hardware ticks to an estimate of
-global time through an offset and a rate multiplier, and is only ever updated
-at discrete sync events; the simulator keeps them as plain floats.  So
-``HardwareClock`` (a one-row table that grows as it is read), ``LogicalClock``
-and ``DriftModel.deviation_integral`` serve only the tests and bench/tracer.py.
+a horizon as arrays and reads, inverts or schedules them all at once (one
+pass finds every beacon); the simulator's clocks are one table.  A logical
+clock maps hardware ticks to an estimate of global time through an offset and
+a rate multiplier, and is only ever updated at discrete sync events; the
+simulator keeps them as plain floats.  So ``HardwareClock`` (a one-row table
+that grows as it is read), ``LogicalClock`` and
+``DriftModel.deviation_integral`` serve only the tests and bench/tracer.py.
 
 All randomness flows through numpy ``Generator`` objects injected at
 construction, so a (seed, config) pair fully determines every trajectory.
@@ -35,7 +37,6 @@ import numpy as np
 from .errors import ContractViolation
 
 _SEGMENT_CHUNK = 256
-_WINDOW = 32  # targets per row in each window of ClockTable.crossings
 
 
 class DriftModel:
@@ -55,28 +56,6 @@ class DriftModel:
             total += devs[i] * (min(end, t1) - start)
             start, i = end, i + 1
         return total
-
-
-@dataclass(frozen=True)
-class ConstantDrift(DriftModel):
-    """Fixed frequency deviation: f(t) = nominal + deviation forever."""
-
-    deviation: float = 0.0
-
-    def __post_init__(self):
-        if not math.isfinite(self.deviation):
-            raise ValueError("drift deviation must be finite")
-
-    @property
-    def starts(self) -> tuple[float, ...]:
-        return (0.0, math.inf)
-
-    @property
-    def devs(self) -> tuple[float, ...]:
-        return (self.deviation,)
-
-    def max_abs_deviation(self) -> float:
-        return abs(self.deviation)
 
 
 @dataclass(frozen=True)
@@ -107,6 +86,17 @@ class PiecewiseDrift(DriftModel):
 
     def max_abs_deviation(self) -> float:
         return max(abs(d) for _, d in self.steps)
+
+
+class ConstantDrift(PiecewiseDrift):
+    """Fixed frequency deviation: f(t) = nominal + deviation forever, one piece."""
+
+    def __init__(self, deviation: float = 0.0):
+        super().__init__(((0.0, deviation),))
+
+    @property
+    def deviation(self) -> float:
+        return self.steps[0][1]
 
 
 class WhiteDrift(DriftModel):
@@ -206,27 +196,21 @@ class ClockTable:
     def crossings(self, first, step: float, until: float):
         """(time, row, reading) whenever a clock reaches a target up to ``until``, by time and row.
 
-        Row i's targets are ``first[i]``, then each previous one plus ``step``.
-        A window of ``_WINDOW`` targets per row ends when the first row reaches
-        its last; each row carries the targets it has not reached into the next.
+        Row i's targets are ``first[i]`` (at least 0), then each previous one
+        plus ``step``, one for each multiple of ``step`` from 0 to the highest
+        reading at ``until``: every target a row can reach by then.
         """
         rows = np.arange(len(first))
-        sums = np.full((len(first), _WINDOW + 1), step)
+        sums = np.full((len(first), int(self.sample(rows, until)[0].max() / step) + 1), step)
         sums[:, 0] = first
-        while True:
-            targets = np.add.accumulate(sums, axis=1)
-            when = self.time_of(rows[:, None], targets[:, :-1])
-            end = when[:, -1].min()
-            due = when <= min(end, until)
-            times, node = when[due], np.nonzero(due)[0]
-            order = np.lexsort((node, times))
-            times, node = times[order], node[order]
-            columns = times, node, self.sample(node, times)[0]
-            for j in range(0, len(times), 1024):  # as Python values, 1024 at a time
-                yield from zip(*[c[j:j + 1024].tolist() for c in columns])
-            if end >= until:
-                return
-            sums[:, 0] = targets[rows, due.sum(axis=1)]
+        when = self.time_of(rows[:, None], np.add.accumulate(sums, axis=1))
+        due = when <= until
+        times, node = when[due], np.nonzero(due)[0]
+        order = np.lexsort((node, times))
+        times, node = times[order], node[order]
+        columns = times, node, self.sample(node, times)[0]
+        for j in range(0, len(times), 1024):  # as Python values, 1024 at a time
+            yield from zip(*[c[j:j + 1024].tolist() for c in columns])
 
 
 # Unused by ``sim.run``; kept because bench/tracer.py wraps its methods.

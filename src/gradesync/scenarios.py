@@ -180,8 +180,8 @@ def _run_pairwise(params: dict, out: Path) -> dict:
     eff = effective_rates(trace, node=2, protocol=GRADES)
     col = trace.node_column(2)
     rates = trace.rate_multipliers[GRADES][:, col]
-    rows = [(t, t / 1.0, rates[i], trace.hw_rates[i, col], eff[i], 1.0)
-            for i, t in enumerate(trace.times)]
+    rows = ((t, t / 1.0, rates[i], trace.hw_rates[i, col], eff[i], 1.0)
+            for i, t in enumerate(trace.times))
     write_csv(
         out / "frequency.csv",
         ("t_seconds", "round", "rate_multiplier", "hw_rate", "effective_rate", "reference_rate"),
@@ -271,7 +271,8 @@ def multihop_config(params: dict, seed: int) -> SimConfig:
     steps = {p: frac * step_size_limit(p, b, f0) for p in (GRADES, PISYNC)}
     samples = sim.sample_grid(params["duration"], b)[0]
     nodes = sim.check_trace_size("nodes", _at_least(params, "nodes", 2), lambda k: k * samples,
-                                 f" for duration={params['duration']:g} and beacon_period={b:g}")
+                                 f" for duration={params['duration']:g} and beacon_period={b:g}",
+                                 least=2, other="duration")
     return SimConfig(
         topology=Topology.line(nodes),
         beacon_period=b,

@@ -22,7 +22,7 @@ reads its logical clocks only for a beacon some receiver can accept.
 There is no event queue: hardware readings are a pure function of time, so the
 beacon schedule is known up front.  All clocks are one ``clocks.ClockTable``;
 its ``crossings`` give every beacon's instant and sender reading in (time,
-node id) order, a window of rounds at a time.  Trace samples touch no clock:
+node id) order, computed in one pass.  Trace samples touch no clock:
 the hardware grid comes from the table after the loop, and the logical
 readings from the update log, with the arithmetic of ``LogicalClock.read``.
 So the sample period changes no event of a run.  The log, (t, node position,
@@ -80,16 +80,20 @@ def sample_grid(duration: float, beacon_period: float, sample_period=None) -> tu
     return math.floor(min(duration / period, MAX_SAMPLE_CELLS) + 1e-9) + 1, period
 
 
-def check_trace_size(name: str, value: int, cells, at: str = "") -> int:
+def check_trace_size(name: str, value: int, cells, at: str = "", least=0, other="") -> int:
     """``value``, if a trace of ``cells(value)`` cells (samples x nodes) fits MAX_SAMPLE_CELLS.
 
-    Else a ValueError names parameter ``name``, the largest value that fits
-    and, in ``at``, what else sets it.  ``cells(x)`` is at least x and never
-    falls as x grows.
+    Else a ValueError names parameter ``name``, the largest value that fits and,
+    in ``at``, what else sets it; or parameter ``other`` if not even ``least``,
+    the least value ``name`` accepts, fits.  ``cells(x)`` is at least x and
+    never falls as x grows.
     """
     if value <= MAX_SAMPLE_CELLS and cells(value) <= MAX_SAMPLE_CELLS:
         return value
-    lo, hi = 0, min(value, MAX_SAMPLE_CELLS + 1)  # cells(hi) is over the bound
+    if cells(least) > MAX_SAMPLE_CELLS:
+        raise ValueError(f"parameter {other} is too large: even {name}={least}{at} asks for "
+                         f"more than {MAX_SAMPLE_CELLS} trace cells (samples x nodes)")
+    lo, hi = least, min(value, MAX_SAMPLE_CELLS + 1)  # cells(hi) is over the bound
     while hi - lo > 1:
         mid = (lo + hi) // 2
         lo, hi = (mid, hi) if cells(mid) <= MAX_SAMPLE_CELLS else (lo, mid)
@@ -430,7 +434,7 @@ def run(config: SimConfig) -> SkewTrace:
     keys = {p: config.resolved_step_size(p) * scales[p] for p in config.protocols}
     groups = {key: tuple([p for p in keys if keys[p] == key]) for key in keys.values()}
     gain_max = gain_limit(b, f0)
-    hw0 = clocks.sample(np.arange(n), 0.0)[0].tolist()
+    hw0 = phases.tolist()  # each clock's reading at t = 0
     lanes = [(i, names, list(hw0), [1.0] * n, list(hw0), [gain] * n, [0.0] * n, array("d"),
               handler[names[0]]) for i, (gain, names) in enumerate(groups.items())]
     lane_of = {p: lane for p in config.protocols for lane in lanes if p in lane[1]}
@@ -572,7 +576,7 @@ def scaling_experiment(
         raise ValueError(f"diameters must not repeat, got {tuple(diameters)}")
     samples = sample_grid(rounds, 1.0)[0]
     check_trace_size("diameters", max([int(d) for d in diameters], default=0),
-                     lambda d: (d + 1) * samples, f" for rounds={rounds}")
+                     lambda d: (d + 1) * samples, f" for rounds={rounds}", least=1, other="rounds")
     rows = []
     for d in diameters:
         for seed in seeds:

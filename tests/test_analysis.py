@@ -70,7 +70,7 @@ def test_fixed_points_are_zero_error_at_the_nominal_rate():
         p = params(f0=f0, step=1e-9)
         for proto in (GRADES, PISYNC):
             assert np.all(rate_error_path(p, proto, rounds=10, z0=0.0) == 0.0)
-        both = estimate_variance_mc(p, (GRADES, PISYNC), rounds=10, trials=4, seed=0, z0=0.0)
+        both = estimate_variance_mc(p, (GRADES, PISYNC), rounds=10, trials=4, seed=0)
         for est in both:
             assert (est.mean_error, est.mean_rate_multiplier) == (0.0, 1.0 / f0)
 
@@ -236,7 +236,7 @@ def test_comparison_carries_both_closed_forms_verbatim():
 
 def test_mc_oracle_is_exact_without_noise():
     p = params(step=0.2)
-    (est,) = estimate_variance_mc(p, (GRADES,), rounds=100, trials=8, seed=0, z0=0.0)
+    (est,) = estimate_variance_mc(p, (GRADES,), rounds=100, trials=8, seed=0)
     assert est.mean_error == 0.0
     assert est.var_error == 0.0
     assert est.mean_rate_multiplier == 1.0
@@ -249,6 +249,18 @@ def test_mc_oracle_matches_both_closed_forms_at_a_mixed_noise_point():
     for proto, est in zip((GRADES, PISYNC), estimates):
         assert est.var_error == pytest.approx(variance(p, proto), rel=0.10)
         assert abs(est.mean_error) <= 3.5 * est.se_mean_error
+
+
+def test_mc_oracle_matches_the_closed_form_at_a_physical_unit_point():
+    # B = 30 s and f0 = 1 MHz: every path must start at rate multiplier 1/f0
+    # (z = 0), not 1, or the error grows by 19 orders of magnitude.
+    for proto in (GRADES, PISYNC):
+        step = 1e-3 * step_size_limit(proto, 30.0, 1e6)
+        p = params(b=30.0, f0=1e6, step=step, fmax=100.0, dstd=1e-5)
+        (est,) = estimate_variance_mc(p, (proto,), rounds=1200, trials=200, seed=0)
+        assert est.var_error == pytest.approx(variance(p, proto), rel=0.10)
+        assert abs(est.mean_error) <= 3.5 * est.se_mean_error
+        assert est.mean_rate_multiplier == pytest.approx(1e-6, rel=1e-6)
 
 
 def test_iid_convention_agrees_where_the_difference_convention_does_not():

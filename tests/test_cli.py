@@ -274,6 +274,22 @@ def test_main_non_finite_or_zero_value_exits_2_naming_the_parameter(
     assert err.startswith("error: ") and parameter in err
 
 
+INT_PARAMETERS = [(scenario, key) for scenario, spec in sorted(SCENARIOS.items())
+                  for key, value in sorted(spec.defaults.items())
+                  if isinstance(value[0] if isinstance(value, tuple) else value, int)]
+
+
+@pytest.mark.parametrize("scenario, parameter", INT_PARAMETERS)
+def test_main_int_past_float_range_exits_2_naming_the_parameter(
+    tmp_path, capsys, scenario, parameter
+):
+    # An int, like a float, must be a finite float: 10**400 is not.
+    raw = "1" + "0" * 400
+    code = main(["--scenario", scenario, "--set", f"{parameter}={raw}", "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: parameter {parameter} must be finite, got {raw!r}\n"
+
+
 @pytest.mark.parametrize(
     "scenario, override, parameter",
     [
@@ -316,24 +332,31 @@ def test_drift_of_a_million_ppm_or_more_is_rejected_naming_the_parameter(make, p
         make(params)
 
 
-@pytest.mark.parametrize("bound, overrides, most", [
-    (100, ("nodes=2", "seeds=1", "duration=900"), "1 for duration=900"),  # 91 samples at B/3
-    (None, ("nodes=20000", "seeds=1"), "9995 for duration=20000"),  # 2,001 samples
+FIG3_DURATION_TOO_LARGE = ("duration is too large: even nodes=2 for duration=900 and "
+                           "beacon_period=30 asks for more than {} trace cells (samples x nodes)")
+
+
+@pytest.mark.parametrize("bound, overrides, message", [
+    # 900 s sampled every 10 s are 91 samples: 2 nodes take 182 cells.
+    (182, ("nodes=3", "seeds=1", "duration=900"),
+     "nodes must be at most 2 for duration=900 and beacon_period=30, got 3"),
+    (181, ("nodes=3", "seeds=1", "duration=900"), FIG3_DURATION_TOO_LARGE.format(181)),
+    (100, ("nodes=2", "seeds=1", "duration=900"), FIG3_DURATION_TOO_LARGE.format(100)),
+    (None, ("nodes=20000", "seeds=1"),  # 2,001 samples
+     "nodes must be at most 9995 for duration=20000 and beacon_period=30, got 20000"),
 ])
-def test_main_oversized_fig3_line_exits_2_naming_nodes_and_the_most_accepted(
-    tmp_path, capsys, monkeypatch, bound, overrides, most
+def test_main_oversized_fig3_line_exits_2_naming_nodes_or_else_duration(
+    tmp_path, capsys, monkeypatch, bound, overrides, message
 ):
-    # fig3 samples every B/3 and takes no sample_period: the message names its
-    # own parameter, nodes, and the most nodes that fit at its duration.
+    # fig3 samples every B/3 and takes no sample_period: the message names
+    # nodes and the most nodes that fit at its duration, or duration when not
+    # even 2 nodes, the fewest fig3 accepts, fit.
     if bound is not None:
         monkeypatch.setattr(sim, "MAX_SAMPLE_CELLS", bound)
     argv = ["--scenario", "fig3-multihop", "--out", str(tmp_path)]
     code = main(argv + [arg for o in overrides for arg in ("--set", o)])
     assert code == 2
-    nodes = overrides[0].split("=")[1]
-    assert capsys.readouterr().err == (
-        f"error: parameter nodes must be at most {most} and beacon_period=30, got {nodes}\n"
-    )
+    assert capsys.readouterr().err == f"error: parameter {message}\n"
 
 
 @pytest.mark.parametrize("scenario, overrides, message", [
@@ -344,6 +367,13 @@ def test_main_oversized_fig3_line_exits_2_naming_nodes_and_the_most_accepted(
      "diameters must be at most 33276 for rounds=200, got 10000000"),
     ("fig1-pairwise", ("rounds=4000000",), "rounds must be at most 3333333, got 4000000"),
     ("fig2-stepsize", ("rounds=4000000",), "rounds must be at most 3333333, got 4000000"),
+    # Not even the fewest nodes (2) or the least diameter (1) fit.
+    ("fig3-multihop", ("duration=1e9",),
+     "duration is too large: even nodes=2 for duration=1e+09 and beacon_period=30 asks for "
+     "more than 20000000 trace cells (samples x nodes)"),
+    ("scaling", ("rounds=100000000",),
+     "rounds is too large: even diameters=1 for rounds=100000000 asks for more than 20000000 "
+     "trace cells (samples x nodes)"),
 ])
 def test_an_oversized_trace_exits_2_before_any_line_is_built(
     tmp_path, capsys, monkeypatch, scenario, overrides, message
@@ -574,3 +604,20 @@ def test_each_multihop_seed_frees_its_trace_before_the_next_seed_runs(tmp_path, 
     run_scenario("fig3-multihop", {"nodes": "4", "seeds": "3", "duration": "300"},
                  out_dir=tmp_path)
     assert alive == [0, 0, 0]
+
+
+def test_fig1_streams_its_frequency_rows_to_the_csv(tmp_path, monkeypatch):
+    # A list of 900k row tuples of numpy scalars doubles the peak memory of a
+    # 300,000-round run; rows built as they are written hold one at a time.
+    written = {}
+
+    def recording(path, columns, rows, comments=()):
+        written[Path(path).name] = rows
+        sim.write_csv(path, columns, rows, comments)
+
+    monkeypatch.setattr(scenarios, "write_csv", recording)
+    run_scenario("fig1-pairwise", QUICK_FIG1, out_dir=tmp_path)
+    rows = written["frequency.csv"]
+    assert iter(rows) is rows  # an iterator, consumed as it is written
+    lines = (tmp_path / "fig1-pairwise" / "frequency.csv").read_text().splitlines()
+    assert len(lines) == 2 + 1 + 3 * 8 + 1  # comments, header, a sample every third round

@@ -73,6 +73,26 @@ def test_time_of_then_read_lands_on_target():
             assert clocks.read(row, clocks.time_of(row, target)) == pytest.approx(target, abs=1e-9)
 
 
+def test_crossings_are_every_running_sum_target_each_row_reaches():
+    # B = 0.7 s at f0 = 3 makes 2.1-tick rounds, which a running sum adds
+    # inexactly, so first + k * step would give other targets.  Row 0 runs at
+    # 9 times row 1's rate, so the rows reach from 200 to 1,801 targets; row 0
+    # starts at 0 and reads 1,800.9 steps at ``until``, so it reaches one
+    # target more than its reading holds whole steps.
+    step, until = 0.7 * 3.0, 700.35
+    drifts = [ConstantDrift(2.4), ConstantDrift(-2.4), WhiteDrift(2.0, make_rng(5)),
+              PiecewiseDrift(((0.0, 1.5), (300.0, -1.5)))]
+    clocks = ClockTable(3.0, drifts, [0.0, 0.0, 0.5, 2.0], until)
+    first = [0.0, step, 1.0, 5.0]
+    expected = []
+    for row, target in enumerate(first):  # one target at a time, by a running sum
+        while (t := float(clocks.time_of(row, target))) <= until:
+            expected.append((t, row, clocks.read(row, t)))
+            target += step
+    assert [sum(r == row for _, r, _ in expected) for row in range(4)] == [1801, 200, 975, 928]
+    assert list(clocks.crossings(np.array(first), step, until)) == sorted(expected)
+
+
 def test_clock_table_rejects_deviation_at_or_above_nominal():
     for bad in (
         ConstantDrift(1.0),

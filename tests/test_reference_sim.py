@@ -74,8 +74,8 @@ def _outcome(simulate, config):
 
 @settings(max_examples=120, deadline=None)
 @given(config=configs())
-# Runs of over 100 rounds, which reach later windows of ClockTable.crossings
-# (32 rounds each) and the targets each row carries into the next.
+# Runs of over 100 rounds, so each node's beacon targets are a long running
+# sum, all computed in one pass before the first beacon.
 @example(config=SimConfig(
     Topology(nodes=(3, 1, 7, 4), edges=((1, 3), (3, 7), (1, 4), (4, 7)), reference=3),
     beacon_period=0.7, duration=110 * 0.7, nominal_freq=1e3, max_deviation=200.0,

@@ -677,21 +677,6 @@ def test_deliveries_are_counted_as_accepted_stale_or_dropped():
     assert sum(counts.values()) == 60
 
 
-def test_a_schedule_window_of_one_round_changes_nothing(monkeypatch):
-    # Each node's beacon targets are a running sum of 2.1-tick rounds, which
-    # is inexact; one round per window carries that sum across a window
-    # boundary at every beacon.
-    diamond = Topology(nodes=(1, 2, 3, 4), edges=((1, 2), (1, 3), (2, 4), (3, 4)))
-    cfg = SimConfig(**{**SAMPLING_BASE, "topology": diamond, "beacon_period": 0.7,
-                       "nominal_freq": 3.0, "max_deviation": 0.3, "step_size": None})
-    wide = run(cfg)
-    monkeypatch.setattr(clocks, "_WINDOW", 1)
-    narrow = run(cfg)
-    assert len(wide.events) > 100
-    assert trace_digest(narrow) == trace_digest(wide)
-    assert narrow.meta["deliveries"] == wide.meta["deliveries"]
-
-
 def test_a_run_reports_the_seconds_of_each_phase():
     phase_s = run(config(topology=Topology.line(5))).meta["phase_s"]
     assert set(phase_s) == {"setup", "loop", "assembly"}
@@ -721,6 +706,18 @@ def test_the_trace_size_rule_names_the_largest_value_that_fits(monkeypatch):
     monkeypatch.setattr(Topology, "line", staticmethod(lambda n: pytest.fail(f"line({n})")))
     with pytest.raises(ValueError, match=r"^parameter diameters must be at most 2 for rounds=100, "):
         sim.scaling_experiment([2, 5], [0], rounds=100)
+    # When not even the least value fits, the rule names the parameter that sets the samples.
+    with pytest.raises(ValueError, match=r"^parameter nodes must be at most 142 for d=1, got 150$"):
+        sim.check_trace_size("nodes", 150, lambda k: 7 * k, " for d=1", least=142, other="d")
+    with pytest.raises(ValueError, match=r"^parameter d is too large: even nodes=143 for d=1 asks "
+                                         r"for more than 1000 trace cells \(samples x nodes\)$"):
+        sim.check_trace_size("nodes", 150, lambda k: 7 * k, " for d=1", least=143, other="d")
+    # 166 rounds are 499 samples, which fit twice (diameter 1) but not three times; 167 are 502.
+    with pytest.raises(ValueError, match=r"^parameter diameters must be at most 1 for rounds=166, "):
+        sim.scaling_experiment([1, 2], [0], rounds=166)
+    with pytest.raises(ValueError, match=r"^parameter rounds is too large: even diameters=1 for "
+                                         r"rounds=167 asks for more than 1000 trace cells"):
+        sim.scaling_experiment([1, 2], [0], rounds=167)
     monkeypatch.setattr(Topology, "line", line)
     assert [row[0] for row in sim.scaling_experiment([1, 2], [0], rounds=100).rows] == [1, 2]
 
