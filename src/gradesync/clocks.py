@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from operator import ge
 from typing import NamedTuple
 
 import numpy as np
@@ -71,21 +72,16 @@ class PiecewiseDrift(DriftModel):
     def __post_init__(self):
         if not self.steps or self.steps[0][0] != 0.0:
             raise ValueError("drift schedule must start at time 0")
-        if not all(math.isfinite(x) for step in self.steps for x in step):
+        starts, devs = zip(*self.steps)
+        if not all(map(math.isfinite, starts + devs)):
             raise ValueError("drift schedule must be finite")
-        if any(b <= a for a, b in zip(self.starts, self.starts[1:])):
+        if any(map(ge, starts, starts[1:])):
             raise ValueError("drift schedule start times must be increasing")
-
-    @property
-    def starts(self) -> tuple[float, ...]:
-        return tuple([s for s, _ in self.steps]) + (math.inf,)
-
-    @property
-    def devs(self) -> tuple[float, ...]:
-        return tuple([d for _, d in self.steps])
+        object.__setattr__(self, "starts", starts + (math.inf,))  # the piece list, built once
+        object.__setattr__(self, "devs", devs)
 
     def max_abs_deviation(self) -> float:
-        return max(abs(d) for _, d in self.steps)
+        return max(map(abs, self.devs))
 
 
 class ConstantDrift(PiecewiseDrift):

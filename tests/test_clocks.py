@@ -105,6 +105,14 @@ def test_clock_table_rejects_deviation_at_or_above_nominal():
     ClockTable(1.0, [ConstantDrift(-0.999)], [0.0], 1.0)  # just below is fine
 
 
+def test_a_constant_drift_is_a_one_piece_schedule_with_its_own_equality():
+    drift = ConstantDrift(-3e-4)
+    assert (drift.deviation, drift.starts, drift.devs) == (-3e-4, (0.0, math.inf), (-3e-4,))
+    assert (ConstantDrift().deviation, drift.max_abs_deviation()) == (0.0, 3e-4)
+    assert drift == ConstantDrift(-3e-4) and hash(drift) == hash(ConstantDrift(-3e-4))
+    assert drift != ConstantDrift(3e-4) and drift != PiecewiseDrift(((0.0, -3e-4),))
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_drift_models_reject_non_finite_deviations(bad):
     with pytest.raises(ValueError):
