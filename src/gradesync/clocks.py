@@ -199,7 +199,7 @@ class ClockTable:
         rows = np.arange(len(first))
         sums = np.full((len(first), int(self.sample(rows, until)[0].max() / step) + 1), step)
         sums[:, 0] = first
-        when = self.time_of(rows[:, None], np.add.accumulate(sums, axis=1))
+        when = self.time_of(rows[:, None], np.add.accumulate(sums, axis=1, out=sums))
         due = when <= until
         times, node = when[due], np.nonzero(due)[0]
         order = np.lexsort((node, times))
