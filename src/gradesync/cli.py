@@ -1,7 +1,7 @@
 """Command-line front-end: run a named scenario, write CSV artifacts.
 
 Exit codes: 0 success, 2 usage error (unknown scenario/parameter, malformed
---set or config file), 3 runtime contract violation inside a simulation.
+--set or config file, unusable --out), 3 runtime contract violation inside a simulation.
 """
 
 from __future__ import annotations
@@ -67,7 +67,10 @@ def run_scenario(
     if params["seed"] < 0:
         raise ValueError(f"parameter seed must be non-negative, got {params['seed']}")
     out = Path(out_dir if out_dir is not None else "results") / name
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ValueError(f"cannot create output directory {out}: {err}") from err
     summary = scenario.runner(params, out)
     write_summary_csv(out / "summary.csv", summary)
     return summary

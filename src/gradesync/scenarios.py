@@ -72,52 +72,23 @@ def write_summary_csv(path: Path, summary: dict) -> None:
 
 
 def report_summary(trace: SkewTrace, protocol: str) -> dict:
-    """Convergence time plus post-convergence skew statistics for one protocol.
+    """Convergence time plus the mean and largest skew after it, for one protocol.
 
     "Converged" means the skew has settled to within 3x the median of its own
     last quarter.  A run that never settles (or only settles in its final
-    quarter) reports converged=False and NaN statistics.
+    quarter) reports converged=False, no time and NaN statistics.  The keys are
+    converged, convergence_time, post_mean and post_max, in that order.
     """
     times = trace.times
     skew = trace.global_skew(protocol)
     tail = skew[times >= times[-1] * 0.75]
-    threshold = 3.0 * _median(tail)
-    conv = convergence_time(times, skew, threshold)
-    converged = conv is not None and conv <= times[-1] * 0.75
-    if not converged:
+    conv = convergence_time(times, skew, 3.0 * _median(tail))
+    if conv is None or conv > times[-1] * 0.75:
         nan = float("nan")
-        return {"converged": False, "convergence_time": None, "threshold": threshold,
-                "post_max": nan, "post_mean": nan, "post_std": nan}
+        return {"converged": False, "convergence_time": None, "post_mean": nan, "post_max": nan}
     post = skew[times >= conv]
-    return {"converged": True, "convergence_time": conv, "threshold": threshold,
-            "post_max": float(post.max()), "post_mean": float(post.mean()),
-            "post_std": float(post.std(ddof=1) if post.size > 1 else 0.0)}
-
-
-def effective_rates(trace: SkewTrace, node: int, protocol: str) -> np.ndarray:
-    """Logical tick rate (rate multiplier x instantaneous hardware rate) per sample."""
-    col = trace.node_column(node)
-    return trace.rate_multipliers[protocol][:, col] * trace.hw_rates[:, col]
-
-
-def sustained_entry_time(times, series, target, tol, t_from, t_until) -> float | None:
-    """First instant in [t_from, t_until] from which |series-target| stays <= tol.
-
-    None if the series is still outside the band at t_until.
-    """
-    times = np.asarray(times, dtype=float)
-    series = np.asarray(series, dtype=float)
-    mask = (times >= t_from) & (times <= t_until)
-    if not mask.any():
-        raise ValueError("empty window")
-    return convergence_time(times[mask], np.abs(series[mask] - target), tol)
-
-
-def rounds_after(t: float | None, t0: float) -> float | None:
-    """Whole rounds (of B = 1) from ``t0`` to ``t``."""
-    if t is None:
-        return None
-    return math.ceil((t - t0) - 1e-9)
+    return {"converged": True, "convergence_time": conv,
+            "post_mean": float(post.mean()), "post_max": float(post.max())}
 
 
 def _two_node_config(params: dict, drift, step_policy: str, step_size) -> SimConfig:
@@ -154,22 +125,19 @@ def pairwise_config(params: dict) -> SimConfig:
     return _two_node_config(params, drift, "fixed", params["step_size"])
 
 
-def pairwise_convergence(trace: SkewTrace, params: dict, tol: float) -> dict:
-    """Rounds to enter (and re-enter, after the drift switch) the rate band."""
-    switch_t = params["switch_round"] * 1.0
-    eff = effective_rates(trace, node=2, protocol=GRADES)
-    ref_rate = 1.0  # the reference runs at exactly the nominal rate here
-    t_first = sustained_entry_time(
-        trace.times, eff, ref_rate, tol, 0.0, switch_t - 1e-9
-    )
-    t_second = sustained_entry_time(
-        trace.times, eff, ref_rate, tol, switch_t, trace.times[-1]
-    )
-    return {
-        "converged_round": rounds_after(t_first, 0.0),
-        "reconverged_rounds_after_switch": rounds_after(t_second, switch_t),
-        "rate_tolerance": tol,
-    }
+def pairwise_convergence(times, eff, switch_t: float, tol: float) -> tuple:
+    """Whole rounds (of B = 1) until ``eff`` stays within ``tol`` of the nominal rate 1.
+
+    Two windows are scanned: the samples before the drift switch, counted from
+    0, and those from ``switch_t`` to the last sample, counted from the switch.
+    A count is None when the rate is still outside the band at its window's end.
+    """
+    off = np.abs(eff - 1.0)  # the reference runs at exactly the nominal rate
+    counts = []
+    for t0, inside in ((0.0, times <= switch_t - 1e-9), (switch_t, times >= switch_t)):
+        t = convergence_time(times[inside], off[inside], tol)
+        counts.append(None if t is None else math.ceil(t - t0 - 1e-9))
+    return tuple(counts)
 
 
 def _run_pairwise(params: dict, out: Path) -> dict:
@@ -177,21 +145,20 @@ def _run_pairwise(params: dict, out: Path) -> dict:
     trace = run(pairwise_config(params))
     write_trace_csv(trace, out / "trace.csv")
     write_skew_csv(trace, out / "skew.csv")
-    eff = effective_rates(trace, node=2, protocol=GRADES)
     col = trace.node_column(2)
-    rates = trace.rate_multipliers[GRADES][:, col]
-    rows = ((t, t / 1.0, rates[i], trace.hw_rates[i, col], eff[i], 1.0)
-            for i, t in enumerate(trace.times))
+    rates, hw = trace.rate_multipliers[GRADES][:, col], trace.hw_rates[:, col]
+    eff = rates * hw  # node 2's logical tick rate per sample
+    rows = ((t, t / 1.0, rates[i], hw[i], eff[i], 1.0) for i, t in enumerate(trace.times))
     write_csv(
         out / "frequency.csv",
         ("t_seconds", "round", "rate_multiplier", "hw_rate", "effective_rate", "reference_rate"),
         rows,
         comments=(f"unit_mode=normalized", f"seed={params['seed']}"),
     )
-    summary = pairwise_convergence(trace, params, tol=tol)
-    summary["rounds"] = params["rounds"]
-    summary["switch_round"] = params["switch_round"]
-    return summary
+    first, second = pairwise_convergence(trace.times, eff, params["switch_round"] * 1.0, tol)
+    return {"converged_round": first, "reconverged_rounds_after_switch": second,
+            "rate_tolerance": tol, "rounds": params["rounds"],
+            "switch_round": params["switch_round"]}
 
 
 # ---------------------------------------------------------------- step-size study
@@ -213,9 +180,8 @@ def stepsize_configs(params: dict) -> dict[str, SimConfig]:
     return configs
 
 
-def stepsize_series_stats(trace: SkewTrace, rounds: int, tol: float) -> dict:
-    """Convergence round and steady spread of node 2's per-round sync errors."""
-    events = trace.node_events(2, GRADES)
+def stepsize_series_stats(events: list, rounds: int, tol: float) -> dict:
+    """Convergence round and steady spread of node 2's per-round sync ``events``."""
     if not events:
         raise ValueError("no sync events recorded")
     hits = [e.seq for e in events if abs(e.error) <= tol]
@@ -242,7 +208,7 @@ def _run_stepsize(params: dict, out: Path) -> dict:
             [(e.seq, e.time, e.error, e.step_size, e.rate_multiplier) for e in events],
             comments=(f"unit_mode=normalized", f"seed={params['seed']}", f"series={label}"),
         )
-        stats = stepsize_series_stats(trace, rounds, tol)
+        stats = stepsize_series_stats(events, rounds, tol)
         for k, v in stats.items():
             summary[f"{label}.{k}"] = v
     return summary
@@ -301,8 +267,8 @@ def _run_multihop(params: dict, out: Path) -> dict:
         for proto in (GRADES, PISYNC):
             rep = report_summary(trace, proto)
             per_seed[proto].append(rep)
-            for stat in ("converged", "convergence_time", "post_mean", "post_max"):
-                summary[f"seed{seed}.{proto}.{stat}"] = rep[stat]
+            for stat, value in rep.items():
+                summary[f"seed{seed}.{proto}.{stat}"] = value
         del trace  # so the next seed's run does not hold this one's arrays and log
     for proto in (GRADES, PISYNC):
         reps = per_seed[proto]
@@ -322,8 +288,10 @@ def _run_multihop(params: dict, out: Path) -> dict:
 
 def _run_scaling(params: dict, out: Path) -> dict:
     diameters = params["diameters"]
-    if len(set(diameters)) < 2 or min(diameters) < 1:
-        raise ValueError(f"parameter diameters needs 2 distinct values >= 1, got {diameters}")
+    if len(set(diameters)) < max(2, len(diameters)) or min(diameters) < 1:
+        raise ValueError(
+            f"parameter diameters needs 2 or more values >= 1, none repeated, got {diameters}"
+        )
     seeds = [int(params["seed"]) + i for i in range(_at_least(params, "seeds", 1))]
     result = scaling_experiment(
         diameters,

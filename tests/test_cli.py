@@ -212,6 +212,14 @@ def test_main_bad_config_file_exits_2(tmp_path, capsys):
     assert "expected key=value" in capsys.readouterr().err
 
 
+def test_main_out_at_a_regular_file_exits_2_naming_the_directory(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["--scenario", "fig1-pairwise", "--out", str(taken)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot create output directory {taken / 'fig1-pairwise'}: ")
+
+
 def test_set_overrides_beat_config_file_values(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("rounds=9\nswitch_round=3\n")
@@ -243,8 +251,7 @@ def test_main_empty_count_or_list_exits_2_naming_the_parameter(
 ):
     code = main(["--scenario", scenario, "--set", override, "--out", str(tmp_path)])
     assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and parameter in err
+    assert capsys.readouterr().err.startswith(f"error: parameter {parameter}")
 
 
 @pytest.mark.parametrize(
@@ -621,3 +628,19 @@ def test_fig1_streams_its_frequency_rows_to_the_csv(tmp_path, monkeypatch):
     assert iter(rows) is rows  # an iterator, consumed as it is written
     lines = (tmp_path / "fig1-pairwise" / "frequency.csv").read_text().splitlines()
     assert len(lines) == 2 + 1 + 3 * 8 + 1  # comments, header, a sample every third round
+
+
+@pytest.mark.parametrize("rounds, switch_round, rate_tolerance, step_size, expected", [
+    (30, 30, 25e-6, 0.5, (2, None)),  # the second window holds the last sample only
+    (60, 60, 1e-6, 0.5, (60, None)),  # the band is entered in the last round before the switch
+    (30, 3, 25e-6, 0.9, (None, 15)),
+    (30, 20, 25e-6, 0.9, (18, 5)),
+    (7, 3, 0.0, 0.5, (None, None)),  # a band of width 0 is never entered
+])
+def test_fig1_summary_at_its_window_edges(
+    tmp_path, rounds, switch_round, rate_tolerance, step_size, expected
+):
+    overrides = {"rounds": str(rounds), "switch_round": str(switch_round),
+                 "rate_tolerance": str(rate_tolerance), "step_size": str(step_size)}
+    summary = run_scenario("fig1-pairwise", overrides, out_dir=tmp_path)
+    assert (summary["converged_round"], summary["reconverged_rounds_after_switch"]) == expected

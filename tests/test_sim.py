@@ -955,7 +955,7 @@ def test_scaling_experiment_is_quiet_without_noise_and_deterministic():
 
 def test_scaling_experiment_rejects_a_repeated_diameter():
     # Running a diameter twice would duplicate its rows and misstate its spread.
-    with pytest.raises(ValueError, match="diameters"):
+    with pytest.raises(ValueError, match=r"^diameters must not repeat, got \(4, 4, 9\)$"):
         scaling_experiment((4, 4, 9), (0, 1), rounds=10)
 
 
