@@ -8,12 +8,15 @@ Usage (from the repository root):
 For each workload that ``BENCHMARK.json`` declares it runs ``bench/run.py`` twice
 for ``SECONDS`` seconds at its default seed, ``--trace 0`` for the end-to-end
 metrics and ``--trace 1`` for the per-layer ones, each as its own process.  It
-then times the Tier-1 suite (``python -m pytest -q`` under ``tests/``) once and
-writes every workload's metrics, correctness tallies and sample counts, the
-Tier-1 wall time and the environment ``bench/run.py`` reports (``src_lines``
-included).  It changes no file under ``bench/``.  It refuses to run while
-``git status`` shows changes under the measured paths, so the ``git_commit`` it
-records names the code it measured: commit first, then record.
+then times every scenario's ``cli.run_scenario`` call at its defaults in
+``SCENARIO_RUNS`` fresh processes, and the Tier-1 suite once as CI runs it
+(``python -X dev -W error -m pytest -q`` under ``tests/``).  It writes every
+workload's metrics, correctness tallies and sample counts, each scenario's
+median and per-process wall seconds, the Tier-1 wall time and the environment
+``bench/run.py`` reports (``src_lines`` included).  It changes no file under
+``bench/``.  It refuses to run while ``git status`` shows changes under the
+measured paths, so the ``git_commit`` it records names the code it measured:
+commit first, then record.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import subprocess
 import sys
 import time
@@ -28,6 +32,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SECONDS = 10.0  # per bench/run.py measurement
+SCENARIO_RUNS = 3  # fresh processes per scenario; the snapshot records their median
 # What a snapshot measures; each must match the recorded commit.
 MEASURED = ("src", "tests", "bench", "scripts", "pyproject.toml")
 # The fields of bench/run.py's env line that describe the machine and the tree.
@@ -61,13 +66,51 @@ def record_workload(workload: str, seconds: float = SECONDS) -> dict:
     return record
 
 
-def tier1_run() -> dict:
-    """Wall seconds and last summary line of one Tier-1 run (``tests/``)."""
+def _src_env() -> dict:
+    """This environment with the tree's ``src`` first on PYTHONPATH."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, ["src", env.get("PYTHONPATH")]))
+    return env
+
+
+def _python(*args: str) -> str:
+    """Stdout of one fresh ``python args`` process on this tree; raises if it fails."""
+    proc = subprocess.run([sys.executable, *args], cwd=ROOT, env=_src_env(),
+                          capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"python {' '.join(args)} exited {proc.returncode}: "
+                           f"{proc.stderr.strip()[-500:]}")
+    return proc.stdout
+
+
+# Prints the wall seconds of one cli.run_scenario(argv[1]) at its defaults.
+TIME_SCENARIO = """
+import sys, tempfile, time
+from gradesync.cli import run_scenario
+with tempfile.TemporaryDirectory() as out:
+    start = time.perf_counter()
+    run_scenario(sys.argv[1], out_dir=out)
+    print(time.perf_counter() - start)
+"""
+
+
+def scenario_names() -> list[str]:
+    """The scenarios ``gradesync.scenarios.SCENARIOS`` defines, in its order."""
+    return _python("-c", "from gradesync.scenarios import SCENARIOS; print(*SCENARIOS)").split()
+
+
+def record_scenario(name: str) -> dict:
+    """Median and per-process wall seconds of ``cli.run_scenario(name)`` at its defaults."""
+    walls = [float(_python("-c", TIME_SCENARIO, name)) for _ in range(SCENARIO_RUNS)]
+    return {"wall_s": statistics.median(walls), "runs_s": walls}
+
+
+def tier1_run() -> dict:
+    """Wall seconds and last summary line of one Tier-1 run (``tests/``), as CI runs it."""
     start = time.monotonic()
-    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"],
-                          cwd=ROOT, env=env, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-m", "pytest", "-q",
+                           "-p", "no:cacheprovider", "--continue-on-collection-errors"],
+                          cwd=ROOT, env=_src_env(), capture_output=True, text=True)
     wall = time.monotonic() - start
     lines = proc.stdout.strip().splitlines()
     return {"wall_s": wall, "exit_code": proc.returncode, "summary": lines[-1] if lines else ""}
@@ -93,6 +136,7 @@ def main(argv=None) -> int:
     snapshot = {
         "env": {key: env[key] for key in ENV_FIELDS},
         "tier1": tier1_run(),
+        "scenarios": {name: record_scenario(name) for name in scenario_names()},
         "workloads": workloads,
     }
     args.out.write_text(json.dumps(snapshot, indent=1) + "\n")

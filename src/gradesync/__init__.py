@@ -2,9 +2,7 @@
 
 from .analysis import (
     McEstimate,
-    ProtocolComparison,
     SystemParams,
-    compare_protocols,
     eigenvalues,
     estimate_variance_mc,
     rate_error_path,

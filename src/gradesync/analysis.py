@@ -31,7 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidRegimeError
-from .protocols import GRADES, PISYNC, error_scale, step_size_limit
+from .protocols import error_scale, step_size_limit
+from .sim import PATHS, check_budget
 
 
 @dataclass(frozen=True)
@@ -114,41 +115,6 @@ def variance(p: SystemParams, protocol: str) -> float:
 
 
 @dataclass(frozen=True)
-class ProtocolComparison:
-    convergence_winner: str
-    variance_winner: str
-    grades_lambda2: float
-    pisync_lambda2: float
-    grades_variance: float
-    pisync_variance: float
-
-
-def compare_protocols(p: SystemParams) -> ProtocolComparison:
-    """Head-to-head at equal step size: contraction speed and steady variance.
-
-    Convergence goes to the protocol with the smaller |lambda2|; variance to
-    the smaller steady-state error variance.  At equal step grades' gain c is
-    2*B*f0 times pisync's, so grades wins the variance race exactly when
-    beacon_period < 1/(2*nominal_freq): for any realistic round length pisync
-    has the lower floor while grades contracts faster.
-    """
-    gl, pl = (eigenvalues(p, proto)[1] for proto in (GRADES, PISYNC))
-    gv, pv = (variance(p, proto) for proto in (GRADES, PISYNC))
-    convergence, lower_variance = (
-        "tie" if math.isclose(g, q, rel_tol=1e-12, abs_tol=tol) else GRADES if g < q else PISYNC
-        for g, q, tol in ((abs(gl), abs(pl), 1e-15), (gv, pv, 0.0))
-    )
-    return ProtocolComparison(
-        convergence_winner=convergence,
-        variance_winner=lower_variance,
-        grades_lambda2=gl,
-        pisync_lambda2=pl,
-        grades_variance=gv,
-        pisync_variance=pv,
-    )
-
-
-@dataclass(frozen=True)
 class McEstimate:
     """Steady-state sample statistics from the round-recursion oracle."""
 
@@ -161,11 +127,6 @@ class McEstimate:
 
 
 _BLOCK_ROUNDS = 16  # rounds of noise drawn per numpy call
-
-# Most protocols x trials paths one oracle call may run: under 400 MB.  A trial
-# takes 610-720 bytes for its noise block and the temporaries made from it, and
-# 45 more per path for its state and sums: about 770 for two protocols.
-MAX_MC_PATHS = 5 * 10**5
 
 
 def estimate_variance_mc(
@@ -205,12 +166,11 @@ def estimate_variance_mc(
         raise ValueError("need at least 2 rounds")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    if len(protocols) * trials > MAX_MC_PATHS:
-        raise ValueError(f"trials={trials} for {len(protocols)} protocols asks for more than "
-                         f"{MAX_MC_PATHS} Monte-Carlo paths (protocols x trials); lower trials")
-    coef = np.array([[_update_coefficient(p, proto)] for proto in protocols])
-    if not len(coef):
+    if not protocols:
         raise ValueError("protocols must name at least one protocol")
+    check_budget(PATHS, "trials", trials, lambda k: len(protocols) * k, least=1,
+                 other="protocols")
+    coef = np.array([[_update_coefficient(p, proto)] for proto in protocols])
     b, f0 = p.beacon_period, p.nominal_freq
     w_std = p.max_deviation * math.sqrt(b / 3.0)
     rng = np.random.default_rng(np.random.SeedSequence(seed))

@@ -1,7 +1,8 @@
 """Command-line front-end: run a named scenario, write CSV artifacts.
 
 Exit codes: 0 success, 2 usage error (unknown scenario/parameter, malformed
---set or config file, unusable --out), 3 runtime contract violation inside a simulation.
+--set or config file, unusable --out, a run over one of ``sim.BUDGETS``), 3 runtime
+contract violation inside a simulation.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ deterministic given (scenario, parameters, seed).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from operator import itemgetter
 from pathlib import Path
@@ -93,8 +93,8 @@ def report_summary(trace: SkewTrace, protocol: str) -> dict:
 
 def _two_node_config(params: dict, drift, step_policy: str, step_size) -> SimConfig:
     """Reference node 1 at the nominal rate and node 2 on ``drift``, in normalized units."""
-    rounds = sim.check_trace_size("rounds", _at_least(params, "rounds", 1),
-                                  lambda r: 2 * sim.sample_grid(r, 1.0)[0])
+    rounds = sim.check_budget(sim.CELLS, "rounds", _at_least(params, "rounds", 1),
+                              lambda r: 2 * sim.sample_grid(r, 1.0)[0])
     return SimConfig(
         topology=Topology.line(2),
         beacon_period=1.0,
@@ -217,7 +217,7 @@ def _run_stepsize(params: dict, out: Path) -> dict:
 # ---------------------------------------------------------------- multi-hop line
 
 
-def multihop_config(params: dict, seed: int) -> SimConfig:
+def multihop_config(params: dict) -> SimConfig:
     # Adaptive runs start well below the stability limit: with random boot
     # phases the very first sync error can reach a whole beacon period of
     # ticks, and an initial step near limit/2 would push the rate multiplier
@@ -236,9 +236,9 @@ def multihop_config(params: dict, seed: int) -> SimConfig:
         )
     steps = {p: frac * step_size_limit(p, b, f0) for p in (GRADES, PISYNC)}
     samples = sim.sample_grid(params["duration"], b)[0]
-    nodes = sim.check_trace_size("nodes", _at_least(params, "nodes", 2), lambda k: k * samples,
-                                 f" for duration={params['duration']:g} and beacon_period={b:g}",
-                                 least=2, other="duration")
+    nodes = sim.check_budget(sim.CELLS, "nodes", _at_least(params, "nodes", 2),
+                             lambda k: k * samples, f" for duration={params['duration']:g} "
+                             f"and beacon_period={b:g}", least=2, other="duration")
     return SimConfig(
         topology=Topology.line(nodes),
         beacon_period=b,
@@ -251,17 +251,23 @@ def multihop_config(params: dict, seed: int) -> SimConfig:
         step_policy="adaptive",
         step_size=steps,
         phase_mode="random",
-        seed=seed,
+        seed=int(params["seed"]),
     )
 
 
 def _run_multihop(params: dict, out: Path) -> dict:
-    seeds = [int(params["seed"]) + i for i in range(_at_least(params, "seeds", 1))]
+    config = multihop_config(params)
+    # A seed's node-rounds, counted as 1 at least so that the cost is at least the seed count.
+    work = max(len(config.topology.nodes) * config.duration / config.beacon_period, 1.0)
+    count = sim.check_budget(sim.NODE_ROUNDS, "seeds", _at_least(params, "seeds", 1),
+                             lambda s: s * work, f" for nodes={params['nodes']}, "
+                             f"duration={config.duration:g} and beacon_period="
+                             f"{config.beacon_period:g}", least=1, other="duration")
     per_seed: dict[str, list[dict]] = {GRADES: [], PISYNC: []}
     summary: dict = {}
-    for i, seed in enumerate(seeds):
-        trace = run(multihop_config(params, seed))
-        if i == 0:
+    for seed in range(config.seed, config.seed + count):
+        trace = run(replace(config, seed=seed))
+        if seed == config.seed:
             write_trace_csv(trace, out / "trace.csv")
             write_skew_csv(trace, out / "skew.csv")
         for proto in (GRADES, PISYNC):
@@ -292,10 +298,10 @@ def _run_scaling(params: dict, out: Path) -> dict:
         raise ValueError(
             f"parameter diameters needs 2 or more values >= 1, none repeated, got {diameters}"
         )
-    seeds = [int(params["seed"]) + i for i in range(_at_least(params, "seeds", 1))]
+    seed = int(params["seed"])
     result = scaling_experiment(
         diameters,
-        seeds,
+        range(seed, seed + _at_least(params, "seeds", 1)),
         max_deviation=params["max_deviation"],
         delay_std=params["delay_std"],
         step_size=params["step_size"],
@@ -342,10 +348,14 @@ def _run_theory_check(params: dict, out: Path) -> dict:
     tolerance = _non_negative(params, "tolerance")
     convention = str(params["noise_convention"])
     trials = _at_least(params, "trials", 1)
-    rounds = _at_least(params, "rounds", 2)
+    grid = variance_grid()
+    rounds = sim.check_budget(sim.PATH_ROUNDS, "rounds", _at_least(params, "rounds", 2),
+                              lambda r: 2 * trials * r * len(grid),  # for 2 protocols
+                              f" for trials={trials} and {len(grid)} grid points", least=2,
+                              other="trials")
     rows = []
     formula = {GRADES: grades_variance, PISYNC: pisync_variance}
-    for i, p in enumerate(variance_grid()):
+    for i, p in enumerate(grid):
         estimates = estimate_variance_mc(
             p,
             (GRADES, PISYNC),

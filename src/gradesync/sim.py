@@ -64,39 +64,51 @@ from .protocols import on_beacon_tick  # unused by ``run``; bench/tracer.py wrap
 WHITE_DRIFT = "white"
 RANDOM_CONSTANT_DRIFT = "random-constant"
 
-# Largest trace grid (samples x nodes) a run may ask for.  A cell takes 8 bytes
-# of hardware reading, 8 of hardware rate, 16 per protocol for its reading and
-# rate, and up to 16 more while a protocol's readings are assembled: 160 MB per
-# array at the bound.  Each accepted delivery keeps 32 bytes of log plus 32 per
-# protocol for as long as its trace lives.  A 2,000-node line over 20 rounds
-# needs 122k cells, a 10,000-node one 610k.
-MAX_SAMPLE_CELLS = 2 * 10**7
+# The most a run may ask for, by what it counts; each check names the
+# parameter that asked and the largest value that fits.  A trace cell takes 8
+# bytes of hardware reading, 8 of hardware rate, 16 per protocol for its reading
+# and rate, and up to 16 more while a protocol's readings are assembled: 160 MB
+# per array at the bound (a 2,000-node line over 20 rounds needs 122k cells); each
+# accepted delivery keeps 32 bytes of log plus 32 per protocol as long as its trace.  A
+# Monte-Carlo trial takes 610-720 bytes for its noise block and temporaries and
+# 45 more per path: about 770 for two protocols, under 400 MB at the bound.  At
+# BENCH_25.json's rates (fig3 448k node-rounds a second, theory-check 60.5M draws,
+# about one per path-round) the two work bounds take about 220 s and 33 s.
+BUDGETS = {
+    "trace cells (samples x nodes)": 2 * 10**7,
+    "Monte-Carlo paths (protocols x trials)": 5 * 10**5,
+    "node-rounds (nodes x rounds, summed over seeds)": 10**8,
+    "path-rounds (protocols x trials x rounds x grid points)": 2 * 10**9,
+}
+CELLS, PATHS, NODE_ROUNDS, PATH_ROUNDS = BUDGETS
 
 
 def sample_grid(duration: float, beacon_period: float, sample_period=None) -> tuple[int, float]:
     """A trace's sample count and period (default beacon_period / 3): a sample at 0 and every
-    period up to ``duration``, the count capped past MAX_SAMPLE_CELLS to stay an int."""
+    period up to ``duration``, the count capped past the CELLS budget to stay an int."""
     period = sample_period if sample_period is not None else beacon_period / 3.0
-    return math.floor(min(duration / period, MAX_SAMPLE_CELLS) + 1e-9) + 1, period
+    return math.floor(min(duration / period, BUDGETS[CELLS]) + 1e-9) + 1, period
 
 
-def check_trace_size(name: str, value: int, cells, at: str = "", least=0, other="") -> int:
-    """``value``, if a trace of ``cells(value)`` cells (samples x nodes) fits MAX_SAMPLE_CELLS.
+def check_budget(budget: str, name: str, value: int, cost, at: str = "", least=0,
+                 other="") -> int:
+    """``value``, if ``cost(value)`` fits ``BUDGETS[budget]``.
 
     Else a ValueError names parameter ``name``, the largest value that fits and,
     in ``at``, what else sets it; or parameter ``other`` if not even ``least``,
-    the least value ``name`` accepts, fits.  ``cells(x)`` is at least x and
+    the least value ``name`` accepts, fits.  ``cost(x)`` is at least x and
     never falls as x grows.
     """
-    if value <= MAX_SAMPLE_CELLS and cells(value) <= MAX_SAMPLE_CELLS:
+    bound = BUDGETS[budget]
+    if value <= bound and cost(value) <= bound:
         return value
-    if cells(least) > MAX_SAMPLE_CELLS:
+    if cost(least) > bound:
         raise ValueError(f"parameter {other} is too large: even {name}={least}{at} asks for "
-                         f"more than {MAX_SAMPLE_CELLS} trace cells (samples x nodes)")
-    lo, hi = least, min(value, MAX_SAMPLE_CELLS + 1)  # cells(hi) is over the bound
+                         f"more than {bound} {budget}")
+    lo, hi = least, min(value, bound + 1)  # cost(hi) is over the bound
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if cells(mid) <= MAX_SAMPLE_CELLS else (lo, mid)
+        lo, hi = (mid, hi) if cost(mid) <= bound else (lo, mid)
     raise ValueError(f"parameter {name} must be at most {lo}{at}, got {value}")
 
 
@@ -384,14 +396,9 @@ def run(config: SimConfig) -> SkewTrace:
     round_ticks = b * f0
     n = len(nodes)
     n_samples, sample_period = sample_grid(config.duration, b, config.sample_period)
-    if n_samples * n > MAX_SAMPLE_CELLS:  # the advice names only what the caller set
-        period, fix = (("sample_period", "raise sample_period") if config.sample_period is not None
-                       else ("beacon_period/3", "use fewer nodes"))
-        raise ValueError(
-            f"duration={config.duration:g} over {period}={sample_period:g} for {n} "
-            f"nodes asks for more than {MAX_SAMPLE_CELLS} trace cells (samples x nodes); "
-            f"shorten duration or {fix}"
-        )
+    check_budget(CELLS, "nodes", n, lambda k: k * n_samples,
+                 f" for duration={config.duration:g} sampled every {sample_period:g}",
+                 least=1, other="duration")
 
     ss = np.random.SeedSequence(config.seed)
     phase_ss, delay_ss, drop_ss, drift_ss = ss.spawn(4)
@@ -575,8 +582,12 @@ def scaling_experiment(
     if len({int(d) for d in diameters}) < len(diameters):
         raise ValueError(f"diameters must not repeat, got {tuple(diameters)}")
     samples = sample_grid(rounds, 1.0)[0]
-    check_trace_size("diameters", max([int(d) for d in diameters], default=0),
-                     lambda d: (d + 1) * samples, f" for rounds={rounds}", least=1, other="rounds")
+    check_budget(CELLS, "diameters", max([int(d) for d in diameters], default=0),
+                 lambda d: (d + 1) * samples, f" for rounds={rounds}", least=1, other="rounds")
+    seed_rounds = rounds * sum([int(d) + 1 for d in diameters])  # node-rounds of one seed
+    check_budget(NODE_ROUNDS, "seeds", len(seeds), lambda s: s * seed_rounds,
+                 f" for rounds={rounds} and diameters={tuple(diameters)}", least=1,
+                 other="rounds")
     rows = []
     for d in diameters:
         for seed in seeds:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradesync import analysis
+from gradesync import analysis, sim
 from gradesync import (
     GRADES,
     PISYNC,
@@ -16,7 +16,6 @@ from gradesync import (
     SimConfig,
     SystemParams,
     Topology,
-    compare_protocols,
     eigenvalues,
     error_scale,
     estimate_variance_mc,
@@ -199,36 +198,29 @@ def test_variance_winner_flips_exactly_at_half_a_tick_per_round():
     # Same step for both protocols; the two z-variance denominators differ
     # only by their leading constants 1 vs 2*B*f0.
     for b in (0.05, 0.2, 0.4, 0.49):
-        c = compare_protocols(params(b=b, step=0.1, fmax=0.01, dstd=1e-3))
-        assert c.variance_winner == GRADES
-        assert c.grades_variance < c.pisync_variance
+        p = params(b=b, step=0.1, fmax=0.01, dstd=1e-3)
+        assert variance(p, GRADES) < variance(p, PISYNC)
     for b in (0.51, 0.8, 1.0, 1.9):
-        c = compare_protocols(params(b=b, step=0.1, fmax=0.01, dstd=1e-3))
-        assert c.variance_winner == PISYNC
-        assert c.pisync_variance < c.grades_variance
-    tie = compare_protocols(params(b=0.5, step=0.1, fmax=0.01, dstd=1e-3))
-    assert tie.variance_winner == "tie"
+        p = params(b=b, step=0.1, fmax=0.01, dstd=1e-3)
+        assert variance(p, PISYNC) < variance(p, GRADES)
+    tie = params(b=0.5, step=0.1, fmax=0.01, dstd=1e-3)
+    assert math.isclose(variance(tie, GRADES), variance(tie, PISYNC), rel_tol=1e-12)
 
 
 def test_convergence_winner_depends_on_the_round_length():
+    def contraction(p, protocol):
+        return abs(eigenvalues(p, protocol)[1])
+
     # Long rounds: grades' quadratic factor contracts faster at equal step.
-    fast = compare_protocols(params(b=1.0, step=0.1, dstd=1e-3))
-    assert fast.convergence_winner == GRADES
+    fast = params(b=1.0, step=0.1, dstd=1e-3)
+    assert contraction(fast, GRADES) < contraction(fast, PISYNC)
     # Short rounds (B*f0 < 1/2): the quadratic factor is the smaller one.
-    slow = compare_protocols(params(b=0.3, step=0.5, dstd=1e-3))
-    assert slow.convergence_winner == PISYNC
+    slow = params(b=0.3, step=0.5, dstd=1e-3)
+    assert contraction(slow, PISYNC) < contraction(slow, GRADES)
     # |1 - 2a| == |1 - a| at a = 2/3: a genuine tie.
-    tie = compare_protocols(params(b=1.0, step=2.0 / 3.0, dstd=1e-3))
-    assert tie.convergence_winner == "tie"
-
-
-def test_comparison_carries_both_closed_forms_verbatim():
-    p = params(b=1.2, step=0.2, fmax=0.02, dstd=2e-3)
-    c = compare_protocols(p)
-    assert c.grades_lambda2 == eigenvalues(p, GRADES)[1]
-    assert c.pisync_lambda2 == eigenvalues(p, PISYNC)[1]
-    assert c.grades_variance == variance(p, GRADES)
-    assert c.pisync_variance == variance(p, PISYNC)
+    tie = params(b=1.0, step=2.0 / 3.0, dstd=1e-3)
+    assert math.isclose(contraction(tie, GRADES), contraction(tie, PISYNC), rel_tol=1e-12,
+                        abs_tol=1e-15)
 
 
 # ---------------------------------------------------------------- Monte-Carlo oracle
@@ -298,12 +290,12 @@ def test_mc_oracle_validates_arguments():
 
 def test_mc_oracle_bounds_protocols_times_trials_before_allocating(monkeypatch):
     p = params(step=0.1, dstd=0.01)
-    monkeypatch.setattr(analysis, "MAX_MC_PATHS", 10)
+    monkeypatch.setitem(sim.BUDGETS, sim.PATHS, 10)
     assert len(estimate_variance_mc(p, (GRADES, PISYNC), rounds=4, trials=5)) == 2
     monkeypatch.setattr(analysis, "np", None)  # a call that reaches numpy now fails otherwise
-    with pytest.raises(ValueError, match="trials=6 for 2 protocols"):
+    with pytest.raises(ValueError, match="^parameter trials must be at most 5, got 6$"):
         estimate_variance_mc(p, (GRADES, PISYNC), rounds=4, trials=6)
-    with pytest.raises(ValueError, match="trials=11 for 1 protocols"):
+    with pytest.raises(ValueError, match="^parameter trials must be at most 10, got 11$"):
         estimate_variance_mc(p, (GRADES,), rounds=4, trials=11)
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from gradesync import analysis, scenarios, sim
+from gradesync import scenarios, sim
 from gradesync.cli import main, parse_config_file, run_scenario
 from gradesync.errors import ContractViolation
 from gradesync.scenarios import SCENARIOS, Scenario
@@ -297,6 +297,22 @@ def test_main_int_past_float_range_exits_2_naming_the_parameter(
     assert capsys.readouterr().err == f"error: parameter {parameter} must be finite, got {raw!r}\n"
 
 
+@pytest.mark.parametrize("scenario, parameter", [c for c in INT_PARAMETERS if c[1] != "seed"])
+def test_every_int_parameter_at_1e15_exits_2_at_once_naming_itself(tmp_path, scenario, parameter):
+    # Every int parameter but seed sets a run's memory or work, so a huge value
+    # (the last of a tuple) must be refused before any run or oracle call.  The
+    # 2 GB address-space limit turns a list grown without bound into a quick failure.
+    default = SCENARIOS[scenario].defaults[parameter]
+    value = ",".join(map(str, default[:-1] + (10**15,))) if isinstance(default, tuple) else 10**15
+    code = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2 * 10**9,) * 2); "
+            "from gradesync.cli import main; sys.exit(main(sys.argv[1:]))")
+    argv = ["--scenario", scenario, "--set", f"{parameter}={value}", "--out", str(tmp_path)]
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                          timeout=2)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith(f"error: parameter {parameter} "), proc.stderr
+
+
 @pytest.mark.parametrize(
     "scenario, override, parameter",
     [
@@ -359,7 +375,7 @@ def test_main_oversized_fig3_line_exits_2_naming_nodes_or_else_duration(
     # nodes and the most nodes that fit at its duration, or duration when not
     # even 2 nodes, the fewest fig3 accepts, fit.
     if bound is not None:
-        monkeypatch.setattr(sim, "MAX_SAMPLE_CELLS", bound)
+        monkeypatch.setitem(sim.BUDGETS, sim.CELLS, bound)
     argv = ["--scenario", "fig3-multihop", "--out", str(tmp_path)]
     code = main(argv + [arg for o in overrides for arg in ("--set", o)])
     assert code == 2
@@ -410,7 +426,8 @@ def test_every_simconfig_field_takes_two_values_across_the_default_scenarios(
     fig3 = defaults["fig3-multihop"]
     configs = [scenarios.pairwise_config(defaults["fig1-pairwise"]),
                *scenarios.stepsize_configs(defaults["fig2-stepsize"]).values(),
-               *[scenarios.multihop_config(fig3, fig3["seed"] + i) for i in range(fig3["seeds"])]]
+               *[scenarios.multihop_config({**fig3, "seed": fig3["seed"] + i})
+                 for i in range(fig3["seeds"])]]
     monkeypatch.setattr(sim, "run", configs.append)
     monkeypatch.setattr(sim, "steady_mean_skew", lambda trace, protocol: 1.0)
     SCENARIOS["scaling"].runner(defaults["scaling"], tmp_path)
@@ -464,7 +481,7 @@ def test_main_oversized_rounds_exits_2_naming_rounds_and_the_most_accepted(
     assert capsys.readouterr().err == (
         "error: parameter rounds must be at most 3333333, got 3333334\n"
     )
-    monkeypatch.setattr(sim, "MAX_SAMPLE_CELLS", 20)  # 3 rounds fill the 2 x 10 cells
+    monkeypatch.setitem(sim.BUDGETS, sim.CELLS, 20)  # 3 rounds fill the 2 x 10 cells
     assert main(argv + ["--set", "rounds=4"]) == 2
     assert capsys.readouterr().err == "error: parameter rounds must be at most 3, got 4\n"
     assert main(argv + ["--set", "rounds=3"]) == 0
@@ -539,10 +556,10 @@ def test_a_runner_that_writes_no_file_still_gets_its_summary_csv(tmp_path, monke
 
 
 def test_main_oversized_oracle_exits_2_naming_trials(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(analysis, "MAX_MC_PATHS", 10)
+    monkeypatch.setitem(sim.BUDGETS, sim.PATHS, 10)
     code = main(["--scenario", "theory-check", "--set", "trials=6", "--out", str(tmp_path)])
     assert code == 2
-    assert capsys.readouterr().err.startswith("error: trials=6 for 2 protocols asks for more")
+    assert capsys.readouterr().err == "error: parameter trials must be at most 5, got 6\n"
 
 
 def test_missing_scenario_flag_is_an_argparse_error():

@@ -27,6 +27,16 @@ def test_a_workload_record_holds_both_runs_metrics_tallies_and_environment():
     assert record["end_to_end"]["env"]["src_lines"] > 0
 
 
+def test_a_scenario_record_holds_the_median_of_its_fresh_processes():
+    assert record_bench.scenario_names() == [
+        "fig1-pairwise", "fig2-stepsize", "fig3-multihop", "scaling", "theory-check"]
+    record = record_bench.record_scenario("fig1-pairwise")
+    assert set(record) == {"wall_s", "runs_s"}
+    assert len(record["runs_s"]) == record_bench.SCENARIO_RUNS == 3
+    assert all(0 < s < 60 for s in record["runs_s"])
+    assert record["wall_s"] == sorted(record["runs_s"])[1]
+
+
 def test_recording_refuses_uncommitted_changes_and_writes_nothing(tmp_path, monkeypatch, capsys):
     # The env's git_commit is read from HEAD, so it names the measured code only when clean.
     monkeypatch.setattr(record_bench, "uncommitted", lambda: " M src/gradesync/sim.py\n")

@@ -560,7 +560,7 @@ def test_each_lane_updates_through_its_first_protocols_name(
 def test_equal_fractions_of_the_limits_run_one_trajectory_on_default_fig3(seed):
     # fig3 starts both protocols at 1/64 of their stability limits: equal gains,
     # so both lanes make the same float operations on the same inputs.
-    config = multihop_config(SCENARIOS["fig3-multihop"].defaults, seed)
+    config = multihop_config({**SCENARIOS["fig3-multihop"].defaults, "seed": seed})
     b, f0 = config.beacon_period, config.nominal_freq
     grades_gain, pisync_gain = (config.resolved_step_size(p) * error_scale(p, b, f0)
                                 for p in (GRADES, PISYNC))
@@ -684,23 +684,26 @@ def test_a_run_reports_the_seconds_of_each_phase():
 
 
 def test_sample_grid_is_bounded_before_it_is_allocated(monkeypatch):
-    monkeypatch.setattr(sim, "MAX_SAMPLE_CELLS", 22)
+    monkeypatch.setitem(sim.BUDGETS, sim.CELLS, 22)
     assert run(config(duration=10.0, sample_period=1.0)).readings[GRADES].shape == (11, 2)
-    with pytest.raises(ValueError, match="duration=11 over sample_period=1 "):
+    with pytest.raises(ValueError, match="^parameter nodes must be at most 1 for duration=11 "
+                                         "sampled every 1, got 2$"):
         run(config(duration=11.0, sample_period=1.0))
 
 
 def test_sample_grid_bound_holds_past_float_range():
-    with pytest.raises(ValueError, match="shorten duration or raise sample_period"):
+    with pytest.raises(ValueError, match="^parameter duration is too large: even nodes=1 for "
+                                         "duration=1e[+]300 sampled every 1e-300 asks for more "
+                                         "than 20000000 trace cells"):
         run(config(duration=1e300, sample_period=1e-300))
 
 
 def test_the_trace_size_rule_names_the_largest_value_that_fits(monkeypatch):
-    monkeypatch.setattr(sim, "MAX_SAMPLE_CELLS", 1000)
-    assert sim.check_trace_size("nodes", 142, lambda k: 7 * k) == 142
+    monkeypatch.setitem(sim.BUDGETS, sim.CELLS, 1000)
+    assert sim.check_budget(sim.CELLS, "nodes", 142, lambda k: 7 * k) == 142
     for value in (143, 10**400):  # a value past float range is never used in a cell count
         with pytest.raises(ValueError, match=rf"^parameter nodes must be at most 142, got {value}$"):
-            sim.check_trace_size("nodes", value, lambda k: 7 * k)
+            sim.check_budget(sim.CELLS, "nodes", value, lambda k: 7 * k)
     # 100 rounds sampled every third of a round are 301 samples: 3 nodes fit.
     line = Topology.line
     monkeypatch.setattr(Topology, "line", staticmethod(lambda n: pytest.fail(f"line({n})")))
@@ -708,10 +711,12 @@ def test_the_trace_size_rule_names_the_largest_value_that_fits(monkeypatch):
         sim.scaling_experiment([2, 5], [0], rounds=100)
     # When not even the least value fits, the rule names the parameter that sets the samples.
     with pytest.raises(ValueError, match=r"^parameter nodes must be at most 142 for d=1, got 150$"):
-        sim.check_trace_size("nodes", 150, lambda k: 7 * k, " for d=1", least=142, other="d")
+        sim.check_budget(sim.CELLS, "nodes", 150, lambda k: 7 * k, " for d=1", least=142,
+                         other="d")
     with pytest.raises(ValueError, match=r"^parameter d is too large: even nodes=143 for d=1 asks "
                                          r"for more than 1000 trace cells \(samples x nodes\)$"):
-        sim.check_trace_size("nodes", 150, lambda k: 7 * k, " for d=1", least=143, other="d")
+        sim.check_budget(sim.CELLS, "nodes", 150, lambda k: 7 * k, " for d=1", least=143,
+                         other="d")
     # 166 rounds are 499 samples, which fit twice (diameter 1) but not three times; 167 are 502.
     with pytest.raises(ValueError, match=r"^parameter diameters must be at most 1 for rounds=166, "):
         sim.scaling_experiment([1, 2], [0], rounds=166)
