@@ -585,7 +585,11 @@ def scaling_experiment(
     check_budget(CELLS, "diameters", max([int(d) for d in diameters], default=0),
                  lambda d: (d + 1) * samples, f" for rounds={rounds}", least=1, other="rounds")
     seed_rounds = rounds * sum([int(d) + 1 for d in diameters])  # node-rounds of one seed
-    check_budget(NODE_ROUNDS, "seeds", len(seeds), lambda s: s * seed_rounds,
+    try:
+        count = len(seeds)
+    except OverflowError:  # a range longer than sys.maxsize
+        count = (seeds[-1] - seeds[0]) // seeds.step + 1
+    check_budget(NODE_ROUNDS, "seeds", count, lambda s: s * seed_rounds,
                  f" for rounds={rounds} and diameters={tuple(diameters)}", least=1,
                  other="rounds")
     rows = []

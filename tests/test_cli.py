@@ -297,13 +297,20 @@ def test_main_int_past_float_range_exits_2_naming_the_parameter(
     assert capsys.readouterr().err == f"error: parameter {parameter} must be finite, got {raw!r}\n"
 
 
-@pytest.mark.parametrize("scenario, parameter", [c for c in INT_PARAMETERS if c[1] != "seed"])
-def test_every_int_parameter_at_1e15_exits_2_at_once_naming_itself(tmp_path, scenario, parameter):
+# 10**19 seeds are more than a range's len() can count (sys.maxsize).
+HUGE_INTS = [(*case, 10**15) for case in INT_PARAMETERS if case[1] != "seed"]
+HUGE_INTS.append(("scaling", "seeds", 10**19))
+
+
+@pytest.mark.parametrize("scenario, parameter, huge", HUGE_INTS)
+def test_a_huge_int_parameter_exits_2_at_once_naming_itself(
+    tmp_path, scenario, parameter, huge
+):
     # Every int parameter but seed sets a run's memory or work, so a huge value
     # (the last of a tuple) must be refused before any run or oracle call.  The
     # 2 GB address-space limit turns a list grown without bound into a quick failure.
     default = SCENARIOS[scenario].defaults[parameter]
-    value = ",".join(map(str, default[:-1] + (10**15,))) if isinstance(default, tuple) else 10**15
+    value = ",".join(map(str, default[:-1] + (huge,))) if isinstance(default, tuple) else huge
     code = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2 * 10**9,) * 2); "
             "from gradesync.cli import main; sys.exit(main(sys.argv[1:]))")
     argv = ["--scenario", scenario, "--set", f"{parameter}={value}", "--out", str(tmp_path)]
