@@ -1,13 +1,6 @@
 """Clock synchronization protocols, closed-form analysis, and a deterministic simulator."""
 
-from .analysis import (
-    McEstimate,
-    SystemParams,
-    eigenvalues,
-    estimate_variance_mc,
-    rate_error_path,
-    variance,
-)
+from .analysis import McEstimate, SystemParams, estimate_variance_mc, variance
 from .clocks import ConstantDrift, HardwareClock, LogicalClock, PiecewiseDrift, WhiteDrift
 from .errors import ContractViolation, InvalidRegimeError
 from .protocols import (

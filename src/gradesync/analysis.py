@@ -11,11 +11,10 @@ beacon_period * max_deviation**2 / 3) and per-round delay-noise difference d:
 with error_scale = 2*B*f0 for grades and 1 for pisync (``protocols.error_scale``;
 c is the simulator's gain times f0), so the contraction factor in expectation
 is 1 - 2*step*B**2*f0**2 resp. 1 - step*B*f0.  This module evaluates the
-resulting eigenvalues and steady-state error variances, and
-`estimate_variance_mc` replays the same recursion stochastically so every
-formula can be validated against an independent sample estimate.  Only c
-differs between the protocols, so one oracle call runs a recursion per
-protocol side by side on one noise stream.
+resulting steady-state error variances, and `estimate_variance_mc` replays the
+same recursion stochastically so every formula can be validated against an
+independent sample estimate.  Only c differs between the protocols, so one
+oracle call runs a recursion per protocol side by side on one noise stream.
 
 Delay-noise conventions: the closed forms treat d as an i.i.d. draw of
 variance delay_std**2.  Mechanistically d is a difference of consecutive
@@ -31,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidRegimeError
-from .protocols import error_scale, step_size_limit
+from .protocols import error_scale
 from .sim import PATHS, check_budget
 
 
@@ -62,35 +61,10 @@ class SystemParams:
                 sign = ">=" if name in noise else ">"
                 raise ValueError(f"{name} must be finite and {sign} 0, got {x}")
 
-    def normalized(self, protocol: str) -> "SystemParams":
-        """Equivalent parameters in round/nominal-tick units (B=1, f0=1).
-
-        Time is measured in beacon periods and clock values in beacon periods
-        of nominal ticks.  Under the white drift model the per-round deviation
-        integral must keep its variance, so max_deviation scales by
-        1/(f0*sqrt(B)); delay_std scales by 1/B; the step size scales by the
-        ratio of stability bounds (B**2*f0**2 for grades, B*f0 for pisync).
-        Steady-state error variances map exactly as Var_norm = Var / B**2.
-        """
-        b, f0 = self.beacon_period, self.nominal_freq
-        scale = step_size_limit(protocol, 1.0, 1.0) / step_size_limit(protocol, b, f0)
-        return SystemParams(
-            beacon_period=1.0,
-            nominal_freq=1.0,
-            step_size=self.step_size * scale,
-            max_deviation=self.max_deviation / (f0 * math.sqrt(b)),
-            delay_std=self.delay_std / b,
-        )
-
 
 def _update_coefficient(p: SystemParams, protocol: str) -> float:
     """c in z_{h+1} = z_h - c * e(h+1): the step times the error scale, per rate unit."""
     return p.step_size * error_scale(protocol, p.beacon_period, p.nominal_freq) * p.nominal_freq
-
-
-def eigenvalues(p: SystemParams, protocol: str) -> tuple[float, float]:
-    """Eigenvalues of the expected (offset, rate-error) round map: (0, lambda2)."""
-    return 0.0, 1.0 - _update_coefficient(p, protocol) * p.beacon_period
 
 
 def variance(p: SystemParams, protocol: str) -> float:
@@ -123,7 +97,6 @@ class McEstimate:
     se_mean_error: float
     mean_rate_multiplier: float
     n_samples: int
-    noise_convention: str
 
 
 _BLOCK_ROUNDS = 16  # rounds of noise drawn per numpy call
@@ -160,7 +133,7 @@ def estimate_variance_mc(
         raise ValueError(f"protocols must be a tuple of protocol names, got {protocols!r}")
     if noise_convention not in ("iid", "difference"):
         raise ValueError(
-            f"noise_convention must be 'iid' or 'difference', got {noise_convention!r}"
+            f"parameter noise_convention must be 'iid' or 'difference', got {noise_convention!r}"
         )
     if rounds < 2:
         raise ValueError("need at least 2 rounds")
@@ -207,13 +180,10 @@ def estimate_variance_mc(
                 sum_e2 += e
                 sum_z += z
     kept = rounds - burn_in
-    return tuple(
-        _mc_estimate(sum_e[j], sum_e2[j], sum_z[j], kept, f0, noise_convention)
-        for j in range(len(coef))
-    )
+    return tuple(_mc_estimate(sum_e[j], sum_e2[j], sum_z[j], kept, f0) for j in range(len(coef)))
 
 
-def _mc_estimate(sum_e, sum_e2, sum_z, kept: int, f0: float, noise_convention: str) -> McEstimate:
+def _mc_estimate(sum_e, sum_e2, sum_z, kept: int, f0: float) -> McEstimate:
     """One protocol's statistics from its per-trial sums over ``kept`` rounds."""
     trials = len(sum_e)
     n = kept * trials
@@ -230,24 +200,4 @@ def _mc_estimate(sum_e, sum_e2, sum_z, kept: int, f0: float, noise_convention: s
         se_mean_error=se,
         mean_rate_multiplier=mean_rate,
         n_samples=n,
-        noise_convention=noise_convention,
     )
-
-
-def rate_error_path(p: SystemParams, protocol: str, rounds: int, z0: float) -> np.ndarray:
-    """Noise-free z trajectory (length rounds+1): exact expected-value dynamics.
-
-    With both noise sources off the recursion's constant terms cancel, so the
-    path decays (or grows) geometrically at exactly the nonzero eigenvalue —
-    handy for decay-rate and stability-boundary checks.
-    """
-    coef = _update_coefficient(p, protocol)
-    b = p.beacon_period
-    path = np.empty(rounds + 1)
-    path[0] = z0
-    z = z0
-    for h in range(rounds):
-        e = z * b
-        z = z - coef * e
-        path[h + 1] = z
-    return path

@@ -90,10 +90,6 @@ class ConstantDrift(PiecewiseDrift):
     def __init__(self, deviation: float = 0.0):
         super().__init__(((0.0, deviation),))
 
-    @property
-    def deviation(self) -> float:
-        return self.steps[0][1]
-
 
 class WhiteDrift(DriftModel):
     """Per-unit-time white frequency deviation, uniform in [-max_dev, +max_dev].

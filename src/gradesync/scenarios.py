@@ -167,6 +167,10 @@ def _run_pairwise(params: dict, out: Path) -> dict:
 def stepsize_configs(params: dict) -> dict[str, SimConfig]:
     """One fixed-step run per listed step size plus one adaptive run."""
     drift = ConstantDrift(_ppm_below_nominal(params, "drift_ppm"))
+    limit = step_size_limit(GRADES, 1.0, 1.0)  # checked before any series runs and writes
+    if not all(0 < s < limit for s in params["constant_steps"]):
+        raise ValueError(f"parameter constant_steps must each be in (0, {limit:g}), "
+                         f"got {params['constant_steps']}")
     configs = {
         f"const-{_fmt(s)}": _two_node_config(params, drift, "fixed", s)
         for s in params["constant_steps"]
@@ -225,7 +229,7 @@ def multihop_config(params: dict) -> SimConfig:
     # 20-hop line; the adaptation doubles its way back up within a few rounds.
     frac = params["initial_step_fraction"]
     b, f0 = params["beacon_period"], params["nominal_freq"]
-    for name in ("beacon_period", "nominal_freq"):
+    for name in ("beacon_period", "nominal_freq", "duration"):
         if not params[name] > 0:
             raise ValueError(f"parameter {name} must be positive, got {params[name]}")
     if not 0 < frac <= 1:
@@ -297,6 +301,10 @@ def _run_scaling(params: dict, out: Path) -> dict:
     if len(set(diameters)) < max(2, len(diameters)) or min(diameters) < 1:
         raise ValueError(
             f"parameter diameters needs 2 or more values >= 1, none repeated, got {diameters}"
+        )
+    if not 0 <= params["max_deviation"] < 1:  # the deviation must stay below nominal_freq = 1
+        raise ValueError(
+            f"parameter max_deviation must be in [0, 1), got {params['max_deviation']}"
         )
     seed = int(params["seed"])
     result = scaling_experiment(

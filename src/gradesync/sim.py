@@ -525,7 +525,7 @@ def run(config: SimConfig) -> SkewTrace:
         rate_multipliers=rates_out,
         hw_rates=hw_rates_out,
         meta={
-            # Normalized units are B = 1 and f0 = 1, as in analysis.SystemParams.normalized.
+            # Normalized units are B = 1 and f0 = 1: time and clock values count rounds.
             "unit_mode": "normalized" if (b, f0) == (1.0, 1.0) else "physical",
             "seed": config.seed,
             "beacon_period": b,

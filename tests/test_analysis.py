@@ -1,5 +1,5 @@
-"""Closed-form eigenvalues, stability bounds, fixed points, and steady-state
-variances, each cross-checked against the independent round-recursion oracle."""
+"""Closed-form stability bounds, fixed points, and steady-state variances, each
+cross-checked against the independent round-recursion oracle."""
 
 import math
 
@@ -16,10 +16,8 @@ from gradesync import (
     SimConfig,
     SystemParams,
     Topology,
-    eigenvalues,
     error_scale,
     estimate_variance_mc,
-    rate_error_path,
     step_size_limit,
     variance,
 )
@@ -29,27 +27,6 @@ def params(b=1.0, f0=1.0, step=0.1, fmax=0.0, dstd=0.0):
     return SystemParams(
         beacon_period=b, nominal_freq=f0, step_size=step, max_deviation=fmax, delay_std=dstd
     )
-
-
-# ---------------------------------------------------------------- eigenvalues
-
-
-def test_grades_eigenvalues_examples():
-    lam1, lam2 = eigenvalues(params(step=1e-12), GRADES)
-    assert lam1 == 0.0
-    assert lam2 == pytest.approx(1.0, abs=1e-11)  # vanishing step: no contraction
-    assert eigenvalues(params(step=0.5), GRADES)[1] == 0.0  # deadbeat
-    assert eigenvalues(params(step=1.0), GRADES)[1] == -1.0  # stability boundary
-    lam2 = eigenvalues(params(b=30.0, f0=1e6, step=0.25 * (30e6) ** -2), GRADES)[1]
-    assert lam2 == pytest.approx(0.5, rel=1e-12)
-
-
-def test_pisync_eigenvalues_examples():
-    assert eigenvalues(params(step=1e-12), PISYNC)[1] == pytest.approx(1.0, abs=1e-11)
-    assert eigenvalues(params(step=1.0), PISYNC)[1] == 0.0  # deadbeat
-    assert eigenvalues(params(step=2.0), PISYNC)[1] == -1.0  # stability boundary
-    lam2 = eigenvalues(params(b=30.0, f0=1e6, step=0.5 / 30e6), PISYNC)[1]
-    assert lam2 == pytest.approx(0.5, rel=1e-12)
 
 
 def test_stability_bounds_and_their_crossover():
@@ -67,34 +44,9 @@ def test_fixed_points_are_zero_error_at_the_nominal_rate():
     # zero sync error at rate multiplier 1/f0.
     for f0 in (1.0, 1e6):
         p = params(f0=f0, step=1e-9)
-        for proto in (GRADES, PISYNC):
-            assert np.all(rate_error_path(p, proto, rounds=10, z0=0.0) == 0.0)
         both = estimate_variance_mc(p, (GRADES, PISYNC), rounds=10, trials=4, seed=0)
         for est in both:
             assert (est.mean_error, est.mean_rate_multiplier) == (0.0, 1.0 / f0)
-
-
-# ---------------------------------------------------------------- noise-free dynamics
-
-
-def test_path_decay_matches_the_eigenvalue_exactly():
-    for proto in (GRADES, PISYNC):
-        for step in (0.05, 0.3, 0.45):
-            p = params(step=step)
-            lam2 = eigenvalues(p, proto)[1]
-            path = rate_error_path(p, proto, rounds=20, z0=1e-4)
-            ratios = path[1:] / path[:-1]
-            assert np.allclose(ratios, lam2, rtol=1e-9)
-
-
-def test_stability_boundary_is_sharp_at_five_percent():
-    z0 = 1e-4
-    for proto in (GRADES, PISYNC):
-        limit = step_size_limit(proto, 1.0, 1.0)
-        below = rate_error_path(params(step=0.95 * limit), proto, rounds=1000, z0=z0)
-        above = rate_error_path(params(step=1.05 * limit), proto, rounds=1000, z0=z0)
-        assert abs(below[-1]) < 1e-6 * abs(z0)
-        assert abs(above[-1]) > 1e6 * abs(z0)
 
 
 # ---------------------------------------------------------------- variances
@@ -132,7 +84,7 @@ def test_variance_raises_outside_the_contraction_region():
     assert variance(params(step=edge * 0.999, fmax=fmax, dstd=0.01), GRADES) > 0
 
 
-def test_equal_gains_give_equal_variances_and_eigenvalues():
+def test_equal_gains_give_equal_variances():
     # One formula in the gain c = step * error_scale * f0: a grades step a and a
     # pisync step a * (2*B*f0) have the same c, so every result is bit-identical.
     rng = np.random.default_rng(19)
@@ -143,7 +95,6 @@ def test_equal_gains_give_equal_variances_and_eigenvalues():
         g = params(b=b, f0=f0, step=a, fmax=fmax, dstd=dstd)
         q = params(b=b, f0=f0, step=a * (2.0 * b * f0), fmax=fmax, dstd=dstd)
         assert variance(g, GRADES) == variance(q, PISYNC), (b, f0, a, fmax, dstd)
-        assert eigenvalues(g, GRADES) == eigenvalues(q, PISYNC), (b, f0, a)
 
 
 @settings(max_examples=60, deadline=None)
@@ -174,20 +125,28 @@ def test_variance_grows_with_the_step_size(a1, ratio, dstd, fmax):
     fmax_ppm=st.floats(0.0, 100.0),
     dstd_frac=st.floats(0.0, 1e-3),
 )
-def test_normalized_params_preserve_dynamics_and_scale_variance(b, f0, frac, fmax_ppm, dstd_frac):
+def test_normalized_params_scale_the_variance_by_one_over_b_squared(
+    b, f0, frac, fmax_ppm, dstd_frac
+):
+    # In round/nominal-tick units (B = f0 = 1) the per-round deviation integral keeps its
+    # variance, so max_deviation scales by 1/(f0*sqrt(B)); delay_std scales by 1/B and the
+    # step by the ratio of stability bounds.
     for proto in (GRADES, PISYNC):
+        limit = step_size_limit(proto, b, f0)
         p = SystemParams(
             beacon_period=b,
             nominal_freq=f0,
-            step_size=frac * step_size_limit(proto, b, f0),
+            step_size=frac * limit,
             max_deviation=fmax_ppm * 1e-6 * f0,
             delay_std=dstd_frac * b,
         )
-        q = p.normalized(proto)
-        assert (q.beacon_period, q.nominal_freq) == (1.0, 1.0)
-        assert q.step_size == pytest.approx(frac * step_size_limit(proto, 1.0, 1.0), rel=1e-9)
-        lam_q, lam_p = eigenvalues(q, proto)[1], eigenvalues(p, proto)[1]
-        assert lam_q == pytest.approx(lam_p, rel=1e-9, abs=1e-12)
+        q = SystemParams(
+            beacon_period=1.0,
+            nominal_freq=1.0,
+            step_size=p.step_size * step_size_limit(proto, 1.0, 1.0) / limit,
+            max_deviation=p.max_deviation / (f0 * math.sqrt(b)),
+            delay_std=p.delay_std / b,
+        )
         assert variance(q, proto) == pytest.approx(variance(p, proto) / b**2, rel=1e-9)
 
 
@@ -209,7 +168,9 @@ def test_variance_winner_flips_exactly_at_half_a_tick_per_round():
 
 def test_convergence_winner_depends_on_the_round_length():
     def contraction(p, protocol):
-        return abs(eigenvalues(p, protocol)[1])
+        # |1 - c*B| in the gain c = step * error_scale * f0 of the noise-free round map.
+        c = p.step_size * error_scale(protocol, p.beacon_period, p.nominal_freq) * p.nominal_freq
+        return abs(1.0 - c * p.beacon_period)
 
     # Long rounds: grades' quadratic factor contracts faster at equal step.
     fast = params(b=1.0, step=0.1, dstd=1e-3)
@@ -267,8 +228,6 @@ def test_iid_convention_agrees_where_the_difference_convention_does_not():
     )
     for proto, iid, diff in zip(both, iids, diffs):
         target = variance(p, proto)
-        assert iid.noise_convention == "iid"
-        assert diff.noise_convention == "difference"
         assert abs(iid.var_error - target) / target < 0.05
         assert abs(diff.var_error - target) / target > 0.5
 
@@ -328,18 +287,18 @@ PINNED_MC = {
     "iid": (
         "McEstimate(mean_error=-0.0010488887238793278, var_error=0.0005388631731523554, "
         "se_mean_error=0.0017528915722252898, mean_rate_multiplier=1.0011305083644986, "
-        "n_samples=63, noise_convention='iid')",
+        "n_samples=63)",
         "McEstimate(mean_error=-0.0015543689210613324, var_error=0.00040842919912179954, "
         "se_mean_error=0.0013993472339320725, mean_rate_multiplier=1.0004656261006457, "
-        "n_samples=63, noise_convention='iid')",
+        "n_samples=63)",
     ),
     "difference": (
         "McEstimate(mean_error=-0.0013785338174526623, var_error=0.0015105476875852365, "
         "se_mean_error=0.0021037840590849444, mean_rate_multiplier=0.9998730743379514, "
-        "n_samples=63, noise_convention='difference')",
+        "n_samples=63)",
         "McEstimate(mean_error=-0.0009178854150421481, var_error=0.0010899850224051616, "
         "se_mean_error=0.0020164239077879644, mean_rate_multiplier=0.9997874988914104, "
-        "n_samples=63, noise_convention='difference')",
+        "n_samples=63)",
     ),
 }
 
@@ -367,9 +326,7 @@ def test_system_params_validation():
         SystemParams(beacon_period=1.0, nominal_freq=1.0, step_size=0.1, max_deviation=-1.0)
     with pytest.raises(ValueError):
         SystemParams(beacon_period=1.0, nominal_freq=1.0, step_size=0.1, delay_std=-1.0)
-    with pytest.raises(ValueError):
-        params(step=0.1).normalized("ntp")
-    # Non-finite values would make variance and eigenvalues nan or infinite.
+    # Non-finite values would make the variance nan or infinite.
     nan, inf = math.nan, math.inf
     base = dict(beacon_period=1.0, nominal_freq=1.0, step_size=0.1)
     for name, value in (("beacon_period", nan), ("beacon_period", inf), ("step_size", nan),
@@ -386,16 +343,14 @@ def test_system_params_validation():
     [
         lambda proto: step_size_limit(proto, 1.0, 1.0),
         lambda proto: error_scale(proto, 1.0, 1.0),
-        lambda proto: eigenvalues(params(step=0.1), proto),
         lambda proto: variance(params(step=0.1, dstd=0.01), proto),
-        lambda proto: params(step=0.1).normalized(proto),
         lambda proto: estimate_variance_mc(params(step=0.1), (proto,), rounds=4, trials=2),
         lambda proto: SimConfig(
             Topology.line(2), 1.0, 1.0, step_policy="adaptive"
         ).resolved_step_size(proto),
     ],
-    ids=["step_size_limit", "error_scale", "eigenvalues", "variance", "normalized",
-         "estimate_variance_mc", "resolved_step_size"],
+    ids=["step_size_limit", "error_scale", "variance", "estimate_variance_mc",
+         "resolved_step_size"],
 )
 def test_every_protocol_entry_point_rejects_an_unknown_protocol(call):
     with pytest.raises(ValueError, match="unknown protocol"):

@@ -331,7 +331,6 @@ def test_a_huge_int_parameter_exits_2_at_once_naming_itself(
         ("fig1-pairwise", "drift_ppm=2e6", "drift_ppm"),
         ("fig1-pairwise", "drift_ppm_after=-1e6", "drift_ppm_after"),
         ("fig2-stepsize", "drift_ppm=2e6", "drift_ppm"),
-        ("theory-check", "noise_convention=foo", "noise_convention"),
         ("scaling", "step_size=5", "step_size"),
         ("fig1-pairwise", "step_size=0", "step_size"),
     ],
@@ -343,6 +342,24 @@ def test_main_out_of_range_value_exits_2_naming_the_parameter(
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and parameter in err
+
+
+@pytest.mark.parametrize(
+    "scenario, override, parameter",
+    [
+        ("fig2-stepsize", "constant_steps=0.5,3", "constant_steps"),
+        ("scaling", "max_deviation=2", "max_deviation"),
+        ("fig3-multihop", "duration=-5", "duration"),
+        ("theory-check", "noise_convention=foo", "noise_convention"),
+    ],
+)
+def test_a_refusal_names_the_parameter_that_was_set_before_writing_anything(
+    tmp_path, capsys, scenario, override, parameter
+):
+    code = main(["--scenario", scenario, "--set", override, "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: parameter {parameter} ")
+    assert not list(tmp_path.rglob("*.csv"))
 
 
 @pytest.mark.parametrize(

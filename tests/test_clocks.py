@@ -107,8 +107,8 @@ def test_clock_table_rejects_deviation_at_or_above_nominal():
 
 def test_a_constant_drift_is_a_one_piece_schedule_with_its_own_equality():
     drift = ConstantDrift(-3e-4)
-    assert (drift.deviation, drift.starts, drift.devs) == (-3e-4, (0.0, math.inf), (-3e-4,))
-    assert (ConstantDrift().deviation, drift.max_abs_deviation()) == (0.0, 3e-4)
+    assert (drift.devs[0], drift.starts, drift.devs) == (-3e-4, (0.0, math.inf), (-3e-4,))
+    assert (ConstantDrift().devs[0], drift.max_abs_deviation()) == (0.0, 3e-4)
     assert drift == ConstantDrift(-3e-4) and hash(drift) == hash(ConstantDrift(-3e-4))
     assert drift != ConstantDrift(3e-4) and drift != PiecewiseDrift(((0.0, -3e-4),))
 

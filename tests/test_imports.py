@@ -1,5 +1,6 @@
-"""Every module-level import in the package is used by the module that makes it, and
-every name the benchmark's tracer wraps or reads exists in the package."""
+"""Every module-level import in the package is used by the module that makes it, every
+name the package defines is read somewhere in it, and every name the benchmark's tracer
+wraps or reads exists in the package."""
 
 import ast
 import importlib
@@ -74,3 +75,53 @@ def test_every_name_the_tracer_wraps_exists(target):
     # would otherwise show only as a failed benchmark run.
     root, *attrs = target.split(".")
     reduce(getattr, attrs, importlib.import_module(MODULES[root]))
+
+
+def unread_names(sources: dict[str, str], exempt: set[str]) -> list[str]:
+    """Every top-level function and class of the modules ``sources`` maps by name, and every
+    non-dunder method, property and annotated field of those classes, that nothing in
+    ``sources`` reads.  A top-level name is read by a ``Name`` or ``Attribute`` load, a member
+    only by an ``Attribute`` load.  A name is left out when ``exempt`` holds its dotted or its
+    bare name."""
+    names, attrs, defined = set(), set(), []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                attrs.add(node.attr)
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            defined.append((f"{module}.{node.name}", node.name, False))
+            for member in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(member, ast.AnnAssign) and isinstance(member.target, ast.Name):
+                    name = member.target.id
+                elif isinstance(member, ast.FunctionDef) and not (
+                        member.name.startswith("__") and member.name.endswith("__")):
+                    name = member.name
+                else:
+                    continue
+                defined.append((f"{module}.{node.name}.{name}", name, True))
+    return [q for q, name, member in defined
+            if name not in (attrs if member else names | attrs) and not {q, name} & exempt]
+
+
+def test_the_check_sees_a_name_nothing_reads():
+    sources = {
+        "a": "class C:\n    x: int\n    y: int\n    def f(self): pass\n    def __eq__(s, o): pass\n"
+             "    def __g(self): pass\n"
+             "def g(): pass\ndef h(): pass\ndef main(): pass\n",
+        "b": "from .a import g\nprint(C(), g, y, ob.x)\n",
+    }
+    # y is only loaded as a bare name, which cannot reach a member.
+    assert unread_names(sources, {"a.main", "f"}) == ["a.C.y", "a.C.__g", "a.h"]
+
+
+# __init__.py re-exports names and so reads none; what the tracer wraps or reads is kept for
+# bench/, and cli.main is the console script.
+def test_every_name_in_the_package_is_read_in_the_package():
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py") if p.name != "__init__.py"}
+    exempt = {part for target in TARGETS for part in target.split(".")[1:]} | {"cli.main"}
+    assert unread_names(sources, exempt) == []
