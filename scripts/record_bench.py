@@ -9,11 +9,10 @@ For each workload that ``BENCHMARK.json`` declares it runs ``bench/run.py`` twic
 for ``SECONDS`` seconds at its default seed, ``--trace 0`` for the end-to-end
 metrics and ``--trace 1`` for the per-layer ones, each as its own process.  It
 then times every scenario's ``cli.run_scenario`` call at its defaults in
-``SCENARIO_RUNS`` fresh processes, and the Tier-1 suite once as CI runs it
-(``python -X dev -W error -m pytest -q`` under ``tests/``).  It writes every
-workload's metrics, correctness tallies and sample counts, each scenario's
-median and per-process wall seconds, the Tier-1 wall time and the environment
-``bench/run.py`` reports (``src_lines`` included).  It changes no file under
+``SCENARIO_RUNS`` fresh processes, and the Tier-1 suite once with ``TIER1``, the
+command CI runs.  It writes every workload's metrics, correctness tallies and
+sample counts, each scenario's median and per-process wall seconds, the Tier-1
+wall time and the environment ``bench/run.py`` reports (``src_lines`` included).  It changes no file under
 ``bench/``.  It refuses to run while ``git status`` shows changes under the
 measured paths, so the ``git_commit`` it records names the code it measured:
 commit first, then record.
@@ -37,6 +36,9 @@ SCENARIO_RUNS = 3  # fresh processes per scenario; the snapshot records their me
 MEASURED = ("src", "tests", "bench", "scripts", "pyproject.toml")
 # The fields of bench/run.py's env line that describe the machine and the tree.
 ENV_FIELDS = ("python", "numpy", "nproc", "src_lines", "git_commit")
+# The Tier-1 command's arguments to python, the same as the workflow's "Tier-1 tests" step.
+TIER1 = ("-X", "dev", "-W", "error", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "--durations=10", "--continue-on-collection-errors")
 
 
 def workload_names() -> list[str]:
@@ -108,9 +110,8 @@ def record_scenario(name: str) -> dict:
 def tier1_run() -> dict:
     """Wall seconds and last summary line of one Tier-1 run (``tests/``), as CI runs it."""
     start = time.monotonic()
-    proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-m", "pytest", "-q",
-                           "-p", "no:cacheprovider", "--continue-on-collection-errors"],
-                          cwd=ROOT, env=_src_env(), capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, *TIER1], cwd=ROOT, env=_src_env(),
+                          capture_output=True, text=True)
     wall = time.monotonic() - start
     lines = proc.stdout.strip().splitlines()
     return {"wall_s": wall, "exit_code": proc.returncode, "summary": lines[-1] if lines else ""}

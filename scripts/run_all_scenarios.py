@@ -5,10 +5,12 @@ Usage:
     python scripts/run_all_scenarios.py [--out results] [--seed N] [--check]
 
 Each scenario writes its artifacts to <out>/<scenario-name>/ and prints its
-summary lines; the full run takes well under a minute.  With ``--check`` it
-instead checks every recorded SHA-256 listing under ``tests/``: the default
-outputs, the 2,000-node line and the difference-convention theory-check.  It
-prints a diff for each listing that differs and exits 1 if any does.
+summary lines; the full run takes well under a minute.  A refused input (a
+negative ``--seed``, say) prints ``error: ...`` and exits 2, as ``gradesync``
+itself does.  With ``--check`` it instead checks every recorded SHA-256
+listing under ``tests/``: the default outputs, the 2,000-node line and the
+difference-convention theory-check.  It prints a diff for each listing that
+differs and exits 1 if any does.
 """
 
 import argparse
@@ -73,7 +75,11 @@ def main() -> int:
 
     for name in SCENARIOS:
         t0 = time.perf_counter()
-        summary = run_scenario(name, out_dir=args.out, seed=args.seed)
+        try:
+            summary = run_scenario(name, out_dir=args.out, seed=args.seed)
+        except ValueError as err:  # bad input, reported as gradesync.cli.main reports it
+            print(f"error: {err}", file=sys.stderr)
+            return 2
         elapsed = time.perf_counter() - t0
         print(f"=== {name} ({elapsed:.1f}s) -> {args.out / name}")
         for key, value in summary.items():

@@ -1,7 +1,8 @@
 """Command-line front-end: run a named scenario, write CSV artifacts.
 
 Exit codes: 0 success, 2 usage error (unknown scenario/parameter, malformed
---set or config file, unusable --out, a run over one of ``sim.BUDGETS``), 3 runtime
+--set or config file, a number that is not finite or lies outside its scenario's
+``ranges`` interval, unusable --out, a run over one of ``sim.BUDGETS``), 3 runtime
 contract violation inside a simulation.
 """
 
@@ -41,9 +42,20 @@ def _coerce(name: str, raw: str, template) -> object:
         values = [kind(s) for s in raw.split(",") if s] if is_list else [kind(raw)]
     except ValueError as err:
         raise ValueError(f"parameter {name}: cannot parse {raw!r}") from err
-    if not all(abs(v) <= sys.float_info.max for v in values if kind is not str):  # ints as well
-        raise ValueError(f"parameter {name} must be finite, got {raw!r}")
     return tuple(values) if is_list else values[0]
+
+
+def check_ranges(params: dict, ranges: dict[str, str]) -> None:
+    """Refuse a number, or a tuple's element, that is not finite or lies outside the
+    interval ``ranges`` gives its parameter, such as ``"[1, inf)"`` or ``"(0, 1]"``."""
+    for name, interval in ranges.items():
+        lo, hi = (float(end) for end in interval[1:-1].split(","))
+        for v in params[name] if isinstance(params[name], tuple) else (params[name],):
+            if not abs(v) <= sys.float_info.max:  # ints as well: 10**400 is no float
+                raise ValueError(f"parameter {name} must be finite, got {v}")
+            if not ((lo <= v if interval[0] == "[" else lo < v)
+                    and (v <= hi if interval[-1] == "]" else v < hi)):
+                raise ValueError(f"parameter {name} must be in {interval}, got {v}")
 
 
 def run_scenario(
@@ -65,8 +77,7 @@ def run_scenario(
         params[key] = _coerce(key, raw, params[key])
     if seed is not None:
         params["seed"] = seed
-    if params["seed"] < 0:
-        raise ValueError(f"parameter seed must be non-negative, got {params['seed']}")
+    check_ranges(params, scenario.ranges)
     out = Path(out_dir if out_dir is not None else "results") / name
     try:
         out.mkdir(parents=True, exist_ok=True)

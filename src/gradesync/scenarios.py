@@ -1,9 +1,10 @@
 """Named experiment presets and the report helpers behind the CLI.
 
-Each scenario is a dict of overridable parameters plus a runner that builds
-configs, runs the simulator (or the analysis oracle), writes CSV artifacts
-into an output directory, and returns a flat summary mapping, which
-``cli.run_scenario`` writes next to them as summary.csv.  Scenario names
+Each scenario is a dict of overridable parameters, the interval each number
+among them accepts (which ``cli.run_scenario`` checks before a run), and a
+runner that builds configs, runs the simulator (or the analysis oracle), writes
+CSV artifacts into an output directory, and returns a flat summary mapping,
+which ``cli.run_scenario`` writes next to them as summary.csv.  Scenario names
 and CSV schemas are part of the tool's external interface; everything here is
 deterministic given (scenario, parameters, seed).
 """
@@ -46,24 +47,8 @@ _PHYSICAL_ROUND_SECONDS = 30.0  # reference round length used to normalize delay
 grades_variance = partial(variance, protocol=GRADES)
 pisync_variance = partial(variance, protocol=PISYNC)
 
-
-def _at_least(params: dict, name: str, least: int) -> int:
-    if int(params[name]) < least:
-        raise ValueError(f"parameter {name} must be at least {least}, got {params[name]}")
-    return int(params[name])
-
-
-def _ppm_below_nominal(params: dict, name: str) -> float:
-    """A drift of ``params[name]`` ppm as a deviation, whose size must stay below f0 = 1."""
-    if not abs(params[name]) < 1e6:
-        raise ValueError(f"parameter {name} must be in (-1e6, 1e6), got {params[name]}")
-    return params[name] * 1e-6
-
-
-def _non_negative(params: dict, name: str):
-    if not params[name] >= 0:
-        raise ValueError(f"parameter {name} must be non-negative, got {params[name]}")
-    return params[name]
+_FIXED_STEP = f"(0, {step_size_limit(GRADES, 1.0, 1.0):g})"  # a grades step at B = f0 = 1
+_PPM_BELOW_NOMINAL = "(-1e6, 1e6)"  # a drift whose deviation stays below f0 = 1
 
 
 def write_summary_csv(path: Path, summary: dict) -> None:
@@ -93,7 +78,7 @@ def report_summary(trace: SkewTrace, protocol: str) -> dict:
 
 def _two_node_config(params: dict, drift, step_policy: str, step_size) -> SimConfig:
     """Reference node 1 at the nominal rate and node 2 on ``drift``, in normalized units."""
-    rounds = sim.check_budget(sim.CELLS, "rounds", _at_least(params, "rounds", 1),
+    rounds = sim.check_budget(sim.CELLS, "rounds", params["rounds"],
                               lambda r: 2 * sim.sample_grid(r, 1.0)[0])
     return SimConfig(
         topology=Topology.line(2),
@@ -114,14 +99,11 @@ def _two_node_config(params: dict, drift, step_policy: str, step_size) -> SimCon
 
 def pairwise_config(params: dict) -> SimConfig:
     """Two nodes in normalized units; the non-reference drifts and steps down mid-run."""
-    dev0 = _ppm_below_nominal(params, "drift_ppm")
-    dev1 = _ppm_below_nominal(params, "drift_ppm_after")
-    if not 0 < params["switch_round"] <= _at_least(params, "rounds", 1):
-        raise ValueError(
-            f"parameter switch_round must be in (0, rounds={params['rounds']}], "
-            f"got {params['switch_round']}"
-        )
-    drift = PiecewiseDrift(((0.0, dev0), (params["switch_round"] * 1.0, dev1)))
+    if params["switch_round"] > params["rounds"]:
+        raise ValueError(f"parameter switch_round must be in [1, rounds={params['rounds']}], "
+                         f"got {params['switch_round']}")
+    drift = PiecewiseDrift(((0.0, params["drift_ppm"] * 1e-6),
+                            (params["switch_round"] * 1.0, params["drift_ppm_after"] * 1e-6)))
     return _two_node_config(params, drift, "fixed", params["step_size"])
 
 
@@ -141,7 +123,7 @@ def pairwise_convergence(times, eff, switch_t: float, tol: float) -> tuple:
 
 
 def _run_pairwise(params: dict, out: Path) -> dict:
-    tol = _non_negative(params, "rate_tolerance")
+    tol = params["rate_tolerance"]
     trace = run(pairwise_config(params))
     write_trace_csv(trace, out / "trace.csv")
     write_skew_csv(trace, out / "skew.csv")
@@ -166,11 +148,7 @@ def _run_pairwise(params: dict, out: Path) -> dict:
 
 def stepsize_configs(params: dict) -> dict[str, SimConfig]:
     """One fixed-step run per listed step size plus one adaptive run."""
-    drift = ConstantDrift(_ppm_below_nominal(params, "drift_ppm"))
-    limit = step_size_limit(GRADES, 1.0, 1.0)  # checked before any series runs and writes
-    if not all(0 < s < limit for s in params["constant_steps"]):
-        raise ValueError(f"parameter constant_steps must each be in (0, {limit:g}), "
-                         f"got {params['constant_steps']}")
+    drift = ConstantDrift(params["drift_ppm"] * 1e-6)
     configs = {
         f"const-{_fmt(s)}": _two_node_config(params, drift, "fixed", s)
         for s in params["constant_steps"]
@@ -199,8 +177,7 @@ def stepsize_series_stats(events: list, rounds: int, tol: float) -> dict:
 
 
 def _run_stepsize(params: dict, out: Path) -> dict:
-    tol = _non_negative(params, "error_tolerance")
-    rounds = _at_least(params, "rounds", 3)  # the fewest with 2 errors past rounds / 2
+    tol, rounds = params["error_tolerance"], params["rounds"]
     configs = stepsize_configs(params)
     summary: dict = {"error_tolerance": tol}
     for label, config in configs.items():
@@ -229,18 +206,9 @@ def multihop_config(params: dict) -> SimConfig:
     # 20-hop line; the adaptation doubles its way back up within a few rounds.
     frac = params["initial_step_fraction"]
     b, f0 = params["beacon_period"], params["nominal_freq"]
-    for name in ("beacon_period", "nominal_freq", "duration"):
-        if not params[name] > 0:
-            raise ValueError(f"parameter {name} must be positive, got {params[name]}")
-    if not 0 < frac <= 1:
-        raise ValueError(f"parameter initial_step_fraction must be in (0, 1], got {frac}")
-    if not 0 <= params["max_dev_ppm"] < 1e6:  # the deviation must stay below nominal_freq
-        raise ValueError(
-            f"parameter max_dev_ppm must be in [0, 1e6), got {params['max_dev_ppm']}"
-        )
     steps = {p: frac * step_size_limit(p, b, f0) for p in (GRADES, PISYNC)}
     samples = sim.sample_grid(params["duration"], b)[0]
-    nodes = sim.check_budget(sim.CELLS, "nodes", _at_least(params, "nodes", 2),
+    nodes = sim.check_budget(sim.CELLS, "nodes", params["nodes"],
                              lambda k: k * samples, f" for duration={params['duration']:g} "
                              f"and beacon_period={b:g}", least=2, other="duration")
     return SimConfig(
@@ -263,7 +231,7 @@ def _run_multihop(params: dict, out: Path) -> dict:
     config = multihop_config(params)
     # A seed's node-rounds, counted as 1 at least so that the cost is at least the seed count.
     work = max(len(config.topology.nodes) * config.duration / config.beacon_period, 1.0)
-    count = sim.check_budget(sim.NODE_ROUNDS, "seeds", _at_least(params, "seeds", 1),
+    count = sim.check_budget(sim.NODE_ROUNDS, "seeds", params["seeds"],
                              lambda s: s * work, f" for nodes={params['nodes']}, "
                              f"duration={config.duration:g} and beacon_period="
                              f"{config.beacon_period:g}", least=1, other="duration")
@@ -298,22 +266,17 @@ def _run_multihop(params: dict, out: Path) -> dict:
 
 def _run_scaling(params: dict, out: Path) -> dict:
     diameters = params["diameters"]
-    if len(set(diameters)) < max(2, len(diameters)) or min(diameters) < 1:
-        raise ValueError(
-            f"parameter diameters needs 2 or more values >= 1, none repeated, got {diameters}"
-        )
-    if not 0 <= params["max_deviation"] < 1:  # the deviation must stay below nominal_freq = 1
-        raise ValueError(
-            f"parameter max_deviation must be in [0, 1), got {params['max_deviation']}"
-        )
+    if len(set(diameters)) < max(2, len(diameters)):
+        raise ValueError(f"parameter diameters needs 2 or more values, none repeated, "
+                         f"got {diameters}")
     seed = int(params["seed"])
     result = scaling_experiment(
         diameters,
-        range(seed, seed + _at_least(params, "seeds", 1)),
+        range(seed, seed + params["seeds"]),
         max_deviation=params["max_deviation"],
         delay_std=params["delay_std"],
         step_size=params["step_size"],
-        rounds=_at_least(params, "rounds", 1),
+        rounds=params["rounds"],
     )
     write_csv(
         out / "scaling.csv",
@@ -353,11 +316,11 @@ def variance_grid() -> list[SystemParams]:
 
 
 def _run_theory_check(params: dict, out: Path) -> dict:
-    tolerance = _non_negative(params, "tolerance")
+    tolerance = params["tolerance"]
     convention = str(params["noise_convention"])
-    trials = _at_least(params, "trials", 1)
+    trials = params["trials"]
     grid = variance_grid()
-    rounds = sim.check_budget(sim.PATH_ROUNDS, "rounds", _at_least(params, "rounds", 2),
+    rounds = sim.check_budget(sim.PATH_ROUNDS, "rounds", params["rounds"],
                               lambda r: 2 * trials * r * len(grid),  # for 2 protocols
                               f" for trials={trials} and {len(grid)} grid points", least=2,
                               other="trials")
@@ -412,6 +375,7 @@ def _run_theory_check(params: dict, out: Path) -> dict:
 class Scenario:
     defaults: dict
     runner: Callable[[dict, Path], dict]
+    ranges: dict[str, str]  # each number's interval, as a refusal prints it
 
 
 SCENARIOS: dict[str, Scenario] = {
@@ -427,6 +391,9 @@ SCENARIOS: dict[str, Scenario] = {
             "rate_tolerance": 25e-6,
         },
         _run_pairwise,
+        {"seed": "[0, inf)", "rounds": "[1, inf)", "switch_round": "[1, inf)",  # <= rounds
+         "drift_ppm": _PPM_BELOW_NOMINAL, "drift_ppm_after": _PPM_BELOW_NOMINAL,
+         "step_size": _FIXED_STEP, "delay_std": "[0, inf)", "rate_tolerance": "[0, inf)"},
     ),
     "fig2-stepsize": Scenario(
         {
@@ -438,6 +405,9 @@ SCENARIOS: dict[str, Scenario] = {
             "error_tolerance": 2e-5,
         },
         _run_stepsize,
+        {"seed": "[0, inf)", "rounds": "[3, inf)",  # the fewest with 2 errors past rounds / 2
+         "drift_ppm": _PPM_BELOW_NOMINAL, "delay_std": "[0, inf)",
+         "constant_steps": _FIXED_STEP, "error_tolerance": "[0, inf)"},
     ),
     "fig3-multihop": Scenario(
         {
@@ -452,6 +422,9 @@ SCENARIOS: dict[str, Scenario] = {
             "initial_step_fraction": 1.0 / 64,
         },
         _run_multihop,
+        {"seed": "[0, inf)", "seeds": "[1, inf)", "nodes": "[2, inf)",
+         "beacon_period": "(0, inf)", "nominal_freq": "(0, inf)", "max_dev_ppm": "[0, 1e6)",
+         "delay_std": "[0, inf)", "duration": "(0, inf)", "initial_step_fraction": "(0, 1]"},
     ),
     "scaling": Scenario(
         {
@@ -464,6 +437,8 @@ SCENARIOS: dict[str, Scenario] = {
             "delay_std": 1e-4,
         },
         _run_scaling,
+        {"seed": "[0, inf)", "seeds": "[1, inf)", "diameters": "[1, inf)", "rounds": "[1, inf)",
+         "step_size": _FIXED_STEP, "max_deviation": "[0, 1)", "delay_std": "[0, inf)"},
     ),
     "theory-check": Scenario(
         {
@@ -474,5 +449,6 @@ SCENARIOS: dict[str, Scenario] = {
             "tolerance": 0.10,
         },
         _run_theory_check,
+        {"seed": "[0, inf)", "trials": "[1, inf)", "rounds": "[2, inf)", "tolerance": "[0, inf)"},
     ),
 }

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from gradesync import scenarios, sim
-from gradesync.cli import main, parse_config_file, run_scenario
+from gradesync.cli import check_ranges, main, parse_config_file, run_scenario
 from gradesync.errors import ContractViolation
 from gradesync.scenarios import SCENARIOS, Scenario
 from gradesync.sim import SimConfig
@@ -232,13 +232,8 @@ def test_set_overrides_beat_config_file_values(tmp_path, capsys):
 @pytest.mark.parametrize(
     "scenario, override, parameter",
     [
-        ("fig3-multihop", "seeds=0", "seeds"),
-        ("fig3-multihop", "nodes=1", "nodes"),
-        ("scaling", "seeds=0", "seeds"),
-        ("theory-check", "trials=0", "trials"),
         ("scaling", "diameters=", "diameters"),
         ("scaling", "diameters=4,x", "diameters"),
-        ("scaling", "diameters=0,4", "diameters"),
         ("scaling", "diameters=4,4,9", "diameters"),  # a repeat would run twice
         ("fig1-pairwise", "switch_round=100", "switch_round"),  # past rounds=60
         ("fig2-stepsize", "constant_steps=abc", "constant_steps"),
@@ -246,7 +241,7 @@ def test_set_overrides_beat_config_file_values(tmp_path, capsys):
         ("fig2-stepsize", "constant_steps=0.1,0.1000000001", "constant_steps"),  # same label
     ],
 )
-def test_main_empty_count_or_list_exits_2_naming_the_parameter(
+def test_an_empty_list_or_a_rule_across_parameters_exits_2_naming_the_parameter(
     tmp_path, capsys, scenario, override, parameter
 ):
     code = main(["--scenario", scenario, "--set", override, "--out", str(tmp_path)])
@@ -254,47 +249,9 @@ def test_main_empty_count_or_list_exits_2_naming_the_parameter(
     assert capsys.readouterr().err.startswith(f"error: parameter {parameter}")
 
 
-@pytest.mark.parametrize(
-    "scenario, overrides, parameter",
-    [
-        ("fig1-pairwise", ("drift_ppm_after=nan",), "drift_ppm_after"),
-        ("fig1-pairwise", ("delay_std=inf",), "delay_std"),
-        ("fig2-stepsize", ("constant_steps=0.5,nan",), "constant_steps"),
-        (
-            "fig3-multihop",
-            ("delay_std=nan", "seeds=1", "nodes=3", "duration=300"),
-            "delay_std",
-        ),
-        ("fig3-multihop", ("beacon_period=nan",), "beacon_period"),
-        ("fig3-multihop", ("duration=inf",), "duration"),
-        ("fig3-multihop", ("beacon_period=0",), "beacon_period"),
-        ("fig3-multihop", ("nominal_freq=0",), "nominal_freq"),
-    ],
-)
-def test_main_non_finite_or_zero_value_exits_2_naming_the_parameter(
-    tmp_path, capsys, scenario, overrides, parameter
-):
-    argv = ["--scenario", scenario, "--out", str(tmp_path)]
-    code = main(argv + [arg for o in overrides for arg in ("--set", o)])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and parameter in err
-
-
 INT_PARAMETERS = [(scenario, key) for scenario, spec in sorted(SCENARIOS.items())
                   for key, value in sorted(spec.defaults.items())
                   if isinstance(value[0] if isinstance(value, tuple) else value, int)]
-
-
-@pytest.mark.parametrize("scenario, parameter", INT_PARAMETERS)
-def test_main_int_past_float_range_exits_2_naming_the_parameter(
-    tmp_path, capsys, scenario, parameter
-):
-    # An int, like a float, must be a finite float: 10**400 is not.
-    raw = "1" + "0" * 400
-    code = main(["--scenario", scenario, "--set", f"{parameter}={raw}", "--out", str(tmp_path)])
-    assert code == 2
-    assert capsys.readouterr().err == f"error: parameter {parameter} must be finite, got {raw!r}\n"
 
 
 # 10**19 seeds are more than a range's len() can count (sys.maxsize).
@@ -320,63 +277,106 @@ def test_a_huge_int_parameter_exits_2_at_once_naming_itself(
     assert proc.stderr.startswith(f"error: parameter {parameter} "), proc.stderr
 
 
-@pytest.mark.parametrize(
-    "scenario, override, parameter",
-    [
-        ("fig1-pairwise", "rate_tolerance=-1", "rate_tolerance"),
-        ("fig2-stepsize", "error_tolerance=-1", "error_tolerance"),
-        ("theory-check", "tolerance=-1", "tolerance"),
-        ("fig3-multihop", "max_dev_ppm=-5", "max_dev_ppm"),
-        ("fig3-multihop", "max_dev_ppm=1e6", "max_dev_ppm"),  # the deviation reaches f0
-        ("fig1-pairwise", "drift_ppm=2e6", "drift_ppm"),
-        ("fig1-pairwise", "drift_ppm_after=-1e6", "drift_ppm_after"),
-        ("fig2-stepsize", "drift_ppm=2e6", "drift_ppm"),
-        ("scaling", "step_size=5", "step_size"),
-        ("fig1-pairwise", "step_size=0", "step_size"),
-    ],
-)
-def test_main_out_of_range_value_exits_2_naming_the_parameter(
-    tmp_path, capsys, scenario, override, parameter
-):
-    code = main(["--scenario", scenario, "--set", override, "--out", str(tmp_path)])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and parameter in err
-
-
-@pytest.mark.parametrize(
-    "scenario, override, parameter",
-    [
-        ("fig2-stepsize", "constant_steps=0.5,3", "constant_steps"),
-        ("scaling", "max_deviation=2", "max_deviation"),
-        ("fig3-multihop", "duration=-5", "duration"),
-        ("theory-check", "noise_convention=foo", "noise_convention"),
-    ],
-)
+# Values well past an end of their interval; the generated cases below take the nearest.
+@pytest.mark.parametrize("scenario, override, message", [
+    ("fig2-stepsize", "constant_steps=0.5,3", "constant_steps must be in (0, 1), got 3.0"),
+    ("scaling", "max_deviation=2", "max_deviation must be in [0, 1), got 2.0"),
+    ("fig3-multihop", "duration=-5", "duration must be in (0, inf), got -5.0"),
+    ("theory-check", "noise_convention=foo",
+     "noise_convention must be 'iid' or 'difference', got 'foo'"),
+    ("fig1-pairwise", "rate_tolerance=-1", "rate_tolerance must be in [0, inf), got -1.0"),
+    ("fig2-stepsize", "error_tolerance=-1", "error_tolerance must be in [0, inf), got -1.0"),
+    ("theory-check", "tolerance=-1", "tolerance must be in [0, inf), got -1.0"),
+    ("fig3-multihop", "max_dev_ppm=-5", "max_dev_ppm must be in [0, 1e6), got -5.0"),
+    ("fig1-pairwise", "drift_ppm=2e6", "drift_ppm must be in (-1e6, 1e6), got 2000000.0"),
+    ("fig1-pairwise", "drift_ppm_after=-2e6",
+     "drift_ppm_after must be in (-1e6, 1e6), got -2000000.0"),
+    ("fig2-stepsize", "drift_ppm=2e6", "drift_ppm must be in (-1e6, 1e6), got 2000000.0"),
+    ("scaling", "step_size=5", "step_size must be in (0, 1), got 5.0"),
+    ("fig3-multihop", "initial_step_fraction=2",
+     "initial_step_fraction must be in (0, 1], got 2.0"),
+    ("fig2-stepsize", "rounds=0", "rounds must be in [3, inf), got 0"),
+    ("fig2-stepsize", "rounds=1", "rounds must be in [3, inf), got 1"),
+    ("theory-check", "rounds=0", "rounds must be in [2, inf), got 0"),
+    ("theory-check", "trials=-3", "trials must be in [1, inf), got -3"),
+])
 def test_a_refusal_names_the_parameter_that_was_set_before_writing_anything(
-    tmp_path, capsys, scenario, override, parameter
+    tmp_path, capsys, scenario, override, message
 ):
     code = main(["--scenario", scenario, "--set", override, "--out", str(tmp_path)])
     assert code == 2
-    assert capsys.readouterr().err.startswith(f"error: parameter {parameter} ")
+    assert capsys.readouterr().err == f"error: parameter {message}\n"
     assert not list(tmp_path.rglob("*.csv"))
 
 
-@pytest.mark.parametrize(
-    "make, parameter, value",
-    [
-        (scenarios.pairwise_config, "drift_ppm", 1e6),
-        (scenarios.pairwise_config, "drift_ppm_after", -2e6),
-        (scenarios.stepsize_configs, "drift_ppm", -1e6),
-        (scenarios.stepsize_configs, "drift_ppm", math.nan),
-    ],
-)
-def test_drift_of_a_million_ppm_or_more_is_rejected_naming_the_parameter(make, parameter, value):
-    # At 1e6 ppm the deviation reaches the nominal frequency of 1.
-    scenario = "fig1-pairwise" if make is scenarios.pairwise_config else "fig2-stepsize"
-    params = {**SCENARIOS[scenario].defaults, parameter: value}
-    with pytest.raises(ValueError, match=rf"parameter {parameter} must be in \(-1e6, 1e6\)"):
-        make(params)
+def outside(interval: str, kind: type) -> list:
+    """The nearest value of type ``kind`` past each finite end of ``interval``: an open end
+    itself, one past a closed int end, the next float past a closed float end."""
+    ends = [float(end) for end in interval[1:-1].split(",")]
+    values = []
+    for end, closed, away in zip(ends, (interval[0] == "[", interval[-1] == "]"), (-1, 1)):
+        if not math.isfinite(end):
+            continue
+        if not closed:
+            values.append(kind(end))
+        else:
+            values.append(int(end) + away if kind is int
+                          else math.nextafter(end, away * math.inf))
+    return values
+
+
+def range_refusals():
+    """Per scenario and numeric parameter: each value past an end of its interval, nan and
+    inf for a float, 1 followed by 400 zeros for an int; in a tuple, as its last element."""
+    for scenario, spec in SCENARIOS.items():
+        for name, interval in spec.ranges.items():
+            default = spec.defaults[name]
+            kind = type(default[-1] if isinstance(default, tuple) else default)
+            bad = [(v, f"must be in {interval}") for v in outside(interval, kind)]
+            finite = [math.nan, math.inf] if kind is float else [10**400]
+            bad += [(v, "must be finite") for v in finite]
+            for v, rule in bad:
+                raw = str(v)
+                if isinstance(default, tuple):
+                    raw = ",".join(map(str, default[:-1] + (v,)))
+                yield pytest.param(scenario, name, raw, f"error: parameter {name} {rule}, got {v}\n",
+                                   id=f"{scenario}-{name}={'1e400' if v == 10**400 else v}")
+
+
+@pytest.mark.parametrize("scenario, name, raw, err", range_refusals())
+def test_a_value_past_its_interval_exits_2_before_the_output_directory_is_made(
+    tmp_path, capsys, scenario, name, raw, err
+):
+    routes = [("--set", f"{name}={raw}")]
+    if name == "seed":  # the one parameter with a flag of its own
+        (tmp_path / "seed.cfg").write_text(f"seed={raw}\n")
+        routes += [("--config", str(tmp_path / "seed.cfg")), ("--seed", raw)]
+    for route in routes:
+        assert main(["--scenario", scenario, *route, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == err
+        assert not (tmp_path / scenario).exists()
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_every_number_a_scenario_takes_has_an_interval_holding_its_default(scenario):
+    spec = SCENARIOS[scenario]
+    numbers = {name for name, value in spec.defaults.items()
+               if not isinstance(value[0] if isinstance(value, tuple) else value, str)}
+    assert set(spec.ranges) == numbers
+    check_ranges(spec.defaults, spec.ranges)
+
+
+def test_the_readme_table_lists_every_interval():
+    # The table under "| parameter | <scenario> | ..." in README's Command line section.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    header, _, *rows = readme.split("\n| parameter | ", 1)[1].split("\n\n", 1)[0].splitlines()
+    scenarios_named = [cell.strip() for cell in header.strip(" |").split("|")]
+    stated = {}
+    for row in rows:
+        parameter, *cells = [cell.strip(" `") for cell in row.strip(" |").split("|")]
+        stated.update({(s, parameter): c for s, c in zip(scenarios_named, cells) if c})
+    assert stated == {(s, name): interval for s, spec in SCENARIOS.items()
+                      for name, interval in spec.ranges.items()}
 
 
 FIG3_DURATION_TOO_LARGE = ("duration is too large: even nodes=2 for duration=900 and "
@@ -477,22 +477,6 @@ def test_main_extreme_beacon_period_exits_2_naming_beacon_period_and_nominal_fre
     assert err.startswith("error: beacon_period=") and "nominal_freq=" in err
 
 
-@pytest.mark.parametrize("fraction", ["2", "0"])
-def test_main_initial_step_fraction_outside_0_1_exits_2_naming_it(tmp_path, capsys, fraction):
-    argv = ["--scenario", "fig3-multihop", "--set", f"initial_step_fraction={fraction}"]
-    assert main(argv + ["--out", str(tmp_path)]) == 2
-    err = capsys.readouterr().err
-    assert err == f"error: parameter initial_step_fraction must be in (0, 1], got {fraction}.0\n"
-
-
-@pytest.mark.parametrize("scenario", ["fig1-pairwise", "fig2-stepsize", "scaling"])
-def test_main_zero_rounds_exits_2_naming_rounds(tmp_path, capsys, scenario):
-    code = main(["--scenario", scenario, "--set", "rounds=0", "--out", str(tmp_path)])
-    assert code == 2
-    least = 3 if scenario == "fig2-stepsize" else 1
-    assert capsys.readouterr().err == f"error: parameter rounds must be at least {least}, got 0\n"
-
-
 @pytest.mark.parametrize("scenario", ["fig1-pairwise", "fig2-stepsize"])
 def test_main_oversized_rounds_exits_2_naming_rounds_and_the_most_accepted(
     tmp_path, capsys, monkeypatch, scenario
@@ -511,42 +495,10 @@ def test_main_oversized_rounds_exits_2_naming_rounds_and_the_most_accepted(
     assert main(argv + ["--set", "rounds=3"]) == 0
 
 
-@pytest.mark.parametrize("rounds", [1, 2])
-def test_main_fig2_without_two_steady_half_errors_exits_2_naming_rounds(tmp_path, capsys, rounds):
-    # The steady half is the rounds after rounds / 2; its spread needs two errors.
-    argv = ["--scenario", "fig2-stepsize", "--set", f"rounds={rounds}", "--out", str(tmp_path)]
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err == f"error: parameter rounds must be at least 3, got {rounds}\n"
-
-
 def test_fig2_at_three_rounds_reports_every_spread(tmp_path):
     summary = run_scenario("fig2-stepsize", {"rounds": "3"}, out_dir=tmp_path)
     spreads = [v for k, v in summary.items() if k.endswith(("steady_error_std", "mean_abs"))]
     assert len(spreads) == 8 and all(math.isfinite(v) for v in spreads)
-
-
-@pytest.mark.parametrize(
-    "override, least", [("rounds=0", 2), ("rounds=1", 2), ("trials=0", 1), ("trials=-3", 1)]
-)
-def test_main_theory_check_needs_two_rounds_and_a_trial(
-    tmp_path, capsys, monkeypatch, override, least
-):
-    # Checked before the first oracle call, and reported under the parameter's name.
-    monkeypatch.setattr(scenarios, "estimate_variance_mc", lambda *a, **k: pytest.fail("ran"))
-    code = main(["--scenario", "theory-check", "--set", override, "--out", str(tmp_path)])
-    name, value = override.split("=")
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err == f"error: parameter {name} must be at least {least}, got {value}\n"
-
-
-@pytest.mark.parametrize("form", [("--seed", "-1"), ("--set", "seed=-1")])
-@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
-def test_main_negative_seed_exits_2_naming_seed(tmp_path, capsys, scenario, form):
-    code = main(["--scenario", scenario, *form, "--out", str(tmp_path)])
-    assert code == 2
-    assert capsys.readouterr().err == "error: parameter seed must be non-negative, got -1\n"
 
 
 def test_noise_free_multihop_reports_no_ratio_instead_of_dividing_by_zero(tmp_path, capsys):
@@ -564,7 +516,7 @@ def test_contract_violation_exits_3(tmp_path, capsys, monkeypatch):
     def runner(params, out):
         raise ContractViolation("node 2 at t=1: boom")
 
-    monkeypatch.setitem(SCENARIOS, "boom", Scenario({"seed": 0}, runner))
+    monkeypatch.setitem(SCENARIOS, "boom", Scenario({"seed": 0}, runner, {"seed": "[0, inf)"}))
     code = main(["--scenario", "boom", "--out", str(tmp_path)])
     assert code == 3
     assert "contract violation:" in capsys.readouterr().err
@@ -574,7 +526,7 @@ def test_a_runner_that_writes_no_file_still_gets_its_summary_csv(tmp_path, monke
     def runner(params, out):
         return {"a": 1.5, "b": None}
 
-    monkeypatch.setitem(SCENARIOS, "quiet", Scenario({"seed": 0}, runner))
+    monkeypatch.setitem(SCENARIOS, "quiet", Scenario({"seed": 0}, runner, {"seed": "[0, inf)"}))
     assert main(["--scenario", "quiet", "--out", str(tmp_path)]) == 0
     assert (tmp_path / "quiet" / "summary.csv").read_text() == "metric,value\na,1.5\nb,\n"
 

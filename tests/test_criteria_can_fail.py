@@ -1,13 +1,24 @@
 """Every acceptance criterion can fail: under each mutation below its verdict must be FAIL.
 
 A mutation is a monkeypatch on the module through which the criterion reaches the code
-it measures (``criterion_NN`` in ``test_acceptance.py``).  A pair that still passes is a
-known gap: it is marked ``xfail(strict=True)`` and names the ROADMAP item whose fix must
-turn it into a catch and remove the marker.
+it measures (``criterion_NN`` in ``test_acceptance.py``), or on a scenario's defaults.
+A pair that still passes is a known gap: it is marked ``xfail(strict=True)`` and names
+the ROADMAP item whose fix must turn it into a catch and remove the marker.
 """
 
+import inspect
+
 import pytest
-from test_acceptance import criterion_01, criterion_02, criterion_06, criterion_07, criterion_08
+from test_acceptance import (
+    criterion_01,
+    criterion_02,
+    criterion_03,
+    criterion_05,
+    criterion_06,
+    criterion_07,
+    criterion_08,
+    criterion_09,
+)
 
 from gradesync import analysis, protocols, scenarios, sim
 from gradesync.protocols import GRADES, PISYNC, error_scale, step_size_limit
@@ -29,6 +40,19 @@ def error_scales_swapped(monkeypatch):
     monkeypatch.setattr(analysis, "error_scale", lambda p, b, f0: error_scale(other[p], b, f0))
 
 
+def variance_times_1_25(monkeypatch):
+    variance = analysis.variance
+    monkeypatch.setattr(analysis, "variance", lambda *args: 1.25 * variance(*args))
+
+
+def scenario_default_times(scenario, name, factor):
+    """Scale one default parameter of a scenario by ``factor``."""
+    def mutate(monkeypatch):
+        defaults = scenarios.SCENARIOS[scenario].defaults
+        monkeypatch.setitem(defaults, name, factor * defaults[name])
+    return mutate
+
+
 def adaptation_off(monkeypatch):
     monkeypatch.setattr(protocols, "adapt_step", lambda gain, *args: gain)
 
@@ -39,6 +63,7 @@ def pisync_at_a_quarter_of_its_limit(monkeypatch):
 
 
 UNTIL_ITEM_1 = "ROADMAP item 1: the criterion cannot yet tell this mutation apart"
+UNTIL_ITEM_6 = "ROADMAP item 6: the criterion cannot yet tell this mutation apart"
 
 MUTATIONS = [
     # Worst decay-ratio deviation 40% (lambda = 0.2 becomes 0.12) against a 1% tolerance.
@@ -46,6 +71,11 @@ MUTATIONS = [
     # lambda = 0.2 becomes 0: the error reaches exactly 0 and has no decay ratio after it.
     pytest.param(criterion_01, update_gain_times(1.25), id="1-update-gain-x1.25-deadbeat"),
     pytest.param(criterion_02, step_size_limit_times_1_1, id="2-step-size-limit-x1.1"),
+    # Every formula variance 1.25x the oracle's: a relative error near 20% against 10%.
+    pytest.param(criterion_03, variance_times_1_25, id="3-variance-x1.25"),
+    # Re-lock takes 38 rounds against a bound of 15.
+    pytest.param(criterion_05, scenario_default_times("fig1-pairwise", "delay_std", 3),
+                 id="5-fig1-delay-noise-x3"),
     pytest.param(criterion_08, error_scales_swapped, id="8-error-scales-swapped"),
     # "adaptive" then runs at half the limit: it locks in 2 rounds against 36, with a
     # steady spread ratio of 1.68 against a bound of 2.
@@ -54,11 +84,19 @@ MUTATIONS = [
     # Mean- and peak-skew ratios 1.16 and 1.11 stay within [0.5, 2] and under 1.25.
     pytest.param(criterion_07, pisync_at_a_quarter_of_its_limit, id="7-pisync-at-a-quarter",
                  marks=pytest.mark.xfail(strict=True, reason=UNTIL_ITEM_1)),
+    # Fitted exponents 0.324 and 0.372 both lie in the accepted window [0.25, 0.75].
+    pytest.param(criterion_09, scenario_default_times("scaling", "delay_std", 0),
+                 id="9-no-delay-noise", marks=pytest.mark.xfail(strict=True, reason=UNTIL_ITEM_6)),
+    pytest.param(criterion_09, scenario_default_times("scaling", "max_deviation", 10),
+                 id="9-drift-x10", marks=pytest.mark.xfail(strict=True, reason=UNTIL_ITEM_6)),
 ]
 
 
 @pytest.mark.parametrize("criterion, mutate", MUTATIONS)
-def test_the_criterion_fails_under_the_mutation(criterion, mutate, monkeypatch, tmp_path):
+def test_the_criterion_fails_under_the_mutation(criterion, mutate, monkeypatch, request):
+    # A criterion's required arguments name fixtures, made before the mutation applies.
+    params = inspect.signature(criterion).parameters.values()
+    args = [request.getfixturevalue(p.name) for p in params if p.default is p.empty]
     mutate(monkeypatch)
-    ok, detail = criterion(tmp_path) if criterion in (criterion_06, criterion_07) else criterion()
+    ok, detail = criterion(*args)
     assert not ok, detail

@@ -44,3 +44,11 @@ def test_recording_refuses_uncommitted_changes_and_writes_nothing(tmp_path, monk
     assert record_bench.main(["--out", str(out)]) == 1
     assert not out.exists()
     assert "src/gradesync/sim.py" in capsys.readouterr().err
+
+
+def test_tier1_runs_the_command_of_the_workflows_tier1_step():
+    workflow = (SCRIPT.parents[1] / ".github" / "workflows" / "tests.yml").read_text()
+    step = workflow.split("- name: Tier-1 tests\n", 1)[1].split("- name:", 1)[0]
+    command = " ".join(step.split("run: >-", 1)[1].split())
+    assert command == "PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python " + " ".join(
+        record_bench.TIER1)
