@@ -5,12 +5,12 @@ Usage:
     python scripts/run_all_scenarios.py [--out results] [--seed N] [--check]
 
 Each scenario writes its artifacts to <out>/<scenario-name>/ and prints its
-summary lines; the full run takes well under a minute.  A refused input (a
-negative ``--seed``, say) prints ``error: ...`` and exits 2, as ``gradesync``
-itself does.  With ``--check`` it instead checks every recorded SHA-256
-listing under ``tests/``: the default outputs, the 2,000-node line and the
-difference-convention theory-check.  It prints a diff for each listing that
-differs and exits 1 if any does.
+summary lines; the full run takes well under a minute.  With ``--check`` it
+instead checks every recorded SHA-256 listing under ``tests/``: the default
+outputs, the 2,000-node line and the difference-convention theory-check.  It
+prints a diff for each listing that differs and exits 1 if any does.  Either
+way a refused input (a negative ``--seed``, or an ``--out`` that is a regular
+file) prints ``error: ...`` and exits 2, as ``gradesync`` itself does.
 """
 
 import argparse
@@ -59,6 +59,17 @@ def check(out: Path) -> int:
     return int(failed)
 
 
+def run_all(out: Path, seed) -> int:
+    """Run every scenario into ``out``, printing each summary."""
+    for name in SCENARIOS:
+        t0 = time.perf_counter()
+        summary = run_scenario(name, out_dir=out, seed=seed)
+        print(f"=== {name} ({time.perf_counter() - t0:.1f}s) -> {out / name}")
+        for key, value in summary.items():
+            print(f"  {key} = {value}")
+    return 0
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", type=Path, default=Path("results"))
@@ -68,23 +79,13 @@ def main() -> int:
         help="check the outputs against every SHA-256 listing under tests/ instead",
     )
     args = parser.parse_args()
-    if args.check:
-        if args.seed is not None:
-            parser.error("--check runs the recorded default seeds; drop --seed")
-        return check(args.out)
-
-    for name in SCENARIOS:
-        t0 = time.perf_counter()
-        try:
-            summary = run_scenario(name, out_dir=args.out, seed=args.seed)
-        except ValueError as err:  # bad input, reported as gradesync.cli.main reports it
-            print(f"error: {err}", file=sys.stderr)
-            return 2
-        elapsed = time.perf_counter() - t0
-        print(f"=== {name} ({elapsed:.1f}s) -> {args.out / name}")
-        for key, value in summary.items():
-            print(f"  {key} = {value}")
-    return 0
+    if args.check and args.seed is not None:
+        parser.error("--check runs the recorded default seeds; drop --seed")
+    try:
+        return check(args.out) if args.check else run_all(args.out, args.seed)
+    except ValueError as err:  # bad input, reported as gradesync.cli.main reports it
+        print(f"error: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -20,7 +20,6 @@ from .sim import (
     convergence_time,
     fit_power_exponent,
     run,
-    scaling_experiment,
     write_skew_csv,
     write_trace_csv,
 )

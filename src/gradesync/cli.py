@@ -79,11 +79,17 @@ def run_scenario(
         params["seed"] = seed
     check_ranges(params, scenario.ranges)
     out = Path(out_dir if out_dir is not None else "results") / name
+    made = not out.exists()
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as err:
         raise ValueError(f"cannot create output directory {out}: {err}") from err
-    summary = scenario.runner(params, out)
+    try:
+        summary = scenario.runner(params, out)
+    except ValueError:  # a refusal inside the runner leaves no empty directory behind
+        if made and not any(out.iterdir()):
+            out.rmdir()
+        raise
     write_summary_csv(out / "summary.csv", summary)
     return summary
 

@@ -26,6 +26,7 @@ from .clocks import ConstantDrift, PiecewiseDrift
 from .protocols import GRADES, PISYNC, step_size_limit
 from .sim import (
     RANDOM_CONSTANT_DRIFT,
+    WHITE_DRIFT,
     SimConfig,
     SkewTrace,
     Topology,
@@ -34,7 +35,6 @@ from .sim import (
     convergence_time,
     fit_power_exponent,
     run,
-    scaling_experiment,
     write_csv,
     write_skew_csv,
     write_trace_csv,
@@ -49,6 +49,7 @@ pisync_variance = partial(variance, protocol=PISYNC)
 
 _FIXED_STEP = f"(0, {step_size_limit(GRADES, 1.0, 1.0):g})"  # a grades step at B = f0 = 1
 _PPM_BELOW_NOMINAL = "(-1e6, 1e6)"  # a drift whose deviation stays below f0 = 1
+_B_OR_F0 = "[1e-60, 1e60]"  # keeps (B * f0)**2, in grades' step limit, finite and above 0
 
 
 def write_summary_csv(path: Path, summary: dict) -> None:
@@ -264,32 +265,59 @@ def _run_multihop(params: dict, out: Path) -> dict:
 # ---------------------------------------------------------------- diameter scaling
 
 
-def _run_scaling(params: dict, out: Path) -> dict:
-    diameters = params["diameters"]
-    if len(set(diameters)) < max(2, len(diameters)):
+def scaling_experiment(params: dict) -> list[tuple[int, int, float]]:
+    """Steady global skew of grades on reference-rooted lines of growing diameter.
+
+    For each of the ``diameters`` and each seed in ``range(seed, seed + seeds)``
+    a line of diameter+1 nodes with white drift and unit beacon period and
+    nominal frequency is run for ``rounds`` rounds; its row is (diameter, seed,
+    the mean global skew over the second half of the run).
+
+    Beacons are staggered by hop distance so each round's sync wave sweeps
+    the chain end to end within one beacon period.  That is the schedule
+    under which neighbouring nodes inherit the *same* upstream noise
+    realization and per-hop errors accumulate as a spatial random walk — the
+    regime the square-root-of-diameter growth law describes.  Free-running
+    ("random") phases add a full refresh of relay state per hop of propagation
+    lag, which decorrelates the nodes and steepens the measured growth.
+    """
+    diameters, rounds, seed = params["diameters"], params["rounds"], int(params["seed"])
+    if len(set(diameters)) < max(2, len(diameters)):  # a repeat would misstate its spread
         raise ValueError(f"parameter diameters needs 2 or more values, none repeated, "
                          f"got {diameters}")
-    seed = int(params["seed"])
-    result = scaling_experiment(
-        diameters,
-        range(seed, seed + params["seeds"]),
-        max_deviation=params["max_deviation"],
-        delay_std=params["delay_std"],
-        step_size=params["step_size"],
-        rounds=params["rounds"],
-    )
-    write_csv(
-        out / "scaling.csv",
-        ("diameter", "seed", "steady_mean_skew"),
-        result.rows,
-        comments=("unit_mode=normalized", f"seed={params['seed']}"),
-    )
-    exponent, intercept = fit_power_exponent(result.aggregate)
-    summary: dict = {"exponent": exponent, "intercept": intercept}
+    samples = sim.sample_grid(rounds, 1.0)[0]
+    sim.check_budget(sim.CELLS, "diameters", max(diameters), lambda d: (d + 1) * samples,
+                     f" for rounds={rounds}", least=1, other="rounds")
+    seed_rounds = rounds * sum([d + 1 for d in diameters])  # node-rounds of one seed
+    count = sim.check_budget(sim.NODE_ROUNDS, "seeds", params["seeds"],
+                             lambda s: s * seed_rounds,
+                             f" for rounds={rounds} and diameters={diameters}", least=1,
+                             other="rounds")
+    rows = []
     for d in diameters:
-        mean, std = result.aggregate[d]
-        summary[f"diameter{d}.mean_skew"] = mean
-        summary[f"diameter{d}.std_skew"] = std
+        for s in range(seed, seed + count):
+            trace = run(SimConfig(
+                topology=Topology.line(d + 1), beacon_period=1.0, duration=float(rounds),
+                max_deviation=params["max_deviation"], delay_std=params["delay_std"],
+                drift=WHITE_DRIFT, protocols=(GRADES,), step_policy="fixed",
+                step_size=params["step_size"], phase_mode="staggered", seed=s))
+            steady = trace.times >= trace.times[-1] * 0.5
+            rows.append((d, s, float(trace.global_skew(GRADES)[steady].mean())))
+            del trace  # so the next run does not hold this one's arrays and log
+    return rows
+
+
+def _run_scaling(params: dict, out: Path) -> dict:
+    rows = scaling_experiment(params)
+    write_csv(out / "scaling.csv", ("diameter", "seed", "steady_mean_skew"), rows,
+              comments=("unit_mode=normalized", f"seed={params['seed']}"))
+    aggregate = {}  # diameter -> (mean, std over seeds)
+    for d in params["diameters"]:
+        skews = np.array([m for dd, _, m in rows if dd == d])
+        aggregate[d] = (float(skews.mean()), float(skews.std(ddof=1) if len(skews) > 1 else 0.0))
+    summary = dict(zip(("exponent", "intercept"), fit_power_exponent(aggregate)))
+    for d, (mean, std) in aggregate.items():
+        summary |= {f"diameter{d}.mean_skew": mean, f"diameter{d}.std_skew": std}
     return summary
 
 
@@ -423,7 +451,7 @@ SCENARIOS: dict[str, Scenario] = {
         },
         _run_multihop,
         {"seed": "[0, inf)", "seeds": "[1, inf)", "nodes": "[2, inf)",
-         "beacon_period": "(0, inf)", "nominal_freq": "(0, inf)", "max_dev_ppm": "[0, 1e6)",
+         "beacon_period": _B_OR_F0, "nominal_freq": _B_OR_F0, "max_dev_ppm": "[0, 1e6)",
          "delay_std": "[0, inf)", "duration": "(0, inf)", "initial_step_fraction": "(0, 1]"},
     ),
     "scaling": Scenario(

@@ -543,79 +543,6 @@ def run(config: SimConfig) -> SkewTrace:
     )
 
 
-@dataclass(frozen=True)
-class ScalingResult:
-    rows: tuple[tuple[int, int, float], ...]  # (diameter, seed, steady mean skew)
-    aggregate: dict[int, tuple[float, float]]  # diameter -> (mean, std over seeds)
-
-
-def steady_mean_skew(trace: SkewTrace, protocol: str) -> float:
-    """Mean global skew over the second half of the trace."""
-    skew = trace.global_skew(protocol)
-    mask = trace.times >= trace.times[-1] * 0.5
-    return float(skew[mask].mean())
-
-
-def scaling_experiment(
-    diameters,
-    seeds,
-    *,
-    max_deviation: float = 1e-4,
-    delay_std: float = 1e-4,
-    step_size: float = 0.05,
-    rounds: int = 200,
-) -> ScalingResult:
-    """Steady global skew of grades on reference-rooted lines of growing diameter.
-
-    For each (diameter, seed) pair a line of diameter+1 nodes with white drift
-    and unit beacon period and nominal frequency is run for ``rounds`` rounds,
-    and the mean global skew over the second half of the run recorded.
-
-    Beacons are staggered by hop distance so each round's sync wave sweeps
-    the chain end to end within one beacon period.  That is the schedule
-    under which neighbouring nodes inherit the *same* upstream noise
-    realization and per-hop errors accumulate as a spatial random walk — the
-    regime the square-root-of-diameter growth law describes.  Free-running
-    ("random") phases add a full refresh of relay state per hop of propagation
-    lag, which decorrelates the nodes and steepens the measured growth.
-    """
-    if len({int(d) for d in diameters}) < len(diameters):
-        raise ValueError(f"diameters must not repeat, got {tuple(diameters)}")
-    samples = sample_grid(rounds, 1.0)[0]
-    check_budget(CELLS, "diameters", max([int(d) for d in diameters], default=0),
-                 lambda d: (d + 1) * samples, f" for rounds={rounds}", least=1, other="rounds")
-    seed_rounds = rounds * sum([int(d) + 1 for d in diameters])  # node-rounds of one seed
-    try:
-        count = len(seeds)
-    except OverflowError:  # a range longer than sys.maxsize
-        count = (seeds[-1] - seeds[0]) // seeds.step + 1
-    check_budget(NODE_ROUNDS, "seeds", count, lambda s: s * seed_rounds,
-                 f" for rounds={rounds} and diameters={tuple(diameters)}", least=1,
-                 other="rounds")
-    rows = []
-    for d in diameters:
-        for seed in seeds:
-            config = SimConfig(
-                topology=Topology.line(int(d) + 1),
-                beacon_period=1.0,
-                duration=float(rounds),
-                max_deviation=max_deviation,
-                delay_std=delay_std,
-                drift=WHITE_DRIFT,
-                protocols=(GRADES,),
-                step_policy="fixed",
-                step_size=step_size,
-                phase_mode="staggered",
-                seed=int(seed),
-            )
-            rows.append((int(d), int(seed), steady_mean_skew(run(config), GRADES)))
-    aggregate = {}
-    for d in diameters:
-        vals = np.array([m for dd, _, m in rows if dd == d])
-        aggregate[int(d)] = (float(vals.mean()), float(vals.std(ddof=1) if len(vals) > 1 else 0.0))
-    return ScalingResult(rows=tuple(rows), aggregate=aggregate)
-
-
 def fit_power_exponent(aggregate: dict[int, tuple[float, float]]) -> tuple[float, float]:
     """Least-squares slope/intercept of log(mean skew) against log(diameter)."""
     ds = np.array(sorted(aggregate))

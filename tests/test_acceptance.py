@@ -5,7 +5,7 @@ as they execute (pytest captures stdout otherwise and replays it on failure).
 Every criterion computes its measurements first, prints its verdict, and only
 then asserts, so a failing run still reports a complete scoreboard line.
 
-Criteria 1, 2, 3, 5, 6, 7, 8 and 9 are measured by ``criterion_NN`` functions that
+Criteria 1, 2, 3, 5, 6, 7, 8, 9 and 10 are measured by ``criterion_NN`` functions that
 return ``(ok, detail)`` and reach the code they measure through its module, so
 ``tests/test_criteria_can_fail.py`` can show each verdict turning to FAIL under a
 monkeypatched mutation.  A criterion's arguments are named after the fixtures it
@@ -25,18 +25,15 @@ from gradesync import (
     SimConfig,
     SystemParams,
     Topology,
-    adapt_step,
     analysis,
     cli,
     error_scale,
     estimate_variance_mc,
     protocols,
-    run,
     sim,
     step_size_limit,
     variance,
 )
-from gradesync.protocols import update
 from gradesync.scenarios import variance_grid
 
 DECAY_FACTORS = (0.9, 0.5, 0.2, -0.4, -0.8)
@@ -304,7 +301,7 @@ def test_criterion_09_skew_grows_like_the_square_root_of_the_diameter(tmp_path):
 # ---------------------------------------------------------------- 10: protocol logic
 
 
-def test_criterion_10_protocol_logic_invariants():
+def criterion_10() -> tuple[bool, str]:
     checks = []
     # grades' gain bound at B = f0 = 1, as a run derives it: step limit times error scale.
     grades_gain_max = step_size_limit(GRADES, 1.0, 1.0) * error_scale(GRADES, 1.0, 1.0)
@@ -312,7 +309,7 @@ def test_criterion_10_protocol_logic_invariants():
     # Stale floods are discarded: on a diamond, where node 4 hears every flood
     # from nodes 2 and 3 at the same instant, each node applies each flood once
     # per protocol, in strictly rising sequence order.
-    diamond = run(
+    diamond = sim.run(
         SimConfig(
             topology=Topology(nodes=(1, 2, 3, 4), edges=((1, 2), (1, 3), (2, 4), (3, 4))),
             beacon_period=1.0,
@@ -332,11 +329,12 @@ def test_criterion_10_protocol_logic_invariants():
     # An accepted message lands the logical clock exactly on the payload: the
     # error is the reading before the jump, and the clock the simulator keeps,
     # (payload, new rate, hw), reads the payload.
-    error, _, rate = update(5.0, 1.0, 0.0, 0.2, 0.0, 4.9, 0.0, grades_gain_max)
+    error, _, rate = protocols.update(5.0, 1.0, 0.0, 0.2, 0.0, 4.9, 0.0, grades_gain_max)
     checks.append(error == 5.0 - 4.9 and LogicalClock(4.9, rate, 0.0).read(0.0) == 4.9)
 
     # Gain adaptation: double on sign agreement, shrink by three otherwise,
     # clamp to the stability limit, and survive underflow.
+    adapt_step = protocols.adapt_step
     checks.append(adapt_step(0.2, 1.0, 1.0, gain_max=1.0) == 0.4)
     checks.append(abs(adapt_step(0.3, 1.0, -1.0, gain_max=1.0) - 0.1) < 1e-15)
     checks.append(abs(adapt_step(0.3, 0.0, 1.0, gain_max=1.0) - 0.1) < 1e-15)
@@ -345,7 +343,7 @@ def test_criterion_10_protocol_logic_invariants():
     checks.append(adapt_step(tiny, 1.0, -1.0, gain_max=1.0) == tiny)
 
     # The reference node never corrects itself, even with drift and noise.
-    trace = run(
+    trace = sim.run(
         SimConfig(
             topology=Topology.line(3),
             beacon_period=1.0,
@@ -364,12 +362,10 @@ def test_criterion_10_protocol_logic_invariants():
     checks.append(bool(np.all(trace.rate_multipliers[PISYNC][:, ref_col] == 1.0)))
     checks.append(not [e for e in trace.events if e.node == 1])
 
-    ok = all(checks)
-    _verdict(
-        10,
-        "protocol-logic invariants",
-        ok,
-        f"{sum(checks)}/{len(checks)} checks: stale-flood discard, exact offset "
-        f"jump, all step-adaptation branches incl. limit clamp and underflow "
-        f"guard, reference immutability",
-    )
+    return all(checks), (f"{sum(checks)}/{len(checks)} checks: stale-flood discard, exact "
+                         f"offset jump, all step-adaptation branches incl. limit clamp and "
+                         f"underflow guard, reference immutability")
+
+
+def test_criterion_10_protocol_logic_invariants():
+    _verdict(10, "protocol-logic invariants", *criterion_10())

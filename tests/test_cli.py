@@ -7,7 +7,9 @@ import subprocess
 import sys
 import weakref
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from gradesync import scenarios, sim
@@ -357,6 +359,38 @@ def test_a_value_past_its_interval_exits_2_before_the_output_directory_is_made(
         assert not (tmp_path / scenario).exists()
 
 
+@pytest.mark.parametrize("scenario, override", [
+    ("fig1-pairwise", "switch_round=100"),
+    ("fig1-pairwise", "rounds=100000000"),
+    ("scaling", "diameters=4,4"),
+    ("scaling", "seeds=100000000"),
+    ("theory-check", "noise_convention=foo"),
+    ("theory-check", "rounds=100000000"),
+    ("theory-check", "trials=1000000"),
+    ("fig2-stepsize", "constant_steps=0.1,0.1000000001"),
+    ("fig3-multihop", "seeds=100000"),
+    ("fig3-multihop", "nodes=100000000"),
+])
+def test_a_refusal_inside_the_runner_leaves_no_scenario_directory(
+    tmp_path, capsys, scenario, override
+):
+    # Cross-parameter rules and budgets are checked once the runner starts, after
+    # the directory is made; a refusal there removes it again.
+    assert main(["--scenario", scenario, "--set", override, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: parameter ")
+    assert not (tmp_path / scenario).exists()
+
+
+def test_a_refusal_inside_the_runner_keeps_a_directory_it_did_not_make(tmp_path, capsys):
+    kept = tmp_path / "scaling"
+    kept.mkdir()
+    assert main(["--scenario", "scaling", "--set", "diameters=4,4", "--out", str(tmp_path)]) == 2
+    assert kept.is_dir()
+    (kept / "scaling.csv").write_text("")  # a directory with files in it stays as it is
+    assert main(["--scenario", "scaling", "--set", "diameters=4,4", "--out", str(tmp_path)]) == 2
+    assert [p.name for p in kept.iterdir()] == ["scaling.csv"]
+
+
 @pytest.mark.parametrize("scenario", SCENARIOS)
 def test_every_number_a_scenario_takes_has_an_interval_holding_its_default(scenario):
     spec = SCENARIOS[scenario]
@@ -445,15 +479,15 @@ def test_every_simconfig_field_takes_two_values_across_the_default_scenarios(
     tmp_path, monkeypatch
 ):
     # A field that no scenario varies is an option that only tests reach.
-    # theory-check builds no SimConfig; scaling's configs are caught at sim.run.
+    # theory-check builds no SimConfig; scaling's configs are caught where its helper runs them.
     defaults = {name: dict(scenario.defaults) for name, scenario in SCENARIOS.items()}
     fig3 = defaults["fig3-multihop"]
     configs = [scenarios.pairwise_config(defaults["fig1-pairwise"]),
                *scenarios.stepsize_configs(defaults["fig2-stepsize"]).values(),
                *[scenarios.multihop_config({**fig3, "seed": fig3["seed"] + i})
                  for i in range(fig3["seeds"])]]
-    monkeypatch.setattr(sim, "run", configs.append)
-    monkeypatch.setattr(sim, "steady_mean_skew", lambda trace, protocol: 1.0)
+    flat = SimpleNamespace(times=np.zeros(1), global_skew=lambda protocol: np.ones(1))
+    monkeypatch.setattr(scenarios, "run", lambda config: configs.append(config) or flat)
     SCENARIOS["scaling"].runner(defaults["scaling"], tmp_path)
     assert len(configs) == 1 + 4 + 5 + 40
     values = {field.name: [] for field in dataclasses.fields(SimConfig)}
@@ -468,13 +502,28 @@ def test_every_simconfig_field_takes_two_values_across_the_default_scenarios(
 def test_main_extreme_beacon_period_exits_2_naming_beacon_period_and_nominal_freq(
     tmp_path, capsys, beacon_period
 ):
-    # grades' step size limit overflows to inf at 1e-300 s and underflows to 0 at 1e300 s.
+    # grades' step size limit would overflow to inf at 1e-300 s and underflow to 0 at
+    # 1e300 s; the interval refuses both before the limit is computed.
     overrides = (f"beacon_period={beacon_period}", "seeds=1", "nodes=2")
     argv = ["--scenario", "fig3-multihop", "--out", str(tmp_path)]
     code = main(argv + [arg for o in overrides for arg in ("--set", o)])
     assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: parameter beacon_period must be in [1e-60, 1e60], got {float(beacon_period)}\n"
+    )
+
+
+@pytest.mark.parametrize("beacon_period", ["1e-60", "1e60"])
+@pytest.mark.parametrize("nominal_freq", ["1e-60", "1e60"])
+def test_fig3_at_each_corner_of_its_beacon_period_and_nominal_freq_runs_or_names_a_parameter(
+    tmp_path, capsys, beacon_period, nominal_freq
+):
+    overrides = (f"beacon_period={beacon_period}", f"nominal_freq={nominal_freq}",
+                 "seeds=1", "nodes=2")
+    argv = ["--scenario", "fig3-multihop", "--out", str(tmp_path)]
+    code = main(argv + [arg for o in overrides for arg in ("--set", o)])
     err = capsys.readouterr().err
-    assert err.startswith("error: beacon_period=") and "nominal_freq=" in err
+    assert (code, err) == (0, "") or (code == 2 and err.startswith("error: parameter ")), err
 
 
 @pytest.mark.parametrize("scenario", ["fig1-pairwise", "fig2-stepsize"])
@@ -589,9 +638,8 @@ def test_a_scenario_run_does_not_import_numpy_ma(tmp_path):
     assert (tmp_path / "fig3-multihop" / "summary.csv").is_file()
 
 
-def test_each_multihop_seed_frees_its_trace_before_the_next_seed_runs(tmp_path, monkeypatch):
-    # A trace holds its (samples x nodes) arrays and its update log; keeping
-    # the last seed's alive during the next run only raises peak memory.
+def traces_alive_at_each_run(monkeypatch) -> list[int]:
+    """A list that gets, as each ``scenarios.run`` starts, how many earlier traces are alive."""
     traces, alive = [], []
 
     def tracked(config):
@@ -601,9 +649,22 @@ def test_each_multihop_seed_frees_its_trace_before_the_next_seed_runs(tmp_path, 
         return trace
 
     monkeypatch.setattr(scenarios, "run", tracked)
+    return alive
+
+
+def test_each_multihop_seed_frees_its_trace_before_the_next_seed_runs(tmp_path, monkeypatch):
+    # A trace holds its (samples x nodes) arrays and its update log; keeping
+    # the last seed's alive during the next run only raises peak memory.
+    alive = traces_alive_at_each_run(monkeypatch)
     run_scenario("fig3-multihop", {"nodes": "4", "seeds": "3", "duration": "300"},
                  out_dir=tmp_path)
     assert alive == [0, 0, 0]
+
+
+def test_each_scaling_run_frees_its_trace_before_the_next_run(tmp_path, monkeypatch):
+    alive = traces_alive_at_each_run(monkeypatch)
+    run_scenario("scaling", {"diameters": "2,3", "seeds": "2", "rounds": "20"}, out_dir=tmp_path)
+    assert alive == [0, 0, 0, 0]
 
 
 def test_fig1_streams_its_frequency_rows_to_the_csv(tmp_path, monkeypatch):

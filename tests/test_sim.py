@@ -25,15 +25,18 @@ from gradesync import (
     convergence_time,
     fit_power_exponent,
     run,
-    scaling_experiment,
     write_skew_csv,
     write_trace_csv,
 )
-from gradesync import clocks, sim
+from gradesync import clocks, scenarios, sim
 from gradesync.clocks import LogicalClock
 from gradesync.protocols import error_scale, update
-from gradesync.scenarios import SCENARIOS, multihop_config
-from gradesync.sim import steady_mean_skew
+from gradesync.scenarios import SCENARIOS, multihop_config, scaling_experiment
+
+
+def scaling(**kw):
+    """The scaling scenario's parameters, with ``kw`` overriding its defaults."""
+    return {**SCENARIOS["scaling"].defaults, **kw}
 
 
 def config(**kw):
@@ -708,7 +711,7 @@ def test_the_trace_size_rule_names_the_largest_value_that_fits(monkeypatch):
     line = Topology.line
     monkeypatch.setattr(Topology, "line", staticmethod(lambda n: pytest.fail(f"line({n})")))
     with pytest.raises(ValueError, match=r"^parameter diameters must be at most 2 for rounds=100, "):
-        sim.scaling_experiment([2, 5], [0], rounds=100)
+        scaling_experiment(scaling(diameters=(2, 5), seeds=1, rounds=100))
     # When not even the least value fits, the rule names the parameter that sets the samples.
     with pytest.raises(ValueError, match=r"^parameter nodes must be at most 142 for d=1, got 150$"):
         sim.check_budget(sim.CELLS, "nodes", 150, lambda k: 7 * k, " for d=1", least=142,
@@ -719,12 +722,13 @@ def test_the_trace_size_rule_names_the_largest_value_that_fits(monkeypatch):
                          other="d")
     # 166 rounds are 499 samples, which fit twice (diameter 1) but not three times; 167 are 502.
     with pytest.raises(ValueError, match=r"^parameter diameters must be at most 1 for rounds=166, "):
-        sim.scaling_experiment([1, 2], [0], rounds=166)
+        scaling_experiment(scaling(diameters=(1, 2), seeds=1, rounds=166))
     with pytest.raises(ValueError, match=r"^parameter rounds is too large: even diameters=1 for "
                                          r"rounds=167 asks for more than 1000 trace cells"):
-        sim.scaling_experiment([1, 2], [0], rounds=167)
+        scaling_experiment(scaling(diameters=(1, 2), seeds=1, rounds=167))
     monkeypatch.setattr(Topology, "line", line)
-    assert [row[0] for row in sim.scaling_experiment([1, 2], [0], rounds=100).rows] == [1, 2]
+    assert [row[0] for row in scaling_experiment(scaling(diameters=(1, 2), seeds=1,
+                                                         rounds=100))] == [1, 2]
 
 
 # ---------------------------------------------------------------- flooding
@@ -918,7 +922,7 @@ def test_convergence_time_examples():
         convergence_time([], [], 0.5)
 
 
-def test_steady_mean_skew_averages_the_trailing_window():
+def test_steady_mean_skew_averages_the_trailing_window(monkeypatch):
     times = np.arange(10.0)
     node1 = np.zeros(10)
     node2 = np.array([9.0, 8.0, 7.0, 6.0, 5.0, 4.0, 3.0, 2.0, 1.0, 0.0])
@@ -930,7 +934,9 @@ def test_steady_mean_skew_averages_the_trailing_window():
         rate_multipliers={GRADES: np.ones((10, 2))},
         hw_rates=np.ones((10, 2)),
     )
-    assert steady_mean_skew(trace, GRADES) == 2.0
+    monkeypatch.setattr(scenarios, "run", lambda config: trace)
+    rows = scaling_experiment(scaling(diameters=(1, 2), seeds=1))
+    assert rows == [(1, 0, 2.0), (2, 0, 2.0)]
 
 
 def test_fit_power_exponent_recovers_a_square_root_law():
@@ -945,30 +951,30 @@ def test_fit_power_exponent_recovers_a_square_root_law():
 def test_scaling_experiment_is_quiet_without_noise_and_deterministic():
     # Without noise no seed matters, and the staggered starts' offset transient
     # (a steady skew near 3e-3 after 10 rounds) dies out.
-    quiet = scaling_experiment(
-        (1, 2), (0, 1), max_deviation=0.0, delay_std=0.0, rounds=80, step_size=0.3
-    )
-    skew = {(d, seed): m for d, seed, m in quiet.rows}
+    params = scaling(diameters=(1, 2), seeds=2, rounds=80, step_size=0.3)
+    quiet = scaling_experiment({**params, "max_deviation": 0.0, "delay_std": 0.0})
+    skew = {(d, seed): m for d, seed, m in quiet}
     assert all(skew[d, 0] == skew[d, 1] < 1e-15 for d in (1, 2))
-    a = scaling_experiment((1, 2), (0, 1), rounds=10, step_size=0.3)
-    b = scaling_experiment((1, 2), (0, 1), rounds=10, step_size=0.3)
+    a = scaling_experiment({**params, "rounds": 10})
+    b = scaling_experiment({**params, "rounds": 10})
     assert a == b
-    assert {d for d, _, _ in a.rows} == {1, 2}
-    assert set(a.aggregate) == {1, 2}
-    assert all(m > 0 for _, _, m in a.rows)
+    assert [(d, seed) for d, seed, _ in a] == [(1, 0), (1, 1), (2, 0), (2, 1)]
+    assert all(m > 0 for _, _, m in a)
 
 
 def test_scaling_experiment_rejects_a_repeated_diameter():
     # Running a diameter twice would duplicate its rows and misstate its spread.
-    with pytest.raises(ValueError, match=r"^diameters must not repeat, got \(4, 4, 9\)$"):
-        scaling_experiment((4, 4, 9), (0, 1), rounds=10)
+    for diameters in ((4, 4, 9), (4,)):
+        with pytest.raises(ValueError, match=r"^parameter diameters needs 2 or more values, "
+                                             rf"none repeated, got {re.escape(str(diameters))}$"):
+            scaling_experiment(scaling(diameters=diameters, seeds=2, rounds=10))
 
 
 def test_a_long_scaling_line_blames_the_missed_rounds_not_its_stable_step():
     # Node 925 of a 1,001-node line goes 28 rounds without an update, and one
     # sync error of 9.8 ticks then drives its rate below zero at a step of 0.05.
     with pytest.raises(ContractViolation) as raised:
-        scaling_experiment([1000], [1])
+        scaling_experiment(scaling(diameters=(1000, 2000), seeds=1, seed=1))
     told = str(raised.value)
     assert told.startswith("node 925 at t=135.921842: grades rate multiplier driven to -0.03")
     assert "by step size 0.05 (below its limit 1.0) on a sync error of 9.81" in told
