@@ -58,10 +58,10 @@ def adaptation_off(monkeypatch):
     monkeypatch.setattr(protocols, "adapt_step", lambda gain, *args: gain)
 
 
-def adapt_step_mutated(grow, shrink, clamp):
-    """``protocols.adapt_step`` with its own growth and shrink factors, clamp optional."""
+def adapt_step_mutated(shrink, clamp):
+    """``protocols.adapt_step`` dividing by ``shrink`` on a sign flip, its clamp optional."""
     def adapt_step(gain, error_now, error_prev, gain_max):
-        grown = gain * grow if error_now * error_prev > 0 else gain / shrink
+        grown = 2.0 * gain if error_now * error_prev > 0 else gain / shrink
         if clamp and grown > gain_max:
             grown = gain_max
         return grown if grown != 0.0 else gain
@@ -92,10 +92,10 @@ MUTATIONS = [
                  id="5-fig1-delay-noise-x3"),
     pytest.param(criterion_08, error_scales_swapped, id="8-error-scales-swapped"),
     # 15 of 16 checks: a doubled 0.8 is not clamped to the limit 1.
-    pytest.param(criterion_10, adapt_step_mutated(2.0, 3.0, clamp=False),
+    pytest.param(criterion_10, adapt_step_mutated(3.0, clamp=False),
                  id="10-adapt-step-unclamped"),
     # 14 of 16 checks: both shrink branches give 0.15, not 0.1.
-    pytest.param(criterion_10, adapt_step_mutated(2.0, 2.0, clamp=True),
+    pytest.param(criterion_10, adapt_step_mutated(2.0, clamp=True),
                  id="10-adapt-step-halves-on-a-sign-flip"),
     # "adaptive" then runs at half the limit: it locks in 2 rounds against 36, with a
     # steady spread ratio of 1.68 against a bound of 2.
