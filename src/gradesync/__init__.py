@@ -1,7 +1,7 @@
 """Clock synchronization protocols, closed-form analysis, and a deterministic simulator."""
 
 from .analysis import McEstimate, SystemParams, estimate_variance_mc, variance
-from .clocks import ConstantDrift, HardwareClock, LogicalClock, PiecewiseDrift, WhiteDrift
+from .clocks import ConstantDrift, PiecewiseDrift, WhiteDrift
 from .errors import ContractViolation, InvalidRegimeError
 from .protocols import (
     GRADES,
@@ -9,7 +9,6 @@ from .protocols import (
     PROTOCOLS,
     adapt_step,
     error_scale,
-    on_beacon_tick,
     step_size_limit,
 )
 from .sim import (

@@ -86,7 +86,7 @@ def run_scenario(
         raise ValueError(f"cannot create output directory {out}: {err}") from err
     try:
         summary = scenario.runner(params, out)
-    except ValueError:  # a refusal inside the runner leaves no empty directory behind
+    except (ValueError, ContractViolation):  # a failed run leaves no empty directory behind
         if made and not any(out.iterdir()):
             out.rmdir()
         raise

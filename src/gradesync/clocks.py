@@ -15,11 +15,10 @@ so readings never decrease, not even from one float to the next, and are never
 rounded to whole ticks.  A :class:`ClockTable` holds many clocks' pieces up to
 a horizon as arrays and reads, inverts or schedules them all at once (one
 pass finds every beacon); the simulator's clocks are one table.  A logical
-clock maps hardware ticks to an estimate of global time through an offset and
-a rate multiplier, and is only ever updated at discrete sync events; the
-simulator keeps them as plain floats.  So ``HardwareClock`` (a one-row table
-that grows as it is read), ``LogicalClock`` and
-``DriftModel.deviation_integral`` serve only the tests and bench/tracer.py.
+clock ``(value, rate, hw_at)`` maps hardware ticks to an estimate of global
+time, ``value + rate * (hw - hw_at)``, and is only ever updated at discrete
+sync events; the simulator keeps its fields as plain floats.  The last lines
+bind names that bench/tracer.py wraps to inert placeholders.
 
 All randomness flows through numpy ``Generator`` objects injected at
 construction, so a (seed, config) pair fully determines every trajectory.
@@ -31,7 +30,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from operator import ge
-from typing import NamedTuple
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -43,20 +42,8 @@ _SEGMENT_CHUNK = 256
 class DriftModel:
     """A piecewise-constant deviation: ``devs[i]`` from ``starts[i]`` to ``starts[i + 1]``."""
 
-    # Unused by ``sim.run``; kept because bench/tracer.py wraps it.
-    def deviation_integral(self, t0: float, t1: float) -> float:
-        """Sum of deviation * overlap over the pieces from ``t0`` to ``t1``."""
-        if t0 < 0:
-            raise ValueError("drift is defined for t >= 0")
-        while self.starts[-1] < t1:
-            self.extend()
-        starts, devs = self.starts, self.devs
-        total, start, i = 0.0, t0, bisect_right(starts, t0) - 1
-        while start < t1:
-            end = starts[i + 1]
-            total += devs[i] * (min(end, t1) - start)
-            start, i = end, i + 1
-        return total
+    # bench/tracer.py wraps this name; nothing calls it; ROADMAP item 9b deletes it.
+    deviation_integral = None
 
 
 @dataclass(frozen=True)
@@ -96,7 +83,7 @@ class WhiteDrift(DriftModel):
 
     An explicit realization: one uniform draw per unit-time segment [j, j+1),
     drawn lazily in segment order so the realization does not depend on the
-    query pattern.  Integrals are exact sums and the trajectory can be
+    query pattern.  Readings are exact sums over the pieces and can be
     inverted for tick-crossing times.
     """
 
@@ -205,72 +192,11 @@ class ClockTable:
             yield from zip(*[c[j:j + 1024].tolist() for c in columns])
 
 
-# Unused by ``sim.run``; kept because bench/tracer.py wraps its methods.
-class HardwareClock:
-    """Free-running oscillator whose reading is a pure function of real time.
-
-    A one-row :class:`ClockTable`, rebuilt at least twice as far out whenever it
-    is read past its pieces.
-    """
-
-    def __init__(self, nominal_freq: float, drift=None, start_ticks: float = 0.0):
-        self.nominal_freq = float(nominal_freq)
-        self.drift = drift if drift is not None else ConstantDrift(0.0)
-        self._start = float(start_ticks)
-        self._table = ClockTable(self.nominal_freq, [self.drift], [self._start], 0.0)
-
-    def _reach(self, t: float) -> ClockTable:
-        """The clock's table, rebuilt at least twice as far out if its pieces end by ``t``."""
-        if not 0 <= t < math.inf:
-            raise ContractViolation(f"clock read at t={t}; it is defined for 0 <= t < inf")
-        end = self._table._starts[-1]
-        if t >= end:
-            self._table = ClockTable(self.nominal_freq, [self.drift], [self._start],
-                                     max(t, 2.0 * end))
-        return self._table
-
-    def advance_to(self, t: float) -> float:
-        """The reading at real time ``t``."""
-        return self._reach(t).read(0, t)
-
-    def time_of_tick(self, target_ticks: float) -> float:
-        """Real time at which the reading reaches ``target_ticks``."""
-        if not self._start <= target_ticks < math.inf:
-            raise ContractViolation(
-                f"tick target {target_ticks} is outside [start reading {self._start}, inf)"
-            )
-        while target_ticks >= self._table._knots[-1]:
-            self._reach(self._table._starts[-1])
-        return float(self._table.time_of(0, target_ticks))
-
-
 def read_before_update(hw_now, hw_at_update) -> ContractViolation:
     return ContractViolation(f"logical read at hw={hw_now} before last update hw={hw_at_update}")
 
 
-class _LogicalClockFields(NamedTuple):
-    value_at_update: float = 0.0
-    rate_multiplier: float = 1.0
-    hw_at_update: float = 0.0
-
-
-# Unused by ``sim.run``; kept because bench/tracer.py wraps ``LogicalClock.read``.
-class LogicalClock(_LogicalClockFields):
-    """Piecewise-linear map from hardware ticks to estimated global time.
-
-    Between updates the logical value advances as
-    ``value_at_update + rate_multiplier * (hw_now - hw_at_update)``.
-    An immutable named tuple: cheap to build once per accepted message.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, value_at_update=0.0, rate_multiplier=1.0, hw_at_update=0.0):
-        if rate_multiplier <= 0:
-            raise ValueError("rate_multiplier must stay positive")
-        return tuple.__new__(cls, (value_at_update, rate_multiplier, hw_at_update))
-
-    def read(self, hw_now: float) -> float:
-        if hw_now < self.hw_at_update:
-            raise read_before_update(hw_now, self.hw_at_update)
-        return self.value_at_update + self.rate_multiplier * (hw_now - self.hw_at_update)
+# bench/tracer.py wraps these methods; nothing calls them; ROADMAP item 9b deletes them.
+HardwareClock = SimpleNamespace(advance_to=None, time_of_tick=None)
+# bench/tracer.py wraps this method; nothing calls it; ROADMAP item 9b deletes it.
+LogicalClock = SimpleNamespace(read=None)

@@ -15,9 +15,7 @@ Flood freshness is not decided here: the simulator keeps one sequence number
 per node and drops a flood that is not strictly newer before it reaches the
 update rule.  The rule exists once, as ``update``: plain floats in,
 ``(error, gain, rate)`` out, which the simulator calls for every accepted
-flood on its flat per-node lists.  ``on_beacon_tick`` gives a beacon's
-``(seq, readings)`` from the sender's ``LogicalClock``s; the simulator builds
-its beacons inline and does not call it.
+flood on its flat per-node lists.  The simulator builds its beacons inline.
 """
 
 from __future__ import annotations
@@ -95,7 +93,7 @@ def update(value, rate, hw_at, gain, prev_error, received, hw_now, gain_max, ada
     protocols share.  Returns the error, the new gain and the new rate
     multiplier; the new clock is ``(received, rate, hw_now)``.
     """
-    if hw_now < hw_at:  # LogicalClock.read, on the clock's fields
+    if hw_now < hw_at:
         raise read_before_update(hw_now, hw_at)
     error = value + rate * (hw_now - hw_at) - received
     if adapt:
@@ -105,17 +103,3 @@ def update(value, rate, hw_at, gain, prev_error, received, hw_now, gain_max, ada
         raise DrivenRate(rate, gain, gain_max, error, hw_now - hw_at)
     return error, gain, rate
 
-
-# Unused by ``sim.run``; kept because bench/tracer.py wraps ``sim.on_beacon_tick``.
-def on_beacon_tick(clocks, seq: int, is_reference: bool, hw_now: float):
-    """``(seq, readings)`` of a node whose hardware clock crosses a round boundary.
-
-    ``clocks`` are the sender's ``LogicalClock``s, one per protocol, and ``seq``
-    the newest flood sequence number it holds.  The reference node emits
-    ``seq + 1`` and always advertises its raw hardware reading (its logical
-    clock is its hardware clock; it never corrects itself).  Everyone else
-    re-broadcasts its current logical readings under ``seq``.
-    """
-    if is_reference:
-        return seq + 1, (hw_now,) * len(clocks)
-    return seq, tuple([clock.read(hw_now) for clock in clocks])

@@ -24,7 +24,7 @@ beacon schedule is known up front.  All clocks are one ``clocks.ClockTable``;
 its ``crossings`` give every beacon's instant and sender reading in (time,
 node id) order, computed in one pass.  Trace samples touch no clock:
 the hardware grid comes from the table after the loop, and the logical
-readings from the update log, with the arithmetic of ``LogicalClock.read``.
+readings from the update log, as ``value + rate * (hw - hw_at)``.
 So the sample period changes no event of a run.  The log, (t, node position,
 seq, hw) per accepted delivery and per lane (received, rate, error, gain), is
 the one record of updates; ``SkewTrace.events`` reads it on first access.
@@ -58,7 +58,9 @@ import numpy as np
 from .clocks import ClockTable, ConstantDrift, DriftModel, WhiteDrift, read_before_update
 from .errors import ContractViolation, DrivenRate
 from .protocols import GRADES, PISYNC, PROTOCOLS, error_scale, gain_limit, step_size_limit, update
-from .protocols import on_beacon_tick  # unused by ``run``; bench/tracer.py wraps this name
+
+# bench/tracer.py wraps this name; nothing calls it; ROADMAP item 9b deletes it.
+on_beacon_tick = None
 
 # Drift spec strings accepted by SimConfig.drift (besides explicit models).
 WHITE_DRIFT = "white"
@@ -343,7 +345,7 @@ def _assemble(start, deliveries, log, times, hw, readings, rates) -> None:
     ``deliveries`` and ``log`` the update log (see the module docstring), an
     update leaving the clock (received, rate, hw), and ``hw`` the (samples,
     nodes) hardware readings at ``times``.  A sample at t reads ``value + rate *
-    (hw - hw_at)`` of the latest update before t, as ``LogicalClock.read`` does.
+    (hw - hw_at)`` of the latest update before t, raising if hw < hw_at.
     """
     rows, n = hw.shape
     deliveries = np.frombuffer(deliveries).reshape(-1, 4)
@@ -482,7 +484,7 @@ def run(config: SimConfig) -> SkewTrace:
                         else:
                             readings = []
                             for values, rates, hw_ats in clock_lists:
-                                if hw < hw_ats[who]:  # LogicalClock.read, inline
+                                if hw < hw_ats[who]:
                                     raise read_before_update(hw, hw_ats[who])
                                 readings.append(values[who] + rates[who] * (hw - hw_ats[who]))
                     sent.append((v, seq, readings, noise * f0))

@@ -16,12 +16,12 @@ import math
 import time
 
 import numpy as np
+from reference_sim import logical_reading
 
 from gradesync import (
     GRADES,
     PISYNC,
     ConstantDrift,
-    LogicalClock,
     SimConfig,
     SystemParams,
     Topology,
@@ -330,7 +330,7 @@ def criterion_10() -> tuple[bool, str]:
     # error is the reading before the jump, and the clock the simulator keeps,
     # (payload, new rate, hw), reads the payload.
     error, _, rate = protocols.update(5.0, 1.0, 0.0, 0.2, 0.0, 4.9, 0.0, grades_gain_max)
-    checks.append(error == 5.0 - 4.9 and LogicalClock(4.9, rate, 0.0).read(0.0) == 4.9)
+    checks.append(error == 5.0 - 4.9 and logical_reading((4.9, rate, 0.0), 0.0) == 4.9)
 
     # Gain adaptation: double on sign agreement, shrink by three otherwise,
     # clamp to the stability limit, and survive underflow.

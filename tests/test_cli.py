@@ -101,40 +101,30 @@ def test_reruns_are_byte_identical(tmp_path):
         assert (a_dir / name).read_bytes() == (b_dir / name).read_bytes()
 
 
-# SHA-256 of every CSV the two pairwise scenarios write at their defaults, and
-# the other three write at small sizes.  The outputs are deterministic, so
-# any change in them, down to the last printed digit, shows up here.  The
-# small fig3 run covers both protocols, adaptive steps and random-constant
-# drift; the small scaling run covers white drift and staggered phases; the
-# small theory-check rows mix text, integer and float columns.
+# SHA-256 of every CSV the two pairwise scenarios write at their defaults, as
+# tests/default_outputs.sha256 records them, and the other three write at small
+# sizes.  The outputs are deterministic, so any change in them, down to the
+# last printed digit, shows up here.  The small fig3 run covers both protocols,
+# adaptive steps and random-constant drift; the small scaling run covers white
+# drift and staggered phases; the small theory-check rows mix text, integer and
+# float columns.
 GOLDEN_OVERRIDES = {
     "fig3-multihop": {"seeds": "1", "nodes": "4", "duration": "900"},
     "scaling": {"seeds": "2", "diameters": "2,3", "rounds": "30"},
     "theory-check": {"trials": "20", "rounds": "40"},
 }
+
+
+def recorded_defaults(scenario: str) -> dict[str, str]:
+    """The digest of each file of ``scenario`` that tests/default_outputs.sha256 lists."""
+    lines = (Path(__file__).parent / "default_outputs.sha256").read_text().splitlines()
+    return {path.removeprefix(f"{scenario}/"): digest
+            for digest, path in map(str.split, lines) if path.startswith(f"{scenario}/")}
+
+
 GOLDEN_SHA256 = {
-    "fig1-pairwise": {
-        "frequency.csv":
-            "70069bc62228fb9c4bb3e68d39a142fb9d91c650b3d1f54d560be3c9c13c205d",
-        "skew.csv":
-            "b0af95cc41460aeb9007e8218f9688d441a26fb6127fdd1eb00f882e85901afe",
-        "summary.csv":
-            "cafe6a0a989efa4803eac8860db734e3061abac5ea41ad77e141333608655154",
-        "trace.csv":
-            "1b1b7c5a4cd39b4a52029d1fcaeb95687646e79a02eed772d47c696c1cc47ebe",
-    },
-    "fig2-stepsize": {
-        "errors_adaptive.csv":
-            "9d85d3fdc8ef12c3abf0a6a717f8c6125bfc73f6f52f4d6dd1f28b22ec280fda",
-        "errors_const-0.02.csv":
-            "81b6f93ff1e506262e29e357e6319d13e47415a1e9ce84396802d8def1666c1f",
-        "errors_const-0.1.csv":
-            "2121c86811bf8fa5b277eb3f5fe39889912ed6daaeb3d2ffa231798de4889599",
-        "errors_const-0.5.csv":
-            "1c8461bbf1e8046f756eaf04f8e99820b801bcfab0e8d1d8a8be29b74c30c8ae",
-        "summary.csv":
-            "87212d4ed35e4cb98a0bb2b50114bdca1b61d6e705844bb944a3c484ec36db3a",
-    },
+    "fig1-pairwise": recorded_defaults("fig1-pairwise"),
+    "fig2-stepsize": recorded_defaults("fig2-stepsize"),
     "fig3-multihop": {
         "skew.csv":
             "64d0a28bad3a57baa26503d5f1b598ff1e552c35d49955204ea5231b86280dd6",
@@ -391,6 +381,19 @@ def test_a_refusal_inside_the_runner_keeps_a_directory_it_did_not_make(tmp_path,
     assert [p.name for p in kept.iterdir()] == ["scaling.csv"]
 
 
+@pytest.mark.parametrize("scenario, step", [
+    ("fig1-pairwise", "step_size=0.9"),
+    ("fig2-stepsize", "constant_steps=0.9"),
+])
+def test_a_contract_violation_leaves_no_empty_scenario_directory(tmp_path, capsys, scenario, step):
+    # 90% drift drives node 2's rate below zero at t=1, before any file is written.
+    out = tmp_path / "fresh"
+    argv = ["--scenario", scenario, "--set", "drift_ppm=900000", "--set", step, "--out", str(out)]
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith("contract violation: node 2 at t=1: ")
+    assert not (out / scenario).exists()
+
+
 @pytest.mark.parametrize("scenario", SCENARIOS)
 def test_every_number_a_scenario_takes_has_an_interval_holding_its_default(scenario):
     spec = SCENARIOS[scenario]
@@ -563,12 +566,14 @@ def test_noise_free_multihop_reports_no_ratio_instead_of_dividing_by_zero(tmp_pa
 
 def test_contract_violation_exits_3(tmp_path, capsys, monkeypatch):
     def runner(params, out):
+        (out / "partial.csv").write_text("")  # what a run wrote before it failed stays
         raise ContractViolation("node 2 at t=1: boom")
 
     monkeypatch.setitem(SCENARIOS, "boom", Scenario({"seed": 0}, runner, {"seed": "[0, inf)"}))
     code = main(["--scenario", "boom", "--out", str(tmp_path)])
     assert code == 3
     assert "contract violation:" in capsys.readouterr().err
+    assert [p.name for p in (tmp_path / "boom").iterdir()] == ["partial.csv"]
 
 
 def test_a_runner_that_writes_no_file_still_gets_its_summary_csv(tmp_path, monkeypatch):

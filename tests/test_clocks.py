@@ -1,5 +1,5 @@
 """Clock primitives: the clock table's readings as a pure function of time, inversion,
-exact integration, drift moments, and the one-row hardware clock that grows as it is read."""
+exact per-piece sums and drift moments."""
 
 import math
 
@@ -9,14 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_sim import deviation_at, reference_reading, reference_time_of_tick
 
-from gradesync import (
-    ConstantDrift,
-    ContractViolation,
-    HardwareClock,
-    LogicalClock,
-    PiecewiseDrift,
-    WhiteDrift,
-)
+from gradesync import ConstantDrift, PiecewiseDrift, WhiteDrift
 from gradesync.clocks import _SEGMENT_CHUNK, ClockTable
 
 
@@ -53,7 +46,6 @@ def test_piecewise_deviation_integrates_each_segment_exactly():
     assert drift.starts == (0.0, 20.0, math.inf)
     assert drift.devs == (1e-4, 5e-5)
     # 20 s at 1e-4 plus 10 s at 5e-5.
-    assert drift.deviation_integral(0.0, 30.0) == pytest.approx(2.5e-3, rel=1e-12)
     clocks = ClockTable(1.0, [ConstantDrift(0.0), drift], [0.0, 0.0], 30.0)
     assert clocks.read(1, 30.0) == pytest.approx(30.0 + 2.5e-3, rel=1e-12)
 
@@ -224,67 +216,6 @@ def test_reads_onto_piece_ends_match_the_reference():
             assert clocks.time_of(row, target) == reference_time_of_tick(ref, 1.0, 0.3, target)
 
 
-# ---------------------------------------------------------------- hardware clock
-
-
-@pytest.mark.parametrize("t", [-1e-9, -1.0, math.inf, math.nan])
-def test_a_reading_outside_the_time_axis_raises(t):
-    clock = HardwareClock(nominal_freq=1.0, drift=WhiteDrift(1e-3, make_rng()))
-    with pytest.raises(ContractViolation, match="0 <= t < inf"):
-        clock.advance_to(t)
-
-
-def test_a_tick_target_below_the_start_reading_raises():
-    clock = HardwareClock(nominal_freq=1e6, drift=ConstantDrift(100.0), start_ticks=7.0)
-    assert clock.time_of_tick(7.0) == 0.0
-    for below in (math.nextafter(7.0, 0.0), -1.0, math.inf, math.nan):
-        with pytest.raises(ContractViolation, match="start reading 7.0"):
-            clock.time_of_tick(below)
-
-
-@pytest.mark.parametrize("kind, stops", zip(["constant", "piecewise", "white"], STOPS))
-def test_advances_onto_piece_ends_match_the_reference(kind, stops):
-    # The growing one-row table lands on each piece end, one ulp below it and a
-    # chunk end exactly as the scalar walk does.
-    def drift():
-        return {
-            "constant": ConstantDrift(-3e-4),
-            "piecewise": PiecewiseDrift(PIECES),
-            "white": WhiteDrift(5e-4, make_rng(17)),
-        }[kind]
-
-    clock, ref = HardwareClock(1.0, drift(), start_ticks=0.3), drift()
-    for t in stops:
-        expected = reference_reading(ref, 1.0, 0.3, t)
-        assert clock.advance_to(t) == expected
-        target = expected + 2.5
-        assert clock.time_of_tick(target) == reference_time_of_tick(ref, 1.0, 0.3, target)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    kind=st.sampled_from(["constant", "piecewise", "white"]),
-    start=st.floats(0.0, 1e3),
-    times=st.lists(st.floats(0.0, 3 * _SEGMENT_CHUNK), min_size=1, max_size=12),
-)
-def test_a_hardware_clock_grows_its_table_as_it_is_read(kind, start, times):
-    # Read in any order, far past the pieces drawn so far and back again, the
-    # rebuilt tables give the scalar walk's readings and inversions bit for bit.
-    def drift():
-        return {
-            "constant": ConstantDrift(2e-4),
-            "piecewise": PiecewiseDrift(PIECES),
-            "white": WhiteDrift(5e-4, make_rng(7)),
-        }[kind]
-
-    clock, ref = HardwareClock(1.0, drift(), start_ticks=start), drift()
-    for t in times:
-        expected = reference_reading(ref, 1.0, start, t)
-        assert clock.advance_to(t) == expected
-        target = expected + 1.5 * _SEGMENT_CHUNK
-        assert clock.time_of_tick(target) == reference_time_of_tick(ref, 1.0, start, target)
-
-
 # ---------------------------------------------------------------- white drift moments
 
 
@@ -292,22 +223,22 @@ def test_white_segments_mode_matches_uniform_deviation_moments():
     # Integrated deviation over an interval of length B has mean 0 and
     # variance B * fmax**2 / 3 (uniform per-unit deviations in [-fmax, fmax]).
     b, fmax, n = 30.0, 1e-4, 20_000
-    rng = make_rng(11)
-    drift = WhiteDrift(fmax, rng)
-    extras = np.array([drift.deviation_integral(i * b, (i + 1) * b) for i in range(n)])
+    clocks = ClockTable(1.0, [WhiteDrift(fmax, make_rng(11))], [0.0], n * b)
+    extras = np.diff(clocks.sample(0, b * np.arange(n + 1))[0]) - b
     target_var = b * fmax**2 / 3
     assert abs(extras.mean()) < 3 * math.sqrt(target_var / n)
     assert extras.var() == pytest.approx(target_var, rel=0.05)
 
 
 def test_white_segments_are_unit_pieces_drawn_a_chunk_at_a_time():
+    # A table draws a white drift's pieces as far as its horizon.
     drift = WhiteDrift(0.25, make_rng(3))
     assert (drift.starts, drift.devs) == ([0.0], [])
-    drift.deviation_integral(0.0, 3.5)
+    ClockTable(1.0, [drift], [0.0], 3.5)
     assert drift.starts == [float(j) for j in range(_SEGMENT_CHUNK + 1)]
     assert len(drift.devs) == _SEGMENT_CHUNK
     assert all(abs(d) <= 0.25 for d in drift.devs)
-    drift.deviation_integral(0.0, _SEGMENT_CHUNK + 0.5)
+    ClockTable(1.0, [drift], [0.0], _SEGMENT_CHUNK + 0.5)
     assert len(drift.devs) == len(drift.starts) - 1 == 2 * _SEGMENT_CHUNK
     # The same draws as one chunk of twice the size: query order does not matter.
     assert drift.devs == make_rng(3).uniform(-0.25, 0.25, 2 * _SEGMENT_CHUNK).tolist()
@@ -316,99 +247,3 @@ def test_white_segments_are_unit_pieces_drawn_a_chunk_at_a_time():
 def test_white_drift_validates_arguments():
     with pytest.raises(ValueError):
         WhiteDrift(-1e-4, make_rng(0))
-    fresh, drawn = WhiteDrift(1e-3, make_rng(0)), WhiteDrift(1e-3, make_rng(0))
-    drawn.deviation_integral(0.0, 10.0)
-    for drift in (fresh, drawn, ConstantDrift(1e-3)):
-        with pytest.raises(ValueError, match="t >= 0"):
-            drift.deviation_integral(-1.0, 0.0)
-
-
-def reference_piecewise_integral(drift, t0, t1):
-    """The original generator-based sum over (start, end, deviation) pieces."""
-
-    def pieces():
-        j = math.floor(t0)
-        while True:
-            while len(drift.devs) <= j:
-                drift.extend()
-            yield max(float(j), t0), float(j + 1), drift.devs[j]
-            j += 1
-
-    total = 0.0
-    for start, end, dev in pieces():
-        if start >= t1:
-            break
-        total += dev * (min(end, t1) - start)
-    return total
-
-
-WHITE_SPANS = [
-    (0.0, 0.0),
-    (3.7, 3.7),
-    (5.0, 5.0),
-    (0.0, 1.0),
-    (2.0, 7.0),
-    (0.25, 0.75),
-    (1.5, 2.5),
-    (0.0, 600.0),
-    (12.3, 487.9),
-    (_SEGMENT_CHUNK - 0.5, _SEGMENT_CHUNK + 0.25),
-    (_SEGMENT_CHUNK - 3.0, 2 * _SEGMENT_CHUNK + 3.0),
-    (9.0, 4.0),
-]
-
-
-@pytest.mark.parametrize("t0, t1", WHITE_SPANS)
-def test_white_integral_equals_the_piecewise_reference_sum(t0, t1):
-    new, old = WhiteDrift(1e-3, make_rng(5)), WhiteDrift(1e-3, make_rng(5))
-    assert new.deviation_integral(t0, t1) == reference_piecewise_integral(old, t0, t1)
-    # and once both realizations are drawn far past the span
-    new.deviation_integral(0.0, 3 * _SEGMENT_CHUNK)
-    old.deviation_integral(0.0, 3 * _SEGMENT_CHUNK)
-    assert new.deviation_integral(t0, t1) == reference_piecewise_integral(old, t0, t1)
-
-
-@settings(max_examples=200, deadline=None)
-@given(t0=st.floats(0.0, 700.0), span=st.floats(0.0, 60.0))
-def test_white_integral_equals_the_reference_on_random_spans(t0, span):
-    drift = WhiteDrift(1e-3, make_rng(9))
-    t1 = t0 + span
-    assert drift.deviation_integral(t0, t1) == reference_piecewise_integral(drift, t0, t1)
-
-
-# ---------------------------------------------------------------- logical clock
-
-
-def test_logical_read_examples():
-    assert LogicalClock().read(7.0) == 7.0
-    assert LogicalClock(100.0, 0.5, 10.0).read(30.0) == 110.0
-    assert LogicalClock(42.0, 1.3, 5.0).read(5.0) == 42.0  # no elapsed hardware ticks
-
-
-def test_logical_read_rejects_hardware_rollback():
-    clock = LogicalClock(0.0, 1.0, 100.0)
-    with pytest.raises(ContractViolation):
-        clock.read(99.0)
-
-
-def test_logical_clock_rate_applies_from_the_update_point():
-    faster = LogicalClock(10.0, 2.0, 10.0)
-    assert faster.read(10.0) == 10.0
-    assert faster.read(13.0) == 16.0
-    with pytest.raises(ValueError):
-        LogicalClock(10.0, 0.0, 10.0)
-    with pytest.raises(ValueError):
-        LogicalClock(10.0, -0.5, 10.0)
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    value=st.floats(-1e6, 1e6),
-    rate=st.floats(0.5, 2.0),
-    hw0=st.floats(0.0, 1e6),
-    dhw=st.floats(0.0, 1e6),
-)
-def test_logical_read_is_affine_in_hardware_ticks(value, rate, hw0, dhw):
-    clock = LogicalClock(value, rate, hw0)
-    assert clock.read(hw0 + dhw) == pytest.approx(value + rate * dhw, rel=1e-12, abs=1e-9)
-

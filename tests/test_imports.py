@@ -1,9 +1,11 @@
 """Every module-level import in the package is used by the module that makes it, every
-name the package defines is read somewhere in it, and every name the benchmark's tracer
-wraps or reads exists in the package."""
+name the package defines is read somewhere in it, every name the benchmark's tracer
+wraps or reads exists in the package, and the forks it wraps that nothing calls are
+inert placeholders that nothing else names."""
 
 import ast
 import importlib
+import re
 from functools import reduce
 from pathlib import Path
 
@@ -13,8 +15,6 @@ import gradesync
 
 PACKAGE = Path(gradesync.__file__).parent
 TRACER = PACKAGE.parents[1] / "bench" / "tracer.py"
-# Imported for a caller outside the package: bench/tracer.py wraps sim.on_beacon_tick.
-KEPT = {"sim.py": {"on_beacon_tick"}}
 
 
 def unused_imports(source: str) -> set[str]:
@@ -40,7 +40,7 @@ def test_the_check_sees_an_unused_import():
     "name", sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 )
 def test_no_module_has_an_unused_import(name):
-    assert unused_imports((PACKAGE / name).read_text()) == KEPT.get(name, set())
+    assert unused_imports((PACKAGE / name).read_text()) == set()
 
 
 def tracer_targets(source: str) -> tuple[dict[str, str], list[str]]:
@@ -125,3 +125,31 @@ def test_every_name_in_the_package_is_read_in_the_package():
     sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py") if p.name != "__init__.py"}
     exempt = {part for target in TARGETS for part in target.split(".")[1:]} | {"cli.main"}
     assert unread_names(sources, exempt) == []
+
+
+# Deleted forks whose names bench/tracer.py still wraps, and the one line that binds each.
+FORKS = ("HardwareClock", "LogicalClock", "on_beacon_tick", "deviation_integral")
+PLACEHOLDERS = {
+    "HardwareClock = SimpleNamespace(advance_to=None, time_of_tick=None)",
+    "LogicalClock = SimpleNamespace(read=None)",
+    "deviation_integral = None",
+    "on_beacon_tick = None",
+}
+
+
+def test_the_deleted_forks_are_inert_placeholders_that_nothing_else_names():
+    naming = re.compile(rf"\b({'|'.join(FORKS)})\b")
+    files = [p for root in (PACKAGE.parent, Path(__file__).parent) for p in root.rglob("*.py")
+             if p.name != "test_imports.py"]
+    named = [f"{p.name}: {line.strip()}" for p in sorted(files)
+             for line in p.read_text().splitlines()
+             if naming.search(line) and line.strip() not in PLACEHOLDERS]
+    assert named == []
+    assert not set(FORKS) & set(vars(gradesync))
+    # A placeholder, and whatever the tracer reaches through one, calls nothing.
+    inert = {".".join(parts[:depth]) for parts in (t.split(".") for t in TARGETS)
+             for depth in range(2, len(parts) + 1) if set(parts[1:depth]) & set(FORKS)}
+    assert len(inert) == 8
+    for path in sorted(inert):
+        root, *attrs = path.split(".")
+        assert not callable(reduce(getattr, attrs, importlib.import_module(MODULES[root]))), path

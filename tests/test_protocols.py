@@ -1,5 +1,5 @@
 """Protocol transition functions: error scales and step limits, gain
-adaptation, the update rule, and beacon emission."""
+adaptation, the logical reading the update rule takes its error from, and the update rule."""
 
 import re
 from typing import NamedTuple
@@ -7,18 +7,16 @@ from typing import NamedTuple
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference_sim import reference_update
+from reference_sim import logical_reading, reference_update
 
 from gradesync import (
     GRADES,
     PISYNC,
     ContractViolation,
-    LogicalClock,
     SimConfig,
     Topology,
     adapt_step,
     error_scale,
-    on_beacon_tick,
     run,
     step_size_limit,
 )
@@ -35,7 +33,7 @@ class Node(NamedTuple):
     error: float = 0.0
 
     def read(self, hw):
-        return LogicalClock(self.value, self.rate, self.hw_at).read(hw)
+        return logical_reading(self[:3], hw)
 
 
 def gain_max(protocol, beacon_period, nominal_freq):
@@ -53,15 +51,6 @@ def receive(protocol, before, received, hw_now, beacon_period, nominal_freq, ada
     bound = gain_max(protocol, beacon_period, nominal_freq)
     error, gain, rate = update(*before, received, hw_now, bound, adapt)
     return Node(received, rate, hw_now, gain, error)
-
-
-@pytest.mark.parametrize("field", ["value_at_update", "rate_multiplier", "hw_at_update"])
-def test_logical_clocks_are_immutable(field):
-    clock = LogicalClock(1.0, 2.0, 3.0)
-    with pytest.raises(AttributeError):
-        setattr(clock, field, getattr(clock, field))
-    with pytest.raises(AttributeError):
-        clock.extra = 1  # no per-instance attribute dict either
 
 
 # ---------------------------------------------------------------- arithmetic
@@ -129,6 +118,42 @@ def test_adapt_step_stays_positive_and_bounded(gain, now, prev, bound):
     gain = min(gain, bound)
     out = adapt_step(gain, now, prev, bound)
     assert 0.0 < out <= bound
+
+
+# ---------------------------------------------------------------- logical reading
+
+
+def reading(value, rate, hw_at, hw):
+    """Clock ``(value, rate, hw_at)`` read at ``hw`` by ``update``: its error on a payload of 0."""
+    return update(value, rate, hw_at, 0.0, 0.0, 0.0, hw, gain_max=1.0, adapt=False)[0]
+
+
+def test_logical_read_examples():
+    assert reading(0.0, 1.0, 0.0, 7.0) == 7.0
+    assert reading(100.0, 0.5, 10.0, 30.0) == 110.0
+    assert reading(42.0, 1.3, 5.0, 5.0) == 42.0  # no elapsed hardware ticks
+
+
+def test_logical_read_rejects_hardware_rollback():
+    with pytest.raises(ContractViolation, match="before last update hw=100.0"):
+        reading(0.0, 1.0, 100.0, 99.0)
+
+
+def test_logical_clock_rate_applies_from_the_update_point():
+    assert reading(10.0, 2.0, 10.0, 10.0) == 10.0
+    assert reading(10.0, 2.0, 10.0, 13.0) == 16.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    value=st.floats(-1e6, 1e6),
+    rate=st.floats(0.5, 2.0),
+    hw0=st.floats(0.0, 1e6),
+    dhw=st.floats(0.0, 1e6),
+)
+def test_logical_read_is_affine_in_hardware_ticks(value, rate, hw0, dhw):
+    assert reading(value, rate, hw0, hw0 + dhw) == pytest.approx(value + rate * dhw,
+                                                                 rel=1e-12, abs=1e-9)
 
 
 # ---------------------------------------------------------------- the update rule
@@ -361,25 +386,3 @@ def test_equal_fraction_steps_give_identical_rate_trajectories(errors, fraction,
                     adapt=False)
         assert g.rate == pytest.approx(p.rate, rel=1e-12)
 
-
-# ---------------------------------------------------------------- beacon emission
-
-
-def test_reference_beacon_increments_seq_and_advertises_hardware_time():
-    clocks = (LogicalClock(999.0, 1.0, 0.0), LogicalClock(888.0, 1.0, 0.0))
-    assert on_beacon_tick(clocks, 4, is_reference=True, hw_now=5000.25) == (5, (5000.25, 5000.25))
-
-
-def test_relay_beacon_keeps_seq_and_advertises_logical_readings():
-    clocks = (LogicalClock(100.0, 1.5, 10.0), LogicalClock(200.0, 0.5, 10.0))
-    seq, readings = on_beacon_tick(clocks, 4, is_reference=False, hw_now=12.0)
-    assert seq == 4
-    assert readings[0] == pytest.approx(103.0, rel=1e-12)
-    assert readings[1] == pytest.approx(201.0, rel=1e-12)
-    with pytest.raises(ContractViolation, match="before last update"):
-        on_beacon_tick(clocks, 4, is_reference=False, hw_now=9.0)
-
-
-def test_single_protocol_beacons_leave_the_other_payload_empty():
-    # no reading for a protocol that is not running
-    assert on_beacon_tick((LogicalClock(),), 2, is_reference=True, hw_now=3.0) == (3, (3.0,))

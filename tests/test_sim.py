@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from reference_sim import logical_reading
 
 from gradesync import (
     GRADES,
@@ -29,7 +30,6 @@ from gradesync import (
     write_trace_csv,
 )
 from gradesync import clocks, scenarios, sim
-from gradesync.clocks import LogicalClock
 from gradesync.protocols import error_scale, update
 from gradesync.scenarios import SCENARIOS, multihop_config, scaling_experiment
 
@@ -454,13 +454,13 @@ def test_sampling_cases_match_their_recorded_hash(case):
 
 
 def test_assembly_reads_each_sample_from_the_latest_update_it_sees():
-    clocks = [LogicalClock(0.0, 1.0, 0.0), LogicalClock(5.0, 1.0, 5.0)]
+    clocks = [(0.0, 1.0, 0.0), (5.0, 1.0, 5.0)]  # (value, rate, hw_at)
     times = np.array([0.0, 1.0, 2.0])
     updates = [  # (instant, node, clock): a sample at t sees the updates before t
-        (0.5, 0, LogicalClock(2.5, 1.25, 2.0)),
-        (0.5, 0, LogicalClock(3.0, 0.75, 2.5)),  # same node and instant: this one wins
-        (1.0, 1, LogicalClock(9.0, 1.5, 8.0)),  # at the second sample: the third sees it
-        (2.0, 0, LogicalClock(7.0, 2.0, 9.5)),  # at the last sample: no sample sees it
+        (0.5, 0, (2.5, 1.25, 2.0)),
+        (0.5, 0, (3.0, 0.75, 2.5)),  # same node and instant: this one wins
+        (1.0, 1, (9.0, 1.5, 8.0)),  # at the second sample: the third sees it
+        (2.0, 0, (7.0, 2.0, 9.5)),  # at the last sample: no sample sees it
     ]
     deliveries, log = array("d"), array("d")
     for seq, (t, node, (value, rate, hw_at)) in enumerate(updates, 1):
@@ -471,8 +471,8 @@ def test_assembly_reads_each_sample_from_the_latest_update_it_sees():
     sim._assemble(np.array(clocks), deliveries, log, times, hw, readings, rates)
     expected = [[clocks[0], clocks[1]], [updates[1][2], clocks[1]], [updates[1][2], updates[2][2]]]
     for r, row in enumerate(expected):
-        assert readings[r].tolist() == [c.read(h) for c, h in zip(row, hw[r])]
-        assert rates[r].tolist() == [c.rate_multiplier for c in row]
+        assert readings[r].tolist() == [logical_reading(c, h) for c, h in zip(row, hw[r])]
+        assert rates[r].tolist() == [c[1] for c in row]
     # A sample whose hardware reading is below its clock's anchor breaks the contract.
     latest = np.array([updates[1][2], updates[2][2]])
     with pytest.raises(ContractViolation, match="before last update hw=8.0"):
@@ -487,7 +487,7 @@ ASSEMBLY_CASES = {**SAMPLING_CASES, "unequal-gains": dict(step_size={GRADES: 0.3
 @pytest.mark.parametrize("case", sorted(ASSEMBLY_CASES))
 def test_assembly_equals_reading_the_latest_logged_clock_at_each_sample(case, monkeypatch):
     # The whole-log numpy pass, once per lane, against a sample-by-sample
-    # replay of each protocol's update log through LogicalClock.read.
+    # replay of each protocol's update log through the reference's logical reading.
     real, assembled = sim._assemble, []
 
     def counted(start, deliveries, log, times, hw, readings, rates):
@@ -500,18 +500,18 @@ def test_assembly_equals_reading_the_latest_logged_clock_at_each_sample(case, mo
     start, hw = assembled[0]
     deliveries, logs, _ = trace.update_log
     for p, log in zip(trace.protocols, logs):
-        latest = [LogicalClock(*c) for c in start.tolist()]
+        latest = start.tolist()
         # (t, node position, the clock it leaves) of each update, in the order applied
         pending = [(deliveries[j], int(deliveries[j + 1]),
-                    LogicalClock(log[j], log[j + 1], deliveries[j + 3]))
+                    (log[j], log[j + 1], deliveries[j + 3]))
                    for j in range(0, len(deliveries), 4)]
         for r, t in enumerate(trace.times.tolist()):
             while pending and pending[0][0] < t:
                 _, node, clock = pending.pop(0)
                 latest[node] = clock
-            assert trace.readings[p][r].tolist() == [c.read(h)
+            assert trace.readings[p][r].tolist() == [logical_reading(c, h)
                                                      for c, h in zip(latest, hw[r].tolist())]
-            assert trace.rate_multipliers[p][r].tolist() == [c.rate_multiplier for c in latest]
+            assert trace.rate_multipliers[p][r].tolist() == [c[1] for c in latest]
         assert all(u >= trace.times[-1] for u, _, _ in pending)  # what is left no sample sees
 
 
