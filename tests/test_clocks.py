@@ -1,5 +1,5 @@
 """Clock primitives: the clock table's readings as a pure function of time, inversion,
-exact per-piece sums and drift moments."""
+tables of any horizon, exact per-piece sums and drift moments."""
 
 import math
 
@@ -83,6 +83,12 @@ def test_crossings_are_every_running_sum_target_each_row_reaches():
             target += step
     assert [sum(r == row for _, r, _ in expected) for row in range(4)] == [1801, 200, 975, 928]
     assert list(clocks.crossings(np.array(first), step, until)) == sorted(expected)
+
+
+@pytest.mark.parametrize("f0", [0.0, -1.0])
+def test_clock_table_rejects_a_nominal_freq_that_is_not_positive(f0):
+    with pytest.raises(ValueError, match="nominal_freq must be positive"):
+        ClockTable(f0, [ConstantDrift(0.0)], [0.0], 1.0)
 
 
 def test_clock_table_rejects_deviation_at_or_above_nominal():
@@ -214,6 +220,111 @@ def test_reads_onto_piece_ends_match_the_reference():
             assert clocks.read(row, t) == expected
             target = expected + 2.5
             assert clocks.time_of(row, target) == reference_time_of_tick(ref, 1.0, 0.3, target)
+
+
+def drift_of(kind, seed):
+    return {
+        "constant": ConstantDrift(-3e-4),
+        "piecewise": PiecewiseDrift(PIECES),
+        "white": WhiteDrift(5e-4, make_rng(seed)),
+    }[kind]
+
+
+@pytest.mark.parametrize("kind, stops", zip(["constant", "piecewise", "white"], STOPS))
+def test_a_table_ending_at_each_stop_matches_the_reference(kind, stops):
+    # A one-row table whose horizon is the stop itself: on a piece end, one ulp
+    # below it or on a chunk end, it reads and inverts as the scalar walk does.
+    drift, ref = drift_of(kind, 17), drift_of(kind, 17)
+    for t in stops:
+        clocks = ClockTable(1.0, [drift], [0.3], t)
+        expected = reference_reading(ref, 1.0, 0.3, t)
+        assert clocks.read(0, t) == expected
+        assert clocks.time_of(0, expected) == reference_time_of_tick(ref, 1.0, 0.3, expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["constant", "piecewise", "white"]),
+    start=st.floats(0.0, 1e3),
+    times=st.lists(st.floats(0.0, 3 * _SEGMENT_CHUNK), min_size=1, max_size=12),
+)
+def test_tables_of_any_horizon_share_one_drift_and_read_it_alike(kind, start, times):
+    # Tables built in any order, far past the pieces drawn so far and back
+    # again, give the scalar walk's readings and inversions bit for bit.
+    drift, ref = drift_of(kind, 7), drift_of(kind, 7)
+    for t in times:
+        clocks = ClockTable(1.0, [drift], [start], t)
+        expected = reference_reading(ref, 1.0, start, t)
+        assert clocks.read(0, t) == expected
+        assert clocks.time_of(0, expected) == reference_time_of_tick(ref, 1.0, start, expected)
+
+
+@pytest.mark.parametrize("kind", ["constant", "piecewise", "white"])
+def test_a_reading_past_the_table_inverts_to_a_time_past_its_horizon(kind):
+    # So the simulator's beacon schedule drops every target past ``until``.
+    for horizon in (0.0, 1.3, 3.5, _SEGMENT_CHUNK + 0.5):
+        clocks = ClockTable(1e3, [drift_of(kind, 3)], [0.3], horizon)
+        last = clocks.read(0, horizon)
+        targets = last + np.array([1e-6, 1.0, 1e3, 1e9])
+        when = clocks.time_of(0, targets)
+        assert (when > horizon).all() and (np.diff(when) > 0).all()
+        for t, target in zip(when.tolist(), targets.tolist()):
+            assert abs(clocks.read(0, t) - target) <= 4 * math.ulp(target)
+
+
+# ---------------------------------------------------------------- white drift sums
+
+
+def reference_piecewise_ticks(drift, f0, t0, t1):
+    """The ticks from ``t0`` to ``t1`` as a sum over unit pieces, negative if ``t1 < t0``."""
+    lo, hi = sorted((t0, t1))
+    total, j = 0.0, math.floor(lo)
+    while j < hi:
+        while len(drift.devs) <= j:
+            drift.extend()
+        total += (f0 + drift.devs[j]) * (min(j + 1.0, hi) - max(float(j), lo))
+        j += 1
+    return total if t0 <= t1 else -total
+
+
+WHITE_SPANS = [
+    (0.0, 0.0),
+    (3.7, 3.7),
+    (5.0, 5.0),
+    (0.0, 1.0),
+    (2.0, 7.0),
+    (0.25, 0.75),
+    (1.5, 2.5),
+    (0.0, 600.0),
+    (12.3, 487.9),
+    (_SEGMENT_CHUNK - 0.5, _SEGMENT_CHUNK + 0.25),
+    (_SEGMENT_CHUNK - 3.0, 2 * _SEGMENT_CHUNK + 3.0),
+    (9.0, 4.0),
+]
+
+
+def assert_span_ticks_match(drift, ref, t0, t1, horizon):
+    clocks = ClockTable(1.0, [drift], [0.0], horizon)
+    r0, r1 = clocks.read(0, t0), clocks.read(0, t1)
+    assert (r0, r1) == (reference_reading(ref, 1.0, 0.0, t0), reference_reading(ref, 1.0, 0.0, t1))
+    assert r1 - r0 == pytest.approx(reference_piecewise_ticks(ref, 1.0, t0, t1),
+                                    rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("t0, t1", WHITE_SPANS)
+def test_white_ticks_over_a_span_equal_the_piecewise_reference_sum(t0, t1):
+    # Read from a table that ends at the span and, once both realizations are
+    # drawn far past it, from one that ends far beyond.
+    new, old = WhiteDrift(1e-3, make_rng(5)), WhiteDrift(1e-3, make_rng(5))
+    assert_span_ticks_match(new, old, t0, t1, max(t0, t1))
+    assert_span_ticks_match(new, old, t0, t1, 3 * _SEGMENT_CHUNK)
+
+
+@settings(max_examples=200, deadline=None)
+@given(t0=st.floats(0.0, 700.0), span=st.floats(0.0, 60.0))
+def test_white_ticks_over_random_spans_equal_the_piecewise_reference_sum(t0, span):
+    drift, ref = WhiteDrift(1e-3, make_rng(9)), WhiteDrift(1e-3, make_rng(9))
+    assert_span_ticks_match(drift, ref, t0, t0 + span, t0 + span)
 
 
 # ---------------------------------------------------------------- white drift moments

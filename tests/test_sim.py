@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from reference_sim import logical_reading
+from reference_sim import logical_reading, reference_reading
 
 from gradesync import (
     GRADES,
@@ -614,6 +614,51 @@ def test_a_flood_reaching_a_node_twice_at_one_instant_is_applied_once():
     for proto in (GRADES, PISYNC):
         for node, last in ((2, 12), (3, 12), (4, 11)):
             assert [e.seq for e in trace.node_events(node, proto)] == list(range(1, last + 1))
+
+
+# One lane, and two lanes of unequal gains.
+BEACON_LANES = {
+    "one-lane": dict(protocols=(GRADES,), step_size=0.5),
+    "two-lanes": dict(protocols=(GRADES, PISYNC), step_size={GRADES: 0.3, PISYNC: 0.5}),
+}
+BEACON_DRIFTS = {1: ConstantDrift(3e-4), 2: ConstantDrift(-2e-4), 3: ConstantDrift(1e-4)}
+
+
+def applied(trace, node):
+    """(t, seq, hw, {protocol: (received, rate)}) of each update ``node`` applied, in order."""
+    deliveries, logs, _ = trace.update_log
+    column = trace.node_column(node)
+    return [(deliveries[j], int(deliveries[j + 2]), deliveries[j + 3],
+             {p: (log[j], log[j + 1]) for p, log in zip(trace.protocols, logs)})
+            for j in range(0, len(deliveries), 4) if deliveries[j + 1] == column]
+
+
+@pytest.mark.parametrize("lanes", sorted(BEACON_LANES))
+def test_the_reference_beacons_a_new_seq_and_its_hardware_reading_on_every_lane(lanes):
+    # Noise-free, so each reading received is the one the beacon carried.
+    trace = run(config(topology=Topology.line(3), drift=BEACON_DRIFTS, **BEACON_LANES[lanes]))
+    updates = applied(trace, 2)
+    assert [seq for _, seq, _, _ in updates] == list(range(1, 11))
+    for t, _, _, received in updates:
+        hw = reference_reading(BEACON_DRIFTS[1], 1.0, 0.0, t)
+        assert [value for value, _ in received.values()] == [hw] * len(trace.protocols)
+
+
+@pytest.mark.parametrize("lanes", sorted(BEACON_LANES))
+def test_a_relay_beacons_the_flood_it_holds_and_each_lanes_logical_reading(lanes):
+    # Node 2 sends node 3 the seq of its latest update before the beacon and,
+    # per lane, the clock that update left read at node 2's hardware reading.
+    trace = run(config(topology=Topology.line(3), drift=BEACON_DRIFTS, **BEACON_LANES[lanes]))
+    relayed, held = applied(trace, 3), applied(trace, 2)
+    assert [seq for _, seq, _, _ in relayed] == list(range(1, 10))
+    for t, seq, _, received in relayed:
+        t_at, seq_at, hw_at, clock = [u for u in held if u[0] < t][-1]
+        assert seq == seq_at
+        hw = reference_reading(BEACON_DRIFTS[2], 1.0, 0.0, t)
+        assert received == {p: (logical_reading((*clock[p], hw_at), hw), received[p][1])
+                            for p in trace.protocols}
+    if lanes == "two-lanes":  # each lane carries its own reading
+        assert any(r[GRADES][0] != r[PISYNC][0] for _, _, _, r in relayed)
 
 
 @pytest.mark.parametrize("kind", ["constant", "piecewise", "white"])
