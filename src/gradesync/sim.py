@@ -25,7 +25,7 @@ its ``crossings`` give every beacon's instant and sender reading in (time,
 node id) order, computed in one pass.  Trace samples touch no clock:
 the hardware grid comes from the table after the loop, and the logical
 readings from the update log, as ``value + rate * (hw - hw_at)``.
-So the sample period changes no event of a run.  The log, (t, node position,
+So sampling changes no event of a run.  The log, (t, node position,
 seq, hw) per accepted delivery and per lane (received, rate, error, gain), is
 the one record of updates; ``SkewTrace.events`` reads it on first access.
 
@@ -85,10 +85,10 @@ BUDGETS = {
 CELLS, PATHS, NODE_ROUNDS, PATH_ROUNDS = BUDGETS
 
 
-def sample_grid(duration: float, beacon_period: float, sample_period=None) -> tuple[int, float]:
-    """A trace's sample count and period (default beacon_period / 3): a sample at 0 and every
-    period up to ``duration``, the count capped past the CELLS budget to stay an int."""
-    period = sample_period if sample_period is not None else beacon_period / 3.0
+def sample_grid(duration: float, beacon_period: float) -> tuple[int, float]:
+    """A trace's sample count and period, beacon_period / 3: a sample at 0 and every period
+    up to ``duration``, the count capped past the CELLS budget to stay an int."""
+    period = beacon_period / 3.0
     return math.floor(min(duration / period, BUDGETS[CELLS]) + 1e-9) + 1, period
 
 
@@ -193,7 +193,6 @@ class SimConfig:
     protocols: tuple[str, ...] = (GRADES,)
     step_policy: str = "fixed"
     step_size: object = None  # float | {protocol: float} | None (adaptive default: limit/2)
-    sample_period: float | None = None  # default beacon_period / 3
     phase_mode: str = "random"  # "aligned" | "random" | "staggered"
     drop_probability: float = 0.0
     seed: int = 0
@@ -216,8 +215,6 @@ class SimConfig:
             raise ValueError("phase_mode must be 'aligned', 'random' or 'staggered'")
         if not 0 <= self.drop_probability < 1:
             raise ValueError("drop_probability must be in [0, 1)")
-        if self.sample_period is not None and not 0 < self.sample_period < math.inf:
-            raise ValueError("sample_period must be positive and finite")
         if isinstance(self.step_size, dict) and (bad := set(self.step_size) - set(self.protocols)):
             raise ValueError(f"step_size keys {sorted(bad, key=repr)} are not in {self.protocols}")
         if isinstance(self.drift, dict) and (bad := set(self.drift) - set(self.topology.nodes)):
@@ -397,9 +394,9 @@ def run(config: SimConfig) -> SkewTrace:
     b, f0 = config.beacon_period, config.nominal_freq
     round_ticks = b * f0
     n = len(nodes)
-    n_samples, sample_period = sample_grid(config.duration, b, config.sample_period)
+    n_samples, period = sample_grid(config.duration, b)
     check_budget(CELLS, "nodes", n, lambda k: k * n_samples,
-                 f" for duration={config.duration:g} sampled every {sample_period:g}",
+                 f" for duration={config.duration:g} sampled every {period:g}",
                  least=1, other="duration")
 
     ss = np.random.SeedSequence(config.seed)
@@ -432,7 +429,7 @@ def run(config: SimConfig) -> SkewTrace:
     ref = index[topo.reference]
     drifts = [_drift_for_node(config, u, np.random.default_rng(child))
               for u, child in zip(nodes, drift_ss.spawn(n))]
-    times = np.arange(n_samples) * sample_period
+    times = np.arange(n_samples) * period
     clocks = ClockTable(f0, drifts, phases, max(duration, times[-1]))
     neighbors = [tuple([index[v] for v in topo.neighbors(u)]) for u in nodes]
     # A lane: its slot in a beacon's readings, protocols, flat node state (value, rate,

@@ -112,9 +112,9 @@ def reference_run(config: SimConfig) -> dict:
     n = len(nodes)
     b, f0 = config.beacon_period, config.nominal_freq
     round_ticks = b * f0
-    sample_period = config.sample_period if config.sample_period is not None else b / 3.0
-    n_samples = math.floor(config.duration / sample_period + 1e-9) + 1
-    times = (np.arange(n_samples) * sample_period).tolist()
+    period = b / 3.0
+    n_samples = math.floor(config.duration / period + 1e-9) + 1
+    times = (np.arange(n_samples) * period).tolist()
 
     phase_ss, delay_ss, drop_ss, drift_ss = np.random.SeedSequence(config.seed).spawn(4)
     delay_rng = np.random.default_rng(delay_ss)

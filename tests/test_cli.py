@@ -432,7 +432,7 @@ FIG3_DURATION_TOO_LARGE = ("duration is too large: even nodes=2 for duration=900
 def test_main_oversized_fig3_line_exits_2_naming_nodes_or_else_duration(
     tmp_path, capsys, monkeypatch, bound, overrides, message
 ):
-    # fig3 samples every B/3 and takes no sample_period: the message names
+    # fig3 samples every B/3 like every trace: the message names
     # nodes and the most nodes that fit at its duration, or duration when not
     # even 2 nodes, the fewest fig3 accepts, fit.
     if bound is not None:
@@ -473,7 +473,6 @@ def test_an_oversized_trace_exits_2_before_any_line_is_built(
 
 # The SimConfig fields that every scenario leaves at one value, and why each stays.
 SINGLE_VALUED_FIELDS = {
-    "sample_period": "the tests' lever on trace assembly",
     "drop_probability": "ROADMAP item 15 wires it into fig1-pairwise and fig2-stepsize",
 }
 

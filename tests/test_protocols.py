@@ -20,7 +20,7 @@ from gradesync import (
     run,
     step_size_limit,
 )
-from gradesync.protocols import update
+from gradesync.protocols import gain_limit, update
 
 
 class Node(NamedTuple):
@@ -36,19 +36,13 @@ class Node(NamedTuple):
         return logical_reading(self[:3], hw)
 
 
-def gain_max(protocol, beacon_period, nominal_freq):
-    """The gain bound a run derives for ``protocol``: its step limit times its error scale."""
-    return (step_size_limit(protocol, beacon_period, nominal_freq)
-            * error_scale(protocol, beacon_period, nominal_freq))
-
-
-def receive(protocol, before, received, hw_now, beacon_period, nominal_freq, adapt=True):
-    """``update`` with the gain bound a run derives for ``protocol``.
+def receive(before, received, hw_now, beacon_period, nominal_freq, adapt=True):
+    """``update`` with the gain bound ``sim.run`` passes, ``gain_limit``, for either protocol.
 
     Returns the node as ``sim.run`` stores it afterwards: its clock jumped onto
     ``received`` at ``hw_now``, with the new rate, gain and error.
     """
-    bound = gain_max(protocol, beacon_period, nominal_freq)
+    bound = gain_limit(beacon_period, nominal_freq)
     error, gain, rate = update(*before, received, hw_now, bound, adapt)
     return Node(received, rate, hw_now, gain, error)
 
@@ -162,15 +156,14 @@ def test_logical_read_is_affine_in_hardware_ticks(value, rate, hw0, dhw):
 def test_every_message_is_applied():
     # Flood freshness is the caller's decision: the same reading twice is applied twice.
     before = Node(value=120.0, hw_at=1.0)
-    for proto in (GRADES, PISYNC):
-        once = receive(proto, before, 123.0, hw_now=1.0, beacon_period=1.0, nominal_freq=1.0)
-        twice = receive(proto, once, 123.0, hw_now=1.0, beacon_period=1.0, nominal_freq=1.0)
-        assert (once.error, twice.error) == (-3.0, 0.0)
+    once = receive(before, 123.0, hw_now=1.0, beacon_period=1.0, nominal_freq=1.0)
+    twice = receive(once, 123.0, hw_now=1.0, beacon_period=1.0, nominal_freq=1.0)
+    assert (once.error, twice.error) == (-3.0, 0.0)
 
 
 def test_accepted_message_jumps_the_clock_exactly_onto_the_payload():
     g = Node(value=100.05, hw_at=50.0)
-    g2 = receive(GRADES, g, 100.0, hw_now=50.0, beacon_period=1.0, nominal_freq=1.0)
+    g2 = receive(g, 100.0, hw_now=50.0, beacon_period=1.0, nominal_freq=1.0)
     assert g2.read(50.0) == 100.0  # exact, not approximate
     assert g2.error == g.read(50.0) - 100.0  # the error before the jump
 
@@ -178,26 +171,24 @@ def test_accepted_message_jumps_the_clock_exactly_onto_the_payload():
 def test_offset_jump_is_exact_and_zero_error_keeps_the_rate():
     before = Node(value=100.0, rate=1.0001, hw_at=0.0, gain=1e-4)
     assert before.read(50.0) == pytest.approx(150.0050, rel=1e-12)
-    for proto in (GRADES, PISYNC):
-        moved = receive(proto, before, 100.0, hw_now=50.0, beacon_period=1.0,
-                        nominal_freq=1.0, adapt=False)
-        assert moved.read(50.0) == 100.0
-        # Setting the current reading back onto the clock leaves the rate and reads alone.
-        same = receive(proto, before, before.read(50.0), hw_now=50.0,
-                       beacon_period=1.0, nominal_freq=1.0, adapt=False)
-        assert same.rate == 1.0001
-        for hw in (50.0, 61.5, 80.0):
-            assert same.read(hw) == pytest.approx(before.read(hw), rel=1e-15)
-        with pytest.raises(ContractViolation, match="before last update"):
-            receive(proto, before, 100.0, hw_now=-1.0, beacon_period=1.0,
-                    nominal_freq=1.0)
+    moved = receive(before, 100.0, hw_now=50.0, beacon_period=1.0, nominal_freq=1.0,
+                    adapt=False)
+    assert moved.read(50.0) == 100.0
+    # Setting the current reading back onto the clock leaves the rate and reads alone.
+    same = receive(before, before.read(50.0), hw_now=50.0, beacon_period=1.0,
+                   nominal_freq=1.0, adapt=False)
+    assert same.rate == 1.0001
+    for hw in (50.0, 61.5, 80.0):
+        assert same.read(hw) == pytest.approx(before.read(hw), rel=1e-15)
+    with pytest.raises(ContractViolation, match="before last update"):
+        receive(before, 100.0, hw_now=-1.0, beacon_period=1.0, nominal_freq=1.0)
 
 
 def test_grades_rate_update_example():
     # error 0.05 at unit round length: a step of 0.1 is a gain of 0.1 * 2 * B * f0 = 0.2,
     # and the rate moves by -gain * error.
     g = Node(value=100.05, hw_at=50.0, gain=0.1 * error_scale(GRADES, 1.0, 1.0))
-    g2 = receive(GRADES, g, 100.0, hw_now=50.0, beacon_period=1.0, nominal_freq=1.0,
+    g2 = receive(g, 100.0, hw_now=50.0, beacon_period=1.0, nominal_freq=1.0,
                  adapt=False)
     assert g2.rate == 1.0 - 0.2 * (100.05 - 100.0)
     assert g2.rate == pytest.approx(0.99, rel=1e-12)
@@ -207,7 +198,7 @@ def test_grades_rate_update_example():
 
 def test_pisync_rate_update_example():
     p = Node(value=100.05, hw_at=50.0, gain=0.1 * error_scale(PISYNC, 1.0, 1.0))
-    p2 = receive(PISYNC, p, 100.0, hw_now=50.0, beacon_period=1.0, nominal_freq=1.0,
+    p2 = receive(p, 100.0, hw_now=50.0, beacon_period=1.0, nominal_freq=1.0,
                  adapt=False)
     assert p2.rate == pytest.approx(0.995, rel=1e-12)
     assert p2.gain == 0.1
@@ -216,25 +207,24 @@ def test_pisync_rate_update_example():
 
 def test_zero_error_message_leaves_rate_alone_and_shrinks_the_gain():
     before = Node(value=100.0, rate=1.0003, hw_at=50.0, gain=0.3, error=2.0)
-    for proto in (GRADES, PISYNC):
-        after = receive(proto, before, 100.0, hw_now=50.0, beacon_period=1.0,
-                        nominal_freq=1.0)
-        assert after.rate == 1.0003
-        assert after.gain == 0.3 / 3.0
+    after = receive(before, 100.0, hw_now=50.0, beacon_period=1.0, nominal_freq=1.0)
+    assert after.rate == 1.0003
+    assert after.gain == 0.3 / 3.0
 
 
 def test_adaptation_uses_the_protocols_own_stability_limit():
-    # Each protocol's gain bound is its step limit in its own unit times its
-    # error scale: 1/(B*f0)^2 * 2*B*f0 for grades and 2/(B*f0) * 1 for pisync.
-    assert gain_max(GRADES, 1.0, 1.0) == gain_max(PISYNC, 1.0, 1.0) == 2.0
-    assert gain_max(GRADES, 30.0, 1e6) == gain_max(PISYNC, 30.0, 1e6) == 2.0 / 30e6
+    # Each protocol's step limit times its error scale is the one gain bound,
+    # 2/(B*f0): 1/(B*f0)^2 * 2*B*f0 for grades and 2/(B*f0) * 1 for pisync, up to rounding.
+    for b, f0 in ((1.0, 1.0), (30.0, 1e6), (0.7, 1e3), (3.0, 7.0)):
+        for proto in (GRADES, PISYNC):
+            assert (step_size_limit(proto, b, f0) * error_scale(proto, b, f0)
+                    == pytest.approx(gain_limit(b, f0), rel=1e-15))
+    assert gain_limit(1.0, 1.0) == 2.0
+    assert gain_limit(30.0, 1e6) == 2.0 / 30e6
     g = Node(value=1.0, hw_at=0.0, gain=1.5, error=1.0)
-    g2 = receive(GRADES, g, 0.9, hw_now=0.0, beacon_period=1.0, nominal_freq=1.0)
-    assert g2.gain == 2.0  # doubled 1.5 -> 3.0, clamped at the step limit 1 times 2
-    p = Node(value=1.0, hw_at=0.0, gain=1.5, error=1.0)
-    p2 = receive(PISYNC, p, 0.9, hw_now=0.0, beacon_period=1.0, nominal_freq=1.0)
-    assert p2.gain == 2.0  # doubled 1.5 -> 3.0, clamped at the step limit 2 times 1
-    g3 = receive(GRADES, Node(gain=5e-8, error=1.0), -1e-3, hw_now=0.0, beacon_period=30.0,
+    g2 = receive(g, 0.9, hw_now=0.0, beacon_period=1.0, nominal_freq=1.0)
+    assert g2.gain == 2.0  # doubled 1.5 -> 3.0, clamped at 2/(B*f0)
+    g3 = receive(Node(gain=5e-8, error=1.0), -1e-3, hw_now=0.0, beacon_period=30.0,
                  nominal_freq=1e6)
     assert g3.gain == 2.0 / 30e6  # doubled 5e-8 -> 1e-7, clamped at 2/(B*f0)
 
@@ -245,13 +235,13 @@ def test_mis_scaled_step_raises_instead_of_producing_a_frozen_clock():
     with pytest.raises(ContractViolation, match=re.escape(
             "rate multiplier driven to -19.0 by gain 2.0 (mis-scaled; its limit is 2.0) "
             "on a sync error of 10.0 ticks, 0.0 hardware ticks after")):
-        receive(GRADES, g, 0.0, hw_now=0.0, beacon_period=1.0, nominal_freq=1.0,
+        receive(g, 0.0, hw_now=0.0, beacon_period=1.0, nominal_freq=1.0,
                 adapt=False)
     p = Node(value=30.0, hw_at=0.0, gain=0.1)
     with pytest.raises(ContractViolation, match=re.escape(
             "rate multiplier driven to -2.0 by gain 0.1 (below its limit 2.0) "
             "on a sync error of 30.0 ticks, 0.0 hardware ticks after")):
-        receive(PISYNC, p, 0.0, hw_now=0.0, beacon_period=1.0, nominal_freq=1.0,
+        receive(p, 0.0, hw_now=0.0, beacon_period=1.0, nominal_freq=1.0,
                 adapt=False)
 
 
@@ -330,11 +320,9 @@ def test_sequence_numbers_never_decrease_and_stale_floods_are_noops(chords, phas
     hw=st.floats(0.0, 100.0),
 )
 def test_offset_exactness_holds_for_any_accepted_message(value, payload, hw):
-    before = Node(value=value, hw_at=hw, gain=1e-4)
-    for proto in (GRADES, PISYNC):
-        after = receive(proto, before, payload, hw_now=hw, beacon_period=1.0,
-                        nominal_freq=1.0)
-        assert after.read(hw) == payload
+    after = receive(Node(value=value, hw_at=hw, gain=1e-4), payload, hw_now=hw,
+                    beacon_period=1.0, nominal_freq=1.0)
+    assert after.read(hw) == payload
 
 
 @settings(max_examples=100, deadline=None)
@@ -343,14 +331,14 @@ def test_offset_exactness_holds_for_any_accepted_message(value, payload, hw):
     beacon_period=st.floats(0.5, 40.0),
 )
 def test_adapted_step_never_exceeds_the_stability_limit(errors, beacon_period):
-    limit = gain_max(GRADES, beacon_period, 1.0)
+    limit = gain_limit(beacon_period, 1.0)
     g = Node(gain=limit / 8)
     hw = 0.0
     for err in errors:
         # Manufacture a reading that sits err below the local reading.
         received = g.read(hw) - err * beacon_period
         try:
-            g = receive(GRADES, g, received, hw_now=hw, beacon_period=beacon_period,
+            g = receive(g, received, hw_now=hw, beacon_period=beacon_period,
                         nominal_freq=1.0)
         except ContractViolation:
             return  # a mis-scaled update is rejected loudly, never applied
@@ -375,14 +363,14 @@ def test_equal_fraction_steps_give_identical_rate_trajectories(errors, fraction,
     for err in errors:
         payload = g.read(hw) - err
         try:
-            g = receive(GRADES, g, payload, hw_now=hw, beacon_period=bf,
+            g = receive(g, payload, hw_now=hw, beacon_period=bf,
                         nominal_freq=1.0, adapt=False)
         except ContractViolation:
             with pytest.raises(ContractViolation):
-                receive(PISYNC, p, payload, hw_now=hw, beacon_period=bf,
+                receive(p, payload, hw_now=hw, beacon_period=bf,
                         nominal_freq=1.0, adapt=False)
             return
-        p = receive(PISYNC, p, payload, hw_now=hw, beacon_period=bf, nominal_freq=1.0,
+        p = receive(p, payload, hw_now=hw, beacon_period=bf, nominal_freq=1.0,
                     adapt=False)
         assert g.rate == pytest.approx(p.rate, rel=1e-12)
 

@@ -58,7 +58,6 @@ def configs(draw) -> SimConfig:
         protocols=protocols,
         step_policy="adaptive" if adaptive else "fixed",
         step_size=step_size,
-        sample_period=draw(st.sampled_from([None, 0.25 * b, 0.7 * b])),
         phase_mode=draw(st.sampled_from(["aligned", "random", "staggered"])),
         drop_probability=draw(st.sampled_from([0.0, 0.3])),
         seed=draw(st.integers(0, 2**16)),
@@ -85,7 +84,7 @@ def _outcome(simulate, config):
 @example(config=SimConfig(
     Topology.line(5), beacon_period=1.0, duration=104.4, nominal_freq=1e3, max_deviation=1.0,
     delay_std=1e-3, drift="white", protocols=(GRADES,), step_policy="fixed", step_size=3e-7,
-    sample_period=0.7, phase_mode="random", seed=5,
+    phase_mode="random", seed=5,
 ))
 # Rates driven below zero, told the same way: a stable pisync step, and an
 # adaptive grades step grown to its limit ("mis-scaled").

@@ -136,7 +136,7 @@ def test_sim_config_validation():
         config(max_deviation=1.0)  # must stay below nominal_freq
     with pytest.raises(ValueError):
         config(delay_std=-1e-6)
-    for name in ("beacon_period", "duration", "nominal_freq", "delay_std", "sample_period"):
+    for name in ("beacon_period", "duration", "nominal_freq", "delay_std"):
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError):
                 config(**{name: bad})
@@ -152,8 +152,6 @@ def test_sim_config_validation():
         config(phase_mode="sorted")
     with pytest.raises(ValueError):
         config(drop_probability=1.0)
-    with pytest.raises(ValueError):
-        config(sample_period=0.0)
     # A dict key the run would ignore leaves its default in place: limit / 2, or no drift.
     with pytest.raises(ValueError, match=r"step_size keys \['grade'\]"):
         config(step_policy="adaptive", step_size={"grade": 0.01})
@@ -239,15 +237,15 @@ def test_reference_node_never_adjusts_itself():
 
 def test_trace_sampling_grid():
     trace = run(config(duration=10.0))
-    assert len(trace.times) == 31  # default sample period: a third of a round
+    assert len(trace.times) == 31  # a sample every third of a round
     assert trace.times[0] == 0.0
     assert trace.times[-1] == pytest.approx(10.0, abs=1e-9)
-    coarse = run(config(duration=10.0, sample_period=1.0))
+    assert trace.meta["seed"] == 3
+    assert trace.meta["unit_mode"] == "normalized"
+    coarse = run(config(beacon_period=3.0, duration=10.0, step_size=0.1))
     assert np.array_equal(coarse.times, np.arange(11.0))
     assert coarse.readings[GRADES].shape == (11, 2)
     assert coarse.hw_rates.shape == (11, 2)
-    assert coarse.meta["seed"] == 3
-    assert coarse.meta["unit_mode"] == "normalized"
 
 
 @pytest.mark.parametrize(
@@ -406,9 +404,9 @@ def test_odd_tree_with_drops_matches_its_recorded_hash(phase_mode, drift):
     assert trace_digest(trace) == ODD_TREE_SHA256[(phase_mode, drift)]
 
 
-# Sampling grids and sizes that stress how a trace is assembled from the
-# accepted updates: several accepts per node between two samples, samples off
-# the beacon grid, a nominal frequency whose grades error scale, 2,000, is not a
+# Sizes that stress how a trace is assembled from the accepted updates on the
+# one sample grid, every third of a round, which random phases keep off the
+# beacon instants: a nominal frequency whose grades error scale, 2,000, is not a
 # power of two, many nodes, and a run that ends before any node beacons.  The
 # hashes were recorded when hardware readings became a pure function of time;
 # f0-1e3's on the code before the quantized-tick mode was deleted.
@@ -427,17 +425,11 @@ SAMPLING_BASE = dict(
     seed=23,
 )
 SAMPLING_CASES = {
-    "sample-every-3-rounds": dict(sample_period=3.0),
-    "sample-every-0.7-rounds": dict(sample_period=0.7),
     "f0-1e3": dict(nominal_freq=1e3, max_deviation=0.5, step_size=None),
     "300-node-line": dict(topology=Topology.line(300), duration=10.0),
     "shorter-than-every-first-beacon": dict(phase_mode="aligned", duration=0.9),
 }
 SAMPLING_SHA256 = {
-    "sample-every-3-rounds":
-        "0ea66ce15a14c03b21723b6c0d3e19b9e41d6d36dd1cc7e3f832eb35b52da997",
-    "sample-every-0.7-rounds":
-        "d8229b57069b147c6a3d4e7108833cd9129ac1c54b494916d06b58d042ce19de",
     "f0-1e3":
         "27f3be5f45eb0e0baf554e1efa28e7289bff8ca84130e4b920d9ad23ed1834c9",
     "300-node-line":
@@ -663,8 +655,8 @@ def test_a_relay_beacons_the_flood_it_holds_and_each_lanes_logical_reading(lanes
 
 @pytest.mark.parametrize("kind", ["constant", "piecewise", "white"])
 def test_trace_hw_rates_are_the_drift_models_rates_at_every_sample(kind):
-    # Samples every 0.25 s put one exactly on the piecewise step at t = 5, and
-    # 30 s of white drift span 30 unit segments.
+    # A beacon period of 0.75 s samples every 0.25 s, one exactly on the
+    # piecewise step at t = 5, and 30 s of white drift span 30 unit segments.
     f0 = 1e3
     models = {
         u: {
@@ -676,7 +668,7 @@ def test_trace_hw_rates_are_the_drift_models_rates_at_every_sample(kind):
     }
     trace = run(config(
         topology=Topology.line(4), duration=30.0, nominal_freq=f0, max_deviation=0.9,
-        drift=models, step_policy="adaptive", step_size=None, sample_period=0.25,
+        beacon_period=0.75, drift=models, step_policy="adaptive", step_size=None,
         phase_mode="random"))
     assert 5.0 in trace.times.tolist()
     for col, u in enumerate(trace.node_ids):
@@ -685,22 +677,20 @@ def test_trace_hw_rates_are_the_drift_models_rates_at_every_sample(kind):
         assert trace.hw_rates[:, col].tolist() == expected
 
 
-def test_the_sample_period_changes_no_event_and_no_shared_sample():
-    # Samples read the pure-function hardware clocks after the event loop, so
-    # they cannot move a protocol's own hardware readings.
-    runs = {sp: run(SimConfig(**{**SAMPLING_BASE, "sample_period": sp}))
-            for sp in (1.0 / 3.0, 1.0 / 7.0, 0.5, 1.0)}
-    base = runs[1.0 / 3.0].events
-    assert len(base) > 100
-    for trace in runs.values():
-        assert trace.events == base
-    # Every sample of the 1.0 grid is every second one of the 0.5 grid.
-    coarse, fine = runs[1.0], runs[0.5]
-    assert np.array_equal(fine.times[::2], coarse.times)
-    for proto in coarse.protocols:
-        assert np.array_equal(fine.readings[proto][::2], coarse.readings[proto])
-        assert np.array_equal(fine.rate_multipliers[proto][::2], coarse.rate_multipliers[proto])
-    assert np.array_equal(fine.hw_rates[::2], coarse.hw_rates)
+def test_a_shorter_run_is_a_prefix_of_a_longer_one():
+    # Samples read the pure-function hardware clocks after the event loop, and
+    # the clock table's horizon is only how far it is computed, so neither
+    # touches an event: halving the duration cuts the trace and the events.
+    short, long = (run(SimConfig(**{**SAMPLING_BASE, "duration": d})) for d in (20.0, 40.0))
+    assert 100 < len(short.events) < len(long.events)
+    assert long.events[:len(short.events)] == short.events
+    rows = len(short.times)
+    assert long.times[:rows].tobytes() == short.times.tobytes()
+    assert long.hw_rates[:rows].tobytes() == short.hw_rates.tobytes()
+    for proto in short.protocols:
+        assert long.readings[proto][:rows].tobytes() == short.readings[proto].tobytes()
+        assert (long.rate_multipliers[proto][:rows].tobytes()
+                == short.rate_multipliers[proto].tobytes())
 
 
 def test_deliveries_are_counted_as_accepted_stale_or_dropped():
@@ -733,17 +723,18 @@ def test_a_run_reports_the_seconds_of_each_phase():
 
 def test_sample_grid_is_bounded_before_it_is_allocated(monkeypatch):
     monkeypatch.setitem(sim.BUDGETS, sim.CELLS, 22)
-    assert run(config(duration=10.0, sample_period=1.0)).readings[GRADES].shape == (11, 2)
+    # A beacon period of 3 samples every 1.0: 11 samples fill the budget with 2 nodes.
+    assert run(config(beacon_period=3.0, step_size=0.1)).readings[GRADES].shape == (11, 2)
     with pytest.raises(ValueError, match="^parameter nodes must be at most 1 for duration=11 "
                                          "sampled every 1, got 2$"):
-        run(config(duration=11.0, sample_period=1.0))
+        run(config(beacon_period=3.0, step_size=0.1, duration=11.0))
 
 
 def test_sample_grid_bound_holds_past_float_range():
     with pytest.raises(ValueError, match="^parameter duration is too large: even nodes=1 for "
-                                         "duration=1e[+]300 sampled every 1e-300 asks for more "
-                                         "than 20000000 trace cells"):
-        run(config(duration=1e300, sample_period=1e-300))
+                                         "duration=1e[+]300 sampled every 3.33333e-301 asks for "
+                                         "more than 20000000 trace cells"):
+        run(config(duration=1e300, beacon_period=1e-300))
 
 
 def test_the_trace_size_rule_names_the_largest_value_that_fits(monkeypatch):
@@ -1031,7 +1022,7 @@ def test_a_long_scaling_line_blames_the_missed_rounds_not_its_stable_step():
 
 
 def test_trace_csv_layout(tmp_path):
-    trace = run(config(duration=3.0, sample_period=1.0, protocols=(GRADES, PISYNC)))
+    trace = run(config(duration=1.0, protocols=(GRADES, PISYNC)))
     path = tmp_path / "trace.csv"
     write_trace_csv(trace, path)
     lines = path.read_text().splitlines()
