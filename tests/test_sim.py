@@ -248,6 +248,22 @@ def test_trace_sampling_grid():
     assert coarse.hw_rates.shape == (11, 2)
 
 
+# Samples a 12 s run holds at each beacon period: every B / 3 from 0, which
+# is exact for B = 3 and 0.75, and only t = 0 when B / 3 outlasts the run.
+GRID_SAMPLES = {3.0: 13, 0.75: 49, 1.0: 37, 0.7: 52, 40.0: 1}
+
+
+@pytest.mark.parametrize("beacon_period", sorted(GRID_SAMPLES))
+def test_every_trace_samples_every_third_of_a_round_from_zero(beacon_period):
+    n = GRID_SAMPLES[beacon_period]
+    assert sim.sample_grid(12.0, beacon_period) == (n, beacon_period / 3.0)
+    trace = run(config(beacon_period=beacon_period, duration=12.0,
+                       step_policy="adaptive", step_size=None, phase_mode="random"))
+    assert trace.times.tolist() == [k * (beacon_period / 3.0) for k in range(n)]
+    assert trace.times[-1] <= 12.0 + 1e-9
+    assert trace.readings[GRADES].shape == trace.hw_rates.shape == (n, 2)
+
+
 @pytest.mark.parametrize(
     "beacon_period, nominal_freq, unit_mode",
     [
@@ -677,11 +693,25 @@ def test_trace_hw_rates_are_the_drift_models_rates_at_every_sample(kind):
         assert trace.hw_rates[:, col].tolist() == expected
 
 
-def test_a_shorter_run_is_a_prefix_of_a_longer_one():
+# Overrides of SAMPLING_BASE whose clocks the table extends in different ways:
+# white drift's unit segments, piecewise steps (node 3's at 20.0, the shorter
+# run's end), drifts drawn once per node, and a slower nominal frequency.
+PREFIX_CASES = {
+    "white-drift-with-drops": {},
+    "odd-tree-mixed-drift-staggered": dict(
+        topology=ODD_TREE, drift=ODD_TREE_DRIFTS["mixed"], phase_mode="staggered"),
+    "random-constant-drift-aligned": dict(drift="random-constant", phase_mode="aligned"),
+    "f0-1e3": SAMPLING_CASES["f0-1e3"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(PREFIX_CASES))
+def test_a_shorter_run_is_a_prefix_of_a_longer_one(case):
     # Samples read the pure-function hardware clocks after the event loop, and
     # the clock table's horizon is only how far it is computed, so neither
     # touches an event: halving the duration cuts the trace and the events.
-    short, long = (run(SimConfig(**{**SAMPLING_BASE, "duration": d})) for d in (20.0, 40.0))
+    short, long = (run(SimConfig(**{**SAMPLING_BASE, **PREFIX_CASES[case], "duration": d}))
+                   for d in (20.0, 40.0))
     assert 100 < len(short.events) < len(long.events)
     assert long.events[:len(short.events)] == short.events
     rows = len(short.times)
