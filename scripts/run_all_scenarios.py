@@ -8,15 +8,19 @@ Each scenario writes its artifacts to <out>/<scenario-name>/ and prints its
 summary lines; the full run takes well under a minute.  With ``--check`` it
 instead checks every recorded SHA-256 listing under ``tests/``: the default
 outputs, the 2,000-node line and the difference-convention theory-check.  It
-prints a diff for each listing that differs and exits 1 if any does.  Either
-way a refused input (a negative ``--seed``, or an ``--out`` that is a regular
-file) prints ``error: ...`` and exits 2, as ``gradesync`` itself does.
+runs them into a new ``<out>/check-*`` directory, so that a CSV an earlier run
+left under ``--out`` is not read, prints a diff for each listing that differs
+and exits 1 if any does; the directory is kept then and removed otherwise.
+Either way a refused input (a negative ``--seed``, or an ``--out`` that is a
+regular file) prints ``error: ...`` and exits 2, as ``gradesync`` itself does.
 """
 
 import argparse
 import difflib
 import hashlib
+import shutil
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -41,7 +45,13 @@ def listing(directory: Path, prefix: str = "") -> list[str]:
 
 
 def check(out: Path) -> int:
-    """Compare each recorded listing with a fresh run's; 1 if any differs."""
+    """Compare each recorded listing with runs made in a new directory under ``out``;
+    1 if any differs."""
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        out = Path(tempfile.mkdtemp(prefix="check-", dir=out))
+    except OSError as err:
+        raise ValueError(f"cannot create output directory {out}: {err}") from err
     for name in SCENARIOS:
         run_scenario(name, out_dir=out)
     listings = {"default_outputs.sha256": [
@@ -56,6 +66,10 @@ def check(out: Path) -> int:
         print(f"{'ok' if not diff else 'DIFFERS'}  tests/{recorded}")
         sys.stdout.writelines(diff)
         failed |= bool(diff)
+    if failed:
+        print(f"outputs kept in {out}")
+    else:
+        shutil.rmtree(out)
     return int(failed)
 
 

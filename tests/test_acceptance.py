@@ -5,8 +5,8 @@ as they execute (pytest captures stdout otherwise and replays it on failure).
 Every criterion computes its measurements first, prints its verdict, and only
 then asserts, so a failing run still reports a complete scoreboard line.
 
-Criteria 1, 2, 3, 5, 6, 7, 8, 9 and 10 are measured by ``criterion_NN`` functions that
-return ``(ok, detail)`` and reach the code they measure through its module, so
+Each criterion is measured by a ``criterion_NN`` function that returns
+``(ok, detail)`` and reaches the code it measures through its module, so
 ``tests/test_criteria_can_fail.py`` can show each verdict turning to FAIL under a
 monkeypatched mutation.  A criterion's arguments are named after the fixtures it
 reads: ``tmp_path``, or ``grid_estimates`` from ``conftest.py``.
@@ -14,8 +14,10 @@ reads: ``tmp_path``, or ``grid_estimates`` from ``conftest.py``.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
+import pytest
 from reference_sim import logical_reading
 
 from gradesync import (
@@ -34,7 +36,7 @@ from gradesync import (
     step_size_limit,
     variance,
 )
-from gradesync.scenarios import variance_grid
+from gradesync.scenarios import pairwise_config, pairwise_convergence, variance_grid
 
 DECAY_FACTORS = (0.9, 0.5, 0.2, -0.4, -0.8)
 
@@ -122,8 +124,8 @@ def criterion_03(grid_estimates, extra_s: float = 0.0) -> tuple[bool, str]:
     the seconds of any further oracle run to the time bound."""
     rows, elapsed = grid_estimates
     t0 = time.perf_counter()
-    worst = max(abs(mc.var_error - ref) / ref
-                for p, proto, mc in rows for ref in [analysis.variance(p, proto)])
+    worst = float(np.max([abs(mc.var_error - ref) / ref  # a NaN fails, as in criterion 4
+                          for p, proto, mc in rows for ref in [analysis.variance(p, proto)]]))
     elapsed += extra_s + time.perf_counter() - t0
     ok = len(rows) >= 20 and worst <= 0.10 and elapsed < 120.0
     return ok, (f"i.i.d. per-round delay-noise convention agrees: worst relative error "
@@ -152,23 +154,25 @@ def test_criterion_03_variance_formulas_match_monte_carlo(grid_estimates):
     )
 
 
-def test_criterion_04_steady_means_are_unbiased(grid_estimates):
+def criterion_04(grid_estimates) -> tuple[bool, str]:
+    """The oracle rows' steady means: error 0 within 3 SE, rate 1/f0 within 0.1%.  A NaN
+    anywhere fails: ``np.max`` passes it on, and no comparison with NaN holds."""
     rows, _ = grid_estimates
-    worst_mean = max(
-        abs(mc.mean_error) / mc.se_mean_error if mc.se_mean_error > 0 else 0.0
+    worst_mean = float(np.max([
+        abs(mc.mean_error) / mc.se_mean_error if mc.se_mean_error != 0 else 0.0
         for _, _, mc in rows
-    )
-    worst_rate = max(
+    ]))
+    worst_rate = float(np.max([
         abs(mc.mean_rate_multiplier * p.nominal_freq - 1.0) for p, _, mc in rows
-    )
+    ]))
     ok = worst_mean <= 3.0 and worst_rate <= 1e-3
-    _verdict(
-        4,
-        "steady error mean 0 within 3 SE; steady rate 1/f0 within 0.1%",
-        ok,
-        f"worst |mean error|/SE {worst_mean:.2f} (<= 3), worst relative rate "
-        f"offset {worst_rate:.2e} (<= 1e-3) across {len(rows)} grid runs",
-    )
+    return ok, (f"worst |mean error|/SE {worst_mean:.2f} (<= 3), worst relative rate "
+                f"offset {worst_rate:.2e} (<= 1e-3) across {len(rows)} grid runs")
+
+
+def test_criterion_04_steady_means_are_unbiased(grid_estimates):
+    _verdict(4, "steady error mean 0 within 3 SE; steady rate 1/f0 within 0.1%",
+             *criterion_04(grid_estimates))
 
 
 # ---------------------------------------------------------------- 5: pairwise re-lock
@@ -193,6 +197,33 @@ def criterion_05(tmp_path) -> tuple[bool, str]:
 
 def test_criterion_05_pairwise_locks_and_relocks_within_15_rounds(tmp_path):
     _verdict(5, "two-node lock and re-lock after a drift step", *criterion_05(tmp_path))
+
+
+def _relock_rounds(seed: int, **change) -> int | None:
+    """Rounds node 2 needs to hold within 25 ppm of the nominal rate again after its drift
+    steps from 100 to 50 ppm at round 150 of 300 (B = f0 = 1, aligned phases, a fixed step
+    of 0.5); ``change`` replaces fields of that run's config."""
+    params = {"rounds": 300, "switch_round": 150, "drift_ppm": 100.0, "drift_ppm_after": 50.0,
+              "delay_std": 100e-6 / 30, "step_size": 0.5, "seed": seed}
+    trace = sim.run(replace(pairwise_config(params), **change))
+    col = trace.node_column(2)
+    eff = trace.rate_multipliers[GRADES][:, col] * trace.hw_rates[:, col]
+    return pairwise_convergence(trace.times, eff, 150.0, 25e-6)[1]
+
+
+@pytest.mark.parametrize("seed", [7, 8, 9])
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the adaptive step collapses under "
+                   "noise, so the re-lock takes 88, 119 and 103 rounds")
+def test_an_adaptive_step_relocks_within_criterion_5s_bound_after_a_drift_step(seed):
+    relock = _relock_rounds(seed, step_policy="adaptive", step_size=None)  # from limit/2
+    assert relock is not None and relock <= 15, relock
+
+
+@pytest.mark.parametrize("seed", [7, 8, 9])
+def test_a_fixed_step_relocks_within_criterion_5s_bound_after_a_drift_step(seed):
+    # The control for the adaptive run above: the same run at the fixed step re-locks in 2.
+    relock = _relock_rounds(seed)
+    assert relock is not None and relock <= 15, relock
 
 
 # ---------------------------------------------------------------- 6: adaptive step size

@@ -568,7 +568,7 @@ def test_contract_violation_exits_3(tmp_path, capsys, monkeypatch):
         (out / "partial.csv").write_text("")  # what a run wrote before it failed stays
         raise ContractViolation("node 2 at t=1: boom")
 
-    monkeypatch.setitem(SCENARIOS, "boom", Scenario({"seed": 0}, runner, {"seed": "[0, inf)"}))
+    monkeypatch.setitem(SCENARIOS, "boom", Scenario(runner, {"seed": (0, "[0, inf)")}))
     code = main(["--scenario", "boom", "--out", str(tmp_path)])
     assert code == 3
     assert "contract violation:" in capsys.readouterr().err
@@ -579,7 +579,7 @@ def test_a_runner_that_writes_no_file_still_gets_its_summary_csv(tmp_path, monke
     def runner(params, out):
         return {"a": 1.5, "b": None}
 
-    monkeypatch.setitem(SCENARIOS, "quiet", Scenario({"seed": 0}, runner, {"seed": "[0, inf)"}))
+    monkeypatch.setitem(SCENARIOS, "quiet", Scenario(runner, {"seed": (0, "[0, inf)")}))
     assert main(["--scenario", "quiet", "--out", str(tmp_path)]) == 0
     assert (tmp_path / "quiet" / "summary.csv").read_text() == "metric,value\na,1.5\nb,\n"
 

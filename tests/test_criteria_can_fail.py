@@ -7,12 +7,15 @@ the ROADMAP item whose fix must turn it into a catch and remove the marker.
 """
 
 import inspect
+import math
+from dataclasses import replace
 
 import pytest
 from test_acceptance import (
     criterion_01,
     criterion_02,
     criterion_03,
+    criterion_04,
     criterion_05,
     criterion_06,
     criterion_07,
@@ -23,6 +26,18 @@ from test_acceptance import (
 
 from gradesync import analysis, protocols, scenarios, sim
 from gradesync.protocols import GRADES, PISYNC, error_scale, step_size_limit
+from gradesync.scenarios import variance_grid
+
+
+def criterion_04_on_its_own_oracle_run():
+    """Criterion 4 on an oracle run made after the mutation applies, which the session's
+    ``grid_estimates`` is not: the theory-check grid at 400 trials of 400 rounds."""
+    rows = []
+    for i, p in enumerate(variance_grid()):
+        estimates = analysis.estimate_variance_mc(p, (GRADES, PISYNC), rounds=400, trials=400,
+                                                  seed=5 + i)
+        rows.extend((p, proto, mc) for proto, mc in zip((GRADES, PISYNC), estimates))
+    return criterion_04((rows, 0.0))
 
 
 def update_gain_times(factor):
@@ -44,6 +59,18 @@ def error_scales_swapped(monkeypatch):
 def variance_times_1_25(monkeypatch):
     variance = analysis.variance
     monkeypatch.setattr(analysis, "variance", lambda *args: 1.25 * variance(*args))
+
+
+def pisync_variance_nan(monkeypatch):
+    variance = analysis.variance
+    monkeypatch.setattr(analysis, "variance",
+                        lambda p, proto: math.nan if proto == PISYNC else variance(p, proto))
+
+
+def standard_errors_nan(monkeypatch):
+    mc_estimate = analysis._mc_estimate
+    monkeypatch.setattr(analysis, "_mc_estimate",
+                        lambda *args: replace(mc_estimate(*args), se_mean_error=math.nan))
 
 
 def scenario_default_times(scenario, name, factor):
@@ -87,6 +114,11 @@ MUTATIONS = [
     pytest.param(criterion_02, step_size_limit_times_1_1, id="2-step-size-limit-x1.1"),
     # Every formula variance 1.25x the oracle's: a relative error near 20% against 10%.
     pytest.param(criterion_03, variance_times_1_25, id="3-variance-x1.25"),
+    # NaN on every pisync row: it must fail though a finite grades row comes first.
+    pytest.param(criterion_03, pisync_variance_nan, id="3-pisync-variance-nan"),
+    # Every |mean error|/SE is NaN: it must fail, not count as 0 standard errors.
+    pytest.param(criterion_04_on_its_own_oracle_run, standard_errors_nan,
+                 id="4-standard-errors-nan"),
     # Re-lock takes 38 rounds against a bound of 15.
     pytest.param(criterion_05, scenario_default_times("fig1-pairwise", "delay_std", 3),
                  id="5-fig1-delay-noise-x3"),
@@ -120,3 +152,8 @@ def test_the_criterion_fails_under_the_mutation(criterion, mutate, monkeypatch, 
     mutate(monkeypatch)
     ok, detail = criterion(*args)
     assert not ok, detail
+
+
+def test_criterion_4s_own_oracle_run_passes_unmutated():
+    ok, detail = criterion_04_on_its_own_oracle_run()
+    assert ok, detail
