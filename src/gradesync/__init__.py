@@ -1,7 +1,7 @@
 """Clock synchronization protocols, closed-form analysis, and a deterministic simulator."""
 
 from .analysis import McEstimate, SystemParams, estimate_variance_mc, variance
-from .clocks import ConstantDrift, PiecewiseDrift, WhiteDrift
+from .clocks import ConstantDrift, PiecewiseDrift, RandomConstantDrift, WhiteDrift
 from .errors import ContractViolation, InvalidRegimeError
 from .protocols import (
     GRADES,

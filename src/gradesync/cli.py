@@ -42,6 +42,8 @@ def _coerce(name: str, raw: str, template) -> object:
         values = [kind(s) for s in raw.split(",") if s] if is_list else [kind(raw)]
     except ValueError as err:
         raise ValueError(f"parameter {name}: cannot parse {raw!r}") from err
+    if not values:
+        raise ValueError(f"parameter {name} needs at least one value, got {raw!r}")
     return tuple(values) if is_list else values[0]
 
 

@@ -1,27 +1,27 @@
 """Clock primitives.
 
-Every drift model is a piecewise-constant frequency deviation given by one
-piece list: ``devs[i]`` holds from ``starts[i]`` until ``starts[i + 1]``, so
-``starts`` has one entry more than ``devs``, the end of the last piece.  That
-end is inf, except in :class:`WhiteDrift`, which draws its pieces a chunk at a
-time (``extend``) as far as they are asked for; a :class:`ConstantDrift` is a
-one-piece :class:`PiecewiseDrift`.  A model's bound ``max_abs_deviation()``
-stays below ``nominal_freq`` so readings increase.
+Every drift model is an immutable value whose ``pieces(horizon, rng)`` give a
+clock's piecewise-constant frequency deviation up to ``horizon`` as one piece
+list: ``devs[i]`` holds from ``starts[i]`` until ``starts[i + 1]``, so
+``starts`` has one entry more than ``devs``, the end of the last piece, which
+lies past the horizon.  A fixed model (a :class:`PiecewiseDrift`, or a
+:class:`ConstantDrift`, its one-piece form) cuts its own pieces and draws
+nothing; :class:`WhiteDrift` draws a deviation per unit of time and
+:class:`RandomConstantDrift` one for all time, both from ``rng``, the clock's
+own generator.  A model's bound ``max_abs_deviation()`` must stay below
+``nominal_freq`` so readings increase; ``sim.SimConfig`` checks it.
 
 A hardware clock's reading is a pure function of real time.  On piece i it is
 ``knots[i] + (f0 + devs[i]) * (t - starts[i])``, where ``knots[0]`` is the
 start reading and each later knot is the previous piece's formula at its end,
 so readings never decrease, not even from one float to the next, and are never
-rounded to whole ticks.  A :class:`ClockTable` holds many clocks' pieces up to
-a horizon as arrays and reads, inverts or schedules them all at once (one
-pass finds every beacon); the simulator's clocks are one table.  A logical
-clock ``(value, rate, hw_at)`` maps hardware ticks to an estimate of global
-time, ``value + rate * (hw - hw_at)``, and is only ever updated at discrete
-sync events; the simulator keeps its fields as plain floats.  The last lines
-bind names that bench/tracer.py wraps to inert placeholders.
-
-All randomness flows through numpy ``Generator`` objects injected at
-construction, so a (seed, config) pair fully determines every trajectory.
+rounded to whole ticks.  A :class:`ClockTable` holds many clocks' pieces as
+arrays and reads, inverts or schedules them all at once (one pass finds every
+beacon); the simulator's clocks are one table.  A logical clock ``(value,
+rate, hw_at)`` maps hardware ticks to an estimate of global time, ``value +
+rate * (hw - hw_at)``, and is only ever updated at discrete sync events; the
+simulator keeps its fields as plain floats.  The last lines bind names that
+bench/tracer.py wraps to inert placeholders.
 """
 
 from __future__ import annotations
@@ -36,11 +36,9 @@ import numpy as np
 
 from .errors import ContractViolation
 
-_SEGMENT_CHUNK = 256
-
 
 class DriftModel:
-    """A piecewise-constant deviation: ``devs[i]`` from ``starts[i]`` to ``starts[i + 1]``."""
+    """A piecewise-constant deviation, whose ``pieces(horizon, rng)`` realize it to ``horizon``."""
 
     # bench/tracer.py wraps this name; nothing calls it; ROADMAP item 9b deletes it.
     deviation_integral = None
@@ -70,6 +68,11 @@ class PiecewiseDrift(DriftModel):
     def max_abs_deviation(self) -> float:
         return max(map(abs, self.devs))
 
+    def pieces(self, horizon: float, rng: np.random.Generator) -> tuple[list, list]:
+        """Its own pieces up to the one that holds ``horizon``; ``rng`` is not drawn from."""
+        count = bisect_right(self.starts, horizon)
+        return list(self.starts[:count + 1]), list(self.devs[:count])
+
 
 class ConstantDrift(PiecewiseDrift):
     """Fixed frequency deviation: f(t) = nominal + deviation forever, one piece."""
@@ -78,32 +81,39 @@ class ConstantDrift(PiecewiseDrift):
         super().__init__(((0.0, deviation),))
 
 
-class WhiteDrift(DriftModel):
-    """Per-unit-time white frequency deviation, uniform in [-max_dev, +max_dev].
+@dataclass(frozen=True)
+class _UniformDrift(DriftModel):
+    """Deviations drawn uniform in [-max_deviation, +max_deviation] from a clock's generator."""
 
-    An explicit realization: one uniform draw per unit-time segment [j, j+1),
-    drawn lazily in segment order so the realization does not depend on the
-    query pattern.  Readings are exact sums over the pieces and can be
-    inverted for tick-crossing times.
-    """
+    max_deviation: float
 
-    def __init__(self, max_deviation: float, rng: np.random.Generator):
-        if max_deviation < 0:
+    def __post_init__(self):
+        if self.max_deviation < 0:
             raise ValueError("max_deviation must be non-negative")
-        self.max_deviation = float(max_deviation)
-        self._rng = rng
-        self.starts: list[float] = [0.0]
-        self.devs: list[float] = []
-
-    def extend(self) -> None:
-        """Draw the next ``_SEGMENT_CHUNK`` unit segments."""
-        j = len(self.devs)
-        draws = self._rng.uniform(-self.max_deviation, self.max_deviation, _SEGMENT_CHUNK)
-        self.devs.extend(draws.tolist())
-        self.starts.extend(map(float, range(j + 1, j + 1 + _SEGMENT_CHUNK)))
 
     def max_abs_deviation(self) -> float:
         return self.max_deviation
+
+
+class WhiteDrift(_UniformDrift):
+    """Per-unit-time white frequency deviation: one draw per unit segment [j, j+1).
+
+    The draws are taken in segment order, so a realization to one horizon is
+    a prefix of one to any later horizon from the same generator.
+    """
+
+    def pieces(self, horizon: float, rng: np.random.Generator) -> tuple[list, list]:
+        """Unit segments up to the one that holds ``horizon``, one draw each."""
+        count, m = math.floor(horizon) + 1, self.max_deviation
+        return list(map(float, range(count + 1))), rng.uniform(-m, m, count).tolist()
+
+
+class RandomConstantDrift(_UniformDrift):
+    """A fixed deviation for all time, drawn once per clock."""
+
+    def pieces(self, horizon: float, rng: np.random.Generator) -> tuple[list, list]:
+        m = self.max_deviation
+        return [0.0, math.inf], [float(rng.uniform(-m, m))]
 
 
 def _reading(start, rate, knot, t):
@@ -119,31 +129,23 @@ def _keyed(rows, values):
 
 
 class ClockTable:
-    """The hardware clocks of a network up to ``horizon``, one row per clock.
+    """The hardware clocks of a network, one row per clock.
 
-    Row i holds clock i's piece starts, rates ``f0 + devs`` and knots up to the
-    end of the piece that holds ``horizon``, then a piece of rate ``f0`` from
-    there (so a reading past the table inverts to a time past the horizon),
+    Row i holds clock i's ``(starts, devs)`` pieces, as a drift model's
+    ``pieces`` give them up to a horizon: its piece starts, rates ``f0 +
+    devs`` and knots, then a piece of rate ``f0`` from the end of the last
+    one (so a reading past the table inverts to a time past the horizon),
     then inf padding.  Array lookups are one ``np.searchsorted`` each, on
-    (row, value) keys; ``read`` bisects one row's starts, a list that shares
-    the drift model's floats.
+    (row, value) keys; ``read`` bisects one row's starts, a list.
     """
 
-    def __init__(self, nominal_freq, drifts, start_ticks, horizon: float):
+    def __init__(self, nominal_freq, pieces, start_ticks):
         if nominal_freq <= 0:
             raise ValueError("nominal_freq must be positive")
-        drawn = []
-        for drift in drifts:
-            if not drift.max_abs_deviation() < nominal_freq:  # written so that NaN fails too
-                raise ValueError("drift model's max_abs_deviation must stay below nominal_freq")
-            while drift.starts[-1] <= horizon:
-                drift.extend()
-            count = bisect_right(drift.starts, horizon)
-            drawn.append((list(drift.starts[:count + 1]), list(drift.devs[:count])))
-        n, width = len(drawn), max(len(starts) for starts, _ in drawn)
-        self._start_rows = [s + [math.inf] * (width - len(s)) for s, _ in drawn]
+        n, width = len(pieces), max(len(starts) for starts, _ in pieces)
+        self._start_rows = [s + [math.inf] * (width - len(s)) for s, _ in pieces]
         starts = np.array(self._start_rows)
-        rates = np.add(nominal_freq, [d + [0.0] * (width - len(d)) for _, d in drawn])
+        rates = np.add(nominal_freq, [d + [0.0] * (width - len(d)) for _, d in pieces])
         # Each knot is the one before plus its piece's ticks; a piece from inf spans inf.
         gaps = np.subtract(starts[:, 1:], starts[:, :-1], out=np.full((n, width - 1), np.inf),
                            where=starts[:, :-1] < np.inf)

@@ -22,11 +22,9 @@ import numpy as np
 
 from . import sim
 from .analysis import SystemParams, estimate_variance_mc, variance
-from .clocks import ConstantDrift, PiecewiseDrift
+from .clocks import ConstantDrift, PiecewiseDrift, RandomConstantDrift, WhiteDrift
 from .protocols import GRADES, PISYNC, step_size_limit
 from .sim import (
-    RANDOM_CONSTANT_DRIFT,
-    WHITE_DRIFT,
     SimConfig,
     SkewTrace,
     Topology,
@@ -221,9 +219,8 @@ def multihop_config(params: dict) -> SimConfig:
         beacon_period=b,
         duration=params["duration"],
         nominal_freq=f0,
-        max_deviation=params["max_dev_ppm"] * 1e-6 * f0,
         delay_std=params["delay_std"],
-        drift=RANDOM_CONSTANT_DRIFT,
+        drift=RandomConstantDrift(params["max_dev_ppm"] * 1e-6 * f0),
         protocols=(GRADES, PISYNC),
         step_policy="adaptive",
         step_size=steps,
@@ -302,8 +299,8 @@ def scaling_experiment(params: dict) -> list[tuple[int, int, float]]:
         for s in range(seed, seed + count):
             trace = run(SimConfig(
                 topology=Topology.line(d + 1), beacon_period=1.0, duration=float(rounds),
-                max_deviation=params["max_deviation"], delay_std=params["delay_std"],
-                drift=WHITE_DRIFT, protocols=(GRADES,), step_policy="fixed",
+                delay_std=params["delay_std"], drift=WhiteDrift(params["max_deviation"]),
+                protocols=(GRADES,), step_policy="fixed",
                 step_size=params["step_size"], phase_mode="staggered", seed=s))
             steady = trace.times >= trace.times[-1] * 0.5
             rows.append((d, s, float(trace.global_skew(GRADES)[steady].mean())))

@@ -55,16 +55,12 @@ from operator import itemgetter
 
 import numpy as np
 
-from .clocks import ClockTable, ConstantDrift, DriftModel, WhiteDrift, read_before_update
+from .clocks import ClockTable, ConstantDrift, DriftModel, read_before_update
 from .errors import ContractViolation, DrivenRate
 from .protocols import GRADES, PISYNC, PROTOCOLS, error_scale, gain_limit, step_size_limit, update
 
 # bench/tracer.py wraps this name; nothing calls it; ROADMAP item 9b deletes it.
 on_beacon_tick = None
-
-# Drift spec strings accepted by SimConfig.drift (besides explicit models).
-WHITE_DRIFT = "white"
-RANDOM_CONSTANT_DRIFT = "random-constant"
 
 # The most a run may ask for, by what it counts; each check names the
 # parameter that asked and the largest value that fits.  A trace cell takes 8
@@ -181,15 +177,20 @@ class Topology:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """One simulation run.  Every number must be finite."""
+    """One simulation run.  Every number must be finite.
+
+    ``drift`` is one drift model for every node, or ``{node: model}`` with
+    ``ConstantDrift(0)`` for a node not named, each model's bound
+    ``max_abs_deviation()`` below ``nominal_freq``; a run realizes each node's
+    model from that node's own generator.
+    """
 
     topology: Topology
     beacon_period: float
     duration: float
     nominal_freq: float = 1.0
-    max_deviation: float = 0.0
     delay_std: float = 0.0
-    drift: object = ConstantDrift(0.0)  # model | "white" | "random-constant" | {node: spec}
+    drift: object = ConstantDrift(0.0)  # a model | {node: model}
     protocols: tuple[str, ...] = (GRADES,)
     step_policy: str = "fixed"
     step_size: object = None  # float | {protocol: float} | None (adaptive default: limit/2)
@@ -201,8 +202,11 @@ class SimConfig:
         positive = (self.beacon_period, self.duration, self.nominal_freq)
         if not all(0 < x < math.inf for x in positive):
             raise ValueError("beacon_period, duration and nominal_freq must be finite and > 0")
-        if not 0 <= self.max_deviation < self.nominal_freq:
-            raise ValueError("need 0 <= max_deviation < nominal_freq")
+        for drift in self.drift.values() if isinstance(self.drift, dict) else (self.drift,):
+            if not isinstance(drift, DriftModel):
+                raise ValueError(f"drift must be a drift model or {{node: model}}, got {drift!r}")
+            if not drift.max_abs_deviation() < self.nominal_freq:  # so that NaN fails too
+                raise ValueError(f"drift {drift!r} must deviate by less than nominal_freq")
         if not 0 <= self.delay_std < math.inf:
             raise ValueError("delay_std must be non-negative and finite")
         if not self.protocols or any(p not in PROTOCOLS for p in self.protocols):
@@ -314,22 +318,6 @@ def convergence_time(times, skew, threshold: float) -> float | None:
     return float(times[last_bad + 1])
 
 
-def _drift_for_node(config: SimConfig, node: int, rng: np.random.Generator):
-    spec = config.drift
-    if isinstance(spec, dict):
-        spec = spec.get(node, ConstantDrift(0.0))
-    if isinstance(spec, str):
-        if spec == WHITE_DRIFT:
-            return WhiteDrift(config.max_deviation, rng)
-        if spec == RANDOM_CONSTANT_DRIFT:
-            dev = float(rng.uniform(-config.max_deviation, config.max_deviation))
-            return ConstantDrift(dev)
-        raise ValueError(f"unknown drift spec: {spec!r}")
-    if isinstance(spec, DriftModel):
-        return spec
-    raise ValueError(f"unknown drift spec: {spec!r}")
-
-
 def _draws(draw_block):
     """Values of ``draw_block(1024)`` arrays in turn: a Generator's scalar draws, in order."""
     return itertools.chain.from_iterable(iter(lambda: draw_block(1024).tolist(), None))
@@ -427,10 +415,14 @@ def run(config: SimConfig) -> SkewTrace:
     # which orders beacons exactly as node ids do.
     index = {u: i for i, u in enumerate(nodes)}
     ref = index[topo.reference]
-    drifts = [_drift_for_node(config, u, np.random.default_rng(child))
-              for u, child in zip(nodes, drift_ss.spawn(n))]
+    drift = config.drift
+    models = ([drift.get(u, ConstantDrift(0.0)) for u in nodes] if isinstance(drift, dict)
+              else [drift] * n)
     times = np.arange(n_samples) * period
-    clocks = ClockTable(f0, drifts, phases, max(duration, times[-1]))
+    # Each clock's pieces to the horizon, drawn from that clock's own generator.
+    pieces = [model.pieces(max(duration, times[-1]), np.random.default_rng(child))
+              for model, child in zip(models, drift_ss.spawn(n))]
+    clocks = ClockTable(f0, pieces, phases)
     neighbors = [tuple([index[v] for v in topo.neighbors(u)]) for u in nodes]
     # A lane: its slot in a beacon's readings, protocols, flat node state (value, rate,
     # hw_at, gain, error), update log and first protocol's update rule (looked up here,

@@ -3,12 +3,13 @@
 It follows the documented rules one step at a time, with none of the
 simulator's fast paths and none of its arithmetic: a heap of next beacons,
 every hardware reading and tick inversion a plain-float walk over the node's
-drift pieces up from time 0, the update rule written out here from its
-documented form, scalar noise and drop draws, the stale check on every
-delivery, and every trace sample read from every logical clock at that
-sample.  At each instant t it sends every beacon due at t in node order, each
-from its sender's state before t, and then applies the deliveries those
-beacons made in the order they were sent.  A sample at t sees nothing of t.
+drift pieces up from time 0 (realized again further out whenever a walk needs
+more), the update rule written out here from its documented form, scalar
+noise and drop draws, the stale check on every delivery, and every trace
+sample read from every logical clock at that sample.  At each instant t it
+sends every beacon due at t in node order, each from its sender's state before
+t, and then applies the deliveries those beacons made in the order they were
+sent.  A sample at t sees nothing of t.
 """
 
 from __future__ import annotations
@@ -21,18 +22,38 @@ import numpy as np
 
 from gradesync.errors import ContractViolation, DrivenRate
 from gradesync.protocols import error_scale
-from gradesync.sim import SimConfig, SyncEvent, _drift_for_node
+from gradesync.clocks import ConstantDrift
+from gradesync.sim import SimConfig, SyncEvent
+
+
+class Realization:
+    """The pieces of drift model ``model`` drawn from generator seed ``seed``, as far as read.
+
+    Whenever a walk passes their end they are drawn again from the seed to
+    twice as far: a realization to one horizon is a prefix of one to any later
+    horizon, so the pieces only grow, whatever the order of the reads.
+    """
+
+    def __init__(self, model, seed):
+        self.model, self.seed = model, seed
+        self.starts, self.devs = model.pieces(1.0, np.random.default_rng(seed))
+
+    def cover(self, t: float) -> None:
+        """Draw the pieces past ``t``."""
+        while self.starts[-1] <= t:
+            self.starts, self.devs = self.model.pieces(2 * self.starts[-1],
+                                                       np.random.default_rng(self.seed))
 
 
 def deviation_at(drift, t):
-    """The deviation of the piece that holds ``t``."""
+    """The deviation of the piece of realization ``drift`` that holds ``t``."""
+    drift.cover(t)
     return drift.devs[bisect_right(drift.starts, t) - 1]
 
 
 def reference_reading(drift, f0, start, t):
     """The per-piece formula with plain floats, walking the pieces up from 0."""
-    while drift.starts[-1] <= t:
-        drift.extend()
+    drift.cover(t)
     starts, devs = drift.starts, drift.devs
     knot, i = start, 0
     while starts[i + 1] <= t:
@@ -46,7 +67,7 @@ def reference_time_of_tick(drift, f0, start, target):
     knot, i = start, 0
     while True:
         while len(drift.devs) <= i:
-            drift.extend()
+            drift.cover(drift.starts[-1])
         rate = f0 + drift.devs[i]
         end = knot + rate * (drift.starts[i + 1] - drift.starts[i])
         if target < end:
@@ -120,7 +141,8 @@ def reference_run(config: SimConfig) -> dict:
     delay_rng = np.random.default_rng(delay_ss)
     drop_rng = np.random.default_rng(drop_ss)
     phases = _phases(config, nodes, round_ticks, np.random.default_rng(phase_ss))
-    drifts = [_drift_for_node(config, u, np.random.default_rng(child))
+    models = config.drift if isinstance(config.drift, dict) else dict.fromkeys(nodes, config.drift)
+    drifts = [Realization(models.get(u, ConstantDrift(0.0)), child)
               for u, child in zip(nodes, drift_ss.spawn(n))]
 
     def hardware(i: int, t: float) -> float:

@@ -55,7 +55,6 @@ def _simulated_decay_ratios(protocol: str, lam: float) -> list[float]:
         topology=Topology.line(2),
         beacon_period=1.0,
         duration=12.0,
-        max_deviation=1e-4,
         drift={2: ConstantDrift(1e-4)},
         protocols=(protocol,),
         step_policy="fixed",
@@ -379,7 +378,6 @@ def criterion_10() -> tuple[bool, str]:
             topology=Topology.line(3),
             beacon_period=1.0,
             duration=15.0,
-            max_deviation=1e-4,
             delay_std=1e-4,
             drift={1: ConstantDrift(5e-5), 2: ConstantDrift(-1e-4), 3: ConstantDrift(1e-4)},
             protocols=(GRADES, PISYNC),

@@ -225,6 +225,7 @@ def test_set_overrides_beat_config_file_values(tmp_path, capsys):
     "scenario, override, parameter",
     [
         ("scaling", "diameters=", "diameters"),
+        ("fig2-stepsize", "constant_steps=", "constant_steps"),  # would run no constant series
         ("scaling", "diameters=4,x", "diameters"),
         ("scaling", "diameters=4,4,9", "diameters"),  # a repeat would run twice
         ("fig1-pairwise", "switch_round=100", "switch_round"),  # past rounds=60

@@ -1,20 +1,30 @@
-"""Clock primitives: the clock table's readings as a pure function of time, inversion,
-tables of any horizon, exact per-piece sums and drift moments."""
+"""Clock primitives: drift models as values and their realizations, the clock table's
+readings as a pure function of time, inversion, tables of any horizon, exact per-piece
+sums and drift moments."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference_sim import deviation_at, reference_reading, reference_time_of_tick
+from reference_sim import Realization, deviation_at, reference_reading, reference_time_of_tick
 
-from gradesync import ConstantDrift, PiecewiseDrift, WhiteDrift
-from gradesync.clocks import _SEGMENT_CHUNK, ClockTable
+from gradesync import ConstantDrift, PiecewiseDrift, RandomConstantDrift, WhiteDrift
+from gradesync.clocks import ClockTable
 
 
 def make_rng(seed=0):
     return np.random.default_rng(seed)
+
+
+def table(f0, drifts, start_ticks, horizon, seeds=None):
+    """A clock table of ``drifts`` realized to ``horizon``, row i's from generator seed
+    ``seeds[i]`` (i if no seeds are given)."""
+    seeds = range(len(drifts)) if seeds is None else seeds
+    return ClockTable(f0, [d.pieces(horizon, make_rng(s)) for d, s in zip(drifts, seeds)],
+                      start_ticks)
 
 
 # ---------------------------------------------------------------- clock table
@@ -23,8 +33,8 @@ def make_rng(seed=0):
 def test_readings_add_each_rows_drift_ticks():
     # Row 0 is ideal, row 1 runs +100 ppm of a 1 MHz crystal (30e6 nominal plus
     # 3000 drift ticks over 30 s), row 2 runs 50 ticks/s slow from a reading of 7.
-    clocks = ClockTable(1e6, [ConstantDrift(0.0), ConstantDrift(100.0), ConstantDrift(-50.0)],
-                        [0.0, 0.0, 7.0], 30.0)
+    clocks = table(1e6, [ConstantDrift(0.0), ConstantDrift(100.0), ConstantDrift(-50.0)],
+                   [0.0, 0.0, 7.0], 30.0)
     assert clocks.read(0, 5.0) == 5e6
     assert clocks.read(0, 0.0) == 0.0  # any time, in any order
     assert clocks.read(1, 30.0) == pytest.approx(30_003_000.0, abs=1e-6)
@@ -34,11 +44,10 @@ def test_readings_add_each_rows_drift_ticks():
 
 
 def test_sampling_no_times_gives_two_empty_arrays():
-    drift = WhiteDrift(1e-3, make_rng())
-    clocks = ClockTable(1e3, [ConstantDrift(0.0), drift], [0.0, 0.0], 1.0)
+    clocks = table(1e3, [ConstantDrift(0.0), WhiteDrift(1e-3)], [0.0, 0.0], 1.0, seeds=[0, 0])
     ticks, rates = clocks.sample(1, np.array([]))
     assert ticks.shape == rates.shape == (0,)
-    assert clocks.sample(1, np.array([0.0]))[1].tolist() == [1e3 + drift.devs[0]]
+    assert clocks.sample(1, np.array([0.0]))[1].tolist() == [1e3 + make_rng().uniform(-1e-3, 1e-3)]
 
 
 def test_piecewise_deviation_integrates_each_segment_exactly():
@@ -46,20 +55,20 @@ def test_piecewise_deviation_integrates_each_segment_exactly():
     assert drift.starts == (0.0, 20.0, math.inf)
     assert drift.devs == (1e-4, 5e-5)
     # 20 s at 1e-4 plus 10 s at 5e-5.
-    clocks = ClockTable(1.0, [ConstantDrift(0.0), drift], [0.0, 0.0], 30.0)
+    clocks = table(1.0, [ConstantDrift(0.0), drift], [0.0, 0.0], 30.0)
     assert clocks.read(1, 30.0) == pytest.approx(30.0 + 2.5e-3, rel=1e-12)
 
 
 def test_time_of_inverts_constant_drift():
-    clocks = ClockTable(1e6, [ConstantDrift(100.0), ConstantDrift(-3.0)], [7.0, 0.0], 30.0)
+    clocks = table(1e6, [ConstantDrift(100.0), ConstantDrift(-3.0)], [7.0, 0.0], 30.0)
     assert clocks.time_of(0, 30_003_007.0) == pytest.approx(30.0, rel=1e-12)
     assert clocks.time_of(0, 7.0) == 0.0
     assert clocks.time_of([0, 1], [7.0, 0.0]).tolist() == [0.0, 0.0]
 
 
 def test_time_of_then_read_lands_on_target():
-    drifts = [WhiteDrift(1e-4, make_rng(42)), PiecewiseDrift(((0.0, 1e-4), (5.25, -2e-4)))]
-    clocks = ClockTable(1.0, drifts, [0.0, 0.0], 700.0)
+    drifts = [WhiteDrift(1e-4), PiecewiseDrift(((0.0, 1e-4), (5.25, -2e-4)))]
+    clocks = table(1.0, drifts, [0.0, 0.0], 700.0, seeds=[42, 0])
     for row in (0, 1):
         for target in (17.25, 5.0, 5.5, 600.5):
             assert clocks.read(row, clocks.time_of(row, target)) == pytest.approx(target, abs=1e-9)
@@ -72,9 +81,9 @@ def test_crossings_are_every_running_sum_target_each_row_reaches():
     # starts at 0 and reads 1,800.9 steps at ``until``, so it reaches one
     # target more than its reading holds whole steps.
     step, until = 0.7 * 3.0, 700.35
-    drifts = [ConstantDrift(2.4), ConstantDrift(-2.4), WhiteDrift(2.0, make_rng(5)),
+    drifts = [ConstantDrift(2.4), ConstantDrift(-2.4), WhiteDrift(2.0),
               PiecewiseDrift(((0.0, 1.5), (300.0, -1.5)))]
-    clocks = ClockTable(3.0, drifts, [0.0, 0.0, 0.5, 2.0], until)
+    clocks = table(3.0, drifts, [0.0, 0.0, 0.5, 2.0], until, seeds=[0, 0, 5, 0])
     first = [0.0, step, 1.0, 5.0]
     expected = []
     for row, target in enumerate(first):  # one target at a time, by a running sum
@@ -88,19 +97,7 @@ def test_crossings_are_every_running_sum_target_each_row_reaches():
 @pytest.mark.parametrize("f0", [0.0, -1.0])
 def test_clock_table_rejects_a_nominal_freq_that_is_not_positive(f0):
     with pytest.raises(ValueError, match="nominal_freq must be positive"):
-        ClockTable(f0, [ConstantDrift(0.0)], [0.0], 1.0)
-
-
-def test_clock_table_rejects_deviation_at_or_above_nominal():
-    for bad in (
-        ConstantDrift(1.0),
-        PiecewiseDrift(((0.0, 0.5), (3.0, -1.5))),
-        WhiteDrift(1.0, make_rng()),
-        WhiteDrift(math.nan, make_rng()),  # a NaN bound must not slip through the comparison
-    ):
-        with pytest.raises(ValueError):
-            ClockTable(1.0, [ConstantDrift(0.0), bad], [0.0, 0.0], 1.0)
-    ClockTable(1.0, [ConstantDrift(-0.999)], [0.0], 1.0)  # just below is fine
+        table(f0, [ConstantDrift(0.0)], [0.0], 1.0)
 
 
 def test_a_constant_drift_is_a_one_piece_schedule_with_its_own_equality():
@@ -126,16 +123,15 @@ def test_drift_models_reject_non_finite_deviations(bad):
 )
 def test_hardware_readings_strictly_increase(seed, dts):
     times = np.cumsum([0.0] + dts).tolist()
-    drifts = [WhiteDrift(0.5, make_rng(seed)), PiecewiseDrift(((0.0, 0.5), (1.5, -0.5)))]
-    clocks = ClockTable(1.0, drifts, [0.0, 0.0], times[-1])
+    drifts = [WhiteDrift(0.5), PiecewiseDrift(((0.0, 0.5), (1.5, -0.5)))]
+    clocks = table(1.0, drifts, [0.0, 0.0], times[-1], seeds=[seed, 0])
     for row in (0, 1):
         readings = [clocks.read(row, t) for t in times]
         assert all(a < b for a, b in zip(readings, readings[1:]))
 
 
 def test_same_seed_reproduces_trajectory():
-    drifts = [WhiteDrift(1e-4, make_rng(seed)) for seed in (123, 123, 124)]
-    clocks = ClockTable(1.0, drifts, [0.0] * 3, 35.0)
+    clocks = table(1.0, [WhiteDrift(1e-4)] * 3, [0.0] * 3, 35.0, seeds=(123, 123, 124))
     ticks = clocks.sample(np.arange(3)[:, None], 0.7 * np.arange(1, 51))[0].tolist()
     assert ticks[0] == ticks[1]
     assert ticks[0] != ticks[2]
@@ -167,18 +163,20 @@ def _around(t, run):
 def test_readings_are_a_pure_monotone_function_of_time(frac, f0, starts, seed, anchors, run):
     # One row per drift kind, with deviations up to 0.999 f0, in pieces whose
     # ends are 1.3 and 4 (piecewise) or every integer (white).  Queried at runs
-    # of consecutive floats around random times and around piece ends.
+    # of consecutive floats around random times and around piece ends.  The
+    # reference walks its own realization of each row, drawn as far as it reads.
     dev = frac * f0
     drifts = [
         ConstantDrift(dev),
         PiecewiseDrift(((0.0, dev), (1.3, -dev), (4.0, dev / 2))),
-        WhiteDrift(abs(dev), make_rng(seed)),
+        WhiteDrift(abs(dev)),
     ]
     ends = [1.0, 1.3, 2.0, 4.0, 255.0, 256.0, 257.0]
     times = sorted({x for t in anchors + ends for x in _around(t, run)})
-    clocks = ClockTable(f0, drifts, starts, max(times))
+    clocks = table(f0, drifts, starts, max(times), seeds=[0, 0, seed])
     sampled, rates = clocks.sample(np.arange(3)[:, None], np.array(times))
-    for row, (drift, start) in enumerate(zip(drifts, starts)):
+    refs = [Realization(d, s) for d, s in zip(drifts, [0, 0, seed])]
+    for row, (drift, start) in enumerate(zip(refs, starts)):
         readings = [clocks.read(row, t) for t in times]
         # Readings never decrease, from float to float and across piece ends.
         assert all(a <= b for a, b in zip(readings, readings[1:]))
@@ -203,18 +201,18 @@ STOPS = [
     # each piece end, one ulp below it, and a stop inside the next piece
     [_below(1.3), 1.3, 2.0, _below(4.0), 4.0, 6.5, 9.0],
     # integers for white, from inside a segment, one ulp below and the
-    # previous integer, then a jump over several segments and a chunk end
+    # previous integer, then a jump over many segments
     [0.5, _below(1.0), 1.0, 2.0, _below(3.0), 3.0, 3.5, 7.0, _below(8.0), 8.0,
-     _below(_SEGMENT_CHUNK), _SEGMENT_CHUNK, _SEGMENT_CHUNK + 0.5],
+     _below(256.0), 256.0, 256.5],
 ]
+DRIFTS = {"constant": ConstantDrift(-3e-4), "piecewise": PiecewiseDrift(PIECES),
+          "white": WhiteDrift(5e-4)}
 
 
 def test_reads_onto_piece_ends_match_the_reference():
-    def drifts():
-        return [ConstantDrift(-3e-4), PiecewiseDrift(PIECES), WhiteDrift(5e-4, make_rng(17))]
-
-    clocks = ClockTable(1.0, drifts(), [0.3] * 3, _SEGMENT_CHUNK + 10.0)
-    for row, (ref, stops) in enumerate(zip(drifts(), STOPS)):
+    drifts = list(DRIFTS.values())
+    clocks = table(1.0, drifts, [0.3] * 3, 266.0, seeds=[17] * 3)
+    for row, (ref, stops) in enumerate(zip([Realization(d, 17) for d in drifts], STOPS)):
         for t in stops:
             expected = reference_reading(ref, 1.0, 0.3, t)
             assert clocks.read(row, t) == expected
@@ -222,21 +220,13 @@ def test_reads_onto_piece_ends_match_the_reference():
             assert clocks.time_of(row, target) == reference_time_of_tick(ref, 1.0, 0.3, target)
 
 
-def drift_of(kind, seed):
-    return {
-        "constant": ConstantDrift(-3e-4),
-        "piecewise": PiecewiseDrift(PIECES),
-        "white": WhiteDrift(5e-4, make_rng(seed)),
-    }[kind]
-
-
-@pytest.mark.parametrize("kind, stops", zip(["constant", "piecewise", "white"], STOPS))
+@pytest.mark.parametrize("kind, stops", zip(DRIFTS, STOPS))
 def test_a_table_ending_at_each_stop_matches_the_reference(kind, stops):
     # A one-row table whose horizon is the stop itself: on a piece end, one ulp
-    # below it or on a chunk end, it reads and inverts as the scalar walk does.
-    drift, ref = drift_of(kind, 17), drift_of(kind, 17)
+    # below it or far out, it reads and inverts as the scalar walk does.
+    ref = Realization(DRIFTS[kind], 17)
     for t in stops:
-        clocks = ClockTable(1.0, [drift], [0.3], t)
+        clocks = table(1.0, [DRIFTS[kind]], [0.3], t, seeds=[17])
         expected = reference_reading(ref, 1.0, 0.3, t)
         assert clocks.read(0, t) == expected
         assert clocks.time_of(0, expected) == reference_time_of_tick(ref, 1.0, 0.3, expected)
@@ -244,26 +234,27 @@ def test_a_table_ending_at_each_stop_matches_the_reference(kind, stops):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    kind=st.sampled_from(["constant", "piecewise", "white"]),
+    kind=st.sampled_from(sorted(DRIFTS)),
     start=st.floats(0.0, 1e3),
-    times=st.lists(st.floats(0.0, 3 * _SEGMENT_CHUNK), min_size=1, max_size=12),
+    times=st.lists(st.floats(0.0, 768.0), min_size=1, max_size=12),
 )
 def test_tables_of_any_horizon_share_one_drift_and_read_it_alike(kind, start, times):
-    # Tables built in any order, far past the pieces drawn so far and back
-    # again, give the scalar walk's readings and inversions bit for bit.
-    drift, ref = drift_of(kind, 7), drift_of(kind, 7)
+    # Tables of one drift and seed realized to horizons in any order, far past
+    # the reference's pieces so far and back again, give the scalar walk's
+    # readings and inversions bit for bit.
+    ref = Realization(DRIFTS[kind], 7)
     for t in times:
-        clocks = ClockTable(1.0, [drift], [start], t)
+        clocks = table(1.0, [DRIFTS[kind]], [start], t, seeds=[7])
         expected = reference_reading(ref, 1.0, start, t)
         assert clocks.read(0, t) == expected
         assert clocks.time_of(0, expected) == reference_time_of_tick(ref, 1.0, start, expected)
 
 
-@pytest.mark.parametrize("kind", ["constant", "piecewise", "white"])
+@pytest.mark.parametrize("kind", sorted(DRIFTS))
 def test_a_reading_past_the_table_inverts_to_a_time_past_its_horizon(kind):
     # So the simulator's beacon schedule drops every target past ``until``.
-    for horizon in (0.0, 1.3, 3.5, _SEGMENT_CHUNK + 0.5):
-        clocks = ClockTable(1e3, [drift_of(kind, 3)], [0.3], horizon)
+    for horizon in (0.0, 1.3, 3.5, 256.5):
+        clocks = table(1e3, [DRIFTS[kind]], [0.3], horizon, seeds=[3])
         last = clocks.read(0, horizon)
         targets = last + np.array([1e-6, 1.0, 1e3, 1e9])
         when = clocks.time_of(0, targets)
@@ -280,8 +271,7 @@ def reference_piecewise_ticks(drift, f0, t0, t1):
     lo, hi = sorted((t0, t1))
     total, j = 0.0, math.floor(lo)
     while j < hi:
-        while len(drift.devs) <= j:
-            drift.extend()
+        drift.cover(j)
         total += (f0 + drift.devs[j]) * (min(j + 1.0, hi) - max(float(j), lo))
         j += 1
     return total if t0 <= t1 else -total
@@ -297,14 +287,14 @@ WHITE_SPANS = [
     (1.5, 2.5),
     (0.0, 600.0),
     (12.3, 487.9),
-    (_SEGMENT_CHUNK - 0.5, _SEGMENT_CHUNK + 0.25),
-    (_SEGMENT_CHUNK - 3.0, 2 * _SEGMENT_CHUNK + 3.0),
+    (255.5, 256.25),
+    (253.0, 515.0),
     (9.0, 4.0),
 ]
 
 
-def assert_span_ticks_match(drift, ref, t0, t1, horizon):
-    clocks = ClockTable(1.0, [drift], [0.0], horizon)
+def assert_span_ticks_match(seed, ref, t0, t1, horizon):
+    clocks = table(1.0, [WhiteDrift(1e-3)], [0.0], horizon, seeds=[seed])
     r0, r1 = clocks.read(0, t0), clocks.read(0, t1)
     assert (r0, r1) == (reference_reading(ref, 1.0, 0.0, t0), reference_reading(ref, 1.0, 0.0, t1))
     assert r1 - r0 == pytest.approx(reference_piecewise_ticks(ref, 1.0, t0, t1),
@@ -313,18 +303,16 @@ def assert_span_ticks_match(drift, ref, t0, t1, horizon):
 
 @pytest.mark.parametrize("t0, t1", WHITE_SPANS)
 def test_white_ticks_over_a_span_equal_the_piecewise_reference_sum(t0, t1):
-    # Read from a table that ends at the span and, once both realizations are
-    # drawn far past it, from one that ends far beyond.
-    new, old = WhiteDrift(1e-3, make_rng(5)), WhiteDrift(1e-3, make_rng(5))
-    assert_span_ticks_match(new, old, t0, t1, max(t0, t1))
-    assert_span_ticks_match(new, old, t0, t1, 3 * _SEGMENT_CHUNK)
+    # Read from a table that ends at the span and from one that ends far beyond.
+    ref = Realization(WhiteDrift(1e-3), 5)
+    assert_span_ticks_match(5, ref, t0, t1, max(t0, t1))
+    assert_span_ticks_match(5, ref, t0, t1, 768.0)
 
 
 @settings(max_examples=200, deadline=None)
 @given(t0=st.floats(0.0, 700.0), span=st.floats(0.0, 60.0))
 def test_white_ticks_over_random_spans_equal_the_piecewise_reference_sum(t0, span):
-    drift, ref = WhiteDrift(1e-3, make_rng(9)), WhiteDrift(1e-3, make_rng(9))
-    assert_span_ticks_match(drift, ref, t0, t0 + span, t0 + span)
+    assert_span_ticks_match(9, Realization(WhiteDrift(1e-3), 9), t0, t0 + span, t0 + span)
 
 
 # ---------------------------------------------------------------- white drift moments
@@ -334,27 +322,64 @@ def test_white_segments_mode_matches_uniform_deviation_moments():
     # Integrated deviation over an interval of length B has mean 0 and
     # variance B * fmax**2 / 3 (uniform per-unit deviations in [-fmax, fmax]).
     b, fmax, n = 30.0, 1e-4, 20_000
-    clocks = ClockTable(1.0, [WhiteDrift(fmax, make_rng(11))], [0.0], n * b)
+    clocks = table(1.0, [WhiteDrift(fmax)], [0.0], n * b, seeds=[11])
     extras = np.diff(clocks.sample(0, b * np.arange(n + 1))[0]) - b
     target_var = b * fmax**2 / 3
     assert abs(extras.mean()) < 3 * math.sqrt(target_var / n)
     assert extras.var() == pytest.approx(target_var, rel=0.05)
 
 
-def test_white_segments_are_unit_pieces_drawn_a_chunk_at_a_time():
-    # A table draws a white drift's pieces as far as its horizon.
-    drift = WhiteDrift(0.25, make_rng(3))
-    assert (drift.starts, drift.devs) == ([0.0], [])
-    ClockTable(1.0, [drift], [0.0], 3.5)
-    assert drift.starts == [float(j) for j in range(_SEGMENT_CHUNK + 1)]
-    assert len(drift.devs) == _SEGMENT_CHUNK
-    assert all(abs(d) <= 0.25 for d in drift.devs)
-    ClockTable(1.0, [drift], [0.0], _SEGMENT_CHUNK + 0.5)
-    assert len(drift.devs) == len(drift.starts) - 1 == 2 * _SEGMENT_CHUNK
-    # The same draws as one chunk of twice the size: query order does not matter.
-    assert drift.devs == make_rng(3).uniform(-0.25, 0.25, 2 * _SEGMENT_CHUNK).tolist()
+# ---------------------------------------------------------------- drift realizations
 
 
-def test_white_drift_validates_arguments():
-    with pytest.raises(ValueError):
-        WhiteDrift(-1e-4, make_rng(0))
+@pytest.mark.parametrize("horizon", [0.0, 0.5, _below(1.0), 1.0, 3.5, 256.0, 1000.25])
+def test_white_pieces_are_unit_segments_each_with_one_draw_of_the_generator(horizon):
+    # The segments up to the one that holds the horizon, whose end lies past it.
+    k = math.floor(horizon) + 1
+    starts, devs = WhiteDrift(0.25).pieces(horizon, make_rng(3))
+    assert starts == [float(j) for j in range(k + 1)] and starts[-1] > horizon
+    assert devs == make_rng(3).uniform(-0.25, 0.25, k).tolist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**16), horizon=st.floats(0.0, 600.0), more=st.floats(0.0, 600.0))
+def test_a_white_realization_is_a_prefix_of_one_to_any_later_horizon(seed, horizon, more):
+    # So a realization does not depend on how far it is read.
+    starts, devs = WhiteDrift(1e-3).pieces(horizon, make_rng(seed))
+    longer, longer_devs = WhiteDrift(1e-3).pieces(horizon + more, make_rng(seed))
+    assert longer[:len(starts)] == starts and longer_devs[:len(devs)] == devs
+
+
+def test_a_random_constant_drift_is_one_draw_for_all_time():
+    for horizon in (0.0, 3.5, 1e6):
+        assert RandomConstantDrift(0.25).pieces(horizon, make_rng(3)) == (
+            [0.0, math.inf], [make_rng(3).uniform(-0.25, 0.25)])
+
+
+@pytest.mark.parametrize("horizon, pieces", [
+    (0.0, ([0.0, 1.3], [2e-4])),
+    (_below(1.3), ([0.0, 1.3], [2e-4])),
+    (1.3, ([0.0, 1.3, 4.0], [2e-4, -4e-4])),
+    (4.0, ([0.0, 1.3, 4.0, math.inf], [2e-4, -4e-4, 1e-4])),
+])
+def test_a_fixed_drift_cuts_its_own_pieces_and_draws_nothing(horizon, pieces):
+    rng = make_rng(3)
+    state = rng.bit_generator.state
+    assert PiecewiseDrift(PIECES).pieces(horizon, rng) == pieces
+    assert ConstantDrift(-3e-4).pieces(horizon, rng) == ([0.0, math.inf], [-3e-4])
+    assert rng.bit_generator.state == state
+
+
+def test_drawn_drift_models_are_immutable_values():
+    drift = WhiteDrift(0.25)
+    assert drift == WhiteDrift(0.25) and hash(drift) == hash(WhiteDrift(0.25))
+    assert drift != WhiteDrift(0.5) and drift != RandomConstantDrift(0.25)
+    assert drift.max_abs_deviation() == RandomConstantDrift(0.25).max_abs_deviation() == 0.25
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        drift.max_deviation = 0.5
+
+
+@pytest.mark.parametrize("model", [WhiteDrift, RandomConstantDrift])
+def test_drawn_drift_models_validate_arguments(model):
+    with pytest.raises(ValueError, match="max_deviation must be non-negative"):
+        model(-1e-4)

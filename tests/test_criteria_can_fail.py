@@ -98,6 +98,15 @@ def adapt_step_mutated(shrink, clamp):
     return mutate
 
 
+def stale_check_off_by_one(monkeypatch):
+    """``sim.run`` with both stale checks, at send and at delivery, letting equal seqs through."""
+    source = inspect.getsource(sim.run)
+    assert source.count("seq <= seqs[") == 2  # so the row fails loudly if the checks move
+    namespace = dict(vars(sim))
+    exec(compile(source.replace("seq <= seqs[", "seq < seqs["), sim.__file__, "exec"), namespace)
+    monkeypatch.setattr(sim, "run", namespace["run"])
+
+
 def pisync_at_a_quarter_of_its_limit(monkeypatch):
     monkeypatch.setattr(scenarios, "step_size_limit",
                         lambda p, *args: step_size_limit(p, *args) / (4 if p == PISYNC else 1))
@@ -129,6 +138,9 @@ MUTATIONS = [
     # 14 of 16 checks: both shrink branches give 0.15, not 0.1.
     pytest.param(criterion_10, adapt_step_mutated(2.0, clamp=True),
                  id="10-adapt-step-halves-on-a-sign-flip"),
+    # 10 of 16 checks: diamond nodes apply a flood more than once.  Mutating only the
+    # send-time check would change nothing: the delivery-time check drops the same floods.
+    pytest.param(criterion_10, stale_check_off_by_one, id="10-stale-check"),
     # "adaptive" then runs at half the limit: it locks in 2 rounds against 36, with a
     # steady spread ratio of 1.68 against a bound of 2.
     pytest.param(criterion_06, adaptation_off, id="6-adaptation-off",

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from reference_sim import reference_run
 
 from gradesync import (
-    GRADES, PISYNC, ConstantDrift, ContractViolation, PiecewiseDrift, SimConfig, Topology, run,
+    GRADES, PISYNC, ConstantDrift, ContractViolation, PiecewiseDrift, RandomConstantDrift,
+    SimConfig, Topology, WhiteDrift, run,
 )
 from gradesync import clocks, protocols, sim
 from gradesync.protocols import adapt_step, step_size_limit
@@ -41,7 +42,7 @@ def configs(draw) -> SimConfig:
             drift[u] = PiecewiseDrift(((0.0, draw(st.floats(-0.2, 0.2)) * f0),)
                                       + tuple((s, d * f0) for s, d in steps))
     else:
-        drift = kind
+        drift = {"random-constant": RandomConstantDrift, "white": WhiteDrift}[kind](max_dev)
     protocols = draw(st.sampled_from([(GRADES,), (PISYNC,), (GRADES, PISYNC)]))
     adaptive = draw(st.booleans())
     step_size = None if adaptive else {
@@ -52,7 +53,6 @@ def configs(draw) -> SimConfig:
         beacon_period=b,
         duration=draw(st.integers(1, 12)) * b + draw(st.sampled_from([0.0, 0.4 * b])),
         nominal_freq=f0,
-        max_deviation=max_dev,
         delay_std=draw(st.sampled_from([0.0, 1e-3])),
         drift=drift,
         protocols=protocols,
@@ -77,24 +77,24 @@ def _outcome(simulate, config):
 # sum, all computed in one pass before the first beacon.
 @example(config=SimConfig(
     Topology(nodes=(3, 1, 7, 4), edges=((1, 3), (3, 7), (1, 4), (4, 7)), reference=3),
-    beacon_period=0.7, duration=110 * 0.7, nominal_freq=1e3, max_deviation=200.0,
-    delay_std=1e-3, drift="white", protocols=(GRADES, PISYNC), step_policy="adaptive",
+    beacon_period=0.7, duration=110 * 0.7, nominal_freq=1e3, delay_std=1e-3,
+    drift=WhiteDrift(200.0), protocols=(GRADES, PISYNC), step_policy="adaptive",
     phase_mode="random", drop_probability=0.3, seed=11,
 ))
 @example(config=SimConfig(
-    Topology.line(5), beacon_period=1.0, duration=104.4, nominal_freq=1e3, max_deviation=1.0,
-    delay_std=1e-3, drift="white", protocols=(GRADES,), step_policy="fixed", step_size=3e-7,
+    Topology.line(5), beacon_period=1.0, duration=104.4, nominal_freq=1e3, delay_std=1e-3,
+    drift=WhiteDrift(1.0), protocols=(GRADES,), step_policy="fixed", step_size=3e-7,
     phase_mode="random", seed=5,
 ))
 # Rates driven below zero, told the same way: a stable pisync step, and an
 # adaptive grades step grown to its limit ("mis-scaled").
 @example(config=SimConfig(
-    Topology.line(2), beacon_period=1.0, duration=10.0, max_deviation=0.95,
+    Topology.line(2), beacon_period=1.0, duration=10.0,
     drift={2: ConstantDrift(0.6)}, protocols=(PISYNC,), step_policy="fixed", step_size=1.8,
     phase_mode="aligned", seed=3,
 ))
 @example(config=SimConfig(
-    Topology.line(2), beacon_period=1.0, duration=10.0, max_deviation=0.95,
+    Topology.line(2), beacon_period=1.0, duration=10.0,
     drift={2: PiecewiseDrift(((0.0, 0.2), (2.0, 0.9)))}, protocols=(GRADES,),
     step_policy="adaptive", step_size=1.0, phase_mode="aligned", seed=3,
 ))
@@ -127,8 +127,8 @@ def test_the_reference_sees_the_instant_rule_on_a_diamond():
 
 # A config on which each reordering below changes the last bits of ``sim.run``.
 PINNED = SimConfig(
-    Topology.line(5), beacon_period=0.7, duration=14.0, max_deviation=0.2, delay_std=1e-3,
-    drift="white", protocols=(GRADES, PISYNC), step_policy="adaptive", phase_mode="random",
+    Topology.line(5), beacon_period=0.7, duration=14.0, delay_std=1e-3,
+    drift=WhiteDrift(0.2), protocols=(GRADES, PISYNC), step_policy="adaptive", phase_mode="random",
     seed=4,
 )
 

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from reference_sim import logical_reading, reference_reading
+from reference_sim import Realization, logical_reading, reference_reading
 
 from gradesync import (
     GRADES,
@@ -18,6 +18,7 @@ from gradesync import (
     ConstantDrift,
     ContractViolation,
     PiecewiseDrift,
+    RandomConstantDrift,
     SimConfig,
     SkewTrace,
     SyncEvent,
@@ -132,8 +133,8 @@ def test_sim_config_validation():
         config(beacon_period=0.0)
     with pytest.raises(ValueError):
         config(duration=0.0)
-    with pytest.raises(ValueError):
-        config(max_deviation=1.0)  # must stay below nominal_freq
+    config(drift=ConstantDrift(-0.999))  # a drift bound just below nominal_freq is fine
+    config(drift={2: WhiteDrift(999.0)}, nominal_freq=1e3)
     with pytest.raises(ValueError):
         config(delay_std=-1e-6)
     for name in ("beacon_period", "duration", "nominal_freq", "delay_std"):
@@ -161,6 +162,27 @@ def test_sim_config_validation():
         config(topology=Topology.line(3), drift={9: ConstantDrift(1e-4)})
 
 
+@pytest.mark.parametrize("drift", [
+    "pink", "white", "random-constant", None, 1e-4, {2: "white"},
+])
+def test_a_drift_that_is_not_a_model_is_refused(drift):
+    with pytest.raises(ValueError, match=r"^drift must be a drift model or \{node: model\}, got "):
+        config(drift=drift)
+
+
+@pytest.mark.parametrize("drift", [
+    ConstantDrift(1.0),
+    PiecewiseDrift(((0.0, 0.5), (3.0, -1.5))),
+    WhiteDrift(1.0),
+    WhiteDrift(math.nan),  # a NaN bound must not slip through the comparison
+    RandomConstantDrift(1.0),
+    {2: RandomConstantDrift(math.inf)},
+])
+def test_a_drift_bound_not_below_nominal_freq_is_refused(drift):
+    with pytest.raises(ValueError, match="must deviate by less than nominal_freq$"):
+        config(drift=drift)
+
+
 def test_step_size_resolution_rules():
     with pytest.raises(ValueError):
         config(step_size=None).resolved_step_size(GRADES)  # fixed needs a value
@@ -178,11 +200,6 @@ def test_step_size_resolution_rules():
     assert per_proto.resolved_step_size(PISYNC) == 0.75
     with pytest.raises(ValueError):
         config(step_policy="adaptive", step_size=1.0001).resolved_step_size(GRADES)
-
-
-def test_unknown_drift_spec_is_rejected_by_the_simulator():
-    with pytest.raises(ValueError, match="drift spec"):
-        run(config(drift="pink"))
 
 
 # ---------------------------------------------------------------- basic dynamics
@@ -205,7 +222,7 @@ def test_random_phases_converge_to_near_zero_skew_without_noise():
 
 
 def test_constant_drift_is_corrected_and_events_are_recorded():
-    trace = run(config(drift={2: ConstantDrift(1e-4)}, max_deviation=1e-4, duration=12.0))
+    trace = run(config(drift={2: ConstantDrift(1e-4)}, duration=12.0))
     events = trace.node_events(2, GRADES)
     assert [e.seq for e in events] == list(range(1, len(events) + 1))
     assert events[0].error == pytest.approx(1e-4, rel=1e-6)
@@ -217,7 +234,6 @@ def test_reference_node_never_adjusts_itself():
     cfg = config(
         topology=Topology.line(3),
         drift={1: ConstantDrift(3e-5), 2: ConstantDrift(-5e-5), 3: ConstantDrift(7e-5)},
-        max_deviation=1e-4,
         delay_std=1e-4,
         phase_mode="random",
         step_policy="adaptive",
@@ -292,8 +308,7 @@ def test_unit_mode_is_derived_from_the_round_and_the_nominal_freq(
 def test_identical_configs_give_bitwise_identical_traces():
     cfg = config(
         topology=Topology.line(4),
-        drift="white",
-        max_deviation=1e-4,
+        drift=WhiteDrift(1e-4),
         delay_std=1e-4,
         phase_mode="random",
         step_policy="adaptive",
@@ -340,8 +355,7 @@ def test_protocol_traces_do_not_depend_on_co_running_protocols(case, drop_probab
     kw = dict(
         topology=Topology.line(3),
         nominal_freq=f0,
-        drift="white",
-        max_deviation=1e-4,
+        drift=WhiteDrift(1e-4),
         delay_std=1e-4,
         phase_mode="random",
         step_policy=policy,
@@ -366,10 +380,10 @@ ODD_TREE = Topology(
     nodes=(3, 7, 10, 12, 20), edges=((7, 3), (7, 10), (10, 12), (7, 20)), reference=10
 )
 ODD_TREE_DRIFTS = {
-    "white": "white",
+    "white": WhiteDrift(1e-3),
     "mixed": {
         3: PiecewiseDrift(((0.0, 4e-4), (7.5, -6e-4), (20.0, 2e-4))),
-        7: "white",
+        7: WhiteDrift(1e-3),
         12: ConstantDrift(-3e-4),
         20: PiecewiseDrift(((0.0, -1e-4), (11.0, 5e-4))),
     },
@@ -406,7 +420,6 @@ def test_odd_tree_with_drops_matches_its_recorded_hash(phase_mode, drift):
         topology=ODD_TREE,
         beacon_period=1.0,
         duration=40.0,
-        max_deviation=1e-3,
         delay_std=1e-3,
         drift=ODD_TREE_DRIFTS[drift],
         protocols=(GRADES, PISYNC),
@@ -430,9 +443,8 @@ SAMPLING_BASE = dict(
     topology=Topology.line(6),
     beacon_period=1.0,
     duration=40.0,
-    max_deviation=1e-3,
     delay_std=1e-3,
-    drift="white",
+    drift=WhiteDrift(1e-3),
     protocols=(GRADES, PISYNC),
     step_policy="adaptive",
     step_size={GRADES: 1.0 / 16, PISYNC: 2.0 / 16},
@@ -441,7 +453,7 @@ SAMPLING_BASE = dict(
     seed=23,
 )
 SAMPLING_CASES = {
-    "f0-1e3": dict(nominal_freq=1e3, max_deviation=0.5, step_size=None),
+    "f0-1e3": dict(nominal_freq=1e3, drift=WhiteDrift(0.5), step_size=None),
     "300-node-line": dict(topology=Topology.line(300), duration=10.0),
     "shorter-than-every-first-beacon": dict(phase_mode="aligned", duration=0.9),
 }
@@ -648,7 +660,7 @@ def test_the_reference_beacons_a_new_seq_and_its_hardware_reading_on_every_lane(
     updates = applied(trace, 2)
     assert [seq for _, seq, _, _ in updates] == list(range(1, 11))
     for t, _, _, received in updates:
-        hw = reference_reading(BEACON_DRIFTS[1], 1.0, 0.0, t)
+        hw = reference_reading(Realization(BEACON_DRIFTS[1], 0), 1.0, 0.0, t)
         assert [value for value, _ in received.values()] == [hw] * len(trace.protocols)
 
 
@@ -662,28 +674,27 @@ def test_a_relay_beacons_the_flood_it_holds_and_each_lanes_logical_reading(lanes
     for t, seq, _, received in relayed:
         t_at, seq_at, hw_at, clock = [u for u in held if u[0] < t][-1]
         assert seq == seq_at
-        hw = reference_reading(BEACON_DRIFTS[2], 1.0, 0.0, t)
+        hw = reference_reading(Realization(BEACON_DRIFTS[2], 0), 1.0, 0.0, t)
         assert received == {p: (logical_reading((*clock[p], hw_at), hw), received[p][1])
                             for p in trace.protocols}
     if lanes == "two-lanes":  # each lane carries its own reading
         assert any(r[GRADES][0] != r[PISYNC][0] for _, _, _, r in relayed)
 
 
-@pytest.mark.parametrize("kind", ["constant", "piecewise", "white"])
+@pytest.mark.parametrize("kind", ["constant", "piecewise"])
 def test_trace_hw_rates_are_the_drift_models_rates_at_every_sample(kind):
     # A beacon period of 0.75 s samples every 0.25 s, one exactly on the
-    # piecewise step at t = 5, and 30 s of white drift span 30 unit segments.
+    # piecewise step at t = 5.
     f0 = 1e3
     models = {
         u: {
             "constant": ConstantDrift(0.1 * u),
             "piecewise": PiecewiseDrift(((0.0, 0.1 * u), (5.0, -0.2 * u), (17.5, 0.05))),
-            "white": WhiteDrift(0.5, np.random.default_rng(u)),
         }[kind]
         for u in range(1, 5)
     }
     trace = run(config(
-        topology=Topology.line(4), duration=30.0, nominal_freq=f0, max_deviation=0.9,
+        topology=Topology.line(4), duration=30.0, nominal_freq=f0,
         beacon_period=0.75, drift=models, step_policy="adaptive", step_size=None,
         phase_mode="random"))
     assert 5.0 in trace.times.tolist()
@@ -693,6 +704,36 @@ def test_trace_hw_rates_are_the_drift_models_rates_at_every_sample(kind):
         assert trace.hw_rates[:, col].tolist() == expected
 
 
+# trace_digest of a run whose every node has one drawn drift model, bound 0.5, as recorded
+# when that drift was spelt as the string "white" or "random-constant" with max_deviation=0.5.
+DRAWN_DRIFT_SHA256 = {
+    "white": "c9309cdc99062098c043f462f9281841757e240b0e3695f02df791cdcb179c37",
+    "random-constant": "b9a96cd043648042ed12b4452eb330551d39f51d23971f59f3b3d222d39e4aa0",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(DRAWN_DRIFT_SHA256))
+def test_one_drawn_model_gives_each_node_its_own_realization_as_its_string_did(kind):
+    # Node position i draws from the i-th child of the run's drift stream, the
+    # fourth of SeedSequence(seed).spawn(4): a deviation per unit segment
+    # (30.25 s span 31 of them), or one for all time.
+    model = {"white": WhiteDrift(0.5), "random-constant": RandomConstantDrift(0.5)}[kind]
+    cfg = config(topology=Topology.line(4), duration=30.0, nominal_freq=1e3, beacon_period=0.75,
+                 drift=model, step_policy="adaptive", step_size=None, phase_mode="random")
+    trace = run(cfg)
+    assert trace_digest(trace) == DRAWN_DRIFT_SHA256[kind]
+    children = np.random.SeedSequence(cfg.seed).spawn(4)[3].spawn(4)
+    for col, child in enumerate(children):
+        rng = np.random.default_rng(child)
+        if kind == "white":
+            draws = rng.uniform(-0.5, 0.5, 31).tolist()
+            expected = [1e3 + draws[math.floor(t)] for t in trace.times]
+        else:
+            expected = [1e3 + float(rng.uniform(-0.5, 0.5))] * len(trace.times)
+        assert trace.hw_rates[:, col].tolist() == expected
+    assert len({tuple(rates) for rates in trace.hw_rates.T.tolist()}) == 4
+
+
 # Overrides of SAMPLING_BASE whose clocks the table extends in different ways:
 # white drift's unit segments, piecewise steps (node 3's at 20.0, the shorter
 # run's end), drifts drawn once per node, and a slower nominal frequency.
@@ -700,7 +741,7 @@ PREFIX_CASES = {
     "white-drift-with-drops": {},
     "odd-tree-mixed-drift-staggered": dict(
         topology=ODD_TREE, drift=ODD_TREE_DRIFTS["mixed"], phase_mode="staggered"),
-    "random-constant-drift-aligned": dict(drift="random-constant", phase_mode="aligned"),
+    "random-constant-drift-aligned": dict(drift=RandomConstantDrift(1e-3), phase_mode="aligned"),
     "f0-1e3": SAMPLING_CASES["f0-1e3"],
 }
 
@@ -842,7 +883,7 @@ def test_message_drops_thin_out_sync_events():
 def test_a_driven_rate_names_node_time_protocol_step_limit_error_and_rounds(
     protocol, step, drift, policy, told
 ):
-    cfg = config(drift={2: drift}, max_deviation=0.95, protocols=(protocol,), step_size=step,
+    cfg = config(drift={2: drift}, protocols=(protocol,), step_size=step,
                  step_policy=policy)
     with pytest.raises(ContractViolation) as raised:
         run(cfg)
@@ -871,7 +912,7 @@ def test_a_shared_lane_tells_a_driven_rate_as_its_first_protocol(
 ):
     # Equal gains share a lane; its failure is told as the first protocol in
     # config order, in that protocol's step units, as when it runs alone.
-    cfg = config(drift={2: drift}, max_deviation=0.95, protocols=protocols, step_size=steps,
+    cfg = config(drift={2: drift}, protocols=protocols, step_size=steps,
                  step_policy=policy)
     with pytest.raises(ContractViolation) as raised:
         run(cfg)
@@ -943,7 +984,7 @@ def test_the_final_state_shows_a_collapsed_adaptive_step():
 
 def test_the_final_state_spans_every_node_but_the_reference():
     drift = {2: ConstantDrift(1e-3), 3: ConstantDrift(2e-3), 4: ConstantDrift(-1e-3)}
-    trace = run(config(topology=Topology.line(4), drift=drift, max_deviation=0.01,
+    trace = run(config(topology=Topology.line(4), drift=drift,
                        protocols=(GRADES, PISYNC), step_size={GRADES: 0.25, PISYNC: 0.5},
                        duration=60.0))
     for proto, step in ((GRADES, 0.25), (PISYNC, 0.5)):
