@@ -35,15 +35,14 @@ def parse_config_file(path: Path) -> dict[str, str]:
 
 
 def _coerce(name: str, raw: str, template) -> object:
-    """``raw`` as the type of ``template``; a tuple template takes a comma-separated list."""
+    """``raw`` as the type of ``template``; a tuple template takes a comma-separated list,
+    every element of which must parse, so an empty list or element is refused."""
     is_list = isinstance(template, tuple)
     kind = type(template[0] if is_list else template)
     try:
-        values = [kind(s) for s in raw.split(",") if s] if is_list else [kind(raw)]
+        values = [kind(s) for s in (raw.split(",") if is_list else [raw])]
     except ValueError as err:
         raise ValueError(f"parameter {name}: cannot parse {raw!r}") from err
-    if not values:
-        raise ValueError(f"parameter {name} needs at least one value, got {raw!r}")
     return tuple(values) if is_list else values[0]
 
 

@@ -45,7 +45,8 @@ _PHYSICAL_ROUND_SECONDS = 30.0  # reference round length used to normalize delay
 grades_variance = partial(variance, protocol=GRADES)
 pisync_variance = partial(variance, protocol=PISYNC)
 
-_FIXED_STEP = f"(0, {step_size_limit(GRADES, 1.0, 1.0):g})"  # a grades step at B = f0 = 1
+# A grades step at B = f0 = 1, where its limit is 1: the step is its fraction of the limit.
+_FIXED_STEP = f"(0, {step_size_limit(GRADES, 1.0, 1.0):g})"
 _PPM_BELOW_NOMINAL = "(-1e6, 1e6)"  # a drift whose deviation stays below f0 = 1
 _B_OR_F0 = "[1e-60, 1e60]"  # keeps (B * f0)**2, in grades' step limit, finite and above 0
 
@@ -75,7 +76,7 @@ def report_summary(trace: SkewTrace, protocol: str) -> dict:
             "post_mean": float(post.mean()), "post_max": float(post.max())}
 
 
-def _two_node_config(params: dict, drift, step_policy: str, step_size) -> SimConfig:
+def _two_node_config(params: dict, drift, step_policy: str, step_fraction: float) -> SimConfig:
     """Reference node 1 at the nominal rate and node 2 on ``drift``, in normalized units."""
     rounds = sim.check_budget(sim.CELLS, "rounds", params["rounds"],
                               lambda r: 2 * sim.sample_grid(r, 1.0)[0])
@@ -87,7 +88,7 @@ def _two_node_config(params: dict, drift, step_policy: str, step_size) -> SimCon
         drift={1: ConstantDrift(0.0), 2: drift},
         protocols=(GRADES,),
         step_policy=step_policy,
-        step_size=step_size,
+        step_fraction=step_fraction,
         phase_mode="aligned",
         seed=int(params["seed"]),
     )
@@ -157,12 +158,16 @@ def stepsize_configs(params: dict) -> dict[str, SimConfig]:
             f"parameter constant_steps must differ in 9 significant digits, "
             f"got {params['constant_steps']}"
         )
-    configs["adaptive"] = _two_node_config(params, drift, "adaptive", None)
+    configs["adaptive"] = _two_node_config(params, drift, "adaptive", 0.5)
     return configs
 
 
 def stepsize_series_stats(events: list, rounds: int, tol: float) -> dict:
-    """Convergence round and steady spread of node 2's per-round sync ``events``."""
+    """Convergence round and steady spread of node 2's per-round sync ``events``.
+
+    The convergence round is the first round whose |error| is at most ``tol``,
+    not the round after which the error stays within it.
+    """
     if not events:
         raise ValueError("no sync events recorded")
     hits = [e.seq for e in events if abs(e.error) <= tol]
@@ -207,9 +212,7 @@ def multihop_config(params: dict) -> SimConfig:
     # (default seed 3: grades starts at 1.7e-17 and ends between 1.2e-160 and
     # 3.5e-65 across the nodes, median 2.3e-140, in meta["final_state"]).
     # ROADMAP item 1 would bound the adaptation, item 20 the first error.
-    frac = params["initial_step_fraction"]
     b, f0 = params["beacon_period"], params["nominal_freq"]
-    steps = {p: frac * step_size_limit(p, b, f0) for p in (GRADES, PISYNC)}
     samples = sim.sample_grid(params["duration"], b)[0]
     nodes = sim.check_budget(sim.CELLS, "nodes", params["nodes"],
                              lambda k: k * samples, f" for duration={params['duration']:g} "
@@ -223,7 +226,7 @@ def multihop_config(params: dict) -> SimConfig:
         drift=RandomConstantDrift(params["max_dev_ppm"] * 1e-6 * f0),
         protocols=(GRADES, PISYNC),
         step_policy="adaptive",
-        step_size=steps,
+        step_fraction=params["initial_step_fraction"],
         phase_mode="random",
         seed=int(params["seed"]),
     )
@@ -301,7 +304,7 @@ def scaling_experiment(params: dict) -> list[tuple[int, int, float]]:
                 topology=Topology.line(d + 1), beacon_period=1.0, duration=float(rounds),
                 delay_std=params["delay_std"], drift=WhiteDrift(params["max_deviation"]),
                 protocols=(GRADES,), step_policy="fixed",
-                step_size=params["step_size"], phase_mode="staggered", seed=s))
+                step_fraction=params["step_size"], phase_mode="staggered", seed=s))
             steady = trace.times >= trace.times[-1] * 0.5
             rows.append((d, s, float(trace.global_skew(GRADES)[steady].mean())))
             del trace  # so the next run does not hold this one's arrays and log

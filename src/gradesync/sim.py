@@ -1,23 +1,23 @@
 """Deterministic event-driven network simulator for the sync protocols.
 
 Every node owns a drifting hardware clock, the newest flood sequence number it
-holds and, per lane, a logical clock, a gain (a step size times
-``protocols.error_scale``; a step only in reports) and its last sync error.
-Every gain has one bound, ``protocols.gain_limit``, so a lane's updates depend
-only on its start gain, the step policy and shared inputs: the protocols with
-one start gain, compared bitwise, share a lane, which updates under the first
-one's name.  ``run`` keeps a lane as five flat float lists by node position
-(value, rate, hw_at, gain, error) and applies ``protocols.update`` to them.  A
-node broadcasts whenever its *own* hardware clock crosses a multiple of
-beacon_period * nominal_freq ticks; the reference node stamps each of its
-broadcasts with a fresh flood sequence number.  Broadcasts are delivered to
-every neighbor at the emission instant, with an independent Gaussian noise draw
-per receiver added to the payload clock values (noise perturbs the reported
-value, not the delivery time, so negative draws are fine).  A delivery is
-applied only if it carries a strictly newer sequence number than the receiver
-holds; a stale one changes nothing.  Sequence numbers only grow, so a delivery
-whose receiver holds its flood when it is sent is stale at once, and a sender
-reads its logical clocks only for a beacon some receiver can accept.
+holds, a logical clock, a gain and its last sync error.  Both protocols apply
+one rule, ``protocols.update``, with one gain bound, ``protocols.gain_limit``,
+and start every node at ``step_fraction`` of that bound, so they run one
+trajectory: ``run`` keeps it as five flat float lists by node position
+(value, rate, hw_at, gain, error), updates them under the first protocol's
+name and reports each protocol's step as the gain over its
+``protocols.error_scale``.  A node broadcasts whenever its *own* hardware
+clock crosses a multiple of beacon_period * nominal_freq ticks; the reference
+node stamps each of its broadcasts with a fresh flood sequence number.
+Broadcasts are delivered to every neighbor at the emission instant, with an
+independent Gaussian noise draw per receiver added to the payload clock value
+(noise perturbs the reported value, not the delivery time, so negative draws
+are fine).  A delivery is applied only if it carries a strictly newer
+sequence number than the receiver holds; a stale one changes nothing.
+Sequence numbers only grow, so a delivery whose receiver holds its flood when
+it is sent is stale at once, and a sender reads its logical clock only for a
+beacon some receiver can accept.
 
 There is no event queue: hardware readings are a pure function of time, so the
 beacon schedule is known up front.  All clocks are one ``clocks.ClockTable``;
@@ -25,9 +25,9 @@ its ``crossings`` give every beacon's instant and sender reading in (time,
 node id) order, computed in one pass.  Trace samples touch no clock:
 the hardware grid comes from the table after the loop, and the logical
 readings from the update log, as ``value + rate * (hw - hw_at)``.
-So sampling changes no event of a run.  The log, (t, node position,
-seq, hw) per accepted delivery and per lane (received, rate, error, gain), is
-the one record of updates; ``SkewTrace.events`` reads it on first access.
+So sampling changes no event of a run.  The log, (t, node position, seq, hw)
+and (received, rate, error, gain) per accepted delivery, is the one record of
+updates; ``SkewTrace.events`` reads it on first access.
 
 Determinism: all randomness comes from numpy generators spawned off a single
 SeedSequence(config.seed), one stream per purpose (phases, delays, drops, one
@@ -65,10 +65,11 @@ on_beacon_tick = None
 # The most a run may ask for, by what it counts; each check names the
 # parameter that asked and the largest value that fits.  A trace cell takes 8
 # bytes of hardware reading, 8 of hardware rate, 16 per protocol for its reading
-# and rate, and up to 16 more while a protocol's readings are assembled: 160 MB
-# per array at the bound (a 2,000-node line over 20 rounds needs 122k cells); each
-# accepted delivery keeps 32 bytes of log plus 32 per protocol as long as its trace.  A
-# Monte-Carlo trial takes 610-720 bytes for its noise block and temporaries and
+# and rate, and up to 16 more while the readings are assembled: 160 MB per array
+# at the bound (a 2,000-node line over 20 rounds needs 122k cells); each accepted
+# delivery keeps 64 bytes of log as long as its trace.  No budget counts a
+# white-drift clock's table: about 88 bytes per unit segment of the run, plus 64
+# while its drawn pieces are turned into the table.  A Monte-Carlo trial takes 610-720 bytes for its noise block and temporaries and
 # 45 more per path: about 770 for two protocols, under 400 MB at the bound.  At
 # BENCH_25.json's rates (fig3 448k node-rounds a second, theory-check 60.5M draws,
 # about one per path-round) the two work bounds take about 220 s and 33 s.
@@ -182,7 +183,9 @@ class SimConfig:
     ``drift`` is one drift model for every node, or ``{node: model}`` with
     ``ConstantDrift(0)`` for a node not named, each model's bound
     ``max_abs_deviation()`` below ``nominal_freq``; a run realizes each node's
-    model from that node's own generator.
+    model from that node's own generator.  Every protocol starts every node at
+    the gain ``step_fraction * protocols.gain_limit``: a fraction in (0, 1) for
+    a fixed step, in (0, 1] for an adaptive one.
     """
 
     topology: Topology
@@ -193,7 +196,7 @@ class SimConfig:
     drift: object = ConstantDrift(0.0)  # a model | {node: model}
     protocols: tuple[str, ...] = (GRADES,)
     step_policy: str = "fixed"
-    step_size: object = None  # float | {protocol: float} | None (adaptive default: limit/2)
+    step_fraction: float = 0.5  # of the gain limit, for every protocol
     phase_mode: str = "random"  # "aligned" | "random" | "staggered"
     drop_probability: float = 0.0
     seed: int = 0
@@ -215,42 +218,27 @@ class SimConfig:
             raise ValueError("duplicate protocol")
         if self.step_policy not in ("fixed", "adaptive"):
             raise ValueError("step_policy must be 'fixed' or 'adaptive'")
+        if not (0 < self.step_fraction < 1
+                or self.step_policy == "adaptive" and self.step_fraction == 1):
+            top = "1]" if self.step_policy == "adaptive" else "1)"
+            raise ValueError(f"{self.step_policy} step_fraction must be in (0, {top}, "
+                             f"got {self.step_fraction}")
+        for protocol in self.protocols:  # each reports its steps against a finite limit
+            step_size_limit(protocol, self.beacon_period, self.nominal_freq)
         if self.phase_mode not in ("aligned", "random", "staggered"):
             raise ValueError("phase_mode must be 'aligned', 'random' or 'staggered'")
         if not 0 <= self.drop_probability < 1:
             raise ValueError("drop_probability must be in [0, 1)")
-        if isinstance(self.step_size, dict) and (bad := set(self.step_size) - set(self.protocols)):
-            raise ValueError(f"step_size keys {sorted(bad, key=repr)} are not in {self.protocols}")
         if isinstance(self.drift, dict) and (bad := set(self.drift) - set(self.topology.nodes)):
             raise ValueError(f"drift keys {sorted(bad, key=repr)} are not topology nodes")
-
-    def resolved_step_size(self, protocol: str) -> float:
-        """Fixed value, or the adaptive initial step (default: half the bound)."""
-        limit = step_size_limit(protocol, self.beacon_period, self.nominal_freq)
-        raw = self.step_size
-        if isinstance(raw, dict):
-            raw = raw.get(protocol)
-        if raw is None:
-            if self.step_policy == "fixed":
-                raise ValueError("fixed step policy needs an explicit step_size")
-            return limit / 2.0
-        step = float(raw)
-        if self.step_policy == "fixed" and not 0 < step < limit:
-            raise ValueError(
-                f"fixed step_size {step} outside the stable region (0, {limit}) for {protocol}"
-            )
-        if self.step_policy == "adaptive" and not 0 < step <= limit:
-            raise ValueError(
-                f"adaptive initial step_size {step} outside (0, {limit}] for {protocol}"
-            )
-        return step
 
 
 @dataclass(frozen=True)
 class SyncEvent:
     """One accepted sync message: who corrected, by how much, with what step.
 
-    ``step_size`` is the gain over the error scale: a fixed step up to an ulp.
+    ``step_size`` is the gain over the protocol's error scale: a fixed step is
+    ``step_fraction`` times the protocol's step size limit, up to an ulp.
     """
 
     time: float
@@ -273,7 +261,7 @@ class SkewTrace:
     rate_multipliers: dict[str, np.ndarray]
     hw_rates: np.ndarray  # (samples, nodes) instantaneous hardware frequency
     meta: dict = field(default_factory=dict)
-    update_log: tuple = field(default=((), (), ()), repr=False)  # (deliveries, logs, scales)
+    update_log: tuple = field(default=((), (), ()), repr=False)  # (deliveries, log, scales)
 
     def node_column(self, node: int) -> int:
         return self.node_ids.index(node)
@@ -285,12 +273,12 @@ class SkewTrace:
     @cached_property
     def events(self) -> list[SyncEvent]:
         """Every accepted update, read from the update log: by delivery, then by protocol."""
-        deliveries, logs, scales = self.update_log
+        deliveries, log, scales = self.update_log
         events = []
         for j in range(0, len(deliveries), 4):
             t, i, seq, _ = deliveries[j:j + 4]
-            for p, log, scale in zip(self.protocols, logs, scales):
-                _, rate, error, gain = log[j:j + 4]
+            _, rate, error, gain = log[j:j + 4]
+            for p, scale in zip(self.protocols, scales):
                 events.append(SyncEvent(t, self.node_ids[int(i)], p, int(seq), error,
                                         gain / scale, rate))
         return events
@@ -324,7 +312,7 @@ def _draws(draw_block):
 
 
 def _assemble(start, deliveries, log, times, hw, readings, rates) -> None:
-    """Fill one protocol's ``readings`` and ``rates`` from its clocks and update log.
+    """Fill ``readings`` and ``rates`` from the start clocks and the update log.
 
     ``start`` holds the (value, rate, hw_at) clocks the nodes start with,
     ``deliveries`` and ``log`` the update log (see the module docstring), an
@@ -371,10 +359,11 @@ def run(config: SimConfig) -> SkewTrace:
     repeated floods.  ``meta["phase_s"]`` holds the seconds of set-up, the
     event loop and trace assembly.  ``meta["final_state"]`` gives each
     protocol's (min, median, max) step size and rate multiplier over the
-    nodes but the reference at the end (NaNs if there are none), and
-    ``meta["lanes"]`` the protocols of each lane.  Raises ContractViolation
-    annotated with node id and event time if an update breaks its contract, a
-    driven rate told as the lane's first protocol, in its step units.
+    nodes but the reference at the end (NaNs if there are none).  Every
+    protocol runs the one trajectory, each with its own copy of the readings.
+    Raises ContractViolation annotated with node id and event time if an
+    update breaks its contract, a driven rate told as the first protocol, in
+    its step units.
     """
     run_start = time.perf_counter()
     topo = config.topology
@@ -419,26 +408,24 @@ def run(config: SimConfig) -> SkewTrace:
     models = ([drift.get(u, ConstantDrift(0.0)) for u in nodes] if isinstance(drift, dict)
               else [drift] * n)
     times = np.arange(n_samples) * period
-    # Each clock's pieces to the horizon, drawn from that clock's own generator.
-    pieces = [model.pieces(max(duration, times[-1]), np.random.default_rng(child))
-              for model, child in zip(models, drift_ss.spawn(n))]
-    clocks = ClockTable(f0, pieces, phases)
+    # Each clock's pieces to the horizon, drawn from that clock's own generator,
+    # and let go once the table is built.
+    clocks = ClockTable(f0, [model.pieces(max(duration, times[-1]), np.random.default_rng(child))
+                             for model, child in zip(models, drift_ss.spawn(n))], phases)
     neighbors = [tuple([index[v] for v in topo.neighbors(u)]) for u in nodes]
-    # A lane: its slot in a beacon's readings, protocols, flat node state (value, rate,
-    # hw_at, gain, error), update log and first protocol's update rule (looked up here,
-    # at run time).  Clocks start at their hardware reading.
-    handler = {GRADES: grades_on_message, PISYNC: pisync_on_message}
-    scales = {p: error_scale(p, b, f0) for p in config.protocols}
-    keys = {p: config.resolved_step_size(p) * scales[p] for p in config.protocols}
-    groups = {key: tuple([p for p in keys if keys[p] == key]) for key in keys.values()}
+    # The flat node state (value, rate, hw_at, gain, error), the update log and the
+    # first protocol's update rule, looked up here, at run time.  Clocks start at
+    # their hardware reading.
+    first, *others = config.protocols
+    rule = {GRADES: grades_on_message, PISYNC: pisync_on_message}[first]
+    scales = [error_scale(p, b, f0) for p in config.protocols]
     gain_max = gain_limit(b, f0)
     hw0 = phases.tolist()  # each clock's reading at t = 0
-    lanes = [(i, names, list(hw0), [1.0] * n, list(hw0), [gain] * n, [0.0] * n, array("d"),
-              handler[names[0]]) for i, (gain, names) in enumerate(groups.items())]
-    lane_of = {p: lane for p in config.protocols for lane in lanes if p in lane[1]}
-    clock_lists = [lane[2:5] for lane in lanes]
+    values, rates, hw_ats = list(hw0), [1.0] * n, list(hw0)
+    gains, errors = [config.step_fraction * gain_max] * n, [0.0] * n
     deliveries = array("d")  # (t, node position, seq, hw) of each accepted delivery
-    seqs = [0] * n  # the newest flood sequence number each node holds, for every lane
+    log = array("d")  # (received, rate, error, gain) of each accepted delivery
+    seqs = [0] * n  # the newest flood sequence number each node holds
     # Receiver noise (and drop) draws, taken in blocks and used in draw order.
     noises = _draws(partial(delay_rng.normal, 0.0, config.delay_std))
     drops = _draws(drop_rng.random)
@@ -457,9 +444,9 @@ def run(config: SimConfig) -> SkewTrace:
                 seq = seqs[who]
                 if who == ref:
                     seq = seqs[who] = seq + 1
-                readings = None
+                reading = None
                 for v in neighbors[who]:
-                    # Each receiver sees the same readings plus its own noise draw.
+                    # Each receiver sees the same reading plus its own noise draw.
                     noise = next(noises)
                     if p_drop > 0 and next(drops) < p_drop:
                         dropped += 1
@@ -467,45 +454,40 @@ def run(config: SimConfig) -> SkewTrace:
                     if seq <= seqs[v]:  # stale already: sequence numbers only grow
                         stale += 1
                         continue
-                    if readings is None:  # the sender's readings, read once
+                    if reading is None:  # the sender's reading, read once
                         if who == ref:  # the reference advertises its hardware clock
-                            readings = [hw] * len(lanes)
+                            reading = hw
+                        elif hw < hw_ats[who]:
+                            raise read_before_update(hw, hw_ats[who])
                         else:
-                            readings = []
-                            for values, rates, hw_ats in clock_lists:
-                                if hw < hw_ats[who]:
-                                    raise read_before_update(hw, hw_ats[who])
-                                readings.append(values[who] + rates[who] * (hw - hw_ats[who]))
-                    sent.append((v, seq, readings, noise * f0))
+                            reading = values[who] + rates[who] * (hw - hw_ats[who])
+                    sent.append((v, seq, reading + noise * f0))
             # A delivery changes only its receiver's state and draws nothing.
-            for who, seq, readings, noise in sent:
+            for who, seq, received in sent:
                 if seq <= seqs[who]:  # stale: a flood this instant already brought
                     stale += 1
                     continue
                 seqs[who] = seq
                 hw = clocks.read(who, t)
+                error, gain, rate = rule(values[who], rates[who], hw_ats[who], gains[who],
+                                         errors[who], received, hw, gain_max, adaptive)
+                values[who], rates[who], hw_ats[who] = received, rate, hw
+                gains[who], errors[who] = gain, error
                 deliveries.fromlist([t, who, seq, hw])
-                for i, names, values, rates, hw_ats, gains, errors, log, rule in lanes:
-                    received = readings[i] + noise
-                    error, gain, rate = rule(values[who], rates[who], hw_ats[who], gains[who],
-                                             errors[who], received, hw, gain_max, adaptive)
-                    values[who], rates[who], hw_ats[who] = received, rate, hw
-                    gains[who], errors[who] = gain, error
-                    log.fromlist([received, rate, error, gain])
-    except DrivenRate as err:  # told in the lane's first protocol's step units and in rounds
-        text = err.text("step size", scales[names[0]], "{:.9g} rounds", round_ticks)
-        raise ContractViolation(f"node {nodes[who]} at t={t:.9g}: {names[0]} {text}") from err
+                log.fromlist([received, rate, error, gain])
+    except DrivenRate as err:  # told in the first protocol's step units and in rounds
+        text = err.text("step size", scales[0], "{:.9g} rounds", round_ticks)
+        raise ContractViolation(f"node {nodes[who]} at t={t:.9g}: {first} {text}") from err
     except ContractViolation as err:
         raise ContractViolation(f"node {nodes[who]} at t={t:.9g}: {err}") from err
     loop_end = time.perf_counter()
     hw_grid, hw_rates_out = clocks.sample(np.arange(n), times[:, None])
-    start = np.array([hw0, [1.0] * n, hw0]).T
-    readings_out, rates_out = {}, {}
-    for _, (first, *others), *_, log, _ in lanes:
-        readings_out[first], rates_out[first] = np.empty_like(hw_grid), np.empty_like(hw_grid)
-        _assemble(start, deliveries, log, times, hw_grid, readings_out[first], rates_out[first])
-        for p in others:  # copies, so that editing one protocol's arrays edits no other's
-            readings_out[p], rates_out[p] = readings_out[first].copy(), rates_out[first].copy()
+    readings_out = {first: np.empty_like(hw_grid)}
+    rates_out = {first: np.empty_like(hw_grid)}
+    _assemble(np.array([hw0, [1.0] * n, hw0]).T, deliveries, log, times, hw_grid,
+              readings_out[first], rates_out[first])
+    for p in others:  # copies, so that editing one protocol's arrays edits no other's
+        readings_out[p], rates_out[p] = readings_out[first].copy(), rates_out[first].copy()
     assembly_end = time.perf_counter()
 
     return SkewTrace(
@@ -524,13 +506,11 @@ def run(config: SimConfig) -> SkewTrace:
             "deliveries": {"accepted": len(deliveries) // 4, "stale": stale, "dropped": dropped},
             "phase_s": {"setup": setup_end - run_start, "loop": loop_end - setup_end,
                         "assembly": assembly_end - loop_end},
-            "final_state": {p: {"step_size": _spread([g / scales[p] for g in lane[5]], ref),
-                                "rate_multiplier": _spread(lane[3], ref)}
-                            for p, lane in lane_of.items()},
-            "lanes": tuple([lane[1] for lane in lanes]),
+            "final_state": {p: {"step_size": _spread([g / scale for g in gains], ref),
+                                "rate_multiplier": _spread(rates, ref)}
+                            for p, scale in zip(config.protocols, scales)},
         },
-        update_log=(deliveries, tuple([lane[7] for lane in lane_of.values()]),
-                    tuple(scales.values())),
+        update_log=(deliveries, log, tuple(scales)),
     )
 
 

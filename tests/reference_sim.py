@@ -149,14 +149,14 @@ def reference_run(config: SimConfig) -> dict:
         return reference_reading(drifts[i], f0, phases[i], t)
 
     # Per protocol and node: the logical clock (value, rate, hw_at), gain and last error.
-    # A gain is a step size times the protocol's error scale.
+    # Every protocol starts at the one gain, step_fraction of the one stability bound;
+    # its step size is the gain over the protocol's error scale.
     logical = [[(hardware(i, 0.0), 1.0, hardware(i, 0.0)) for i in range(n)]
                for _ in config.protocols]
     scales = [error_scale(p, b, f0) for p in config.protocols]
-    gains = [[config.resolved_step_size(p) * scale] * n
-             for p, scale in zip(config.protocols, scales)]
-    errors = [[0.0] * n for _ in config.protocols]
     gain_max = 2.0 / (b * f0)  # one stability bound on the gain, for either protocol
+    gains = [[config.step_fraction * gain_max] * n for _ in config.protocols]
+    errors = [[0.0] * n for _ in config.protocols]
     adaptive = config.step_policy == "adaptive"
     seqs = [0] * n
     neighbors = [[nodes.index(v) for v in topo.neighbors(u)] for u in nodes]

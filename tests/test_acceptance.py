@@ -50,7 +50,7 @@ def _verdict(number: int, label: str, ok: bool, detail: str) -> None:
 
 
 def _simulated_decay_ratios(protocol: str, lam: float) -> list[float]:
-    step = (1.0 - lam) / 2.0 if protocol == GRADES else (1.0 - lam)
+    # The gain 1 - lam, at B = f0 = 1 the fraction (1 - lam) / 2 of the limit 2 for either protocol.
     cfg = SimConfig(
         topology=Topology.line(2),
         beacon_period=1.0,
@@ -58,7 +58,7 @@ def _simulated_decay_ratios(protocol: str, lam: float) -> list[float]:
         drift={2: ConstantDrift(1e-4)},
         protocols=(protocol,),
         step_policy="fixed",
-        step_size=step,
+        step_fraction=(1.0 - lam) / 2.0,
         phase_mode="aligned",
         seed=0,
     )
@@ -214,7 +214,7 @@ def _relock_rounds(seed: int, **change) -> int | None:
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the adaptive step collapses under "
                    "noise, so the re-lock takes 88, 119 and 103 rounds")
 def test_an_adaptive_step_relocks_within_criterion_5s_bound_after_a_drift_step(seed):
-    relock = _relock_rounds(seed, step_policy="adaptive", step_size=None)  # from limit/2
+    relock = _relock_rounds(seed, step_policy="adaptive")  # from limit/2
     assert relock is not None and relock <= 15, relock
 
 

@@ -13,9 +13,7 @@ from gradesync import (
     GRADES,
     PISYNC,
     InvalidRegimeError,
-    SimConfig,
     SystemParams,
-    Topology,
     error_scale,
     estimate_variance_mc,
     step_size_limit,
@@ -345,12 +343,8 @@ def test_system_params_validation():
         lambda proto: error_scale(proto, 1.0, 1.0),
         lambda proto: variance(params(step=0.1, dstd=0.01), proto),
         lambda proto: estimate_variance_mc(params(step=0.1), (proto,), rounds=4, trials=2),
-        lambda proto: SimConfig(
-            Topology.line(2), 1.0, 1.0, step_policy="adaptive"
-        ).resolved_step_size(proto),
     ],
-    ids=["step_size_limit", "error_scale", "variance", "estimate_variance_mc",
-         "resolved_step_size"],
+    ids=["step_size_limit", "error_scale", "variance", "estimate_variance_mc"],
 )
 def test_every_protocol_entry_point_rejects_an_unknown_protocol(call):
     with pytest.raises(ValueError, match="unknown protocol"):

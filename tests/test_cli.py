@@ -226,6 +226,11 @@ def test_set_overrides_beat_config_file_values(tmp_path, capsys):
     [
         ("scaling", "diameters=", "diameters"),
         ("fig2-stepsize", "constant_steps=", "constant_steps"),  # would run no constant series
+        # An empty element would vanish: the list would run fewer series than it names.
+        ("fig2-stepsize", "constant_steps=0.5,,0.1", "constant_steps"),
+        ("fig2-stepsize", "constant_steps=0.5,", "constant_steps"),
+        ("scaling", "diameters=4,9,", "diameters"),
+        ("scaling", "diameters=,4,9", "diameters"),
         ("scaling", "diameters=4,x", "diameters"),
         ("scaling", "diameters=4,4,9", "diameters"),  # a repeat would run twice
         ("fig1-pairwise", "switch_round=100", "switch_round"),  # past rounds=60

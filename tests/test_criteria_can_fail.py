@@ -18,14 +18,13 @@ from test_acceptance import (
     criterion_04,
     criterion_05,
     criterion_06,
-    criterion_07,
     criterion_08,
     criterion_09,
     criterion_10,
 )
 
 from gradesync import analysis, protocols, scenarios, sim
-from gradesync.protocols import GRADES, PISYNC, error_scale, step_size_limit
+from gradesync.protocols import GRADES, PISYNC, error_scale, gain_limit, step_size_limit
 from gradesync.scenarios import variance_grid
 
 
@@ -41,9 +40,10 @@ def criterion_04_on_its_own_oracle_run():
 
 
 def update_gain_times(factor):
-    """Scale every gain the simulator applies by ``factor``."""
+    """Scale every gain the simulator applies by ``factor``: it starts at a fraction of
+    ``gain_limit``."""
     def mutate(monkeypatch):
-        monkeypatch.setattr(sim, "error_scale", lambda *args: factor * error_scale(*args))
+        monkeypatch.setattr(sim, "gain_limit", lambda *args: factor * gain_limit(*args))
     return mutate
 
 
@@ -107,11 +107,6 @@ def stale_check_off_by_one(monkeypatch):
     monkeypatch.setattr(sim, "run", namespace["run"])
 
 
-def pisync_at_a_quarter_of_its_limit(monkeypatch):
-    monkeypatch.setattr(scenarios, "step_size_limit",
-                        lambda p, *args: step_size_limit(p, *args) / (4 if p == PISYNC else 1))
-
-
 UNTIL_ITEM_1 = "ROADMAP item 1: the criterion cannot yet tell this mutation apart"
 UNTIL_ITEM_6 = "ROADMAP item 6: the criterion cannot yet tell this mutation apart"
 
@@ -144,9 +139,6 @@ MUTATIONS = [
     # "adaptive" then runs at half the limit: it locks in 2 rounds against 36, with a
     # steady spread ratio of 1.68 against a bound of 2.
     pytest.param(criterion_06, adaptation_off, id="6-adaptation-off",
-                 marks=pytest.mark.xfail(strict=True, reason=UNTIL_ITEM_1)),
-    # Mean- and peak-skew ratios 1.16 and 1.11 stay within [0.5, 2] and under 1.25.
-    pytest.param(criterion_07, pisync_at_a_quarter_of_its_limit, id="7-pisync-at-a-quarter",
                  marks=pytest.mark.xfail(strict=True, reason=UNTIL_ITEM_1)),
     # Fitted exponents 0.324 and 0.372 both lie in the accepted window [0.25, 0.75].
     pytest.param(criterion_09, scenario_default_times("scaling", "delay_std", 0),

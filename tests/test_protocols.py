@@ -24,7 +24,7 @@ from gradesync.protocols import gain_limit, update
 
 
 class Node(NamedTuple):
-    """One protocol lane of one node, as ``sim.run`` keeps it: clock, gain, last error."""
+    """One node's state, as ``sim.run`` keeps it: clock, gain, last error."""
 
     value: float = 0.0
     rate: float = 1.0
@@ -303,7 +303,7 @@ def test_sequence_numbers_never_decrease_and_stale_floods_are_noops(chords, phas
         delay_std=1e-4,
         protocols=(GRADES, PISYNC),
         step_policy="adaptive",
-        step_size={GRADES: 1.0 / 64, PISYNC: 2.0 / 64},
+        step_fraction=1.0 / 64,
         phase_mode=phase_mode,
         seed=seed,
     ))

@@ -10,7 +10,7 @@ from gradesync import (
     SimConfig, Topology, WhiteDrift, run,
 )
 from gradesync import clocks, protocols, sim
-from gradesync.protocols import adapt_step, step_size_limit
+from gradesync.protocols import adapt_step
 
 
 @st.composite
@@ -45,9 +45,6 @@ def configs(draw) -> SimConfig:
         drift = {"random-constant": RandomConstantDrift, "white": WhiteDrift}[kind](max_dev)
     protocols = draw(st.sampled_from([(GRADES,), (PISYNC,), (GRADES, PISYNC)]))
     adaptive = draw(st.booleans())
-    step_size = None if adaptive else {
-        p: draw(st.floats(0.02, 0.9)) * step_size_limit(p, b, f0) for p in protocols
-    }
     return SimConfig(
         topology=topology,
         beacon_period=b,
@@ -57,7 +54,7 @@ def configs(draw) -> SimConfig:
         drift=drift,
         protocols=protocols,
         step_policy="adaptive" if adaptive else "fixed",
-        step_size=step_size,
+        step_fraction=draw(st.floats(0.02, 1.0 if adaptive else 0.9)),
         phase_mode=draw(st.sampled_from(["aligned", "random", "staggered"])),
         drop_probability=draw(st.sampled_from([0.0, 0.3])),
         seed=draw(st.integers(0, 2**16)),
@@ -83,20 +80,20 @@ def _outcome(simulate, config):
 ))
 @example(config=SimConfig(
     Topology.line(5), beacon_period=1.0, duration=104.4, nominal_freq=1e3, delay_std=1e-3,
-    drift=WhiteDrift(1.0), protocols=(GRADES,), step_policy="fixed", step_size=3e-7,
+    drift=WhiteDrift(1.0), protocols=(GRADES,), step_policy="fixed", step_fraction=0.3,
     phase_mode="random", seed=5,
 ))
 # Rates driven below zero, told the same way: a stable pisync step, and an
 # adaptive grades step grown to its limit ("mis-scaled").
 @example(config=SimConfig(
     Topology.line(2), beacon_period=1.0, duration=10.0,
-    drift={2: ConstantDrift(0.6)}, protocols=(PISYNC,), step_policy="fixed", step_size=1.8,
+    drift={2: ConstantDrift(0.6)}, protocols=(PISYNC,), step_policy="fixed", step_fraction=0.9,
     phase_mode="aligned", seed=3,
 ))
 @example(config=SimConfig(
     Topology.line(2), beacon_period=1.0, duration=10.0,
     drift={2: PiecewiseDrift(((0.0, 0.2), (2.0, 0.9)))}, protocols=(GRADES,),
-    step_policy="adaptive", step_size=1.0, phase_mode="aligned", seed=3,
+    step_policy="adaptive", step_fraction=1.0, phase_mode="aligned", seed=3,
 ))
 def test_the_simulator_equals_the_naive_reference(config):
     trace, expected = _outcome(run, config), _outcome(reference_run, config)
@@ -119,7 +116,7 @@ def test_the_reference_sees_the_instant_rule_on_a_diamond():
     diamond = Topology(nodes=(1, 2, 3, 4), edges=((1, 2), (1, 3), (2, 4), (3, 4)))
     config = SimConfig(topology=diamond, beacon_period=1.0, duration=12.0,
                        protocols=(GRADES, PISYNC), step_policy="fixed",
-                       step_size={GRADES: 0.5, PISYNC: 1.0}, phase_mode="aligned", seed=3)
+                       step_fraction=0.5, phase_mode="aligned", seed=3)
     expected = reference_run(config)
     assert expected["deliveries"] == {"accepted": 35, "stale": 61, "dropped": 0}
     assert np.array_equal(run(config).readings[GRADES], expected["readings"][GRADES])
@@ -133,19 +130,19 @@ PINNED = SimConfig(
 )
 
 
-def _lanes_equal(trace, expected):
+def _protocols_equal(trace, expected):
     return {p: trace.readings[p].tobytes() == expected["readings"][p].tobytes()
             for p in PINNED.protocols}
 
 
 def test_the_reference_reads_its_clocks_with_its_own_arithmetic(monkeypatch):
-    assert _lanes_equal(run(PINNED), reference_run(PINNED)) == {GRADES: True, PISYNC: True}
+    assert _protocols_equal(run(PINNED), reference_run(PINNED)) == {GRADES: True, PISYNC: True}
 
     def reordered(start, rate, knot, t):
         return knot + (rate * t - rate * start)
 
     monkeypatch.setattr(clocks, "_reading", reordered)
-    assert _lanes_equal(run(PINNED), reference_run(PINNED)) == {GRADES: False, PISYNC: False}
+    assert _protocols_equal(run(PINNED), reference_run(PINNED)) == {GRADES: False, PISYNC: False}
 
 
 def test_the_reference_updates_with_its_own_arithmetic(monkeypatch):
@@ -159,4 +156,4 @@ def test_the_reference_updates_with_its_own_arithmetic(monkeypatch):
     for owner, name in ((protocols, "update"), (sim, "grades_on_message"),
                         (sim, "pisync_on_message")):
         monkeypatch.setattr(owner, name, reordered)
-    assert _lanes_equal(run(PINNED), reference_run(PINNED)) == {GRADES: False, PISYNC: False}
+    assert _protocols_equal(run(PINNED), reference_run(PINNED)) == {GRADES: False, PISYNC: False}

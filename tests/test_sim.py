@@ -31,7 +31,7 @@ from gradesync import (
     write_trace_csv,
 )
 from gradesync import clocks, scenarios, sim
-from gradesync.protocols import error_scale, update
+from gradesync.protocols import error_scale, gain_limit, step_size_limit, update
 from gradesync.scenarios import SCENARIOS, multihop_config, scaling_experiment
 
 
@@ -47,12 +47,16 @@ def config(**kw):
         duration=10.0,
         protocols=(GRADES,),
         step_policy="fixed",
-        step_size=0.5,
+        step_fraction=0.5,
         phase_mode="aligned",
         seed=3,
     )
     base.update(kw)
     return SimConfig(**base)
+
+
+# The fraction of grades' limit at B = 3 whose gain is bitwise that of the grades step 0.1.
+B3_FRACTION = 0.9000000000000001
 
 
 # ---------------------------------------------------------------- topology
@@ -127,8 +131,7 @@ def test_adjacency_matches_the_edge_scan_for_any_edge_order(seed):
 
 
 def test_sim_config_validation():
-    good = config()
-    assert good.resolved_step_size(GRADES) == 0.5
+    assert config().step_fraction == 0.5
     with pytest.raises(ValueError):
         config(beacon_period=0.0)
     with pytest.raises(ValueError):
@@ -153,11 +156,7 @@ def test_sim_config_validation():
         config(phase_mode="sorted")
     with pytest.raises(ValueError):
         config(drop_probability=1.0)
-    # A dict key the run would ignore leaves its default in place: limit / 2, or no drift.
-    with pytest.raises(ValueError, match=r"step_size keys \['grade'\]"):
-        config(step_policy="adaptive", step_size={"grade": 0.01})
-    with pytest.raises(ValueError, match=r"step_size keys \['pisync'\]"):
-        config(step_size={GRADES: 0.5, PISYNC: 1.0})
+    # A dict key the run would ignore leaves its default in place: no drift.
     with pytest.raises(ValueError, match=r"drift keys \[9\]"):
         config(topology=Topology.line(3), drift={9: ConstantDrift(1e-4)})
 
@@ -183,23 +182,33 @@ def test_a_drift_bound_not_below_nominal_freq_is_refused(drift):
         config(drift=drift)
 
 
-def test_step_size_resolution_rules():
-    with pytest.raises(ValueError):
-        config(step_size=None).resolved_step_size(GRADES)  # fixed needs a value
-    with pytest.raises(ValueError):
-        config(step_size=1.0).resolved_step_size(GRADES)  # boundary is excluded
-    adaptive = config(step_policy="adaptive", step_size=None)
-    assert adaptive.resolved_step_size(GRADES) == 0.5  # half the limit by default
-    assert adaptive.resolved_step_size(PISYNC) == 1.0
-    at_limit = config(step_policy="adaptive", step_size=1.0)
-    assert at_limit.resolved_step_size(GRADES) == 1.0  # inclusive for adaptive
-    per_proto = config(
-        protocols=(GRADES, PISYNC), step_size={GRADES: 0.25, PISYNC: 0.75}
-    )
-    assert per_proto.resolved_step_size(GRADES) == 0.25
-    assert per_proto.resolved_step_size(PISYNC) == 0.75
-    with pytest.raises(ValueError):
-        config(step_policy="adaptive", step_size=1.0001).resolved_step_size(GRADES)
+@pytest.mark.parametrize("policy, fraction", [
+    ("fixed", 0.0), ("fixed", 1.0), ("fixed", -0.5), ("fixed", math.nan),
+    ("adaptive", 0.0), ("adaptive", math.nextafter(1.0, 2.0)), ("adaptive", math.nan),
+])
+def test_a_step_fraction_outside_its_interval_is_refused(policy, fraction):
+    top = "1]" if policy == "adaptive" else "1)"
+    with pytest.raises(ValueError, match=re.escape(
+            f"{policy} step_fraction must be in (0, {top}, got {fraction}")):
+        config(step_policy=policy, step_fraction=fraction)
+
+
+def test_a_step_fraction_is_the_start_gain_of_every_protocol():
+    # A fixed step stops short of the limit, an adaptive one may start on it.
+    for policy, fraction in (("fixed", math.nextafter(1.0, 0.0)), ("adaptive", 1.0),
+                             ("fixed", 0.25)):
+        trace = run(config(protocols=(GRADES, PISYNC), step_policy=policy,
+                           step_fraction=fraction, duration=1.0))
+        assert len(trace.events) == 2  # one delivery, at t = 1
+        shrink = 3.0 if policy == "adaptive" else 1.0  # no error yet: an adaptive step shrinks
+        for e in trace.events:
+            assert e.step_size == fraction * 2.0 / shrink / error_scale(e.protocol, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("protocol, beacon_period", [(GRADES, 1e-300), (PISYNC, 1e-320)])
+def test_a_config_whose_step_limit_is_not_finite_is_refused(protocol, beacon_period):
+    with pytest.raises(ValueError, match=f"{protocol} step size limit at inf, not finite"):
+        config(protocols=(protocol,), beacon_period=beacon_period)
 
 
 # ---------------------------------------------------------------- basic dynamics
@@ -237,7 +246,6 @@ def test_reference_node_never_adjusts_itself():
         delay_std=1e-4,
         phase_mode="random",
         step_policy="adaptive",
-        step_size=None,
         duration=20.0,
         seed=2,
     )
@@ -258,7 +266,7 @@ def test_trace_sampling_grid():
     assert trace.times[-1] == pytest.approx(10.0, abs=1e-9)
     assert trace.meta["seed"] == 3
     assert trace.meta["unit_mode"] == "normalized"
-    coarse = run(config(beacon_period=3.0, duration=10.0, step_size=0.1))
+    coarse = run(config(beacon_period=3.0, duration=10.0, step_fraction=B3_FRACTION))
     assert np.array_equal(coarse.times, np.arange(11.0))
     assert coarse.readings[GRADES].shape == (11, 2)
     assert coarse.hw_rates.shape == (11, 2)
@@ -274,7 +282,7 @@ def test_every_trace_samples_every_third_of_a_round_from_zero(beacon_period):
     n = GRID_SAMPLES[beacon_period]
     assert sim.sample_grid(12.0, beacon_period) == (n, beacon_period / 3.0)
     trace = run(config(beacon_period=beacon_period, duration=12.0,
-                       step_policy="adaptive", step_size=None, phase_mode="random"))
+                       step_policy="adaptive", phase_mode="random"))
     assert trace.times.tolist() == [k * (beacon_period / 3.0) for k in range(n)]
     assert trace.times[-1] <= 12.0 + 1e-9
     assert trace.readings[GRADES].shape == trace.hw_rates.shape == (n, 2)
@@ -297,7 +305,6 @@ def test_unit_mode_is_derived_from_the_round_and_the_nominal_freq(
         nominal_freq=nominal_freq,
         duration=90.0,
         step_policy="adaptive",
-        step_size=None,
     )
     assert run(cfg).meta["unit_mode"] == unit_mode
 
@@ -312,7 +319,6 @@ def test_identical_configs_give_bitwise_identical_traces():
         delay_std=1e-4,
         phase_mode="random",
         step_policy="adaptive",
-        step_size=None,
         duration=15.0,
         seed=7,
     )
@@ -325,18 +331,11 @@ def test_identical_configs_give_bitwise_identical_traces():
     assert not np.array_equal(a.readings[GRADES], c.readings[GRADES])
 
 
-# Each case: the step sizes, nominal_freq and the lanes they make.  Equal start
-# gains share a lane; gains one ulp apart must not.
+# Each case: the step fraction and nominal_freq.  At f0 = 0.3 grades' error
+# scale, 0.6, is not a power of two, so its steps read back off by an ulp.
 ISOLATION_CASES = {
-    "equal-gains": ({GRADES: 0.25, PISYNC: 0.5}, 1.0, ((GRADES, PISYNC),)),
-    "unequal-gains": ({GRADES: 0.3, PISYNC: 0.5}, 1.0, ((GRADES,), (PISYNC,))),
-    "gains-an-ulp-apart": ({GRADES: 0.25, PISYNC: math.nextafter(0.5, 1)}, 1.0,
-                           ((GRADES,), (PISYNC,))),
-    # At f0 = 0.3 both start at the gain 5/3 (2.777777777777778 x grades' scale
-    # 0.6), where grades' step size limit times its scale is 6.666666666666666
-    # but the one gain bound, 2 / 0.3, is ...667: they share a lane all the same.
-    "equal-gains-at-f0-0.3": ({GRADES: 2.777777777777778, PISYNC: 5 / 3}, 0.3,
-                              ((GRADES, PISYNC),)),
+    "f0-1": (0.125, 1.0),
+    "f0-0.3": (0.25, 0.3),
 }
 
 
@@ -351,7 +350,7 @@ def _bits(trace, protocol):
 @pytest.mark.parametrize("drop_probability", [0.0, 0.2])
 @pytest.mark.parametrize("case", sorted(ISOLATION_CASES))
 def test_protocol_traces_do_not_depend_on_co_running_protocols(case, drop_probability, policy):
-    steps, f0, lanes = ISOLATION_CASES[case]
+    fraction, f0 = ISOLATION_CASES[case]
     kw = dict(
         topology=Topology.line(3),
         nominal_freq=f0,
@@ -359,16 +358,14 @@ def test_protocol_traces_do_not_depend_on_co_running_protocols(case, drop_probab
         delay_std=1e-4,
         phase_mode="random",
         step_policy=policy,
+        step_fraction=fraction,
         drop_probability=drop_probability,
         duration=12.0,
         seed=5,
     )
-    dual = run(config(protocols=(GRADES, PISYNC), step_size=steps, **kw))
-    assert dual.meta["lanes"] == lanes
+    dual = run(config(protocols=(GRADES, PISYNC), **kw))
     for p in (GRADES, PISYNC):
-        alone = run(config(protocols=(p,), step_size=steps[p], **kw))
-        assert alone.meta["lanes"] == ((p,),)
-        assert _bits(dual, p) == _bits(alone, p)
+        assert _bits(dual, p) == _bits(run(config(protocols=(p,), **kw)), p)
 
 
 # A tree no scenario builds: ids that are neither contiguous nor sorted in the
@@ -424,7 +421,7 @@ def test_odd_tree_with_drops_matches_its_recorded_hash(phase_mode, drift):
         drift=ODD_TREE_DRIFTS[drift],
         protocols=(GRADES, PISYNC),
         step_policy="adaptive",
-        step_size={GRADES: 1.0 / 16, PISYNC: 2.0 / 16},
+        step_fraction=1.0 / 16,
         phase_mode=phase_mode,
         drop_probability=0.3,
         seed=17,
@@ -447,13 +444,13 @@ SAMPLING_BASE = dict(
     drift=WhiteDrift(1e-3),
     protocols=(GRADES, PISYNC),
     step_policy="adaptive",
-    step_size={GRADES: 1.0 / 16, PISYNC: 2.0 / 16},
+    step_fraction=1.0 / 16,
     phase_mode="random",
     drop_probability=0.2,
     seed=23,
 )
 SAMPLING_CASES = {
-    "f0-1e3": dict(nominal_freq=1e3, drift=WhiteDrift(0.5), step_size=None),
+    "f0-1e3": dict(nominal_freq=1e3, drift=WhiteDrift(0.5), step_fraction=0.5),
     "300-node-line": dict(topology=Topology.line(300), duration=10.0),
     "shorter-than-every-first-beacon": dict(phase_mode="aligned", duration=0.9),
 }
@@ -500,14 +497,10 @@ def test_assembly_reads_each_sample_from_the_latest_update_it_sees():
                       readings[:1], rates[:1])
 
 
-# The sampling cases start both protocols at equal gains, which share a lane.
-ASSEMBLY_CASES = {**SAMPLING_CASES, "unequal-gains": dict(step_size={GRADES: 0.3, PISYNC: 0.5})}
-
-
-@pytest.mark.parametrize("case", sorted(ASSEMBLY_CASES))
+@pytest.mark.parametrize("case", sorted(SAMPLING_CASES))
 def test_assembly_equals_reading_the_latest_logged_clock_at_each_sample(case, monkeypatch):
-    # The whole-log numpy pass, once per lane, against a sample-by-sample
-    # replay of each protocol's update log through the reference's logical reading.
+    # The whole-log numpy pass, once per run, against a sample-by-sample
+    # replay of the update log through the reference's logical reading.
     real, assembled = sim._assemble, []
 
     def counted(start, deliveries, log, times, hw, readings, rates):
@@ -515,11 +508,11 @@ def test_assembly_equals_reading_the_latest_logged_clock_at_each_sample(case, mo
         assembled.append((start, hw))
 
     monkeypatch.setattr(sim, "_assemble", counted)
-    trace = run(SimConfig(**{**SAMPLING_BASE, **ASSEMBLY_CASES[case]}))
-    assert len(assembled) == len(trace.meta["lanes"]) == (2 if case == "unequal-gains" else 1)
+    trace = run(SimConfig(**{**SAMPLING_BASE, **SAMPLING_CASES[case]}))
+    assert len(assembled) == 1
     start, hw = assembled[0]
-    deliveries, logs, _ = trace.update_log
-    for p, log in zip(trace.protocols, logs):
+    deliveries, log, _ = trace.update_log
+    for p in trace.protocols:
         latest = start.tolist()
         # (t, node position, the clock it leaves) of each update, in the order applied
         pending = [(deliveries[j], int(deliveries[j + 1]),
@@ -551,17 +544,17 @@ def test_stale_floods_never_reach_the_update_rule(monkeypatch):
     assert len(set(applied)) == len(applied)
 
 
-@pytest.mark.parametrize("protocols, steps, per_delivery", [
-    # Unequal gains: every accepted delivery updates each lane under its own name.
-    ((GRADES, PISYNC), {GRADES: 0.3, PISYNC: 0.5}, {GRADES: 1, PISYNC: 1}),
-    # Equal gains share a lane, which updates under the first protocol's name.
-    ((GRADES, PISYNC), {GRADES: 0.25, PISYNC: 0.5}, {GRADES: 1, PISYNC: 0}),
-    ((PISYNC, GRADES), {GRADES: 0.25, PISYNC: 0.5}, {GRADES: 0, PISYNC: 1}),
+@pytest.mark.parametrize("protocols, per_delivery", [
+    ((GRADES,), {GRADES: 1, PISYNC: 0}),
+    ((PISYNC,), {GRADES: 0, PISYNC: 1}),
+    ((GRADES, PISYNC), {GRADES: 1, PISYNC: 0}),
+    ((PISYNC, GRADES), {GRADES: 0, PISYNC: 1}),
 ])
-def test_each_lane_updates_through_its_first_protocols_name(
-    monkeypatch, protocols, steps, per_delivery
+def test_each_delivery_updates_once_through_the_first_protocols_name(
+    monkeypatch, protocols, per_delivery
 ):
-    # So each protocol's update rule can be wrapped on its own.
+    # One update per accepted delivery, whatever the number of protocols, under
+    # the first one's name, so each protocol's update rule can be wrapped on its own.
     calls = {GRADES: 0, PISYNC: 0}
 
     def counting(proto):
@@ -573,23 +566,24 @@ def test_each_lane_updates_through_its_first_protocols_name(
 
     monkeypatch.setattr(sim, "grades_on_message", counting(GRADES))
     monkeypatch.setattr(sim, "pisync_on_message", counting(PISYNC))
-    trace = run(SimConfig(**{**SAMPLING_BASE, "protocols": protocols, "step_size": steps}))
+    trace = run(SimConfig(**{**SAMPLING_BASE, "protocols": protocols}))
     accepted = trace.meta["deliveries"]["accepted"]
     assert accepted > 100
     assert calls == {p: accepted * k for p, k in per_delivery.items()}
 
 
 @pytest.mark.parametrize("seed", range(3, 8))
-def test_equal_fractions_of_the_limits_run_one_trajectory_on_default_fig3(seed):
-    # fig3 starts both protocols at 1/64 of their stability limits: equal gains,
-    # so both lanes make the same float operations on the same inputs.
+def test_both_protocols_run_one_trajectory_on_default_fig3(seed):
+    # fig3 starts both protocols at 1/64 of their stability limits: one gain,
+    # computed once, and each protocol's steps in its own units.
     config = multihop_config({**SCENARIOS["fig3-multihop"].defaults, "seed": seed})
+    assert config.step_fraction == 1.0 / 64
     b, f0 = config.beacon_period, config.nominal_freq
-    grades_gain, pisync_gain = (config.resolved_step_size(p) * error_scale(p, b, f0)
-                                for p in (GRADES, PISYNC))
-    assert grades_gain == pisync_gain
     trace = run(config)
-    assert trace.meta["lanes"] == ((GRADES, PISYNC),)  # one lane, computed once
+    first = {p: trace.node_events(2, p)[0] for p in (GRADES, PISYNC)}
+    assert first[GRADES].error == first[PISYNC].error
+    assert (first[GRADES].step_size * error_scale(GRADES, b, f0)
+            == pytest.approx(first[PISYNC].step_size, rel=1e-15))
     for arrays in (trace.readings, trace.rate_multipliers):
         assert np.array_equal(arrays[GRADES], arrays[PISYNC])
         assert not np.shares_memory(arrays[GRADES], arrays[PISYNC])  # copies, not views
@@ -609,7 +603,7 @@ def test_an_instant_sends_all_its_beacons_then_applies_their_deliveries_in_order
 
     monkeypatch.setattr(sim, "SyncEvent", counted)
     star = Topology(nodes=(1, 2, 3), edges=((1, 2), (1, 3)), reference=2)
-    trace = run(config(topology=star, step_size=0.25, duration=3.0))
+    trace = run(config(topology=star, step_fraction=0.25, duration=3.0))
     # The run builds no event; the first read builds them from the update log, once.
     assert built == []
     events = trace.events
@@ -628,7 +622,7 @@ def test_a_flood_reaching_a_node_twice_at_one_instant_is_applied_once():
     # at the same instant, one round after they do; only the first delivery counts.
     diamond = Topology(nodes=(1, 2, 3, 4), edges=((1, 2), (1, 3), (2, 4), (3, 4)))
     trace = run(config(topology=diamond, protocols=(GRADES, PISYNC), step_policy="adaptive",
-                       step_size=None, duration=12.0))
+                       duration=12.0))
     keys = [(e.node, e.protocol, e.seq) for e in trace.events]
     assert len(set(keys)) == len(keys) == 70
     for proto in (GRADES, PISYNC):
@@ -636,49 +630,39 @@ def test_a_flood_reaching_a_node_twice_at_one_instant_is_applied_once():
             assert [e.seq for e in trace.node_events(node, proto)] == list(range(1, last + 1))
 
 
-# One lane, and two lanes of unequal gains.
-BEACON_LANES = {
-    "one-lane": dict(protocols=(GRADES,), step_size=0.5),
-    "two-lanes": dict(protocols=(GRADES, PISYNC), step_size={GRADES: 0.3, PISYNC: 0.5}),
-}
 BEACON_DRIFTS = {1: ConstantDrift(3e-4), 2: ConstantDrift(-2e-4), 3: ConstantDrift(1e-4)}
 
 
 def applied(trace, node):
-    """(t, seq, hw, {protocol: (received, rate)}) of each update ``node`` applied, in order."""
-    deliveries, logs, _ = trace.update_log
+    """(t, seq, hw, (received, rate)) of each update ``node`` applied, in order."""
+    deliveries, log, _ = trace.update_log
     column = trace.node_column(node)
-    return [(deliveries[j], int(deliveries[j + 2]), deliveries[j + 3],
-             {p: (log[j], log[j + 1]) for p, log in zip(trace.protocols, logs)})
+    return [(deliveries[j], int(deliveries[j + 2]), deliveries[j + 3], (log[j], log[j + 1]))
             for j in range(0, len(deliveries), 4) if deliveries[j + 1] == column]
 
 
-@pytest.mark.parametrize("lanes", sorted(BEACON_LANES))
-def test_the_reference_beacons_a_new_seq_and_its_hardware_reading_on_every_lane(lanes):
+@pytest.mark.parametrize("protocols", [(GRADES,), (GRADES, PISYNC)])
+def test_the_reference_beacons_a_new_seq_and_its_hardware_reading(protocols):
     # Noise-free, so each reading received is the one the beacon carried.
-    trace = run(config(topology=Topology.line(3), drift=BEACON_DRIFTS, **BEACON_LANES[lanes]))
+    trace = run(config(topology=Topology.line(3), drift=BEACON_DRIFTS, protocols=protocols))
     updates = applied(trace, 2)
     assert [seq for _, seq, _, _ in updates] == list(range(1, 11))
-    for t, _, _, received in updates:
-        hw = reference_reading(Realization(BEACON_DRIFTS[1], 0), 1.0, 0.0, t)
-        assert [value for value, _ in received.values()] == [hw] * len(trace.protocols)
+    for t, _, _, (received, _) in updates:
+        assert received == reference_reading(Realization(BEACON_DRIFTS[1], 0), 1.0, 0.0, t)
 
 
-@pytest.mark.parametrize("lanes", sorted(BEACON_LANES))
-def test_a_relay_beacons_the_flood_it_holds_and_each_lanes_logical_reading(lanes):
-    # Node 2 sends node 3 the seq of its latest update before the beacon and,
-    # per lane, the clock that update left read at node 2's hardware reading.
-    trace = run(config(topology=Topology.line(3), drift=BEACON_DRIFTS, **BEACON_LANES[lanes]))
+@pytest.mark.parametrize("protocols", [(GRADES,), (GRADES, PISYNC)])
+def test_a_relay_beacons_the_flood_it_holds_and_its_logical_reading(protocols):
+    # Node 2 sends node 3 the seq of its latest update before the beacon and
+    # the clock that update left read at node 2's hardware reading.
+    trace = run(config(topology=Topology.line(3), drift=BEACON_DRIFTS, protocols=protocols))
     relayed, held = applied(trace, 3), applied(trace, 2)
     assert [seq for _, seq, _, _ in relayed] == list(range(1, 10))
-    for t, seq, _, received in relayed:
-        t_at, seq_at, hw_at, clock = [u for u in held if u[0] < t][-1]
+    for t, seq, _, (received, _) in relayed:
+        t_at, seq_at, hw_at, (value, rate) = [u for u in held if u[0] < t][-1]
         assert seq == seq_at
         hw = reference_reading(Realization(BEACON_DRIFTS[2], 0), 1.0, 0.0, t)
-        assert received == {p: (logical_reading((*clock[p], hw_at), hw), received[p][1])
-                            for p in trace.protocols}
-    if lanes == "two-lanes":  # each lane carries its own reading
-        assert any(r[GRADES][0] != r[PISYNC][0] for _, _, _, r in relayed)
+        assert received == logical_reading((value, rate, hw_at), hw)
 
 
 @pytest.mark.parametrize("kind", ["constant", "piecewise"])
@@ -695,7 +679,7 @@ def test_trace_hw_rates_are_the_drift_models_rates_at_every_sample(kind):
     }
     trace = run(config(
         topology=Topology.line(4), duration=30.0, nominal_freq=f0,
-        beacon_period=0.75, drift=models, step_policy="adaptive", step_size=None,
+        beacon_period=0.75, drift=models, step_policy="adaptive",
         phase_mode="random"))
     assert 5.0 in trace.times.tolist()
     for col, u in enumerate(trace.node_ids):
@@ -719,7 +703,7 @@ def test_one_drawn_model_gives_each_node_its_own_realization_as_its_string_did(k
     # (30.25 s span 31 of them), or one for all time.
     model = {"white": WhiteDrift(0.5), "random-constant": RandomConstantDrift(0.5)}[kind]
     cfg = config(topology=Topology.line(4), duration=30.0, nominal_freq=1e3, beacon_period=0.75,
-                 drift=model, step_policy="adaptive", step_size=None, phase_mode="random")
+                 drift=model, step_policy="adaptive", phase_mode="random")
     trace = run(cfg)
     assert trace_digest(trace) == DRAWN_DRIFT_SHA256[kind]
     children = np.random.SeedSequence(cfg.seed).spawn(4)[3].spawn(4)
@@ -795,17 +779,19 @@ def test_a_run_reports_the_seconds_of_each_phase():
 def test_sample_grid_is_bounded_before_it_is_allocated(monkeypatch):
     monkeypatch.setitem(sim.BUDGETS, sim.CELLS, 22)
     # A beacon period of 3 samples every 1.0: 11 samples fill the budget with 2 nodes.
-    assert run(config(beacon_period=3.0, step_size=0.1)).readings[GRADES].shape == (11, 2)
+    assert run(config(beacon_period=3.0, step_fraction=B3_FRACTION)).readings[GRADES].shape == (
+        11, 2)
     with pytest.raises(ValueError, match="^parameter nodes must be at most 1 for duration=11 "
                                          "sampled every 1, got 2$"):
-        run(config(beacon_period=3.0, step_size=0.1, duration=11.0))
+        run(config(beacon_period=3.0, step_fraction=B3_FRACTION, duration=11.0))
 
 
 def test_sample_grid_bound_holds_past_float_range():
     with pytest.raises(ValueError, match="^parameter duration is too large: even nodes=1 for "
                                          "duration=1e[+]300 sampled every 3.33333e-301 asks for "
                                          "more than 20000000 trace cells"):
-        run(config(duration=1e300, beacon_period=1e-300))
+        # pisync's step size limit there, 2e300, is finite; grades' is not.
+        run(config(duration=1e300, beacon_period=1e-300, protocols=(PISYNC,)))
 
 
 def test_the_trace_size_rule_names_the_largest_value_that_fits(monkeypatch):
@@ -865,13 +851,13 @@ def test_message_drops_thin_out_sync_events():
     assert 0 < len(dropped.node_events(2, GRADES)) < 30
 
 
-@pytest.mark.parametrize("protocol, step, drift, policy, told", [
+@pytest.mark.parametrize("protocol, fraction, drift, policy, told", [
     # A stable step still fails when one error is large: 0.9 * 2 * 0.6 > 1.
     (GRADES, 0.9, ConstantDrift(0.6), "fixed",
      "node 2 at t=1: grades rate multiplier driven to -0.0800000000000003 by step size 0.9 "
      "(below its limit 1.0) on a sync error of 0.6000000000000001 ticks, 1.6 rounds after"),
     # The same failure in pisync's units, whose limit is 2 / (B * f0).
-    (PISYNC, 1.8, ConstantDrift(0.6), "fixed",
+    (PISYNC, 0.9, ConstantDrift(0.6), "fixed",
      "node 2 at t=1: pisync rate multiplier driven to -0.0800000000000003 by step size 1.8 "
      "(below its limit 2.0) on a sync error of 0.6000000000000001 ticks, 1.6 rounds after"),
     # An adaptive step grown to its limit is mis-scaled for the error it meets.
@@ -881,9 +867,9 @@ def test_message_drops_thin_out_sync_events():
      "1.9 rounds after"),
 ])
 def test_a_driven_rate_names_node_time_protocol_step_limit_error_and_rounds(
-    protocol, step, drift, policy, told
+    protocol, fraction, drift, policy, told
 ):
-    cfg = config(drift={2: drift}, protocols=(protocol,), step_size=step,
+    cfg = config(drift={2: drift}, protocols=(protocol,), step_fraction=fraction,
                  step_policy=policy)
     with pytest.raises(ContractViolation) as raised:
         run(cfg)
@@ -891,15 +877,15 @@ def test_a_driven_rate_names_node_time_protocol_step_limit_error_and_rounds(
 
 
 @pytest.mark.parametrize("protocols", [(GRADES, PISYNC), (PISYNC, GRADES)])
-@pytest.mark.parametrize("steps, drift, policy, told", [
-    ({GRADES: 0.9, PISYNC: 1.8}, ConstantDrift(0.6), "fixed", {
+@pytest.mark.parametrize("fraction, drift, policy, told", [
+    (0.9, ConstantDrift(0.6), "fixed", {
         GRADES: "node 2 at t=1: grades rate multiplier driven to -0.0800000000000003 by step "
                 "size 0.9 (below its limit 1.0) on a sync error of 0.6000000000000001 ticks, "
                 "1.6 rounds after the node's last update",
         PISYNC: "node 2 at t=1: pisync rate multiplier driven to -0.0800000000000003 by step "
                 "size 1.8 (below its limit 2.0) on a sync error of 0.6000000000000001 ticks, "
                 "1.6 rounds after the node's last update"}),
-    ({GRADES: 1.0, PISYNC: 2.0}, PiecewiseDrift(((0.0, 0.2), (2.0, 0.9))), "adaptive", {
+    (1.0, PiecewiseDrift(((0.0, 0.2), (2.0, 0.9))), "adaptive", {
         GRADES: "node 2 at t=3: grades rate multiplier driven to -0.2773333333333331 by step "
                 "size 1.0 (mis-scaled; its limit is 1.0) on a sync error of 0.5453333333333332 "
                 "ticks, 1.9 rounds after the node's last update",
@@ -907,25 +893,25 @@ def test_a_driven_rate_names_node_time_protocol_step_limit_error_and_rounds(
                 "size 2.0 (mis-scaled; its limit is 2.0) on a sync error of 0.5453333333333332 "
                 "ticks, 1.9 rounds after the node's last update"}),
 ])
-def test_a_shared_lane_tells_a_driven_rate_as_its_first_protocol(
-    protocols, steps, drift, policy, told
-):
-    # Equal gains share a lane; its failure is told as the first protocol in
+def test_two_protocols_tell_a_driven_rate_as_the_first(protocols, fraction, drift, policy, told):
+    # Both run one trajectory; its failure is told as the first protocol in
     # config order, in that protocol's step units, as when it runs alone.
-    cfg = config(drift={2: drift}, protocols=protocols, step_size=steps,
+    cfg = config(drift={2: drift}, protocols=protocols, step_fraction=fraction,
                  step_policy=policy)
     with pytest.raises(ContractViolation) as raised:
         run(cfg)
     assert str(raised.value) == told[protocols[0]]
 
 
-def test_a_fixed_step_reads_back_as_configured_up_to_one_ulp():
-    # At f0 = 1e3 grades' error scale is 2,000, not a power of two: the step
-    # 1e-9 becomes the gain 2e-6, which reads back over the scale one ulp off.
-    step, scale = 1e-9, error_scale(GRADES, 1.0, 1e3)
-    told = (step * scale) / scale
+def test_a_fixed_step_reads_back_as_its_fraction_of_the_limit_up_to_one_ulp():
+    # At f0 = 1e3 grades' error scale is 2,000, not a power of two: the fraction
+    # 1e-3 of the gain limit 2e-3 reads back over the scale one ulp off the step
+    # 1e-3 of grades' step size limit, 1e-9.
+    fraction, scale = 1e-3, error_scale(GRADES, 1.0, 1e3)
+    step = fraction * step_size_limit(GRADES, 1.0, 1e3)
+    told = (fraction * gain_limit(1.0, 1e3)) / scale
     assert told != step and abs(told - step) <= math.ulp(step)
-    trace = run(config(topology=Topology.line(3), nominal_freq=1e3, step_size=step))
+    trace = run(config(topology=Topology.line(3), nominal_freq=1e3, step_fraction=fraction))
     assert len(trace.events) >= 18  # nodes 2 and 3 take each of the 9 or 10 floods
     assert {e.step_size for e in trace.events} == {told}
     assert trace.meta["final_state"][GRADES]["step_size"] == (told,) * 3
@@ -934,7 +920,7 @@ def test_a_fixed_step_reads_back_as_configured_up_to_one_ulp():
 @pytest.mark.parametrize("entry", ["beacon", "delivery"])
 def test_contract_violation_names_the_node_whose_event_raised(entry, monkeypatch):
     # A beacon's failure is its sender's, a delivery's its receiver's.
-    cfg = config(topology=Topology.line(3), duration=5.0, step_size=0.1)
+    cfg = config(topology=Topology.line(3), duration=5.0, step_fraction=0.1)
     if entry == "beacon":
         # Aligned phases and no drift: at t = 1 node 2 takes flood 1 from the
         # reference, at the hardware reading 1 + 1.5 injected here.  At t = 2
@@ -979,13 +965,13 @@ def test_the_final_state_shows_a_collapsed_adaptive_step():
     final = trace.meta["final_state"][GRADES]
     assert final == {"step_size": (last.step_size,) * 3,
                      "rate_multiplier": (last.rate_multiplier,) * 3}
-    assert 0 < last.step_size < cfg.resolved_step_size(GRADES) * 1e-6
+    assert 0 < last.step_size < cfg.step_fraction * step_size_limit(GRADES, 1.0, 1.0) * 1e-6
 
 
 def test_the_final_state_spans_every_node_but_the_reference():
     drift = {2: ConstantDrift(1e-3), 3: ConstantDrift(2e-3), 4: ConstantDrift(-1e-3)}
     trace = run(config(topology=Topology.line(4), drift=drift,
-                       protocols=(GRADES, PISYNC), step_size={GRADES: 0.25, PISYNC: 0.5},
+                       protocols=(GRADES, PISYNC), step_fraction=0.25,
                        duration=60.0))
     for proto, step in ((GRADES, 0.25), (PISYNC, 0.5)):
         final = trace.meta["final_state"][proto]
@@ -1153,7 +1139,12 @@ def test_readme_states_the_package_line_count():
     assert int(stated[1].replace(",", "")) == lines
 
 
-def test_readme_library_example_runs():
+def test_readme_library_example_runs(capsys):
+    # The code block under the "## Library example" heading, run as written.
     readme = Path(__file__).resolve().parents[1] / "README.md"
-    example = readme.read_text().split("```python\n", 1)[1].split("```", 1)[0]
+    section = readme.read_text().split("\n## Library example\n", 1)[1].split("\n## ", 1)[0]
+    example = section.split("```python\n", 1)[1].split("```", 1)[0]
+    assert "SimConfig(" in example
     exec(compile(example, str(readme), "exec"), {})
+    skews = [float(x) for x in capsys.readouterr().out.split()]
+    assert len(skews) == 2 and all(math.isfinite(x) and x >= 0 for x in skews)
