@@ -23,7 +23,7 @@ import numpy as np
 from . import sim
 from .analysis import SystemParams, estimate_variance_mc, variance
 from .clocks import ConstantDrift, PiecewiseDrift, RandomConstantDrift, WhiteDrift
-from .protocols import GRADES, PISYNC, step_size_limit
+from .protocols import GRADES, PISYNC, error_scale, step_size_limit
 from .sim import (
     SimConfig,
     SkewTrace,
@@ -47,6 +47,7 @@ pisync_variance = partial(variance, protocol=PISYNC)
 
 # A grades step at B = f0 = 1, where its limit is 1: the step is its fraction of the limit.
 _FIXED_STEP = f"(0, {step_size_limit(GRADES, 1.0, 1.0):g})"
+_GRADES_SCALE = error_scale(GRADES, 1.0, 1.0)  # a gain over it is the two-node runs' step
 _PPM_BELOW_NOMINAL = "(-1e6, 1e6)"  # a drift whose deviation stays below f0 = 1
 _B_OR_F0 = "[1e-60, 1e60]"  # keeps (B * f0)**2, in grades' step limit, finite and above 0
 
@@ -56,8 +57,8 @@ def write_summary_csv(path: Path, summary: dict) -> None:
     write_csv(path, ("metric", "value"), rows)
 
 
-def report_summary(trace: SkewTrace, protocol: str) -> dict:
-    """Convergence time plus the mean and largest skew after it, for one protocol.
+def report_summary(trace: SkewTrace) -> dict:
+    """Convergence time plus the mean and largest skew after it.
 
     "Converged" means the skew has settled to within 3x the median of its own
     last quarter.  A run that never settles (or only settles in its final
@@ -65,7 +66,7 @@ def report_summary(trace: SkewTrace, protocol: str) -> dict:
     converged, convergence_time, post_mean and post_max, in that order.
     """
     times = trace.times
-    skew = trace.global_skew(protocol)
+    skew = trace.global_skew()
     tail = skew[times >= times[-1] * 0.75]
     conv = convergence_time(times, skew, 3.0 * _median(tail))
     if conv is None or conv > times[-1] * 0.75:
@@ -128,7 +129,7 @@ def _run_pairwise(params: dict, out: Path) -> dict:
     write_trace_csv(trace, out / "trace.csv")
     write_skew_csv(trace, out / "skew.csv")
     col = trace.node_column(2)
-    rates, hw = trace.rate_multipliers[GRADES][:, col], trace.hw_rates[:, col]
+    rates, hw = trace.rate_multipliers[:, col], trace.hw_rates[:, col]
     eff = rates * hw  # node 2's logical tick rate per sample
     rows = ((t, t / 1.0, rates[i], hw[i], eff[i], 1.0) for i, t in enumerate(trace.times))
     write_csv(
@@ -176,7 +177,7 @@ def stepsize_series_stats(events: list, rounds: int, tol: float) -> dict:
         "convergence_round": min(hits) if hits else None,
         "steady_error_std": float(np.std(steady, ddof=1)) if len(steady) > 1 else float("nan"),
         "steady_error_mean_abs": float(np.mean(np.abs(steady))) if steady else float("nan"),
-        "final_step_size": events[-1].step_size,
+        "final_step_size": events[-1].gain / _GRADES_SCALE,
     }
 
 
@@ -186,11 +187,11 @@ def _run_stepsize(params: dict, out: Path) -> dict:
     summary: dict = {"error_tolerance": tol}
     for label, config in configs.items():
         trace = run(config)
-        events = trace.node_events(2, GRADES)
+        events = trace.node_events(2)
         write_csv(
             out / f"errors_{label}.csv",
             ("round", "t_seconds", "error", "step_size", "rate_multiplier"),
-            [(e.seq, e.time, e.error, e.step_size, e.rate_multiplier) for e in events],
+            [(e.seq, e.time, e.error, e.gain / _GRADES_SCALE, e.rate_multiplier) for e in events],
             comments=(f"unit_mode=normalized", f"seed={params['seed']}", f"series={label}"),
         )
         stats = stepsize_series_stats(events, rounds, tol)
@@ -240,21 +241,18 @@ def _run_multihop(params: dict, out: Path) -> dict:
                              lambda s: s * work, f" for nodes={params['nodes']}, "
                              f"duration={config.duration:g} and beacon_period="
                              f"{config.beacon_period:g}", least=1, other="duration")
-    per_seed: dict[str, list[dict]] = {GRADES: [], PISYNC: []}
-    summary: dict = {}
+    reps, summary = [], {}
     for seed in range(config.seed, config.seed + count):
         trace = run(replace(config, seed=seed))
         if seed == config.seed:
             write_trace_csv(trace, out / "trace.csv")
             write_skew_csv(trace, out / "skew.csv")
+        reps.append(report_summary(trace))  # of the one trajectory both protocols run
         for proto in (GRADES, PISYNC):
-            rep = report_summary(trace, proto)
-            per_seed[proto].append(rep)
-            for stat, value in rep.items():
+            for stat, value in reps[-1].items():
                 summary[f"seed{seed}.{proto}.{stat}"] = value
         del trace  # so the next seed's run does not hold this one's arrays and log
     for proto in (GRADES, PISYNC):
-        reps = per_seed[proto]
         summary[f"{proto}.all_converged"] = all(r["converged"] for r in reps)
         summary[f"{proto}.mean_post_mean"] = float(np.mean([r["post_mean"] for r in reps]))
         summary[f"{proto}.mean_post_max"] = float(np.mean([r["post_max"] for r in reps]))
@@ -306,7 +304,7 @@ def scaling_experiment(params: dict) -> list[tuple[int, int, float]]:
                 protocols=(GRADES,), step_policy="fixed",
                 step_fraction=params["step_size"], phase_mode="staggered", seed=s))
             steady = trace.times >= trace.times[-1] * 0.5
-            rows.append((d, s, float(trace.global_skew(GRADES)[steady].mean())))
+            rows.append((d, s, float(trace.global_skew()[steady].mean())))
             del trace  # so the next run does not hold this one's arrays and log
     return rows
 

@@ -6,10 +6,12 @@ one rule, ``protocols.update``, with one gain bound, ``protocols.gain_limit``,
 and start every node at ``step_fraction`` of that bound, so they run one
 trajectory: ``run`` keeps it as five flat float lists by node position
 (value, rate, hw_at, gain, error), updates them under the first protocol's
-name and reports each protocol's step as the gain over its
-``protocols.error_scale``.  A node broadcasts whenever its *own* hardware
-clock crosses a multiple of beacon_period * nominal_freq ticks; the reference
-node stamps each of its broadcasts with a fresh flood sequence number.
+name, and its trace holds it once for all of them.  A gain becomes a
+protocol's step size, the gain over its ``protocols.error_scale``, only in
+``meta["final_state"]`` and in a driven-rate error.  A node broadcasts
+whenever its *own* hardware clock crosses a multiple of beacon_period *
+nominal_freq ticks; the reference node stamps each of its broadcasts with a
+fresh flood sequence number.
 Broadcasts are delivered to every neighbor at the emission instant, with an
 independent Gaussian noise draw per receiver added to the payload clock value
 (noise perturbs the reported value, not the delivery time, so negative draws
@@ -27,7 +29,7 @@ the hardware grid comes from the table after the loop, and the logical
 readings from the update log, as ``value + rate * (hw - hw_at)``.
 So sampling changes no event of a run.  The log, (t, node position, seq, hw)
 and (received, rate, error, gain) per accepted delivery, is the one record of
-updates; ``SkewTrace.events`` reads it on first access.
+updates; ``SkewTrace.events`` reads it on first access, one event per update.
 
 Determinism: all randomness comes from numpy generators spawned off a single
 SeedSequence(config.seed), one stream per purpose (phases, delays, drops, one
@@ -38,14 +40,14 @@ values in neighbor order, and last the deliveries those beacons made, in the
 order they were sent; ``SkewTrace.events`` lists the accepted ones in that
 order.  So a beacon always carries its sender's pre-instant state and floods
 propagate one hop per round even with perfectly aligned clocks.  Identical
-configs produce bit-identical traces, and a protocol's trace does not depend
-on which other protocols are enabled alongside it.
+configs produce bit-identical traces, whichever protocols they name.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import time
 from array import array
 from collections import deque
@@ -63,12 +65,13 @@ from .protocols import GRADES, PISYNC, PROTOCOLS, error_scale, gain_limit, step_
 on_beacon_tick = None
 
 # The most a run may ask for, by what it counts; each check names the
-# parameter that asked and the largest value that fits.  A trace cell takes 8
-# bytes of hardware reading, 8 of hardware rate, 16 per protocol for its reading
-# and rate, and up to 16 more while the readings are assembled: 160 MB per array
-# at the bound (a 2,000-node line over 20 rounds needs 122k cells); each accepted
-# delivery keeps 64 bytes of log as long as its trace.  No budget counts a
-# white-drift clock's table: about 88 bytes per unit segment of the run, plus 64
+# parameter that asked and the largest value that fits.  A trace cell keeps 24
+# bytes, 8 each of hardware rate, logical reading and rate, however many
+# protocols run, and takes about 58 at the peak, while the readings are
+# assembled (tracemalloc, one two-protocol fig3 run on a 4,000-node line):
+# 160 MB per array at the bound (a 2,000-node line over 20 rounds needs 122k
+# cells); each accepted delivery keeps 64 bytes of log as long as its trace.
+# No budget counts a white-drift clock's table: about 88 bytes per unit segment of the run, plus 64
 # while its drawn pieces are turned into the table.  A Monte-Carlo trial takes 610-720 bytes for its noise block and temporaries and
 # 45 more per path: about 770 for two protocols, under 400 MB at the bound.  At
 # BENCH_25.json's rates (fig3 448k node-rounds a second, theory-check 60.5M draws,
@@ -231,60 +234,59 @@ class SimConfig:
             raise ValueError("drop_probability must be in [0, 1)")
         if isinstance(self.drift, dict) and (bad := set(self.drift) - set(self.topology.nodes)):
             raise ValueError(f"drift keys {sorted(bad, key=repr)} are not topology nodes")
+        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):  # numpy's too
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
 class SyncEvent:
-    """One accepted sync message: who corrected, by how much, with what step.
+    """One accepted sync message: who corrected, by how much, with what gain.
 
-    ``step_size`` is the gain over the protocol's error scale: a fixed step is
-    ``step_fraction`` times the protocol's step size limit, up to an ulp.
+    ``gain`` is the same for every protocol of the run; a protocol's step size
+    is the gain over its ``protocols.error_scale``.  A fixed gain is
+    ``step_fraction`` times ``protocols.gain_limit``.
     """
 
     time: float
     node: int
-    protocol: str
     seq: int
     error: float
-    step_size: float
+    gain: float
     rate_multiplier: float
 
 
 @dataclass
 class SkewTrace:
-    """Sampled logical readings (and rates) for every node and protocol."""
+    """A run's one trajectory, sampled for every node: the same for each of ``protocols``."""
 
     times: np.ndarray
     node_ids: tuple[int, ...]
     protocols: tuple[str, ...]
-    readings: dict[str, np.ndarray]  # (samples, nodes) logical ticks
-    rate_multipliers: dict[str, np.ndarray]
+    readings: np.ndarray  # (samples, nodes) logical ticks
+    rate_multipliers: np.ndarray  # (samples, nodes)
     hw_rates: np.ndarray  # (samples, nodes) instantaneous hardware frequency
     meta: dict = field(default_factory=dict)
-    update_log: tuple = field(default=((), (), ()), repr=False)  # (deliveries, log, scales)
+    update_log: tuple = field(default=((), ()), repr=False)  # (deliveries, log)
 
     def node_column(self, node: int) -> int:
         return self.node_ids.index(node)
 
-    def global_skew(self, protocol: str) -> np.ndarray:
-        vals = self.readings[protocol]
-        return vals.max(axis=1) - vals.min(axis=1)
+    def global_skew(self) -> np.ndarray:
+        return self.readings.max(axis=1) - self.readings.min(axis=1)
 
     @cached_property
     def events(self) -> list[SyncEvent]:
-        """Every accepted update, read from the update log: by delivery, then by protocol."""
-        deliveries, log, scales = self.update_log
+        """Every accepted update, read from the update log, in the order applied."""
+        deliveries, log = self.update_log
         events = []
         for j in range(0, len(deliveries), 4):
             t, i, seq, _ = deliveries[j:j + 4]
             _, rate, error, gain = log[j:j + 4]
-            for p, scale in zip(self.protocols, scales):
-                events.append(SyncEvent(t, self.node_ids[int(i)], p, int(seq), error,
-                                        gain / scale, rate))
+            events.append(SyncEvent(t, self.node_ids[int(i)], int(seq), error, gain, rate))
         return events
 
-    def node_events(self, node: int, protocol: str) -> list[SyncEvent]:
-        return [e for e in self.events if e.node == node and e.protocol == protocol]
+    def node_events(self, node: int) -> list[SyncEvent]:
+        return [e for e in self.events if e.node == node]
 
 
 def convergence_time(times, skew, threshold: float) -> float | None:
@@ -359,11 +361,11 @@ def run(config: SimConfig) -> SkewTrace:
     repeated floods.  ``meta["phase_s"]`` holds the seconds of set-up, the
     event loop and trace assembly.  ``meta["final_state"]`` gives each
     protocol's (min, median, max) step size and rate multiplier over the
-    nodes but the reference at the end (NaNs if there are none).  Every
-    protocol runs the one trajectory, each with its own copy of the readings.
-    Raises ContractViolation annotated with node id and event time if an
-    update breaks its contract, a driven rate told as the first protocol, in
-    its step units.
+    nodes but the reference at the end (NaNs if there are none).  The trace
+    holds the one trajectory every protocol runs, once.  Raises
+    ContractViolation annotated with node id and event time if an update
+    breaks its contract, a driven rate told as the first protocol, in its
+    step units.
     """
     run_start = time.perf_counter()
     topo = config.topology
@@ -416,7 +418,7 @@ def run(config: SimConfig) -> SkewTrace:
     # The flat node state (value, rate, hw_at, gain, error), the update log and the
     # first protocol's update rule, looked up here, at run time.  Clocks start at
     # their hardware reading.
-    first, *others = config.protocols
+    first = config.protocols[0]
     rule = {GRADES: grades_on_message, PISYNC: pisync_on_message}[first]
     scales = [error_scale(p, b, f0) for p in config.protocols]
     gain_max = gain_limit(b, f0)
@@ -482,12 +484,9 @@ def run(config: SimConfig) -> SkewTrace:
         raise ContractViolation(f"node {nodes[who]} at t={t:.9g}: {err}") from err
     loop_end = time.perf_counter()
     hw_grid, hw_rates_out = clocks.sample(np.arange(n), times[:, None])
-    readings_out = {first: np.empty_like(hw_grid)}
-    rates_out = {first: np.empty_like(hw_grid)}
+    readings_out, rates_out = np.empty_like(hw_grid), np.empty_like(hw_grid)
     _assemble(np.array([hw0, [1.0] * n, hw0]).T, deliveries, log, times, hw_grid,
-              readings_out[first], rates_out[first])
-    for p in others:  # copies, so that editing one protocol's arrays edits no other's
-        readings_out[p], rates_out[p] = readings_out[first].copy(), rates_out[first].copy()
+              readings_out, rates_out)
     assembly_end = time.perf_counter()
 
     return SkewTrace(
@@ -510,7 +509,7 @@ def run(config: SimConfig) -> SkewTrace:
                                 "rate_multiplier": _spread(rates, ref)}
                             for p, scale in zip(config.protocols, scales)},
         },
-        update_log=(deliveries, log, tuple(scales)),
+        update_log=(deliveries, log),
     )
 
 
@@ -558,7 +557,8 @@ def write_trace_csv(trace: SkewTrace, path) -> None:
     """Per-node logical readings: t_seconds,node_id,protocol,logical_ticks.
 
     Streamed a sample row at a time, each from one %-template built once, with
-    a line per protocol and node and the time left as NUL, filled in by one ``%``.
+    a line per protocol and node and the time left as NUL, filled in by one ``%``:
+    every protocol's lines carry the one readings array.
     """
     with open(path, "w") as fh:
         _write_head(
@@ -566,12 +566,12 @@ def write_trace_csv(trace: SkewTrace, path) -> None:
         )
         template = "".join([f"\0,{u},{p},%.9g\n" for p in trace.protocols for u in trace.node_ids])
         for i, t in enumerate(trace.times):
-            row = sum([trace.readings[p][i].tolist() for p in trace.protocols], [])
+            row = trace.readings[i].tolist() * len(trace.protocols)
             fh.write(template.replace("\0", _fmt(t)) % tuple(row))
 
 
 def write_skew_csv(trace: SkewTrace, path) -> None:
-    """Global skew series: t_seconds,protocol,global_skew_ticks."""
-    skews = {p: trace.global_skew(p) for p in trace.protocols}
-    rows = ((t, p, skews[p][i]) for i, t in enumerate(trace.times) for p in trace.protocols)
+    """Global skew series: t_seconds,protocol,global_skew_ticks, one skew under each protocol."""
+    skew = trace.global_skew()
+    rows = ((t, p, skew[i]) for i, t in enumerate(trace.times) for p in trace.protocols)
     write_csv(path, ("t_seconds", "protocol", "global_skew_ticks"), rows, _meta_comments(trace))

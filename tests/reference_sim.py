@@ -127,7 +127,11 @@ def _phases(config: SimConfig, nodes, round_ticks: float, rng) -> list[float]:
 
 
 def reference_run(config: SimConfig) -> dict:
-    """The trace of ``config`` as a dict of ``SkewTrace`` fields, plus ``deliveries``."""
+    """The trace of ``config`` as a dict of ``SkewTrace`` fields, plus ``deliveries``.
+
+    Each protocol runs its own lane: ``readings``, ``rate_multipliers`` and
+    ``events`` map each protocol to its lane's arrays and ``SyncEvent`` list.
+    """
     topo = config.topology
     nodes = sorted(topo.nodes)
     n = len(nodes)
@@ -149,11 +153,9 @@ def reference_run(config: SimConfig) -> dict:
         return reference_reading(drifts[i], f0, phases[i], t)
 
     # Per protocol and node: the logical clock (value, rate, hw_at), gain and last error.
-    # Every protocol starts at the one gain, step_fraction of the one stability bound;
-    # its step size is the gain over the protocol's error scale.
+    # Every protocol starts at the one gain, step_fraction of the one stability bound.
     logical = [[(hardware(i, 0.0), 1.0, hardware(i, 0.0)) for i in range(n)]
                for _ in config.protocols]
-    scales = [error_scale(p, b, f0) for p in config.protocols]
     gain_max = 2.0 / (b * f0)  # one stability bound on the gain, for either protocol
     gains = [[config.step_fraction * gain_max] * n for _ in config.protocols]
     errors = [[0.0] * n for _ in config.protocols]
@@ -169,7 +171,8 @@ def reference_run(config: SimConfig) -> dict:
     readings = {p: np.empty(shape) for p in config.protocols}
     rates = {p: np.empty(shape) for p in config.protocols}
     hw_rates = np.empty(shape)
-    events, counts = [], {"accepted": 0, "stale": 0, "dropped": 0}
+    events = {p: [] for p in config.protocols}
+    counts = {"accepted": 0, "stale": 0, "dropped": 0}
 
     def take_sample(k: int) -> None:
         for i in range(n):
@@ -224,7 +227,7 @@ def reference_run(config: SimConfig) -> dict:
                 except ContractViolation as err:
                     raise ContractViolation(f"node {nodes[v]} at t={t:.9g}: {err}") from err
                 logical[lane][v], gains[lane][v], errors[lane][v] = clock, gain, error
-                events.append(SyncEvent(t, nodes[v], p, seq, error, gain / scales[lane], clock[1]))
+                events[p].append(SyncEvent(t, nodes[v], seq, error, gain, clock[1]))
     for k in range(k, n_samples):
         take_sample(k)
     return {"times": np.array(times), "node_ids": tuple(nodes), "readings": readings,

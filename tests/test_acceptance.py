@@ -62,7 +62,7 @@ def _simulated_decay_ratios(protocol: str, lam: float) -> list[float]:
         phase_mode="aligned",
         seed=0,
     )
-    errs = [e.error for e in sim.run(cfg).node_events(2, protocol)]
+    errs = [e.error for e in sim.run(cfg).node_events(2)]
     # An error of exactly 0 (a deadbeat step) has no decay ratio after it: count it as infinite.
     return [errs[k + 1] / errs[k] if errs[k] else math.inf for k in range(1, 7)]
 
@@ -206,7 +206,7 @@ def _relock_rounds(seed: int, **change) -> int | None:
               "delay_std": 100e-6 / 30, "step_size": 0.5, "seed": seed}
     trace = sim.run(replace(pairwise_config(params), **change))
     col = trace.node_column(2)
-    eff = trace.rate_multipliers[GRADES][:, col] * trace.hw_rates[:, col]
+    eff = trace.rate_multipliers[:, col] * trace.hw_rates[:, col]
     return pairwise_convergence(trace.times, eff, 150.0, 25e-6)[1]
 
 
@@ -337,8 +337,8 @@ def criterion_10() -> tuple[bool, str]:
     grades_gain_max = step_size_limit(GRADES, 1.0, 1.0) * error_scale(GRADES, 1.0, 1.0)
 
     # Stale floods are discarded: on a diamond, where node 4 hears every flood
-    # from nodes 2 and 3 at the same instant, each node applies each flood once
-    # per protocol, in strictly rising sequence order.
+    # from nodes 2 and 3 at the same instant, each node applies each flood once,
+    # in strictly rising sequence order.
     diamond = sim.run(
         SimConfig(
             topology=Topology(nodes=(1, 2, 3, 4), edges=((1, 2), (1, 3), (2, 4), (3, 4))),
@@ -349,12 +349,11 @@ def criterion_10() -> tuple[bool, str]:
             phase_mode="aligned",
         )
     )
-    keys = [(e.node, e.protocol, e.seq) for e in diamond.events]
+    keys = [(e.node, e.seq) for e in diamond.events]
     checks.append(len(set(keys)) == len(keys))
     for node in (2, 3, 4):
-        for proto in (GRADES, PISYNC):
-            seqs = [e.seq for e in diamond.node_events(node, proto)]
-            checks.append(bool(seqs) and all(a < b for a, b in zip(seqs, seqs[1:])))
+        seqs = [e.seq for e in diamond.node_events(node)]
+        checks.append(bool(seqs) and all(a < b for a, b in zip(seqs, seqs[1:])))
 
     # An accepted message lands the logical clock exactly on the payload: the
     # error is the reading before the jump, and the clock the simulator keeps,
@@ -387,8 +386,7 @@ def criterion_10() -> tuple[bool, str]:
         )
     )
     ref_col = trace.node_column(1)
-    checks.append(bool(np.all(trace.rate_multipliers[GRADES][:, ref_col] == 1.0)))
-    checks.append(bool(np.all(trace.rate_multipliers[PISYNC][:, ref_col] == 1.0)))
+    checks.append(bool(np.all(trace.rate_multipliers[:, ref_col] == 1.0)))
     checks.append(not [e for e in trace.events if e.node == 1])
 
     return all(checks), (f"{sum(checks)}/{len(checks)} checks: stale-flood discard, exact "

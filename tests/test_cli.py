@@ -494,7 +494,7 @@ def test_every_simconfig_field_takes_two_values_across_the_default_scenarios(
                *scenarios.stepsize_configs(defaults["fig2-stepsize"]).values(),
                *[scenarios.multihop_config({**fig3, "seed": fig3["seed"] + i})
                  for i in range(fig3["seeds"])]]
-    flat = SimpleNamespace(times=np.zeros(1), global_skew=lambda protocol: np.ones(1))
+    flat = SimpleNamespace(times=np.zeros(1), global_skew=lambda: np.ones(1))
     monkeypatch.setattr(scenarios, "run", lambda config: configs.append(config) or flat)
     SCENARIOS["scaling"].runner(defaults["scaling"], tmp_path)
     assert len(configs) == 1 + 4 + 5 + 40

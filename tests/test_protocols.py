@@ -308,9 +308,8 @@ def test_sequence_numbers_never_decrease_and_stale_floods_are_noops(chords, phas
         seed=seed,
     ))
     for u in range(2, 7):
-        for proto in (GRADES, PISYNC):
-            seqs = [e.seq for e in trace.node_events(u, proto)]
-            assert seqs == sorted(set(seqs))
+        seqs = [e.seq for e in trace.node_events(u)]
+        assert seqs == sorted(set(seqs))
 
 
 @settings(max_examples=150, deadline=None)

@@ -159,6 +159,11 @@ def test_sim_config_validation():
     # A dict key the run would ignore leaves its default in place: no drift.
     with pytest.raises(ValueError, match=r"drift keys \[9\]"):
         config(topology=Topology.line(3), drift={9: ConstantDrift(1e-4)})
+    # A seed is refused where it is set, not where the run first draws from it.
+    for bad in (-1, 1.5):
+        with pytest.raises(ValueError, match=rf"^seed must be an integer >= 0, got {bad}$"):
+            config(seed=bad)
+    assert config(seed=np.int64(4)).seed == 4
 
 
 @pytest.mark.parametrize("drift", [
@@ -199,10 +204,12 @@ def test_a_step_fraction_is_the_start_gain_of_every_protocol():
                              ("fixed", 0.25)):
         trace = run(config(protocols=(GRADES, PISYNC), step_policy=policy,
                            step_fraction=fraction, duration=1.0))
-        assert len(trace.events) == 2  # one delivery, at t = 1
+        assert len(trace.events) == 1  # one delivery, at t = 1
         shrink = 3.0 if policy == "adaptive" else 1.0  # no error yet: an adaptive step shrinks
-        for e in trace.events:
-            assert e.step_size == fraction * 2.0 / shrink / error_scale(e.protocol, 1.0, 1.0)
+        assert trace.events[0].gain == fraction * 2.0 / shrink
+        for p in (GRADES, PISYNC):
+            step = fraction * 2.0 / shrink / error_scale(p, 1.0, 1.0)
+            assert trace.meta["final_state"][p]["step_size"] == (step,) * 3
 
 
 @pytest.mark.parametrize("protocol, beacon_period", [(GRADES, 1e-300), (PISYNC, 1e-320)])
@@ -216,7 +223,7 @@ def test_a_config_whose_step_limit_is_not_finite_is_refused(protocol, beacon_per
 
 def test_identical_noise_free_clocks_stay_at_zero_skew():
     trace = run(config(duration=12.0))
-    assert np.all(trace.global_skew(GRADES) == 0.0)
+    assert np.all(trace.global_skew() == 0.0)
     assert all(e.error == 0.0 for e in trace.events)
 
 
@@ -224,7 +231,7 @@ def test_random_phases_converge_to_near_zero_skew_without_noise():
     # step 0.5 at unit round geometry zeroes the rate error after two
     # accepted messages; afterwards the logical clocks agree to rounding.
     trace = run(config(phase_mode="random", duration=12.0, seed=11))
-    skew = trace.global_skew(GRADES)
+    skew = trace.global_skew()
     late = trace.times >= 3.0
     assert skew[late].max() < 1e-9
     assert skew[0] > 1e-3  # the random phase gap is visible before syncing
@@ -232,11 +239,11 @@ def test_random_phases_converge_to_near_zero_skew_without_noise():
 
 def test_constant_drift_is_corrected_and_events_are_recorded():
     trace = run(config(drift={2: ConstantDrift(1e-4)}, duration=12.0))
-    events = trace.node_events(2, GRADES)
+    events = trace.node_events(2)
     assert [e.seq for e in events] == list(range(1, len(events) + 1))
     assert events[0].error == pytest.approx(1e-4, rel=1e-6)
     assert abs(events[-1].error) < 1e-12
-    assert trace.global_skew(GRADES)[-1] < 1e-9
+    assert trace.global_skew()[-1] < 1e-9
 
 
 def test_reference_node_never_adjusts_itself():
@@ -251,12 +258,12 @@ def test_reference_node_never_adjusts_itself():
     )
     trace = run(cfg)
     col = trace.node_column(1)
-    assert np.all(trace.rate_multipliers[GRADES][:, col] == 1.0)
+    assert np.all(trace.rate_multipliers[:, col] == 1.0)
     assert not [e for e in trace.events if e.node == 1]
     # Its logical reading is its hardware reading: phase + (f0 + dev) * t.
-    phase = trace.readings[GRADES][0, col]
+    phase = trace.readings[0, col]
     expected = phase + (1.0 + 3e-5) * trace.times
-    assert np.allclose(trace.readings[GRADES][:, col], expected, rtol=1e-12, atol=1e-9)
+    assert np.allclose(trace.readings[:, col], expected, rtol=1e-12, atol=1e-9)
 
 
 def test_trace_sampling_grid():
@@ -268,7 +275,7 @@ def test_trace_sampling_grid():
     assert trace.meta["unit_mode"] == "normalized"
     coarse = run(config(beacon_period=3.0, duration=10.0, step_fraction=B3_FRACTION))
     assert np.array_equal(coarse.times, np.arange(11.0))
-    assert coarse.readings[GRADES].shape == (11, 2)
+    assert coarse.readings.shape == (11, 2)
     assert coarse.hw_rates.shape == (11, 2)
 
 
@@ -285,7 +292,7 @@ def test_every_trace_samples_every_third_of_a_round_from_zero(beacon_period):
                        step_policy="adaptive", phase_mode="random"))
     assert trace.times.tolist() == [k * (beacon_period / 3.0) for k in range(n)]
     assert trace.times[-1] <= 12.0 + 1e-9
-    assert trace.readings[GRADES].shape == trace.hw_rates.shape == (n, 2)
+    assert trace.readings.shape == trace.hw_rates.shape == (n, 2)
 
 
 @pytest.mark.parametrize(
@@ -324,11 +331,11 @@ def test_identical_configs_give_bitwise_identical_traces():
     )
     a, b = run(cfg), run(cfg)
     assert np.array_equal(a.times, b.times)
-    assert np.array_equal(a.readings[GRADES], b.readings[GRADES])
-    assert np.array_equal(a.rate_multipliers[GRADES], b.rate_multipliers[GRADES])
+    assert np.array_equal(a.readings, b.readings)
+    assert np.array_equal(a.rate_multipliers, b.rate_multipliers)
     assert a.events == b.events
     c = run(config(**{**cfg.__dict__, "seed": 8}))
-    assert not np.array_equal(a.readings[GRADES], c.readings[GRADES])
+    assert not np.array_equal(a.readings, c.readings)
 
 
 # Each case: the step fraction and nominal_freq.  At f0 = 0.3 grades' error
@@ -339,11 +346,10 @@ ISOLATION_CASES = {
 }
 
 
-def _bits(trace, protocol):
-    """Everything ``run`` reports of one protocol, bitwise (``repr`` round-trips floats)."""
-    return (trace.readings[protocol].tobytes(), trace.rate_multipliers[protocol].tobytes(),
-            repr([e for e in trace.events if e.protocol == protocol]),
-            repr(trace.meta["final_state"][protocol]))
+def _bits(trace):
+    """The trajectory ``run`` reports, bitwise (``repr`` round-trips floats)."""
+    return (trace.readings.tobytes(), trace.rate_multipliers.tobytes(),
+            trace.hw_rates.tobytes(), repr(trace.events))
 
 
 @pytest.mark.parametrize("policy", ["fixed", "adaptive"])
@@ -365,7 +371,10 @@ def test_protocol_traces_do_not_depend_on_co_running_protocols(case, drop_probab
     )
     dual = run(config(protocols=(GRADES, PISYNC), **kw))
     for p in (GRADES, PISYNC):
-        assert _bits(dual, p) == _bits(run(config(protocols=(p,), **kw)), p)
+        single = run(config(protocols=(p,), **kw))
+        assert _bits(single) == _bits(dual)
+        # Each protocol's steps, in its own units, as when it runs alone.
+        assert repr(single.meta["final_state"][p]) == repr(dual.meta["final_state"][p])
 
 
 # A tree no scenario builds: ids that are neither contiguous nor sorted in the
@@ -402,12 +411,20 @@ ODD_TREE_SHA256 = {
 
 
 def trace_digest(trace: SkewTrace) -> str:
+    """SHA-256 of ``trace`` in the layout its hashes were recorded in: the arrays once per
+    protocol, then each event once per protocol, with its step, the gain over the error scale."""
     h = hashlib.sha256()
-    for proto in trace.protocols:
-        h.update(trace.readings[proto].tobytes())
-        h.update(trace.rate_multipliers[proto].tobytes())
+    for _ in trace.protocols:
+        h.update(trace.readings.tobytes())
+        h.update(trace.rate_multipliers.tobytes())
     h.update(trace.hw_rates.tobytes())
-    h.update(repr(trace.events).encode())
+    b, f0 = trace.meta["beacon_period"], trace.meta["nominal_freq"]
+    scales = [(p, error_scale(p, b, f0)) for p in trace.protocols]
+    events = [f"SyncEvent(time={e.time!r}, node={e.node!r}, protocol={p!r}, seq={e.seq!r}, "
+              f"error={e.error!r}, step_size={e.gain / scale!r}, "
+              f"rate_multiplier={e.rate_multiplier!r})"
+              for e in trace.events for p, scale in scales]
+    h.update(f"[{', '.join(events)}]".encode())
     return h.hexdigest()
 
 
@@ -511,21 +528,19 @@ def test_assembly_equals_reading_the_latest_logged_clock_at_each_sample(case, mo
     trace = run(SimConfig(**{**SAMPLING_BASE, **SAMPLING_CASES[case]}))
     assert len(assembled) == 1
     start, hw = assembled[0]
-    deliveries, log, _ = trace.update_log
-    for p in trace.protocols:
-        latest = start.tolist()
-        # (t, node position, the clock it leaves) of each update, in the order applied
-        pending = [(deliveries[j], int(deliveries[j + 1]),
-                    (log[j], log[j + 1], deliveries[j + 3]))
-                   for j in range(0, len(deliveries), 4)]
-        for r, t in enumerate(trace.times.tolist()):
-            while pending and pending[0][0] < t:
-                _, node, clock = pending.pop(0)
-                latest[node] = clock
-            assert trace.readings[p][r].tolist() == [logical_reading(c, h)
-                                                     for c, h in zip(latest, hw[r].tolist())]
-            assert trace.rate_multipliers[p][r].tolist() == [c[1] for c in latest]
-        assert all(u >= trace.times[-1] for u, _, _ in pending)  # what is left no sample sees
+    deliveries, log = trace.update_log
+    latest = start.tolist()
+    # (t, node position, the clock it leaves) of each update, in the order applied
+    pending = [(deliveries[j], int(deliveries[j + 1]), (log[j], log[j + 1], deliveries[j + 3]))
+               for j in range(0, len(deliveries), 4)]
+    for r, t in enumerate(trace.times.tolist()):
+        while pending and pending[0][0] < t:
+            _, node, clock = pending.pop(0)
+            latest[node] = clock
+        assert trace.readings[r].tolist() == [logical_reading(c, h)
+                                              for c, h in zip(latest, hw[r].tolist())]
+        assert trace.rate_multipliers[r].tolist() == [c[1] for c in latest]
+    assert all(u >= trace.times[-1] for u, _, _ in pending)  # what is left no sample sees
 
 
 def test_stale_floods_never_reach_the_update_rule(monkeypatch):
@@ -539,7 +554,7 @@ def test_stale_floods_never_reach_the_update_rule(monkeypatch):
 
     monkeypatch.setattr(sim, "grades_on_message", counted)
     trace = run(SimConfig(**{**SAMPLING_BASE, "topology": Topology.line(50), "duration": 60.0}))
-    applied = [(e.node, e.seq) for e in trace.events if e.protocol == GRADES]
+    applied = [(e.node, e.seq) for e in trace.events]
     assert len(calls) == len(applied) > 49 * 10
     assert len(set(applied)) == len(applied)
 
@@ -575,18 +590,17 @@ def test_each_delivery_updates_once_through_the_first_protocols_name(
 @pytest.mark.parametrize("seed", range(3, 8))
 def test_both_protocols_run_one_trajectory_on_default_fig3(seed):
     # fig3 starts both protocols at 1/64 of their stability limits: one gain,
-    # computed once, and each protocol's steps in its own units.
+    # one trajectory, and each protocol's final steps in its own units.
     config = multihop_config({**SCENARIOS["fig3-multihop"].defaults, "seed": seed})
     assert config.step_fraction == 1.0 / 64
     b, f0 = config.beacon_period, config.nominal_freq
     trace = run(config)
-    first = {p: trace.node_events(2, p)[0] for p in (GRADES, PISYNC)}
-    assert first[GRADES].error == first[PISYNC].error
-    assert (first[GRADES].step_size * error_scale(GRADES, b, f0)
-            == pytest.approx(first[PISYNC].step_size, rel=1e-15))
-    for arrays in (trace.readings, trace.rate_multipliers):
-        assert np.array_equal(arrays[GRADES], arrays[PISYNC])
-        assert not np.shares_memory(arrays[GRADES], arrays[PISYNC])  # copies, not views
+    assert trace.protocols == (GRADES, PISYNC)
+    assert trace.readings.shape == trace.rate_multipliers.shape == (len(trace.times), 20)
+    final = trace.meta["final_state"]
+    assert final[GRADES]["rate_multiplier"] == final[PISYNC]["rate_multiplier"]
+    for grades_step, pisync_step in zip(final[GRADES]["step_size"], final[PISYNC]["step_size"]):
+        assert grades_step * error_scale(GRADES, b, f0) == pytest.approx(pisync_step, rel=1e-15)
 
 
 def test_an_instant_sends_all_its_beacons_then_applies_their_deliveries_in_order_sent(
@@ -613,7 +627,7 @@ def test_an_instant_sends_all_its_beacons_then_applies_their_deliveries_in_order
         (2.0, 3, 1),
         (2.0, 1, 2),
     ]
-    own = {u: [(e.time, e.seq) for e in trace.node_events(u, GRADES)] for u in star.nodes}
+    own = {u: [(e.time, e.seq) for e in trace.node_events(u)] for u in star.nodes}
     assert own == {1: [(1.0, 1), (2.0, 2), (3.0, 3)], 2: [], 3: [(2.0, 1), (3.0, 2)]}
 
 
@@ -623,11 +637,10 @@ def test_a_flood_reaching_a_node_twice_at_one_instant_is_applied_once():
     diamond = Topology(nodes=(1, 2, 3, 4), edges=((1, 2), (1, 3), (2, 4), (3, 4)))
     trace = run(config(topology=diamond, protocols=(GRADES, PISYNC), step_policy="adaptive",
                        duration=12.0))
-    keys = [(e.node, e.protocol, e.seq) for e in trace.events]
-    assert len(set(keys)) == len(keys) == 70
-    for proto in (GRADES, PISYNC):
-        for node, last in ((2, 12), (3, 12), (4, 11)):
-            assert [e.seq for e in trace.node_events(node, proto)] == list(range(1, last + 1))
+    keys = [(e.node, e.seq) for e in trace.events]
+    assert len(set(keys)) == len(keys) == 35
+    for node, last in ((2, 12), (3, 12), (4, 11)):
+        assert [e.seq for e in trace.node_events(node)] == list(range(1, last + 1))
 
 
 BEACON_DRIFTS = {1: ConstantDrift(3e-4), 2: ConstantDrift(-2e-4), 3: ConstantDrift(1e-4)}
@@ -635,7 +648,7 @@ BEACON_DRIFTS = {1: ConstantDrift(3e-4), 2: ConstantDrift(-2e-4), 3: ConstantDri
 
 def applied(trace, node):
     """(t, seq, hw, (received, rate)) of each update ``node`` applied, in order."""
-    deliveries, log, _ = trace.update_log
+    deliveries, log = trace.update_log
     column = trace.node_column(node)
     return [(deliveries[j], int(deliveries[j + 2]), deliveries[j + 3], (log[j], log[j + 1]))
             for j in range(0, len(deliveries), 4) if deliveries[j + 1] == column]
@@ -737,15 +750,13 @@ def test_a_shorter_run_is_a_prefix_of_a_longer_one(case):
     # touches an event: halving the duration cuts the trace and the events.
     short, long = (run(SimConfig(**{**SAMPLING_BASE, **PREFIX_CASES[case], "duration": d}))
                    for d in (20.0, 40.0))
-    assert 100 < len(short.events) < len(long.events)
+    assert 50 < len(short.events) < len(long.events)
     assert long.events[:len(short.events)] == short.events
     rows = len(short.times)
     assert long.times[:rows].tobytes() == short.times.tobytes()
     assert long.hw_rates[:rows].tobytes() == short.hw_rates.tobytes()
-    for proto in short.protocols:
-        assert long.readings[proto][:rows].tobytes() == short.readings[proto].tobytes()
-        assert (long.rate_multipliers[proto][:rows].tobytes()
-                == short.rate_multipliers[proto].tobytes())
+    assert long.readings[:rows].tobytes() == short.readings.tobytes()
+    assert long.rate_multipliers[:rows].tobytes() == short.rate_multipliers.tobytes()
 
 
 def test_deliveries_are_counted_as_accepted_stale_or_dropped():
@@ -761,11 +772,11 @@ def test_deliveries_are_counted_as_accepted_stale_or_dropped():
     diamond = Topology(nodes=(1, 2, 3, 4), edges=((1, 2), (1, 3), (2, 4), (3, 4)))
     trace = run(config(topology=diamond, protocols=(GRADES, PISYNC), duration=12.0))
     assert trace.meta["deliveries"] == {"accepted": 35, "stale": 61, "dropped": 0}
-    assert len(trace.events) == 2 * 35
+    assert len(trace.events) == 35
     # Two nodes for 30 rounds: 60 messages, about half of them dropped.
     lossy = run(config(duration=30.0, drop_probability=0.5))
     counts = lossy.meta["deliveries"]
-    assert counts["accepted"] == len(lossy.node_events(2, GRADES))
+    assert counts["accepted"] == len(lossy.node_events(2))
     assert counts["dropped"] > 10 and counts["stale"] > 10
     assert sum(counts.values()) == 60
 
@@ -779,8 +790,7 @@ def test_a_run_reports_the_seconds_of_each_phase():
 def test_sample_grid_is_bounded_before_it_is_allocated(monkeypatch):
     monkeypatch.setitem(sim.BUDGETS, sim.CELLS, 22)
     # A beacon period of 3 samples every 1.0: 11 samples fill the budget with 2 nodes.
-    assert run(config(beacon_period=3.0, step_fraction=B3_FRACTION)).readings[GRADES].shape == (
-        11, 2)
+    assert run(config(beacon_period=3.0, step_fraction=B3_FRACTION)).readings.shape == (11, 2)
     with pytest.raises(ValueError, match="^parameter nodes must be at most 1 for duration=11 "
                                          "sampled every 1, got 2$"):
         run(config(beacon_period=3.0, step_fraction=B3_FRACTION, duration=11.0))
@@ -830,7 +840,7 @@ def test_the_trace_size_rule_names_the_largest_value_that_fits(monkeypatch):
 def test_floods_propagate_one_hop_per_round_with_aligned_phases():
     trace = run(config(topology=Topology.line(5), duration=10.0))
     for node, hop in ((2, 1), (3, 2), (4, 3), (5, 4)):
-        events = trace.node_events(node, GRADES)
+        events = trace.node_events(node)
         assert events[0].time == pytest.approx(float(hop), abs=1e-9)
         assert events[0].seq == 1
         assert [e.seq for e in events] == list(range(1, len(events) + 1))
@@ -838,7 +848,7 @@ def test_floods_propagate_one_hop_per_round_with_aligned_phases():
 
 def test_staggered_phases_sweep_the_whole_line_within_one_round():
     trace = run(config(topology=Topology.line(3), phase_mode="staggered", duration=8.0))
-    first_far = trace.node_events(3, GRADES)[0]
+    first_far = trace.node_events(3)[0]
     assert first_far.seq == 1
     assert first_far.time == pytest.approx(1.0 + 1.0 / 3.0, abs=1e-9)
 
@@ -847,8 +857,8 @@ def test_message_drops_thin_out_sync_events():
     kw = dict(duration=30.0, delay_std=0.0)
     clean = run(config(**kw))
     dropped = run(config(drop_probability=0.5, **kw))
-    assert len(clean.node_events(2, GRADES)) == 30
-    assert 0 < len(dropped.node_events(2, GRADES)) < 30
+    assert len(clean.node_events(2)) == 30
+    assert 0 < len(dropped.node_events(2)) < 30
 
 
 @pytest.mark.parametrize("protocol, fraction, drift, policy, told", [
@@ -913,7 +923,7 @@ def test_a_fixed_step_reads_back_as_its_fraction_of_the_limit_up_to_one_ulp():
     assert told != step and abs(told - step) <= math.ulp(step)
     trace = run(config(topology=Topology.line(3), nominal_freq=1e3, step_fraction=fraction))
     assert len(trace.events) >= 18  # nodes 2 and 3 take each of the 9 or 10 floods
-    assert {e.step_size for e in trace.events} == {told}
+    assert {e.gain / scale for e in trace.events} == {told}
     assert trace.meta["final_state"][GRADES]["step_size"] == (told,) * 3
 
 
@@ -961,11 +971,11 @@ def test_the_final_state_shows_a_collapsed_adaptive_step():
     # falls many orders of magnitude below where it started.
     cfg = config(step_policy="adaptive", delay_std=1e-3, duration=200.0)
     trace = run(cfg)
-    last = trace.node_events(2, GRADES)[-1]
+    last = trace.node_events(2)[-1]
+    step = last.gain / error_scale(GRADES, 1.0, 1.0)
     final = trace.meta["final_state"][GRADES]
-    assert final == {"step_size": (last.step_size,) * 3,
-                     "rate_multiplier": (last.rate_multiplier,) * 3}
-    assert 0 < last.step_size < cfg.step_fraction * step_size_limit(GRADES, 1.0, 1.0) * 1e-6
+    assert final == {"step_size": (step,) * 3, "rate_multiplier": (last.rate_multiplier,) * 3}
+    assert 0 < step < cfg.step_fraction * step_size_limit(GRADES, 1.0, 1.0) * 1e-6
 
 
 def test_the_final_state_spans_every_node_but_the_reference():
@@ -976,7 +986,7 @@ def test_the_final_state_spans_every_node_but_the_reference():
     for proto, step in ((GRADES, 0.25), (PISYNC, 0.5)):
         final = trace.meta["final_state"][proto]
         assert final["step_size"] == (step, step, step)
-        rates = sorted(trace.node_events(u, proto)[-1].rate_multiplier for u in (2, 3, 4))
+        rates = sorted(trace.node_events(u)[-1].rate_multiplier for u in (2, 3, 4))
         assert final["rate_multiplier"] == tuple(rates)  # the reference's 1.0 is left out
     single = run(config(topology=Topology.line(1))).meta["final_state"][GRADES]
     assert all(math.isnan(x) for x in single["step_size"] + single["rate_multiplier"])
@@ -992,11 +1002,11 @@ def test_global_skew_examples():
             times=np.arange(len(rows), dtype=float),
             node_ids=tuple(range(1, readings.shape[1] + 1)),
             protocols=(GRADES,),
-            readings={GRADES: readings},
-            rate_multipliers={GRADES: np.ones_like(readings)},
+            readings=readings,
+            rate_multipliers=np.ones_like(readings),
             hw_rates=np.ones_like(readings),
         )
-        return trace.global_skew(GRADES).tolist()
+        return trace.global_skew().tolist()
 
     assert skew([5.0, 3.0, 9.0], [4.0, 4.0, 4.0]) == [6.0, 0.0]
     assert skew([7.0], [2.0]) == [0.0, 0.0]
@@ -1023,8 +1033,8 @@ def test_steady_mean_skew_averages_the_trailing_window(monkeypatch):
         times=times,
         node_ids=(1, 2),
         protocols=(GRADES,),
-        readings={GRADES: np.column_stack([node1, node2])},
-        rate_multipliers={GRADES: np.ones((10, 2))},
+        readings=np.column_stack([node1, node2]),
+        rate_multipliers=np.ones((10, 2)),
         hw_rates=np.ones((10, 2)),
     )
     monkeypatch.setattr(scenarios, "run", lambda config: trace)
@@ -1104,7 +1114,7 @@ def test_trace_csv_rows_match_a_value_by_value_formatter(tmp_path):
     ])
     trace = SkewTrace(
         times=times, node_ids=node_ids, protocols=(GRADES, PISYNC),
-        readings={GRADES: values, PISYNC: -values[::-1]}, rate_multipliers={},
+        readings=values, rate_multipliers=np.ones(values.shape),
         hw_rates=np.ones(values.shape), meta={"seed": 4},
     )
     path = tmp_path / "trace.csv"
@@ -1112,7 +1122,7 @@ def test_trace_csv_rows_match_a_value_by_value_formatter(tmp_path):
     expected = ["# seed=4", "t_seconds,node_id,protocol,logical_ticks"]
     for i, t in enumerate(times.tolist()):
         for proto in trace.protocols:
-            for u, v in zip(node_ids, trace.readings[proto][i].tolist()):
+            for u, v in zip(node_ids, values[i].tolist()):
                 expected.append(f"{t:.9g},{u},{proto},{v:.9g}")
     assert path.read_text() == "\n".join(expected) + "\n"
 
