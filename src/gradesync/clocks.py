@@ -161,7 +161,7 @@ class ClockTable:
         starts = self._start_rows[row]
         i = bisect_right(starts, t) - 1
         j = row * self._width + i
-        return _reading(starts[i], self._rate_view[j], self._knot_view[j], t)
+        return self._knot_view[j] + self._rate_view[j] * (t - starts[i])
 
     def sample(self, rows, times) -> tuple[np.ndarray, np.ndarray]:
         """The readings and rates of clocks ``rows`` at ``times``, broadcast together."""
@@ -175,7 +175,8 @@ class ClockTable:
         return self._starts[i] + (ticks - self._knots[i]) / self._rates[i]
 
     def crossings(self, first, step: float, until: float):
-        """(time, row, reading) whenever a clock reaches a target up to ``until``, by time and row.
+        """The arrays (times, rows, readings) of every instant a clock reaches a target up to
+        ``until``, ordered by time and row.
 
         Row i's targets are ``first[i]`` (at least 0), then each previous one
         plus ``step``, one for each multiple of ``step`` from 0 to the highest
@@ -189,9 +190,7 @@ class ClockTable:
         times, node = when[due], np.nonzero(due)[0]
         order = np.lexsort((node, times))
         times, node = times[order], node[order]
-        columns = times, node, self.sample(node, times)[0]
-        for j in range(0, len(times), 1024):  # as Python values, 1024 at a time
-            yield from zip(*[c[j:j + 1024].tolist() for c in columns])
+        return times, node, self.sample(node, times)[0]
 
 
 def read_before_update(hw_now, hw_at_update) -> ContractViolation:

@@ -15,28 +15,31 @@ fresh flood sequence number.
 Broadcasts are delivered to every neighbor at the emission instant, with an
 independent Gaussian noise draw per receiver added to the payload clock value
 (noise perturbs the reported value, not the delivery time, so negative draws
-are fine).  A delivery is applied only if it carries a strictly newer
-sequence number than the receiver holds; a stale one changes nothing.
-Sequence numbers only grow, so a delivery whose receiver holds its flood when
-it is sent is stale at once, and a sender reads its logical clock only for a
-beacon some receiver can accept.
+are fine).  Each (beacon, neighbor) pair is a delivery slot, in send order;
+``run`` draws every slot's noise (and drop) in one call before the first
+beacon, the values one draw per receiver gives.  A delivery is applied only if
+it carries a strictly newer sequence number than the receiver holds; a stale
+one changes nothing.  Sequence numbers only grow, so a delivery whose receiver
+holds its flood when it is sent is stale at once, a beacon of seq 0 (from a
+node other than the reference that holds no flood yet) needs no receiver loop,
+and a sender reads its logical clock only for a beacon some receiver can accept.
 
 There is no event queue: hardware readings are a pure function of time, so the
 beacon schedule is known up front.  All clocks are one ``clocks.ClockTable``;
-its ``crossings`` give every beacon's instant and sender reading in (time,
-node id) order, computed in one pass.  Trace samples touch no clock:
-the hardware grid comes from the table after the loop, and the logical
-readings from the update log, as ``value + rate * (hw - hw_at)``.
-So sampling changes no event of a run.  The log, (t, node position, seq, hw)
-and (received, rate, error, gain) per accepted delivery, is the one record of
-updates; ``SkewTrace.events`` reads it on first access, one event per update.
+its ``crossings`` give every beacon's instant, sender and sender reading as
+arrays in (time, node id) order, computed in one pass.  Trace samples touch no
+clock: the hardware grid comes from the table after the loop, and the logical
+readings from the update log, as ``value + rate * (hw - hw_at)``.  So
+sampling changes no event of a run.  The log, one ``array('d')`` row (t, node
+position, seq, hw, received, rate, error, gain) per accepted delivery, is the
+one record of updates; ``SkewTrace.events`` reads it, one event per update.
 
 Determinism: all randomness comes from numpy generators spawned off a single
 SeedSequence(config.seed), one stream per purpose (phases, delays, drops, one
 drift stream per node).  Each instant t is handled whole, and a sample at t sees
 nothing of it: first every beacon due at t in node-id order, each built
-from its sender's state before t and drawing its receivers' noise and drop
-values in neighbor order, and last the deliveries those beacons made, in the
+from its sender's state before t and taking its receivers' noise and drop
+slots in neighbor order, and last the deliveries those beacons made, in the
 order they were sent; ``SkewTrace.events`` lists the accepted ones in that
 order.  So a beacon always carries its sender's pre-instant state and floods
 propagate one hop per round even with perfectly aligned clocks.  Identical
@@ -52,8 +55,7 @@ import time
 from array import array
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property, partial
-from operator import itemgetter
+from functools import cached_property
 
 import numpy as np
 
@@ -70,12 +72,15 @@ on_beacon_tick = None
 # protocols run, and takes about 58 at the peak, while the readings are
 # assembled (tracemalloc, one two-protocol fig3 run on a 4,000-node line):
 # 160 MB per array at the bound (a 2,000-node line over 20 rounds needs 122k
-# cells); each accepted delivery keeps 64 bytes of log as long as its trace.
-# No budget counts a white-drift clock's table: about 88 bytes per unit segment of the run, plus 64
-# while its drawn pieces are turned into the table.  A Monte-Carlo trial takes 610-720 bytes for its noise block and temporaries and
-# 45 more per path: about 770 for two protocols, under 400 MB at the bound.  At
-# BENCH_25.json's rates (fig3 448k node-rounds a second, theory-check 60.5M draws,
-# about one per path-round) the two work bounds take about 220 s and 33 s.
+# cells); each accepted delivery keeps 64 bytes of log as long as its trace,
+# and each delivery slot 8 bytes of noise, plus 1 with drops, only until the
+# event loop ends.  No budget counts a white-drift clock's table: about 88
+# bytes per unit segment of the run, plus 64 while its drawn pieces are turned
+# into the table.  A Monte-Carlo trial takes 610-720 bytes for its noise block
+# and temporaries and 45 more per path: about 770 for two protocols, under 400
+# MB at the bound.  At BENCH_25.json's rates (fig3 448k node-rounds a second,
+# theory-check 60.5M draws, about one per path-round) the two work bounds take
+# about 220 s and 33 s.
 BUDGETS = {
     "trace cells (samples x nodes)": 2 * 10**7,
     "Monte-Carlo paths (protocols x trials)": 5 * 10**5,
@@ -266,7 +271,7 @@ class SkewTrace:
     rate_multipliers: np.ndarray  # (samples, nodes)
     hw_rates: np.ndarray  # (samples, nodes) instantaneous hardware frequency
     meta: dict = field(default_factory=dict)
-    update_log: tuple = field(default=((), ()), repr=False)  # (deliveries, log)
+    update_log: array = field(default_factory=lambda: array("d"), repr=False)  # 8 per update row
 
     def node_column(self, node: int) -> int:
         return self.node_ids.index(node)
@@ -277,13 +282,9 @@ class SkewTrace:
     @cached_property
     def events(self) -> list[SyncEvent]:
         """Every accepted update, read from the update log, in the order applied."""
-        deliveries, log = self.update_log
-        events = []
-        for j in range(0, len(deliveries), 4):
-            t, i, seq, _ = deliveries[j:j + 4]
-            _, rate, error, gain = log[j:j + 4]
-            events.append(SyncEvent(t, self.node_ids[int(i)], int(seq), error, gain, rate))
-        return events
+        rows = np.frombuffer(self.update_log).reshape(-1, 8).tolist()
+        return [SyncEvent(t, self.node_ids[int(i)], int(seq), error, gain, rate)
+                for t, i, seq, _, _, rate, error, gain in rows]
 
     def node_events(self, node: int) -> list[SyncEvent]:
         return [e for e in self.events if e.node == node]
@@ -308,25 +309,19 @@ def convergence_time(times, skew, threshold: float) -> float | None:
     return float(times[last_bad + 1])
 
 
-def _draws(draw_block):
-    """Values of ``draw_block(1024)`` arrays in turn: a Generator's scalar draws, in order."""
-    return itertools.chain.from_iterable(iter(lambda: draw_block(1024).tolist(), None))
-
-
-def _assemble(start, deliveries, log, times, hw, readings, rates) -> None:
+def _assemble(start, log, times, hw, readings, rates) -> None:
     """Fill ``readings`` and ``rates`` from the start clocks and the update log.
 
     ``start`` holds the (value, rate, hw_at) clocks the nodes start with,
-    ``deliveries`` and ``log`` the update log (see the module docstring), an
-    update leaving the clock (received, rate, hw), and ``hw`` the (samples,
-    nodes) hardware readings at ``times``.  A sample at t reads ``value + rate *
-    (hw - hw_at)`` of the latest update before t, raising if hw < hw_at.
+    ``log`` the update log (see the module docstring), an update leaving the
+    clock (received, rate, hw), and ``hw`` the (samples, nodes) hardware
+    readings at ``times``.  A sample at t reads ``value + rate * (hw - hw_at)``
+    of the latest update before t, raising if hw < hw_at.
     """
     rows, n = hw.shape
-    deliveries = np.frombuffer(deliveries).reshape(-1, 4)
-    log = np.frombuffer(log).reshape(-1, 4)
-    table = np.concatenate((start, np.column_stack((log[:, :2], deliveries[:, 3]))))
-    keys = np.searchsorted(times, deliveries[:, 0], "right") * n + deliveries[:, 1].astype(int)
+    log = np.frombuffer(log).reshape(-1, 8)
+    table = np.concatenate((start, log[:, [4, 5, 3]]))
+    keys = np.searchsorted(times, log[:, 0], "right") * n + log[:, 1].astype(int)
     seen = keys < rows * n  # key k * n + node: k is the first sample that sees the update
     # pick[r, i]: row of ``table`` holding node i's clock at sample r.
     # Later updates have larger table rows, so a running maximum down each
@@ -355,17 +350,17 @@ def _spread(values: list, skip: int) -> tuple[float, float, float]:
 def run(config: SimConfig) -> SkewTrace:
     """Run the event simulation and return the sampled trace.
 
-    ``meta["deliveries"]`` counts every message a receiver's noise was drawn
-    for as ``accepted``, ``stale`` or ``dropped``.  ``stale`` includes every
-    delivery to the reference, which always holds the newest flood, not only
-    repeated floods.  ``meta["phase_s"]`` holds the seconds of set-up, the
-    event loop and trace assembly.  ``meta["final_state"]`` gives each
-    protocol's (min, median, max) step size and rate multiplier over the
-    nodes but the reference at the end (NaNs if there are none).  The trace
-    holds the one trajectory every protocol runs, once.  Raises
-    ContractViolation annotated with node id and event time if an update
-    breaks its contract, a driven rate told as the first protocol, in its
-    step units.
+    ``meta["deliveries"]`` counts every delivery slot as ``accepted``,
+    ``stale`` or ``dropped``.  ``stale`` includes every delivery to the
+    reference, which always holds the newest flood, not only repeated floods.
+    ``meta["phase_s"]`` holds the seconds of set-up (the beacon schedule and
+    the draws included), the event loop and trace assembly.
+    ``meta["final_state"]`` gives each protocol's (min, median, max) step size
+    and rate multiplier over the nodes but the reference at the end (NaNs if
+    there are none).  The trace holds the one trajectory every protocol runs,
+    once.  Raises ContractViolation annotated with node id and event time if
+    an update breaks its contract, a driven rate told as the first protocol,
+    in its step units.
     """
     run_start = time.perf_counter()
     topo = config.topology
@@ -425,36 +420,43 @@ def run(config: SimConfig) -> SkewTrace:
     hw0 = phases.tolist()  # each clock's reading at t = 0
     values, rates, hw_ats = list(hw0), [1.0] * n, list(hw0)
     gains, errors = [config.step_fraction * gain_max] * n, [0.0] * n
-    deliveries = array("d")  # (t, node position, seq, hw) of each accepted delivery
-    log = array("d")  # (received, rate, error, gain) of each accepted delivery
+    log = array("d")  # one row per accepted update, as the module docstring lists
     seqs = [0] * n  # the newest flood sequence number each node holds
-    # Receiver noise (and drop) draws, taken in blocks and used in draw order.
-    noises = _draws(partial(delay_rng.normal, 0.0, config.delay_std))
-    drops = _draws(drop_rng.random)
     # Every beacon up to ``duration``: a node beacons each time its clock
-    # reaches a multiple of round_ticks above its start reading.
-    beacons = clocks.crossings((np.floor(phases / round_ticks) + 1) * round_ticks, round_ticks,
+    # reaches a multiple of round_ticks above its start reading.  Each row is
+    # (time, sender, reading, whether it is the last beacon of its instant).
+    columns = clocks.crossings((np.floor(phases / round_ticks) + 1) * round_ticks, round_ticks,
                                duration)
-    stale = dropped = 0
+    columns += (np.append(columns[0][1:] != columns[0][:-1], True),)
+    beacons = itertools.chain.from_iterable(  # as Python values, 1024 rows at a time
+        zip(*[c[j:j + 1024].tolist() for c in columns]) for j in range(0, len(columns[0]), 1024))
+    # Each delivery slot's noise in ticks and drop: one slot per beacon and neighbour,
+    # in send order, read at a running slot index.
+    slots = int(np.array([len(vs) for vs in neighbors])[columns[1]].sum())
+    noise = delay_rng.normal(0.0, config.delay_std, slots)
+    noise = memoryview(np.multiply(noise, f0, out=noise))
+    drop = memoryview(drop_rng.random(slots) < p_drop) if p_drop > 0 else None
+    slot, dropped, sent = 0, 0, []
     setup_end = time.perf_counter()
 
     # One instant t at a time, as the module docstring states.
     try:
-        for t, instant in itertools.groupby(beacons, key=itemgetter(0)):
-            sent = []
-            for _, who, hw in instant:
-                seq = seqs[who]
-                if who == ref:
-                    seq = seqs[who] = seq + 1
+        for t, who, hw, last in beacons:
+            seq = seqs[who]
+            if who == ref:
+                seq = seqs[who] = seq + 1
+            if seq == 0:  # no flood to relay: stale at every receiver, or dropped
+                k = slot + len(neighbors[who])
+                dropped += sum(drop[slot:k]) if p_drop > 0 else 0
+                slot = k
+            else:
                 reading = None
                 for v in neighbors[who]:
-                    # Each receiver sees the same reading plus its own noise draw.
-                    noise = next(noises)
-                    if p_drop > 0 and next(drops) < p_drop:
+                    k, slot = slot, slot + 1
+                    if p_drop > 0 and drop[k]:
                         dropped += 1
                         continue
                     if seq <= seqs[v]:  # stale already: sequence numbers only grow
-                        stale += 1
                         continue
                     if reading is None:  # the sender's reading, read once
                         if who == ref:  # the reference advertises its hardware clock
@@ -463,31 +465,33 @@ def run(config: SimConfig) -> SkewTrace:
                             raise read_before_update(hw, hw_ats[who])
                         else:
                             reading = values[who] + rates[who] * (hw - hw_ats[who])
-                    sent.append((v, seq, reading + noise * f0))
-            # A delivery changes only its receiver's state and draws nothing.
-            for who, seq, received in sent:
-                if seq <= seqs[who]:  # stale: a flood this instant already brought
-                    stale += 1
-                    continue
-                seqs[who] = seq
-                hw = clocks.read(who, t)
-                error, gain, rate = rule(values[who], rates[who], hw_ats[who], gains[who],
-                                         errors[who], received, hw, gain_max, adaptive)
-                values[who], rates[who], hw_ats[who] = received, rate, hw
-                gains[who], errors[who] = gain, error
-                deliveries.fromlist([t, who, seq, hw])
-                log.fromlist([received, rate, error, gain])
+                    # Each receiver sees the same reading plus its own noise.
+                    sent.append((v, seq, reading + noise[k]))
+            if last and sent:  # the instant's deliveries, in the order sent: each
+                # changes only its receiver's state and draws nothing
+                for who, seq, received in sent:
+                    if seq <= seqs[who]:  # stale: a flood this instant already brought
+                        continue
+                    seqs[who] = seq
+                    hw = clocks.read(who, t)
+                    error, gain, rate = rule(values[who], rates[who], hw_ats[who], gains[who],
+                                             errors[who], received, hw, gain_max, adaptive)
+                    values[who], rates[who], hw_ats[who] = received, rate, hw
+                    gains[who], errors[who] = gain, error
+                    log.fromlist([t, who, seq, hw, received, rate, error, gain])
+                sent = []
     except DrivenRate as err:  # told in the first protocol's step units and in rounds
         text = err.text("step size", scales[0], "{:.9g} rounds", round_ticks)
         raise ContractViolation(f"node {nodes[who]} at t={t:.9g}: {first} {text}") from err
     except ContractViolation as err:
         raise ContractViolation(f"node {nodes[who]} at t={t:.9g}: {err}") from err
+    del columns, beacons, noise, drop  # the schedule and draws, before assembly
     loop_end = time.perf_counter()
     hw_grid, hw_rates_out = clocks.sample(np.arange(n), times[:, None])
     readings_out, rates_out = np.empty_like(hw_grid), np.empty_like(hw_grid)
-    _assemble(np.array([hw0, [1.0] * n, hw0]).T, deliveries, log, times, hw_grid,
-              readings_out, rates_out)
+    _assemble(np.array([hw0, [1.0] * n, hw0]).T, log, times, hw_grid, readings_out, rates_out)
     assembly_end = time.perf_counter()
+    accepted = len(log) // 8  # every other slot not dropped is stale
 
     return SkewTrace(
         times=times,
@@ -502,14 +506,15 @@ def run(config: SimConfig) -> SkewTrace:
             "seed": config.seed,
             "beacon_period": b,
             "nominal_freq": f0,
-            "deliveries": {"accepted": len(deliveries) // 4, "stale": stale, "dropped": dropped},
+            "deliveries": {"accepted": accepted, "stale": slots - accepted - dropped,
+                           "dropped": dropped},
             "phase_s": {"setup": setup_end - run_start, "loop": loop_end - setup_end,
                         "assembly": assembly_end - loop_end},
             "final_state": {p: {"step_size": _spread([g / scale for g in gains], ref),
                                 "rate_multiplier": _spread(rates, ref)}
                             for p, scale in zip(config.protocols, scales)},
         },
-        update_log=(deliveries, log),
+        update_log=log,
     )
 
 
@@ -556,22 +561,27 @@ def _meta_comments(trace: SkewTrace) -> list[str]:
 def write_trace_csv(trace: SkewTrace, path) -> None:
     """Per-node logical readings: t_seconds,node_id,protocol,logical_ticks.
 
-    Streamed a sample row at a time, each from one %-template built once, with
-    a line per protocol and node and the time left as NUL, filled in by one ``%``:
-    every protocol's lines carry the one readings array.
+    Streamed a sample row at a time: the row's readings are formatted once, by
+    one ``%``, and written under every protocol by a second, through a template
+    built once with a line per protocol and node and the time left as NUL.
     """
     with open(path, "w") as fh:
         _write_head(
             fh, ("t_seconds", "node_id", "protocol", "logical_ticks"), _meta_comments(trace)
         )
-        template = "".join([f"\0,{u},{p},%.9g\n" for p in trace.protocols for u in trace.node_ids])
+        template = "".join([f"\0,{u},{p},%s\n" for p in trace.protocols for u in trace.node_ids])
+        cells = "%.9g," * len(trace.node_ids)
         for i, t in enumerate(trace.times):
-            row = trace.readings[i].tolist() * len(trace.protocols)
-            fh.write(template.replace("\0", _fmt(t)) % tuple(row))
+            row = (cells % tuple(trace.readings[i].tolist())).split(",")[:-1]
+            fh.write(template.replace("\0", _fmt(t)) % tuple(row * len(trace.protocols)))
 
 
 def write_skew_csv(trace: SkewTrace, path) -> None:
     """Global skew series: t_seconds,protocol,global_skew_ticks, one skew under each protocol."""
-    skew = trace.global_skew()
-    rows = ((t, p, skew[i]) for i, t in enumerate(trace.times) for p in trace.protocols)
-    write_csv(path, ("t_seconds", "protocol", "global_skew_ticks"), rows, _meta_comments(trace))
+    line = "".join([f"%.9g,{p},%.9g\n" for p in trace.protocols])
+    pairs = np.tile(np.column_stack((trace.times, trace.global_skew())), len(trace.protocols))
+    with open(path, "w") as fh:
+        _write_head(fh, ("t_seconds", "protocol", "global_skew_ticks"), _meta_comments(trace))
+        for j in range(0, len(pairs), 1024):
+            block = pairs[j:j + 1024]
+            fh.write(line * len(block) % tuple(block.ravel().tolist()))

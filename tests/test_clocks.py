@@ -91,7 +91,8 @@ def test_crossings_are_every_running_sum_target_each_row_reaches():
             expected.append((t, row, clocks.read(row, t)))
             target += step
     assert [sum(r == row for _, r, _ in expected) for row in range(4)] == [1801, 200, 975, 928]
-    assert list(clocks.crossings(np.array(first), step, until)) == sorted(expected)
+    columns = clocks.crossings(np.array(first), step, until)  # (times, rows, readings)
+    assert list(zip(*[c.tolist() for c in columns])) == sorted(expected)
 
 
 @pytest.mark.parametrize("f0", [0.0, -1.0])

@@ -83,6 +83,18 @@ def _outcome(simulate, config):
     drift=WhiteDrift(1.0), protocols=(GRADES,), step_policy="fixed", step_fraction=0.3,
     phase_mode="random", seed=5,
 ))
+# Long lines for a few rounds: most beacons come from nodes that hold no flood
+# yet, which the run counts as stale or dropped without a receiver loop.
+@example(config=SimConfig(
+    Topology.line(40), beacon_period=1.0, duration=2.5, nominal_freq=1e3, delay_std=1e-3,
+    drift=WhiteDrift(1.0), protocols=(GRADES,), step_policy="fixed", step_fraction=0.3,
+    phase_mode="random", seed=8,
+))
+@example(config=SimConfig(
+    Topology.line(45), beacon_period=0.7, duration=3 * 0.7, nominal_freq=1e3, delay_std=1e-3,
+    drift=RandomConstantDrift(0.2), protocols=(GRADES, PISYNC), step_policy="adaptive",
+    step_fraction=0.5, phase_mode="random", drop_probability=0.3, seed=9,
+))
 # Rates driven below zero, told the same way: a stable pisync step, and an
 # adaptive grades step grown to its limit ("mis-scaled").
 @example(config=SimConfig(

@@ -496,13 +496,12 @@ def test_assembly_reads_each_sample_from_the_latest_update_it_sees():
         (1.0, 1, (9.0, 1.5, 8.0)),  # at the second sample: the third sees it
         (2.0, 0, (7.0, 2.0, 9.5)),  # at the last sample: no sample sees it
     ]
-    deliveries, log = array("d"), array("d")
+    log = array("d")  # one row per update; assembly skips its error and gain, -1 and 0.25
     for seq, (t, node, (value, rate, hw_at)) in enumerate(updates, 1):
-        deliveries.extend([t, node, seq, hw_at])
-        log.extend([value, rate, -1.0, 0.25])  # the error and gain, which assembly skips
+        log.extend([t, node, seq, hw_at, value, rate, -1.0, 0.25])
     hw = np.array([[0.0, 5.0], [3.0, 7.0], [4.0, 9.0]])
     readings, rates = np.empty((3, 2)), np.empty((3, 2))
-    sim._assemble(np.array(clocks), deliveries, log, times, hw, readings, rates)
+    sim._assemble(np.array(clocks), log, times, hw, readings, rates)
     expected = [[clocks[0], clocks[1]], [updates[1][2], clocks[1]], [updates[1][2], updates[2][2]]]
     for r, row in enumerate(expected):
         assert readings[r].tolist() == [logical_reading(c, h) for c, h in zip(row, hw[r])]
@@ -510,8 +509,8 @@ def test_assembly_reads_each_sample_from_the_latest_update_it_sees():
     # A sample whose hardware reading is below its clock's anchor breaks the contract.
     latest = np.array([updates[1][2], updates[2][2]])
     with pytest.raises(ContractViolation, match="before last update hw=8.0"):
-        sim._assemble(latest, array("d"), array("d"), times[:1], np.array([[4.0, 7.5]]),
-                      readings[:1], rates[:1])
+        sim._assemble(latest, array("d"), times[:1], np.array([[4.0, 7.5]]), readings[:1],
+                      rates[:1])
 
 
 @pytest.mark.parametrize("case", sorted(SAMPLING_CASES))
@@ -520,19 +519,19 @@ def test_assembly_equals_reading_the_latest_logged_clock_at_each_sample(case, mo
     # replay of the update log through the reference's logical reading.
     real, assembled = sim._assemble, []
 
-    def counted(start, deliveries, log, times, hw, readings, rates):
-        real(start, deliveries, log, times, hw, readings, rates)
+    def counted(start, log, times, hw, readings, rates):
+        real(start, log, times, hw, readings, rates)
         assembled.append((start, hw))
 
     monkeypatch.setattr(sim, "_assemble", counted)
     trace = run(SimConfig(**{**SAMPLING_BASE, **SAMPLING_CASES[case]}))
     assert len(assembled) == 1
     start, hw = assembled[0]
-    deliveries, log = trace.update_log
+    log = trace.update_log
     latest = start.tolist()
     # (t, node position, the clock it leaves) of each update, in the order applied
-    pending = [(deliveries[j], int(deliveries[j + 1]), (log[j], log[j + 1], deliveries[j + 3]))
-               for j in range(0, len(deliveries), 4)]
+    pending = [(log[j], int(log[j + 1]), (log[j + 4], log[j + 5], log[j + 3]))
+               for j in range(0, len(log), 8)]
     for r, t in enumerate(trace.times.tolist()):
         while pending and pending[0][0] < t:
             _, node, clock = pending.pop(0)
@@ -648,10 +647,10 @@ BEACON_DRIFTS = {1: ConstantDrift(3e-4), 2: ConstantDrift(-2e-4), 3: ConstantDri
 
 def applied(trace, node):
     """(t, seq, hw, (received, rate)) of each update ``node`` applied, in order."""
-    deliveries, log = trace.update_log
+    log = trace.update_log
     column = trace.node_column(node)
-    return [(deliveries[j], int(deliveries[j + 2]), deliveries[j + 3], (log[j], log[j + 1]))
-            for j in range(0, len(deliveries), 4) if deliveries[j + 1] == column]
+    return [(log[j], int(log[j + 2]), log[j + 3], (log[j + 4], log[j + 5]))
+            for j in range(0, len(log), 8) if log[j + 1] == column]
 
 
 @pytest.mark.parametrize("protocols", [(GRADES,), (GRADES, PISYNC)])
@@ -779,6 +778,14 @@ def test_deliveries_are_counted_as_accepted_stale_or_dropped():
     assert counts["accepted"] == len(lossy.node_events(2))
     assert counts["dropped"] > 10 and counts["stale"] > 10
     assert sum(counts.values()) == 60
+
+
+def test_the_update_log_holds_one_row_of_eight_per_accepted_delivery():
+    trace = run(config(topology=Topology.line(6), duration=20.0, phase_mode="random",
+                       step_fraction=0.05, drop_probability=0.3))
+    accepted = trace.meta["deliveries"]["accepted"]
+    assert accepted > 20
+    assert len(trace.update_log) == 8 * accepted == 8 * len(trace.events)
 
 
 def test_a_run_reports_the_seconds_of_each_phase():
