@@ -188,9 +188,9 @@ class ClockTable:
         when = self.time_of(rows[:, None], np.add.accumulate(sums, axis=1, out=sums))
         due = when <= until
         times, node = when[due], np.nonzero(due)[0]
-        order = np.lexsort((node, times))
-        times, node = times[order], node[order]
-        return times, node, self.sample(node, times)[0]
+        order = np.argsort(times, kind="stable")  # an instant's rows stay ascending
+        # Read in (row, time) order, so the lookups walk the table forward.
+        return times[order], node[order], self.sample(node, times)[0][order]
 
 
 def read_before_update(hw_now, hw_at_update) -> ContractViolation:

@@ -17,12 +17,13 @@ independent Gaussian noise draw per receiver added to the payload clock value
 (noise perturbs the reported value, not the delivery time, so negative draws
 are fine).  Each (beacon, neighbor) pair is a delivery slot, in send order;
 ``run`` draws every slot's noise (and drop) in one call before the first
-beacon, the values one draw per receiver gives.  A delivery is applied only if
-it carries a strictly newer sequence number than the receiver holds; a stale
-one changes nothing.  Sequence numbers only grow, so a delivery whose receiver
-holds its flood when it is sent is stale at once, a beacon of seq 0 (from a
-node other than the reference that holds no flood yet) needs no receiver loop,
-and a sender reads its logical clock only for a beacon some receiver can accept.
+beacon, the values one draw per receiver gives, and counts the drops at once.
+A delivery is applied only if it carries a strictly newer sequence number than
+the receiver holds; a stale one changes nothing.  Sequence numbers only grow,
+so a delivery whose receiver holds its flood when it is sent is stale at once,
+a beacon of seq 0 (from a non-reference node with no flood yet) only moves the
+slot index past its neighbors, and a sender reads its logical clock only when
+some receiver can accept.
 
 There is no event queue: hardware readings are a pure function of time, so the
 beacon schedule is known up front.  All clocks are one ``clocks.ClockTable``;
@@ -78,9 +79,9 @@ on_beacon_tick = None
 # bytes per unit segment of the run, plus 64 while its drawn pieces are turned
 # into the table.  A Monte-Carlo trial takes 610-720 bytes for its noise block
 # and temporaries and 45 more per path: about 770 for two protocols, under 400
-# MB at the bound.  At BENCH_25.json's rates (fig3 448k node-rounds a second,
-# theory-check 60.5M draws, about one per path-round) the two work bounds take
-# about 220 s and 33 s.
+# MB at the bound.  At BENCH_37.json's rates (fig3 670k node-rounds a second,
+# theory-check 57.8M draws, about one per path-round) the two work bounds take
+# about 150 s and 35 s.
 BUDGETS = {
     "trace cells (samples x nodes)": 2 * 10**7,
     "Monte-Carlo paths (protocols x trials)": 5 * 10**5,
@@ -431,12 +432,12 @@ def run(config: SimConfig) -> SkewTrace:
     beacons = itertools.chain.from_iterable(  # as Python values, 1024 rows at a time
         zip(*[c[j:j + 1024].tolist() for c in columns]) for j in range(0, len(columns[0]), 1024))
     # Each delivery slot's noise in ticks and drop: one slot per beacon and neighbour,
-    # in send order, read at a running slot index.
+    # in send order, read at a running slot index.  Every slot drawn to drop is dropped.
     slots = int(np.array([len(vs) for vs in neighbors])[columns[1]].sum())
     noise = delay_rng.normal(0.0, config.delay_std, slots)
     noise = memoryview(np.multiply(noise, f0, out=noise))
-    drop = memoryview(drop_rng.random(slots) < p_drop) if p_drop > 0 else None
-    slot, dropped, sent = 0, 0, []
+    drop = drop_rng.random(slots) < p_drop if p_drop > 0 else np.zeros(0, bool)
+    dropped, drop, slot, sent = int(np.count_nonzero(drop)), memoryview(drop), 0, []
     setup_end = time.perf_counter()
 
     # One instant t at a time, as the module docstring states.
@@ -446,18 +447,13 @@ def run(config: SimConfig) -> SkewTrace:
             if who == ref:
                 seq = seqs[who] = seq + 1
             if seq == 0:  # no flood to relay: stale at every receiver, or dropped
-                k = slot + len(neighbors[who])
-                dropped += sum(drop[slot:k]) if p_drop > 0 else 0
-                slot = k
+                slot += len(neighbors[who])
             else:
                 reading = None
                 for v in neighbors[who]:
                     k, slot = slot, slot + 1
-                    if p_drop > 0 and drop[k]:
-                        dropped += 1
-                        continue
-                    if seq <= seqs[v]:  # stale already: sequence numbers only grow
-                        continue
+                    if p_drop > 0 and drop[k] or seq <= seqs[v]:
+                        continue  # dropped, or stale already: sequence numbers only grow
                     if reading is None:  # the sender's reading, read once
                         if who == ref:  # the reference advertises its hardware clock
                             reading = hw
@@ -492,6 +488,7 @@ def run(config: SimConfig) -> SkewTrace:
     _assemble(np.array([hw0, [1.0] * n, hw0]).T, log, times, hw_grid, readings_out, rates_out)
     assembly_end = time.perf_counter()
     accepted = len(log) // 8  # every other slot not dropped is stale
+    rate_spread = _spread(rates, ref)  # the same for every protocol
 
     return SkewTrace(
         times=times,
@@ -511,7 +508,7 @@ def run(config: SimConfig) -> SkewTrace:
             "phase_s": {"setup": setup_end - run_start, "loop": loop_end - setup_end,
                         "assembly": assembly_end - loop_end},
             "final_state": {p: {"step_size": _spread([g / scale for g in gains], ref),
-                                "rate_multiplier": _spread(rates, ref)}
+                                "rate_multiplier": rate_spread}
                             for p, scale in zip(config.protocols, scales)},
         },
         update_log=log,

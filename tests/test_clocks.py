@@ -95,6 +95,23 @@ def test_crossings_are_every_running_sum_target_each_row_reaches():
     assert list(zip(*[c.tolist() for c in columns])) == sorted(expected)
 
 
+def test_rows_with_identical_clocks_share_every_instant_in_ascending_row_order():
+    # Four rows of one white-drift clock: every instant is reached by all four, and the
+    # schedule must list them as the naive per-row construction does, rows ascending.
+    step, until, rows = 0.7 * 3.0, 70.35, 4
+    clocks = table(3.0, [WhiteDrift(2.0)] * rows, [0.5] * rows, until, seeds=[5] * rows)
+    expected = []
+    for row in range(rows):  # one target at a time, by a running sum
+        target = 1.0
+        while (t := float(clocks.time_of(row, target))) <= until:
+            expected.append((t, row, clocks.read(row, t)))
+            target += step
+    times, order, readings = (c.tolist() for c in clocks.crossings(np.ones(rows), step, until))
+    assert len(times) == len(set(times)) * rows > 100
+    assert order == list(range(rows)) * (len(times) // rows)
+    assert list(zip(times, order, readings)) == sorted(expected)
+
+
 @pytest.mark.parametrize("f0", [0.0, -1.0])
 def test_clock_table_rejects_a_nominal_freq_that_is_not_positive(f0):
     with pytest.raises(ValueError, match="nominal_freq must be positive"):

@@ -81,8 +81,8 @@ def unread_names(sources: dict[str, str], exempt: set[str]) -> list[str]:
     """Every top-level function and class of the modules ``sources`` maps by name, and every
     non-dunder method, property and annotated field of those classes, that nothing in
     ``sources`` reads.  A top-level name is read by a ``Name`` or ``Attribute`` load, a member
-    only by an ``Attribute`` load.  A name is left out when ``exempt`` holds its dotted or its
-    bare name."""
+    only by an ``Attribute`` load.  A name is left out when ``exempt`` holds its dotted name,
+    or a top-level name's bare name, or a member's ``Class.member`` path."""
     names, attrs, defined = set(), set(), []
     for module, source in sources.items():
         tree = ast.parse(source)
@@ -94,7 +94,7 @@ def unread_names(sources: dict[str, str], exempt: set[str]) -> list[str]:
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            defined.append((f"{module}.{node.name}", node.name, False))
+            defined.append((f"{module}.{node.name}", node.name, node.name, False))
             for member in node.body if isinstance(node, ast.ClassDef) else ():
                 if isinstance(member, ast.AnnAssign) and isinstance(member.target, ast.Name):
                     name = member.target.id
@@ -103,9 +103,10 @@ def unread_names(sources: dict[str, str], exempt: set[str]) -> list[str]:
                     name = member.name
                 else:
                     continue
-                defined.append((f"{module}.{node.name}.{name}", name, True))
-    return [q for q, name, member in defined
-            if name not in (attrs if member else names | attrs) and not {q, name} & exempt]
+                path = f"{node.name}.{name}"
+                defined.append((f"{module}.{path}", path, name, True))
+    return [q for q, path, name, member in defined
+            if name not in (attrs if member else names | attrs) and not {q, path} & exempt]
 
 
 def test_the_check_sees_a_name_nothing_reads():
@@ -116,15 +117,33 @@ def test_the_check_sees_a_name_nothing_reads():
         "b": "from .a import g\nprint(C(), g, y, ob.x)\n",
     }
     # y is only loaded as a bare name, which cannot reach a member.
-    assert unread_names(sources, {"a.main", "f"}) == ["a.C.y", "a.C.__g", "a.h"]
+    assert unread_names(sources, {"a.main", "C.f"}) == ["a.C.y", "a.C.__g", "a.h"]
+
+
+def kept_for_the_tracer(targets) -> set[str]:
+    """What the tracer's ``targets`` keep: each top-level name bare, each member as
+    ``Class.member``, whichever module the tracer reaches it through."""
+    return {".".join(target.split(".")[1:depth]) for target in targets for depth in (2, 3)}
+
+
+def test_a_tracer_target_keeps_only_its_own_class_member():
+    sources = {"a": "class Clock:\n    def read(self): pass\n"
+                    "class Table:\n    def read(self): pass\n    def size(self): pass\n"
+                    "def run(): pass\n",
+               "b": "print(Clock, Table)\n"}
+    # A bare ``read`` from b.Clock.read would keep Table.read, which nothing reads.
+    kept = kept_for_the_tracer(["b.Clock.read", "b.run"])
+    assert kept == {"Clock", "Clock.read", "run"}
+    assert unread_names(sources, kept) == ["a.Table.read", "a.Table.size"]
+    assert unread_names(sources, {"read", "size", "run"}) == ["a.Clock.read", "a.Table.read",
+                                                              "a.Table.size"]
 
 
 # __init__.py re-exports names and so reads none; what the tracer wraps or reads is kept for
 # bench/, and cli.main is the console script.
 def test_every_name_in_the_package_is_read_in_the_package():
     sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py") if p.name != "__init__.py"}
-    exempt = {part for target in TARGETS for part in target.split(".")[1:]} | {"cli.main"}
-    assert unread_names(sources, exempt) == []
+    assert unread_names(sources, kept_for_the_tracer(TARGETS) | {"cli.main"}) == []
 
 
 # Deleted forks whose names bench/tracer.py still wraps, and the one line that binds each.
