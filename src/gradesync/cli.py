@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 2 usage error (unknown scenario/parameter, malformed
 --set or config file, a number that is not finite or lies outside its scenario's
-``ranges`` interval, unusable --out, a run over one of ``sim.BUDGETS``), 3 runtime
-contract violation inside a simulation.
+``ranges`` interval, unusable --out, an artifact that cannot be written, a run over
+one of ``sim.BUDGETS``), 3 runtime contract violation inside a simulation.
 """
 
 from __future__ import annotations
@@ -14,6 +14,14 @@ from pathlib import Path
 
 from .errors import ContractViolation
 from .scenarios import SCENARIOS, write_summary_csv
+
+
+def _pair(text: str, refusal: str) -> tuple[str, str]:
+    """``key=value`` text as a stripped (key, value) pair; ValueError(refusal) without ``=``."""
+    if "=" not in text:
+        raise ValueError(refusal)
+    key, value = text.split("=", 1)
+    return key.strip(), value.strip()
 
 
 def parse_config_file(path: Path) -> dict[str, str]:
@@ -27,10 +35,8 @@ def parse_config_file(path: Path) -> dict[str, str]:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        key, value = line.split("=", 1)
-        overrides[key.strip()] = value.strip()
+        key, value = _pair(line, f"{path}:{lineno}: expected key=value, got {raw!r}")
+        overrides[key] = value
     return overrides
 
 
@@ -87,11 +93,13 @@ def run_scenario(
         raise ValueError(f"cannot create output directory {out}: {err}") from err
     try:
         summary = scenario.runner(params, out)
-    except (ValueError, ContractViolation):  # a failed run leaves no empty directory behind
-        if made and not any(out.iterdir()):
+        write_summary_csv(out / "summary.csv", summary)
+    except (OSError, ValueError, ContractViolation) as err:
+        if made and not any(out.iterdir()):  # a failed run leaves no empty directory behind
             out.rmdir()
+        if isinstance(err, OSError):
+            raise ValueError(f"cannot write artifacts under {out}: {err}") from err
         raise
-    write_summary_csv(out / "summary.csv", summary)
     return summary
 
 
@@ -117,14 +125,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        overrides: dict[str, str] = {}
-        if args.config is not None:
-            overrides.update(parse_config_file(args.config))
-        for item in args.overrides:
-            if "=" not in item:
-                raise ValueError(f"--set expects key=value, got {item!r}")
-            key, value = item.split("=", 1)
-            overrides[key.strip()] = value.strip()
+        overrides = parse_config_file(args.config) if args.config is not None else {}
+        overrides.update(_pair(item, f"--set expects key=value, got {item!r}")
+                         for item in args.overrides)
         summary = run_scenario(args.scenario, overrides, args.out, seed=args.seed)
     except ValueError as err:  # bad input: a flag, a parameter or a value the run rejects
         print(f"error: {err}", file=sys.stderr)

@@ -21,9 +21,9 @@ beacon, the values one draw per receiver gives, and counts the drops at once.
 A delivery is applied only if it carries a strictly newer sequence number than
 the receiver holds; a stale one changes nothing.  Sequence numbers only grow,
 so a delivery whose receiver holds its flood when it is sent is stale at once,
-a beacon of seq 0 (from a non-reference node with no flood yet) only moves the
-slot index past its neighbors, and a sender reads its logical clock only when
-some receiver can accept.
+and a beacon of seq 0 (from a non-reference node with no flood yet) only moves
+the slot index past its neighbors; any other sender but the reference checks
+its clock against its last update and reads it once, before its slots.
 
 There is no event queue: hardware readings are a pure function of time, so the
 beacon schedule is known up front.  All clocks are one ``clocks.ClockTable``;
@@ -444,24 +444,20 @@ def run(config: SimConfig) -> SkewTrace:
     try:
         for t, who, hw, last in beacons:
             seq = seqs[who]
-            if who == ref:
+            if who == ref:  # a fresh flood, advertising the hardware clock
                 seq = seqs[who] = seq + 1
-            if seq == 0:  # no flood to relay: stale at every receiver, or dropped
+                reading = hw
+            elif seq == 0:  # no flood to relay: stale at every receiver, or dropped
                 slot += len(neighbors[who])
+            elif hw < hw_ats[who]:
+                raise read_before_update(hw, hw_ats[who])
             else:
-                reading = None
+                reading = values[who] + rates[who] * (hw - hw_ats[who])
+            if seq:
                 for v in neighbors[who]:
                     k, slot = slot, slot + 1
                     if p_drop > 0 and drop[k] or seq <= seqs[v]:
                         continue  # dropped, or stale already: sequence numbers only grow
-                    if reading is None:  # the sender's reading, read once
-                        if who == ref:  # the reference advertises its hardware clock
-                            reading = hw
-                        elif hw < hw_ats[who]:
-                            raise read_before_update(hw, hw_ats[who])
-                        else:
-                            reading = values[who] + rates[who] * (hw - hw_ats[who])
-                    # Each receiver sees the same reading plus its own noise.
                     sent.append((v, seq, reading + noise[k]))
             if last and sent:  # the instant's deliveries, in the order sent: each
                 # changes only its receiver's state and draws nothing

@@ -212,6 +212,14 @@ def test_main_out_at_a_regular_file_exits_2_naming_the_directory(tmp_path, capsy
     assert err.startswith(f"error: cannot create output directory {taken / 'fig1-pairwise'}: ")
 
 
+def test_an_artifact_that_cannot_be_written_exits_2_naming_the_directory(tmp_path, capsys):
+    (tmp_path / "fig1-pairwise" / "trace.csv").mkdir(parents=True)  # where a file must go
+    assert main(args_for(tmp_path, "--set", "rounds=8", "--set", "switch_round=3")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write artifacts under {tmp_path / 'fig1-pairwise'}: ")
+    assert (tmp_path / "fig1-pairwise" / "trace.csv").is_dir()
+
+
 def test_set_overrides_beat_config_file_values(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("rounds=9\nswitch_round=3\n")

@@ -972,6 +972,20 @@ def test_contract_violation_names_the_node_whose_event_raised(entry, monkeypatch
         run(cfg)
 
 
+def test_a_sender_checks_its_clock_even_when_every_slot_is_stale(monkeypatch):
+    # Aligned phases and no drift: at t = 2 node 3 takes flood 1 from node 2, at
+    # the hardware reading 2 + 1.5 injected here.  At t = 3 node 2 already holds
+    # flood 2, so node 3's one slot is stale; node 3 still reads its clock at
+    # 3 < 3.5 for its beacon, before any delivery of t = 3 runs.
+    # Unchecked, the run fails only in trace assembly, naming no node.
+    real = clocks.ClockTable.read
+    monkeypatch.setattr(clocks.ClockTable, "read",
+                        lambda self, row, t: real(self, row, t) + (1.5 if row == 2 else 0.0))
+    with pytest.raises(ContractViolation, match=r"^node 3 at t=3: logical read at hw=3\.0 "
+                                                r"before last update hw=3\.5$"):
+        run(config(topology=Topology.line(3), duration=5.0, step_fraction=0.1))
+
+
 def test_the_final_state_shows_a_collapsed_adaptive_step():
     # Under noise the sign rule divides the step by 3 about as often as it
     # doubles it, so over 200 rounds the step of the one non-reference node
