@@ -174,18 +174,16 @@ class ClockTable:
         i = np.searchsorted(self._knot_keys, _keyed(rows, ticks), side="right") - 1
         return self._starts[i] + (ticks - self._knots[i]) / self._rates[i]
 
-    def crossings(self, first, step: float, until: float):
-        """The arrays (times, rows, readings) of every instant a clock reaches a target up to
-        ``until``, ordered by time and row.
+    def crossings(self, step: float, until: float):
+        """The arrays (times, rows, readings) of every instant a clock reaches a whole number
+        of steps up to ``until``, ordered by time and row.
 
-        Row i's targets are ``first[i]`` (at least 0), then each previous one
-        plus ``step``, one for each multiple of ``step`` from 0 to the highest
-        reading at ``until``: every target a row can reach by then.
+        The targets are the running sums of ``step`` up to the highest reading at ``until``:
+        every one a row reaches if every row starts below one step, as ``sim.run``'s clocks do.
         """
-        rows = np.arange(len(first))
-        sums = np.full((len(first), int(self.sample(rows, until)[0].max() / step) + 1), step)
-        sums[:, 0] = first
-        when = self.time_of(rows[:, None], np.add.accumulate(sums, axis=1, out=sums))
+        rows = np.arange(len(self._start_rows))
+        targets = np.full(int(self.sample(rows, until)[0].max() / step) + 1, step)
+        when = self.time_of(rows[:, None], np.add.accumulate(targets, out=targets))
         due = when <= until
         times, node = when[due], np.nonzero(due)[0]
         order = np.argsort(times, kind="stable")  # an instant's rows stay ascending

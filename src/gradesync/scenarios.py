@@ -317,7 +317,9 @@ def _run_scaling(params: dict, out: Path) -> dict:
     for d in params["diameters"]:
         skews = np.array([m for dd, _, m in rows if dd == d])
         aggregate[d] = (float(skews.mean()), float(skews.std(ddof=1) if len(skews) > 1 else 0.0))
-    summary = dict(zip(("exponent", "intercept"), fit_power_exponent(aggregate)))
+    # A noise-free run can hold a diameter's skew at exactly 0: no power law then.
+    fit = fit_power_exponent(aggregate) if min(aggregate.values())[0] > 0 else (None, None)
+    summary = dict(zip(("exponent", "intercept"), fit))
     for d, (mean, std) in aggregate.items():
         summary |= {f"diameter{d}.mean_skew": mean, f"diameter{d}.std_skew": std}
     return summary

@@ -9,9 +9,9 @@ trajectory: ``run`` keeps it as five flat float lists by node position
 name, and its trace holds it once for all of them.  A gain becomes a
 protocol's step size, the gain over its ``protocols.error_scale``, only in
 ``meta["final_state"]`` and in a driven-rate error.  A node broadcasts
-whenever its *own* hardware clock crosses a multiple of beacon_period *
-nominal_freq ticks; the reference node stamps each of its broadcasts with a
-fresh flood sequence number.
+whenever its *own* hardware clock, which starts below one round of
+beacon_period * nominal_freq ticks, reaches a whole number of rounds; the
+reference node stamps each broadcast with a fresh flood sequence number.
 Broadcasts are delivered to every neighbor at the emission instant, with an
 independent Gaussian noise draw per receiver added to the payload clock value
 (noise perturbs the reported value, not the delivery time, so negative draws
@@ -423,11 +423,9 @@ def run(config: SimConfig) -> SkewTrace:
     gains, errors = [config.step_fraction * gain_max] * n, [0.0] * n
     log = array("d")  # one row per accepted update, as the module docstring lists
     seqs = [0] * n  # the newest flood sequence number each node holds
-    # Every beacon up to ``duration``: a node beacons each time its clock
-    # reaches a multiple of round_ticks above its start reading.  Each row is
-    # (time, sender, reading, whether it is the last beacon of its instant).
-    columns = clocks.crossings((np.floor(phases / round_ticks) + 1) * round_ticks, round_ticks,
-                               duration)
+    # Every beacon up to ``duration``, at each whole number of rounds of its sender's clock,
+    # as rows (time, sender, reading, whether it is the last beacon of its instant).
+    columns = clocks.crossings(round_ticks, duration)
     columns += (np.append(columns[0][1:] != columns[0][:-1], True),)
     beacons = itertools.chain.from_iterable(  # as Python values, 1024 rows at a time
         zip(*[c[j:j + 1024].tolist() for c in columns]) for j in range(0, len(columns[0]), 1024))

@@ -577,6 +577,17 @@ def test_noise_free_multihop_reports_no_ratio_instead_of_dividing_by_zero(tmp_pa
     assert "post_max_ratio_grades_over_pisync," in rows
 
 
+def test_noise_free_scaling_reports_no_exponent_instead_of_fitting_a_zero_skew(tmp_path, capsys):
+    # Diameter 1's two nodes hold exactly 0 skew without noise; no power law goes through it.
+    overrides = ("delay_std=0", "max_deviation=0", "rounds=3000", "diameters=1,2", "seeds=2")
+    argv = ["--scenario", "scaling", "--out", str(tmp_path)]
+    assert main(argv + [arg for o in overrides for arg in ("--set", o)]) == 0
+    assert "diameter1.mean_skew = 0.0" in capsys.readouterr().out
+    rows = (tmp_path / "scaling" / "summary.csv").read_text().splitlines()
+    assert rows[:3] == ["metric,value", "exponent,", "intercept,"]
+    assert float(dict(row.split(",") for row in rows)["diameter2.mean_skew"]) > 0.0
+
+
 def test_contract_violation_exits_3(tmp_path, capsys, monkeypatch):
     def runner(params, out):
         (out / "partial.csv").write_text("")  # what a run wrote before it failed stays

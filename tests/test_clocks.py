@@ -76,22 +76,25 @@ def test_time_of_then_read_lands_on_target():
 
 def test_crossings_are_every_running_sum_target_each_row_reaches():
     # B = 0.7 s at f0 = 3 makes 2.1-tick rounds, which a running sum adds
-    # inexactly, so first + k * step would give other targets.  Row 0 runs at
-    # 9 times row 1's rate, so the rows reach from 200 to 1,801 targets; row 0
-    # starts at 0 and reads 1,800.9 steps at ``until``, so it reaches one
-    # target more than its reading holds whole steps.
+    # inexactly, so k * step would give other targets.  Row 0 runs at 9 times
+    # row 1's rate, so the rows reach from 201 to 1,800 targets.  Row 0 starts
+    # at 0.0, which is no target, and row 1 one float below its first target.
     step, until = 0.7 * 3.0, 700.35
     drifts = [ConstantDrift(2.4), ConstantDrift(-2.4), WhiteDrift(2.0),
               PiecewiseDrift(((0.0, 1.5), (300.0, -1.5)))]
-    clocks = table(3.0, drifts, [0.0, 0.0, 0.5, 2.0], until, seeds=[0, 0, 5, 0])
-    first = [0.0, step, 1.0, 5.0]
+    clocks = table(3.0, drifts, [0.0, np.nextafter(step, 0.0), 0.5, 2.0], until,
+                   seeds=[0, 0, 5, 0])
+    assert (np.add.accumulate([step] * 1800) != step * np.arange(1, 1801)).any()
     expected = []
-    for row, target in enumerate(first):  # one target at a time, by a running sum
+    for row in range(4):  # one target at a time, by a running sum
+        target = step
         while (t := float(clocks.time_of(row, target))) <= until:
             expected.append((t, row, clocks.read(row, t)))
             target += step
-    assert [sum(r == row for _, r, _ in expected) for row in range(4)] == [1801, 200, 975, 928]
-    columns = clocks.crossings(np.array(first), step, until)  # (times, rows, readings)
+    assert [sum(r == row for _, r, _ in expected) for row in range(4)] == [1800, 201, 974, 929]
+    first = float(clocks.time_of(1, step))  # row 1's first target comes first of all, after 0
+    assert min(expected)[:2] == (first, 1) and first > 0.0
+    columns = clocks.crossings(step, until)  # (times, rows, readings)
     assert list(zip(*[c.tolist() for c in columns])) == sorted(expected)
 
 
@@ -102,11 +105,11 @@ def test_rows_with_identical_clocks_share_every_instant_in_ascending_row_order()
     clocks = table(3.0, [WhiteDrift(2.0)] * rows, [0.5] * rows, until, seeds=[5] * rows)
     expected = []
     for row in range(rows):  # one target at a time, by a running sum
-        target = 1.0
+        target = step
         while (t := float(clocks.time_of(row, target))) <= until:
             expected.append((t, row, clocks.read(row, t)))
             target += step
-    times, order, readings = (c.tolist() for c in clocks.crossings(np.ones(rows), step, until))
+    times, order, readings = (c.tolist() for c in clocks.crossings(step, until))
     assert len(times) == len(set(times)) * rows > 100
     assert order == list(range(rows)) * (len(times) // rows)
     assert list(zip(times, order, readings)) == sorted(expected)

@@ -860,6 +860,17 @@ def test_staggered_phases_sweep_the_whole_line_within_one_round():
     assert first_far.time == pytest.approx(1.0 + 1.0 / 3.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("round_ticks", [1.0, 2.0**10, 1e-120, 1e120])
+@pytest.mark.parametrize("phase_mode", ["aligned", "random", "staggered"])
+def test_every_clock_starts_below_one_round(phase_mode, round_ticks):
+    # The beacon schedule lists whole rounds only, so it misses none only if each
+    # start reading lies in [0, B * f0); the trace's first row holds them exactly.
+    trace = run(config(topology=Topology.line(40), nominal_freq=round_ticks, duration=2.0,
+                       phase_mode=phase_mode))
+    starts = trace.readings[0]
+    assert ((0.0 <= starts) & (starts < round_ticks)).all()
+
+
 def test_message_drops_thin_out_sync_events():
     kw = dict(duration=30.0, delay_std=0.0)
     clean = run(config(**kw))
