@@ -14,7 +14,8 @@ is 1 - 2*step*B**2*f0**2 resp. 1 - step*B*f0.  This module evaluates the
 resulting steady-state error variances, and `estimate_variance_mc` replays the
 same recursion stochastically so every formula can be validated against an
 independent sample estimate.  Only c differs between the protocols, so one
-oracle call runs a recursion per protocol side by side on one noise stream.
+oracle call runs a recursion per protocol on one noise stream, each a row of one
+(protocols, trials) block, and reduces every row to its statistics at once.
 
 Delay-noise conventions: the closed forms treat d as an i.i.d. draw of
 variance delay_std**2.  Mechanistically d is a difference of consecutive
@@ -180,24 +181,15 @@ def estimate_variance_mc(
                 sum_e2 += e
                 sum_z += z
     kept = rounds - burn_in
-    return tuple(_mc_estimate(sum_e[j], sum_e2[j], sum_z[j], kept, f0) for j in range(len(coef)))
-
-
-def _mc_estimate(sum_e, sum_e2, sum_z, kept: int, f0: float) -> McEstimate:
-    """One protocol's statistics from its per-trial sums over ``kept`` rounds."""
-    trials = len(sum_e)
     n = kept * trials
     trial_means = sum_e / kept
-    mean_e = float(trial_means.mean())
-    se = float(trial_means.std(ddof=1) / math.sqrt(trials)) if trials > 1 else float("nan")
-    total_e = float(sum_e.sum())
-    total_e2 = float(sum_e2.sum())
-    var_e = (total_e2 - total_e * total_e / n) / (n - 1) if n > 1 else 0.0
-    mean_rate = (float(sum_z.sum()) / n + 1.0) / f0
-    return McEstimate(
-        mean_error=mean_e,
-        var_error=var_e,
-        se_mean_error=se,
-        mean_rate_multiplier=mean_rate,
-        n_samples=n,
-    )
+    mean_e = trial_means.mean(axis=1)
+    se = (trial_means.std(axis=1, ddof=1) / math.sqrt(trials) if trials > 1
+          else np.full(len(coef), math.nan))
+    total_e = sum_e.sum(axis=1)
+    var_e = ((sum_e2.sum(axis=1) - total_e * total_e / n) / (n - 1) if n > 1
+             else np.zeros(len(coef)))
+    mean_rate = (sum_z.sum(axis=1) / n + 1.0) / f0
+    rows = zip(mean_e.tolist(), var_e.tolist(), se.tolist(), mean_rate.tolist())
+    return tuple(McEstimate(mean_error=m, var_error=v, se_mean_error=s, mean_rate_multiplier=r,
+                            n_samples=n) for m, v, s, r in rows)

@@ -1,9 +1,9 @@
 """Command-line front-end: run a named scenario, write CSV artifacts.
 
-Exit codes: 0 success, 2 usage error (unknown scenario/parameter, malformed
---set or config file, a number that is not finite or lies outside its scenario's
-``ranges`` interval, unusable --out, an artifact that cannot be written, a run over
-one of ``sim.BUDGETS``), 3 runtime contract violation inside a simulation.
+Exit codes: 0 success, 2 usage error (unknown scenario/parameter, malformed --set or
+config file, a number or seed that does not parse, is not finite or lies outside its
+``ranges`` interval, unusable --out, an unwritable artifact, a run over one of ``sim.BUDGETS``,
+delay noise under 3 spacings of a run's readings), 3 contract violation inside a simulation.
 """
 
 from __future__ import annotations
@@ -83,7 +83,7 @@ def run_scenario(
             )
         params[key] = _coerce(key, raw, params[key])
     if seed is not None:
-        params["seed"] = seed
+        params["seed"] = _coerce("seed", str(seed), params["seed"])
     check_ranges(params, scenario.ranges)
     out = Path(out_dir if out_dir is not None else "results") / name
     made = not out.exists()

@@ -91,7 +91,7 @@ def _two_node_config(params: dict, drift, step_policy: str, step_fraction: float
         step_policy=step_policy,
         step_fraction=step_fraction,
         phase_mode="aligned",
-        seed=int(params["seed"]),
+        seed=params["seed"],
     )
 
 
@@ -229,7 +229,7 @@ def multihop_config(params: dict) -> SimConfig:
         step_policy="adaptive",
         step_fraction=params["initial_step_fraction"],
         phase_mode="random",
-        seed=int(params["seed"]),
+        seed=params["seed"],
     )
 
 
@@ -283,7 +283,7 @@ def scaling_experiment(params: dict) -> list[tuple[int, int, float]]:
     ("random") phases add a full refresh of relay state per hop of propagation
     lag, which decorrelates the nodes and steepens the measured growth.
     """
-    diameters, rounds, seed = params["diameters"], params["rounds"], int(params["seed"])
+    diameters, rounds, seed = params["diameters"], params["rounds"], params["seed"]
     if len(set(diameters)) < max(2, len(diameters)):  # a repeat would misstate its spread
         raise ValueError(f"parameter diameters needs 2 or more values, none repeated, "
                          f"got {diameters}")
@@ -364,7 +364,7 @@ def _run_theory_check(params: dict, out: Path) -> dict:
             (GRADES, PISYNC),
             rounds=rounds,
             trials=trials,
-            seed=int(params["seed"]) + i,
+            seed=params["seed"] + i,
             noise_convention=convention,
         )
         for proto, mc in zip((GRADES, PISYNC), estimates):

@@ -397,14 +397,20 @@ def run(config: SimConfig) -> SkewTrace:
         phases = np.zeros(n)
 
     adaptive = config.step_policy == "adaptive"
-    duration, p_drop = config.duration, config.drop_probability
+    duration, p_drop, drift = config.duration, config.drop_probability, config.drift
     # Node state lives in lists indexed by the node's position in ``nodes``,
     # which orders beacons exactly as node ids do.
     index = {u: i for i, u in enumerate(nodes)}
     ref = index[topo.reference]
-    drift = config.drift
     models = ([drift.get(u, ConstantDrift(0.0)) for u in nodes] if isinstance(drift, dict)
               else [drift] * n)
+    # The spacing of the largest reading the run can reach: in ``reading + noise`` a delay
+    # noise under 3 spacings comes out with its std more than 0.5% off.
+    top = round_ticks + duration * (f0 + max([m.max_abs_deviation() for m in models]))
+    resolution = float(np.spacing(top))
+    if 0 < config.delay_std * f0 < 3 * resolution:
+        raise ValueError(f"parameter delay_std must be 0 or at least {3 * resolution / f0:.3g}, "
+                         f"3 spacings of readings up to {top:.3g} ticks, got {config.delay_std:g}")
     times = np.arange(n_samples) * period
     # Each clock's pieces to the horizon, drawn from that clock's own generator,
     # and let go once the table is built.
@@ -497,6 +503,7 @@ def run(config: SimConfig) -> SkewTrace:
             "seed": config.seed,
             "beacon_period": b,
             "nominal_freq": f0,
+            "resolution_ticks": resolution,
             "deliveries": {"accepted": accepted, "stale": slots - accepted - dropped,
                            "dropped": dropped},
             "phase_s": {"setup": setup_end - run_start, "loop": loop_end - setup_end,

@@ -588,6 +588,26 @@ def test_noise_free_scaling_reports_no_exponent_instead_of_fitting_a_zero_skew(t
     assert float(dict(row.split(",") for row in rows)["diameter2.mean_skew"]) > 0.0
 
 
+def test_delay_noise_below_the_resolution_of_the_readings_exits_2_naming_delay_std(
+    tmp_path, capsys
+):
+    # 1e-7 ticks of noise on readings that reach 2e11 ticks, whose spacing is 3.05e-5:
+    # the noise would vanish in every delivery and report a noisy line as perfectly in sync.
+    overrides = ("nodes=3", "seeds=1", "max_dev_ppm=0", "delay_std=1e-13", "duration=200000")
+    argv = ["--scenario", "fig3-multihop", "--out", str(tmp_path)]
+    assert main(argv + [arg for o in overrides for arg in ("--set", o)]) == 2
+    assert capsys.readouterr().err.startswith("error: parameter delay_std must be 0 or at least ")
+    assert not (tmp_path / "fig3-multihop").exists()
+
+
+@pytest.mark.parametrize("seed", [2.5, True])
+def test_a_seed_that_is_not_an_int_is_refused_before_anything_is_written(tmp_path, seed):
+    # As --set seed=2.5 is: run as int(seed), it would run seed 2 (or 1) under another name.
+    with pytest.raises(ValueError, match=f"^parameter seed: cannot parse '{seed}'$"):
+        run_scenario("fig1-pairwise", QUICK_FIG1, out_dir=tmp_path, seed=seed)
+    assert not list(tmp_path.iterdir())
+
+
 def test_contract_violation_exits_3(tmp_path, capsys, monkeypatch):
     def runner(params, out):
         (out / "partial.csv").write_text("")  # what a run wrote before it failed stays

@@ -68,9 +68,9 @@ def pisync_variance_nan(monkeypatch):
 
 
 def standard_errors_nan(monkeypatch):
-    mc_estimate = analysis._mc_estimate
-    monkeypatch.setattr(analysis, "_mc_estimate",
-                        lambda *args: replace(mc_estimate(*args), se_mean_error=math.nan))
+    estimate = analysis.estimate_variance_mc
+    monkeypatch.setattr(analysis, "estimate_variance_mc", lambda *args, **kwargs: tuple(
+        replace(mc, se_mean_error=math.nan) for mc in estimate(*args, **kwargs)))
 
 
 def scenario_default_times(scenario, name, factor):

@@ -794,6 +794,29 @@ def test_a_run_reports_the_seconds_of_each_phase():
     assert all(seconds >= 0 for seconds in phase_s.values())
 
 
+@pytest.mark.parametrize("drift, top", [
+    (ConstantDrift(0.0), 101.0),
+    (WhiteDrift(0.5), 151.0),
+    ({2: ConstantDrift(-0.5)}, 151.0),  # node 1, left out, deviates by 0: the largest |0.5| counts
+    ({}, 101.0),
+])
+def test_a_run_reports_the_resolution_of_the_largest_reading_it_can_reach(drift, top):
+    # B * f0 + duration * (f0 + largest |deviation|): 101 and 151 lie in different binades.
+    trace = run(config(duration=100.0, drift=drift, step_fraction=0.05))
+    assert trace.meta["resolution_ticks"] == np.spacing(top)
+    assert np.spacing(101.0) < np.spacing(151.0)
+
+
+def test_delay_noise_under_three_reading_spacings_is_refused_naming_delay_std():
+    # At f0 = 4 readings reach 4 + 100 * 4 = 404 ticks; 3 spacings of noise, in seconds.
+    least = 3 * np.spacing(404.0) / 4
+    assert run(config(duration=100.0, nominal_freq=4.0, delay_std=least)).meta[
+        "resolution_ticks"] == np.spacing(404.0)
+    with pytest.raises(ValueError, match=r"^parameter delay_std must be 0 or at least .* spacings"):
+        run(config(duration=100.0, nominal_freq=4.0, delay_std=np.nextafter(least, 0.0)))
+    run(config(duration=100.0, nominal_freq=4.0, delay_std=0.0))  # no noise loses nothing
+
+
 def test_sample_grid_is_bounded_before_it_is_allocated(monkeypatch):
     monkeypatch.setitem(sim.BUDGETS, sim.CELLS, 22)
     # A beacon period of 3 samples every 1.0: 11 samples fill the budget with 2 nodes.
