@@ -16,6 +16,7 @@ same recursion stochastically so every formula can be validated against an
 independent sample estimate.  Only c differs between the protocols, so one
 oracle call runs a recursion per protocol on one noise stream, each a row of one
 (protocols, trials) block, and reduces every row to its statistics at once.
+A second thread draws each next block in the same order and ends with the call.
 
 Delay-noise conventions: the closed forms treat d as an i.i.d. draw of
 variance delay_std**2.  Mechanistically d is a difference of consecutive
@@ -128,7 +129,8 @@ def estimate_variance_mc(
       2*delay_std**2 plus a cross-correlation with z).
 
     The standard error of the mean is computed across trials, which are
-    genuinely independent.
+    genuinely independent.  A second thread draws each next block of noise, in
+    the same order, while a block runs; it is joined before the call ends.
     """
     if isinstance(protocols, str):
         raise ValueError(f"protocols must be a tuple of protocol names, got {protocols!r}")
@@ -147,39 +149,47 @@ def estimate_variance_mc(
     coef = np.array([[_update_coefficient(p, proto)] for proto in protocols])
     b, f0 = p.beacon_period, p.nominal_freq
     w_std = p.max_deviation * math.sqrt(b / 3.0)
+    from concurrent.futures import ThreadPoolExecutor  # here, not on every import of gradesync
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     z = np.zeros((len(coef), trials))
     t_prev = rng.normal(0.0, p.delay_std, trials)
     burn_in = rounds // 2
     sum_e, sum_e2, sum_z, e, step = (np.zeros_like(z) for _ in range(5))
-    block = np.empty((_BLOCK_ROUNDS, 2, trials))
-    for h0 in range(0, rounds, _BLOCK_ROUNDS):
-        # Round h draws w then d, as Generator.normal(0.0, std, trials) would:
-        # that computes 0.0 + std * g, so the += 0.0 keeps even its zeros' signs.
-        noise = block[: min(_BLOCK_ROUNDS, rounds - h0)]
-        rng.standard_normal(out=noise)
-        noise[:, 0] *= w_std
-        noise[:, 1] *= p.delay_std
-        noise += 0.0
-        w_f0 = noise[:, 0] / f0
-        gain = b + w_f0
-        d = noise[:, 1]
-        if noise_convention == "difference":
-            t_new = d.copy()
-            d[0] -= t_prev
-            d[1:] -= t_new[:-1]
-            t_prev = t_new[-1]
-        for r in range(len(noise)):
-            np.multiply(z, gain[r], out=e)
-            e += w_f0[r]
-            e -= d[r]
-            np.multiply(coef, e, out=step)
-            z -= step
-            if h0 + r >= burn_in:
-                sum_e += e
-                e *= e  # e is recomputed from z next round
-                sum_e2 += e
-                sum_z += z
+    blocks = np.empty((2, _BLOCK_ROUNDS, 2, trials))
+
+    def draw(h0):  # the rounds from h0 on, into one block while the other runs
+        out = blocks[h0 // _BLOCK_ROUNDS % 2, : min(_BLOCK_ROUNDS, rounds - h0)]
+        return drawer.submit(rng.standard_normal, out=out)
+    with ThreadPoolExecutor(1) as drawer:  # joined when the call returns or raises
+        pending = draw(0)
+        for h0 in range(0, rounds, _BLOCK_ROUNDS):
+            noise = pending.result()  # a draw starts after the last ends: the stream's order
+            if h0 + _BLOCK_ROUNDS < rounds:
+                pending = draw(h0 + _BLOCK_ROUNDS)
+            # Round h draws w then d, as Generator.normal(0.0, std, trials) would: that
+            # computes 0.0 + std * g, so the += 0.0 keeps even its zeros' signs.
+            noise[:, 0] *= w_std
+            noise[:, 1] *= p.delay_std
+            noise += 0.0
+            w_f0 = noise[:, 0] / f0
+            gain = b + w_f0
+            d = noise[:, 1]
+            if noise_convention == "difference":
+                t_new = d.copy()
+                d[0] -= t_prev
+                d[1:] -= t_new[:-1]
+                t_prev = t_new[-1]
+            for r in range(len(noise)):
+                np.multiply(z, gain[r], out=e)
+                e += w_f0[r]
+                e -= d[r]
+                np.multiply(coef, e, out=step)
+                z -= step
+                if h0 + r >= burn_in:
+                    sum_e += e
+                    e *= e  # e is recomputed from z next round
+                    sum_e2 += e
+                    sum_z += z
     kept = rounds - burn_in
     n = kept * trials
     trial_means = sum_e / kept

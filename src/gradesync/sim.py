@@ -77,11 +77,11 @@ on_beacon_tick = None
 # and each delivery slot 8 bytes of noise, plus 1 with drops, only until the
 # event loop ends.  No budget counts a white-drift clock's table: about 88
 # bytes per unit segment of the run, plus 64 while its drawn pieces are turned
-# into the table.  A Monte-Carlo trial takes 610-720 bytes for its noise block
-# and temporaries and 45 more per path: about 770 for two protocols, under 400
-# MB at the bound.  At BENCH_37.json's rates (fig3 670k node-rounds a second,
-# theory-check 57.8M draws, about one per path-round) the two work bounds take
-# about 150 s and 35 s.
+# into the table.  The Monte-Carlo oracle takes at most 1,200 bytes per trial
+# for two protocols, two 16-round noise blocks (512) and temporaries included
+# (tracemalloc peak 1,000 i.i.d., 1,120 differenced): 300 MB at the bound.  At
+# fig3's 670k node-rounds a second (BENCH_37.json) and theory-check's 82.8M
+# draws, about one per path-round, the two work bounds take 150 s and 24 s.
 BUDGETS = {
     "trace cells (samples x nodes)": 2 * 10**7,
     "Monte-Carlo paths (protocols x trials)": 5 * 10**5,

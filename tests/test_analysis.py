@@ -1,7 +1,13 @@
 """Closed-form stability bounds, fixed points, and steady-state variances, each
 cross-checked against the independent round-recursion oracle."""
 
+import inspect
 import math
+import re
+import sys
+import threading
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -308,6 +314,101 @@ def test_mc_oracle_reproduces_its_recorded_estimates(convention):
         p, (GRADES, PISYNC), rounds=17, trials=7, seed=3, noise_convention=convention
     )
     assert tuple(map(repr, estimates)) == PINNED_MC[convention]
+
+
+@pytest.mark.parametrize("convention", ["iid", "difference"])
+@pytest.mark.parametrize("block_rounds", [1, 3, 64])
+def test_the_block_size_does_not_change_the_estimates(monkeypatch, convention, block_rounds):
+    # A second thread draws each block while the one before it runs, so a draw
+    # into the wrong block, of the wrong length or out of turn shows up as a
+    # difference between blockings: rounds 2, 17 and 50 end inside a block, one
+    # round past a boundary, and past several.
+    p = params(step=0.3, fmax=0.01, dstd=0.02)
+
+    def estimates():
+        return [
+            repr(estimate_variance_mc(p, protos, rounds=rounds, trials=trials, seed=rounds,
+                                      noise_convention=convention))
+            for rounds in (2, 17, 50) for trials in (1, 5) for protos in ((GRADES,), (GRADES, PISYNC))
+        ]
+
+    default = estimates()
+    monkeypatch.setattr(analysis, "_BLOCK_ROUNDS", block_rounds)
+    assert estimates() == default
+
+
+@pytest.mark.parametrize("convention", ["iid", "difference"])
+def test_no_draw_lands_in_the_block_that_runs(monkeypatch, convention):
+    # Small blocks run between two switches of the interpreter lock, so the
+    # drawer cannot overlap them; at 2,000 trials and a 1 µs switch interval it
+    # draws while the main thread works through a block.
+    p = params(step=0.3, fmax=0.01, dstd=0.02)
+    kw = dict(rounds=50, trials=2000, seed=5, noise_convention=convention)
+    with monkeypatch.context() as m:
+        m.setattr(analysis, "_BLOCK_ROUNDS", 64)
+        one_block = estimate_variance_mc(p, (GRADES, PISYNC), **kw)  # nothing to overlap
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            assert estimate_variance_mc(p, (GRADES, PISYNC), **kw) == one_block
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_no_oracle_call_leaves_a_thread_running(monkeypatch):
+    p = params(step=0.3, fmax=0.01, dstd=0.02)
+    before = threading.active_count()
+    for rounds in (2, analysis._BLOCK_ROUNDS - 1, 50):  # under a block, one short of it, four
+        estimate_variance_mc(p, (GRADES, PISYNC), rounds=rounds, trials=3)
+        assert threading.active_count() == before
+
+    real_rng = np.random.default_rng
+
+    class FailsOnItsThirdBlock:
+        threads = []  # the thread of every standard_normal call
+
+        def __init__(self, seed):
+            self.rng = real_rng(seed)
+
+        def normal(self, *args):
+            return self.rng.normal(*args)
+
+        def standard_normal(self, *, out):
+            self.threads.append(threading.current_thread())
+            if len(self.threads) == 3:
+                raise RuntimeError("third block")
+            return self.rng.standard_normal(out=out)
+
+    monkeypatch.setattr(np.random, "default_rng", FailsOnItsThirdBlock)
+    with pytest.raises(RuntimeError, match="^third block$"):
+        estimate_variance_mc(p, (GRADES, PISYNC), rounds=50, trials=3)
+    assert threading.active_count() == before
+    threads = FailsOnItsThirdBlock.threads
+    assert len(threads) == 3 and threading.main_thread() not in threads
+
+
+@pytest.mark.parametrize("convention", ["iid", "difference"])
+def test_an_oracle_call_peaks_within_the_stated_bytes_per_trial(convention):
+    # README's analysis row and sim.BUDGETS' comment state one figure; a
+    # tracemalloc peak of less than half of it would make the figure no bound.
+    root = Path(__file__).resolve().parents[1]
+    stated = re.search(r"at most ([\d,]+) bytes per trial for two protocols",
+                       (root / "README.md").read_text())
+    assert stated is not None
+    assert f"at most {stated[1]} bytes per trial" in inspect.getsource(sim)
+    stated = int(stated[1].replace(",", ""))
+    p = params(step=0.3, fmax=0.01, dstd=0.02)
+    estimate_variance_mc(p, (GRADES,), rounds=2, trials=1)  # its lazy imports are not per trial
+    for trials in (10_000, 40_000):
+        tracemalloc.start()
+        try:
+            estimate_variance_mc(p, (GRADES, PISYNC), rounds=40, trials=trials,
+                                 noise_convention=convention)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stated / 2 <= peak / trials <= stated
 
 
 # ---------------------------------------------------------------- parameter validation
