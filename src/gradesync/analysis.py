@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import InvalidRegimeError
 from .protocols import error_scale
-from .sim import PATHS, check_budget
+from .sim import PATHS, check_budget, check_seed
 
 
 @dataclass(frozen=True)
@@ -150,7 +150,7 @@ def estimate_variance_mc(
     b, f0 = p.beacon_period, p.nominal_freq
     w_std = p.max_deviation * math.sqrt(b / 3.0)
     from concurrent.futures import ThreadPoolExecutor  # here, not on every import of gradesync
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = np.random.default_rng(np.random.SeedSequence(check_seed(seed)))
     z = np.zeros((len(coef), trials))
     t_prev = rng.normal(0.0, p.delay_std, trials)
     burn_in = rounds // 2

@@ -164,17 +164,14 @@ def stepsize_configs(params: dict) -> dict[str, SimConfig]:
 
 
 def stepsize_series_stats(events: list, rounds: int, tol: float) -> dict:
-    """Convergence round and steady spread of node 2's per-round sync ``events``.
-
-    The convergence round is the first round whose |error| is at most ``tol``,
-    not the round after which the error stays within it.
-    """
+    """Node 2's convergence round by fig1's rule, ``sim.convergence_time`` of |error| by seq
+    against ``tol`` (None if the last event is above it), and its steady spread."""
     if not events:
         raise ValueError("no sync events recorded")
-    hits = [e.seq for e in events if abs(e.error) <= tol]
+    conv = convergence_time([e.seq for e in events], [abs(e.error) for e in events], tol)
     steady = [e.error for e in events if e.seq > rounds / 2]
     return {
-        "convergence_round": min(hits) if hits else None,
+        "convergence_round": None if conv is None else int(conv),
         "steady_error_std": float(np.std(steady, ddof=1)) if len(steady) > 1 else float("nan"),
         "steady_error_mean_abs": float(np.mean(np.abs(steady))) if steady else float("nan"),
         "final_step_size": events[-1].gain / _GRADES_SCALE,

@@ -120,6 +120,13 @@ def check_budget(budget: str, name: str, value: int, cost, at: str = "", least=0
     raise ValueError(f"parameter {name} must be at most {lo}{at}, got {value}")
 
 
+def check_seed(seed) -> int:
+    """``seed``, if an integer >= 0 (numpy's too) and not a bool; else a ValueError names it."""
+    if isinstance(seed, bool) or not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+    return seed
+
+
 # The update rule under each protocol's name, kept because bench/tracer.py wraps
 # them; ``run`` looks them up when it starts, so each protocol is counted on its own.
 grades_on_message = update
@@ -240,8 +247,7 @@ class SimConfig:
             raise ValueError("drop_probability must be in [0, 1)")
         if isinstance(self.drift, dict) and (bad := set(self.drift) - set(self.topology.nodes)):
             raise ValueError(f"drift keys {sorted(bad, key=repr)} are not topology nodes")
-        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):  # numpy's too
-            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -551,35 +557,27 @@ def write_csv(path, columns, rows, comments=()) -> None:
             fh.write(",".join([_fmt(v) for v in row]) + "\n")
 
 
-def _meta_comments(trace: SkewTrace) -> list[str]:
+def _write_samples(trace: SkewTrace, path, columns, labels, values) -> None:
+    """``t,<label><protocol>,value`` per sample, protocol and column of ``values`` (samples, k)
+    under the run's ``#`` comments and ``columns``: a row's values are formatted once, by one
+    ``%``, and written under every protocol by a second, through a template built once."""
     keys = ("unit_mode", "seed", "beacon_period", "nominal_freq")
-    return [f"{k}={trace.meta[k]}" for k in keys if k in trace.meta]
+    with open(path, "w") as fh:
+        _write_head(fh, columns, [f"{k}={trace.meta[k]}" for k in keys if k in trace.meta])
+        template = "".join([f"\0,{label}{p},%s\n" for p in trace.protocols for label in labels])
+        cells = "%.9g," * len(labels)
+        for i, t in enumerate(trace.times):
+            row = (cells % tuple(values[i].tolist())).split(",")[:-1]
+            fh.write(template.replace("\0", _fmt(t)) % tuple(row * len(trace.protocols)))
 
 
 def write_trace_csv(trace: SkewTrace, path) -> None:
-    """Per-node logical readings: t_seconds,node_id,protocol,logical_ticks.
-
-    Streamed a sample row at a time: the row's readings are formatted once, by
-    one ``%``, and written under every protocol by a second, through a template
-    built once with a line per protocol and node and the time left as NUL.
-    """
-    with open(path, "w") as fh:
-        _write_head(
-            fh, ("t_seconds", "node_id", "protocol", "logical_ticks"), _meta_comments(trace)
-        )
-        template = "".join([f"\0,{u},{p},%s\n" for p in trace.protocols for u in trace.node_ids])
-        cells = "%.9g," * len(trace.node_ids)
-        for i, t in enumerate(trace.times):
-            row = (cells % tuple(trace.readings[i].tolist())).split(",")[:-1]
-            fh.write(template.replace("\0", _fmt(t)) % tuple(row * len(trace.protocols)))
+    """Per-node logical readings: t_seconds,node_id,protocol,logical_ticks."""
+    _write_samples(trace, path, ("t_seconds", "node_id", "protocol", "logical_ticks"),
+                   [f"{u}," for u in trace.node_ids], trace.readings)
 
 
 def write_skew_csv(trace: SkewTrace, path) -> None:
     """Global skew series: t_seconds,protocol,global_skew_ticks, one skew under each protocol."""
-    line = "".join([f"%.9g,{p},%.9g\n" for p in trace.protocols])
-    pairs = np.tile(np.column_stack((trace.times, trace.global_skew())), len(trace.protocols))
-    with open(path, "w") as fh:
-        _write_head(fh, ("t_seconds", "protocol", "global_skew_ticks"), _meta_comments(trace))
-        for j in range(0, len(pairs), 1024):
-            block = pairs[j:j + 1024]
-            fh.write(line * len(block) % tuple(block.ravel().tolist()))
+    _write_samples(trace, path, ("t_seconds", "protocol", "global_skew_ticks"), [""],
+                   trace.global_skew()[:, None])

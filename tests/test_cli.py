@@ -566,6 +566,16 @@ def test_fig2_at_three_rounds_reports_every_spread(tmp_path):
     assert len(spreads) == 8 and all(math.isfinite(v) for v in spreads)
 
 
+def test_fig2_counts_convergence_from_the_round_the_error_stays_within_the_tolerance():
+    # |error| dips into 2e-5 at round 2, leaves it at round 3 and stays in from round 5.
+    errors = [5e-5, 1e-5, -3e-5, 4e-5, -2e-5, 1e-6, -3e-6]
+    events = [sim.SyncEvent(float(r), 2, r, e, 0.1, 1.0) for r, e in enumerate(errors, 1)]
+    stats = scenarios.stepsize_series_stats(events, len(errors), 2e-5)
+    assert stats["convergence_round"] == 5 and type(stats["convergence_round"]) is int
+    events.append(sim.SyncEvent(8.0, 2, 8, 2.1e-5, 0.1, 1.0))  # out of it at the end
+    assert scenarios.stepsize_series_stats(events, 8, 2e-5)["convergence_round"] is None
+
+
 def test_noise_free_multihop_reports_no_ratio_instead_of_dividing_by_zero(tmp_path, capsys):
     overrides = ("nodes=2", "seeds=1", "duration=3000", "max_dev_ppm=0", "delay_std=0")
     argv = ["--scenario", "fig3-multihop", "--out", str(tmp_path)]

@@ -52,3 +52,10 @@ def test_tier1_runs_the_command_of_the_workflows_tier1_step():
     command = " ".join(step.split("run: >-", 1)[1].split())
     assert command == "PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python " + " ".join(
         record_bench.TIER1)
+
+
+def test_the_tier1_session_refuses_an_unknown_config_option_or_marker(pytestconfig):
+    # pyproject.toml's strict_config and strict_markers are in force, so a misspelt option
+    # (xfail_stict) stops the run instead of leaving every known gap unable to fail.
+    assert pytestconfig.getini("strict_config") is True
+    assert pytestconfig.getini("strict_markers") is True

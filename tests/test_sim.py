@@ -22,9 +22,11 @@ from gradesync import (
     SimConfig,
     SkewTrace,
     SyncEvent,
+    SystemParams,
     Topology,
     WhiteDrift,
     convergence_time,
+    estimate_variance_mc,
     fit_power_exponent,
     run,
     write_skew_csv,
@@ -159,11 +161,19 @@ def test_sim_config_validation():
     # A dict key the run would ignore leaves its default in place: no drift.
     with pytest.raises(ValueError, match=r"drift keys \[9\]"):
         config(topology=Topology.line(3), drift={9: ConstantDrift(1e-4)})
-    # A seed is refused where it is set, not where the run first draws from it.
-    for bad in (-1, 1.5):
-        with pytest.raises(ValueError, match=rf"^seed must be an integer >= 0, got {bad}$"):
-            config(seed=bad)
-    assert config(seed=np.int64(4)).seed == 4
+    assert config(seed=np.int64(4)).seed == 4  # numpy's integers are seeds too
+
+
+@pytest.mark.parametrize("bad", [True, 2.5, -1])
+def test_the_simulator_and_the_oracle_refuse_a_bool_float_or_negative_seed(bad):
+    # Where it is set, not where a run first draws from it.  A bool is an int to Python:
+    # True would run seed 1 and write "# seed=True".
+    with pytest.raises(ValueError, match=rf"^seed must be an integer >= 0, got {bad}$"):
+        config(seed=bad)
+    p = SystemParams(beacon_period=1.0, nominal_freq=1.0, step_size=0.1, max_deviation=0.0,
+                     delay_std=0.0)
+    with pytest.raises(ValueError, match=rf"^seed must be an integer >= 0, got {bad}$"):
+        estimate_variance_mc(p, (GRADES,), rounds=2, trials=1, seed=bad)
 
 
 @pytest.mark.parametrize("drift", [
@@ -1159,7 +1169,13 @@ def test_trace_csv_layout(tmp_path):
     assert all(len(row.split(",")) == 4 for row in data)
 
 
-def test_trace_csv_rows_match_a_value_by_value_formatter(tmp_path):
+@pytest.mark.parametrize("write, header, cells", [
+    (write_trace_csv, "t_seconds,node_id,protocol,logical_ticks",
+     lambda trace, i: zip([f"{u}," for u in trace.node_ids], trace.readings[i].tolist())),
+    (write_skew_csv, "t_seconds,protocol,global_skew_ticks",
+     lambda trace, i: [("", trace.global_skew()[i].item())]),
+], ids=["trace.csv", "skew.csv"])
+def test_trace_csv_rows_match_a_value_by_value_formatter(tmp_path, write, header, cells):
     node_ids = (1, 42, 305, 7000)
     times = np.array([0.0, 1.0 / 3.0, 2e5])
     values = np.array([
@@ -1172,13 +1188,13 @@ def test_trace_csv_rows_match_a_value_by_value_formatter(tmp_path):
         readings=values, rate_multipliers=np.ones(values.shape),
         hw_rates=np.ones(values.shape), meta={"seed": 4},
     )
-    path = tmp_path / "trace.csv"
-    write_trace_csv(trace, path)
-    expected = ["# seed=4", "t_seconds,node_id,protocol,logical_ticks"]
+    path = tmp_path / "out.csv"
+    write(trace, path)
+    expected = ["# seed=4", header]
     for i, t in enumerate(times.tolist()):
         for proto in trace.protocols:
-            for u, v in zip(node_ids, values[i].tolist()):
-                expected.append(f"{t:.9g},{u},{proto},{v:.9g}")
+            for label, v in cells(trace, i):
+                expected.append(f"{t:.9g},{label}{proto},{v:.9g}")
     assert path.read_text() == "\n".join(expected) + "\n"
 
 
